@@ -27,25 +27,14 @@ import json
 import os
 import sys
 
-from repro.attn import PagedBitBackend
 from repro.bench.results import write_run
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.faults import demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import int_format
-from repro.serving import (
-    ContinuousBatchingEngine,
-    DeadlinePolicy,
-    EngineConfig,
-    poisson_trace,
-)
+from repro.serving import DeadlinePolicy, poisson_trace
+from repro.serving.crosscheck import crosscheck_chaos, int4_stack
 
 FAST = os.environ.get("SERVING_BENCH_FAST", "") not in ("", "0")
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
 
 #: The committed demo plan: seed, tier geometry, batch cap and deadline
 #: are tuned together so the plan actually exercises a retry, a heal and
@@ -66,33 +55,20 @@ def bench_trace():
 def run_chaos_bench(fast=False):
     """Chaos vs fault-free on the committed plan, summarized as the gated point."""
     arch = get_arch("a100")
-    common = dict(
-        model=TINY,
-        arch=arch,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
+    result = crosscheck_chaos(
+        int4_stack(TINY, arch),
+        bench_trace(),
+        dict(
+            faults=demo_fault_spec(CHAOS_SEED),
+            deadline_policy=DeadlinePolicy(default_deadline_s=DEADLINE_MS * 1e-3),
+            audit_every=AUDIT_EVERY,
+        ),
         max_batch=MAX_BATCH,
-        execute=True,
         preemption="swap",
         device_pages=DEVICE_PAGES,
         host_pages=HOST_PAGES,
     )
-    chaos = ContinuousBatchingEngine(
-        EngineConfig(
-            backend=PagedBitBackend(BitDecoding(KERNEL_CONFIG, arch)),
-            faults=demo_fault_spec(CHAOS_SEED),
-            deadline_policy=DeadlinePolicy(default_deadline_s=DEADLINE_MS * 1e-3),
-            audit_every=AUDIT_EVERY,
-            **common,
-        ),
-        bench_trace(),
-    ).run()
-    fault_free = ContinuousBatchingEngine(
-        EngineConfig(
-            backend=PagedBitBackend(BitDecoding(KERNEL_CONFIG, arch)), **common
-        ),
-        bench_trace(),
-    ).run()
+    chaos, fault_free = result.reports["executed"], result.reports["fault_free"]
     # Fault-free best-effort means every token is goodput; the ratio is
     # "what fraction of a healthy machine's useful throughput survives
     # the committed fault plan plus its deadline discipline".
@@ -128,6 +104,7 @@ def run_chaos_bench(fast=False):
         "completed": chaos.completed,
         "deadline_met": chaos.deadline_met,
         "audits": chaos.audits,
+        "checks": result.checks,
         "report_chaos": chaos.to_dict(),
         "report_fault_free": fault_free.to_dict(),
     }
@@ -136,15 +113,11 @@ def run_chaos_bench(fast=False):
 def test_chaos_serving_point(run):
     point = run(run_chaos_bench, FAST)
     print(json.dumps({k: v for k, v in point.items() if not k.startswith("report_")}, indent=2))
-    # The gate's qualitative shape: the plan bites, recovery holds.
-    assert point["transfer_retries"] >= 1
-    assert point["healed_pages"] >= 1
-    assert point["shed"] >= 1
-    assert point["failed"] == 0
+    # The gate's qualitative shape: the plan bites (retry, heal, shed all
+    # exercised), recovery holds (schedule parity, nothing FAILED, decodes
+    # bit-identical to the fault-free run) — the library's verdicts.
+    assert all(point["checks"].values()), point["checks"]
     assert point["goodput_ratio"] > 0.0
-    # Everything the chaos run finished, it finished for real.
-    chaos = point["report_chaos"]
-    assert chaos["executed_tokens"] == chaos["total_generated_tokens"]
     assert point["report_fault_free"]["completed"] == TRACE["n_requests"]
 
 

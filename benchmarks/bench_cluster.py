@@ -33,17 +33,14 @@ import sys
 
 from repro.bench.results import write_run
 from repro.cluster import Router
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import get_arch
 from repro.model.config import get_model
 from repro.model.inference import decode_step_breakdown, decode_step_ms
 from repro.model.memory import int_format
-from repro.serving import EngineConfig, poisson_trace
+from repro.serving import poisson_trace
+from repro.serving.crosscheck import int4_stack
 
 FAST = os.environ.get("SERVING_BENCH_FAST", "") not in ("", "0")
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)
 
 MODEL = "llama-3.1-8b"
 ARCH = "a100"
@@ -72,26 +69,18 @@ def bench_trace(fast):
     return poisson_trace(n, **TRACE)
 
 
-def _engine_config(model, arch, kernel):
-    return EngineConfig(
-        model=model,
-        arch=arch,
-        fmt=int_format(4, model, residual_window=64),
-        attention=kernel,
-        page_size=64,
-        prefix_cache=True,
-    )
-
-
 def run_cluster_bench(fast=False):
     """Route the shared-prefix trace under each policy; price the TP point."""
     model, arch = get_model(MODEL), get_arch(ARCH)
-    kernel = BitDecoding(KERNEL_CONFIG, arch)
+    stack = int4_stack(model, arch)
+    kernel = stack.kernel
     trace = bench_trace(fast)
+    # Serving-scale pages (64 tokens) rather than the executed stack's N_r.
+    config = stack.config(
+        False, fmt=int_format(4, model, residual_window=64), page_size=64, prefix_cache=True
+    )
     clusters = {
-        policy: Router(
-            _engine_config(model, arch, kernel), trace, replicas=REPLICAS, policy=policy
-        ).run()
+        policy: Router(config, trace, replicas=REPLICAS, policy=policy).run()
         for policy in ("round_robin", "least_loaded", "prefix_affinity")
     }
     rr, pa = clusters["round_robin"], clusters["prefix_affinity"]

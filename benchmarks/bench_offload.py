@@ -26,19 +26,13 @@ import json
 import os
 import sys
 
-from repro.attn import PagedBitBackend
 from repro.bench.results import write_run
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import int_format
-from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.serving import ContinuousBatchingEngine, poisson_trace
+from repro.serving.crosscheck import int4_stack
 
 FAST = os.environ.get("SERVING_BENCH_FAST", "") not in ("", "0")
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
 
 #: The device tier; both disciplines get exactly this many device pages.
 DEVICE_PAGES = 8
@@ -70,32 +64,13 @@ def run_offload_bench(fast=False):
     arch = get_arch("a100")
     n_requests, prompt_len, output_len, host_pages = _geometry(fast)
     trace = bench_trace(fast)
-    common = dict(
-        model=TINY,
-        arch=arch,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
-        max_batch=32,
-        execute=True,
+    stack = int4_stack(TINY, arch)
+    swap_config = stack.config(
+        True, max_batch=32, preemption="swap", device_pages=DEVICE_PAGES, host_pages=host_pages
     )
-    swap = ContinuousBatchingEngine(
-        EngineConfig(
-            backend=PagedBitBackend(BitDecoding(KERNEL_CONFIG, arch)),
-            preemption="swap",
-            device_pages=DEVICE_PAGES,
-            host_pages=host_pages,
-            **common,
-        ),
-        trace,
-    ).run()
-    recompute = ContinuousBatchingEngine(
-        EngineConfig(
-            backend=PagedBitBackend(BitDecoding(KERNEL_CONFIG, arch)),
-            n_pages=DEVICE_PAGES,
-            **common,
-        ),
-        trace,
-    ).run()
+    recompute_config = stack.config(True, max_batch=32, n_pages=DEVICE_PAGES)
+    swap = ContinuousBatchingEngine(swap_config, trace).run()
+    recompute = ContinuousBatchingEngine(recompute_config, trace).run()
     speedup = (
         swap.sustained_tokens_per_s / recompute.sustained_tokens_per_s
         if recompute.sustained_tokens_per_s

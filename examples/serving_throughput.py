@@ -21,10 +21,10 @@ from repro.model import (
     int_format,
     max_batch_size,
     max_throughput_tokens_per_s,
+    page_bytes,
     page_pool_size,
 )
 from repro.pages import OutOfPagesError, PageAllocator, PageTable
-from repro.pages.paged_cache import PagedKVStore
 
 SEQ_LEN = 32768
 
@@ -58,9 +58,9 @@ def main() -> None:
         print()
 
     # A concrete paged-memory view: how many 32K sequences fit in the HBM
-    # left after weights, at page granularity.  The per-format store dtype
-    # and byte accounting come from the CacheFormat — the INT4 store
-    # reports its true packed footprint, not fp16 working arrays.
+    # left after weights, at page granularity.  The byte accounting comes
+    # from the CacheFormat — INT4 pages cost their true packed footprint
+    # (words + metadata), not fp16 working arrays.
     model = LLAMA31_8B
     page_tokens = 64
     for fmt in (fp16_format(), int_format(4, model)):
@@ -74,14 +74,13 @@ def main() -> None:
                 admitted += 1
         except OutOfPagesError:
             pass
-        per_head = PagedKVStore.for_format(
-            1024, page_tokens, model.head_dim, fmt, heads=model.hkv
-        )
+        # One KV head's share of one layer, over 1024 pages.
+        per_head = 1024 * page_bytes(model, fmt, page_tokens) / (model.n_layers * model.hkv)
         print(
             f"{fmt.name}: {allocator.n_pages} pages of {page_tokens} tokens -> "
             f"{admitted} concurrent 32K sequences "
             f"(fragmentation {table.fragmentation():.1%}; "
-            f"1024-page per-head store: {per_head.physical_nbytes / 1e6:.1f} MB physical)"
+            f"1024-page per-head store: {per_head / 1e6:.1f} MB physical)"
         )
 
 

@@ -112,733 +112,397 @@ def _cmd_experiment(name: str) -> None:
     lookup[name]().show()
 
 
-def _schedules_match(analytical, executed) -> bool:
-    return (
-        executed.executed_tokens == executed.total_generated_tokens
-        and executed.total_generated_tokens == analytical.total_generated_tokens
-        and executed.decode_steps == analytical.decode_steps
-        and executed.prefill_steps == analytical.prefill_steps
-        and executed.preemptions == analytical.preemptions
+def _reject(message: str) -> None:
+    """An unsupported flag combination: one ``serve-sim:`` line, exit 2."""
+    print(f"serve-sim: {message}")
+    sys.exit(2)
+
+
+def _reject_unsupported(args) -> None:
+    """Every flag combination ``serve-sim`` does not support, in one place."""
+    cluster = args.tp > 1 or args.replicas > 1
+    plain = not args.execute and args.chaos is None
+    tiers = (
+        args.preemption != "recompute"
+        or args.device_pages is not None
+        or args.host_pages is not None
+        or bool(args.disk_pages)
     )
-
-
-def _decoded_maps_bit_exact(decoded_a, decoded_b) -> bool:
-    """Two ``req_id -> [hidden states]`` maps, bit-compared."""
-    if decoded_a.keys() != decoded_b.keys():
-        return False
-    for req_id, steps_a in decoded_a.items():
-        steps_b = decoded_b[req_id]
-        if len(steps_a) != len(steps_b):
-            return False
-        if any(not np.array_equal(a, b) for a, b in zip(steps_a, steps_b)):
-            return False
-    return True
-
-
-def _decoded_bit_exact(runner_a, runner_b) -> bool:
-    """Every request's per-step decode hidden states, bit-compared."""
-    return _decoded_maps_bit_exact(runner_a.decoded, runner_b.decoded)
-
-
-def _chaos_outputs_recovered(chaos_engine, free_engine) -> bool:
-    """Chaos-run decode outputs vs the fault-free reference, bitwise.
-
-    Every request the chaos run decoded must be a *prefix* of the
-    fault-free run's outputs (timed-out requests stopped early), and a
-    request the chaos run FINISHED must match in full — recovery by
-    bit-exact replay means surviving faults costs time, never numerics.
-    """
-    chaos, free = chaos_engine._runner.decoded, free_engine._runner.decoded
-    finished = {lc.request.req_id for lc in chaos_engine.lifecycles if lc.finished}
-    for req_id, steps in chaos.items():
-        reference = free.get(req_id)
-        if reference is None or len(steps) > len(reference):
-            return False
-        if req_id in finished and len(steps) != len(reference):
-            return False
-        if any(not np.array_equal(a, b) for a, b in zip(steps, reference)):
-            return False
-    return True
-
-
-def _chaos_schedules_match(analytical, executed) -> bool:
-    """Fault outcomes, recovery actions and deadline decisions must land
-    on the same steps in both modes — the PR 7 determinism contract
-    extended to the whole degradation surface."""
-    same_counts = all(
-        getattr(analytical, f) == getattr(executed, f)
-        for f in (
-            "total_generated_tokens",
-            "prefill_steps",
-            "decode_steps",
-            "mixed_steps",
-            "preemptions",
-            "swap_outs",
-            "swap_ins",
-            "transfer_retries",
-            "lost_pages",
-            "checksum_failures",
-            "healed_pages",
-            "healed_requests",
-            "shed",
-            "timed_out",
-            "failed",
-            "completed",
-            "slow_steps",
+    chaos_only = (args.deadline_ms, args.audit_every, args.max_heals)
+    if args.chaos is None and any(value is not None for value in chaos_only):
+        _reject("--deadline-ms, --audit-every and --max-heals only apply to --chaos runs")
+    if args.tp < 1 or args.replicas < 1:
+        _reject(f"--tp and --replicas must be >= 1 (got tp={args.tp}, replicas={args.replicas})")
+    if args.replicas == 1 and args.router != "round_robin":
+        _reject(f"--router {args.router} routes across replicas; pass --replicas > 1")
+    if cluster and args.chaos is not None:
+        _reject("--chaos does not compose with --tp/--replicas yet")
+    if cluster and tiers:
+        _reject("--preemption swap and the tier sizes do not compose with --tp/--replicas yet")
+    if cluster and args.n_gpus not in (1, args.tp):
+        _reject(
+            f"--tp {args.tp} spans one replica's GPUs, so --n-gpus must equal the "
+            f"tp degree (or be left at its default 1); got --n-gpus {args.n_gpus}"
         )
+    if args.chaos is not None and args.prefix_cache:
+        _reject("--chaos does not compose with --prefix-cache yet")
+    if plain and args.pages is not None:
+        _reject("--pages only applies to --execute runs")
+    if plain and tiers:
+        _reject("--preemption swap and the tier sizes only apply to --execute runs")
+
+
+def _pool_label(args) -> str:
+    return f"device {args.device_pages} + host {args.host_pages}" + (
+        f" + disk {args.disk_pages}" if args.disk_pages else ""
     )
-    a, b = analytical.sim_time_s, executed.sim_time_s
-    return same_counts and abs(a - b) <= 1e-9 + 1e-6 * max(abs(a), abs(b))
 
 
-def _cmd_serve_sim_chaos(args, model, arch, trace) -> None:
-    """Fault injection over the tiered stack, with recovery cross-checks.
+def _nr_pool(args, model, trace, nr: int, mode: str, tiered: bool) -> dict:
+    """Validate a run over the N_r-paged INT4 stack; return its pool knobs.
 
-    Arms the demo :class:`~repro.faults.plan.FaultSpec` (seeded by
-    ``--chaos``) on a swap-tiered INT4 stack and runs the trace under an
-    optional deadline policy.  Plain mode reports the analytical
-    degradation counters.  With ``--execute`` it additionally proves the
-    recovery machinery: the analytical and executed chaos schedules must
-    agree on every fault outcome and recovery action, all lost/corrupt
-    pages must have been healed with no request FAILED, the executed
-    decode outputs must be bit-identical to a fault-free reference run
-    wherever recovery succeeded, and the plan must actually have
-    exercised a retry, a heal and (under a deadline) a shed.
+    Executed, such a run allocates the model's weights for real (tens of
+    GB of float32 at serving scale).  A request whose own context outgrows
+    the pages a decode step must fit in would be silently rejected by the
+    engine — a mystery shortfall in the completion counts; fail fast.
     """
-    import json
-
-    from repro.attn import PagedBitBackend
-    from repro.core.attention import BitDecoding
-    from repro.core.config import BitDecodingConfig
-    from repro.faults import demo_fault_spec
-    from repro.model.memory import int_format
-    from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, EngineConfig
-
     if args.page_size is not None or args.residual_window is not None:
-        print(
-            "serve-sim: --chaos runs the INT4 paged stack at page size N_r; "
-            "drop --page-size/--residual-window"
+        _reject(
+            f"{mode} derives --page-size and --residual-window from the "
+            "kernel's residual block size N_r; drop those flags"
         )
-        sys.exit(2)
-    if args.pages is not None:
-        print(
-            "serve-sim: --chaos injects faults on tier transfer legs, so the "
-            "pool is tiered; use --device-pages/--host-pages, not --pages"
-        )
-        sys.exit(2)
-    if args.device_pages is None or args.host_pages is None:
-        print(
-            "serve-sim: --chaos needs the tier geometry: --device-pages and "
-            "--host-pages (plus optional --disk-pages)"
-        )
-        sys.exit(2)
-    if args.prefix_cache:
-        print("serve-sim: --chaos does not compose with --prefix-cache yet")
-        sys.exit(2)
     if args.execute and model.param_count > 1e6:
-        print(
-            f"serve-sim: --execute runs real numerics and {model.name} has "
+        _reject(
+            f"--execute runs real numerics and {model.name} has "
             f"{model.param_count / 1e9:.1f}B parameters; use a toy model "
             "(e.g. --model tiny)"
         )
-        sys.exit(2)
-    kernel_config = BitDecodingConfig(bits=4, wn=1)
-    kernel = BitDecoding(kernel_config, arch)
-    nr = kernel_config.residual_block_size
-    worst = max(trace, key=lambda r: r.total_len, default=None)
-    if worst is not None and -(-worst.total_len // nr) > args.device_pages:
-        need = -(-worst.total_len // nr)
-        print(
-            f"serve-sim: request {worst.req_id} needs {need} device pages for "
-            f"its {worst.total_len}-token context but the device tier holds "
-            f"only {args.device_pages}; raise --device-pages to at least {need}"
-        )
-        sys.exit(2)
-    deadline_ms = args.deadline_ms
-    if deadline_ms is None and args.execute:
-        deadline_ms = 6.0  # the committed demo plan's shed pressure
-    spec = demo_fault_spec(args.chaos)
-    common = dict(
-        model=model,
-        arch=arch,
-        fmt=int_format(4, model, residual_window=nr),
-        page_size=nr,
-        max_batch=args.max_batch,
-        n_gpus=args.n_gpus,
-        max_steps=args.steps,
-        prefill_chunk_tokens=args.prefill_chunk,
-        preemption="swap",
-        device_pages=args.device_pages,
-        host_pages=args.host_pages,
-        disk_pages=args.disk_pages,
-    )
-    chaos = dict(
-        faults=spec,
-        audit_every=args.audit_every,
-        max_heals=args.max_heals,
-        deadline_policy=(
-            DeadlinePolicy(default_deadline_s=deadline_ms * 1e-3) if deadline_ms else None
-        ),
-    )
-    analytical = ContinuousBatchingEngine(
-        EngineConfig(attention=kernel, **chaos, **common), trace
-    ).run()
-    reports = {"analytical": analytical.to_dict()}
-    checks = {}
-    if args.execute:
-        execute = dict(execute=True, execute_seed=args.seed)
-        chaos_engine = ContinuousBatchingEngine(
-            EngineConfig(backend=PagedBitBackend(kernel), **execute, **chaos, **common),
-            trace,
-        )
-        executed = chaos_engine.run()
-        free_engine = ContinuousBatchingEngine(
-            EngineConfig(backend=PagedBitBackend(kernel), **execute, **common), trace
-        )
-        fault_free = free_engine.run()
-        checks["schedule_match"] = _chaos_schedules_match(analytical, executed)
-        checks["all_damage_healed"] = (
-            executed.failed == 0 and not chaos_engine.tiers.has_bad_pages
-        )
-        checks["outputs_bit_exact_after_recovery"] = _chaos_outputs_recovered(
-            chaos_engine, free_engine
-        )
-        checks["exercised_retry"] = executed.transfer_retries >= 1
-        checks["exercised_heal"] = executed.healed_pages >= 1
-        if deadline_ms:
-            checks["exercised_shed"] = executed.shed >= 1
-        reports["executed"] = executed.to_dict()
-        reports["fault_free"] = fault_free.to_dict()
-    report = executed if args.execute else analytical
-    ok = all(checks.values())
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "model": model.name,
-                    "arch": arch.name,
-                    "mode": "chaos-execute" if args.execute else "chaos",
-                    "chaos_seed": args.chaos,
-                    "deadline_ms": deadline_ms,
-                    "audit_every": args.audit_every,
-                    "checks": checks,
-                    "reports": reports,
-                },
-                indent=2,
-            )
+    if not tiered:
+        pool = dict(n_pages=96 if args.pages is None else args.pages)
+        fit_flag, fit_pages = "--pages", pool["n_pages"]
+    elif args.pages is not None or args.device_pages is None or args.host_pages is None:
+        _reject(
+            f"{mode} sizes the pool from the tier geometry: pass --device-pages "
+            "and --host-pages (plus optional --disk-pages), not --pages"
         )
     else:
-        pool = (
-            f"device {args.device_pages} + host {args.host_pages}"
-            + (f" + disk {args.disk_pages}" if args.disk_pages else "")
-        )
-        print(
-            f"serve-sim --chaos {args.chaos}: {model.name} on {arch.name} | "
-            f"INT4 paged-bit, {pool} pages, swap preemption"
-            + (f", deadline {deadline_ms:g} ms" if deadline_ms else ", best-effort")
-            + (", executed" if args.execute else ", analytical")
-        )
-        print(
-            f"  outcome: {report.completed} finished ({report.deadline_met} in "
-            f"deadline), {report.shed} shed, {report.timed_out} timed out, "
-            f"{report.failed} failed of {report.n_requests}"
-        )
-        print(
-            f"  faults: {report.transfer_retries} retries "
-            f"({report.retry_backoff_s * 1e3:.3f} ms backoff), "
-            f"{report.lost_pages} lost pages, {report.checksum_failures} "
-            f"checksum failures, {report.slow_steps} slow steps"
-        )
-        print(
-            f"  recovery: {report.healed_pages} pages healed via "
-            f"{report.healed_requests} request replays, {report.audits} audits clean"
-        )
-        print(
-            f"  goodput: {report.goodput_tokens_per_s:.1f} tok/s in-deadline vs "
-            f"{report.sustained_tokens_per_s:.1f} tok/s generated"
-        )
-        for name, value in checks.items():
-            print(f"  check {name}: {value}")
-    if not ok:
-        sys.exit(1)
-
-
-def _cmd_serve_sim_execute(args, model, arch, trace) -> None:
-    """Real-token execution: schedule with the same clock, run the numerics.
-
-    Runs the trace twice over an identical INT4 stack — once purely
-    analytical, once with ``execute=True`` so every scheduler step pushes
-    real tokens through TinyTransformer + the paged low-bit cache sharing
-    the engine's page table — and checks the schedules agree token for
-    token.  With ``--prefix-cache`` two more executed runs pin down the
-    sharing machinery: a ``prefix_share=False`` run (hits copied into
-    private pages) must decode bit-identical hidden states, and a
-    cache-off run must be strictly slower on a shared-prefix trace.
-    """
-    import json
-
-    from repro.attn import PagedBitBackend
-    from repro.core.attention import BitDecoding
-    from repro.core.config import BitDecodingConfig
-    from repro.model.memory import int_format
-    from repro.serving import ContinuousBatchingEngine, EngineConfig
-
-    # wn=1 keeps N_r (= page size in execute mode) small enough for short
-    # CI-sized prompts to span several pages.
-    if args.page_size is not None or args.residual_window is not None:
-        print(
-            "serve-sim: --execute derives --page-size and --residual-window "
-            "from the kernel's residual block size N_r; drop those flags"
-        )
-        sys.exit(2)
-    # The runner allocates the model's weights for real; a serving-scale
-    # LLM would be tens of GB of float32 before the first step runs.
-    if model.param_count > 1e6:
-        print(
-            f"serve-sim: --execute runs real numerics and {model.name} has "
-            f"{model.param_count / 1e9:.1f}B parameters; use a toy model "
-            "(e.g. --model tiny)"
-        )
-        sys.exit(2)
-    kernel_config = BitDecodingConfig(bits=4, wn=1)
-    kernel = BitDecoding(kernel_config, arch)
-    nr = kernel_config.residual_block_size
-    fmt = int_format(4, model, residual_window=nr)
-    swap = args.preemption == "swap"
-    if swap and args.pages is not None:
-        print(
-            "serve-sim: --preemption swap sizes the pool from the tier "
-            "geometry; use --device-pages/--host-pages, not --pages"
-        )
-        sys.exit(2)
-    if swap and (args.device_pages is None or args.host_pages is None):
-        print(
-            "serve-sim: --preemption swap needs --device-pages and "
-            "--host-pages (the pool is their sum plus --disk-pages)"
-        )
-        sys.exit(2)
-    n_pages = 96 if args.pages is None else args.pages
-    # A request whose own context outgrows the tier every decode step must
-    # fit in could never finish even with the pool to itself; the engine
-    # would silently reject it, which reads as a mystery shortfall in the
-    # completion counts.  Fail fast with the fix spelled out instead.
-    fit_pages = args.device_pages if swap else n_pages
-    worst = max(trace, key=lambda r: r.total_len, default=None)
-    if worst is not None and -(-worst.total_len // nr) > fit_pages:
-        need = -(-worst.total_len // nr)
-        tier = "device tier" if swap else "page pool"
-        fix = (
-            f"raise --device-pages to at least {need}"
-            if swap
-            else f"raise --pages to at least {need}, or offload with "
-            f"--preemption swap --device-pages {need} --host-pages {need}"
-        )
-        print(
-            f"serve-sim: request {worst.req_id} needs {need} pages for its "
-            f"{worst.total_len}-token context (prompt + output) but the "
-            f"{tier} holds only {fit_pages}; it can never complete, even "
-            f"alone — {fix}"
-        )
-        sys.exit(2)
-    common = dict(
-        model=model,
-        arch=arch,
-        fmt=fmt,
-        page_size=nr,
-        max_batch=args.max_batch,
-        n_gpus=args.n_gpus,
-        max_steps=args.steps,
-        prefill_chunk_tokens=args.prefill_chunk,
-        prefix_cache=args.prefix_cache,
-    )
-    if swap:
-        common.update(
+        pool = dict(
             preemption="swap",
             device_pages=args.device_pages,
             host_pages=args.host_pages,
             disk_pages=args.disk_pages,
         )
-    else:
-        common["n_pages"] = n_pages
-    execute = dict(execute=True, execute_seed=args.seed)
-    analytical = ContinuousBatchingEngine(EngineConfig(attention=kernel, **common), trace).run()
-    executed_engine = ContinuousBatchingEngine(
-        EngineConfig(backend=PagedBitBackend(kernel), **execute, **common), trace
-    )
-    executed = executed_engine.run()
-    checks = {"schedule_match": _schedules_match(analytical, executed)}
-    reports = {"analytical": analytical.to_dict(), "executed": executed.to_dict()}
-    if swap:
-        # Two recompute references bracket the swap run: an *unpressured*
-        # pool of the same total page count proves swapped-and-restored
-        # decode is bit-identical to never-swapped decode, and a pool of
-        # just the device tier shows what the same device budget costs
-        # when pressure is paid in recomputation instead of PCIe traffic.
-        untiered = {
-            k: v
-            for k, v in common.items()
-            if k not in ("preemption", "device_pages", "host_pages", "disk_pages")
-        }
-        total_pages = args.device_pages + args.host_pages + args.disk_pages
-        baseline_engine = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**untiered, "n_pages": total_pages},
-            ),
-            trace,
+        fit_flag, fit_pages = "--device-pages", args.device_pages
+    worst = max(trace, key=lambda r: r.total_len, default=None)
+    need = -(-worst.total_len // nr) if worst is not None else 0
+    if need > fit_pages:
+        _reject(
+            f"request {worst.req_id} needs {need} pages for its {worst.total_len}-token "
+            f"context (prompt + output) but {fit_flag} is only {fit_pages}; it can "
+            f"never complete, even alone — raise it to at least {need}"
         )
-        baseline = baseline_engine.run()
-        pressured = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**untiered, "n_pages": args.device_pages},
-            ),
-            trace,
-        ).run()
-        checks["all_completed"] = executed.completed == len(trace)
-        checks["swap_vs_unpressured_bit_exact"] = _decoded_bit_exact(
-            executed_engine._runner, baseline_engine._runner
-        )
-        if executed.swap_outs:
-            checks["swap_faster_than_recompute"] = (
-                executed.sustained_tokens_per_s > pressured.sustained_tokens_per_s
-            )
-        reports["recompute_unpressured"] = baseline.to_dict()
-        reports["recompute_pressured"] = pressured.to_dict()
-    if args.prefix_cache:
-        copied_engine = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**common, "prefix_share": False},
-            ),
-            trace,
-        )
-        copied = copied_engine.run()
-        off = ContinuousBatchingEngine(
-            EngineConfig(
-                backend=PagedBitBackend(kernel),
-                **execute,
-                **{**common, "prefix_cache": False},
-            ),
-            trace,
-        ).run()
-        checks["share_vs_copy_schedule_match"] = (
-            copied.sim_time_s == executed.sim_time_s
-            and copied.prefix_hit_tokens == executed.prefix_hit_tokens
-            and copied.total_generated_tokens == executed.total_generated_tokens
-        )
-        checks["share_vs_copy_bit_exact"] = _decoded_bit_exact(
-            executed_engine._runner, copied_engine._runner
-        )
-        if args.shared_prefix > 0:
-            checks["hit_rate_positive"] = executed.prefix_hit_rate > 0
-            checks["faster_than_cache_off"] = (
-                executed.sustained_tokens_per_s > off.sustained_tokens_per_s
-            )
-            checks["more_effective_capacity"] = (
-                executed.effective_capacity_pages > off.effective_capacity_pages
-            )
-        reports["executed_copy"] = copied.to_dict()
-        reports["cache_off"] = off.to_dict()
-    match = all(checks.values())
-    if args.json:
-        print(json.dumps({
-            "model": model.name,
-            "arch": arch.name,
-            "mode": "execute",
-            "page_size": nr,
-            "prefix_cache": args.prefix_cache,
-            "schedule_match": checks["schedule_match"],
-            "checks": checks,
-            "reports": reports,
-        }, indent=2))
-    else:
-        pool = (
-            f"device {args.device_pages} + host {args.host_pages}"
-            + (f" + disk {args.disk_pages}" if args.disk_pages else "")
-            + " pages, swap preemption"
-            if swap
-            else f"{n_pages} pages"
-        )
-        print(
-            f"serve-sim --execute: {model.name} on {arch.name} | INT4 paged-bit, "
-            f"page {nr} tok (= N_r), {pool}"
-            + (", prefix cache on" if args.prefix_cache else "")
-        )
-        for label, r in (("analytical", analytical), ("executed", executed)):
-            ran = "-" if r.executed_tokens is None else str(r.executed_tokens)
-            print(
-                f"  {label:<10} generated {r.total_generated_tokens:>5} tok "
-                f"(ran {ran:>5}), decode steps {r.decode_steps}, "
-                f"preemptions {r.preemptions}, done {r.completed}"
-            )
-        if swap:
-            print(
-                f"  offload: swap-outs {executed.swap_outs}, "
-                f"swap-ins {executed.swap_ins}, faults {executed.offload_faults}, "
-                f"stall {executed.offload_stall_s * 1e3:.2f} ms, "
-                f"d2h {executed.offload_d2h_bytes} B, h2d {executed.offload_h2d_bytes} B"
-            )
-            print(
-                f"  throughput: swap {executed.sustained_tokens_per_s:.1f} tok/s vs "
-                f"recompute@device {pressured.sustained_tokens_per_s:.1f} tok/s vs "
-                f"unpressured {baseline.sustained_tokens_per_s:.1f} tok/s"
-            )
-        if args.prefix_cache:
-            print(
-                f"  prefix cache: hit rate {executed.prefix_hit_rate:.3f} "
-                f"({executed.prefix_hit_tokens}/{executed.prefix_probe_tokens} tok), "
-                f"shared pages peak {executed.shared_pages_peak}, "
-                f"effective capacity {executed.effective_capacity_pages} pages"
-            )
-        if swap or args.prefix_cache:
-            for name, ok in checks.items():
-                print(f"  check {name}: {ok}")
-        else:
-            print(f"token counts match the analytical schedule: {match}")
-    if not match:
-        sys.exit(1)
+    return pool
 
 
-def _cmd_serve_sim_cluster(args, model, arch, trace) -> None:
-    """Cluster serving: TP-sharded engines behind a data-parallel router.
-
-    ``--tp N`` head-shards each engine's page pool across N tensor-parallel
-    ranks (pricing pays one rank's attention plus the all-reduce tax;
-    ``--execute`` runs rank-local decode through
-    :class:`~repro.cluster.sharding.ShardedPagedBackend` and concatenates
-    head outputs).  ``--replicas M`` fronts M independent engines with a
-    :class:`~repro.cluster.router.Router` dispatching by ``--router``
-    policy.  Under ``--execute`` the run is cross-checked hard: every
-    request must complete exactly once across replicas, each replica's
-    decoded streams must be bit-identical to a single-rank (tp=1) rerun
-    of its dispatched subset, and — without ``--prefix-cache``, whose hit
-    pattern legitimately depends on request co-location — the merged
-    cluster outputs must be bit-identical to one single-rank,
-    single-replica engine running the whole trace.
-    """
-    import json
-
-    from repro.attn import PagedBitBackend
-    from repro.cluster import Router, ShardedPagedBackend
-    from repro.core.attention import BitDecoding
-    from repro.core.config import BitDecodingConfig
-    from repro.model.inference import decode_step_breakdown
-    from repro.model.memory import int_format
-    from repro.serving import ContinuousBatchingEngine, EngineConfig
-
-    tp, replicas = args.tp, args.replicas
-    if args.chaos is not None:
-        print("serve-sim: --chaos does not compose with --tp/--replicas yet")
-        sys.exit(2)
-    if (
-        args.preemption != "recompute"
-        or args.device_pages is not None
-        or args.host_pages is not None
-        or args.disk_pages
-    ):
-        print(
-            "serve-sim: --preemption swap and the tier sizes do not compose "
-            "with --tp/--replicas yet; use recompute preemption"
-        )
-        sys.exit(2)
-    if args.n_gpus not in (1, tp):
-        print(
-            f"serve-sim: --tp {tp} spans one replica's GPUs, so --n-gpus must "
-            f"equal the tp degree (or be left at its default 1); got "
-            f"--n-gpus {args.n_gpus}"
-        )
-        sys.exit(2)
-    kernel_config = BitDecodingConfig(bits=4, wn=1)
-    kernel = BitDecoding(kernel_config, arch)
-    nr = kernel_config.residual_block_size
-    if args.execute:
-        if args.page_size is not None or args.residual_window is not None:
-            print(
-                "serve-sim: --execute derives --page-size and "
-                "--residual-window from the kernel's residual block size "
-                "N_r; drop those flags"
-            )
-            sys.exit(2)
-        if model.param_count > 1e6:
-            print(
-                f"serve-sim: --execute runs real numerics and {model.name} "
-                f"has {model.param_count / 1e9:.1f}B parameters; use a toy "
-                "model (e.g. --model tiny)"
-            )
-            sys.exit(2)
-        page_size = nr
-        n_pages = 96 if args.pages is None else args.pages
-        worst = max(trace, key=lambda r: r.total_len, default=None)
-        if worst is not None and -(-worst.total_len // nr) > n_pages:
-            need = -(-worst.total_len // nr)
-            print(
-                f"serve-sim: request {worst.req_id} needs {need} pages for "
-                f"its {worst.total_len}-token context but the page pool "
-                f"holds only {n_pages}; raise --pages to at least {need}"
-            )
-            sys.exit(2)
-        residual_window = nr
-    else:
-        if args.pages is not None:
-            print("serve-sim: --pages only applies to --execute runs")
-            sys.exit(2)
-        page_size = 64 if args.page_size is None else args.page_size
-        n_pages = None
-        residual_window = 64 if args.residual_window is None else args.residual_window
-    common = dict(
-        model=model,
-        arch=arch,
-        fmt=int_format(4, model, residual_window=residual_window),
-        page_size=page_size,
-        n_pages=n_pages,
+def _engine_knobs(args, **extra) -> dict:
+    """The scheduler knobs every serve-sim mode forwards to the engine."""
+    return dict(
         max_batch=args.max_batch,
-        n_gpus=tp,
-        tp=tp,
         max_steps=args.steps,
         prefill_chunk_tokens=args.prefill_chunk,
-        prefix_cache=args.prefix_cache,
+        **extra,
     )
-    if args.execute:
-        backend = (
-            ShardedPagedBackend(kernel, tp=tp) if tp > 1 else PagedBitBackend(kernel)
-        )
-        config = EngineConfig(
-            backend=backend, execute=True, execute_seed=args.seed, **common
-        )
-    else:
-        config = EngineConfig(attention=kernel, **common)
-    router = Router(config, trace, replicas=replicas, policy=args.router)
-    cluster = router.run()
 
-    checks = {}
-    if args.execute:
-        handled = sorted(
-            lc.request.req_id for engine in router.engines for lc in engine.lifecycles
-        )
-        finished = [
-            lc.request.req_id
-            for engine in router.engines
-            for lc in engine.lifecycles
-            if lc.finished
-        ]
-        checks["exactly_once_across_replicas"] = (
-            handled == sorted(r.req_id for r in trace)
-            and len(finished) == len(set(finished)) == len(trace)
-        )
-        # Single-rank references: rerun each replica's dispatched subset on
-        # a tp=1 engine of the same config.  The schedule may differ (tp
-        # pricing moves the clock) but decode numerics are schedule-
-        # independent, so the streams must match bit for bit.
-        single = {**common, "n_gpus": 1, "tp": 1}
-        bit_exact = True
-        for engine in router.engines:
-            subset = [lc.request for lc in engine.lifecycles]
-            reference = ContinuousBatchingEngine(
-                EngineConfig(
-                    backend=PagedBitBackend(kernel),
-                    execute=True,
-                    execute_seed=args.seed,
-                    **single,
-                ),
-                subset,
-            )
-            reference.run()
-            if not _decoded_bit_exact(engine._runner, reference._runner):
-                bit_exact = False
-        checks["tp_decode_bit_exact_vs_single_rank"] = bit_exact
-        if not args.prefix_cache:
-            whole = ContinuousBatchingEngine(
-                EngineConfig(
-                    backend=PagedBitBackend(kernel),
-                    execute=True,
-                    execute_seed=args.seed,
-                    **single,
-                ),
-                trace,
-            )
-            whole.run()
-            merged = {}
-            for engine in router.engines:
-                merged.update(engine._runner.decoded)
-            checks["cluster_bit_exact_vs_single_engine"] = _decoded_maps_bit_exact(
-                merged, whole._runner.decoded
-            )
-    ok = all(checks.values())
 
-    peak = max((r.peak_resident_batch for r in cluster.per_replica), default=0) or 1
-    seq = max((r.total_len for r in trace), default=1)
-    sharded = decode_step_breakdown(model, arch, kernel, peak, seq, n_gpus=tp, tp=tp)
-    full = decode_step_breakdown(model, arch, kernel, peak, seq)
+def _emit(args, model, arch, payload: dict, lines, ok: bool = True) -> None:
+    """Print one run (JSON payload or text lines); exit 1 if a check failed."""
+    import json
+
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "model": model.name,
-                    "arch": arch.name,
-                    "mode": "cluster-execute" if args.execute else "cluster",
-                    "tp": tp,
-                    "replicas": replicas,
-                    "router": args.router,
-                    "allreduce_tax_ms": sharded.comm_ms,
-                    "rank_attention_ms": sharded.attention_ms,
-                    "full_attention_ms": full.attention_ms,
-                    "checks": checks,
-                    "cluster": cluster.to_dict(),
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({"model": model.name, "arch": arch.name, **payload}, indent=2))
     else:
-        print(
-            f"serve-sim cluster: {model.name} on {arch.name} | INT4, "
-            f"tp {tp} x {replicas} replica{'s' if replicas != 1 else ''}, "
-            f"router {args.router}"
-            + (", prefix cache on" if args.prefix_cache else "")
-            + (", executed" if args.execute else ", analytical")
-        )
-        print(
-            f"  aggregate: {cluster.completed} done of {cluster.n_requests}, "
-            f"{cluster.sustained_tokens_per_s:.1f} tok/s "
-            f"(goodput {cluster.goodput_tokens_per_s:.1f}), "
-            f"p99 ttft {cluster.p99_ttft_s if cluster.p99_ttft_s is None else round(cluster.p99_ttft_s, 4)} s, "
-            f"p99 tbt {cluster.p99_tbt_s if cluster.p99_tbt_s is None else round(cluster.p99_tbt_s * 1e3, 3)} ms"
-        )
-        print(
-            f"  routing: dispatch {cluster.dispatch_counts}, "
-            f"imbalance {cluster.load_imbalance:.2f}, prefix groups "
-            f"{cluster.prefix_groups_seen} ({cluster.prefix_groups_split} split), "
-            f"cross-replica prefix misses {cluster.cross_replica_prefix_misses}"
-        )
-        if tp > 1:
-            print(
-                f"  tp pricing: all-reduce tax {sharded.comm_ms:.4f} ms/step, "
-                f"rank attention {sharded.attention_ms:.4f} ms vs full "
-                f"{full.attention_ms:.4f} ms (batch {peak}, seq {seq})"
-            )
-        for i, r in enumerate(cluster.per_replica):
-            print(
-                f"  replica {i}: {cluster.dispatch_counts[i]} requests, "
-                f"done {r.completed}, {r.sustained_tokens_per_s:.1f} tok/s, "
-                f"preemptions {r.preemptions}"
-                + (f", prefix hit rate {r.prefix_hit_rate:.3f}" if args.prefix_cache else "")
-            )
-        for name, value in checks.items():
-            print(f"  check {name}: {value}")
+        print("\n".join(lines))
     if not ok:
         sys.exit(1)
 
 
-def _cmd_serve_sim(args) -> None:
-    import json
+def _serve_chaos(args, model, arch, trace) -> None:
+    """``--chaos``: the demo fault plan over the swap-tiered INT4 stack
+    (analytical counters; ``--execute`` adds ``crosscheck_chaos``'s proofs)."""
+    from repro.faults import demo_fault_spec
+    from repro.serving import DeadlinePolicy
+    from repro.serving.crosscheck import crosscheck_chaos, int4_stack
 
+    stack = int4_stack(model, arch)
+    pool = _nr_pool(args, model, trace, stack.nr, "--chaos", tiered=True)
+    deadline_ms = args.deadline_ms
+    if deadline_ms is None and args.execute:
+        deadline_ms = 6.0  # the committed demo plan's shed pressure
+    audit_every = 10 if args.audit_every is None else args.audit_every
+    chaos = dict(
+        faults=demo_fault_spec(args.chaos),
+        audit_every=audit_every,
+        max_heals=5 if args.max_heals is None else args.max_heals,
+        deadline_policy=(
+            DeadlinePolicy(default_deadline_s=deadline_ms * 1e-3) if deadline_ms else None
+        ),
+    )
+    result = crosscheck_chaos(
+        stack,
+        trace,
+        chaos,
+        execute=args.execute,
+        seed=args.seed,
+        **_engine_knobs(args, n_gpus=args.n_gpus, **pool),
+    )
+    report = result.reports["executed" if args.execute else "analytical"]
+    payload = {
+        "mode": "chaos-execute" if args.execute else "chaos",
+        "chaos_seed": args.chaos,
+        "deadline_ms": deadline_ms,
+        "audit_every": audit_every,
+        "checks": result.checks,
+        "reports": {name: r.to_dict() for name, r in result.reports.items()},
+    }
+    lines = [
+        f"serve-sim --chaos {args.chaos}: {model.name} on {arch.name} | "
+        f"INT4 paged-bit, {_pool_label(args)} pages, swap preemption"
+        + (f", deadline {deadline_ms:g} ms" if deadline_ms else ", best-effort")
+        + (", executed" if args.execute else ", analytical"),
+        f"  outcome: {report.completed} finished ({report.deadline_met} in "
+        f"deadline), {report.shed} shed, {report.timed_out} timed out, "
+        f"{report.failed} failed of {report.n_requests}",
+        f"  faults: {report.transfer_retries} retries "
+        f"({report.retry_backoff_s * 1e3:.3f} ms backoff), "
+        f"{report.lost_pages} lost pages, {report.checksum_failures} "
+        f"checksum failures, {report.slow_steps} slow steps",
+        f"  recovery: {report.healed_pages} pages healed via "
+        f"{report.healed_requests} request replays, {report.audits} audits clean",
+        f"  goodput: {report.goodput_tokens_per_s:.1f} tok/s in-deadline vs "
+        f"{report.sustained_tokens_per_s:.1f} tok/s generated",
+        *(f"  check {name}: {value}" for name, value in result.checks.items()),
+    ]
+    _emit(args, model, arch, payload, lines, result.ok)
+
+
+def _serve_execute(args, model, arch, trace) -> None:
+    """``--execute``: real tokens on the analytical clock, verified by
+    ``crosscheck_execute`` (plus its swap and prefix-cache brackets)."""
+    from repro.serving.crosscheck import crosscheck_execute, int4_stack
+
+    swap = args.preemption == "swap"
+    stack = int4_stack(model, arch)
+    mode = "--preemption swap" if swap else "--execute"
+    pool = _nr_pool(args, model, trace, stack.nr, mode, tiered=swap)
+    result = crosscheck_execute(
+        stack,
+        trace,
+        seed=args.seed,
+        **_engine_knobs(args, n_gpus=args.n_gpus, prefix_cache=args.prefix_cache, **pool),
+    )
+    checks, reports = result.checks, result.reports
+    executed = reports["executed"]
+    payload = {
+        "mode": "execute",
+        "page_size": stack.nr,
+        "prefix_cache": args.prefix_cache,
+        "schedule_match": checks["schedule_match"],
+        "checks": checks,
+        "reports": {name: r.to_dict() for name, r in reports.items()},
+    }
+    lines = [
+        f"serve-sim --execute: {model.name} on {arch.name} | INT4 paged-bit, "
+        f"page {stack.nr} tok (= N_r), "
+        + (f"{_pool_label(args)} pages, swap preemption" if swap else f"{pool['n_pages']} pages")
+        + (", prefix cache on" if args.prefix_cache else "")
+    ]
+    for label in ("analytical", "executed"):
+        r = reports[label]
+        ran = "-" if r.executed_tokens is None else str(r.executed_tokens)
+        lines.append(
+            f"  {label:<10} generated {r.total_generated_tokens:>5} tok "
+            f"(ran {ran:>5}), decode steps {r.decode_steps}, "
+            f"preemptions {r.preemptions}, done {r.completed}"
+        )
+    if swap:
+        pressured, baseline = reports["recompute_pressured"], reports["recompute_unpressured"]
+        lines += [
+            f"  offload: swap-outs {executed.swap_outs}, "
+            f"swap-ins {executed.swap_ins}, faults {executed.offload_faults}, "
+            f"stall {executed.offload_stall_s * 1e3:.2f} ms, "
+            f"d2h {executed.offload_d2h_bytes} B, h2d {executed.offload_h2d_bytes} B",
+            f"  throughput: swap {executed.sustained_tokens_per_s:.1f} tok/s vs "
+            f"recompute@device {pressured.sustained_tokens_per_s:.1f} tok/s vs "
+            f"unpressured {baseline.sustained_tokens_per_s:.1f} tok/s",
+        ]
+    if args.prefix_cache:
+        lines.append(
+            f"  prefix cache: hit rate {executed.prefix_hit_rate:.3f} "
+            f"({executed.prefix_hit_tokens}/{executed.prefix_probe_tokens} tok), "
+            f"shared pages peak {executed.shared_pages_peak}, "
+            f"effective capacity {executed.effective_capacity_pages} pages"
+        )
+    if swap or args.prefix_cache:
+        lines += [f"  check {name}: {ok}" for name, ok in checks.items()]
+    else:
+        lines.append(f"token counts match the analytical schedule: {result.ok}")
+    _emit(args, model, arch, payload, lines, result.ok)
+
+
+def _serve_cluster(args, model, arch, trace) -> None:
+    """``--tp``/``--replicas``: TP-sharded engines behind a router;
+    ``--execute`` adds ``crosscheck_cluster``'s single-rank comparisons."""
+    from repro.model.inference import decode_step_breakdown
+    from repro.model.memory import int_format
+    from repro.serving.crosscheck import crosscheck_cluster, int4_stack
+
+    tp, replicas = args.tp, args.replicas
+    stack = int4_stack(model, arch)
+    if args.execute:
+        pool = _nr_pool(args, model, trace, stack.nr, "--execute", tiered=False)
+    else:
+        window = 64 if args.residual_window is None else args.residual_window
+        pool = dict(
+            fmt=int_format(4, model, residual_window=window),
+            page_size=64 if args.page_size is None else args.page_size,
+        )
+    result = crosscheck_cluster(
+        stack,
+        trace,
+        replicas=replicas,
+        policy=args.router,
+        execute=args.execute,
+        seed=args.seed,
+        **_engine_knobs(args, n_gpus=tp, tp=tp, prefix_cache=args.prefix_cache, **pool),
+    )
+    cluster = result.reports["cluster"]
+    peak = max((r.peak_resident_batch for r in cluster.per_replica), default=0) or 1
+    seq = max((r.total_len for r in trace), default=1)
+    sharded = decode_step_breakdown(model, arch, stack.kernel, peak, seq, n_gpus=tp, tp=tp)
+    full = decode_step_breakdown(model, arch, stack.kernel, peak, seq)
+    payload = {
+        "mode": "cluster-execute" if args.execute else "cluster",
+        "tp": tp,
+        "replicas": replicas,
+        "router": args.router,
+        "allreduce_tax_ms": sharded.comm_ms,
+        "rank_attention_ms": sharded.attention_ms,
+        "full_attention_ms": full.attention_ms,
+        "checks": result.checks,
+        "cluster": cluster.to_dict(),
+    }
+
+    def rounded(value, scale, digits):
+        return value if value is None else round(value * scale, digits)
+
+    lines = [
+        f"serve-sim cluster: {model.name} on {arch.name} | INT4, "
+        f"tp {tp} x {replicas} replica{'s' if replicas != 1 else ''}, "
+        f"router {args.router}"
+        + (", prefix cache on" if args.prefix_cache else "")
+        + (", executed" if args.execute else ", analytical"),
+        f"  aggregate: {cluster.completed} done of {cluster.n_requests}, "
+        f"{cluster.sustained_tokens_per_s:.1f} tok/s "
+        f"(goodput {cluster.goodput_tokens_per_s:.1f}), "
+        f"p99 ttft {rounded(cluster.p99_ttft_s, 1, 4)} s, "
+        f"p99 tbt {rounded(cluster.p99_tbt_s, 1e3, 3)} ms",
+        f"  routing: dispatch {cluster.dispatch_counts}, "
+        f"imbalance {cluster.load_imbalance:.2f}, prefix groups "
+        f"{cluster.prefix_groups_seen} ({cluster.prefix_groups_split} split), "
+        f"cross-replica prefix misses {cluster.cross_replica_prefix_misses}",
+    ]
+    if tp > 1:
+        lines.append(
+            f"  tp pricing: all-reduce tax {sharded.comm_ms:.4f} ms/step, "
+            f"rank attention {sharded.attention_ms:.4f} ms vs full "
+            f"{full.attention_ms:.4f} ms (batch {peak}, seq {seq})"
+        )
+    for i, r in enumerate(cluster.per_replica):
+        lines.append(
+            f"  replica {i}: {cluster.dispatch_counts[i]} requests, "
+            f"done {r.completed}, {r.sustained_tokens_per_s:.1f} tok/s, "
+            f"preemptions {r.preemptions}"
+            + (f", prefix hit rate {r.prefix_hit_rate:.3f}" if args.prefix_cache else "")
+        )
+    lines += [f"  check {name}: {value}" for name, value in result.checks.items()]
+    _emit(args, model, arch, payload, lines, result.ok)
+
+
+def _serve_formats(args, model, arch, trace) -> None:
+    """The default analytical FP16 vs INT4 vs INT2 comparison table."""
+    from repro.serving import compare_formats, paper_serving_stacks
+
+    page_size = 64 if args.page_size is None else args.page_size
+    residual_window = 64 if args.residual_window is None else args.residual_window
+    reports = compare_formats(
+        model,
+        arch,
+        paper_serving_stacks(model, arch, residual_window=residual_window),
+        trace,
+        page_size=page_size,
+        n_gpus=args.n_gpus,
+        prefix_cache=args.prefix_cache,
+        **_engine_knobs(args),
+    )
+    payload = {
+        "requests": args.requests,
+        "rate_rps": args.rate,
+        "seed": args.seed,
+        "prefill_chunk_tokens": args.prefill_chunk,
+        "reports": [r.to_dict() for r in reports],
+    }
+
+    def cell(value, scale=1.0, digits=2) -> str:
+        return f"{'-':>10}" if value is None else f"{value * scale:10.{digits}f}"
+
+    header = (
+        f"{'format':<6} {'pages':>7} {'peak':>5} {'preempt':>8} {'done':>5} "
+        f"{'tok/s':>9} {'p50 ttft s':>10} {'p99 ttft s':>10} "
+        f"{'p99 tbt ms':>10} {'p99 lat s':>10}"
+        + (f" {'hit %':>6} {'eff cap':>8}" if args.prefix_cache else "")
+    )
+    lines = [
+        f"serve-sim: {model.name} on {arch.name} | {args.requests} requests, "
+        f"Poisson {args.rate:.1f} req/s, seed {args.seed}",
+        f"prompt {args.prompt_len} tok, output {args.output_len} tok, "
+        f"page {page_size} tok, max batch {args.max_batch}"
+        + (f", step cap {args.steps}" if args.steps else "")
+        + (
+            f", chunked prefill {args.prefill_chunk} tok/step"
+            if args.prefill_chunk
+            else ", whole-prompt prefill"
+        )
+        + (
+            f", prefix cache on ({args.shared_prefix:.0%} shared, "
+            f"{args.prefix_groups} group{'s' if args.prefix_groups != 1 else ''})"
+            if args.prefix_cache
+            else ""
+        ),
+        "",
+        header,
+        "-" * len(header),
+    ]
+    for r in reports:
+        lines.append(
+            f"{r.format_name:<6} {r.n_pages:>7} {r.peak_resident_batch:>5} "
+            f"{r.preemptions:>8} {r.completed:>5} {r.sustained_tokens_per_s:>9.1f} "
+            f"{cell(r.p50_ttft_s)} {cell(r.p99_ttft_s)} "
+            f"{cell(r.p99_tbt_s, 1e3, 1)} {cell(r.p99_latency_s)}"
+            + (
+                f" {r.prefix_hit_rate * 100:>6.1f} {r.effective_capacity_pages:>8}"
+                if args.prefix_cache
+                else ""
+            )
+        )
+    _emit(args, model, arch, payload, lines)
+
+
+def _cmd_serve_sim(args) -> None:
+    """Parse → validate → call the library → print."""
     from repro.gpu.arch import get_arch
     from repro.model.config import get_model
     from repro.model.serving import ServingOOMError
-    from repro.serving import compare_formats, paper_serving_stacks, poisson_trace
+    from repro.serving import poisson_trace
 
     try:
         model = get_model(args.model)
@@ -854,126 +518,18 @@ def _cmd_serve_sim(args) -> None:
             shared_prefix_fraction=args.shared_prefix,
             prefix_groups=args.prefix_groups,
         )
-        if args.chaos is None and (
-            args.deadline_ms is not None or args.audit_every != 10 or args.max_heals != 5
-        ):
-            print(
-                "serve-sim: --deadline-ms, --audit-every and --max-heals only "
-                "apply to --chaos runs"
-            )
-            sys.exit(2)
-        if args.tp < 1 or args.replicas < 1:
-            print(
-                f"serve-sim: --tp and --replicas must be >= 1 "
-                f"(got tp={args.tp}, replicas={args.replicas})"
-            )
-            sys.exit(2)
-        if args.replicas == 1 and args.router != "round_robin":
-            print(
-                f"serve-sim: --router {args.router} routes across replicas; "
-                "pass --replicas > 1 (or drop --router)"
-            )
-            sys.exit(2)
+        _reject_unsupported(args)
         if args.tp > 1 or args.replicas > 1:
-            _cmd_serve_sim_cluster(args, model, arch, trace)
-            return
-        if args.chaos is not None:
-            _cmd_serve_sim_chaos(args, model, arch, trace)
-            return
-        if args.execute:
-            _cmd_serve_sim_execute(args, model, arch, trace)
-            return
-        if args.pages is not None:
-            print("serve-sim: --pages only applies to --execute runs")
-            sys.exit(2)
-        if (
-            args.preemption != "recompute"
-            or args.device_pages is not None
-            or args.host_pages is not None
-            or args.disk_pages
-        ):
-            print(
-                "serve-sim: --preemption swap and the tier sizes only apply "
-                "to --execute runs"
-            )
-            sys.exit(2)
-        page_size = 64 if args.page_size is None else args.page_size
-        residual_window = 64 if args.residual_window is None else args.residual_window
-        stacks = paper_serving_stacks(model, arch, residual_window=residual_window)
-        reports = compare_formats(
-            model,
-            arch,
-            stacks,
-            trace,
-            page_size=page_size,
-            max_batch=args.max_batch,
-            n_gpus=args.n_gpus,
-            max_steps=args.steps,
-            prefill_chunk_tokens=args.prefill_chunk,
-            prefix_cache=args.prefix_cache,
-        )
+            serve = _serve_cluster
+        elif args.chaos is not None:
+            serve = _serve_chaos
+        elif args.execute:
+            serve = _serve_execute
+        else:
+            serve = _serve_formats
+        serve(args, model, arch, trace)
     except (KeyError, ValueError, ServingOOMError) as err:
-        message = err.args[0] if err.args else err
-        print(f"serve-sim: {message}")
-        sys.exit(2)
-    if args.json:
-        print(json.dumps({
-            "model": model.name,
-            "arch": arch.name,
-            "requests": args.requests,
-            "rate_rps": args.rate,
-            "seed": args.seed,
-            "prefill_chunk_tokens": args.prefill_chunk,
-            "reports": [r.to_dict() for r in reports],
-        }, indent=2))
-        return
-
-    def fmt_s(value, width=10) -> str:
-        return f"{value:{width}.2f}" if value is not None else f"{'-':>{width}}"
-
-    def fmt_ms(value, width=9) -> str:
-        return f"{value * 1e3:{width}.1f}" if value is not None else f"{'-':>{width}}"
-
-    print(
-        f"serve-sim: {model.name} on {arch.name} | {args.requests} requests, "
-        f"Poisson {args.rate:.1f} req/s, seed {args.seed}"
-    )
-    print(
-        f"prompt {args.prompt_len} tok, output {args.output_len} tok, "
-        f"page {page_size} tok, max batch {args.max_batch}"
-        + (f", step cap {args.steps}" if args.steps else "")
-        + (
-            f", chunked prefill {args.prefill_chunk} tok/step"
-            if args.prefill_chunk
-            else ", whole-prompt prefill"
-        )
-        + (
-            f", prefix cache on ({args.shared_prefix:.0%} shared, "
-            f"{args.prefix_groups} group{'s' if args.prefix_groups != 1 else ''})"
-            if args.prefix_cache
-            else ""
-        )
-    )
-    header = (
-        f"{'format':<6} {'pages':>7} {'peak':>5} {'preempt':>8} {'done':>5} "
-        f"{'tok/s':>9} {'p50 ttft s':>10} {'p99 ttft s':>10} "
-        f"{'p99 tbt ms':>10} {'p99 lat s':>10}"
-    )
-    if args.prefix_cache:
-        header += f" {'hit %':>6} {'eff cap':>8}"
-    print()
-    print(header)
-    print("-" * len(header))
-    for r in reports:
-        row = (
-            f"{r.format_name:<6} {r.n_pages:>7} {r.peak_resident_batch:>5} "
-            f"{r.preemptions:>8} {r.completed:>5} {r.sustained_tokens_per_s:>9.1f} "
-            f"{fmt_s(r.p50_ttft_s)} {fmt_s(r.p99_ttft_s)} "
-            f"{fmt_ms(r.p99_tbt_s, 10)} {fmt_s(r.p99_latency_s)}"
-        )
-        if args.prefix_cache:
-            row += f" {r.prefix_hit_rate * 100:>6.1f} {r.effective_capacity_pages:>8}"
-        print(row)
+        _reject(err.args[0] if err.args else err)
 
 
 def main(argv=None) -> None:
@@ -1001,7 +557,6 @@ def main(argv=None) -> None:
     serve.add_argument(
         "--page-size",
         type=int,
-        default=None,
         help="pool page size in tokens (default 64; incompatible with "
         "--execute, which uses N_r)",
     )
@@ -1009,7 +564,6 @@ def main(argv=None) -> None:
     serve.add_argument(
         "--residual-window",
         type=int,
-        default=None,
         help="FP16 residual window tokens per sequence (default 64; "
         "incompatible with --execute, which uses N_r)",
     )
@@ -1021,8 +575,7 @@ def main(argv=None) -> None:
         help="tensor-parallel degree per engine: the KV-head space is "
         "sharded across tp ranks behind shared block tables (must divide "
         "the model's KV-head count; pricing pays one rank's attention "
-        "plus the all-reduce tax, --execute cross-checks rank-local "
-        "decode bit-exactly against a single-rank run)",
+        "plus the all-reduce tax)",
     )
     serve.add_argument(
         "--replicas",
@@ -1039,23 +592,22 @@ def main(argv=None) -> None:
         "(shared-prefix groups land on the replica whose prefix cache "
         "already holds their pages)",
     )
-    serve.add_argument("--steps", type=int, default=None, help="scheduler step cap")
+    serve.add_argument("--steps", type=int, help="scheduler step cap")
     serve.add_argument(
         "--prefill-chunk",
         type=int,
-        default=None,
         help="chunked-prefill token budget per step (None = whole-prompt prefill)",
     )
     serve.add_argument(
         "--execute",
         action="store_true",
         help="run real tokens through TinyTransformer + the paged low-bit "
-        "cache (use a tiny model, e.g. --model tiny)",
+        "cache (use --model tiny) and cross-check every engine feature in "
+        "use against its reference run (repro.serving.crosscheck)",
     )
     serve.add_argument(
         "--pages",
         type=int,
-        default=None,
         help="page-pool size for --execute runs (pages of N_r tokens; default 96)",
     )
     serve.add_argument(
@@ -1064,21 +616,17 @@ def main(argv=None) -> None:
         default="recompute",
         help="page-pressure discipline for --execute runs: recompute "
         "releases the victim's pages and replays its prefill; swap demotes "
-        "them to the host tier and promotes them back bit-exactly (also "
-        "cross-checks against recompute runs at the total and device-only "
-        "page budgets)",
+        "them to the host tier and promotes them back bit-exactly",
     )
     serve.add_argument(
         "--device-pages",
         type=int,
-        default=None,
         help="device-tier frames under --preemption swap (the decode "
         "working set must fit here at once)",
     )
     serve.add_argument(
         "--host-pages",
         type=int,
-        default=None,
         help="host-tier frames backing the device tier under --preemption swap",
     )
     serve.add_argument(
@@ -1092,8 +640,7 @@ def main(argv=None) -> None:
         action=argparse.BooleanOptionalAction,
         default=False,
         help="probe a radix-style prefix cache at admission and share hit "
-        "pages copy-on-write (with --execute, also cross-checks sharing "
-        "against a page-copying run and a cache-off run)",
+        "pages copy-on-write",
     )
     serve.add_argument(
         "--shared-prefix",
@@ -1111,32 +658,28 @@ def main(argv=None) -> None:
     serve.add_argument(
         "--chaos",
         type=int,
-        default=None,
         metavar="SEED",
         help="arm the demo fault plan seeded here (transfer retries, lost "
         "pages, corruption, latency spikes, slow steps) over a swap-tiered "
-        "INT4 stack; with --execute also proves recovery: schedule parity, "
-        "all damage healed, outputs bit-identical to a fault-free run",
+        "INT4 stack",
     )
     serve.add_argument(
         "--deadline-ms",
         type=float,
-        default=None,
         help="per-request completion deadline for --chaos runs (shed + "
         "timeout + goodput; --execute defaults to the committed demo's 6 ms)",
     )
     serve.add_argument(
         "--audit-every",
         type=int,
-        default=10,
-        help="invariant-audit cadence in scheduler steps for --chaos runs",
+        help="invariant-audit cadence in scheduler steps for --chaos runs "
+        "(default 10)",
     )
     serve.add_argument(
         "--max-heals",
         type=int,
-        default=5,
-        help="replay budget per request for --chaos runs; a sequence the "
-        "plan keeps damaging past this many heals ends FAILED",
+        help="replay budget per request for --chaos runs (default 5); a "
+        "sequence the plan keeps damaging past this many heals ends FAILED",
     )
     serve.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)

@@ -9,7 +9,6 @@ high-throughput serving benchmarks (Figs. 10, 11, 13).
 
 from repro.pages.allocator import EvictionPolicy, OutOfPagesError, PageAllocator
 from repro.pages.page_table import PagedSequence, PageTable
-from repro.pages.paged_cache import PagedKVStore
 from repro.pages.prefix_cache import PrefixCache
 from repro.pages.tiers import TieredPageStore, TierObserver
 
@@ -19,7 +18,6 @@ __all__ = [
     "OutOfPagesError",
     "PageTable",
     "PagedSequence",
-    "PagedKVStore",
     "PrefixCache",
     "TieredPageStore",
     "TierObserver",

@@ -16,7 +16,9 @@ a 32k-token prompt no longer head-of-line blocks every in-flight decode.
 With ``EngineConfig(execute=True)`` (CLI: ``serve-sim --execute``) the
 engine additionally runs real tokens through TinyTransformer + the paged
 low-bit cache each step — the scheduler's pages are the pages the
-numerics read; see :mod:`repro.attn`.
+numerics read; see :mod:`repro.attn`.  :mod:`repro.serving.crosscheck`
+(imported explicitly — it sits above :mod:`repro.cluster`) holds the
+oracles that tie such executed runs back to the analytical schedule.
 
 Quickstart::
 

@@ -468,6 +468,13 @@ class ContinuousBatchingEngine:
         """Per-token inter-arrival samples (for merged cluster percentiles)."""
         return list(self._tbt_samples)
 
+    @property
+    def decoded(self) -> Dict[int, list]:
+        """``req_id -> [per-step decode hidden states]`` of an executed run
+        (empty when analytical); read-only — the bit-exactness witness the
+        cross-checks in :mod:`repro.serving.crosscheck` compare."""
+        return self._runner.decoded if self._runner is not None else {}
+
     def submit(self, request: Request) -> RequestLifecycle:
         """Hand the engine one more request (router dispatch path).
 
@@ -660,6 +667,22 @@ class ContinuousBatchingEngine:
             self._register_prefix(head)
         self._peak_resident = max(self._peak_resident, len(self._running))
 
+    def _unmap(self, lc: RequestLifecycle, *, abort: bool = False) -> None:
+        """Drop ``lc``'s cache binding and pages and reset its prefill state.
+
+        The one unmapping sequence preemption, healing and aborting share:
+        runner hook first (it reads the pages' handles), then the page
+        table release, then the lifecycle fields a later re-admission
+        rebuilds from scratch.  ``abort`` also forgets the runner's input
+        program — the request is leaving, not replaying.
+        """
+        if self._runner is not None:
+            (self._runner.on_abort if abort else self._runner.on_preempt)(lc)
+        if lc.seq_id is not None:
+            self.table.release_sequence(lc.seq_id)
+            lc.seq_id = None
+        lc.prefilled = lc.prefill_target = lc.cached_tokens = lc.registered_blocks = 0
+
     def _preempt(self, victim: RequestLifecycle) -> None:
         """Release a sequence's pages and requeue it for recompute.
 
@@ -668,14 +691,7 @@ class ContinuousBatchingEngine:
         releasing the sequence frees precisely that reservation.
         """
         assert victim.seq_id is not None
-        if self._runner is not None:
-            self._runner.on_preempt(victim)
-        self.table.release_sequence(victim.seq_id)
-        victim.seq_id = None
-        victim.prefilled = 0
-        victim.prefill_target = 0
-        victim.cached_tokens = 0
-        victim.registered_blocks = 0
+        self._unmap(victim)
         victim.preemptions += 1
         self._preemptions += 1
         self._running.remove(victim)
@@ -693,15 +709,7 @@ class ContinuousBatchingEngine:
         Releases whatever it still holds (pages, runner program, queue or
         resident slot) and stamps the terminal state.
         """
-        if self._runner is not None:
-            self._runner.on_abort(lc)
-        if lc.seq_id is not None:
-            self.table.release_sequence(lc.seq_id)
-            lc.seq_id = None
-        lc.prefilled = 0
-        lc.prefill_target = 0
-        lc.cached_tokens = 0
-        lc.registered_blocks = 0
+        self._unmap(lc, abort=True)
         lc.shed, lc.timed_out, lc.failed = shed, timed_out, failed
         if lc in self._running:
             self._running.remove(lc)
@@ -777,14 +785,7 @@ class ContinuousBatchingEngine:
         instead of looping forever.
         """
         assert lc.seq_id is not None
-        if self._runner is not None:
-            self._runner.on_preempt(lc)
-        self.table.release_sequence(lc.seq_id)
-        lc.seq_id = None
-        lc.prefilled = 0
-        lc.prefill_target = 0
-        lc.cached_tokens = 0
-        lc.registered_blocks = 0
+        self._unmap(lc)
         lc.heals += 1
         self._healed_requests += 1
         if lc in self._running:
@@ -900,10 +901,6 @@ class ContinuousBatchingEngine:
         self._overlapped_s += min(prefetch_s, step_s)
         return step_s + stall_s + max(0.0, prefetch_s - step_s)
 
-    def _grow(self, lc: RequestLifecycle) -> bool:
-        """Make room for one more token; False if ``lc`` itself got evicted."""
-        return self._extend(lc, 1)
-
     def _extend(self, lc: RequestLifecycle, n_tokens: int) -> bool:
         """Grow ``lc`` by a chunk (or one decode token), evicting on demand.
 
@@ -934,8 +931,9 @@ class ContinuousBatchingEngine:
         recompute discipline pays for wasted work.
         """
         budget = self.config.prefill_chunk_tokens
-        assert budget is not None
         chunks: List[Tuple[int, int]] = []
+        if budget is None:
+            return chunks  # whole-prompt admission already prefilled everything
         for lc in list(self._running):
             if budget <= 0:
                 break
@@ -999,57 +997,15 @@ class ContinuousBatchingEngine:
             groups[length] = groups.get(length, 0) + 1
         return [(count, length) for length, count in groups.items()]
 
-    def _decode(self) -> None:
-        """One decode step: every resident sequence emits one token."""
-        cfg = self.config
-        for lc in list(self._running):
-            if lc.seq_id is None:
-                continue  # preempted earlier in this loop
-            self._grow(lc)
-        if not self._running:
-            return
-        if self.tiers is not None:
-            # Residency walk in decode order: the first sequence's cold
-            # pages fault (nothing to hide behind), every later sequence's
-            # pages are prefetched under the preceding tile walks.
-            live = [lc for lc in self._running if lc.seq_id is not None]
-            for i, lc in enumerate(live):
-                self.tiers.ensure_resident(self.table.sequences[lc.seq_id].pages, prefetch=i > 0)
-            # Pages the walk lost or promoted corrupt are healed before
-            # the numerics read anything: the victims leave the batch.
-            self._heal_bad_pages()
-        if not self._running:
-            # Every resident sequence healed away.  The retry stalls and
-            # wasted transfers still advance the clock.
-            self._clock += self._charge_step(0.0)
-            return
-        if self._runner is not None:
-            self._runner.decode_batch([lc for lc in self._running if lc.seq_id is not None])
-        batch = len(self._running)
-        seq_len = max(lc.context_len + 1 for lc in self._running)
-        step_s = (
-            self.backend.decode_step_ms(
-                cfg.model,
-                cfg.arch,
-                batch,
-                seq_len,
-                cfg.n_gpus,
-                decode_groups=self._decode_group_shapes(self._running),
-                tp=cfg.tp,
-            )
-            * 1e-3
-        )
-        self._clock += self._charge_step(step_s)
-        self._decode_steps += 1
-        self._peak_resident = max(self._peak_resident, batch)
-        self._emit_tokens(list(self._running))
+    def _step(self) -> None:
+        """One scheduler step: prefill chunks + decode tokens together.
 
-    def _mixed_step(self) -> None:
-        """One chunked-prefill step: prefill chunks + decode tokens together.
-
-        Sequences whose prefill completes this step start decoding on the
-        *next* step, mirroring whole-prompt admission where the first
-        output token comes from the first decode step after prefill.
+        Whole-prompt runs take this path with an empty chunk list (their
+        prefill was charged at admission), which prices exactly like a
+        pure decode step.  Sequences whose prefill completes this step
+        start decoding on the *next* step, mirroring whole-prompt
+        admission where the first output token comes from the first
+        decode step after prefill.
         """
         cfg = self.config
         decode_ready = [lc for lc in self._running if lc.prefill_done]
@@ -1057,16 +1013,23 @@ class ContinuousBatchingEngine:
         for lc in decode_ready:
             if lc.seq_id is None:
                 continue  # preempted by a prefill extension or earlier grow
-            self._grow(lc)
+            self._extend(lc, 1)
         decoders = [lc for lc in decode_ready if lc.seq_id is not None]
         if not chunks and not decoders:
             return
         if self.tiers is not None:
+            # Residency walk in decode order: the first sequence's cold
+            # pages fault (nothing to hide behind), every later sequence's
+            # pages are prefetched under the preceding tile walks.
             for i, lc in enumerate(decoders):
                 self.tiers.ensure_resident(self.table.sequences[lc.seq_id].pages, prefetch=i > 0)
+            # Pages the walk lost or promoted corrupt are healed before
+            # the numerics read anything: the victims leave the batch.
             self._heal_bad_pages()
             decoders = [lc for lc in decoders if lc.seq_id is not None]
         if not chunks and not decoders:
+            # Every decoder healed away.  The retry stalls and wasted
+            # transfers still advance the clock.
             self._clock += self._charge_step(0.0)
             return
         if self._runner is not None:
@@ -1142,8 +1105,8 @@ class ContinuousBatchingEngine:
 
         Exactly one iteration of the classic ``run()`` loop: drain
         arrivals, jump the clock over idle gaps, then one admission phase
-        plus one decode/mixed step with the tier, deadline and audit
-        machinery around it.
+        plus one step with the tier, deadline and audit machinery around
+        it.
         """
         self._drain_arrivals()
         if not self._queue and not self._running and not self._swapped:
@@ -1160,16 +1123,12 @@ class ContinuousBatchingEngine:
             self._heal_bad_pages()
         if self.config.prefill_chunk_tokens is not None:
             self._admit_chunked()
-            if self.tiers is not None:
-                self._swap_out_overflow()
-                self._heal_bad_pages()
-            self._mixed_step()
         else:
             self._admit()
-            if self.tiers is not None:
-                self._swap_out_overflow()
-                self._heal_bad_pages()
-            self._decode()
+        if self.tiers is not None:
+            self._swap_out_overflow()
+            self._heal_bad_pages()
+        self._step()
         self._enforce_deadlines()
         self._assert_conservation()
         if self.auditor is not None and self._steps % self.config.audit_every == 0:

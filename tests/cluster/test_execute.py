@@ -9,55 +9,45 @@ KV while a miss attends exact FP32 KV, so only same-subset reruns are
 comparable, not a whole-trace merge.
 """
 
-import numpy as np
 import pytest
 
 from repro.attn import PagedBitBackend
-from repro.cluster import Router, ShardedPagedBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
+from repro.cluster import ShardedPagedBackend
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.model.memory import int_format
-from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+from repro.serving import EngineConfig, poisson_trace
+from repro.serving.crosscheck import crosscheck_cluster, int4_stack
 
 A100 = get_arch("a100")
+STACK = int4_stack(TINY, A100)
 
 
-def _common(prefix_cache=False):
-    return dict(
-        model=TINY,
-        arch=A100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
+def _crosscheck(trace, policy, prefix_cache=False):
+    return crosscheck_cluster(
+        STACK,
+        trace,
+        replicas=2,
+        policy=policy,
+        n_gpus=2,
+        tp=2,
         n_pages=96,
         max_batch=8,
         max_steps=600,
         prefix_cache=prefix_cache,
-        execute=True,
-        execute_seed=0,
     )
 
 
-def _decoded(engine):
-    return {rid: [t.copy() for t in toks] for rid, toks in engine._runner.decoded.items()}
-
-
-def _assert_decoded_equal(a, b):
-    assert sorted(a) == sorted(b)
-    for rid in a:
-        assert len(a[rid]) == len(b[rid])
-        for x, y in zip(a[rid], b[rid]):
-            assert np.array_equal(x, y)
+def _common():
+    """Raw executed ``EngineConfig`` kwargs, for the validation tests below."""
+    return dict(
+        model=TINY, arch=A100, fmt=STACK.fmt, page_size=STACK.nr, n_pages=96, execute=True
+    )
 
 
 class TestExecutedCluster:
     @pytest.mark.parametrize("prefix_cache", [False, True])
     def test_tp2_replicas2_bit_exact_vs_single_rank_reruns(self, prefix_cache):
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
         trace = poisson_trace(
             8,
             200.0,
@@ -67,58 +57,19 @@ class TestExecutedCluster:
             shared_prefix_fraction=0.5,
             prefix_groups=3,
         )
-        router = Router(
-            EngineConfig(
-                backend=ShardedPagedBackend(kernel, tp=2),
-                n_gpus=2,
-                tp=2,
-                **_common(prefix_cache),
-            ),
-            trace,
-            replicas=2,
-            policy="prefix_affinity",
-        )
-        report = router.run()
-        assert report.completed == len(trace)
-        for engine in router.engines:
-            subset = [lc.request for lc in engine.lifecycles]
-            if not subset:
-                continue
-            single = ContinuousBatchingEngine(
-                EngineConfig(
-                    backend=PagedBitBackend(kernel),
-                    n_gpus=1,
-                    tp=1,
-                    **_common(prefix_cache),
-                ),
-                subset,
-            )
-            single.run()
-            _assert_decoded_equal(_decoded(engine), _decoded(single))
+        result = _crosscheck(trace, "prefix_affinity", prefix_cache)
+        assert result.reports["cluster"].completed == len(trace)
+        assert "tp_decode_bit_exact_vs_single_rank" in result.checks
+        assert result.ok, result.checks
 
     def test_without_prefix_cache_matches_whole_trace_single_engine(self):
         # With the prefix cache off there is no hit-pattern dependence,
         # so the merged cluster output must equal one engine serving the
         # whole trace at tp=1.
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
         trace = poisson_trace(6, 100.0, prompt_len=64, output_len=10, seed=1)
-        router = Router(
-            EngineConfig(
-                backend=ShardedPagedBackend(kernel, tp=2), n_gpus=2, tp=2, **_common()
-            ),
-            trace,
-            replicas=2,
-            policy="round_robin",
-        )
-        router.run()
-        merged = {}
-        for engine in router.engines:
-            merged.update(_decoded(engine))
-        single = ContinuousBatchingEngine(
-            EngineConfig(backend=PagedBitBackend(kernel), **_common()), trace
-        )
-        single.run()
-        _assert_decoded_equal(merged, _decoded(single))
+        result = _crosscheck(trace, "round_robin")
+        assert result.checks["cluster_bit_exact_vs_single_engine"]
+        assert result.ok, result.checks
 
 
 class TestConfigValidation:
@@ -128,7 +79,7 @@ class TestConfigValidation:
                 model=TINY,
                 arch=A100,
                 fmt=int_format(4, TINY),
-                attention=BitDecoding(KERNEL_CONFIG, A100),
+                attention=STACK.kernel,
                 tp=0,
             )
 
@@ -138,7 +89,7 @@ class TestConfigValidation:
                 model=TINY,
                 arch=A100,
                 fmt=int_format(4, TINY),
-                attention=BitDecoding(KERNEL_CONFIG, A100),
+                attention=STACK.kernel,
                 tp=3,
                 n_gpus=3,
             )
@@ -149,13 +100,13 @@ class TestConfigValidation:
                 model=TINY,
                 arch=A100,
                 fmt=int_format(4, TINY),
-                attention=BitDecoding(KERNEL_CONFIG, A100),
+                attention=STACK.kernel,
                 tp=2,
                 n_gpus=1,
             )
 
     def test_execute_tp_needs_matching_sharded_backend(self):
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
+        kernel = STACK.kernel
         with pytest.raises(ValueError, match="ShardedPagedBackend"):
             EngineConfig(backend=PagedBitBackend(kernel), n_gpus=2, tp=2, **_common())
         with pytest.raises(ValueError, match="ShardedPagedBackend"):
@@ -164,7 +115,7 @@ class TestConfigValidation:
             )
 
     def test_execute_tp_rejects_swap_preemption(self):
-        kernel = BitDecoding(KERNEL_CONFIG, A100)
+        kernel = STACK.kernel
         with pytest.raises(ValueError, match="swap"):
             EngineConfig(
                 backend=ShardedPagedBackend(kernel, tp=2),

@@ -15,22 +15,15 @@ The recovery contract this file pins down:
   into FAILED instead of looping forever.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attn import PagedBitBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.faults.plan import FaultSpec, demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import int_format
-from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, EngineConfig, poisson_trace
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, poisson_trace
+from repro.serving.crosscheck import decoded_bit_exact, int4_stack, schedules_match
 
 #: The committed chaos demo geometry (see ``serve-sim --chaos``): an
 #: over-capacity trace on a small device tier with a tight batch cap, so
@@ -43,11 +36,8 @@ def _trace():
 
 
 def _config(a100, execute=True, **overrides):
+    """The committed demo geometry on the library's INT4 stack."""
     kwargs = dict(
-        model=TINY,
-        arch=a100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
         max_batch=16,
         max_steps=4000,
         preemption="swap",
@@ -55,30 +45,7 @@ def _config(a100, execute=True, **overrides):
         host_pages=HOST,
     )
     kwargs.update(overrides)
-    if execute:
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
-        return EngineConfig(backend=PagedBitBackend(kernel), execute=True, **kwargs)
-    return EngineConfig(attention=BitDecoding(KERNEL_CONFIG, a100), **kwargs)
-
-
-def _decoded(engine):
-    return engine._runner.decoded
-
-
-def _assert_recovered_outputs(chaos_engine, free_engine):
-    """Chaos outputs must be a bit-exact prefix of the fault-free run's
-    (full-length for requests that finished)."""
-    chaos, free = _decoded(chaos_engine), _decoded(free_engine)
-    finished = {
-        lc.request.req_id for lc in chaos_engine.lifecycles if lc.finished
-    }
-    for req_id, steps in chaos.items():
-        reference = free[req_id]
-        assert len(steps) <= len(reference)
-        if req_id in finished:
-            assert len(steps) == len(reference)
-        for got, want in zip(steps, reference):
-            np.testing.assert_array_equal(got, want)
+    return int4_stack(TINY, a100).config(execute, **kwargs)
 
 
 class TestLockstepDeterminism:
@@ -90,24 +57,8 @@ class TestLockstepDeterminism:
         analytical = ContinuousBatchingEngine(
             _config(a100, execute=False, faults=spec, audit_every=10), _trace()
         ).run()
-        for field in (
-            "total_generated_tokens",
-            "decode_steps",
-            "mixed_steps",
-            "swap_outs",
-            "swap_ins",
-            "transfer_retries",
-            "lost_pages",
-            "checksum_failures",
-            "healed_pages",
-            "healed_requests",
-            "slow_steps",
-            "completed",
-            "failed",
-            "audits",
-        ):
-            assert getattr(executed, field) == getattr(analytical, field), field
-        assert executed.sim_time_s == pytest.approx(analytical.sim_time_s)
+        assert schedules_match(analytical, executed)
+        assert executed.audits == analytical.audits
         assert executed.faults_enabled and analytical.faults_enabled
 
     def test_same_spec_reproduces_exactly(self, a100):
@@ -130,7 +81,8 @@ class TestBitExactRecovery:
         free = ContinuousBatchingEngine(_config(a100), _trace())
         free_report = free.run()
         assert free_report.completed == 8
-        _assert_recovered_outputs(chaos, free)
+        finished = {lc.request.req_id for lc in chaos.lifecycles if lc.finished}
+        assert decoded_bit_exact(chaos.decoded, free.decoded, finished)
 
     def test_faults_cost_time_not_work(self, a100):
         chaos = ContinuousBatchingEngine(
@@ -271,9 +223,4 @@ class TestAllTransientProperty:
         assert report.failed == 0 and report.healed_pages == 0
         free = ContinuousBatchingEngine(_config(a100), trace)
         free.run()
-        chaos_out, free_out = _decoded(chaos), _decoded(free)
-        assert chaos_out.keys() == free_out.keys()
-        for req_id, steps in chaos_out.items():
-            assert len(steps) == len(free_out[req_id])
-            for got, want in zip(steps, free_out[req_id]):
-                np.testing.assert_array_equal(got, want)
+        assert decoded_bit_exact(chaos.decoded, free.decoded)

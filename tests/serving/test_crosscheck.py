@@ -1,0 +1,96 @@
+"""The cross-check library itself: comparators that can say no.
+
+Every executed-mode suite and ``serve-sim`` smoke trusts
+:mod:`repro.serving.crosscheck` for its verdicts, so this file pins the
+comparators' *negative* space — a perturbed counter, clock or decode
+stream must flip them to False — and the CI smoke geometry's positive.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.gpu.arch import get_arch
+from repro.model.config import TINY
+from repro.serving import poisson_trace
+from repro.serving.crosscheck import (
+    SCHEDULE_FIELDS,
+    crosscheck_execute,
+    decoded_bit_exact,
+    int4_stack,
+    schedules_match,
+)
+
+
+@pytest.fixture(scope="module")
+def smoke():
+    """``crosscheck_execute`` on ci.yml's "real token execution" smoke geometry."""
+    trace = poisson_trace(6, 50.0, prompt_len=48, output_len=8, seed=0)
+    stack = int4_stack(TINY, get_arch("a100"))
+    return crosscheck_execute(stack, trace, n_pages=96, max_batch=8, max_steps=200)
+
+
+class TestSchedulesMatch:
+    def test_ci_smoke_geometry_passes_every_check(self, smoke):
+        assert smoke.checks == {"schedule_match": True}
+        assert smoke.ok
+        assert list(smoke.reports) == ["analytical", "executed"]
+
+    @pytest.mark.parametrize("field", SCHEDULE_FIELDS)
+    def test_any_single_counter_perturbation_is_caught(self, smoke, field):
+        analytical, executed = smoke.reports["analytical"], smoke.reports["executed"]
+        assert schedules_match(analytical, executed)
+        perturbed = replace(executed, **{field: getattr(executed, field) + 1})
+        assert not schedules_match(analytical, perturbed)
+        assert not schedules_match(perturbed, analytical)
+
+    def test_clock_perturbation_is_caught(self, smoke):
+        analytical, executed = smoke.reports["analytical"], smoke.reports["executed"]
+        drifted = replace(executed, sim_time_s=executed.sim_time_s * (1 + 1e-4))
+        assert not schedules_match(analytical, drifted)
+        # Float round-off (the same prices summed once more) is not drift.
+        rounded = replace(executed, sim_time_s=executed.sim_time_s + 1e-12)
+        assert schedules_match(analytical, rounded)
+
+    def test_unexecuted_tokens_are_caught(self, smoke):
+        analytical, executed = smoke.reports["analytical"], smoke.reports["executed"]
+        skipped = replace(executed, executed_tokens=executed.executed_tokens - 1)
+        assert not schedules_match(analytical, skipped)
+
+
+def _streams(lengths):
+    rng = np.random.default_rng(0)
+    return {
+        rid: [rng.standard_normal(4).astype(np.float32) for _ in range(n)]
+        for rid, n in lengths.items()
+    }
+
+
+class TestDecodedBitExact:
+    def test_identical_maps_match(self):
+        a = _streams({0: 3, 1: 2})
+        assert decoded_bit_exact(a, {rid: [s.copy() for s in steps] for rid, steps in a.items()})
+
+    def test_one_flipped_bit_is_caught(self):
+        a = _streams({0: 3, 1: 2})
+        b = {rid: [s.copy() for s in steps] for rid, steps in a.items()}
+        b[1][1].view(np.uint32)[0] ^= 1
+        assert not decoded_bit_exact(a, b)
+        assert not decoded_bit_exact(a, b, finished={0, 1})
+
+    def test_strict_mode_rejects_missing_requests_and_short_streams(self):
+        a = _streams({0: 3, 1: 2})
+        assert not decoded_bit_exact({0: a[0]}, a)
+        assert not decoded_bit_exact({0: a[0], 1: a[1][:1]}, a)
+
+    def test_prefix_accepted_only_for_unfinished_requests(self):
+        reference = _streams({0: 3, 1: 2})
+        disturbed = {0: reference[0], 1: reference[1][:1]}  # request 1 stopped early
+        assert decoded_bit_exact(disturbed, reference, finished={0})
+        assert not decoded_bit_exact(disturbed, reference, finished={0, 1})
+        # A request the disturbed run never decoded (shed) is fine ...
+        assert decoded_bit_exact({0: reference[0]}, reference, finished={0})
+        # ... but one the reference never saw, or a longer stream, is not.
+        assert not decoded_bit_exact({**disturbed, 2: reference[0]}, reference, finished={0})
+        assert not decoded_bit_exact(reference, disturbed, finished=set())

@@ -8,18 +8,12 @@ quantized cache — but swap runs are the cleaner reference because their
 schedule never re-prefills at all.)
 """
 
-import numpy as np
 import pytest
 
-from repro.attn import PagedBitBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.model.config import TINY
-from repro.model.memory import MemoryTierModel, int_format
-from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
-
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+from repro.model.memory import MemoryTierModel
+from repro.serving import ContinuousBatchingEngine, poisson_trace
+from repro.serving.crosscheck import decoded_bit_exact, int4_stack, schedules_match
 
 #: Near-simultaneous arrivals whose aggregate context (8 requests x 4
 #: pages) far exceeds the 8-page device tier — admission must succeed
@@ -32,38 +26,15 @@ def _trace():
 
 
 def _config(a100, execute=True, **overrides):
-    kwargs = dict(
-        model=TINY,
-        arch=a100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
-        max_batch=16,
-        max_steps=2000,
-    )
+    kwargs = dict(max_batch=16, max_steps=2000)
     kwargs.update(overrides)
-    if execute:
-        kernel = BitDecoding(KERNEL_CONFIG, a100)
-        return EngineConfig(backend=PagedBitBackend(kernel), execute=True, **kwargs)
-    return EngineConfig(attention=BitDecoding(KERNEL_CONFIG, a100), **kwargs)
+    return int4_stack(TINY, a100).config(execute, **kwargs)
 
 
 def _swap_config(a100, execute=True, **overrides):
     kwargs = dict(preemption="swap", device_pages=DEVICE, host_pages=HOST)
     kwargs.update(overrides)
     return _config(a100, execute=execute, **kwargs)
-
-
-def _decoded(engine):
-    return engine._runner.decoded
-
-
-def _assert_decoded_equal(a, b):
-    assert a.keys() == b.keys()
-    for req_id, steps_a in a.items():
-        steps_b = b[req_id]
-        assert len(steps_a) == len(steps_b)
-        for x, y in zip(steps_a, steps_b):
-            np.testing.assert_array_equal(x, y)
 
 
 class TestSwapExecution:
@@ -87,7 +58,7 @@ class TestSwapExecution:
         baseline = ContinuousBatchingEngine(_config(a100, n_pages=DEVICE + HOST), _trace())
         baseline_report = baseline.run()
         assert baseline_report.preemptions == 0  # truly unpressured
-        _assert_decoded_equal(_decoded(swap), _decoded(baseline))
+        assert decoded_bit_exact(swap.decoded, baseline.decoded)
 
     def test_swap_beats_recompute_at_equal_device_budget(self, a100):
         swap = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
@@ -100,11 +71,8 @@ class TestSwapExecution:
         executed = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
         analytical = ContinuousBatchingEngine(_swap_config(a100, execute=False), _trace()).run()
         assert analytical.executed_tokens is None
-        assert executed.total_generated_tokens == analytical.total_generated_tokens
-        assert executed.decode_steps == analytical.decode_steps
-        assert executed.swap_outs == analytical.swap_outs
-        assert executed.swap_ins == analytical.swap_ins
-        assert executed.sim_time_s == pytest.approx(analytical.sim_time_s)
+        assert executed.swap_outs > 0
+        assert schedules_match(analytical, executed)
 
     def test_faults_and_stall_are_priced(self, a100):
         report = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
@@ -122,7 +90,8 @@ class TestSwapExecution:
         assert slow.sim_time_s > fast.sim_time_s
 
     def test_request_larger_than_device_tier_rejected(self, a100):
-        trace = poisson_trace(1, 10.0, prompt_len=DEVICE * NR + 40, output_len=4, seed=0)
+        too_long = DEVICE * int4_stack(TINY, a100).nr + 40
+        trace = poisson_trace(1, 10.0, prompt_len=too_long, output_len=4, seed=0)
         report = ContinuousBatchingEngine(_swap_config(a100, host_pages=64), trace).run()
         assert report.rejected == 1 and report.completed == 0
 

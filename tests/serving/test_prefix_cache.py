@@ -14,18 +14,15 @@ a common prompt prefix.  Three contracts under test:
    (hit rate > 0, strictly higher tokens/s, more effective capacity).
 """
 
-import numpy as np
 import pytest
 
-from repro.attn import PagedBitBackend
-from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
+from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.memory import int_format
 from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.serving.crosscheck import decoded_bit_exact, int4_stack
 
-KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
-NR = KERNEL_CONFIG.residual_block_size
+#: The INT4 stack's residual block size = its executed page size.
+NR = int4_stack(TINY, get_arch("a100")).nr
 
 
 def _trace(n=8, rate=5000.0, prompt=96, output=24, shared=0.5, groups=1, seed=7):
@@ -37,29 +34,16 @@ def _trace(n=8, rate=5000.0, prompt=96, output=24, shared=0.5, groups=1, seed=7)
     )
 
 
-def _config(a100, n_pages=96, max_batch=8, prefill_chunk=None, **over):
-    kwargs = dict(
-        model=TINY,
-        arch=a100,
-        fmt=int_format(4, TINY, residual_window=NR),
-        page_size=NR,
+def _engine(a100, trace, execute=False, n_pages=96, max_batch=8, prefill_chunk=None, **over):
+    config = int4_stack(TINY, a100).config(
+        execute,
         n_pages=n_pages,
         max_batch=max_batch,
         max_steps=2000,
         prefill_chunk_tokens=prefill_chunk,
+        **over,
     )
-    kwargs.update(over)
-    return kwargs
-
-
-def _engine(a100, trace, execute=False, **over):
-    kernel = BitDecoding(KERNEL_CONFIG, a100)
-    common = _config(a100, **over)
-    if execute:
-        cfg = EngineConfig(backend=PagedBitBackend(kernel), execute=True, **common)
-    else:
-        cfg = EngineConfig(attention=kernel, **common)
-    return ContinuousBatchingEngine(cfg, trace)
+    return ContinuousBatchingEngine(config, trace)
 
 
 class TestAnalytical:
@@ -142,12 +126,7 @@ class TestExecuted:
         # Sharing actually happened in the shared run and not in the copy run.
         assert shared.shared_pages_peak > 0
         assert copied.shared_pages_peak == 0
-        decoded_shared = shared_eng._runner.decoded
-        decoded_copied = copied_eng._runner.decoded
-        assert decoded_shared.keys() == decoded_copied.keys()
-        for req_id in decoded_shared:
-            for h_s, h_c in zip(decoded_shared[req_id], decoded_copied[req_id]):
-                np.testing.assert_array_equal(h_s, h_c)
+        assert decoded_bit_exact(shared_eng.decoded, copied_eng.decoded)
 
     def test_executes_under_chunked_prefill(self, a100):
         trace = _trace(prompt=70, output=10)

@@ -216,34 +216,66 @@ class TestServeSimCluster:
         assert "analytical" in out
         assert "8 done of 8" in out
 
-    def test_router_without_replicas_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["serve-sim", "--router", "prefix_affinity"])
-        assert exc.value.code == 2
 
-    def test_nonpositive_tp_or_replicas_exits_2(self):
-        for flags in (["--tp", "0"], ["--replicas", "0"], ["--tp", "-1"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["serve-sim", "--requests", "4", *flags])
-            assert exc.value.code == 2
+_TINY = ["serve-sim", "--model", "tiny", "--requests", "4"]
+_TIERS = ["--device-pages", "8", "--host-pages", "28"]
 
-    def test_tp_must_divide_kv_heads_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["serve-sim", "--model", "tiny", "--tp", "3", "--requests", "4"])
-        assert exc.value.code == 2
 
-    def test_cluster_rejects_chaos_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "serve-sim", "--model", "tiny", "--replicas", "2",
-                "--chaos", "7", "--requests", "4",
-            ])
-        assert exc.value.code == 2
+class TestServeSimRejections:
+    """Every documented unsupported flag combination: exit 2, one
+    ``serve-sim:`` line, no traceback (README "Unsupported combinations")."""
 
-    def test_cluster_rejects_swap_preemption_exits_2(self):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--chaos", "7", *_TIERS, "--prefix-cache"],
+            ["--chaos", "7", *_TIERS, "--tp", "2"],
+            ["--chaos", "7", *_TIERS, "--replicas", "2"],
+            ["--tp", "2", "--preemption", "swap"],
+            ["--replicas", "2", "--execute", "--preemption", "swap", *_TIERS],
+            ["--tp", "2", "--device-pages", "8"],
+            ["--pages", "10"],
+            ["--tp", "2", "--pages", "10"],
+            ["--preemption", "swap", *_TIERS],
+            ["--execute", "--page-size", "32"],
+            ["--execute", "--residual-window", "32"],
+            ["--execute", "--tp", "2", "--page-size", "32"],
+            ["--chaos", "7", *_TIERS, "--page-size", "32"],
+            ["--chaos", "7", "--pages", "10"],
+            ["--chaos", "7", "--device-pages", "8"],
+            ["--execute", "--preemption", "swap", "--pages", "10"],
+            ["--execute", "--pages", "2", "--prompt-len", "200"],
+            ["--router", "prefix_affinity"],
+            ["--tp", "0"],
+            ["--tp", "-1"],
+            ["--replicas", "0"],
+            ["--tp", "3"],
+            ["--tp", "2", "--n-gpus", "4"],
+            # Chaos-only knobs are rejected by presence, not by value (10
+            # and 5 are the values a chaos run defaults to).
+            ["--deadline-ms", "5"],
+            ["--audit-every", "10"],
+            ["--audit-every", "11"],
+            ["--max-heals", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_with_one_line(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
-            main([
-                "serve-sim", "--model", "tiny", "--tp", "2",
-                "--preemption", "swap", "--requests", "4",
-            ])
+            main([*_TINY, *flags])
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("serve-sim: ") and captured.out.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_execute_rejects_serving_scale_models(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-sim", "--execute", "--requests", "4"])
+        assert exc.value.code == 2
+        assert "toy model" in capsys.readouterr().out
+
+    def test_chaos_knobs_default_under_chaos(self, capsys):
+        import json
+
+        main([*_TINY, "--chaos", "7", *_TIERS, "--prompt-len", "40", "--output-len", "8", "--json"])
+        assert json.loads(capsys.readouterr().out)["audit_every"] == 10
