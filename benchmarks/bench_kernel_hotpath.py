@@ -47,6 +47,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from repro.attn import ContiguousBitBackend  # noqa: E402
 from repro.bench.results import write_run  # noqa: E402
 from repro.core.attention import BitDecoding, BitKVCache  # noqa: E402
 from repro.core.config import BitDecodingConfig  # noqa: E402
@@ -172,11 +173,11 @@ def run_transformer_bench(
     ]
 
     results = {}
-    for name, engine in (
-        ("engine", BitDecoding(BitDecodingConfig(bits=bits), "a100")),
+    for name, backend in (
+        ("engine", ContiguousBitBackend(BitDecodingConfig(bits=bits), "a100")),
         ("exact", None),
     ):
-        model = TinyTransformer(**dims, engine=engine, seed=seed)
+        model = TinyTransformer(**dims, backend=backend, seed=seed)
         _, prefill_ms = _timed(lambda: model.prefill(x))
         step_ms = []
         for step in step_inputs:

@@ -51,6 +51,16 @@ from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore, TierObserver
 
 
+def _extend(memo_kv, new_kv):
+    """Append newly dequantized blocks to a memoized ``(K, V)`` pair.
+
+    Blocks are append-only for live handles and dequant is per-block
+    independent, so extending is bit-identical to a full rebuild — and
+    O(new blocks) per step instead of O(context).
+    """
+    return tuple(np.concatenate([old, new], axis=2) for old, new in zip(memo_kv, new_kv))
+
+
 class PagedSeqHandle(KVCacheHandle):
     """One sequence's block table into a :class:`PagedBitKVCache`.
 
@@ -324,6 +334,10 @@ class PagedBitKVCache(TierObserver):
             )
         if prefix_tokens > self.table.sequences[seq_id].length:
             raise ValueError("prefix_tokens exceeds the sequence's reserved length")
+        return self._bind(seq_id, prefix_tokens)
+
+    def _bind(self, seq_id: int, seq_len: int) -> PagedSeqHandle:
+        """Hand a residual slot to a sequence starting at ``seq_len``."""
         try:
             slot = self.slots.allocate()
         except OutOfPagesError as err:
@@ -333,7 +347,7 @@ class PagedBitKVCache(TierObserver):
             ) from err
         self.content_epoch += 1
         handle = PagedSeqHandle(self, seq_id, slot)
-        handle.seq_len = prefix_tokens
+        handle.seq_len = seq_len
         return handle
 
     def reattach(
@@ -360,19 +374,10 @@ class PagedBitKVCache(TierObserver):
                 f"seq_len ({seq_len}) implies {n_res} residual tokens; "
                 "their FP16 rows must be supplied to reattach"
             )
-        try:
-            slot = self.slots.allocate()
-        except OutOfPagesError as err:
-            raise OutOfPagesError(
-                f"all {self.slots.n_pages} residual slots in use; release "
-                "finished sequences or construct the pool with more n_slots"
-            ) from err
-        self.content_epoch += 1
-        handle = PagedSeqHandle(self, seq_id, slot)
-        handle.seq_len = seq_len
+        handle = self._bind(seq_id, seq_len)
         if n_res:
-            self.res_k[slot][:, :n_res] = np.asarray(res_k, np.float16)
-            self.res_v[slot][:, :n_res] = np.asarray(res_v, np.float16)
+            self.res_k[handle.slot][:, :n_res] = np.asarray(res_k, np.float16)
+            self.res_v[handle.slot][:, :n_res] = np.asarray(res_v, np.float16)
         return handle
 
     def add_sequence(self) -> PagedSeqHandle:
@@ -419,6 +424,15 @@ class PagedBitKVCache(TierObserver):
 
     # -------------------------------------------------------------- writes
 
+    def _check_reserved(self, handle: PagedSeqHandle, n: int) -> None:
+        """Writes only fill pages the table's owner already reserved."""
+        reserved = self.table.sequences[handle.seq_id].length
+        if handle.seq_len + n > reserved:
+            raise ValueError(
+                f"write of {n} tokens at {handle.seq_len} exceeds the "
+                f"sequence's reserved length ({reserved}); reserve pages first"
+            )
+
     def write_rows(self, handle: PagedSeqHandle, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Append ``n`` tokens' K/V (``[hkv, n, d]``) to a sequence.
 
@@ -434,12 +448,7 @@ class PagedBitKVCache(TierObserver):
         if k_rows.shape != v_rows.shape or k_rows.ndim != 3:
             raise ValueError("K and V rows must share an [hkv, n, d] shape")
         n = k_rows.shape[1]
-        seq = self.table.sequences[handle.seq_id]
-        if handle.seq_len + n > seq.length:
-            raise ValueError(
-                f"write of {n} tokens at {handle.seq_len} exceeds the "
-                f"sequence's reserved length ({seq.length}); reserve pages first"
-            )
+        self._check_reserved(handle, n)
         nr = self.block_tokens
         res_k = self.res_k[handle.slot]
         res_v = self.res_v[handle.slot]
@@ -455,8 +464,7 @@ class PagedBitKVCache(TierObserver):
                     v_rows[:, written : written + nb * nr].reshape(shape)[None],
                     self.config,
                 )
-                first = handle.seq_len // nr
-                self._store_blocks(handle, first, nb, flushed)
+                self._store_blocks([handle], flushed)
                 handle.seq_len += nb * nr
                 written += nb * nr
                 continue
@@ -467,31 +475,36 @@ class PagedBitKVCache(TierObserver):
             written += take
             if handle.seq_len % nr == 0:
                 flushed = flush_blocks(res_k[None, :, None], res_v[None, :, None], self.config)
-                self._store_blocks(handle, handle.seq_len // nr - 1, 1, flushed)
+                self._store_blocks([handle], flushed, completed=True)
 
     def _store_blocks(
-        self, handle: PagedSeqHandle, first_block: int, nb: int, flushed: PackedBlockBatch
+        self, handles: List[PagedSeqHandle], flushed: PackedBlockBatch, completed: bool = False
     ) -> None:
-        """Write a flush's blocks into physical pages, whole pages only.
+        """Write one batched flush (batch axis = handles) into pages.
 
-        Copy-on-write guard: a target page mapped by more than one
-        sequence (a forked clone) is swapped for a fresh exclusive page
-        before the write — and since pages are only ever written whole,
-        no content copy is needed, just the remap.
+        The flush holds ``nb`` blocks per handle: *new* ones starting at
+        its current (block-aligned) length, or — ``completed`` — the ones
+        its length just grew over (the residual slot filled).  Whole pages
+        only, which makes the copy-on-write guard cheap: a target page
+        mapped by more than one sequence (a forked clone) is swapped for
+        a fresh exclusive page before the write, and since the page is
+        overwritten whole no content copy is needed, just the remap.
         """
-        pages = []
-        for i in range(nb):
-            page, copied_from = self.table.ensure_exclusive(handle.seq_id, first_block + i)
-            if copied_from is not None:
-                self.content_epoch += 1
-            pages.append(page)
+        nb = flushed.k_words.shape[2]
+        pages: List[int] = []
+        for handle in handles:
+            first = handle.n_blocks - nb if completed else handle.n_blocks
+            for i in range(nb):
+                page, copied_from = self.table.ensure_exclusive(handle.seq_id, first + i)
+                if copied_from is not None:
+                    self.content_epoch += 1
+                pages.append(page)
         idx = self._frames(pages)
-        self.k_words[idx] = flushed.k_words[0].swapaxes(0, 1)
-        self.v_words[idx] = flushed.v_words[0].swapaxes(0, 1)
-        self.k_scale[idx] = flushed.k_params.scale[0].swapaxes(0, 1)
-        self.k_zero[idx] = flushed.k_params.zero[0].swapaxes(0, 1)
-        self.v_scale[idx] = flushed.v_params.scale[0].swapaxes(0, 1)
-        self.v_zero[idx] = flushed.v_params.zero[0].swapaxes(0, 1)
+        kp, vp = flushed.k_params, flushed.v_params
+        parts = (flushed.k_words, flushed.v_words, kp.scale, kp.zero, vp.scale, vp.zero)
+        for pool, part in zip(self._pools(), parts):
+            # [G, hkv, nb, ...] -> [G*nb, hkv, ...] in page-list order.
+            pool[idx] = part.swapaxes(1, 2).reshape((len(pages),) + pool.shape[1:])
 
     def append_rows(self, handles: List[PagedSeqHandle], k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Append ONE token to every handle at once (``[B, hkv, d]`` rows).
@@ -507,12 +520,7 @@ class PagedBitKVCache(TierObserver):
         if k_rows.shape != v_rows.shape or k_rows.ndim != 3 or k_rows.shape[0] != len(handles):
             raise ValueError("K and V rows must share a [batch, hkv, d] shape")
         for handle in handles:
-            seq = self.table.sequences[handle.seq_id]
-            if handle.seq_len + 1 > seq.length:
-                raise ValueError(
-                    f"write of 1 tokens at {handle.seq_len} exceeds the "
-                    f"sequence's reserved length ({seq.length}); reserve pages first"
-                )
+            self._check_reserved(handle, 1)
         nr = self.block_tokens
         slots = np.asarray([h.slot for h in handles])
         fills = np.asarray([h.seq_len % nr for h in handles])
@@ -528,7 +536,7 @@ class PagedBitKVCache(TierObserver):
             flushed = flush_blocks(
                 self.res_k[fslots][:, :, None], self.res_v[fslots][:, :, None], self.config
             )
-            self._store_blocks_group(flushing, flushed)
+            self._store_blocks(flushing, flushed, completed=True)
 
     def write_rows_group(
         self, handles: List[PagedSeqHandle], k_rows: np.ndarray, v_rows: np.ndarray
@@ -550,12 +558,7 @@ class PagedBitKVCache(TierObserver):
         for handle in handles:
             if handle.seq_len % nr:
                 raise ValueError("write_rows_group requires block-aligned fills")
-            seq = self.table.sequences[handle.seq_id]
-            if handle.seq_len + n > seq.length:
-                raise ValueError(
-                    f"write of {n} tokens at {handle.seq_len} exceeds the "
-                    f"sequence's reserved length ({seq.length}); reserve pages first"
-                )
+            self._check_reserved(handle, n)
         nb, rem = divmod(n, nr)
         if nb:
             shape = (len(handles), self.hkv, nb, nr, self.head_dim)
@@ -564,49 +567,13 @@ class PagedBitKVCache(TierObserver):
                 v_rows[:, :, : nb * nr].reshape(shape),
                 self.config,
             )
-            self._store_blocks_group(handles, flushed, advance=nb * nr)
+            self._store_blocks(handles, flushed)
         if rem:
             slots = np.asarray([h.slot for h in handles])
             self.res_k[slots, :, :rem] = k_rows[:, :, nb * nr :]
             self.res_v[slots, :, :rem] = v_rows[:, :, nb * nr :]
-            for handle in handles:
-                handle.seq_len += rem
-
-    def _store_blocks_group(
-        self, handles: List[PagedSeqHandle], flushed: PackedBlockBatch, advance: int = 0
-    ) -> None:
-        """Write one batched flush (batch axis = handles) into pages.
-
-        With ``advance`` the flush holds ``advance // N_r`` *new* blocks
-        per handle starting at its current length (bulk prefill); without
-        it the flush holds each handle's just-completed block (decode
-        append).  Same whole-page copy-on-write guard as
-        :meth:`_store_blocks`.
-        """
-        nr = self.block_tokens
-        nb = flushed.k_words.shape[2]
-        pages: List[int] = []
         for handle in handles:
-            first = handle.seq_len // nr if advance else handle.seq_len // nr - nb
-            for i in range(nb):
-                page, copied_from = self.table.ensure_exclusive(handle.seq_id, first + i)
-                if copied_from is not None:
-                    self.content_epoch += 1
-                pages.append(page)
-            if advance:
-                handle.seq_len += advance
-        idx = self._frames(pages)
-
-        def rows(tensor: np.ndarray) -> np.ndarray:
-            # [G, hkv, nb, ...] -> [G*nb, hkv, ...] in page-list order.
-            return tensor.swapaxes(1, 2).reshape((len(pages),) + tensor.shape[1:2] + tensor.shape[3:])
-
-        self.k_words[idx] = rows(flushed.k_words)
-        self.v_words[idx] = rows(flushed.v_words)
-        self.k_scale[idx] = rows(flushed.k_params.scale)
-        self.k_zero[idx] = rows(flushed.k_params.zero)
-        self.v_scale[idx] = rows(flushed.v_params.scale)
-        self.v_zero[idx] = rows(flushed.v_params.zero)
+            handle.seq_len += n
 
     def copy_pages(self, src: List[int], dst: List[int]) -> None:
         """Clone packed words + metadata between physical pages.
@@ -622,51 +589,40 @@ class PagedBitKVCache(TierObserver):
             return
         self.content_epoch += 1
         s, d = self._frames(src), self._frames(dst)
-        self.k_words[d] = self.k_words[s]
-        self.v_words[d] = self.v_words[s]
-        self.k_scale[d] = self.k_scale[s]
-        self.k_zero[d] = self.k_zero[s]
-        self.v_scale[d] = self.v_scale[s]
-        self.v_zero[d] = self.v_zero[s]
+        for pool in self._pools():
+            pool[d] = pool[s]
 
     # --------------------------------------------------------------- reads
 
-    def _dequant_pages(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather pages into a :class:`PackedBlockBatch` and dequantize.
+    def _dequant_frames(self, fmap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Gather a ``[G, nb]`` frame map into a :class:`PackedBlockBatch`
+        and dequantize it to FP32 ``[G, hkv, nb * N_r, d]``.
 
-        Under a tier store this is the measured fallback: any page still
-        off-device faults in synchronously (stall recorded) before the
-        gather, so reads are always device reads.
+        One fancy-index gather per pool assembles the ``[G, hkv, nb, ...]``
+        SoA tensors; dequant is per-block independent, so a batched
+        reconstruction is bit-identical to per-sequence (``G == 1``)
+        gathers.  Callers fault the pages in *first*: under a tier store
+        reads are always device reads, and a promotion moves frames.
         """
-        if self.tiers is not None:
-            self.tiers.fault_in([int(p) for p in pages])
-        frames = self._frames(pages)
+        g, nb = fmap.shape
+        flat = fmap.reshape(-1)
 
         def gather(pool: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(pool[frames].swapaxes(0, 1))[None]
+            shaped = pool.take(flat, axis=0).reshape((g, nb) + pool.shape[1:])
+            return np.ascontiguousarray(shaped.swapaxes(1, 2))
 
+        k_words, v_words, k_scale, k_zero, v_scale, v_zero = map(gather, self._pools())
+        bits = self.config.bits
         batch = PackedBlockBatch(
             length=self.block_tokens,
             head_dim=self.head_dim,
-            bits=self.config.bits,
+            bits=bits,
             word_bits=self.config.word_bits,
             layout_name=self._layout_name,
-            k_words=gather(self.k_words),
-            v_words=gather(self.v_words),
-            k_params=QuantParams(
-                scale=gather(self.k_scale),
-                zero=gather(self.k_zero),
-                axis=self._k_axis,
-                group_size=self._k_group,
-                bits=self.config.bits,
-            ),
-            v_params=QuantParams(
-                scale=gather(self.v_scale),
-                zero=gather(self.v_zero),
-                axis=self._v_axis,
-                group_size=self._v_group,
-                bits=self.config.bits,
-            ),
+            k_words=k_words,
+            v_words=v_words,
+            k_params=QuantParams(k_scale, k_zero, self._k_axis, self._k_group, bits),
+            v_params=QuantParams(v_scale, v_zero, self._v_axis, self._v_group, bits),
         )
         return batch.dequant_kv(self.config)
 
@@ -685,15 +641,15 @@ class PagedBitKVCache(TierObserver):
         memo = handle._dequant_memo
         if memo is not None and memo[0] == nb:
             return memo[1]
-        pages = np.asarray(self.table.sequences[handle.seq_id].pages[:nb])
-        if memo is not None and memo[0] < nb:
-            k_new, v_new = self._dequant_pages(pages[memo[0] :])
-            kv = (
-                np.concatenate([memo[1][0], k_new], axis=2),
-                np.concatenate([memo[1][1], v_new], axis=2),
-            )
-        else:
-            kv = self._dequant_pages(pages)
+        have = memo[0] if memo is not None and memo[0] < nb else 0
+        pages = self.table.sequences[handle.seq_id].pages[have:nb]
+        if self.tiers is not None:
+            # The measured fallback: pages still off-device fault in
+            # synchronously (stall recorded) before the gather.
+            self.tiers.fault_in(pages)
+        kv = self._dequant_frames(self._frames(pages)[None])
+        if have:
+            kv = _extend(memo[1], kv)
         handle._dequant_memo = (nb, kv)
         return kv
 
@@ -764,51 +720,6 @@ class PagedBitKVCache(TierObserver):
         )
         return fmap
 
-    def _dequant_pages_group(
-        self, key, handles: List[PagedSeqHandle], lo: int, hi: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather blocks ``[lo, hi)`` of every member and dequantize batched.
-
-        One fancy-index gather per pool assembles the ``[G, hkv, ...]``
-        SoA tensors; dequant is per-block independent, so the batched
-        reconstruction is bit-identical to per-sequence gathers.
-        """
-        if self.tiers is not None:
-            self.tiers.fault_in(
-                [int(p) for h in handles for p in self.table.sequences[h.seq_id].pages[lo:hi]]
-            )
-        fmap = self._group_frames(key, handles, hi)[:, lo:hi].reshape(-1)
-
-        def gather(pool: np.ndarray) -> np.ndarray:
-            flat = pool.take(fmap, axis=0)
-            shaped = flat.reshape((len(handles), hi - lo) + pool.shape[1:])
-            return np.ascontiguousarray(shaped.swapaxes(1, 2))
-
-        batch = PackedBlockBatch(
-            length=self.block_tokens,
-            head_dim=self.head_dim,
-            bits=self.config.bits,
-            word_bits=self.config.word_bits,
-            layout_name=self._layout_name,
-            k_words=gather(self.k_words),
-            v_words=gather(self.v_words),
-            k_params=QuantParams(
-                scale=gather(self.k_scale),
-                zero=gather(self.k_zero),
-                axis=self._k_axis,
-                group_size=self._k_group,
-                bits=self.config.bits,
-            ),
-            v_params=QuantParams(
-                scale=gather(self.v_scale),
-                zero=gather(self.v_zero),
-                axis=self._v_axis,
-                group_size=self._v_group,
-                bits=self.config.bits,
-            ),
-        )
-        return batch.dequant_kv(self.config)
-
     def dequant_group(self, handles: List[PagedSeqHandle]) -> Tuple[np.ndarray, np.ndarray]:
         """FP32 ``[G, hkv, packed_len, d]`` group reconstruction, memoized.
 
@@ -824,16 +735,18 @@ class PagedBitKVCache(TierObserver):
             return empty, empty
         key = tuple((h.seq_id, h.slot) for h in handles)
         memo = self._group_memos.get(key)
+        have = 0
         if memo is not None and memo["epoch"] == self.content_epoch and memo["nb"] <= nb:
             if memo["nb"] == nb:
                 return memo["kv"]
-            k_new, v_new = self._dequant_pages_group(key, handles, memo["nb"], nb)
-            kv = (
-                np.concatenate([memo["kv"][0], k_new], axis=2),
-                np.concatenate([memo["kv"][1], v_new], axis=2),
+            have = memo["nb"]
+        if self.tiers is not None:
+            self.tiers.fault_in(
+                [p for h in handles for p in self.table.sequences[h.seq_id].pages[have:nb]]
             )
-        else:
-            kv = self._dequant_pages_group(key, handles, 0, nb)
+        kv = self._dequant_frames(self._group_frames(key, handles, nb)[:, have:])
+        if have:
+            kv = _extend(memo["kv"], kv)
         self._cache_put(self._group_memos, key, {"nb": nb, "epoch": self.content_epoch, "kv": kv})
         return kv
 
@@ -924,25 +837,6 @@ class PagedBitBackend(AttentionBackend):
             self._stores[key] = store
         return store
 
-    def make_store(
-        self,
-        hkv: int,
-        head_dim: int,
-        *,
-        n_slots: int,
-        table: Optional[PageTable] = None,
-        tiers: Optional[TieredPageStore] = None,
-    ):
-        """Build one per-layer store over an external (scheduler) table.
-
-        The :class:`~repro.attn.runner.ModelRunner` constructs its
-        per-layer pools through this hook rather than instantiating
-        :class:`PagedBitKVCache` directly, so a backend can substitute its
-        own storage layout — the tensor-parallel backend returns a
-        composite store holding one rank-local pool per shard.
-        """
-        return PagedBitKVCache(self.config, hkv, head_dim, n_slots=n_slots, table=table, tiers=tiers)
-
     def new_handle(self, batch: int, hkv: int, head_dim: int) -> PagedBatchHandle:
         store = self.store_for(hkv, head_dim)
         return PagedBatchHandle(store, [store.add_sequence() for _ in range(batch)])
@@ -1003,6 +897,15 @@ class PagedBitBackend(AttentionBackend):
             bt.store.reserve(seqh, 1)
         bt.store.append_rows(bt.seqs, k, v)
 
+    def _attend(self, q: np.ndarray, cache) -> np.ndarray:
+        """Attention of ``q`` over one cache view (a sequence or a group).
+
+        The single seam between the paged storage machinery and the
+        kernel numerics: the tensor-parallel backend overrides exactly
+        this to split the call across head slices of the same view.
+        """
+        return self.engine.decode(q, cache)
+
     def _decode_groups(self, seqs: List[PagedSeqHandle]) -> List[List[int]]:
         """Partition a ragged batch into equal-shape decode groups.
 
@@ -1041,10 +944,10 @@ class PagedBitBackend(AttentionBackend):
                 )
             if len(idxs) == 1:
                 b = idxs[0]
-                outs[b] = self.engine.decode(q[b : b + 1], bt.seqs[b])
+                outs[b] = self._attend(q[b : b + 1], bt.seqs[b])
             else:
                 view = bt.store.group_view([bt.seqs[b] for b in idxs])
-                out = self.engine.decode(q[idxs], view)
+                out = self._attend(q[idxs], view)
                 for j, b in enumerate(idxs):
                     outs[b] = out[j : j + 1]
         return np.concatenate(outs, axis=0)
@@ -1063,7 +966,7 @@ class PagedBitBackend(AttentionBackend):
         for b, seqh in enumerate(bt.seqs):
             if tiers is not None and b + 1 < len(bt.seqs):
                 tiers.fault_in(bt.seqs[b + 1].block_ids, prefetch=True)
-            outs.append(self.engine.decode(q[b : b + 1], seqh))
+            outs.append(self._attend(q[b : b + 1], seqh))
         return np.concatenate(outs, axis=0)
 
     def release(self, block_table: KVCacheHandle) -> None:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.attn.paged import PagedBatchHandle, PagedBitBackend
+from repro.attn.paged import PagedBatchHandle, PagedBitBackend, PagedBitKVCache
 from repro.model.transformer import CacheSession, TinyTransformer
 from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore
@@ -81,7 +81,9 @@ class ModelRunner:
             seed=seed,
         )
         self.stores = [
-            backend.make_store(model.hkv, model.head_dim, n_slots=n_slots, table=table, tiers=tiers)
+            PagedBitKVCache(
+                backend.config, model.hkv, model.head_dim, n_slots=n_slots, table=table, tiers=tiers
+            )
             for _ in range(model.n_layers)
         ]
         self.seed = seed

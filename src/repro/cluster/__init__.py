@@ -2,9 +2,10 @@
 
 Two orthogonal ways to put more GPUs behind the serving engine:
 
-- :mod:`repro.cluster.sharding` — ONE engine whose paged low-bit KV pool
-  is head-sharded across ``tp`` tensor-parallel ranks
-  (:class:`ShardedPagedBackend`), bit-identical to the single-rank run
+- :mod:`repro.cluster.sharding` — ONE engine whose decode attention is
+  head-split across ``tp`` tensor-parallel ranks
+  (:class:`ShardedPagedBackend`), each rank reading its head slice of
+  the one ordinary paged pool — bit-identical to the single-rank run
   and priced with the per-step all-reduce tax.
 - :mod:`repro.cluster.router` — ``replicas`` independent engines behind
   a :class:`Router` that dispatches arriving requests by policy
@@ -16,13 +17,11 @@ They compose: each replica can itself run ``tp``-sharded.
 
 from repro.cluster.report import ClusterReport
 from repro.cluster.router import ROUTER_POLICIES, Router
-from repro.cluster.sharding import ShardedPagedBackend, ShardedPagedStore, ShardedSeqHandle
+from repro.cluster.sharding import ShardedPagedBackend
 
 __all__ = [
     "ClusterReport",
     "ROUTER_POLICIES",
     "Router",
     "ShardedPagedBackend",
-    "ShardedPagedStore",
-    "ShardedSeqHandle",
 ]

@@ -6,17 +6,17 @@ space: attention heads are embarrassingly parallel (each head's QK^T,
 softmax and PV touch only its own slice), and GQA groups map whole onto
 ranks — rank ``r`` owns query heads ``[r*hq/tp, (r+1)*hq/tp)`` and their
 ``hkv/tp`` KV heads.  Everything positional (block tables, page ids,
-sequence lengths, the scheduler) is *replicated*, so a
-:class:`ShardedPagedStore` is simply ``tp`` rank-local
-:class:`~repro.attn.paged.PagedBitKVCache` pools — each holding its
-heads' packed words, quantization metadata and FP16 residual slots —
-behind the **same** per-sequence block tables.
+sequence lengths, residual slots, the scheduler) is *replicated*, and the
+pool arrays are ``[n_pages, hkv, ...]``, so in this simulator a rank's
+storage is simply the ``[:, lo:hi]`` head slice of the ONE ordinary
+:class:`~repro.attn.paged.PagedBitKVCache`.  Writes, flushes,
+copy-on-write, dequant memos, tier migration and the swap stash therefore
+run unsharded and unchanged; only the attention call is split.
 
 Bit-exactness falls out of per-head independence: quantization scales,
-packed words, softmax and the PV reduction never mix heads, so slicing
-the inputs per rank, running the *unmodified*
-:class:`~repro.attn.paged.PagedBitBackend` machinery rank-locally, and
-concatenating the outputs on the head axis reproduces the single-rank
+packed words, softmax and the PV reduction never mix heads, so decoding
+each rank's query heads against its :class:`HeadSliceView` of the cache
+and concatenating the outputs on the head axis reproduces the single-rank
 run bit for bit.  ``serve-sim --tp 2 --execute`` turns that argument
 into a hard cross-check.
 
@@ -29,166 +29,53 @@ degree so direct pricing calls see the tax too.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attn.paged import PagedBatchHandle, PagedBitBackend, PagedBitKVCache, PagedSeqHandle
-from repro.attn.protocol import KVCacheHandle, register_backend
-from repro.core.config import BitDecodingConfig
-from repro.pages.allocator import PageAllocator
-from repro.pages.page_table import PageTable
-from repro.pages.tiers import TieredPageStore
+from repro.attn.paged import PagedBitBackend
+from repro.attn.protocol import register_backend
 
 
-class ShardedSeqHandle(KVCacheHandle):
-    """One sequence across ``tp`` rank-local pools.
+class HeadSliceView:
+    """One rank's KV heads of a paged cache view, already gathered.
 
-    Holds one :class:`~repro.attn.paged.PagedSeqHandle` per rank; the
-    ranks share the sequence's block table (same page ids, same lengths),
-    so any rank answers the positional questions.
+    Duck-types the cache interface :meth:`BitDecoding.decode` reads over
+    either a :class:`~repro.attn.paged.PagedSeqHandle` or a
+    :class:`~repro.attn.paged.PagedGroupView`: same batch, same lengths,
+    ``heads`` of its KV heads.  ``packed`` / ``residual`` are the wrapped
+    view's full-head ``dequant_kv()`` / ``residual_kv()`` pairs, fetched
+    once per attention call and sliced (zero-copy) per rank.
     """
 
-    batch = 1
+    def __init__(self, cache, packed, residual, heads: slice):
+        self.config = cache.config
+        self.batch = cache.batch
+        self.hkv = heads.stop - heads.start
+        self.head_dim = cache.head_dim
+        #: Ragged residual fills of a group view (None for one sequence).
+        self.residual_lengths = getattr(cache, "residual_lengths", None)
+        self._packed = tuple(x[:, heads] for x in packed)
+        self._residual = tuple(x[:, heads] for x in residual)
 
-    def __init__(self, ranks: List[PagedSeqHandle]):
-        if not ranks:
-            raise ValueError("a sharded sequence needs at least one rank")
-        self.ranks = ranks
+    def dequant_kv(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._packed
 
-    @property
-    def seq_id(self) -> int:
-        return self.ranks[0].seq_id
-
-    @property
-    def seq_len(self) -> int:
-        return self.ranks[0].seq_len
-
-    @property
-    def n_blocks(self) -> int:
-        return self.ranks[0].n_blocks
-
-    @property
-    def res_len(self) -> int:
-        return self.ranks[0].res_len
-
-
-class ShardedPagedStore:
-    """``tp`` rank-local page pools behind one shared page table.
-
-    Each rank's :class:`~repro.attn.paged.PagedBitKVCache` holds
-    ``hkv/tp`` heads' packed words/metadata/residual slots, indexed by
-    the *same* page ids the scheduler manipulates — page reservation,
-    preemption and prefix sharing happen once, in the table, and every
-    rank pool follows.  The composite exposes the sequence-lifecycle
-    surface the :class:`~repro.attn.runner.ModelRunner` drives
-    (``adopt`` / ``free_slot`` / ``copy_pages`` / ...); the numeric
-    surface lives on the per-rank stores, reached through
-    :class:`ShardedPagedBackend`'s head-splitting overrides.
-    """
-
-    def __init__(
-        self,
-        config: BitDecodingConfig,
-        hkv: int,
-        head_dim: int,
-        tp: int,
-        n_pages: int = 256,
-        n_slots: int = 16,
-        table: Optional[PageTable] = None,
-        tiers: Optional[TieredPageStore] = None,
-    ):
-        if tp < 1:
-            raise ValueError("tp must be >= 1")
-        if hkv % tp != 0:
-            raise ValueError(
-                f"tp={tp} does not divide hkv={hkv}; tensor parallelism "
-                "shards whole KV-head groups"
-            )
-        if tiers is not None:
-            raise NotImplementedError(
-                "tiered offload under tensor parallelism is not supported: "
-                "demote/promote would have to move every rank's fragment of "
-                "a page as one transfer"
-            )
-        self.config = config
-        self.hkv = hkv
-        self.head_dim = head_dim
-        self.tp = tp
-        self.tiers = None
-        if table is None:
-            table = PageTable(PageAllocator(n_pages), page_size=config.residual_block_size)
-            self.shared_table = False
-        else:
-            self.shared_table = True
-        self.table = table
-        self.block_tokens = config.residual_block_size
-        #: Rank-local pools, each over the SAME table (reservation belongs
-        #: to whoever owns the table; rank-level reserve is a no-op).
-        self.ranks: List[PagedBitKVCache] = [
-            PagedBitKVCache(config, hkv // tp, head_dim, n_slots=n_slots, table=table)
-            for _ in range(tp)
-        ]
-
-    # ---------------------------------------------------- sequence lifecycle
-
-    def adopt(self, seq_id: int, prefix_tokens: int = 0) -> ShardedSeqHandle:
-        return ShardedSeqHandle([r.adopt(seq_id, prefix_tokens=prefix_tokens) for r in self.ranks])
-
-    def add_sequence(self) -> ShardedSeqHandle:
-        return self.adopt(self.table.add_sequence(0))
-
-    def reattach(self, seq_id: int, seq_len: int, res_k=None, res_v=None) -> ShardedSeqHandle:
-        raise NotImplementedError(
-            "swap-in under tensor parallelism is not supported: the stash "
-            "would have to carry every rank's residual fragment"
-        )
-
-    def reserve(self, handle: ShardedSeqHandle, n_tokens: int) -> None:
-        """Reserve pages once in the shared table (store-owned mode only)."""
-        if not self.shared_table:
-            self.table.extend_sequence(handle.seq_id, n_tokens)
-
-    def free_slot(self, handle: ShardedSeqHandle) -> None:
-        for rank_store, rank_handle in zip(self.ranks, handle.ranks):
-            rank_store.free_slot(rank_handle)
-
-    def release(self, handle: ShardedSeqHandle) -> None:
-        self.table.release_sequence(handle.seq_id)
-        self.free_slot(handle)
-
-    def copy_pages(self, src: List[int], dst: List[int]) -> None:
-        for rank_store in self.ranks:
-            rank_store.copy_pages(src, dst)
-
-    # -------------------------------------------------------------- accounting
-
-    @property
-    def packed_nbytes(self) -> int:
-        return sum(r.packed_nbytes for r in self.ranks)
-
-    @property
-    def meta_nbytes(self) -> int:
-        return sum(r.meta_nbytes for r in self.ranks)
-
-    @property
-    def residual_nbytes(self) -> int:
-        return sum(r.residual_nbytes for r in self.ranks)
+    def residual_kv(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._residual
 
 
 @register_backend
 class ShardedPagedBackend(PagedBitBackend):
-    """Tensor-parallel paged backend: head-split, run per rank, concat.
+    """Tensor-parallel paged backend: head-split the attention call.
 
-    Subclasses :class:`~repro.attn.paged.PagedBitBackend` and reuses its
-    numeric machinery *unmodified*: every override slices queries (head
-    axis 2) and K/V (head axis 1) into ``tp`` contiguous chunks, wraps
-    each rank's handles in an ordinary
-    :class:`~repro.attn.paged.PagedBatchHandle` over that rank's pool,
-    calls the inherited method, and concatenates the rank outputs on the
-    head axis.  GQA query-head order is grouped by KV head, so contiguous
-    query and KV splits stay aligned and each rank sees a well-formed
-    ``gq``-grouped geometry.
+    Subclasses :class:`~repro.attn.paged.PagedBitBackend` and keeps all of
+    its storage machinery; the one override, :meth:`_attend`, slices the
+    queries (head axis 2) into ``tp`` contiguous chunks, decodes each
+    against that rank's :class:`HeadSliceView`, and concatenates the rank
+    outputs on the head axis.  GQA query-head order is grouped by KV
+    head, so contiguous query and KV splits stay aligned and each rank
+    sees a well-formed ``gq``-grouped geometry.
     """
 
     name = "sharded-paged-bit"
@@ -198,108 +85,27 @@ class ShardedPagedBackend(PagedBitBackend):
         if tp < 1:
             raise ValueError("tp must be >= 1")
         self.tp = tp
-        #: Rank-local delegate: the unmodified single-rank machinery.  The
-        #: head-split overrides run each rank through this instead of
-        #: unbound ``PagedBitBackend`` calls, because the parent's methods
-        #: call each other through ``self`` (``decode_step`` falls back to
-        #: ``decode_step_looped`` for singleton batches) and would
-        #: re-enter the sharded overrides with rank-local handles.
-        self._local = PagedBitBackend(self.engine, n_pages=n_pages, n_slots=n_slots)
 
-    # ------------------------------------------------------------------ stores
-
-    def make_store(
-        self,
-        hkv: int,
-        head_dim: int,
-        *,
-        n_slots: int,
-        table: Optional[PageTable] = None,
-        tiers: Optional[TieredPageStore] = None,
-    ) -> ShardedPagedStore:
-        return ShardedPagedStore(
-            self.config, hkv, head_dim, self.tp, n_slots=n_slots, table=table, tiers=tiers
-        )
-
-    def store_for(self, hkv: int, head_dim: int) -> ShardedPagedStore:
-        key = (hkv, head_dim)
-        store = self._stores.get(key)
-        if store is None:
-            store = ShardedPagedStore(
-                self.config, hkv, head_dim, self.tp, n_pages=self.n_pages, n_slots=self.n_slots
-            )
-            self._stores[key] = store
-        return store
-
-    def new_handle(self, batch: int, hkv: int, head_dim: int) -> PagedBatchHandle:
-        store = self.store_for(hkv, head_dim)
-        return PagedBatchHandle(store, [store.add_sequence() for _ in range(batch)])
-
-    # ---------------------------------------------------------------- numerics
-
-    def _rank_bt(self, bt: PagedBatchHandle, r: int) -> PagedBatchHandle:
-        return PagedBatchHandle(bt.store.ranks[r], [sh.ranks[r] for sh in bt.seqs])
-
-    def _split_heads(self, x: np.ndarray, axis: int) -> List[np.ndarray]:
-        if x.shape[axis] % self.tp != 0:
+    def _attend(self, q: np.ndarray, cache) -> np.ndarray:
+        if cache.hkv % self.tp != 0:
             raise ValueError(
-                f"head axis of size {x.shape[axis]} does not split across tp={self.tp} ranks"
+                f"tp={self.tp} does not divide hkv={cache.hkv}; tensor "
+                "parallelism shards whole KV-head groups"
             )
-        return np.split(x, self.tp, axis=axis)
-
-    def prefill(
-        self,
-        q: Optional[np.ndarray],
-        kv: Tuple[np.ndarray, np.ndarray],
-        block_table: KVCacheHandle,
-    ) -> Optional[np.ndarray]:
-        bt: PagedBatchHandle = block_table
-        k, v = kv
-        n = k.shape[2]
-        for sh in bt.seqs:
-            bt.store.reserve(sh, n)
-        q_parts = [None] * self.tp if q is None else self._split_heads(q, 2)
-        k_parts = self._split_heads(k, 1)
-        v_parts = self._split_heads(v, 1)
-        outs = []
-        for r in range(self.tp):
-            out = self._local.prefill(
-                q_parts[r], (k_parts[r], v_parts[r]), self._rank_bt(bt, r)
+        if q.shape[2] % self.tp != 0:
+            raise ValueError(
+                f"head axis of size {q.shape[2]} does not split across tp={self.tp} ranks"
             )
-            outs.append(out)
-        return None if q is None else np.concatenate(outs, axis=2)
-
-    def append_kv(self, kv: Tuple[np.ndarray, np.ndarray], block_table: KVCacheHandle) -> None:
-        bt: PagedBatchHandle = block_table
-        k, v = kv
-        for sh in bt.seqs:
-            bt.store.reserve(sh, 1)
-        k_parts = self._split_heads(k, 1)
-        v_parts = self._split_heads(v, 1)
-        for r in range(self.tp):
-            self._local.append_kv((k_parts[r], v_parts[r]), self._rank_bt(bt, r))
-
-    def decode_step(self, q: np.ndarray, block_table: KVCacheHandle) -> np.ndarray:
-        bt: PagedBatchHandle = block_table
+        per_rank = cache.hkv // self.tp
+        packed, residual = cache.dequant_kv(), cache.residual_kv()
         outs = [
-            self._local.decode_step(q_r, self._rank_bt(bt, r))
-            for r, q_r in enumerate(self._split_heads(q, 2))
+            self.engine.decode(
+                q_r,
+                HeadSliceView(cache, packed, residual, slice(r * per_rank, (r + 1) * per_rank)),
+            )
+            for r, q_r in enumerate(np.split(q, self.tp, axis=2))
         ]
         return np.concatenate(outs, axis=2)
-
-    def decode_step_looped(self, q: np.ndarray, block_table: KVCacheHandle) -> np.ndarray:
-        bt: PagedBatchHandle = block_table
-        outs = [
-            self._local.decode_step_looped(q_r, self._rank_bt(bt, r))
-            for r, q_r in enumerate(self._split_heads(q, 2))
-        ]
-        return np.concatenate(outs, axis=2)
-
-    def release(self, block_table: KVCacheHandle) -> None:
-        bt: PagedBatchHandle = block_table
-        for sh in bt.seqs:
-            bt.store.release(sh)
-        bt.seqs = []
 
     # ----------------------------------------------------------------- pricing
 

@@ -27,10 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attn.contiguous import ContiguousBitBackend
 from repro.attn.protocol import AttentionBackend, KVCacheHandle
 from repro.attn.reference import causal_mask, chunked_causal_attention
-from repro.core.attention import BitDecoding
 
 __all__ = [
     "CacheSession",
@@ -119,12 +117,9 @@ class CacheSession:
 class TinyTransformer:
     """A decoder-only transformer with a pluggable attention backend.
 
-    ``backend=None`` (and ``engine=None``) runs exact FP32 attention (the
-    accuracy reference); otherwise all attention flows through the
-    backend's cache — prefill packing, residual appends and the
-    Packing-Kernel numerics end to end.  ``engine`` is the legacy knob: a
-    :class:`~repro.core.attention.BitDecoding` engine is wrapped into a
-    :class:`~repro.attn.contiguous.ContiguousBitBackend`.
+    ``backend=None`` runs exact FP32 attention (the accuracy reference);
+    otherwise all attention flows through the backend's cache — prefill
+    packing, residual appends and the Packing-Kernel numerics end to end.
     """
 
     n_layers: int
@@ -133,7 +128,6 @@ class TinyTransformer:
     head_dim: int
     hidden: int
     intermediate: int
-    engine: Optional[BitDecoding] = None
     backend: Optional[AttentionBackend] = None
     seed: int = 0
     layers: List[LayerWeights] = field(init=False)
@@ -144,8 +138,6 @@ class TinyTransformer:
     def __post_init__(self) -> None:
         if self.hq * self.head_dim != self.hidden:
             raise ValueError("hq * head_dim must equal hidden")
-        if self.backend is None and self.engine is not None:
-            self.backend = ContiguousBitBackend(self.engine)
         self._session = self.new_session()
         rng = np.random.default_rng(self.seed)
         scale = 1.0 / math.sqrt(self.hidden)

@@ -87,7 +87,7 @@ class Int4Stack(NamedTuple):
         batch cap, chunking, faults, ...), which is what makes their
         schedules comparable; ``common`` may override ``fmt`` and
         ``page_size`` for analytical-only runs at serving-scale pages.
-        With ``tp > 1`` the executed twin decodes rank-locally through a
+        With ``tp > 1`` the executed twin decodes head-split through a
         :class:`~repro.cluster.sharding.ShardedPagedBackend`.
         """
         common = {

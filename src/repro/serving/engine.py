@@ -155,9 +155,9 @@ class EngineConfig:
     #: ranks (whole GQA groups, so ``tp`` must divide the model's KV-head
     #: count) and each decode step pays one rank's attention plus the
     #: all-reduce tax.  ``tp > 1`` spans the engine's GPUs, so it must
-    #: equal ``n_gpus``; with ``execute=True`` the backend must be a
-    #: :class:`~repro.cluster.sharding.ShardedPagedBackend` of the same
-    #: degree.
+    #: equal ``n_gpus``; with ``execute=True`` the backend's own degree
+    #: must equal it (a :class:`~repro.cluster.sharding.ShardedPagedBackend`
+    #: of degree ``tp``, or a plain paged backend for ``tp == 1``).
     tp: int = 1
     #: Cap on scheduler iterations (one admission phase + one decode step
     #: each); None runs the trace to completion.
@@ -300,27 +300,18 @@ class EngineConfig:
                     "allocates real per-layer pools for every page, so a "
                     "device-memory-derived pool would be enormous"
                 )
-            if self.tp > 1:
-                if self.preemption == "swap":
-                    raise ValueError(
-                        "tp > 1 with execute=True does not support "
-                        'preemption="swap" yet: the swap path stashes one '
-                        "store's residual slot, which a sharded store "
-                        "splits across ranks; use recompute preemption "
-                        "(analytical tp+swap pricing is fine)"
-                    )
-                # Duck-typed (the cluster package imports this module, so
-                # importing ShardedPagedBackend here would cycle): any
-                # backend advertising a matching ``tp`` degree shards the
-                # head space the way the runner expects.
-                if getattr(self.backend, "tp", 1) != self.tp:
-                    raise ValueError(
-                        f"tp={self.tp} with execute=True needs a "
-                        "ShardedPagedBackend of the same degree (e.g. "
-                        f"ShardedPagedBackend(..., tp={self.tp})); got "
-                        f"{type(self.backend).__name__} with "
-                        f"tp={getattr(self.backend, 'tp', 1)}"
-                    )
+            # Duck-typed (the cluster package imports this module, so
+            # importing ShardedPagedBackend here would cycle): the engine
+            # prices every step at ``self.tp``, so the backend must execute
+            # the same head split — a plain paged backend counts as tp=1.
+            backend_tp = getattr(self.backend, "tp", 1)
+            if backend_tp != self.tp:
+                raise ValueError(
+                    f"tp={self.tp} with execute=True needs a backend of the "
+                    "same degree (ShardedPagedBackend(..., tp=N) for N > 1, "
+                    f"PagedBitBackend for 1); got {type(self.backend).__name__} "
+                    f"with tp={backend_tp}"
+                )
 
     def resolve_backend(self) -> AttentionBackend:
         """The backend the engine schedules with (wrapping ``attention``)."""

@@ -114,13 +114,10 @@ class TestConfigValidation:
                 backend=ShardedPagedBackend(kernel, tp=4), n_gpus=2, tp=2, **_common()
             )
 
-    def test_execute_tp_rejects_swap_preemption(self):
-        kernel = STACK.kernel
-        with pytest.raises(ValueError, match="swap"):
-            EngineConfig(
-                backend=ShardedPagedBackend(kernel, tp=2),
-                n_gpus=2,
-                tp=2,
-                preemption="swap",
-                **_common(),
-            )
+    def test_execute_tp1_rejects_a_sharded_backend(self):
+        # The other mismatch direction: pricing at tp=1 (no all-reduce
+        # tax, full-head attention) while executing a 2-rank split.
+        with pytest.raises(ValueError, match="got ShardedPagedBackend with tp=2"):
+            EngineConfig(backend=ShardedPagedBackend(STACK.kernel, tp=2), **_common())
+        # A degree-1 "shard" is the plain backend and stays accepted.
+        EngineConfig(backend=ShardedPagedBackend(STACK.kernel, tp=1), **_common())

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from repro.attn import PagedBitBackend
-from repro.cluster import ShardedPagedBackend, ShardedPagedStore
+from repro.attn.paged import PagedBitKVCache
+from repro.cluster import ShardedPagedBackend
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
 from repro.model.config import TINY, get_model
 from repro.model.inference import decode_step_breakdown
+from tests.attn.test_grouped_decode import _ragged_batch as ragged_batch
 
 KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
 NR = KERNEL_CONFIG.residual_block_size
@@ -86,45 +88,74 @@ class TestBitExactness:
         assert np.array_equal(out_s, out_1)
 
 
-class TestShardedStore:
-    def test_tp_must_divide_hkv(self, a100):
+def _ragged_batch(backend, seed, lengths):
+    """One batch handle over sequences prefilled to different lengths."""
+    return ragged_batch(backend, lengths, np.random.default_rng(seed), hkv=HKV, d=HEAD_DIM)
+
+
+class TestHeadSplit:
+    def test_ragged_batch_matches_single_rank(self, rng, a100):
+        # Mixed n_blocks and residual fills: several decode groups per
+        # step, singleton and batched, two members crossing a flush.
+        lengths = [5, NR + 3, NR + 30, 2 * NR + 31, NR + 3, 2 * NR]
+        sharded, single = _pair(a100)
+        bt_s = _ragged_batch(sharded, 11, lengths)
+        bt_1 = _ragged_batch(single, 11, lengths)
+        for _ in range(4):
+            q, k, v = _qkv(rng, batch=len(lengths), n=1)
+            k, v = k[:, :, 0], v[:, :, 0]
+            sharded.append_kv((k, v), bt_s)
+            single.append_kv((k, v), bt_1)
+            out_s = sharded.decode_step(q, bt_s)
+            assert np.array_equal(out_s, single.decode_step(q, bt_1))
+            assert np.array_equal(out_s, sharded.decode_step_looped(q, bt_s))
+        assert [s.seq_len for s in bt_s.seqs] == [n + 4 for n in lengths]
+
+    def test_each_rank_decodes_only_its_head_slice(self, rng, a100, monkeypatch):
+        # The bit-exactness oracle must not be vacuous: every kernel call
+        # of the sharded backend really runs on hq/tp query heads over
+        # hkv/tp KV heads, never the inherited unsplit path.
+        sharded, _ = _pair(a100, tp=2)
+        bt = _ragged_batch(sharded, 5, [NR + 3, NR + 3, 7])
+        seen = []
+        decode = sharded.engine.decode
+
+        def spy(q, cache):
+            seen.append((q.shape[2], cache.hkv, cache.dequant_kv()[0].shape[1]))
+            return decode(q, cache)
+
+        monkeypatch.setattr(sharded.engine, "decode", spy)
+        q, _, _ = _qkv(rng, batch=3, n=1)
+        sharded.decode_step(q, bt)
+        sharded.decode_step_looped(q, bt)
+        # decode_step: one group of two + one singleton; looped: three.
+        assert seen == [(HQ // 2, HKV // 2, HKV // 2)] * (2 * 2 + 2 * 3)
+
+    def test_stores_are_the_ordinary_paged_pool(self, a100):
+        # A rank is a head slice of ONE pool holding every KV head, so
+        # sharding can neither duplicate nor drop storage.
+        sharded, single = _pair(a100)
+        store = sharded.store_for(HKV, HEAD_DIM)
+        assert type(store) is PagedBitKVCache
+        assert store.k_words.shape == single.store_for(HKV, HEAD_DIM).k_words.shape
+
+    def test_tp_must_divide_hkv(self, rng, a100):
+        sharded, _ = _pair(a100, tp=3)
+        bt = _ragged_batch(sharded, 0, [NR + 1])
+        q = rng.standard_normal((1, 1, 6, HEAD_DIM)).astype(np.float32)
         with pytest.raises(ValueError, match="does not divide"):
-            ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=3)
+            sharded.decode_step(q, bt)
 
     def test_tp_must_be_positive(self, a100):
         with pytest.raises(ValueError, match="tp must be >= 1"):
-            ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=0)
-        with pytest.raises(ValueError, match="tp must be >= 1"):
             ShardedPagedBackend(BitDecoding(KERNEL_CONFIG, a100), tp=0)
-
-    def test_tiers_rejected(self):
-        class FakeTiers:
-            pass
-
-        with pytest.raises(NotImplementedError, match="tiered offload"):
-            ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=2, tiers=FakeTiers())
-
-    def test_swap_reattach_rejected(self):
-        store = ShardedPagedStore(KERNEL_CONFIG, hkv=2, head_dim=16, tp=2)
-        with pytest.raises(NotImplementedError, match="swap-in"):
-            store.reattach(0, 32)
-
-    def test_sharded_bytes_sum_to_single_rank_bytes(self, a100):
-        # Sharding partitions the head space; it must not duplicate or
-        # drop any storage relative to one pool holding all the heads.
-        sharded = ShardedPagedStore(KERNEL_CONFIG, hkv=4, head_dim=16, tp=2, n_slots=8)
-        single = PagedBitBackend(BitDecoding(KERNEL_CONFIG, a100), n_slots=8).make_store(
-            4, 16, n_slots=8, table=sharded.table
-        )
-        assert sharded.packed_nbytes == single.packed_nbytes
-        assert sharded.meta_nbytes == single.meta_nbytes
-        assert sharded.residual_nbytes == single.residual_nbytes
 
     def test_head_split_requires_divisible_heads(self, rng, a100):
         sharded, _ = _pair(a100, tp=2)
+        bt = _ragged_batch(sharded, 0, [NR + 1])
         q = rng.standard_normal((1, 1, 3, HEAD_DIM)).astype(np.float32)
         with pytest.raises(ValueError, match="does not split"):
-            sharded._split_heads(q, axis=2)
+            sharded.decode_step(q, bt)
 
 
 class TestTPPricing:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attn import ContiguousBitBackend
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
 from repro.model.transformer import (
@@ -63,7 +64,7 @@ class TestEndToEnd:
         return dict(n_layers=2, hq=4, hkv=2, head_dim=16, hidden=64, intermediate=128)
 
     def test_reference_decode_runs(self, rng, dims):
-        model = TinyTransformer(**dims, engine=None, seed=0)
+        model = TinyTransformer(**dims, seed=0)
         x = rng.standard_normal((1, 20, 64)).astype(np.float32)
         model.prefill(x)
         out = model.decode_step(rng.standard_normal((1, 64)).astype(np.float32))
@@ -76,12 +77,12 @@ class TestEndToEnd:
         x = rng.standard_normal((1, 40, 64)).astype(np.float32) * 0.5
         steps = [rng.standard_normal((1, 64)).astype(np.float32) * 0.5 for _ in range(3)]
 
-        ref = TinyTransformer(**dims, engine=None, seed=0)
+        ref = TinyTransformer(**dims, seed=0)
         ref.prefill(x.copy())
         engine = BitDecoding(
             BitDecodingConfig(bits=8, wn=2), "a100"
         )  # small N_r so the cache actually quantizes
-        quant = TinyTransformer(**dims, engine=engine, seed=0)
+        quant = TinyTransformer(**dims, backend=ContiguousBitBackend(engine), seed=0)
         quant.prefill(x.copy())
 
         for step in steps:
@@ -92,7 +93,7 @@ class TestEndToEnd:
 
     def test_cache_grows_with_decode(self, rng, dims):
         engine = BitDecoding(BitDecodingConfig(bits=4), "a100")
-        model = TinyTransformer(**dims, engine=engine, seed=0)
+        model = TinyTransformer(**dims, backend=ContiguousBitBackend(engine), seed=0)
         model.prefill(rng.standard_normal((1, 10, 64)).astype(np.float32))
         assert model.caches[0].seq_len == 10
         model.decode_step(rng.standard_normal((1, 64)).astype(np.float32))
@@ -111,7 +112,7 @@ class TestVectorizedAttention:
         from repro.attn.reference import chunked_causal_attention
 
         dims = dict(n_layers=1, hq=hq, hkv=hkv, head_dim=16, hidden=64, intermediate=64)
-        model = TinyTransformer(**dims, engine=None, seed=1)
+        model = TinyTransformer(**dims, seed=1)
         layer = model.layers[0]
         normed = rng.standard_normal((2, 12, 64)).astype(np.float32)
         k, v = model._project_kv(layer, normed, 0)
@@ -140,7 +141,7 @@ class TestVectorizedAttention:
         from repro.core.softmax import reference_attention
 
         dims = dict(n_layers=1, hq=4, hkv=2, head_dim=16, hidden=64, intermediate=64)
-        model = TinyTransformer(**dims, engine=None, seed=2)
+        model = TinyTransformer(**dims, seed=2)
         q = rng.standard_normal((2, 1, 4, 16)).astype(np.float32)
         k = rng.standard_normal((2, 2, 9, 16)).astype(np.float32)
         v = rng.standard_normal((2, 2, 9, 16)).astype(np.float32)
@@ -152,7 +153,7 @@ class TestVectorizedAttention:
 
     def test_rope_tables_cached_across_layers_and_calls(self, rng):
         dims = dict(n_layers=3, hq=4, hkv=2, head_dim=16, hidden=64, intermediate=64)
-        model = TinyTransformer(**dims, engine=None, seed=0)
+        model = TinyTransformer(**dims, seed=0)
         model.prefill(rng.standard_normal((1, 8, 64)).astype(np.float32))
         # Prefill touches (0, 8) once, shared by all 3 layers.
         assert set(model._rope_cache) == {(0, 8)}

@@ -325,3 +325,57 @@ class TestTieredCacheProperty:
             rkf, rvf = flat.cache.residual_view(f_handle)
             np.testing.assert_array_equal(rkt, rkf)
             np.testing.assert_array_equal(rvt, rvf)
+
+
+class TestGroupOfOneEquivalence:
+    """The per-sequence and per-group entry points share one gather path
+    and one store path; at ``G == 1`` they must agree bitwise — pinned
+    under a tier store with scrambled frames, where a copy that confused
+    page ids with pool indices would read or write the wrong rows."""
+
+    @staticmethod
+    def _scramble(world, handle, first_block=0):
+        """Park two of the sequence's pages on host frames."""
+        pages = world.table.sequences[handle.seq_id].pages
+        world.tiers.demote(pages[first_block : first_block + 2])
+        assert not np.array_equal(world.tiers.frames_of(pages), pages)
+
+    @staticmethod
+    def _world(n_tokens):
+        world = _World(tiered=True, n_pages=12, device=3)
+        return world, world.cache.adopt(world.table.add_sequence(n_tokens))
+
+    def test_write_rows_matches_write_rows_group(self):
+        rng = np.random.default_rng(0)
+        first, second = 2 * NR, NR + 5  # both writes start block-aligned
+        k, v = rng.standard_normal((2, 2, first + second, 16)).astype(np.float16)
+        (seq, h_seq), (grp, h_grp) = (self._world(first + second) for _ in range(2))
+        for lo, hi in ((0, first), (first, first + second)):
+            self._scramble(seq, h_seq, lo // NR)
+            self._scramble(grp, h_grp, lo // NR)
+            seq.cache.write_rows(h_seq, k[:, lo:hi], v[:, lo:hi])
+            grp.cache.write_rows_group([h_grp], k[None, :, lo:hi], v[None, :, lo:hi])
+            assert h_seq.seq_len == h_grp.seq_len == hi
+            # Second round extends both memos instead of rebuilding them.
+            for a, b in zip(seq.cache.dequant_seq(h_seq), grp.cache.dequant_group([h_grp])):
+                assert a.shape == (1, 2, hi // NR * NR, 16)
+                np.testing.assert_array_equal(a, b)
+        frames_s = seq.tiers.frames_of(h_seq.block_ids)
+        frames_g = grp.tiers.frames_of(h_grp.block_ids)
+        for pool_s, pool_g in zip(seq.cache._pools(), grp.cache._pools()):
+            np.testing.assert_array_equal(pool_s[frames_s], pool_g[frames_g])
+        for a, b in zip(seq.cache.residual_view(h_seq), grp.cache.residual_group([h_grp])):
+            np.testing.assert_array_equal(a, b)
+
+    def test_dequant_seq_matches_dequant_group_on_one_handle(self):
+        rng = np.random.default_rng(1)
+        n = 3 * NR + 7
+        k, v = rng.standard_normal((2, 2, n, 16)).astype(np.float16)
+        world, handle = self._world(n)
+        world.cache.write_rows(handle, k, v)
+        self._scramble(world, handle)  # each read faults the pages back in
+        k_grp, v_grp = world.cache.dequant_group([handle])
+        self._scramble(world, handle, first_block=1)
+        k_seq, v_seq = world.cache.dequant_seq(handle)
+        np.testing.assert_array_equal(k_seq, k_grp)
+        np.testing.assert_array_equal(v_seq, v_grp)

@@ -11,11 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.attn.paged import PagedBitKVCache
+from repro.faults.plan import demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.serving import poisson_trace
+from repro.serving import ContinuousBatchingEngine, poisson_trace
 from repro.serving.crosscheck import (
     SCHEDULE_FIELDS,
+    crosscheck_chaos,
     crosscheck_execute,
     decoded_bit_exact,
     int4_stack,
@@ -94,3 +97,55 @@ class TestDecodedBitExact:
         # ... but one the reference never saw, or a longer stream, is not.
         assert not decoded_bit_exact({**disturbed, 2: reference[0]}, reference, finished={0})
         assert not decoded_bit_exact(reference, disturbed, finished=set())
+
+
+class TestTensorParallelSwap:
+    """Executed tp=2 is one more *input* to the swap and chaos oracles.
+
+    A TP rank is a head slice of the one paged pool, so demotion,
+    promotion, the residual stash and heal/replay run through exactly the
+    single-rank code; the offload/chaos demo geometry must pass every
+    check unchanged with the head split switched on.
+    """
+
+    STACK = int4_stack(TINY, get_arch("a100"))
+    TP2_SWAP = dict(tp=2, n_gpus=2, max_batch=16, preemption="swap", device_pages=8, host_pages=28)
+
+    @staticmethod
+    def _trace():
+        return poisson_trace(8, 100000.0, prompt_len=40, output_len=60, seed=3)
+
+    def test_tp2_swap_passes_every_execute_check(self):
+        result = crosscheck_execute(self.STACK, self._trace(), max_steps=2000, **self.TP2_SWAP)
+        assert result.checks == {
+            "schedule_match": True,
+            "all_completed": True,
+            "swap_vs_unpressured_bit_exact": True,
+            "swap_faster_than_recompute": True,
+        }
+        assert result.reports["executed"].swap_outs > 0
+
+    def test_tp2_swap_chaos_passes_every_chaos_check(self):
+        chaos = dict(faults=demo_fault_spec(7), audit_every=10)
+        result = crosscheck_chaos(self.STACK, self._trace(), chaos, max_steps=4000, **self.TP2_SWAP)
+        assert result.checks == {
+            "schedule_match": True,
+            "all_damage_healed": True,
+            "outputs_bit_exact_after_recovery": True,
+            "exercised_retry": True,
+            "exercised_heal": True,
+        }
+
+    def test_tp2_swapped_healed_decode_matches_single_rank_undisturbed(self):
+        # The strongest form: sharded x swapped x healed against a
+        # single-rank engine that never swapped and saw no fault.
+        config = self.STACK.config(True, max_steps=4000, faults=demo_fault_spec(7), **self.TP2_SWAP)
+        disturbed = ContinuousBatchingEngine(config, self._trace())
+        report = disturbed.run()
+        assert report.swap_outs > 0 and report.healed_pages > 0 and report.failed == 0
+        assert all(type(store) is PagedBitKVCache for store in disturbed._runner.stores)
+        plain = ContinuousBatchingEngine(
+            self.STACK.config(True, max_steps=2000, max_batch=16, n_pages=8 + 28), self._trace()
+        )
+        assert plain.run().preemptions == 0
+        assert decoded_bit_exact(disturbed.decoded, plain.decoded)
