@@ -12,22 +12,14 @@ and emits the gated point.
 
 Fast mode (CI smoke): ``SERVING_BENCH_FAST=1 pytest benchmarks/bench_chaos.py``.
 
-CI's bench job runs this module as a script to merge the point into the
-serving benchmark file::
-
-    python benchmarks/bench_chaos.py --fast --out BENCH_serving.json
-
-which adds a ``chaos`` section that ``scripts/check_bench_regression.py``
-gates against the committed ``benchmarks/baseline.json`` (zero failed
-requests, goodput ratio at or above the floor).
+``benchmarks/emit_serving.py`` writes the point as the ``chaos`` section of
+``BENCH_serving.json``; ``scripts/check_bench_regression.py`` gates it
+(plan exercised, zero failed requests, goodput ratio above the floor).
 """
 
-import argparse
 import json
 import os
-import sys
 
-from repro.bench.results import write_run
 from repro.faults import demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
@@ -50,6 +42,21 @@ TRACE = dict(n_requests=8, rate_rps=100000.0, prompt_len=40, output_len=60, seed
 def bench_trace():
     """Near-simultaneous arrivals, identical on every machine."""
     return poisson_trace(**TRACE)
+
+
+def run_config(fast):
+    """Everything needed to reproduce the run (the ``write_run`` manifest)."""
+    return {
+        "bench": "chaos",
+        "fast": fast,
+        "chaos_seed": CHAOS_SEED,
+        "deadline_ms": DEADLINE_MS,
+        "audit_every": AUDIT_EVERY,
+        "device_pages": DEVICE_PAGES,
+        "host_pages": HOST_PAGES,
+        "max_batch": MAX_BATCH,
+        "trace": TRACE,
+    }
 
 
 def run_chaos_bench(fast=False):
@@ -119,52 +126,3 @@ def test_chaos_serving_point(run):
     assert all(point["checks"].values()), point["checks"]
     assert point["goodput_ratio"] > 0.0
     assert point["report_fault_free"]["completed"] == TRACE["n_requests"]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="Emit the chaos-recovery benchmark point")
-    parser.add_argument("--fast", action="store_true", default=FAST)
-    parser.add_argument(
-        "--out",
-        default="BENCH_serving.json",
-        help="serving benchmark file to merge the 'chaos' section into "
-        "(created if missing)",
-    )
-    args = parser.parse_args(argv)
-    point = run_chaos_bench(fast=args.fast)
-    summary = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            summary = json.load(fh)
-    existing = summary.get("chaos") or {}
-    # A committed baseline may pin gate floors; merging must keep them.
-    if "floors" in existing:
-        point["floors"] = existing["floors"]
-    summary["chaos"] = point
-    with open(args.out, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    config = {
-        "bench": "chaos",
-        "fast": args.fast,
-        "chaos_seed": CHAOS_SEED,
-        "deadline_ms": DEADLINE_MS,
-        "audit_every": AUDIT_EVERY,
-        "device_pages": DEVICE_PAGES,
-        "host_pages": HOST_PAGES,
-        "max_batch": MAX_BATCH,
-        "trace": TRACE,
-    }
-    run_dir = write_run("chaos", config, point)
-    print(
-        f"chaos: goodput {point['goodput_tokens_per_s']:.1f} tok/s vs fault-free "
-        f"{point['tokens_per_s_fault_free']:.1f} ({point['goodput_ratio']:.3f}x); "
-        f"{point['transfer_retries']} retries, {point['healed_pages']} healed, "
-        f"{point['shed']} shed, {point['failed']} failed"
-    )
-    print(f"wrote {args.out} and {run_dir}/")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,22 +16,15 @@ Two claims the cluster layer must keep honest:
 
 Fast mode (CI smoke): ``SERVING_BENCH_FAST=1 pytest benchmarks/bench_cluster.py``.
 
-CI's bench job runs this module as a script to merge the point into the
-serving benchmark file::
-
-    python benchmarks/bench_cluster.py --fast --out BENCH_serving.json
-
-which adds a ``cluster`` section that ``scripts/check_bench_regression.py``
-gates against the committed ``benchmarks/baseline.json`` (affinity
-speedup at or above the floor, all-reduce tax present).
+``benchmarks/emit_serving.py`` writes the point as the ``cluster`` section
+of ``BENCH_serving.json``; ``scripts/check_bench_regression.py`` gates it
+(affinity speedup above the floor, zero cross-replica misses, all-reduce
+tax present, per-rank attention below the full-head kernel).
 """
 
-import argparse
 import json
 import os
-import sys
 
-from repro.bench.results import write_run
 from repro.cluster import Router
 from repro.gpu.arch import get_arch
 from repro.model.config import get_model
@@ -67,6 +60,19 @@ TP_BATCH, TP_SEQ_LEN, TP_DEGREE = 16, 8192, 2
 def bench_trace(fast):
     n = N_REQUESTS_FAST if fast else N_REQUESTS_FULL
     return poisson_trace(n, **TRACE)
+
+
+def run_config(fast):
+    """Everything needed to reproduce the run (the ``write_run`` manifest)."""
+    return {
+        "bench": "cluster",
+        "fast": fast,
+        "model": MODEL,
+        "arch": ARCH,
+        "replicas": REPLICAS,
+        "trace": {**TRACE, "n_requests": N_REQUESTS_FAST if fast else N_REQUESTS_FULL},
+        "tp_point": {"batch": TP_BATCH, "seq_len": TP_SEQ_LEN, "tp": TP_DEGREE},
+    }
 
 
 def run_cluster_bench(fast=False):
@@ -146,52 +152,3 @@ def test_cluster_serving_point(run):
     assert tp["allreduce_tax_ms"] > 0.0
     assert tp["rank_attention_ms"] < tp["full_attention_ms"]
     assert tp["step_ms_tp2"] < tp["step_ms_tp1"]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="Emit the cluster serving benchmark point")
-    parser.add_argument("--fast", action="store_true", default=FAST)
-    parser.add_argument(
-        "--out",
-        default="BENCH_serving.json",
-        help="serving benchmark file to merge the 'cluster' section into "
-        "(created if missing)",
-    )
-    args = parser.parse_args(argv)
-    point = run_cluster_bench(fast=args.fast)
-    summary = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            summary = json.load(fh)
-    existing = summary.get("cluster") or {}
-    # A committed baseline may pin gate floors; merging must keep them.
-    if "floors" in existing:
-        point["floors"] = existing["floors"]
-    summary["cluster"] = point
-    with open(args.out, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    config = {
-        "bench": "cluster",
-        "fast": args.fast,
-        "model": MODEL,
-        "arch": ARCH,
-        "replicas": REPLICAS,
-        "trace": {**TRACE, "n_requests": point["n_requests"]},
-        "tp_point": {"batch": TP_BATCH, "seq_len": TP_SEQ_LEN, "tp": TP_DEGREE},
-    }
-    run_dir = write_run("cluster", config, point)
-    tps = point["tokens_per_s"]
-    print(
-        f"cluster: affinity {tps['prefix_affinity']:.1f} tok/s vs round-robin "
-        f"{tps['round_robin']:.1f} ({point['affinity_speedup']:.3f}x); "
-        f"tp{TP_DEGREE} all-reduce tax {point['tp']['allreduce_tax_ms']:.4f} ms/step, "
-        f"rank attention {point['tp']['rank_attention_ms']:.4f} vs "
-        f"{point['tp']['full_attention_ms']:.4f} ms"
-    )
-    print(f"wrote {args.out} and {run_dir}/")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

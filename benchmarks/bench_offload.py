@@ -10,23 +10,14 @@ migrations — and emits the gated point.
 
 Fast mode (CI smoke): ``SERVING_BENCH_FAST=1 pytest benchmarks/bench_offload.py``.
 
-CI's bench job runs this module as a script to merge the point into the
-serving benchmark file::
-
-    python benchmarks/bench_offload.py --fast --out BENCH_serving.json
-
-which adds an ``offload`` section that
-``scripts/check_bench_regression.py`` gates against the committed
-``benchmarks/baseline.json`` (swap strictly faster than recompute, floor
-on the speedup).
+``benchmarks/emit_serving.py`` writes the point as the ``offload`` section
+of ``BENCH_serving.json``; ``scripts/check_bench_regression.py`` gates it
+(swap strictly faster than recompute, floor on the speedup).
 """
 
-import argparse
 import json
 import os
-import sys
 
-from repro.bench.results import write_run
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.serving import ContinuousBatchingEngine, poisson_trace
@@ -57,6 +48,21 @@ def bench_trace(fast):
     return poisson_trace(
         n_requests, rate_rps=100000.0, prompt_len=prompt_len, output_len=output_len, seed=3
     )
+
+
+def run_config(fast):
+    """Everything needed to reproduce the run (the ``write_run`` manifest)."""
+    n_requests, prompt_len, output_len, host_pages = _geometry(fast)
+    return {
+        "bench": "offload",
+        "fast": fast,
+        "trace_seed": 3,
+        "requests": n_requests,
+        "prompt_len": prompt_len,
+        "output_len": output_len,
+        "device_pages": DEVICE_PAGES,
+        "host_pages": host_pages,
+    }
 
 
 def run_offload_bench(fast=False):
@@ -113,55 +119,3 @@ def test_offload_serving_point(run):
     assert on["total_generated_tokens"] == off["total_generated_tokens"]
     assert on["completed"] == off["completed"]
     assert on["executed_tokens"] == on["total_generated_tokens"]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="Emit the tiered-offload benchmark point")
-    parser.add_argument("--fast", action="store_true", default=FAST)
-    parser.add_argument(
-        "--out",
-        default="BENCH_serving.json",
-        help="serving benchmark file to merge the 'offload' section into "
-        "(created if missing)",
-    )
-    args = parser.parse_args(argv)
-    point = run_offload_bench(fast=args.fast)
-    summary = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            summary = json.load(fh)
-    existing = summary.get("offload") or {}
-    # A committed baseline may pin gate floors; merging must keep them.
-    if "floors" in existing:
-        point["floors"] = existing["floors"]
-    summary["offload"] = point
-    with open(args.out, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    n_requests, prompt_len, output_len, host_pages = _geometry(args.fast)
-    run_dir = write_run(
-        "offload",
-        {
-            "bench": "offload",
-            "fast": args.fast,
-            "trace_seed": 3,
-            "requests": n_requests,
-            "prompt_len": prompt_len,
-            "output_len": output_len,
-            "device_pages": DEVICE_PAGES,
-            "host_pages": host_pages,
-        },
-        point,
-    )
-    print(
-        f"offload: swap {point['tokens_per_s_swap']:.1f} tok/s vs recompute "
-        f"{point['tokens_per_s_recompute']:.1f} ({point['swap_speedup']:.3f}x) "
-        f"on {point['device_pages']} device pages; "
-        f"{point['swap_outs']} swap-outs, {point['offload_faults']} faults"
-    )
-    print(f"wrote {args.out} and {run_dir}/")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,22 +10,14 @@ off and emits the gated point.
 
 Fast mode (CI smoke): ``SERVING_BENCH_FAST=1 pytest benchmarks/bench_prefix_cache.py``.
 
-CI's bench job runs this module as a script to merge the point into the
-serving benchmark file::
-
-    python benchmarks/bench_prefix_cache.py --fast --out BENCH_serving.json
-
-which adds a ``prefix_cache`` section that
-``scripts/check_bench_regression.py`` gates against the committed
-``benchmarks/baseline.json`` (min hit rate, cache-on never slower).
+``benchmarks/emit_serving.py`` writes the point as the ``prefix_cache``
+section of ``BENCH_serving.json``; ``scripts/check_bench_regression.py``
+gates it (min hit rate, cache-on never slower).
 """
 
-import argparse
 import json
 import os
-import sys
 
-from repro.bench.results import write_run
 from repro.gpu.arch import get_arch
 from repro.model.config import LLAMA31_8B
 from repro.serving import compare_formats, paper_serving_stacks, poisson_trace
@@ -51,6 +43,17 @@ def bench_trace(fast):
         shared_prefix_fraction=SHARED_FRACTION,
         prefix_groups=PREFIX_GROUPS,
     )
+
+
+def run_config(fast):
+    """Everything needed to reproduce the run (the ``write_run`` manifest)."""
+    return {
+        "bench": "prefix_cache",
+        "fast": fast,
+        "trace_seed": 0,
+        "shared_prefix_fraction": SHARED_FRACTION,
+        "prefix_groups": PREFIX_GROUPS,
+    }
 
 
 def _int4_stack(model, arch):
@@ -98,54 +101,3 @@ def test_prefix_cache_serving_point(run):
     on, off = point["report_on"], point["report_off"]
     assert on["total_generated_tokens"] == off["total_generated_tokens"]
     assert on["completed"] == off["completed"]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Emit the prefix-cache benchmark point"
-    )
-    parser.add_argument("--fast", action="store_true", default=FAST)
-    parser.add_argument(
-        "--out",
-        default="BENCH_serving.json",
-        help="serving benchmark file to merge the 'prefix_cache' section "
-        "into (created if missing)",
-    )
-    args = parser.parse_args(argv)
-    point = run_prefix_bench(fast=args.fast)
-    summary = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            summary = json.load(fh)
-    existing = summary.get("prefix_cache") or {}
-    # A committed baseline may pin gate floors; merging must keep them.
-    if "floors" in existing:
-        point["floors"] = existing["floors"]
-    summary["prefix_cache"] = point
-    with open(args.out, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    run_dir = write_run(
-        "prefix-cache",
-        {
-            "bench": "prefix_cache",
-            "fast": args.fast,
-            "trace_seed": 0,
-            "shared_prefix_fraction": SHARED_FRACTION,
-            "prefix_groups": PREFIX_GROUPS,
-        },
-        point,
-    )
-    print(
-        f"prefix cache: hit rate {point['hit_rate']:.3f}, "
-        f"{point['tokens_per_s_on']:.1f} tok/s on vs "
-        f"{point['tokens_per_s_off']:.1f} off, "
-        f"effective capacity {point['effective_capacity_pages']} pages "
-        f"({point['n_pages']} physical)"
-    )
-    print(f"wrote {args.out} and {run_dir}/")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,484 +1,193 @@
 #!/usr/bin/env python
-"""Benchmark regression gate: fail CI when serving throughput drops.
+"""Benchmark regression gate: one table of bounds over the benchmark ledger.
 
 Compares a freshly emitted ``BENCH_serving.json`` (see
-``benchmarks/bench_serving_engine.py``) against the committed
-``benchmarks/baseline.json``.  The simulation is fully deterministic —
-seeded trace, analytic latency model — so any movement is a real code
-change, not machine noise, and a tight threshold is safe.
+``benchmarks/emit_serving.py``) against the committed
+``benchmarks/baseline.json``, and — with ``--kernels BENCH_kernels.json``
+(see ``benchmarks/bench_kernel_hotpath.py``) — gates the kernel hot-path
+point as a ``kernels`` section of the same document.
 
-Gated: per-format sustained tokens/s must not drop more than
-``--threshold`` (default 10%) below baseline, and no baseline format may
-disappear.  Reported but not gated: p99 TBT and p99 TTFT shifts, because
-the chunked-prefill knob deliberately trades one against the other.
+Every check is one row of ``CHECKS``: ``(section, metric, op, bound,
+show, why)``.  A bound is a constant floor or ceiling, another metric of
+the same section (a strict ordering such as swap > recompute), or
+``BelowBaseline(f)`` — the baseline's value for the metric less the
+fraction ``f``.  Rows with no ``op`` are report-only.  The table is the
+**only** place a bound is declared: ``baseline.json`` holds measurements,
+so refreshing it cannot move a bound, and there are no flags to pass.  To
+change a bound, edit its row.
 
-With ``--kernels BENCH_kernels.json`` (see
-``benchmarks/bench_kernel_hotpath.py``) the kernel hot paths are gated
-too: the vectorized cache must stay at least ``--min-speedup`` (default
-25x) faster per decode step and ``--min-prefill-speedup`` (default 3x)
-faster at whole-prompt quantize+pack than the retained per-block
-reference, and the per-step wall time must stay flat (max/min <=
-``--max-flatness``) in the no-flush regime.  The committed baseline may
-carry its own ``kernels.floors`` entry; explicit CLI flags override it.
-Speedup and flatness are same-machine ratios, so they are stable across
-runner hardware where absolute milliseconds are not; drift against the
-baseline's recorded speedups (and the ungated transformer step time) is
-reported, not gated.
+The rules every row shares, stated once:
 
-When the current file carries a ``prefix_cache`` section (see
-``benchmarks/bench_prefix_cache.py``) it is gated too: the hit rate on
-the seeded shared-prefix trace must stay at or above ``--min-hit-rate``
-(default 0.25, baseline ``prefix_cache.floors`` may override) and
-cache-on throughput must never fall below cache-off.  A baseline that
-records the section makes it mandatory in the current results.
+- a metric that is missing or not a number fails its gated rows (it never
+  crashes the gate, and never passes by default);
+- a section the baseline records is mandatory in the current results;
+  a section the baseline lacks is still gated when the current file has it;
+- every value is printed with its unit, its bound and — where the
+  baseline records the metric — its drift, gated or not.
 
-Likewise an ``offload`` section (see ``benchmarks/bench_offload.py``):
-on the seeded over-capacity trace, swap-preemption throughput must stay
-strictly above recompute at the same device page budget, with the
-speedup at or above ``--min-offload-speedup`` (default 1.0, baseline
-``offload.floors`` may override), and the run must have actually swapped.
+The serving simulation is deterministic (seeded traces, analytic latency
+model), so baseline-relative drift is a real code change, not machine
+noise.  The wall-clock rows (``grouped.wall_speedup``, all of ``kernels``)
+are same-machine ratios of two code paths, stable across runner hardware
+where absolute milliseconds are not; they are floors, never compared
+against another machine's recording.
 
-A ``grouped`` section (the grouped-decode point
-``bench_serving_engine.py`` emits alongside the formats) gates the
-batched paged decode: the engine-priced speedup of one grouped kernel
-launch over the per-sequence loop at batch 8 must stay at or above
-``--min-grouped-speedup`` (default 5.0, baseline ``grouped.floors`` may
-override), and the same-machine wall-clock ratio of ``decode_step`` over
-``decode_step_looped`` must stay at or above
-``--min-grouped-wall-speedup`` (default 1.0) — grouping must never lose
-to the loop it replaced.  A baseline that records the section makes it
-mandatory in the current results.
+Exit status is non-zero on any gated failure, which is what CI's ``bench``
+job gates on.  When a throughput change is intentional, refresh the
+baseline with the emitter itself::
 
-A ``cluster`` section (see ``benchmarks/bench_cluster.py``) gates the
-cluster layer: on the seeded shared-prefix trace whose group count is
-coprime to the replica count, ``prefix_affinity`` routing must beat
-``round_robin`` by at least ``--min-affinity-speedup`` (default 1.0 —
-i.e. strictly better, baseline ``cluster.floors`` may override) with
-zero cross-replica prefix misses, and the tensor-parallel pricing point
-must charge a strictly positive all-reduce tax while pricing the
-per-rank attention kernel strictly below the full-head kernel.  A
-baseline that records the section makes it mandatory in the current
-results.
-
-And a ``chaos`` section (see ``benchmarks/bench_chaos.py``): on the
-committed fault plan the run must have exercised recovery (retries and
-healed pages), no request may end FAILED (baseline ``chaos.floors``
-``max_failed``, default 0), and the goodput delivered under faults plus
-deadline shedding must stay at or above ``--min-goodput-ratio`` (default
-0.35, baseline ``chaos.floors`` may override) of the fault-free run's
-throughput.
-
-Exit status is non-zero on any gated regression, which is what CI's
-``bench`` job gates on.  When a throughput change is intentional, refresh
-the baseline::
-
-    python benchmarks/bench_serving_engine.py --fast --prefill-chunk 512 \\
-        --out benchmarks/baseline.json
-    python benchmarks/bench_prefix_cache.py --fast --out benchmarks/baseline.json
-    python benchmarks/bench_offload.py --fast --out benchmarks/baseline.json
-    python benchmarks/bench_chaos.py --fast --out benchmarks/baseline.json
-    python benchmarks/bench_cluster.py --fast --out benchmarks/baseline.json
+    python benchmarks/emit_serving.py --fast --out benchmarks/baseline.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
+from typing import NamedTuple
 
-DEFAULT_THRESHOLD = 0.10
-#: Decode-step floor, ratcheted 10x -> 25x when the tile walk was fused.
-DEFAULT_MIN_SPEEDUP = 25.0
-#: Prefill quantize+pack floor, introduced with the chunked fused flush.
-DEFAULT_MIN_PREFILL_SPEEDUP = 3.0
-DEFAULT_MAX_FLATNESS = 2.0
-#: Prefix-cache hit-rate floor on the half-shared benchmark trace.
-DEFAULT_MIN_HIT_RATE = 0.25
-#: Swap-vs-recompute throughput floor on the over-capacity offload trace.
-DEFAULT_MIN_OFFLOAD_SPEEDUP = 1.0
-#: Engine-priced grouped-vs-looped decode floor at the batch-8 point.
-DEFAULT_MIN_GROUPED_SPEEDUP = 5.0
-#: Wall-clock grouped-vs-looped floor (same-machine ratio).
-DEFAULT_MIN_GROUPED_WALL_SPEEDUP = 1.0
-#: Goodput-under-faults floor relative to fault-free throughput.
-DEFAULT_MIN_GOODPUT_RATIO = 0.35
-#: Requests allowed to end FAILED (heal budget exhausted) on the plan.
-DEFAULT_MAX_FAILED = 0
-#: Prefix-affinity-vs-round-robin throughput floor on the cluster trace.
-DEFAULT_MIN_AFFINITY_SPEEDUP = 1.0
+OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
 
-def _pct(current: float | None, base: float | None) -> str:
-    if current is None or not base:
-        return "n/a"
-    return f"{(current / base - 1.0) * 100.0:+.1f}%"
+class BelowBaseline(float):
+    """A bound at the baseline's value for the same metric, less this fraction."""
 
 
-def compare(current: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD) -> list[str]:
-    """Return the list of gated failures (empty means the gate passes)."""
+class Check(NamedTuple):
+    section: str  # document key; "formats.*" = each format the baseline records
+    metric: str  # dotted path inside the section
+    op: str | None  # key of OPS; None = report only
+    bound: float | str | None  # constant, BelowBaseline, or another metric's path
+    show: str  # format of the value, with its unit
+    why: str  # what a violation means (report-only rows: why not gated)
+
+
+# fmt: off
+CHECKS = (
+    Check("formats.*", "tokens_per_s", ">=", BelowBaseline(0.10), "{:.1f} tok/s",
+          "sustained decode throughput regressed on the seeded trace"),
+    Check("formats.*", "p99_tbt_s", None, None, "{:.4f} s",
+          "the chunked-prefill knob deliberately trades TBT against TTFT"),
+    Check("formats.*", "p99_ttft_s", None, None, "{:.2f} s",
+          "traded against TBT, see above"),
+    Check("prefix_cache", "hit_rate", ">=", 0.25, "{:.3f}",
+          "admission stopped probing, keys stopped matching, or eviction got too eager "
+          "on the half-shared trace"),
+    Check("prefix_cache", "tokens_per_s_on", ">=", "tokens_per_s_off", "{:.1f} tok/s",
+          "cache-on fell below cache-off; hits must only remove prefill work"),
+    Check("prefix_cache", "effective_capacity_pages", None, None, "{:.0f} pages",
+          "follows from the hit rate"),
+    Check("offload", "swap_outs", ">", 0, "{:.0f}",
+          "the over-capacity trace never swapped; the working-set discipline is not "
+          "demoting under pressure"),
+    Check("offload", "tokens_per_s_swap", ">", "tokens_per_s_recompute", "{:.1f} tok/s",
+          "migration costs more than the replays it avoids at the same device page budget"),
+    Check("offload", "swap_speedup", ">=", 1.0, "{:.3f}x",
+          "swap lost its edge over recompute"),
+    Check("offload", "offload_stall_s", None, None, "{:.3e} s",
+          "already priced into tokens_per_s_swap"),
+    Check("grouped", "priced_speedup", ">=", 5.0, "{:.2f}x",
+          "decode is no longer launching one kernel per equal-shape group "
+          "(engine-priced at batch 8, deterministic)"),
+    Check("grouped", "wall_speedup", ">=", 1.0, "{:.2f}x",
+          "grouped decode_step lost to the per-sequence loop it replaced "
+          "(same-machine wall-clock ratio)"),
+    Check("chaos", "transfer_retries", ">", 0, "{:.0f}",
+          "the committed fault plan was not exercised; injection is not reaching the tier store"),
+    Check("chaos", "healed_pages", ">", 0, "{:.0f}",
+          "the committed fault plan was not exercised; no lost or corrupt page was healed"),
+    Check("chaos", "failed", "<=", 0, "{:.0f}",
+          "requests ended FAILED; recovery is exhausting its heal budget on the committed plan"),
+    Check("chaos", "goodput_ratio", ">=", 0.40, "{:.3f}x",
+          "surviving the plan plus deadline shedding costs too much of fault-free throughput"),
+    Check("chaos", "shed", None, None, "{:.0f}",
+          "deadline-policy outcome, already inside goodput_ratio"),
+    Check("cluster", "affinity_speedup", ">=", 1.10, "{:.3f}x",
+          "prefix-affinity routing is not beating round-robin; groups stopped staying on "
+          "the replica whose cache holds their pages"),
+    Check("cluster", "cross_replica_misses_prefix_affinity", "<=", 0, "{:.0f}",
+          "the routing hash is no longer keeping prefix groups home"),
+    Check("cluster", "tp.allreduce_tax_ms", ">", 0.0, "{:.4f} ms",
+          "the interconnect term dropped out of the sharded decode step"),
+    Check("cluster", "tp.rank_attention_ms", "<", "tp.full_attention_ms", "{:.4f} ms",
+          "head sharding stopped shrinking the attention kernel"),
+    # Decode floor ratcheted 10x -> 25x when the tile walk was fused; the
+    # prefill floor arrived with the chunked fused flush.
+    Check("kernels", "speedup_decode_step", ">=", 25.0, "{:.1f}x",
+          "the vectorized decode step lost its lead over the per-block reference"),
+    Check("kernels", "speedup_prefill_pack", ">=", 3.0, "{:.1f}x",
+          "vectorized whole-prompt quantize+pack lost its lead over the per-block reference"),
+    Check("kernels", "decode_step_flatness", "<=", 2.0, "{:.2f}",
+          "decode step time grows across no-flush steps; the dequant memo is being "
+          "invalidated or rebuilt"),
+    Check("kernels", "transformer.engine_step_ms", None, None, "{:.1f} ms",
+          "absolute milliseconds are not stable across runners"),
+    Check("kernels", "transformer.exact_step_ms", None, None, "{:.1f} ms",
+          "absolute milliseconds, as above"),
+)
+# fmt: on
+
+
+def _get(doc, path: str):
+    for key in path.split("."):
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+def _num(doc, path: str) -> float | None:
+    value = _get(doc, path)
+    return value if isinstance(value, (int, float)) else None
+
+
+def _show(value: float | None, show: str) -> str:
+    return "n/a" if value is None else show.format(value)
+
+
+def _instances(section: str, baseline: dict) -> list[str]:
+    if not section.endswith(".*"):
+        return [section]
+    parent = section[:-2]
+    return [f"{parent}.{name}" for name in sorted(_get(baseline, parent) or {})]
+
+
+def _check(path: str, check: Check, cur: dict, base: dict) -> list[str]:
+    """Print one row; return its failure (empty list = pass or report-only)."""
+    value, reference = _num(cur, check.metric), _num(base, check.metric)
+    if isinstance(check.bound, BelowBaseline):
+        bound = None if reference is None else reference * (1.0 - check.bound)
+        gate = f"{check.op} baseline {_show(reference, check.show)} less {check.bound:.0%}"
+    elif isinstance(check.bound, str):
+        bound = _num(cur, check.bound)
+        gate = f"{check.op} {check.bound} {_show(bound, check.show)}"
+    else:
+        bound = check.bound
+        gate = f"{check.op} {_show(bound, check.show)}"
+    drift = ""
+    if value is not None and reference:
+        drift = f", {(value / reference - 1.0) * 100.0:+.1f}% vs baseline"
+    if check.op is None:
+        print(f"{path}: {check.metric} {_show(value, check.show)}{drift} [not gated: {check.why}]")
+        return []
+    print(f"{path}: {check.metric} {_show(value, check.show)} ({gate}{drift})")
+    if value is None or bound is None or not OPS[check.op](value, bound):
+        return [f"{path}: {check.metric} {_show(value, check.show)} is not {gate}; {check.why}"]
+    return []
+
+
+def evaluate(current: dict, baseline: dict) -> list[str]:
+    """Print every row of ``CHECKS``; return the gated failures (empty = pass)."""
     failures: list[str] = []
-    cur_formats = current.get("formats", {})
-    for name, base in sorted(baseline.get("formats", {}).items()):
-        cur = cur_formats.get(name)
-        if cur is None:
-            failures.append(f"{name}: missing from current results")
-            continue
-        base_tps = base["tokens_per_s"]
-        cur_tps = cur["tokens_per_s"]
-        print(
-            f"{name}: {cur_tps:.1f} tok/s vs baseline {base_tps:.1f} "
-            f"({_pct(cur_tps, base_tps)}), "
-            f"p99 TBT {_pct(cur.get('p99_tbt_s'), base.get('p99_tbt_s'))}, "
-            f"p99 TTFT {_pct(cur.get('p99_ttft_s'), base.get('p99_ttft_s'))}"
-        )
-        if cur_tps < base_tps * (1.0 - threshold):
-            drop = (1.0 - cur_tps / base_tps) * 100.0
-            failures.append(
-                f"{name}: tokens/s dropped {drop:.1f}% "
-                f"({base_tps:.1f} -> {cur_tps:.1f}, threshold {threshold * 100:.0f}%)"
-            )
-    return failures
-
-
-def compare_kernels(
-    kernels: dict,
-    baseline_kernels: dict | None = None,
-    min_speedup: float | None = None,
-    min_prefill_speedup: float | None = None,
-    max_flatness: float | None = None,
-) -> list[str]:
-    """Gate the kernel hot-path microbenchmark (empty list = pass).
-
-    Floors resolve as: explicit argument > the baseline's
-    ``kernels.floors`` entry > the module defaults.
-    """
-    floors = (baseline_kernels or {}).get("floors", {})
-    if min_speedup is None:
-        min_speedup = floors.get("decode_step_speedup", DEFAULT_MIN_SPEEDUP)
-    if min_prefill_speedup is None:
-        min_prefill_speedup = floors.get("prefill_pack_speedup", DEFAULT_MIN_PREFILL_SPEEDUP)
-    if max_flatness is None:
-        max_flatness = floors.get("max_flatness", DEFAULT_MAX_FLATNESS)
-
-    failures: list[str] = []
-    speedup = kernels.get("speedup_decode_step")
-    prefill = kernels.get("speedup_prefill_pack")
-    flatness = kernels.get("decode_step_flatness")
-    base_speedup = (baseline_kernels or {}).get("speedup_decode_step")
-    base_prefill = (baseline_kernels or {}).get("speedup_prefill_pack")
-    speedup_s = "n/a" if speedup is None else f"{speedup:.1f}x"
-    prefill_s = "n/a" if prefill is None else f"{prefill:.1f}x"
-    flatness_s = "n/a" if flatness is None else f"{flatness:.2f}"
-    print(
-        f"kernels: decode-step speedup {speedup_s} "
-        f"(floor {min_speedup:.0f}x, baseline {_pct(speedup, base_speedup)}), "
-        f"prefill-pack speedup {prefill_s} "
-        f"(floor {min_prefill_speedup:.0f}x, baseline {_pct(prefill, base_prefill)}), "
-        f"flatness {flatness_s} (max {max_flatness:.1f})"
-    )
-    transformer = kernels.get("transformer")
-    if transformer:
-        base_tf = (baseline_kernels or {}).get("transformer") or {}
-        engine_ms = transformer.get("engine_step_ms")
-        exact_ms = transformer.get("exact_step_ms")
-        engine_s = "n/a" if engine_ms is None else f"{engine_ms:.1f} ms"
-        exact_s = "n/a" if exact_ms is None else f"{exact_ms:.1f} ms"
-        print(
-            f"kernels: transformer decode step engine {engine_s} "
-            f"({_pct(engine_ms, base_tf.get('engine_step_ms'))} vs baseline), "
-            f"exact {exact_s} "
-            f"({_pct(exact_ms, base_tf.get('exact_step_ms'))} vs baseline) "
-            "[reported, not gated]"
-        )
-    if speedup is None or speedup < min_speedup:
-        failures.append(
-            f"kernels: vectorized decode step is only {speedup_s} the per-block "
-            f"reference (floor {min_speedup:.0f}x)"
-        )
-    if prefill is None or prefill < min_prefill_speedup:
-        failures.append(
-            f"kernels: vectorized prefill pack is only {prefill_s} the per-block "
-            f"reference (floor {min_prefill_speedup:.0f}x)"
-        )
-    if flatness is None or flatness > max_flatness:
-        failures.append(
-            f"kernels: decode step time grows across no-flush steps "
-            f"(max/min {flatness_s} > {max_flatness:.1f}); the dequant memo "
-            "is being invalidated or rebuilt"
-        )
-    return failures
-
-
-def compare_prefix(
-    prefix: dict,
-    baseline_prefix: dict | None = None,
-    min_hit_rate: float | None = None,
-) -> list[str]:
-    """Gate the prefix-cache serving point (empty list = pass).
-
-    The trace is seeded and half of every prompt is a family-shared
-    prefix, so the hit rate is deterministic: dropping below the floor
-    means admission stopped probing, keys stopped matching, or eviction
-    got too eager.  Cache-on throughput must also never fall below
-    cache-off — hits only ever remove prefill work.  The floor resolves
-    as: explicit argument > the baseline's ``prefix_cache.floors`` entry
-    > the module default.
-    """
-    floors = (baseline_prefix or {}).get("floors", {})
-    if min_hit_rate is None:
-        min_hit_rate = floors.get("min_hit_rate", DEFAULT_MIN_HIT_RATE)
-
-    failures: list[str] = []
-    hit_rate = prefix.get("hit_rate")
-    on = prefix.get("tokens_per_s_on")
-    off = prefix.get("tokens_per_s_off")
-    base = baseline_prefix or {}
-    hit_s = "n/a" if hit_rate is None else f"{hit_rate:.3f}"
-    on_s = "n/a" if on is None else f"{on:.1f}"
-    off_s = "n/a" if off is None else f"{off:.1f}"
-    print(
-        f"prefix cache: hit rate {hit_s} "
-        f"(floor {min_hit_rate:.2f}, baseline {_pct(hit_rate, base.get('hit_rate'))}), "
-        f"{on_s} tok/s on vs {off_s} off "
-        f"({_pct(on, base.get('tokens_per_s_on'))} vs baseline), "
-        f"effective capacity {prefix.get('effective_capacity_pages', 'n/a')} pages "
-        "[capacity reported, not gated]"
-    )
-    if hit_rate is None or hit_rate < min_hit_rate:
-        failures.append(
-            f"prefix cache: hit rate {hit_s} fell below the floor "
-            f"{min_hit_rate:.2f} on the shared-prefix trace"
-        )
-    if on is None or off is None or on < off:
-        failures.append(
-            f"prefix cache: cache-on throughput ({on_s} tok/s) fell below "
-            f"cache-off ({off_s} tok/s); hits must only remove prefill work"
-        )
-    return failures
-
-
-def compare_offload(
-    offload: dict,
-    baseline_offload: dict | None = None,
-    min_speedup: float | None = None,
-) -> list[str]:
-    """Gate the tiered-offload serving point (empty list = pass).
-
-    The trace deliberately overcommits the device tier, so a swap run
-    that never swapped means the working-set discipline broke; swap
-    throughput at or below recompute means migration started costing
-    more than the replays it avoids.  The floor resolves as: explicit
-    argument > the baseline's ``offload.floors`` entry > the module
-    default.
-    """
-    floors = (baseline_offload or {}).get("floors", {})
-    if min_speedup is None:
-        min_speedup = floors.get("min_swap_speedup", DEFAULT_MIN_OFFLOAD_SPEEDUP)
-
-    failures: list[str] = []
-    swap = offload.get("tokens_per_s_swap")
-    recompute = offload.get("tokens_per_s_recompute")
-    speedup = offload.get("swap_speedup")
-    swap_outs = offload.get("swap_outs", 0)
-    base = baseline_offload or {}
-    swap_s = "n/a" if swap is None else f"{swap:.1f}"
-    rec_s = "n/a" if recompute is None else f"{recompute:.1f}"
-    speedup_s = "n/a" if speedup is None else f"{speedup:.3f}x"
-    print(
-        f"offload: swap {swap_s} tok/s vs recompute {rec_s} "
-        f"({speedup_s}, floor {min_speedup:.2f}x, "
-        f"baseline {_pct(speedup, base.get('swap_speedup'))}), "
-        f"{swap_outs} swap-outs, "
-        f"stall {offload.get('offload_stall_s', 'n/a')} s "
-        "[stall reported, not gated]"
-    )
-    if not swap_outs:
-        failures.append(
-            "offload: the over-capacity trace never swapped; the working-set "
-            "discipline is not demoting under pressure"
-        )
-    if swap is None or recompute is None or swap <= recompute:
-        failures.append(
-            f"offload: swap throughput ({swap_s} tok/s) is not strictly above "
-            f"recompute ({rec_s} tok/s) at the same device page budget"
-        )
-    elif speedup is None or speedup < min_speedup:
-        failures.append(
-            f"offload: swap speedup {speedup_s} fell below the floor "
-            f"{min_speedup:.2f}x"
-        )
-    return failures
-
-
-def compare_grouped(
-    grouped: dict,
-    baseline_grouped: dict | None = None,
-    min_priced_speedup: float | None = None,
-    min_wall_speedup: float | None = None,
-) -> list[str]:
-    """Gate the grouped batched-decode point (empty list = pass).
-
-    The priced half is deterministic (analytic latency model over the
-    backend's own pricing surface), so any movement is a code change:
-    falling below the floor means decode stopped launching one kernel
-    per equal-shape group.  The wall half is a same-machine ratio of two
-    code paths doing identical math — grouped ``decode_step`` must never
-    lose to the retained per-sequence loop.  Floors resolve as: explicit
-    argument > the baseline's ``grouped.floors`` entry > the module
-    defaults.
-    """
-    floors = (baseline_grouped or {}).get("floors", {})
-    if min_priced_speedup is None:
-        min_priced_speedup = floors.get("min_priced_speedup", DEFAULT_MIN_GROUPED_SPEEDUP)
-    if min_wall_speedup is None:
-        min_wall_speedup = floors.get("min_wall_speedup", DEFAULT_MIN_GROUPED_WALL_SPEEDUP)
-
-    failures: list[str] = []
-    priced = grouped.get("priced_speedup")
-    wall = grouped.get("wall_speedup")
-    base = baseline_grouped or {}
-    priced_s = "n/a" if priced is None else f"{priced:.2f}x"
-    wall_s = "n/a" if wall is None else f"{wall:.2f}x"
-    print(
-        f"grouped decode: priced speedup {priced_s} at batch "
-        f"{grouped.get('batch', 'n/a')} "
-        f"(floor {min_priced_speedup:.1f}x, "
-        f"baseline {_pct(priced, base.get('priced_speedup'))}), "
-        f"wall {wall_s} (floor {min_wall_speedup:.2f}x, "
-        "same-machine ratio)"
-    )
-    if priced is None or priced < min_priced_speedup:
-        failures.append(
-            f"grouped decode: engine-priced grouped speedup {priced_s} fell "
-            f"below the floor {min_priced_speedup:.1f}x; decode is no longer "
-            "launching one kernel per equal-shape group"
-        )
-    if wall is None or wall < min_wall_speedup:
-        failures.append(
-            f"grouped decode: grouped decode_step wall time is not beating "
-            f"the per-sequence loop ({wall_s}, floor {min_wall_speedup:.2f}x)"
-        )
-    return failures
-
-
-def compare_chaos(
-    chaos: dict,
-    baseline_chaos: dict | None = None,
-    min_goodput_ratio: float | None = None,
-) -> list[str]:
-    """Gate the chaos-recovery serving point (empty list = pass).
-
-    The fault plan is seeded and the engine is deterministic, so the
-    counters are exact: a run that never retried or never healed means
-    injection stopped reaching the tier store; a FAILED request above the
-    floor means recovery exhausted its heal budget; a goodput ratio below
-    the floor means surviving the plan started costing more than it
-    should.  Floors resolve as: explicit argument > the baseline's
-    ``chaos.floors`` entry > the module defaults.
-    """
-    floors = (baseline_chaos or {}).get("floors", {})
-    if min_goodput_ratio is None:
-        min_goodput_ratio = floors.get("min_goodput_ratio", DEFAULT_MIN_GOODPUT_RATIO)
-    max_failed = floors.get("max_failed", DEFAULT_MAX_FAILED)
-
-    failures: list[str] = []
-    ratio = chaos.get("goodput_ratio")
-    failed = chaos.get("failed")
-    retries = chaos.get("transfer_retries", 0)
-    healed = chaos.get("healed_pages", 0)
-    base = baseline_chaos or {}
-    ratio_s = "n/a" if ratio is None else f"{ratio:.3f}x"
-    print(
-        f"chaos: goodput ratio {ratio_s} vs fault-free "
-        f"(floor {min_goodput_ratio:.2f}x, "
-        f"baseline {_pct(ratio, base.get('goodput_ratio'))}), "
-        f"{retries} retries, {healed} healed pages, "
-        f"{chaos.get('shed', 'n/a')} shed, {failed} failed "
-        f"(max {max_failed})"
-    )
-    if not retries or not healed:
-        failures.append(
-            "chaos: the committed fault plan was not exercised "
-            f"({retries} retries, {healed} healed pages); injection is not "
-            "reaching the tier store"
-        )
-    if failed is None or failed > max_failed:
-        failures.append(
-            f"chaos: {failed} requests ended FAILED (max {max_failed}); "
-            "recovery is exhausting its heal budget on the committed plan"
-        )
-    if ratio is None or ratio < min_goodput_ratio:
-        failures.append(
-            f"chaos: goodput ratio {ratio_s} fell below the floor "
-            f"{min_goodput_ratio:.2f}x of fault-free throughput"
-        )
-    return failures
-
-
-def compare_cluster(
-    cluster: dict,
-    baseline_cluster: dict | None = None,
-    min_affinity_speedup: float | None = None,
-) -> list[str]:
-    """Gate the cluster serving point (empty list = pass).
-
-    The trace is seeded and the group count is coprime to the replica
-    count, so round-robin genuinely splits every shared-prefix group:
-    affinity losing its edge means routing stopped keeping groups on
-    the replica whose cache holds their pages.  A nonzero cross-replica
-    miss count under ``prefix_affinity`` means the hash stopped being
-    stable.  The TP point is priced analytically, so a vanished
-    all-reduce tax or a per-rank attention kernel that no longer shrinks
-    is a code change, not noise.  The floor resolves as: explicit
-    argument > the baseline's ``cluster.floors`` entry > the module
-    default.
-    """
-    floors = (baseline_cluster or {}).get("floors", {})
-    if min_affinity_speedup is None:
-        min_affinity_speedup = floors.get("min_affinity_speedup", DEFAULT_MIN_AFFINITY_SPEEDUP)
-
-    failures: list[str] = []
-    speedup = cluster.get("affinity_speedup")
-    misses = cluster.get("cross_replica_misses_prefix_affinity")
-    tp = cluster.get("tp") or {}
-    tax = tp.get("allreduce_tax_ms")
-    rank_ms = tp.get("rank_attention_ms")
-    full_ms = tp.get("full_attention_ms")
-    base = baseline_cluster or {}
-    speedup_s = "n/a" if speedup is None else f"{speedup:.3f}x"
-    tax_s = "n/a" if tax is None else f"{tax:.4f} ms"
-    rank_s = "n/a" if rank_ms is None else f"{rank_ms:.4f}"
-    full_s = "n/a" if full_ms is None else f"{full_ms:.4f}"
-    print(
-        f"cluster: affinity speedup {speedup_s} over round-robin "
-        f"(floor {min_affinity_speedup:.2f}x, "
-        f"baseline {_pct(speedup, base.get('affinity_speedup'))}), "
-        f"{misses} cross-replica prefix misses, "
-        f"tp{tp.get('tp', 'n/a')} all-reduce tax {tax_s}, "
-        f"rank attention {rank_s} vs full {full_s} ms"
-    )
-    if speedup is None or speedup <= 1.0 or speedup < min_affinity_speedup:
-        failures.append(
-            f"cluster: prefix-affinity routing is not beating round-robin "
-            f"({speedup_s}, floor {min_affinity_speedup:.2f}x) on the "
-            "shared-prefix trace"
-        )
-    if misses is None or misses > 0:
-        failures.append(
-            f"cluster: prefix_affinity incurred {misses} cross-replica prefix "
-            "misses; the routing hash is no longer keeping groups home"
-        )
-    if tax is None or tax <= 0.0:
-        failures.append(
-            f"cluster: tp pricing charges no all-reduce tax ({tax_s}); the "
-            "interconnect term dropped out of the sharded decode step"
-        )
-    if rank_ms is None or full_ms is None or rank_ms >= full_ms:
-        failures.append(
-            f"cluster: per-rank attention ({rank_s} ms) is not strictly below "
-            f"the full-head kernel ({full_s} ms); head sharding stopped "
-            "shrinking the attention kernel"
-        )
+    for section in dict.fromkeys(check.section for check in CHECKS):
+        for path in _instances(section, baseline):
+            cur, base = _get(current, path), _get(baseline, path)
+            if not isinstance(cur, dict):
+                if base is not None:
+                    failures.append(f"{path}: missing from current results")
+                continue
+            for check in CHECKS:
+                if check.section == section:
+                    failures += _check(path, check, cur, base if isinstance(base, dict) else {})
     return failures
 
 
@@ -486,137 +195,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", help="fresh BENCH_serving.json")
     parser.add_argument("baseline", help="committed benchmarks/baseline.json")
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="max fractional tokens/s drop before failing (default 0.10)",
-    )
-    parser.add_argument(
-        "--kernels",
-        default=None,
-        help="fresh BENCH_kernels.json to gate against the baseline's 'kernels' entry",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="min vectorized-vs-reference decode-step speedup "
-        f"(default: baseline floors, else {DEFAULT_MIN_SPEEDUP:.0f})",
-    )
-    parser.add_argument(
-        "--min-prefill-speedup",
-        type=float,
-        default=None,
-        help="min vectorized-vs-reference prefill quantize+pack speedup "
-        f"(default: baseline floors, else {DEFAULT_MIN_PREFILL_SPEEDUP:.0f})",
-    )
-    parser.add_argument(
-        "--max-flatness",
-        type=float,
-        default=None,
-        help="max steady-step max/min wall-time ratio "
-        f"(default: baseline floors, else {DEFAULT_MAX_FLATNESS})",
-    )
-    parser.add_argument(
-        "--min-hit-rate",
-        type=float,
-        default=None,
-        help="min prefix-cache hit rate on the shared-prefix trace "
-        f"(default: baseline floors, else {DEFAULT_MIN_HIT_RATE})",
-    )
-    parser.add_argument(
-        "--min-offload-speedup",
-        type=float,
-        default=None,
-        help="min swap-vs-recompute throughput ratio on the offload trace "
-        f"(default: baseline floors, else {DEFAULT_MIN_OFFLOAD_SPEEDUP})",
-    )
-    parser.add_argument(
-        "--min-grouped-speedup",
-        type=float,
-        default=None,
-        help="min engine-priced grouped-vs-looped decode speedup "
-        f"(default: baseline floors, else {DEFAULT_MIN_GROUPED_SPEEDUP})",
-    )
-    parser.add_argument(
-        "--min-grouped-wall-speedup",
-        type=float,
-        default=None,
-        help="min wall-clock grouped-vs-looped decode_step ratio "
-        f"(default: baseline floors, else {DEFAULT_MIN_GROUPED_WALL_SPEEDUP})",
-    )
-    parser.add_argument(
-        "--min-goodput-ratio",
-        type=float,
-        default=None,
-        help="min goodput-under-faults vs fault-free throughput on the "
-        f"chaos trace (default: baseline floors, else {DEFAULT_MIN_GOODPUT_RATIO})",
-    )
-    parser.add_argument(
-        "--min-affinity-speedup",
-        type=float,
-        default=None,
-        help="min prefix-affinity-vs-round-robin throughput ratio on the "
-        f"cluster trace (default: baseline floors, else {DEFAULT_MIN_AFFINITY_SPEEDUP})",
-    )
+    parser.add_argument("--kernels", help="fresh BENCH_kernels.json, gated as the kernels section")
     args = parser.parse_args(argv)
     with open(args.current) as fh:
         current = json.load(fh)
     with open(args.baseline) as fh:
         baseline = json.load(fh)
-    failures = compare(current, baseline, args.threshold)
-    if current.get("prefix_cache"):
-        failures += compare_prefix(
-            current["prefix_cache"],
-            baseline.get("prefix_cache"),
-            min_hit_rate=args.min_hit_rate,
-        )
-    elif baseline.get("prefix_cache"):
-        failures.append("prefix cache: missing from current results")
-    if current.get("offload"):
-        failures += compare_offload(
-            current["offload"],
-            baseline.get("offload"),
-            min_speedup=args.min_offload_speedup,
-        )
-    elif baseline.get("offload"):
-        failures.append("offload: missing from current results")
-    if current.get("grouped"):
-        failures += compare_grouped(
-            current["grouped"],
-            baseline.get("grouped"),
-            min_priced_speedup=args.min_grouped_speedup,
-            min_wall_speedup=args.min_grouped_wall_speedup,
-        )
-    elif baseline.get("grouped"):
-        failures.append("grouped decode: missing from current results")
-    if current.get("chaos"):
-        failures += compare_chaos(
-            current["chaos"],
-            baseline.get("chaos"),
-            min_goodput_ratio=args.min_goodput_ratio,
-        )
-    elif baseline.get("chaos"):
-        failures.append("chaos: missing from current results")
-    if current.get("cluster"):
-        failures += compare_cluster(
-            current["cluster"],
-            baseline.get("cluster"),
-            min_affinity_speedup=args.min_affinity_speedup,
-        )
-    elif baseline.get("cluster"):
-        failures.append("cluster: missing from current results")
     if args.kernels:
         with open(args.kernels) as fh:
-            kernels = json.load(fh)
-        failures += compare_kernels(
-            kernels,
-            baseline.get("kernels"),
-            min_speedup=args.min_speedup,
-            min_prefill_speedup=args.min_prefill_speedup,
-            max_flatness=args.max_flatness,
-        )
+            current["kernels"] = json.load(fh)
+    failures = evaluate(current, baseline)
     if failures:
         print()
         for failure in failures:

@@ -137,8 +137,6 @@ def _reject_unsupported(args) -> None:
         _reject(f"--router {args.router} routes across replicas; pass --replicas > 1")
     if cluster and args.chaos is not None:
         _reject("--chaos does not compose with --tp/--replicas yet")
-    if cluster and tiers:
-        _reject("--preemption swap and the tier sizes do not compose with --tp/--replicas yet")
     if cluster and args.n_gpus not in (1, args.tp):
         _reject(
             f"--tp {args.tp} spans one replica's GPUs, so --n-gpus must equal the "
@@ -357,9 +355,11 @@ def _serve_cluster(args, model, arch, trace) -> None:
     from repro.serving.crosscheck import crosscheck_cluster, int4_stack
 
     tp, replicas = args.tp, args.replicas
+    swap = args.preemption == "swap"
     stack = int4_stack(model, arch)
     if args.execute:
-        pool = _nr_pool(args, model, trace, stack.nr, "--execute", tiered=False)
+        mode = "--preemption swap" if swap else "--execute"
+        pool = _nr_pool(args, model, trace, stack.nr, mode, tiered=swap)
     else:
         window = 64 if args.residual_window is None else args.residual_window
         pool = dict(
@@ -399,6 +399,7 @@ def _serve_cluster(args, model, arch, trace) -> None:
         f"serve-sim cluster: {model.name} on {arch.name} | INT4, "
         f"tp {tp} x {replicas} replica{'s' if replicas != 1 else ''}, "
         f"router {args.router}"
+        + (f", {_pool_label(args)} pages, swap preemption" if swap else "")
         + (", prefix cache on" if args.prefix_cache else "")
         + (", executed" if args.execute else ", analytical"),
         f"  aggregate: {cluster.completed} done of {cluster.n_requests}, "
@@ -422,6 +423,7 @@ def _serve_cluster(args, model, arch, trace) -> None:
             f"  replica {i}: {cluster.dispatch_counts[i]} requests, "
             f"done {r.completed}, {r.sustained_tokens_per_s:.1f} tok/s, "
             f"preemptions {r.preemptions}"
+            + (f", swap-outs {r.swap_outs}" if swap else "")
             + (f", prefix hit rate {r.prefix_hit_rate:.3f}" if args.prefix_cache else "")
         )
     lines += [f"  check {name}: {value}" for name, value in result.checks.items()]

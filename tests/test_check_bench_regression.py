@@ -1,7 +1,16 @@
-"""Benchmark regression gate (`scripts/check_bench_regression.py`)."""
+"""Benchmark regression gate (`scripts/check_bench_regression.py`).
+
+The gate is one table (`CHECKS`) and one evaluator, so the tests are
+parametrised over the table: `CASES` pins every gated row's bound from
+both sides with a synthetic point, and the rules all rows share (missing
+metric fails, section mandatory once baselined) are tested once each.
+"""
 
 import copy
+import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,369 +19,214 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = REPO_ROOT / "scripts" / "check_bench_regression.py"
+EMITTER = REPO_ROOT / "benchmarks" / "emit_serving.py"
+BASELINE = REPO_ROOT / "benchmarks" / "baseline.json"
 
 
 def _load_checker():
-    import importlib.util
-
     spec = importlib.util.spec_from_file_location("check_bench_regression", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _point(tokens_per_s):
-    return {
-        "tokens_per_s": tokens_per_s,
-        "p99_tbt_s": 0.03,
-        "p99_ttft_s": 20.0,
-    }
+checker = _load_checker()
 
 
-@pytest.fixture
-def baseline():
-    return {"formats": {"FP16": _point(100.0), "INT4": _point(200.0), "INT2": _point(210.0)}}
+def _format_point(tokens_per_s):
+    return {"tokens_per_s": tokens_per_s, "p99_tbt_s": 0.03, "p99_ttft_s": 20.0}
 
 
-class TestCompare:
-    def test_identical_passes(self, baseline):
-        checker = _load_checker()
-        assert checker.compare(copy.deepcopy(baseline), baseline) == []
-
-    def test_small_drop_within_threshold_passes(self, baseline):
-        checker = _load_checker()
-        current = copy.deepcopy(baseline)
-        current["formats"]["INT4"]["tokens_per_s"] = 185.0  # -7.5%
-        assert checker.compare(current, baseline) == []
-
-    def test_synthetic_regression_fails(self, baseline):
-        checker = _load_checker()
-        current = copy.deepcopy(baseline)
-        current["formats"]["INT4"]["tokens_per_s"] = 170.0  # -15%
-        failures = checker.compare(current, baseline)
-        assert len(failures) == 1
-        assert "INT4" in failures[0]
-
-    def test_missing_format_fails(self, baseline):
-        checker = _load_checker()
-        current = copy.deepcopy(baseline)
-        del current["formats"]["INT2"]
-        failures = checker.compare(current, baseline)
-        assert any("INT2" in f for f in failures)
-
-    def test_improvement_passes(self, baseline):
-        checker = _load_checker()
-        current = copy.deepcopy(baseline)
-        current["formats"]["FP16"]["tokens_per_s"] = 300.0
-        assert checker.compare(current, baseline) == []
-
-    def test_none_percentiles_are_reported_not_fabricated(self, baseline, capsys):
-        checker = _load_checker()
-        current = copy.deepcopy(baseline)
-        baseline["formats"]["FP16"]["p99_tbt_s"] = None
-        current["formats"]["FP16"]["p99_tbt_s"] = 0.035
-        assert checker.compare(current, baseline) == []
-        assert "n/a" in capsys.readouterr().out
-
-    def test_threshold_is_tunable(self, baseline):
-        checker = _load_checker()
-        current = copy.deepcopy(baseline)
-        current["formats"]["FP16"]["tokens_per_s"] = 95.0  # -5%
-        assert checker.compare(current, baseline, threshold=0.10) == []
-        assert len(checker.compare(current, baseline, threshold=0.02)) == 1
-
-
-def _kernels_point(speedup=30.0, flatness=1.1, prefill=4.0):
-    return {
-        "speedup_decode_step": speedup,
-        "speedup_prefill_pack": prefill,
-        "decode_step_flatness": flatness,
-    }
-
-
-class TestCompareKernels:
-    def test_healthy_point_passes(self):
-        checker = _load_checker()
-        assert checker.compare_kernels(_kernels_point(), _kernels_point()) == []
-
-    def test_speedup_below_floor_fails(self):
-        checker = _load_checker()
-        failures = checker.compare_kernels(_kernels_point(speedup=6.0))
-        assert len(failures) == 1
-        assert "6.0x" in failures[0]
-
-    def test_prefill_pack_below_floor_fails(self):
-        """The chunked-flush floor: prefill pack must stay >= 3x."""
-        checker = _load_checker()
-        failures = checker.compare_kernels(_kernels_point(prefill=1.2))
-        assert len(failures) == 1
-        assert "prefill pack" in failures[0]
-        assert "1.2x" in failures[0]
-
-    def test_growing_step_time_fails(self):
-        """The memoization contract: no-flush decode steps must stay flat."""
-        checker = _load_checker()
-        failures = checker.compare_kernels(_kernels_point(flatness=3.5))
-        assert len(failures) == 1
-        assert "memo" in failures[0]
-
-    def test_floors_are_tunable(self):
-        checker = _load_checker()
-        point = _kernels_point(speedup=6.0, flatness=3.5, prefill=1.5)
-        assert (
-            checker.compare_kernels(
-                point, min_speedup=5.0, min_prefill_speedup=1.0, max_flatness=4.0
-            )
-            == []
-        )
-
-    def test_floors_read_from_baseline(self):
-        """The committed baseline may ratchet its own floors; explicit
-        arguments still win over it."""
-        checker = _load_checker()
-        point = _kernels_point(speedup=30.0, prefill=4.0)
-        strict = dict(_kernels_point(), floors={"decode_step_speedup": 40.0})
-        failures = checker.compare_kernels(point, strict)
-        assert len(failures) == 1 and "40x" in failures[0]
-        assert checker.compare_kernels(point, strict, min_speedup=25.0) == []
-
-    def test_missing_fields_fail_not_crash(self):
-        checker = _load_checker()
-        failures = checker.compare_kernels({})
-        assert len(failures) == 3
-
-    def test_committed_kernels_baseline_is_gated_shape(self):
-        """The baseline's kernels entry must itself pass the default gate."""
-        checker = _load_checker()
-        baseline = json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-        assert checker.compare_kernels(baseline["kernels"], baseline["kernels"]) == []
-
-
-def _offload_point(swap=110.0, recompute=100.0, swap_outs=12):
-    return {
-        "tokens_per_s_swap": swap,
-        "tokens_per_s_recompute": recompute,
-        "swap_speedup": swap / recompute if recompute else 0.0,
-        "swap_outs": swap_outs,
-        "offload_stall_s": 0.001,
-    }
-
-
-class TestCompareOffload:
-    def test_healthy_point_passes(self):
-        checker = _load_checker()
-        assert checker.compare_offload(_offload_point(), _offload_point()) == []
-
-    def test_swap_not_strictly_above_recompute_fails(self):
-        checker = _load_checker()
-        failures = checker.compare_offload(_offload_point(swap=100.0, recompute=100.0))
-        assert len(failures) == 1
-        assert "not strictly above" in failures[0]
-
-    def test_no_swaps_means_no_pressure_fails(self):
-        """An over-capacity trace that never swapped is a broken discipline,
-        even if the throughput numbers happen to look fine."""
-        checker = _load_checker()
-        failures = checker.compare_offload(_offload_point(swap_outs=0))
-        assert len(failures) == 1
-        assert "never swapped" in failures[0]
-
-    def test_floor_reads_from_baseline_explicit_arg_wins(self):
-        checker = _load_checker()
-        point = _offload_point(swap=101.0, recompute=100.0)  # 1.01x
-        strict = dict(_offload_point(), floors={"min_swap_speedup": 1.05})
-        failures = checker.compare_offload(point, strict)
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-        assert checker.compare_offload(point, strict, min_speedup=1.0) == []
-
-    def test_missing_fields_fail_not_crash(self):
-        checker = _load_checker()
-        failures = checker.compare_offload({})
-        assert failures  # no swaps + no throughput, but never a traceback
-
-    def test_committed_offload_baseline_is_gated_shape(self):
-        """The baseline's offload entry must itself pass its own floors."""
-        checker = _load_checker()
-        baseline = json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-        assert checker.compare_offload(baseline["offload"], baseline["offload"]) == []
-
-
-def _grouped_point(priced=7.0, wall=1.5):
-    return {
-        "batch": 8,
-        "seq_len": 16384,
-        "priced_speedup": priced,
-        "wall_speedup": wall,
-    }
-
-
-class TestCompareGrouped:
-    def test_healthy_point_passes(self):
-        checker = _load_checker()
-        assert checker.compare_grouped(_grouped_point(), _grouped_point()) == []
-
-    def test_priced_speedup_below_floor_fails(self):
-        """The priced ratio is deterministic, so falling below the floor
-        means decode stopped launching one kernel per equal-shape group."""
-        checker = _load_checker()
-        failures = checker.compare_grouped(_grouped_point(priced=3.0))
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-
-    def test_wall_clock_losing_to_loop_fails(self):
-        checker = _load_checker()
-        failures = checker.compare_grouped(_grouped_point(wall=0.8))
-        assert len(failures) == 1
-        assert "loop" in failures[0]
-
-    def test_floor_reads_from_baseline_explicit_arg_wins(self):
-        checker = _load_checker()
-        point = _grouped_point(priced=6.0)
-        strict = dict(_grouped_point(), floors={"min_priced_speedup": 6.5})
-        failures = checker.compare_grouped(point, strict)
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-        assert checker.compare_grouped(point, strict, min_priced_speedup=5.0) == []
-
-    def test_missing_fields_fail_not_crash(self):
-        checker = _load_checker()
-        failures = checker.compare_grouped({})
-        assert failures  # no speedups at all, but never a traceback
-
-    def test_committed_grouped_baseline_is_gated_shape(self):
-        """The baseline's grouped entry must itself pass its own floors."""
-        checker = _load_checker()
-        baseline = json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-        assert checker.compare_grouped(baseline["grouped"], baseline["grouped"]) == []
-
-
-def _chaos_point(ratio=0.5, failed=0, retries=7, healed=3):
-    return {
-        "goodput_ratio": ratio,
-        "failed": failed,
-        "transfer_retries": retries,
-        "healed_pages": healed,
+#: A document every row passes; it doubles as its own baseline.
+HEALTHY = {
+    "formats": {
+        "FP16": _format_point(100.0),
+        "INT4": _format_point(200.0),
+        "INT2": _format_point(210.0),
+    },
+    "prefix_cache": {
+        "hit_rate": 0.49,
+        "tokens_per_s_on": 67.7,
+        "tokens_per_s_off": 33.9,
+        "effective_capacity_pages": 28242,
+    },
+    "offload": {
+        "swap_outs": 12,
+        "tokens_per_s_swap": 110.0,
+        "tokens_per_s_recompute": 100.0,
+        "swap_speedup": 1.1,
+        "offload_stall_s": 7.075264000000001e-05,
+    },
+    "grouped": {"batch": 8, "priced_speedup": 7.0, "wall_speedup": 1.5},
+    "chaos": {
+        "transfer_retries": 7,
+        "healed_pages": 3,
+        "failed": 0,
+        "goodput_ratio": 0.5,
         "shed": 2,
-    }
-
-
-class TestCompareChaos:
-    def test_healthy_point_passes(self):
-        checker = _load_checker()
-        assert checker.compare_chaos(_chaos_point(), _chaos_point()) == []
-
-    def test_goodput_ratio_below_floor_fails(self):
-        checker = _load_checker()
-        failures = checker.compare_chaos(_chaos_point(ratio=0.1))
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-
-    def test_failed_requests_fail_the_gate(self):
-        """The committed plan is recoverable: a FAILED request means the
-        heal budget drained, which is a recovery regression."""
-        checker = _load_checker()
-        failures = checker.compare_chaos(_chaos_point(failed=1))
-        assert len(failures) == 1
-        assert "FAILED" in failures[0]
-
-    def test_unexercised_plan_fails(self):
-        """Zero retries or zero heals means injection stopped reaching
-        the tier store, even if the throughput numbers look fine."""
-        checker = _load_checker()
-        assert checker.compare_chaos(_chaos_point(retries=0))
-        assert checker.compare_chaos(_chaos_point(healed=0))
-
-    def test_floor_reads_from_baseline_explicit_arg_wins(self):
-        checker = _load_checker()
-        point = _chaos_point(ratio=0.42)
-        strict = dict(_chaos_point(), floors={"min_goodput_ratio": 0.45})
-        failures = checker.compare_chaos(point, strict)
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-        assert checker.compare_chaos(point, strict, min_goodput_ratio=0.4) == []
-
-    def test_max_failed_floor_reads_from_baseline(self):
-        checker = _load_checker()
-        lenient = dict(_chaos_point(), floors={"max_failed": 1})
-        assert checker.compare_chaos(_chaos_point(failed=1), lenient) == []
-        assert checker.compare_chaos(_chaos_point(failed=2), lenient)
-
-    def test_missing_fields_fail_not_crash(self):
-        checker = _load_checker()
-        failures = checker.compare_chaos({})
-        assert failures  # unexercised + no ratio, but never a traceback
-
-    def test_committed_chaos_baseline_is_gated_shape(self):
-        """The baseline's chaos entry must itself pass its own floors."""
-        checker = _load_checker()
-        baseline = json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-        assert checker.compare_chaos(baseline["chaos"], baseline["chaos"]) == []
-
-
-def _cluster_point(speedup=1.4, misses=0, tax=0.35, rank=6.2, full=13.7):
-    return {
-        "affinity_speedup": speedup,
-        "cross_replica_misses_prefix_affinity": misses,
+    },
+    "cluster": {
+        "affinity_speedup": 1.4,
+        "cross_replica_misses_prefix_affinity": 0,
         "tp": {
             "tp": 2,
-            "allreduce_tax_ms": tax,
-            "rank_attention_ms": rank,
-            "full_attention_ms": full,
+            "allreduce_tax_ms": 0.35,
+            "rank_attention_ms": 6.2,
+            "full_attention_ms": 13.7,
         },
+    },
+    "kernels": {
+        "speedup_decode_step": 30.0,
+        "speedup_prefill_pack": 4.0,
+        "decode_step_flatness": 1.1,
+        "transformer": {"engine_step_ms": 5.4, "exact_step_ms": 12.6},
+    },
+}
+
+#: (section, metric, value that still passes, value that must fail) — one
+#: per gated row, each pair straddling the row's bound.
+CASES = [
+    ("formats.INT4", "tokens_per_s", 185.0, 170.0),  # -7.5% vs -15% of 200
+    ("prefix_cache", "hit_rate", 0.25, 0.24),
+    ("prefix_cache", "tokens_per_s_on", 33.9, 33.8),  # never below cache-off
+    ("offload", "swap_outs", 1, 0),
+    ("offload", "tokens_per_s_swap", 100.1, 100.0),  # strictly above recompute
+    ("offload", "swap_speedup", 1.0, 0.99),
+    ("grouped", "priced_speedup", 5.0, 4.9),
+    ("grouped", "wall_speedup", 1.0, 0.8),
+    ("chaos", "transfer_retries", 1, 0),
+    ("chaos", "healed_pages", 1, 0),
+    ("chaos", "failed", 0, 1),
+    ("chaos", "goodput_ratio", 0.40, 0.37),
+    ("cluster", "affinity_speedup", 1.10, 1.05),
+    ("cluster", "cross_replica_misses_prefix_affinity", 0, 3),
+    ("cluster", "tp.allreduce_tax_ms", 0.01, 0.0),
+    ("cluster", "tp.rank_attention_ms", 13.6, 13.7),  # strictly below full-head
+    ("kernels", "speedup_decode_step", 25.0, 6.0),
+    ("kernels", "speedup_prefill_pack", 3.0, 1.2),
+    ("kernels", "decode_step_flatness", 2.0, 3.5),
+]
+CASE_IDS = [f"{section}:{metric}" for section, metric, _, _ in CASES]
+SECTIONS = ["formats.INT2", *(key for key in HEALTHY if key != "formats")]
+
+_DROP = object()
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with dotted ``path`` set (or dropped)."""
+    doc = copy.deepcopy(doc)
+    *parents, leaf = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return doc
+
+
+def test_every_gated_row_has_a_case():
+    gated = {(c.section, c.metric) for c in checker.CHECKS if c.op is not None}
+    covered = {
+        ("formats.*" if section.startswith("formats.") else section, metric)
+        for section, metric, _, _ in CASES
     }
+    assert covered == gated
 
 
-class TestCompareCluster:
-    def test_healthy_point_passes(self):
-        checker = _load_checker()
-        assert checker.compare_cluster(_cluster_point(), _cluster_point()) == []
+def test_healthy_point_passes():
+    assert checker.evaluate(HEALTHY, HEALTHY) == []
 
-    def test_affinity_not_beating_round_robin_fails(self):
-        """The default floor is 1.0 *strict*: a speedup of exactly 1.0
-        means affinity routing stopped buying anything."""
-        checker = _load_checker()
-        assert checker.compare_cluster(_cluster_point(speedup=1.0))
-        assert checker.compare_cluster(_cluster_point(speedup=0.9))
-        assert checker.compare_cluster(_cluster_point(speedup=1.2)) == []
 
-    def test_cross_replica_misses_fail(self):
-        checker = _load_checker()
-        failures = checker.compare_cluster(_cluster_point(misses=3))
-        assert len(failures) == 1
-        assert "cross-replica" in failures[0]
+@pytest.mark.parametrize("section,metric,passing,failing", CASES, ids=CASE_IDS)
+def test_row_bound_from_both_sides(section, metric, passing, failing):
+    path = f"{section}.{metric}"
+    assert checker.evaluate(_with(HEALTHY, path, passing), HEALTHY) == []
+    failures = checker.evaluate(_with(HEALTHY, path, failing), HEALTHY)
+    assert len(failures) == 1
+    assert failures[0].startswith(f"{section}: {metric} ")
 
-    def test_vanished_allreduce_tax_fails(self):
-        checker = _load_checker()
-        failures = checker.compare_cluster(_cluster_point(tax=0.0))
-        assert len(failures) == 1
-        assert "all-reduce" in failures[0]
 
-    def test_unsharded_attention_fails(self):
-        checker = _load_checker()
-        failures = checker.compare_cluster(_cluster_point(rank=13.7, full=13.7))
-        assert len(failures) == 1
-        assert "sharding" in failures[0]
+@pytest.mark.parametrize("section,metric,passing,failing", CASES, ids=CASE_IDS)
+def test_missing_metric_fails_never_crashes(section, metric, passing, failing):
+    path = f"{section}.{metric}"
+    for broken in (_with(HEALTHY, path, _DROP), _with(HEALTHY, path, "fast")):
+        failures = checker.evaluate(broken, HEALTHY)
+        assert any(f.startswith(f"{section}: {metric} n/a") for f in failures)
 
-    def test_floor_reads_from_baseline_explicit_arg_wins(self):
-        checker = _load_checker()
-        point = _cluster_point(speedup=1.2)
-        strict = dict(_cluster_point(), floors={"min_affinity_speedup": 1.3})
-        failures = checker.compare_cluster(point, strict)
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-        assert checker.compare_cluster(point, strict, min_affinity_speedup=1.1) == []
 
-    def test_missing_fields_fail_not_crash(self):
-        checker = _load_checker()
-        failures = checker.compare_cluster({})
-        assert failures  # no speedup, no tp sub-dict, but never a traceback
+def test_missing_comparison_metric_fails_never_crashes():
+    """A row bounded by another metric cannot pass when that metric is gone."""
+    for path in (
+        "prefix_cache.tokens_per_s_off",
+        "offload.tokens_per_s_recompute",
+        "cluster.tp.full_attention_ms",
+        "cluster.tp",
+    ):
+        assert checker.evaluate(_with(HEALTHY, path, _DROP), HEALTHY)
+    # The baseline-relative row needs the baseline's value the same way.
+    stale = _with(HEALTHY, "formats.FP16.tokens_per_s", _DROP)
+    assert checker.evaluate(HEALTHY, stale)
 
-    def test_committed_cluster_baseline_is_gated_shape(self):
-        """The baseline's cluster entry must itself pass its own floors."""
-        checker = _load_checker()
-        baseline = json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-        assert checker.compare_cluster(baseline["cluster"], baseline["cluster"]) == []
+
+def test_empty_section_fails_every_gated_row():
+    failures = checker.evaluate(_with(HEALTHY, "kernels", {}), HEALTHY)
+    assert len(failures) == 3
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_section_mandatory_once_baselined(section):
+    absent = _with(HEALTHY, section, _DROP)
+    assert checker.evaluate(absent, HEALTHY) == [f"{section}: missing from current results"]
+    # Not baselined yet: absent from both passes ...
+    assert checker.evaluate(absent, absent) == []
+
+
+def test_unbaselined_section_is_still_gated():
+    """... but the bounds do not wait for a baseline: a section the current
+    file carries is held to its rows even before the baseline records it."""
+    baseline = _with(HEALTHY, "chaos", _DROP)
+    assert checker.evaluate(HEALTHY, baseline) == []
+    assert checker.evaluate(_with(HEALTHY, "chaos.goodput_ratio", 0.37), baseline)
+
+
+def test_improvement_passes():
+    assert checker.evaluate(_with(HEALTHY, "formats.FP16.tokens_per_s", 300.0), HEALTHY) == []
+
+
+def test_report_only_rows_never_gate(capsys):
+    current = _with(HEALTHY, "formats.FP16.p99_tbt_s", None)
+    current["formats"]["INT4"]["p99_ttft_s"] = 2000.0
+    current["offload"]["offload_stall_s"] = 9.0
+    assert checker.evaluate(current, HEALTHY) == []
+    out = capsys.readouterr().out
+    assert "formats.FP16: p99_tbt_s n/a" in out  # reported, not fabricated
+    assert "+9900.0% vs baseline" in out
+
+
+def test_values_print_with_unit_and_fixed_precision(capsys):
+    """The offload stall used to print as a raw float (7.075264000000001e-05)."""
+    checker.evaluate(HEALTHY, HEALTHY)
+    out = capsys.readouterr().out
+    assert "offload: offload_stall_s 7.075e-05 s" in out
+    assert "7.075264" not in out
+    assert "formats.INT4: tokens_per_s 200.0 tok/s (>= baseline 200.0 tok/s less 10%" in out
+
+
+class TestCommittedFiles:
+    def test_baseline_holds_measurements_only(self):
+        assert "kernels" not in json.loads(BASELINE.read_text())
+        assert '"floors"' not in BASELINE.read_text()
+
+    def test_committed_baseline_passes_its_own_gate(self):
+        baseline = json.loads(BASELINE.read_text())
+        assert set(SECTIONS) - {"formats.INT2", "kernels"} <= set(baseline)
+        assert checker.evaluate(baseline, baseline) == []
+
+    def test_committed_kernels_point_passes_the_gate(self):
+        kernels = json.loads((REPO_ROOT / "BENCH_kernels.json").read_text())
+        assert checker.evaluate({"kernels": kernels}, {}) == []
 
 
 class TestCli:
@@ -387,133 +241,99 @@ class TestCli:
             text=True,
         )
 
-    def test_exit_zero_on_pass(self, tmp_path, baseline):
-        result = self._run(tmp_path, copy.deepcopy(baseline), baseline)
+    def test_exit_zero_on_pass(self, tmp_path):
+        result = self._run(tmp_path, HEALTHY, HEALTHY)
         assert result.returncode == 0
         assert "benchmark gate: OK" in result.stdout
 
-    def test_exit_nonzero_on_regression(self, tmp_path, baseline):
-        current = copy.deepcopy(baseline)
-        current["formats"]["FP16"]["tokens_per_s"] = 50.0  # -50%
-        result = self._run(tmp_path, current, baseline)
+    def test_exit_nonzero_on_regression(self, tmp_path):
+        current = _with(HEALTHY, "formats.FP16.tokens_per_s", 50.0)
+        result = self._run(tmp_path, current, HEALTHY)
         assert result.returncode == 1
-        assert "REGRESSION" in result.stdout
+        assert "REGRESSION: formats.FP16: tokens_per_s 50.0 tok/s" in result.stdout
 
-    def test_kernels_gate_plumbs_through_cli(self, tmp_path, baseline):
+    def test_kernels_file_is_gated_as_the_kernels_section(self, tmp_path):
+        serving = _with(HEALTHY, "kernels", _DROP)
         kern = tmp_path / "kernels.json"
-        kern.write_text(json.dumps(_kernels_point(speedup=4.0)))
-        baseline_with_kernels = copy.deepcopy(baseline)
-        baseline_with_kernels["kernels"] = _kernels_point()
-        result = self._run(
-            tmp_path, copy.deepcopy(baseline), baseline_with_kernels, "--kernels", str(kern)
-        )
+        kern.write_text(json.dumps(_with(HEALTHY, "kernels.speedup_decode_step", 4.0)["kernels"]))
+        result = self._run(tmp_path, serving, serving, "--kernels", str(kern))
         assert result.returncode == 1
-        assert "4.0x" in result.stdout
-        kern.write_text(json.dumps(_kernels_point(speedup=40.0)))
-        result = self._run(
-            tmp_path, copy.deepcopy(baseline), baseline_with_kernels, "--kernels", str(kern)
-        )
-        assert result.returncode == 0
+        assert "REGRESSION: kernels: speedup_decode_step 4.0x" in result.stdout
+        kern.write_text(json.dumps(HEALTHY["kernels"]))
+        assert self._run(tmp_path, serving, serving, "--kernels", str(kern)).returncode == 0
+        kern.write_text("{}")
+        assert self._run(tmp_path, serving, serving, "--kernels", str(kern)).returncode == 1
 
-    def test_offload_section_mandatory_once_baselined(self, tmp_path, baseline):
-        baseline_with_offload = copy.deepcopy(baseline)
-        baseline_with_offload["offload"] = _offload_point()
-        result = self._run(tmp_path, copy.deepcopy(baseline), baseline_with_offload)
-        assert result.returncode == 1
-        assert "offload: missing" in result.stdout
-        current = copy.deepcopy(baseline)
-        current["offload"] = _offload_point()
-        result = self._run(tmp_path, current, baseline_with_offload)
-        assert result.returncode == 0
+    def test_bounds_are_not_flags(self, tmp_path):
+        """A bound is changed by editing its table row, never per invocation."""
+        result = self._run(tmp_path, HEALTHY, HEALTHY, "--min-goodput-ratio", "0.1")
+        assert result.returncode == 2
 
-    def test_min_offload_speedup_flag_plumbs_through(self, tmp_path, baseline):
-        current = copy.deepcopy(baseline)
-        current["offload"] = _offload_point(swap=102.0, recompute=100.0)  # 1.02x
-        result = self._run(
-            tmp_path, current, copy.deepcopy(baseline), "--min-offload-speedup", "1.5"
-        )
-        assert result.returncode == 1
-        assert "floor" in result.stdout
 
-    def test_grouped_section_mandatory_once_baselined(self, tmp_path, baseline):
-        baseline_with_grouped = copy.deepcopy(baseline)
-        baseline_with_grouped["grouped"] = _grouped_point()
-        result = self._run(tmp_path, copy.deepcopy(baseline), baseline_with_grouped)
-        assert result.returncode == 1
-        assert "grouped decode: missing" in result.stdout
-        current = copy.deepcopy(baseline)
-        current["grouped"] = _grouped_point()
-        result = self._run(tmp_path, current, baseline_with_grouped)
-        assert result.returncode == 0
+def _emit(cwd, out):
+    src = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, str(EMITTER), "--fast", "--out", str(out)],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    return json.loads(out.read_text())
 
-    def test_min_grouped_speedup_flag_plumbs_through(self, tmp_path, baseline):
-        current = copy.deepcopy(baseline)
-        current["grouped"] = _grouped_point(priced=7.0)
-        result = self._run(
-            tmp_path, current, copy.deepcopy(baseline), "--min-grouped-speedup", "8.0"
-        )
-        assert result.returncode == 1
-        assert "floor" in result.stdout
 
-    def test_chaos_section_mandatory_once_baselined(self, tmp_path, baseline):
-        baseline_with_chaos = copy.deepcopy(baseline)
-        baseline_with_chaos["chaos"] = _chaos_point()
-        result = self._run(tmp_path, copy.deepcopy(baseline), baseline_with_chaos)
-        assert result.returncode == 1
-        assert "chaos: missing" in result.stdout
-        current = copy.deepcopy(baseline)
-        current["chaos"] = _chaos_point()
-        result = self._run(tmp_path, current, baseline_with_chaos)
-        assert result.returncode == 0
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    """(cwd, refreshed, fresh): the emitter run over a copy of the
+    committed baseline — the documented refresh — and once more into a
+    new file, both from a scratch working directory."""
+    cwd = tmp_path_factory.mktemp("emit")
+    refreshed = cwd / "baseline.json"
+    shutil.copy(BASELINE, refreshed)
+    return cwd, _emit(cwd, refreshed), _emit(cwd, cwd / "BENCH_serving.json")
 
-    def test_min_goodput_ratio_flag_plumbs_through(self, tmp_path, baseline):
-        current = copy.deepcopy(baseline)
-        current["chaos"] = _chaos_point(ratio=0.5)
-        result = self._run(
-            tmp_path, current, copy.deepcopy(baseline), "--min-goodput-ratio", "0.9"
-        )
-        assert result.returncode == 1
-        assert "floor" in result.stdout
 
-    def test_cluster_section_mandatory_once_baselined(self, tmp_path, baseline):
-        baseline_with_cluster = copy.deepcopy(baseline)
-        baseline_with_cluster["cluster"] = _cluster_point()
-        result = self._run(tmp_path, copy.deepcopy(baseline), baseline_with_cluster)
-        assert result.returncode == 1
-        assert "cluster: missing" in result.stdout
-        current = copy.deepcopy(baseline)
-        current["cluster"] = _cluster_point()
-        result = self._run(tmp_path, current, baseline_with_cluster)
-        assert result.returncode == 0
+class TestEmitAndGate:
+    def test_refresh_round_trip_loses_nothing(self, emitted):
+        """Refreshing the baseline used to drop every ``floors`` block but
+        one, silently weakening chaos 0.40 -> 0.35 and cluster 1.10 -> 1.00."""
+        _, refreshed, fresh = emitted
+        assert list(refreshed) == list(json.loads(BASELINE.read_text()))
+        assert checker.evaluate(fresh, refreshed) == []
+        for path, value in (("chaos.goodput_ratio", 0.37), ("cluster.affinity_speedup", 1.05)):
+            failures = checker.evaluate(_with(fresh, path, value), refreshed)
+            assert len(failures) == 1 and failures[0].startswith(path.replace(".", ": ") + " ")
 
-    def test_min_affinity_speedup_flag_plumbs_through(self, tmp_path, baseline):
-        current = copy.deepcopy(baseline)
-        current["cluster"] = _cluster_point(speedup=1.2)
-        result = self._run(
-            tmp_path, current, copy.deepcopy(baseline), "--min-affinity-speedup", "1.5"
-        )
-        assert result.returncode == 1
-        assert "floor" in result.stdout
+    def test_emitter_leaves_the_five_run_manifests(self, emitted):
+        """Config-addressed: unchanged digests mean unchanged run configs."""
+        cwd, _, _ = emitted
+        assert sorted(p.name for p in (cwd / "eval" / "results").iterdir()) == [
+            "chaos-cbd5139f3d",
+            "cluster-aa590c4940",
+            "offload-bda7e9dfad",
+            "prefix-cache-c25da38ca1",
+            "serving-e7f3225f99",
+        ]
 
-    def test_committed_baseline_matches_engine_output(self):
+    def test_committed_baseline_matches_engine_output(self, emitted):
         """A fresh deterministic run must pass the gate against the
         committed baseline — a stale baseline.json fails tier-1, not just
         the separate CI bench job."""
-        import importlib.util
-
-        bench_path = REPO_ROOT / "benchmarks" / "bench_serving_engine.py"
-        spec = importlib.util.spec_from_file_location("bench_serving_engine", bench_path)
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-        baseline = json.loads((REPO_ROOT / "benchmarks" / "baseline.json").read_text())
-        fresh = bench.run_serving_bench(
-            fast=baseline["fast_mode"], prefill_chunk=baseline["prefill_chunk_tokens"]
-        )
-        checker = _load_checker()
-        assert checker.compare(fresh, baseline) == []
+        _, _, fresh = emitted
+        baseline = json.loads(BASELINE.read_text())
+        assert fresh["fast_mode"] == baseline["fast_mode"]
+        assert fresh["prefill_chunk_tokens"] == baseline["prefill_chunk_tokens"]
+        assert checker.evaluate(fresh, baseline) == []
         # Deterministic simulation: the refresh command reproduces the
         # committed numbers exactly, not merely within the gate threshold.
         for name, point in baseline["formats"].items():
             assert fresh["formats"][name]["tokens_per_s"] == pytest.approx(
                 point["tokens_per_s"], rel=1e-12
             )
+        for section, metric in (
+            ("prefix_cache", "hit_rate"),
+            ("offload", "swap_speedup"),
+            ("grouped", "priced_speedup"),
+            ("chaos", "goodput_ratio"),
+            ("cluster", "affinity_speedup"),
+        ):
+            assert fresh[section][metric] == pytest.approx(baseline[section][metric], rel=1e-12)

@@ -191,6 +191,20 @@ class TestServeSimCluster:
         assert "check exactly_once_across_replicas: True" in out
         assert "check tp_decode_bit_exact_vs_single_rank: True" in out
 
+    def test_executed_cluster_composes_with_swap_preemption(self, capsys):
+        """TP ranks are head slices of one paged pool, so an over-capacity
+        trace swaps per replica and still decodes bit-identically."""
+        main([
+            "serve-sim", "--model", "tiny", "--execute", "--tp", "2", "--replicas", "2",
+            "--preemption", "swap", *_TIERS, "--requests", "8", "--rate", "100000",
+            "--prompt-len", "40", "--output-len", "60", "--seed", "3",
+        ])
+        out = capsys.readouterr().out
+        assert "device 8 + host 28 pages, swap preemption" in out
+        assert out.count("swap-outs 3") == 2
+        assert "False" not in out
+        assert "check cluster_bit_exact_vs_single_engine: True" in out
+
     def test_executed_cluster_json(self, capsys):
         import json
 
@@ -232,7 +246,8 @@ class TestServeSimRejections:
             ["--chaos", "7", *_TIERS, "--tp", "2"],
             ["--chaos", "7", *_TIERS, "--replicas", "2"],
             ["--tp", "2", "--preemption", "swap"],
-            ["--replicas", "2", "--execute", "--preemption", "swap", *_TIERS],
+            ["--tp", "2", "--execute", "--preemption", "swap"],
+            ["--replicas", "2", "--execute", "--preemption", "swap", *_TIERS, "--pages", "10"],
             ["--tp", "2", "--device-pages", "8"],
             ["--pages", "10"],
             ["--tp", "2", "--pages", "10"],
