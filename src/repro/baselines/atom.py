@@ -20,7 +20,7 @@ from repro.baselines.common import CUDA_GEMV_EFFICIENCY, int_kv_metadata_bytes
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import dequant_ops, softmax_ops
-from repro.gpu.kernel import KernelLaunch, KernelResult, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
 from repro.gpu.sm import occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import memory_hide_factor
@@ -95,5 +95,6 @@ class Atom:
     def decode_result(self, geom: AttentionGeometry, paged: bool = True) -> KernelResult:
         return simulate_kernel(self.arch, self.build_launch(geom, paged=paged))
 
+    @memoized_latency
     def decode_time_ms(self, geom: AttentionGeometry, paged: bool = True) -> float:
         return self.decode_result(geom, paged=paged).time_ms

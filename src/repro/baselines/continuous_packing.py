@@ -31,7 +31,7 @@ from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.packing_kernel import build_packing_launch
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import quant_pack_ops
-from repro.gpu.kernel import KernelLaunch, KernelResult, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
 from repro.gpu.trace import OpTrace
 
 
@@ -83,5 +83,6 @@ class ContinuousPacking:
             simulate_kernel(self.arch, attention),
         ]
 
+    @memoized_latency
     def decode_time_ms(self, geom: AttentionGeometry) -> float:
         return sum(r.time_ms for r in self.decode_results(geom))

@@ -25,7 +25,7 @@ from repro.core.query_transform import gemm_m_dimension
 from repro.core.softmax import split_kv_attention
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import rescale_accum_ops, softmax_ops
-from repro.gpu.kernel import KernelLaunch, KernelResult, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
 from repro.gpu.sm import occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import memory_hide_factor
@@ -119,6 +119,7 @@ class FlashDecodingV2:
     def decode_result(self, geom: AttentionGeometry, paged: bool = False) -> KernelResult:
         return simulate_kernel(self.arch, self.build_launch(geom, paged=paged))
 
+    @memoized_latency
     def decode_time_ms(self, geom: AttentionGeometry, paged: bool = False) -> float:
         return self.decode_result(geom, paged=paged).time_ms
 

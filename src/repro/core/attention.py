@@ -41,7 +41,7 @@ from repro.core.residual_kernel import (
 )
 from repro.core.softmax import OnlineSoftmaxState
 from repro.gpu.arch import ArchSpec, get_arch
-from repro.gpu.kernel import KernelLaunch, KernelResult, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
 
 
 class BitKVCache:
@@ -428,6 +428,12 @@ class BitDecoding:
             for launch in self.decode_launches(geom, **kwargs)
         ]
 
+    @memoized_latency
     def decode_time_ms(self, geom: AttentionGeometry, **kwargs) -> float:
-        """Simulated latency (ms) of one decode attention step."""
+        """Simulated latency (ms) of one decode attention step.
+
+        Memoized per engine on ``geom`` + kwargs; :meth:`decode_launches` /
+        :meth:`decode_results` stay uncached because they hand out mutable
+        launches and results.
+        """
         return sum(r.time_ms for r in self.decode_results(geom, **kwargs))

@@ -17,8 +17,9 @@ penalty (SM80 code on Hopper/Blackwell) are added on top.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Callable, Dict, Iterable
 
 from repro.gpu.arch import ArchSpec
 from repro.gpu.memory import dram_time, l2_time, smem_time
@@ -30,6 +31,10 @@ BARRIER_CYCLES = 30.0
 
 #: Instruction paths a kernel can compile for.
 INSTRUCTION_PATHS = ("sm80", "sm90", "blackwell_fp4")
+
+#: Latencies one system instance memoizes before its memo is cleared (a
+#: serving trace prices a few thousand distinct shapes; this is ~10 MB).
+LATENCY_MEMO_CAP = 1 << 16
 
 
 @dataclass
@@ -218,3 +223,36 @@ def sum_results(results: Iterable[KernelResult], name: str = "total") -> KernelR
         arch_name=results[0].arch_name,
         subtrace_times=merged_sub,
     )
+
+
+def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
+    """Exact per-instance memo for a system's ``decode_time_ms(geom, **kwargs)``.
+
+    The latency is a pure function of the frozen ``geom``, the keyword
+    arguments and the instance's construction-time ``arch``/config, so the
+    first call at a shape builds and simulates its launches and every later
+    one is a dict lookup returning the same float — a scheduler step costs
+    O(new shapes), not O(groups).  The key is ``geom`` plus the
+    ``(name, value)`` kwargs pairs sorted by name: kwargs order changes
+    nothing and keys that differ in one kwarg never collide.  The memo
+    lives on the instance (no process-global state; a fresh instance is
+    cold), fills lazily and is cleared when it reaches
+    :data:`LATENCY_MEMO_CAP` entries.  A call that raises stores nothing.
+    """
+
+    @functools.wraps(method)
+    def lookup(self, geom, **kwargs) -> float:
+        try:
+            memo = self._latency_memo
+        except AttributeError:
+            memo = self._latency_memo = {}
+        key = (geom, *sorted(kwargs.items()))
+        value = memo.get(key)
+        if value is None:
+            value = method(self, geom, **kwargs)
+            if len(memo) >= LATENCY_MEMO_CAP:
+                memo.clear()
+            memo[key] = value
+        return value
+
+    return lookup

@@ -19,7 +19,8 @@ in 0.4; see the README migration table.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List
+from types import MappingProxyType
+from typing import Dict, List, Mapping
 
 
 class OutOfPagesError(RuntimeError):
@@ -101,6 +102,13 @@ class PageAllocator:
 
     def refcount(self, page: int) -> int:
         return self._refs.get(page, 0)
+
+    @property
+    def refcounts(self) -> Mapping[int, int]:
+        """Read-only live view of ``{page: refcount}`` over exactly the used
+        pages, for whole-pool checks that would otherwise call
+        :meth:`refcount` once per page."""
+        return MappingProxyType(self._refs)
 
     def is_cached(self, page: int) -> bool:
         """True for a refcount-0 page parked in the reclaimable LRU pool."""

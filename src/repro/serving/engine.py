@@ -84,8 +84,9 @@ proves recovered decodes bit-identical to a fault-free run.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.attn.analytical import AnalyticalBackend
@@ -1061,26 +1062,30 @@ class ContinuousBatchingEngine:
         records the instantaneous sharing saving (sum of refcount-1) whose
         peak the report surfaces as effective extra capacity.
         """
-        mapped: dict = {}
-        for lc in list(self._running) + list(self._swapped):
-            if lc.seq_id is None:
-                continue
-            for page in self.table.sequences[lc.seq_id].pages:
-                mapped[page] = mapped.get(page, 0) + 1
+        mapped = Counter(
+            chain.from_iterable(
+                self.table.sequences[lc.seq_id].pages
+                for lc in chain(self._running, self._swapped)
+                if lc.seq_id is not None
+            )
+        )
+        # The allocator's refcount map holds exactly the used pages, so one
+        # dict equality covers both "same distinct pages" and "same counts".
+        refs = self.allocator.refcounts
         used = self.allocator.used_pages
         free = self.allocator.free_pages
-        bad_refs = [
-            (page, count, self.allocator.refcount(page))
-            for page, count in mapped.items()
-            if self.allocator.refcount(page) != count
-        ]
-        if len(mapped) != used or used + free != self.n_pages or bad_refs:
+        if mapped != refs or used + free != self.n_pages:
+            bad_refs = [
+                (page, count, refs.get(page, 0))
+                for page, count in mapped.items()
+                if refs.get(page, 0) != count
+            ]
             raise AssertionError(
                 f"page conservation violated: residents map {len(mapped)} distinct "
                 f"pages, allocator says {used} used + {free} reclaimable of "
                 f"{self.n_pages}; refcount mismatches: {bad_refs[:5]}"
             )
-        saving = sum(count - 1 for count in mapped.values())
+        saving = sum(mapped.values()) - len(mapped)
         self._shared_pages_peak = max(self._shared_pages_peak, saving)
 
     # -------------------------------------------------------------------- run

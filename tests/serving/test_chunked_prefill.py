@@ -173,6 +173,38 @@ class TestPartialPrefillPreemption:
         with pytest.raises(AssertionError, match="conservation"):
             engine.run()
 
+    def test_conservation_message_names_the_mismatched_refcounts(self):
+        trace = [
+            Request(req_id=0, arrival_s=0.0, prompt_len=128, output_len=40),
+            Request(req_id=1, arrival_s=0.0, prompt_len=192, output_len=40),
+        ]
+        engine = make_engine(trace, pool_for(trace), chunk=64, max_steps=6)
+        engine.run()  # stops mid-decode: both sequences resident, books clean
+        engine._assert_conservation()
+        first, second = (engine.table.sequences[lc.seq_id].pages for lc in engine._running)
+        over_referenced, double_mapped = first[0], second[0]
+        engine.allocator.acquire(over_referenced)  # corrupt one refcount ...
+        first.append(double_mapped)  # ... and one mapping
+        used = engine.allocator.used_pages
+        with pytest.raises(AssertionError) as excinfo:
+            engine._assert_conservation()
+        assert str(excinfo.value) == (
+            f"page conservation violated: residents map {used} distinct pages, "
+            f"allocator says {used} used + {engine.n_pages - used} reclaimable of "
+            f"{engine.n_pages}; refcount mismatches: "
+            f"[({over_referenced}, 1, 2), ({double_mapped}, 2, 1)]"
+        )
+
+    def test_conservation_reports_a_mapping_the_allocator_never_issued(self):
+        trace = [Request(req_id=0, arrival_s=0.0, prompt_len=128, output_len=40)]
+        engine = make_engine(trace, pool_for(trace), chunk=64, max_steps=4)
+        engine.run()
+        (lc,) = engine._running
+        unissued = next(p for p in range(engine.n_pages) if engine.allocator.refcount(p) == 0)
+        engine.table.sequences[lc.seq_id].pages.append(unissued)
+        with pytest.raises(AssertionError, match=rf"refcount mismatches: \[\({unissued}, 1, 0\)\]"):
+            engine._assert_conservation()
+
 
 class TestTbtProperty:
     @settings(max_examples=15, deadline=None)
