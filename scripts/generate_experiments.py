@@ -21,7 +21,7 @@ the live output of the corresponding experiment in `repro.bench.figures`
 reported numbers where the paper prints exact values; the sweep figures
 record the paper's "up to" anchors as notes instead.
 
-**Reading guide.**  Per DESIGN.md, the substrate is a performance *model*,
+**Reading guide.**  The substrate is a performance *model* (README),
 not the authors' testbed: absolute milliseconds and tokens/s differ
 (our baselines run closer to their rooflines than the paper's measured
 kernels, so several speedup ratios run ~1.3-2x hot).  The reproduction
@@ -153,7 +153,7 @@ SECTIONS = [
 ABLATION_HEADER = """\
 ## Extension ablations (beyond the paper's own)
 
-Design-choice sweeps DESIGN.md calls out, asserted by
+Design-choice sweeps, asserted by
 `benchmarks/bench_ablations.py` and `benchmarks/bench_speculative.py`:
 """
 

@@ -135,15 +135,16 @@ def _reject_unsupported(args) -> None:
         _reject(f"--tp and --replicas must be >= 1 (got tp={args.tp}, replicas={args.replicas})")
     if args.replicas == 1 and args.router != "round_robin":
         _reject(f"--router {args.router} routes across replicas; pass --replicas > 1")
-    if cluster and args.chaos is not None:
-        _reject("--chaos does not compose with --tp/--replicas yet")
     if cluster and args.n_gpus not in (1, args.tp):
         _reject(
             f"--tp {args.tp} spans one replica's GPUs, so --n-gpus must equal the "
             f"tp degree (or be left at its default 1); got --n-gpus {args.n_gpus}"
         )
     if args.chaos is not None and args.prefix_cache:
-        _reject("--chaos does not compose with --prefix-cache yet")
+        _reject(
+            "--chaos does not compose with --prefix-cache: hit patterns depend on "
+            "replay order, so recovery is not bit-exact against a fault-free run"
+        )
     if plain and args.pages is not None:
         _reject("--pages only applies to --execute runs")
     if plain and tiers:
@@ -249,9 +250,12 @@ def _serve_chaos(args, model, arch, trace) -> None:
         stack,
         trace,
         chaos,
+        replicas=args.replicas,
+        policy=args.router,
         execute=args.execute,
         seed=args.seed,
-        **_engine_knobs(args, n_gpus=args.n_gpus, **pool),
+        # tp spans a replica's GPUs; --n-gpus is 1 or tp under --tp (validated).
+        **_engine_knobs(args, n_gpus=max(args.n_gpus, args.tp), tp=args.tp, **pool),
     )
     report = result.reports["executed" if args.execute else "analytical"]
     payload = {
@@ -265,6 +269,11 @@ def _serve_chaos(args, model, arch, trace) -> None:
     lines = [
         f"serve-sim --chaos {args.chaos}: {model.name} on {arch.name} | "
         f"INT4 paged-bit, {_pool_label(args)} pages, swap preemption"
+        + (
+            f", tp {args.tp} x {args.replicas} replica{'s' if args.replicas != 1 else ''}"
+            if args.tp > 1 or args.replicas > 1
+            else ""
+        )
         + (f", deadline {deadline_ms:g} ms" if deadline_ms else ", best-effort")
         + (", executed" if args.execute else ", analytical"),
         f"  outcome: {report.completed} finished ({report.deadline_met} in "
@@ -521,10 +530,10 @@ def _cmd_serve_sim(args) -> None:
             prefix_groups=args.prefix_groups,
         )
         _reject_unsupported(args)
-        if args.tp > 1 or args.replicas > 1:
-            serve = _serve_cluster
-        elif args.chaos is not None:
+        if args.chaos is not None:
             serve = _serve_chaos
+        elif args.tp > 1 or args.replicas > 1:
+            serve = _serve_cluster
         elif args.execute:
             serve = _serve_execute
         else:

@@ -1,137 +1,59 @@
 """Merged metrics of one routed cluster run.
 
 A cluster run is ``replicas`` independent engine runs plus the router's
-own bookkeeping; this report keeps all three views:
-
-- the untouched per-replica :class:`~repro.serving.report.ServingReport`
-  list (every single-engine metric stays inspectable),
-- aggregates over the cluster — total/goodput tokens per second against
-  the *slowest* replica's wall clock (replicas run concurrently, so the
-  cluster is done when the last one is), and latency percentiles
-  recomputed over the **merged** raw samples rather than averaged from
-  per-replica percentiles (percentiles do not average),
-- the router's dispatch counters: per-replica request counts, a
-  load-imbalance ratio, and the cross-replica prefix-miss count — how
-  many dispatches re-prefilled a shared prefix some other replica's
-  cache already held, the quantity ``prefix_affinity`` drives to zero.
+own bookkeeping.  :class:`ClusterReport` *is* a
+:class:`~repro.serving.report.ServingReport` — the per-replica records
+merged field by field under the rules that class declares (counters sum,
+the clock is the slowest replica's, percentiles are recomputed over the
+merged raw samples) — so every single-engine metric, chaos counters
+included, reads the same off a cluster.  On top it keeps the untouched
+per-replica reports and the router's dispatch counters: per-replica
+request counts, a load-imbalance ratio, and the cross-replica prefix-miss
+count — how many dispatches re-prefilled a shared prefix some other
+replica's cache already held, the quantity ``prefix_affinity`` drives to
+zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.serving.report import ServingReport, _percentile
+from repro.serving.report import ServingReport
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(ServingReport):
     """Outcome of one :class:`~repro.cluster.router.Router` run."""
 
-    policy: str
-    replicas: int
-    per_replica: List[ServingReport] = field(repr=False)
+    policy: str = "round_robin"
+    per_replica: List[ServingReport] = field(default_factory=list, repr=False)
     #: Requests the router sent to each replica, in replica order.
-    dispatch_counts: List[int]
-    n_requests: int
-    completed: int
-    total_generated_tokens: int
-    #: Wall clock of the cluster: the slowest replica's simulated time.
-    sim_time_s: float
-    #: Cluster throughput against that wall clock.
-    sustained_tokens_per_s: float
-    #: Same, counting only requests that met their deadline.
-    goodput_tokens_per_s: float
-    p50_latency_s: Optional[float]
-    p99_latency_s: Optional[float]
-    p50_ttft_s: Optional[float]
-    p99_ttft_s: Optional[float]
-    p50_tbt_s: Optional[float]
-    p99_tbt_s: Optional[float]
-    #: ``max(dispatch_counts) / mean(dispatch_counts)``; 1.0 is perfectly
-    #: balanced.  Affinity routing trades some imbalance for cache hits.
-    load_imbalance: float
+    dispatch_counts: List[int] = field(default_factory=list)
     #: Dispatches whose shared-prefix group was already homed elsewhere.
-    cross_replica_prefix_misses: int
+    cross_replica_prefix_misses: int = 0
     #: Distinct shared-prefix head keys the router saw / saw split across
     #: more than one replica.
-    prefix_groups_seen: int
-    prefix_groups_split: int
-    #: Cluster-wide prefix-cache hit rate (summed tokens, not averaged
-    #: per-replica rates).
-    prefix_hit_rate: float
+    prefix_groups_seen: int = 0
+    prefix_groups_split: int = 0
 
-    @classmethod
-    def build(
-        cls,
-        policy: str,
-        reports: List[ServingReport],
-        dispatch_counts: List[int],
-        latencies_s: List[float],
-        ttfts_s: List[float],
-        tbts_s: List[float],
-        cross_replica_prefix_misses: int = 0,
-        prefix_groups_seen: int = 0,
-        prefix_groups_split: int = 0,
-    ) -> "ClusterReport":
-        sim_time = max((r.sim_time_s for r in reports), default=0.0)
-        total_tokens = sum(r.total_generated_tokens for r in reports)
-        # Goodput tokens are reconstructed from each replica's rate over
-        # its own clock, then re-based on the cluster clock.
-        goodput_tokens = sum(r.goodput_tokens_per_s * r.sim_time_s for r in reports)
-        probe = sum(r.prefix_probe_tokens for r in reports)
-        hit = sum(r.prefix_hit_tokens for r in reports)
-        mean_dispatch = sum(dispatch_counts) / len(dispatch_counts) if dispatch_counts else 0.0
-        return cls(
-            policy=policy,
-            replicas=len(reports),
-            per_replica=reports,
-            dispatch_counts=dispatch_counts,
-            n_requests=sum(r.n_requests for r in reports),
-            completed=sum(r.completed for r in reports),
-            total_generated_tokens=total_tokens,
-            sim_time_s=sim_time,
-            sustained_tokens_per_s=total_tokens / sim_time if sim_time > 0 else 0.0,
-            goodput_tokens_per_s=goodput_tokens / sim_time if sim_time > 0 else 0.0,
-            p50_latency_s=_percentile(latencies_s, 50.0),
-            p99_latency_s=_percentile(latencies_s, 99.0),
-            p50_ttft_s=_percentile(ttfts_s, 50.0),
-            p99_ttft_s=_percentile(ttfts_s, 99.0),
-            p50_tbt_s=_percentile(tbts_s, 50.0),
-            p99_tbt_s=_percentile(tbts_s, 99.0),
-            load_imbalance=(max(dispatch_counts) / mean_dispatch) if mean_dispatch > 0 else 0.0,
-            cross_replica_prefix_misses=cross_replica_prefix_misses,
-            prefix_groups_seen=prefix_groups_seen,
-            prefix_groups_split=prefix_groups_split,
-            prefix_hit_rate=hit / probe if probe > 0 else 0.0,
-        )
+    @property
+    def replicas(self) -> int:
+        return len(self.per_replica)
+
+    @property
+    def load_imbalance(self) -> float:
+        """``max(dispatch_counts) / mean(dispatch_counts)``; 1.0 is perfectly
+        balanced.  Affinity routing trades some imbalance for cache hits."""
+        if not any(self.dispatch_counts):
+            return 0.0
+        mean = sum(self.dispatch_counts) / len(self.dispatch_counts)
+        return max(self.dispatch_counts) / mean
 
     def to_dict(self) -> dict:
         """JSON-safe summary; per-replica reports nest as their own dicts."""
-        out = {
-            k: getattr(self, k)
-            for k in (
-                "policy",
-                "replicas",
-                "dispatch_counts",
-                "n_requests",
-                "completed",
-                "total_generated_tokens",
-                "sim_time_s",
-                "sustained_tokens_per_s",
-                "goodput_tokens_per_s",
-                "p50_latency_s",
-                "p99_latency_s",
-                "p50_ttft_s",
-                "p99_ttft_s",
-                "p50_tbt_s",
-                "p99_tbt_s",
-                "load_imbalance",
-                "cross_replica_prefix_misses",
-                "prefix_groups_seen",
-                "prefix_groups_split",
-                "prefix_hit_rate",
-            )
-        }
+        out = super().to_dict()
+        out["replicas"] = self.replicas
+        out["load_imbalance"] = self.load_imbalance
         out["per_replica"] = [r.to_dict() for r in self.per_replica]
         return out

@@ -38,7 +38,7 @@ from typing import Dict, List, Sequence, Set
 
 from repro.cluster.report import ClusterReport
 from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
-from repro.serving.request import Request, prefix_block_keys
+from repro.serving.request import Request, RequestLifecycle, prefix_block_keys
 
 ROUTER_POLICIES = ("round_robin", "least_loaded", "prefix_affinity")
 
@@ -139,33 +139,28 @@ class Router:
         for request in self.requests:
             self.dispatch(request)
         reports = [engine.run() for engine in self.engines]
-        groups_split = sum(1 for members in self._group_replicas.values() if len(members) > 1)
-        return ClusterReport.build(
+        return ClusterReport.merged(
+            reports,
             policy=self.policy,
-            reports=reports,
+            per_replica=reports,
             dispatch_counts=list(self.dispatch_counts),
-            latencies_s=self._merged_latencies(),
-            ttfts_s=self._merged_ttfts(),
-            tbts_s=[s for engine in self.engines for s in engine.tbt_samples],
             cross_replica_prefix_misses=self.cross_replica_prefix_misses,
             prefix_groups_seen=len(self._group_replicas),
-            prefix_groups_split=groups_split,
+            prefix_groups_split=sum(len(m) > 1 for m in self._group_replicas.values()),
         )
 
-    # ------------------------------------------------------------- merged raw
+    # ------------------------------------------------------- merged read-outs
 
-    def _merged_latencies(self) -> List[float]:
-        return [
-            lc.finish_s - lc.request.arrival_s
-            for engine in self.engines
-            for lc in engine.lifecycles
-            if lc.finish_s is not None
-        ]
+    @property
+    def lifecycles(self) -> List[RequestLifecycle]:
+        """Every replica's request lifecycles, in replica order."""
+        return [lc for engine in self.engines for lc in engine.lifecycles]
 
-    def _merged_ttfts(self) -> List[float]:
-        return [
-            lc.first_token_s - lc.request.arrival_s
-            for engine in self.engines
-            for lc in engine.lifecycles
-            if lc.first_token_s is not None
-        ]
+    @property
+    def decoded(self) -> Dict[int, list]:
+        """``req_id -> [per-step decode hidden states]`` over all replicas
+        (a request is dispatched to exactly one, so the maps are disjoint)."""
+        merged: Dict[int, list] = {}
+        for engine in self.engines:
+            merged.update(engine.decoded)
+        return merged

@@ -124,8 +124,8 @@ class CrossCheck:
     """Verdicts of one cross-check, plus every report it produced.
 
     ``checks`` maps check name to pass/fail in the order the checks were
-    made; ``reports`` maps run name to its :class:`ServingReport` (or
-    :class:`~repro.cluster.report.ClusterReport` under ``"cluster"``).
+    made; ``reports`` maps run name to its :class:`ServingReport` (a
+    :class:`~repro.cluster.report.ClusterReport` for a routed run).
     """
 
     checks: Dict[str, bool]
@@ -180,6 +180,11 @@ def decoded_bit_exact(
 def _run(config: EngineConfig, trace: Sequence[Request]):
     engine = ContinuousBatchingEngine(config, trace)
     return engine, engine.run()
+
+
+def _route(config: EngineConfig, trace: Sequence[Request], replicas: int, policy: str):
+    router = Router(config, trace, replicas=replicas, policy=policy)
+    return router, router.run()
 
 
 def crosscheck_execute(
@@ -249,6 +254,8 @@ def crosscheck_chaos(
     trace: Sequence[Request],
     chaos: Mapping[str, object],
     *,
+    replicas: int = 1,
+    policy: str = "round_robin",
     execute: bool = True,
     seed: int = 0,
     **common,
@@ -257,7 +264,12 @@ def crosscheck_chaos(
 
     ``chaos`` holds the fault-side engine knobs (``faults``,
     ``deadline_policy``, ``audit_every``, ``max_heals``) the fault-free
-    reference run leaves out.  The analytical chaos run always happens;
+    reference run leaves out.  Every run goes through a
+    :class:`~repro.cluster.router.Router` over ``replicas`` engines (one
+    replica is exactly a plain engine; ``common`` carries ``tp``/``n_gpus``)
+    and is judged on its merged report and merged decode map — each
+    replica draws its own copy of the fault plan.  The analytical chaos
+    run always happens;
     with ``execute`` the recovery machinery is proven on top: analytical
     and executed chaos schedules agree on every fault outcome and
     recovery action, all lost/corrupt pages were healed with no request
@@ -265,17 +277,23 @@ def crosscheck_chaos(
     run wherever recovery succeeded, and the plan actually exercised a
     retry, a heal and (under a deadline policy) a shed.
     """
-    _, analytical = _run(stack.config(False, **chaos, **common), trace)
+    _, analytical = _route(stack.config(False, **chaos, **common), trace, replicas, policy)
     checks: Dict[str, bool] = {}
     reports = {"analytical": analytical}
     if execute:
-        engine, executed = _run(stack.config(True, seed, **chaos, **common), trace)
-        free_engine, fault_free = _run(stack.config(True, seed, **common), trace)
-        finished = {lc.request.req_id for lc in engine.lifecycles if lc.finished}
+        router, executed = _route(
+            stack.config(True, seed, **chaos, **common), trace, replicas, policy
+        )
+        free_router, fault_free = _route(
+            stack.config(True, seed, **common), trace, replicas, policy
+        )
+        finished = {lc.request.req_id for lc in router.lifecycles if lc.finished}
         checks["schedule_match"] = schedules_match(analytical, executed)
-        checks["all_damage_healed"] = executed.failed == 0 and not engine.tiers.has_bad_pages
+        checks["all_damage_healed"] = executed.failed == 0 and not any(
+            engine.tiers.has_bad_pages for engine in router.engines
+        )
         checks["outputs_bit_exact_after_recovery"] = decoded_bit_exact(
-            engine.decoded, free_engine.decoded, finished
+            router.decoded, free_router.decoded, finished
         )
         checks["exercised_retry"] = executed.transfer_retries >= 1
         checks["exercised_heal"] = executed.healed_pages >= 1
@@ -308,11 +326,11 @@ def crosscheck_cluster(
     merged cluster output must equal one single-rank engine serving the
     whole trace.
     """
-    router = Router(stack.config(execute, seed, **common), trace, replicas=replicas, policy=policy)
-    reports = {"cluster": router.run()}
+    router, cluster = _route(stack.config(execute, seed, **common), trace, replicas, policy)
+    reports = {"cluster": cluster}
     checks: Dict[str, bool] = {}
     if execute:
-        lifecycles = [lc for engine in router.engines for lc in engine.lifecycles]
+        lifecycles = router.lifecycles
         finished = [lc.request.req_id for lc in lifecycles if lc.finished]
         checks["exactly_once_across_replicas"] = (
             sorted(lc.request.req_id for lc in lifecycles) == sorted(r.req_id for r in trace)
@@ -320,13 +338,13 @@ def crosscheck_cluster(
         )
         single = stack.config(True, seed, **{**common, "n_gpus": 1, "tp": 1})
         bit_exact = True
-        merged: Dict[int, Sequence[np.ndarray]] = {}
         for engine in router.engines:
             reference, _ = _run(single, [lc.request for lc in engine.lifecycles])
             bit_exact = bit_exact and decoded_bit_exact(engine.decoded, reference.decoded)
-            merged.update(engine.decoded)
         checks["tp_decode_bit_exact_vs_single_rank"] = bit_exact
         if not common.get("prefix_cache"):
             whole, _ = _run(single, trace)
-            checks["cluster_bit_exact_vs_single_engine"] = decoded_bit_exact(merged, whole.decoded)
+            checks["cluster_bit_exact_vs_single_engine"] = decoded_bit_exact(
+                router.decoded, whole.decoded
+            )
     return CrossCheck(checks, reports)

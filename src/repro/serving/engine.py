@@ -402,27 +402,22 @@ class ContinuousBatchingEngine:
         #: Swap-preempted sequences: pages still mapped (demoted off the
         #: device tier), resumed FCFS when the device working set fits.
         self._swapped: Deque[RequestLifecycle] = deque()
-        self._swap_outs = 0
-        self._swap_ins = 0
-        self._stall_s = 0.0
-        self._overlapped_s = 0.0
         self._clock = 0.0
         self._steps = 0
-        self._prefill_steps = 0
-        self._decode_steps = 0
-        self._mixed_steps = 0
-        self._preemptions = 0
-        self._total_generated = 0
-        self._peak_resident = 0
-        self._tbt_samples: List[float] = []
-        self._prefix_probe_tokens = 0
-        self._prefix_hit_tokens = 0
-        self._prefix_reclaimed_pages = 0
-        self._shared_pages_peak = 0
-        self._healed_pages = 0
-        self._healed_requests = 0
-        self._slow_steps = 0
-        self._slow_step_stall_s = 0.0
+        #: The run's one accounting record: events count straight into it,
+        #: :meth:`finish` reads out the rest and derives the rates.
+        self.report = ServingReport(
+            format_name=config.fmt.name,
+            n_pages=n_pages,
+            page_size=config.page_size,
+            prefill_chunk_tokens=config.prefill_chunk_tokens,
+            prefix_cache_enabled=config.prefix_cache,
+            preemption=config.preemption,
+            device_pages=self.device_pages,
+            host_pages=config.host_pages or 0,
+            disk_pages=config.disk_pages,
+            faults_enabled=self.fault_plan is not None,
+        )
 
     # ------------------------------------------------------------- scheduling
 
@@ -457,8 +452,8 @@ class ContinuousBatchingEngine:
 
     @property
     def tbt_samples(self) -> List[float]:
-        """Per-token inter-arrival samples (for merged cluster percentiles)."""
-        return list(self._tbt_samples)
+        """Per-token inter-arrival samples (a copy of the report's)."""
+        return list(self.report.tbt_samples)
 
     @property
     def decoded(self) -> Dict[int, list]:
@@ -539,9 +534,9 @@ class ContinuousBatchingEngine:
         head.seq_id = self.table.add_sequence(initial, shared_pages=hit_pages if share else None)
         head.cached_tokens = len(hit_pages) * self.config.page_size
         head.registered_blocks = 0
-        self._prefix_probe_tokens += head.context_len if self.prefix_cache else 0
-        self._prefix_hit_tokens += head.cached_tokens
-        self._prefix_reclaimed_pages += len(hit_pages)
+        self.report.prefix_probe_tokens += head.context_len if self.prefix_cache else 0
+        self.report.prefix_hit_tokens += head.cached_tokens
+        self.report.prefix_reclaimed_pages += len(hit_pages)
         if head.admitted_s is None:
             head.admitted_s = self._clock
         if self._runner is not None:
@@ -568,14 +563,30 @@ class ContinuousBatchingEngine:
         lc.registered_blocks = limit
 
     def _admit(self) -> None:
-        """FCFS admission: prefill queued requests while pages + slots last.
+        """FCFS admission: one skeleton, two gate/charge policies.
 
         With the prefix cache on, the head's context is probed block by
         block first: hit pages are mapped instead of allocated and their
-        prefill compute is skipped — the prefill step is charged for the
-        uncached suffix only.
+        prefill compute is skipped.
+
+        *Whole-prompt* admission gates on the pages free right now, maps
+        the whole context and charges one serial prefill step for the
+        uncached suffix (:meth:`_prefill_whole`).  *Chunked* admission
+        (``prefill_chunk_tokens`` set) maps only the hit pages — physical
+        pages then arrive lazily, one chunk at a time — but still gates on
+        the same budget: the contexts the running set has *committed* to
+        plus the head's full context must fit the pool.  Without that gate
+        every arrival would join the batch and page pressure would surface
+        as preempt-thrash instead of queueing — and the per-format
+        peak-resident numbers (the paper's "lower bits, more residents"
+        chain) would be meaningless.  Chunked admission itself charges no
+        time; the prefill cost lands in the mixed steps that move tokens.
         """
         cfg = self.config
+        chunked = cfg.prefill_chunk_tokens is not None
+        committed = 0  # pages the running set's contexts are committed to (chunked gate)
+        if chunked:
+            committed = sum(self._pages_needed(lc.context_len) for lc in self._running)
         while self._queue and len(self._running) < cfg.max_batch:
             head = self._queue[0]
             if self._reject_impossible(head):
@@ -584,80 +595,54 @@ class ContinuousBatchingEngine:
                 continue
             need = self._pages_needed(head.context_len)
             hit_pages = self._probe_prefix(head)
-            if not self._fresh_pages_available(need, hit_pages):
+            if chunked:
+                need -= len(hit_pages) if cfg.prefix_share else 0
+                if committed + need > self.n_pages:
+                    break
+                committed += need
+            elif not self._fresh_pages_available(need, hit_pages):
                 break
             self._queue.popleft()
-            self._map_admission(head, head.context_len, hit_pages)
-            head.prefilled = head.prefill_target = head.context_len
-            suffix = head.context_len - head.cached_tokens
-            prefill_s = (
-                self.backend.prefill_time_ms(cfg.model, cfg.arch, suffix, cfg.n_gpus) * 1e-3
-            )
-            promote_s = 0.0
-            if self.tiers is not None and head.generated:
-                # A fresh prompt's prefill only *writes* pages (the chunk
-                # attends to itself, the tail lives in residual slots),
-                # but a replay admission — recompute preemption or a heal
-                # — re-decodes its consumed tokens and those decodes read
-                # the context's *full* pages.  Promote exactly that read
-                # set up front.  This is a *schedule-level* decision: the
-                # analytical run issues the same transfers, which keeps
-                # an executed chaos run's fault draws in lock-step even
-                # when the replay re-admits onto host-tier frames — and
-                # fault_in is a strict no-op when the set is already
-                # resident.  The promotion DMA rides under the prefill
-                # pass itself: only its overhang surfaces, and the
-                # absorbed part must not be charged again by the step's
-                # closing overlap math.  (Retry stalls from a fault plan
-                # stay in the fault bucket — a failed DMA always blocks.)
-                read_set = self.table.sequences[head.seq_id].pages[
-                    : head.context_len // cfg.page_size
-                ]
-                promote_s = self.tiers.fault_in(read_set, prefetch=True) * 1e-3
-                self.tiers.absorb_prefetch(promote_s * 1e3)
-                self._overlapped_s += min(promote_s, prefill_s)
-            self._clock += max(prefill_s, promote_s)
-            self._prefill_steps += 1
-            self._running.append(head)
-            if self._runner is not None:
-                self._runner.prefill(head, suffix)
-            self._register_prefix(head)
-        self._peak_resident = max(self._peak_resident, len(self._running))
-
-    def _admit_chunked(self) -> None:
-        """Chunked admission: commit to a context, reserve pages per chunk.
-
-        Physical pages arrive lazily (one chunk at a time), but admission
-        still gates on the same budget whole-prompt admission does: the
-        contexts the running set has *committed* to plus the head's full
-        context must fit the pool.  Without that gate every arrival would
-        join the batch and page pressure would surface as preempt-thrash
-        instead of queueing — and the per-format peak-resident numbers
-        (the paper's "lower bits, more residents" chain) would be
-        meaningless.  Admission itself charges no time; the prefill cost
-        lands in the mixed steps that actually move tokens.
-        """
-        cfg = self.config
-        committed = sum(self._pages_needed(lc.context_len) for lc in self._running)
-        while self._queue and len(self._running) < cfg.max_batch:
-            head = self._queue[0]
-            if self._reject_impossible(head):
-                continue
-            if self._shed_head(head):
-                continue
-            need = self._pages_needed(head.context_len)
-            hit_pages = self._probe_prefix(head)
-            shared = len(hit_pages) if cfg.prefix_share else 0
-            if committed + need - shared > self.n_pages:
-                break
-            self._queue.popleft()
-            self._map_admission(head, len(hit_pages) * cfg.page_size, hit_pages)
-            head.prefilled = head.cached_tokens
+            initial = len(hit_pages) * cfg.page_size if chunked else head.context_len
+            self._map_admission(head, initial, hit_pages)
+            head.prefilled = initial
             head.prefill_target = head.context_len
             self._running.append(head)
-            committed += need - shared
+            if not chunked:
+                self._prefill_whole(head)
             self._register_prefix(head)
-        self._peak_resident = max(self._peak_resident, len(self._running))
+        self.report.peak_resident_batch = max(self.report.peak_resident_batch, len(self._running))
+
+    def _prefill_whole(self, head: RequestLifecycle) -> None:
+        """Charge (and execute) a whole-prompt admission's serial prefill of
+        the uncached suffix, promoting a replay's read set under it."""
+        cfg = self.config
+        suffix = head.context_len - head.cached_tokens
+        prefill_s = self.backend.prefill_time_ms(cfg.model, cfg.arch, suffix, cfg.n_gpus) * 1e-3
+        promote_s = 0.0
+        if self.tiers is not None and head.generated:
+            # A fresh prompt's prefill only *writes* pages (the chunk
+            # attends to itself, the tail lives in residual slots), but a
+            # replay admission — recompute preemption or a heal —
+            # re-decodes its consumed tokens and those decodes read the
+            # context's *full* pages.  Promote exactly that read set up
+            # front.  This is a *schedule-level* decision: the analytical
+            # run issues the same transfers, which keeps an executed chaos
+            # run's fault draws in lock-step even when the replay re-admits
+            # onto host-tier frames — and fault_in is a strict no-op when
+            # the set is already resident.  The promotion DMA rides under
+            # the prefill pass itself: only its overhang surfaces, and the
+            # absorbed part must not be charged again by the step's closing
+            # overlap math.  (Retry stalls from a fault plan stay in the
+            # fault bucket — a failed DMA always blocks.)
+            read_set = self.table.sequences[head.seq_id].pages[: head.context_len // cfg.page_size]
+            promote_s = self.tiers.fault_in(read_set, prefetch=True) * 1e-3
+            self.tiers.absorb_prefetch(promote_s * 1e3)
+            self.report.offload_overlapped_s += min(promote_s, prefill_s)
+        self._clock += max(prefill_s, promote_s)
+        self.report.prefill_steps += 1
+        if self._runner is not None:
+            self._runner.prefill(head, suffix)
 
     def _unmap(self, lc: RequestLifecycle, *, abort: bool = False) -> None:
         """Drop ``lc``'s cache binding and pages and reset its prefill state.
@@ -675,23 +660,46 @@ class ContinuousBatchingEngine:
             lc.seq_id = None
         lc.prefilled = lc.prefill_target = lc.cached_tokens = lc.registered_blocks = 0
 
-    def _preempt(self, victim: RequestLifecycle) -> None:
+    def _remove(self, lc: RequestLifecycle) -> None:
+        """Take ``lc`` out of the scheduler set holding it (at most one does)."""
+        for holder in (self._running, self._swapped, self._queue):
+            try:
+                holder.remove(lc)
+                return
+            except ValueError:
+                pass
+
+    def _requeue(self, lc: RequestLifecycle, *, heal: bool = False) -> None:
         """Release a sequence's pages and requeue it for recompute.
 
-        Works mid-prefill too: the page table holds exactly the pages of
-        the chunks written so far (chunk extension is all-or-nothing), so
+        The one replay transition: the generated count and the runner's
+        input program are kept, the KV is rebuilt on re-admission.  Works
+        mid-prefill too: the page table holds exactly the pages of the
+        chunks written so far (chunk extension is all-or-nothing), so
         releasing the sequence frees precisely that reservation.
+
+        A capacity preemption takes a resident victim; a ``heal`` — a
+        page the sequence mapped died — can pull it out of the swapped
+        set too, and draws on a separate budget: a request the plan keeps
+        killing eventually FAILs instead of looping forever.
         """
-        assert victim.seq_id is not None
-        self._unmap(victim)
-        victim.preemptions += 1
-        self._preemptions += 1
-        self._running.remove(victim)
-        # Requeueing at the front cannot livelock: admission rejects any
-        # request whose total context exceeds the pool, so a sequence that
-        # has the pool to itself always has room to grow and the earliest
-        # admitted sequence always completes.
-        self._queue.appendleft(victim)
+        assert lc.seq_id is not None
+        self._unmap(lc)
+        if heal:
+            lc.heals += 1
+            self.report.healed_requests += 1
+        else:
+            lc.preemptions += 1
+            self.report.preemptions += 1
+        self._remove(lc)
+        if lc.heals > self.config.max_heals:
+            self._abort(lc, failed=True)
+        else:
+            # Requeueing at the front cannot livelock: admission rejects any
+            # request whose total context exceeds the pool, so a sequence
+            # that has the pool to itself always has room to grow and the
+            # earliest admitted sequence always completes.
+            self._queue.appendleft(lc)
 
     # -------------------------------------------------- faults and deadlines
 
@@ -703,14 +711,7 @@ class ContinuousBatchingEngine:
         """
         self._unmap(lc, abort=True)
         lc.shed, lc.timed_out, lc.failed = shed, timed_out, failed
-        if lc in self._running:
-            self._running.remove(lc)
-        if lc in self._swapped:
-            self._swapped.remove(lc)
-        try:
-            self._queue.remove(lc)
-        except ValueError:
-            pass
+        self._remove(lc)
 
     def _estimate_service_s(self, lc: RequestLifecycle) -> float:
         """Optimistic completion estimate for deadline-aware admission:
@@ -767,28 +768,6 @@ class ContinuousBatchingEngine:
         for lc in expired:
             self._abort(lc, timed_out=True)
 
-    def _heal(self, lc: RequestLifecycle) -> None:
-        """Recompute-style replay of a sequence whose page content died.
-
-        Exactly a preemption (release pages, requeue front, keep the
-        generated count and the runner's input program) except it can pull
-        the victim out of the swapped set too, and it draws on a separate
-        heal budget — a request the plan keeps killing eventually FAILs
-        instead of looping forever.
-        """
-        assert lc.seq_id is not None
-        self._unmap(lc)
-        lc.heals += 1
-        self._healed_requests += 1
-        if lc in self._running:
-            self._running.remove(lc)
-        else:
-            self._swapped.remove(lc)
-        if lc.heals > self.config.max_heals:
-            self._abort(lc, failed=True)
-        else:
-            self._queue.appendleft(lc)
-
     def _heal_bad_pages(self) -> None:
         """Drain the tier store's lost/corrupt ledger and recover.
 
@@ -801,7 +780,7 @@ class ContinuousBatchingEngine:
         if self.tiers is None or not self.tiers.has_bad_pages:
             return
         for page in self.tiers.drain_bad_pages():
-            self._healed_pages += 1
+            self.report.healed_pages += 1
             if self.prefix_cache is not None:
                 self.prefix_cache.forget_page(page)
             victims = [
@@ -810,7 +789,7 @@ class ContinuousBatchingEngine:
                 if lc.seq_id is not None and page in self.table.sequences[lc.seq_id].pages
             ]
             for lc in victims:
-                self._heal(lc)
+                self._requeue(lc, heal=True)
 
     # --------------------------------------------------------- swap preemption
 
@@ -826,7 +805,7 @@ class ContinuousBatchingEngine:
     def _swap_out(self, victim: RequestLifecycle) -> None:
         """Demote a decode-ready sequence's pages off the device tier.
 
-        Unlike :meth:`_preempt` nothing is released or requeued: the page
+        Unlike :meth:`_requeue` nothing is released or requeued: the page
         table keeps the sequence mapped (the allocator still counts its
         pages used), the tier store moves the physical content to host
         frames (priced d2h), and the runner stashes only the FP16 residual
@@ -838,7 +817,7 @@ class ContinuousBatchingEngine:
         self.tiers.demote(self.table.sequences[victim.seq_id].pages)
         self._running.remove(victim)
         self._swapped.append(victim)
-        self._swap_outs += 1
+        self.report.swap_outs += 1
 
     def _resume_swapped(self) -> None:
         """Promote swapped sequences back, FCFS, while their working set
@@ -856,7 +835,7 @@ class ContinuousBatchingEngine:
             # anything the model still misses faults in the measured path.
             self.tiers.ensure_resident(self.table.sequences[cand.seq_id].pages, prefetch=True)
             self._running.append(cand)
-            self._swap_ins += 1
+            self.report.swap_ins += 1
 
     def _swap_out_overflow(self) -> None:
         """Shrink the decode working set to device capacity by swapping out
@@ -882,15 +861,15 @@ class ContinuousBatchingEngine:
         if self.fault_plan is not None:
             factor = self.fault_plan.step_factor()
             if factor != 1.0:
-                self._slow_steps += 1
-                self._slow_step_stall_s += step_s * (factor - 1.0)
+                self.report.slow_steps += 1
+                self.report.slow_step_stall_s += step_s * (factor - 1.0)
                 step_s *= factor
         if self.tiers is None:
             return step_s
         stall_s = self.tiers.step_fault_ms * 1e-3
         prefetch_s = self.tiers.step_prefetch_ms * 1e-3
-        self._stall_s += stall_s
-        self._overlapped_s += min(prefetch_s, step_s)
+        self.report.offload_stall_s += stall_s
+        self.report.offload_overlapped_s += min(prefetch_s, step_s)
         return step_s + stall_s + max(0.0, prefetch_s - step_s)
 
     def _extend(self, lc: RequestLifecycle, n_tokens: int) -> bool:
@@ -909,7 +888,7 @@ class ContinuousBatchingEngine:
             except OutOfPagesError:
                 victim = self._running[-1]  # most recently admitted
                 evicted_self = victim is lc
-                self._preempt(victim)
+                self._requeue(victim)
                 if evicted_self:
                     return False
 
@@ -955,15 +934,17 @@ class ContinuousBatchingEngine:
 
     def _emit_tokens(self, decoders: Sequence[RequestLifecycle]) -> None:
         """Credit one generated token to each decoder at the current clock."""
+        report = self.report
         for lc in decoders:
             if lc.seq_id is None:
                 continue
             lc.generated += 1
-            self._total_generated += 1
+            report.total_generated_tokens += 1
             if lc.first_token_s is None:
                 lc.first_token_s = self._clock
+                report.ttft_samples.append(self._clock - lc.request.arrival_s)
             else:
-                self._tbt_samples.append(self._clock - lc.last_token_s)
+                report.tbt_samples.append(self._clock - lc.last_token_s)
             lc.last_token_s = self._clock
             if lc.generated >= lc.request.output_len:
                 if self._runner is not None:
@@ -971,6 +952,7 @@ class ContinuousBatchingEngine:
                 self.table.release_sequence(lc.seq_id)
                 lc.seq_id = None
                 lc.finish_s = self._clock
+                report.latency_samples.append(self._clock - lc.request.arrival_s)
                 self._running.remove(lc)
 
     def _decode_group_shapes(self, lcs) -> List[Tuple[int, int]]:
@@ -1042,13 +1024,14 @@ class ContinuousBatchingEngine:
             * 1e-3
         )
         self._clock += self._charge_step(step_s)
+        report = self.report
         if chunks:
-            self._prefill_steps += 1
+            report.prefill_steps += 1
         if decoders:
-            self._decode_steps += 1
+            report.decode_steps += 1
         if chunks and decoders:
-            self._mixed_steps += 1
-        self._peak_resident = max(self._peak_resident, len(self._running))
+            report.mixed_steps += 1
+        report.peak_resident_batch = max(report.peak_resident_batch, len(self._running))
         self._emit_tokens(decoders)
 
     def _assert_conservation(self) -> None:
@@ -1086,7 +1069,7 @@ class ContinuousBatchingEngine:
                 f"{self.n_pages}; refcount mismatches: {bad_refs[:5]}"
             )
         saving = sum(mapped.values()) - len(mapped)
-        self._shared_pages_peak = max(self._shared_pages_peak, saving)
+        self.report.shared_pages_peak = max(self.report.shared_pages_peak, saving)
 
     # -------------------------------------------------------------------- run
 
@@ -1117,10 +1100,7 @@ class ContinuousBatchingEngine:
             self.tiers.start_step()
             self._resume_swapped()
             self._heal_bad_pages()
-        if self.config.prefill_chunk_tokens is not None:
-            self._admit_chunked()
-        else:
-            self._admit()
+        self._admit()
         if self.tiers is not None:
             self._swap_out_overflow()
             self._heal_bad_pages()
@@ -1149,79 +1129,41 @@ class ContinuousBatchingEngine:
                 return
 
     def finish(self) -> ServingReport:
-        """Final audit + report (after ``advance_until`` drove the trace)."""
+        """Final audit, then the report's one read-out (after ``run`` or
+        ``advance_until`` drove the trace): the clock, the lifecycle folds,
+        and the totals the allocator, tier store, runner and auditor keep
+        themselves, before :meth:`ServingReport.finalize` derives the rest."""
+        report, lifecycles = self.report, self.lifecycles
         if self.auditor is not None:
             self.auditor.audit()
-        return self._report()
+            report.audits = self.auditor.audits
+        report.sim_time_s = self._clock
+        report.n_requests = len(lifecycles)
+        report.rejected = sum(lc.rejected for lc in lifecycles)
+        report.shed = sum(lc.shed for lc in lifecycles)
+        report.timed_out = sum(lc.timed_out for lc in lifecycles)
+        report.failed = sum(lc.failed for lc in lifecycles)
+        report.deadline_met = sum(lc.met_deadline for lc in lifecycles)
+        report.goodput_tokens = sum(lc.request.output_len for lc in lifecycles if lc.met_deadline)
+        report.prefix_evictions = self.allocator.evictions
+        if self._runner is not None:
+            report.executed_tokens = self._runner.executed_tokens
+        if self.tiers is not None:
+            report.offload_h2d_bytes = self.tiers.h2d_bytes
+            report.offload_d2h_bytes = self.tiers.d2h_bytes
+            report.offload_disk_bytes = self.tiers.disk_bytes
+            report.offload_faults = self.tiers.faults
+            report.transfer_retries = self.tiers.transfer_retries
+            report.retry_backoff_s = self.tiers.retry_backoff_ms_total * 1e-3
+            report.checksum_failures = self.tiers.checksum_failures
+            report.lost_pages = self.tiers.lost_pages
+        return report.finalize()
 
     def run(self) -> ServingReport:
         """Drive the trace to completion (or the step cap) and report."""
         while self._tick():
             pass
         return self.finish()
-
-    def _report(self) -> ServingReport:
-        finished = [lc for lc in self.lifecycles if lc.finished]
-        latencies = [lc.finish_s - lc.request.arrival_s for lc in finished]
-        ttfts = [
-            lc.first_token_s - lc.request.arrival_s
-            for lc in self.lifecycles
-            if lc.first_token_s is not None
-        ]
-        return ServingReport.build(
-            format_name=self.config.fmt.name,
-            n_pages=self.n_pages,
-            page_size=self.config.page_size,
-            n_requests=len(self.lifecycles),
-            rejected=sum(1 for lc in self.lifecycles if lc.rejected),
-            preemptions=self._preemptions,
-            prefill_steps=self._prefill_steps,
-            decode_steps=self._decode_steps,
-            sim_time_s=self._clock,
-            total_generated_tokens=self._total_generated,
-            peak_resident_batch=self._peak_resident,
-            latencies_s=latencies,
-            ttfts_s=ttfts,
-            tbts_s=self._tbt_samples,
-            mixed_steps=self._mixed_steps,
-            prefill_chunk_tokens=self.config.prefill_chunk_tokens,
-            executed_tokens=(self._runner.executed_tokens if self._runner is not None else None),
-            prefix_cache_enabled=self.config.prefix_cache,
-            prefix_hit_tokens=self._prefix_hit_tokens,
-            prefix_probe_tokens=self._prefix_probe_tokens,
-            prefix_reclaimed_pages=self._prefix_reclaimed_pages,
-            prefix_evictions=self.allocator.evictions,
-            shared_pages_peak=self._shared_pages_peak,
-            preemption=self.config.preemption,
-            device_pages=self.device_pages,
-            host_pages=self.config.host_pages or 0,
-            disk_pages=self.config.disk_pages,
-            swap_outs=self._swap_outs,
-            swap_ins=self._swap_ins,
-            offload_h2d_bytes=self.tiers.h2d_bytes if self.tiers else 0,
-            offload_d2h_bytes=self.tiers.d2h_bytes if self.tiers else 0,
-            offload_disk_bytes=self.tiers.disk_bytes if self.tiers else 0,
-            offload_faults=self.tiers.faults if self.tiers else 0,
-            offload_stall_s=self._stall_s,
-            offload_overlapped_s=self._overlapped_s,
-            faults_enabled=self.fault_plan is not None,
-            transfer_retries=self.tiers.transfer_retries if self.tiers else 0,
-            retry_backoff_s=(self.tiers.retry_backoff_ms_total if self.tiers else 0.0) * 1e-3,
-            checksum_failures=self.tiers.checksum_failures if self.tiers else 0,
-            lost_pages=self.tiers.lost_pages if self.tiers else 0,
-            healed_pages=self._healed_pages,
-            healed_requests=self._healed_requests,
-            slow_steps=self._slow_steps,
-            slow_step_stall_s=self._slow_step_stall_s,
-            shed=sum(1 for lc in self.lifecycles if lc.shed),
-            timed_out=sum(1 for lc in self.lifecycles if lc.timed_out),
-            failed=sum(1 for lc in self.lifecycles if lc.failed),
-            deadline_met=sum(1 for lc in self.lifecycles if lc.met_deadline),
-            goodput_tokens=sum(
-                lc.request.output_len for lc in self.lifecycles if lc.met_deadline
-            ),
-            audits=self.auditor.audits if self.auditor is not None else 0,
-        )
 
 
 def compare_formats(

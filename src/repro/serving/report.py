@@ -1,9 +1,20 @@
-"""Simulation metrics: what one engine run reports.
+"""Simulation metrics: the one accounting record of a run.
 
 The report carries exactly the quantities the paper's serving argument is
 about — sustained tokens/s, request-latency percentiles, and the peak
 resident batch the page pool supported — plus the scheduler counters
-(preemptions, rejections, step counts) the tests assert on.
+(preemptions, rejections, step counts) the tests assert on.  The engine
+holds one from construction and counts into it at the event; rates and
+percentiles are derived from those counts and the raw samples in exactly
+one place, :meth:`ServingReport.finalize`.
+
+A cluster run is the *same record merged over replicas*
+(:meth:`ServingReport.merged`).  Each field declares its merge rule
+where it is declared: counters, capacities and raw samples **sum** (the
+default), clocks and peaks take the **max** (replicas run concurrently),
+configuration echoes come from **replica 0**, and derived fields are
+**recomputed** by ``finalize`` from the merged totals and merged samples
+(percentiles do not average).
 
 TTFT (time to first token) and TBT (time between tokens) are reported as
 separate percentile families because chunked prefill trades one for the
@@ -16,10 +27,29 @@ to tune.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import List, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from operator import itemgetter
+from typing import List, Optional, Sequence
 
 import numpy as np
+
+#: Merge rules: a configuration echo is read off replica 0; a derived field
+#: is not merged at all — :meth:`ServingReport.finalize` recomputes it.
+_replica0 = itemgetter(0)
+_DERIVED = None
+
+
+def _merged(rule, default=MISSING):
+    """A field whose cluster value is ``rule(per-replica values)``."""
+    return field(default=default, metadata={"merge": rule})
+
+
+def _total(values):
+    """The default rule: counters and capacities sum, sample lists
+    concatenate; ``executed_tokens`` stays None on analytical replicas."""
+    if isinstance(values[0], list):
+        return [sample for samples in values for sample in samples]
+    return None if None in values else sum(values)
 
 
 def _percentile(values: List[float], q: float) -> Optional[float]:
@@ -32,37 +62,39 @@ def _percentile(values: List[float], q: float) -> Optional[float]:
 class ServingReport:
     """Outcome of one continuous-batching simulation."""
 
-    format_name: str
+    format_name: str = _merged(_replica0)
+    #: Physical pages in the pool (summed over replicas).
     n_pages: int
-    page_size: int
-    prefill_chunk_tokens: Optional[int]
-    n_requests: int
-    completed: int
-    rejected: int
-    preemptions: int
-    prefill_steps: int
-    decode_steps: int
-    mixed_steps: int
-    sim_time_s: float
-    total_generated_tokens: int
-    peak_resident_batch: int
-    sustained_tokens_per_s: float
-    p50_latency_s: Optional[float]
-    p99_latency_s: Optional[float]
-    p50_ttft_s: Optional[float]
-    p99_ttft_s: Optional[float]
-    p50_tbt_s: Optional[float]
-    p99_tbt_s: Optional[float]
+    page_size: int = _merged(_replica0)
+    prefill_chunk_tokens: Optional[int] = _merged(_replica0, None)
+    n_requests: int = 0
+    completed: int = _merged(_DERIVED, 0)
+    rejected: int = 0
+    preemptions: int = 0
+    prefill_steps: int = 0
+    decode_steps: int = 0
+    mixed_steps: int = 0
+    #: Wall clock of the run; a cluster is done when its slowest replica is.
+    sim_time_s: float = _merged(max, 0.0)
+    total_generated_tokens: int = 0
+    peak_resident_batch: int = _merged(max, 0)
+    sustained_tokens_per_s: float = _merged(_DERIVED, 0.0)
+    p50_latency_s: Optional[float] = _merged(_DERIVED, None)
+    p99_latency_s: Optional[float] = _merged(_DERIVED, None)
+    p50_ttft_s: Optional[float] = _merged(_DERIVED, None)
+    p99_ttft_s: Optional[float] = _merged(_DERIVED, None)
+    p50_tbt_s: Optional[float] = _merged(_DERIVED, None)
+    p99_tbt_s: Optional[float] = _merged(_DERIVED, None)
     #: The single worst inter-token gap — the headline stall number.  A
     #: p99 can miss a handful of giant whole-prompt stalls when decodes
     #: outnumber admissions 100:1; the max never does.
-    max_tbt_s: Optional[float]
+    max_tbt_s: Optional[float] = _merged(_DERIVED, None)
     #: Tokens actually run through the numeric model (execute mode); None
     #: for purely analytical runs.  Must equal ``total_generated_tokens``
     #: when set — the scheduler and the model runner advance in lock-step.
     executed_tokens: Optional[int] = None
     #: Whether the engine probed a prefix cache at admission.
-    prefix_cache_enabled: bool = False
+    prefix_cache_enabled: bool = _merged(_replica0, False)
     #: Prompt tokens served from the prefix cache (prefill compute skipped).
     prefix_hit_tokens: int = 0
     #: Prompt tokens probed against the cache (every admission's context).
@@ -74,13 +106,13 @@ class ServingReport:
     prefix_evictions: int = 0
     #: Peak pages saved by sharing at any instant: sum over resident pages
     #: of (refcount - 1) at its maximum.
-    shared_pages_peak: int = 0
+    shared_pages_peak: int = _merged(max, 0)
     #: Pool capacity the trace effectively saw: physical pages plus the
     #: peak concurrent sharing saving.  Equals ``n_pages`` when nothing
     #: was ever shared.
-    effective_capacity_pages: int = 0
+    effective_capacity_pages: int = _merged(_DERIVED, 0)
     #: Preemption discipline the run used ("recompute" or "swap").
-    preemption: str = "recompute"
+    preemption: str = _merged(_replica0, "recompute")
     #: Tier geometry of a swap run; a recompute run reports the whole pool
     #: as the device tier and zero host/disk.
     device_pages: int = 0
@@ -100,7 +132,7 @@ class ServingReport:
     #: Prefetch/demote transfer seconds hidden under compute.
     offload_overlapped_s: float = 0.0
     #: Whether a fault-injection plan was active for this run.
-    faults_enabled: bool = False
+    faults_enabled: bool = _merged(_replica0, False)
     #: Failed transfer attempts that were retried (each priced in full).
     transfer_retries: int = 0
     #: Exponential-backoff seconds charged between retry attempts.
@@ -123,141 +155,59 @@ class ServingReport:
     failed: int = 0
     #: Finished requests that met their deadline (best-effort always does).
     deadline_met: int = 0
-    #: Tokens/s counting only requests that met their deadline.
-    goodput_tokens_per_s: float = 0.0
+    #: Output tokens of those requests, and the same as a rate.
+    goodput_tokens: int = 0
+    goodput_tokens_per_s: float = _merged(_DERIVED, 0.0)
     #: Invariant-auditor passes completed during the run.
     audits: int = 0
+    #: Arrival → finish, arrival → first token, token → next token.
+    latency_samples: List[float] = field(default_factory=list, repr=False)
+    ttft_samples: List[float] = field(default_factory=list, repr=False)
+    tbt_samples: List[float] = field(default_factory=list, repr=False)
 
     @property
     def prefix_hit_rate(self) -> float:
-        """Fraction of probed prompt tokens served from the cache."""
+        """Fraction of probed prompt tokens served from the cache (summed
+        tokens, so a cluster's rate is not an average of replica rates)."""
         if self.prefix_probe_tokens == 0:
             return 0.0
         return self.prefix_hit_tokens / self.prefix_probe_tokens
 
+    def finalize(self) -> "ServingReport":
+        """Derive every rate, percentile and fold from counts and samples.
+
+        The only place they are computed — for one engine's record and
+        for a merged cluster record alike.  Idempotent.
+        """
+        elapsed = self.sim_time_s
+        self.completed = len(self.latency_samples)
+        self.sustained_tokens_per_s = self.total_generated_tokens / elapsed if elapsed > 0 else 0.0
+        self.goodput_tokens_per_s = self.goodput_tokens / elapsed if elapsed > 0 else 0.0
+        self.p50_latency_s = _percentile(self.latency_samples, 50.0)
+        self.p99_latency_s = _percentile(self.latency_samples, 99.0)
+        self.p50_ttft_s = _percentile(self.ttft_samples, 50.0)
+        self.p99_ttft_s = _percentile(self.ttft_samples, 99.0)
+        self.p50_tbt_s = _percentile(self.tbt_samples, 50.0)
+        self.p99_tbt_s = _percentile(self.tbt_samples, 99.0)
+        self.max_tbt_s = max(self.tbt_samples, default=None)
+        self.effective_capacity_pages = self.n_pages + self.shared_pages_peak
+        return self
+
     @classmethod
-    def build(
-        cls,
-        format_name: str,
-        n_pages: int,
-        page_size: int,
-        n_requests: int,
-        rejected: int,
-        preemptions: int,
-        prefill_steps: int,
-        decode_steps: int,
-        sim_time_s: float,
-        total_generated_tokens: int,
-        peak_resident_batch: int,
-        latencies_s: List[float],
-        ttfts_s: List[float],
-        tbts_s: List[float],
-        mixed_steps: int = 0,
-        prefill_chunk_tokens: Optional[int] = None,
-        executed_tokens: Optional[int] = None,
-        prefix_cache_enabled: bool = False,
-        prefix_hit_tokens: int = 0,
-        prefix_probe_tokens: int = 0,
-        prefix_reclaimed_pages: int = 0,
-        prefix_evictions: int = 0,
-        shared_pages_peak: int = 0,
-        effective_capacity_pages: Optional[int] = None,
-        preemption: str = "recompute",
-        device_pages: Optional[int] = None,
-        host_pages: int = 0,
-        disk_pages: int = 0,
-        swap_outs: int = 0,
-        swap_ins: int = 0,
-        offload_h2d_bytes: int = 0,
-        offload_d2h_bytes: int = 0,
-        offload_disk_bytes: int = 0,
-        offload_faults: int = 0,
-        offload_stall_s: float = 0.0,
-        offload_overlapped_s: float = 0.0,
-        faults_enabled: bool = False,
-        transfer_retries: int = 0,
-        retry_backoff_s: float = 0.0,
-        checksum_failures: int = 0,
-        lost_pages: int = 0,
-        healed_pages: int = 0,
-        healed_requests: int = 0,
-        slow_steps: int = 0,
-        slow_step_stall_s: float = 0.0,
-        shed: int = 0,
-        timed_out: int = 0,
-        failed: int = 0,
-        deadline_met: int = 0,
-        goodput_tokens: int = 0,
-        audits: int = 0,
-    ) -> "ServingReport":
-        sustained = total_generated_tokens / sim_time_s if sim_time_s > 0 else 0.0
-        goodput = goodput_tokens / sim_time_s if sim_time_s > 0 else 0.0
-        return cls(
-            format_name=format_name,
-            n_pages=n_pages,
-            page_size=page_size,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            n_requests=n_requests,
-            completed=len(latencies_s),
-            rejected=rejected,
-            preemptions=preemptions,
-            prefill_steps=prefill_steps,
-            decode_steps=decode_steps,
-            mixed_steps=mixed_steps,
-            sim_time_s=sim_time_s,
-            total_generated_tokens=total_generated_tokens,
-            peak_resident_batch=peak_resident_batch,
-            sustained_tokens_per_s=sustained,
-            p50_latency_s=_percentile(latencies_s, 50.0),
-            p99_latency_s=_percentile(latencies_s, 99.0),
-            p50_ttft_s=_percentile(ttfts_s, 50.0),
-            p99_ttft_s=_percentile(ttfts_s, 99.0),
-            p50_tbt_s=_percentile(tbts_s, 50.0),
-            p99_tbt_s=_percentile(tbts_s, 99.0),
-            max_tbt_s=max(tbts_s) if tbts_s else None,
-            executed_tokens=executed_tokens,
-            prefix_cache_enabled=prefix_cache_enabled,
-            prefix_hit_tokens=prefix_hit_tokens,
-            prefix_probe_tokens=prefix_probe_tokens,
-            prefix_reclaimed_pages=prefix_reclaimed_pages,
-            prefix_evictions=prefix_evictions,
-            shared_pages_peak=shared_pages_peak,
-            effective_capacity_pages=(
-                n_pages + shared_pages_peak
-                if effective_capacity_pages is None
-                else effective_capacity_pages
-            ),
-            preemption=preemption,
-            device_pages=n_pages if device_pages is None else device_pages,
-            host_pages=host_pages,
-            disk_pages=disk_pages,
-            swap_outs=swap_outs,
-            swap_ins=swap_ins,
-            offload_h2d_bytes=offload_h2d_bytes,
-            offload_d2h_bytes=offload_d2h_bytes,
-            offload_disk_bytes=offload_disk_bytes,
-            offload_faults=offload_faults,
-            offload_stall_s=offload_stall_s,
-            offload_overlapped_s=offload_overlapped_s,
-            faults_enabled=faults_enabled,
-            transfer_retries=transfer_retries,
-            retry_backoff_s=retry_backoff_s,
-            checksum_failures=checksum_failures,
-            lost_pages=lost_pages,
-            healed_pages=healed_pages,
-            healed_requests=healed_requests,
-            slow_steps=slow_steps,
-            slow_step_stall_s=slow_step_stall_s,
-            shed=shed,
-            timed_out=timed_out,
-            failed=failed,
-            deadline_met=deadline_met,
-            goodput_tokens_per_s=goodput,
-            audits=audits,
-        )
+    def merged(cls, reports: Sequence["ServingReport"], **extra) -> "ServingReport":
+        """``reports``' replicas as one finalized record: every field merged
+        under the rule it declares; ``extra`` fills a subclass's own fields."""
+        rules = {f.name: f.metadata.get("merge", _total) for f in fields(ServingReport)}
+        totals = {
+            name: rule([getattr(r, name) for r in reports])
+            for name, rule in rules.items()
+            if rule is not _DERIVED
+        }
+        return cls(**totals, **extra).finalize()
 
     def to_dict(self) -> dict:
-        """JSON-safe summary (None percentiles stay None)."""
-        out = asdict(self)
+        """JSON-safe summary: None percentiles stay None; the bulk fields
+        (``repr=False``: raw samples, nested reports) are left out."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
         out["prefix_hit_rate"] = self.prefix_hit_rate
         return out

@@ -9,6 +9,9 @@ splits it (the group count is chosen coprime to the replica count, so
 the split is structural, not incidental).
 """
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +22,34 @@ from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import get_arch
 from repro.model.config import LLAMA31_8B
 from repro.model.memory import int_format
-from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.serving import ContinuousBatchingEngine, EngineConfig, ServingReport, poisson_trace
 
 KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)
 
 A100 = get_arch("a100")
+
+#: How ``ClusterReport`` merges the ``ServingReport`` fields that do not sum.
+CONFIG_ECHOES = (
+    "format_name",
+    "page_size",
+    "prefill_chunk_tokens",
+    "prefix_cache_enabled",
+    "preemption",
+    "faults_enabled",
+)
+DERIVED = (
+    "completed",
+    "sustained_tokens_per_s",
+    "goodput_tokens_per_s",
+    "p50_latency_s",
+    "p99_latency_s",
+    "p50_ttft_s",
+    "p99_ttft_s",
+    "p50_tbt_s",
+    "p99_tbt_s",
+    "max_tbt_s",
+    "effective_capacity_pages",
+)
 
 
 def _config(n_pages=None, prefix_cache=False, page_size=64):
@@ -184,3 +210,65 @@ class TestValidationAndReport:
         assert replica.total_generated_tokens == plain.total_generated_tokens
         assert replica.sim_time_s == pytest.approx(plain.sim_time_s)
         assert replica.decode_steps == plain.decode_steps
+        # ...field for field, and so must the merged record on top of it:
+        # a 1-replica ClusterReport is the plain ServingReport plus the
+        # router's own keys.
+        expected = plain.to_dict()
+        assert replica.to_dict() == expected
+        merged = report.to_dict()
+        assert {key: merged[key] for key in expected} == expected
+        assert sorted(set(merged) - set(expected)) == [
+            "cross_replica_prefix_misses",
+            "dispatch_counts",
+            "load_imbalance",
+            "per_replica",
+            "policy",
+            "prefix_groups_seen",
+            "prefix_groups_split",
+            "replicas",
+        ]
+
+    def test_merge_laws(self):
+        # A jittered shared-prefix burst over tight pools: preemption,
+        # prefix and sharing counters are non-zero on both replicas, and
+        # the replicas differ, so sum, max and replica-0 are distinguishable.
+        trace = poisson_trace(
+            15,
+            100000.0,
+            prompt_len=512,
+            output_len=64,
+            seed=0,
+            prompt_jitter=0.3,
+            output_jitter=0.3,
+            shared_prefix_fraction=0.5,
+            prefix_groups=3,
+        )
+        config = _config(n_pages=40, prefix_cache=True)
+        report = Router(config, trace, replicas=2, policy="round_robin").run()
+        a, b = report.per_replica
+        assert a.preemptions and b.preemptions and a.prefix_hit_tokens and b.prefix_hit_tokens
+        assert a.shared_pages_peak != b.shared_pages_peak and a.sim_time_s != b.sim_time_s
+        for f in fields(ServingReport):
+            merged, parts = getattr(report, f.name), (getattr(a, f.name), getattr(b, f.name))
+            if f.name in ("sim_time_s", "peak_resident_batch", "shared_pages_peak"):
+                assert merged == max(parts), f.name
+            elif f.name in CONFIG_ECHOES:
+                assert merged == parts[0] == parts[1], f.name
+            elif f.name in DERIVED:
+                continue  # recomputed from merged totals, checked below
+            elif f.name == "executed_tokens":
+                assert merged is None
+            else:
+                assert merged == parts[0] + parts[1], f.name
+        assert report.completed == a.completed + b.completed == 15
+        assert report.sustained_tokens_per_s == report.total_generated_tokens / report.sim_time_s
+        assert report.goodput_tokens_per_s == report.goodput_tokens / report.sim_time_s
+        assert report.effective_capacity_pages == report.n_pages + report.shared_pages_peak
+        assert report.prefix_hit_rate == report.prefix_hit_tokens / report.prefix_probe_tokens
+        for name in ("latency", "ttft", "tbt"):
+            samples = getattr(a, f"{name}_samples") + getattr(b, f"{name}_samples")
+            for q in (50, 99):
+                assert getattr(report, f"p{q}_{name}_s") == float(np.percentile(samples, q))
+        assert report.max_tbt_s == max(a.max_tbt_s, b.max_tbt_s)
+        # Raw samples stay off the JSON surface.
+        assert not any(key.endswith("_samples") for key in report.to_dict())

@@ -15,7 +15,7 @@ from repro.attn.paged import PagedBitKVCache
 from repro.faults.plan import demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.serving import ContinuousBatchingEngine, poisson_trace
+from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, poisson_trace
 from repro.serving.crosscheck import (
     SCHEDULE_FIELDS,
     crosscheck_chaos,
@@ -135,6 +135,31 @@ class TestTensorParallelSwap:
             "exercised_retry": True,
             "exercised_heal": True,
         }
+
+    def test_tp2_replicas2_chaos_passes_every_chaos_check(self):
+        # ci.yml's cluster chaos smoke: the chaos geometry over two tp=2
+        # replicas, judged on the merged report and merged decode map.
+        chaos = dict(
+            faults=demo_fault_spec(7),
+            audit_every=10,
+            deadline_policy=DeadlinePolicy(default_deadline_s=10e-3),
+        )
+        trace = poisson_trace(16, 100000.0, prompt_len=40, output_len=60, seed=3)
+        result = crosscheck_chaos(
+            self.STACK, trace, chaos, replicas=2, **{**self.TP2_SWAP, "max_batch": 3}
+        )
+        assert result.checks == {
+            "schedule_match": True,
+            "all_damage_healed": True,
+            "outputs_bit_exact_after_recovery": True,
+            "exercised_retry": True,
+            "exercised_heal": True,
+            "exercised_shed": True,
+        }
+        executed = result.reports["executed"]
+        assert executed.replicas == 2
+        for name in ("transfer_retries", "healed_pages", "shed", "audits"):
+            assert getattr(executed, name) == sum(getattr(r, name) for r in executed.per_replica)
 
     def test_tp2_swapped_healed_decode_matches_single_rank_undisturbed(self):
         # The strongest form: sharded x swapped x healed against a

@@ -243,8 +243,6 @@ class TestServeSimRejections:
         "flags",
         [
             ["--chaos", "7", *_TIERS, "--prefix-cache"],
-            ["--chaos", "7", *_TIERS, "--tp", "2"],
-            ["--chaos", "7", *_TIERS, "--replicas", "2"],
             ["--tp", "2", "--preemption", "swap"],
             ["--tp", "2", "--execute", "--preemption", "swap"],
             ["--replicas", "2", "--execute", "--preemption", "swap", *_TIERS, "--pages", "10"],
@@ -282,6 +280,30 @@ class TestServeSimRejections:
         captured = capsys.readouterr()
         assert captured.out.startswith("serve-sim: ") and captured.out.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("cluster", [["--tp", "2"], ["--replicas", "2"]], ids=" ".join)
+    def test_chaos_composes_with_cluster(self, capsys, cluster):
+        # Formerly rejected ("no cluster chaos report"): the merged
+        # ClusterReport carries the chaos counters, so the run is legal.
+        main([
+            *_TINY, "--chaos", "7", *_TIERS, *cluster,
+            "--prompt-len", "40", "--output-len", "8",
+        ])
+        out = capsys.readouterr().out
+        assert out.startswith("serve-sim --chaos 7: tiny on a100")
+        assert "4 finished" in out and "audits clean" in out
+
+    def test_executed_chaos_cluster_passes_all_checks(self, capsys):
+        # ci.yml's cluster chaos smoke: exits 0 with every check True.
+        main([
+            "serve-sim", "--model", "tiny", "--execute", "--chaos", "7", "--tp", "2",
+            "--replicas", "2", *_TIERS, "--max-batch", "3", "--requests", "16",
+            "--rate", "100000", "--prompt-len", "40", "--output-len", "60", "--seed", "3",
+            "--deadline-ms", "10",
+        ])
+        out = capsys.readouterr().out
+        assert "tp 2 x 2 replicas" in out
+        assert out.count("check ") == 6 and "False" not in out
 
     def test_execute_rejects_serving_scale_models(self, capsys):
         with pytest.raises(SystemExit) as exc:
