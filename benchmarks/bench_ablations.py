@@ -1,4 +1,4 @@
-"""Design-choice ablations beyond the paper's own (DESIGN.md step 5).
+"""Design-choice ablations beyond the paper's own (README, "Reproduction contract").
 
 These quantify the tunables BitDecoding fixes by construction: the warp
 width Wn, the dequantization instruction path, the KV tile size, the page

@@ -24,7 +24,7 @@ from repro.faults import demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.serving import DeadlinePolicy, poisson_trace
-from repro.serving.crosscheck import crosscheck_chaos, int4_stack
+from repro.serving.crosscheck import crosscheck, int4_stack
 
 FAST = os.environ.get("SERVING_BENCH_FAST", "") not in ("", "0")
 
@@ -62,14 +62,12 @@ def run_config(fast):
 def run_chaos_bench(fast=False):
     """Chaos vs fault-free on the committed plan, summarized as the gated point."""
     arch = get_arch("a100")
-    result = crosscheck_chaos(
+    result = crosscheck(
         int4_stack(TINY, arch),
         bench_trace(),
-        dict(
-            faults=demo_fault_spec(CHAOS_SEED),
-            deadline_policy=DeadlinePolicy(default_deadline_s=DEADLINE_MS * 1e-3),
-            audit_every=AUDIT_EVERY,
-        ),
+        faults=demo_fault_spec(CHAOS_SEED),
+        deadline_policy=DeadlinePolicy(default_deadline_s=DEADLINE_MS * 1e-3),
+        audit_every=AUDIT_EVERY,
         max_batch=MAX_BATCH,
         preemption="swap",
         device_pages=DEVICE_PAGES,

@@ -3,7 +3,8 @@
 Paper: INT4 gives +2.98x throughput at -0.2% LongBench accuracy; INT2
 gives +4.25x at -2.7%.  Throughput comes from the serving model; accuracy
 from the LongBench-proxy retrieval suite running through the real
-quantized-cache code path (substitution documented in DESIGN.md).
+quantized-cache code path (substitution documented in the README's
+reproduction contract).
 """
 
 from repro.bench.figures import table1_accuracy

@@ -140,21 +140,10 @@ def _reject_unsupported(args) -> None:
             f"--tp {args.tp} spans one replica's GPUs, so --n-gpus must equal the "
             f"tp degree (or be left at its default 1); got --n-gpus {args.n_gpus}"
         )
-    if args.chaos is not None and args.prefix_cache:
-        _reject(
-            "--chaos does not compose with --prefix-cache: hit patterns depend on "
-            "replay order, so recovery is not bit-exact against a fault-free run"
-        )
     if plain and args.pages is not None:
         _reject("--pages only applies to --execute runs")
     if plain and tiers:
         _reject("--preemption swap and the tier sizes only apply to --execute runs")
-
-
-def _pool_label(args) -> str:
-    return f"device {args.device_pages} + host {args.host_pages}" + (
-        f" + disk {args.disk_pages}" if args.disk_pages else ""
-    )
 
 
 def _nr_pool(args, model, trace, nr: int, mode: str, tiered: bool) -> dict:
@@ -225,105 +214,91 @@ def _emit(args, model, arch, payload: dict, lines, ok: bool = True) -> None:
         sys.exit(1)
 
 
-def _serve_chaos(args, model, arch, trace) -> None:
-    """``--chaos``: the demo fault plan over the swap-tiered INT4 stack
-    (analytical counters; ``--execute`` adds ``crosscheck_chaos``'s proofs)."""
+def _serve_checked(args, model, arch, trace) -> None:
+    """``--execute`` / ``--chaos`` / ``--tp`` / ``--replicas``: one run over the
+    INT4 stack, judged by ``crosscheck`` (each feature in use adds its
+    reference runs, report section and checks)."""
     from repro.faults import demo_fault_spec
+    from repro.model.inference import decode_step_breakdown
+    from repro.model.memory import int_format
     from repro.serving import DeadlinePolicy
-    from repro.serving.crosscheck import crosscheck_chaos, int4_stack
+    from repro.serving.crosscheck import crosscheck, int4_stack
 
+    tp, replicas = args.tp, args.replicas
+    chaos, cluster = args.chaos is not None, tp > 1 or replicas > 1
+    swap = chaos or args.preemption == "swap"
     stack = int4_stack(model, arch)
-    pool = _nr_pool(args, model, trace, stack.nr, "--chaos", tiered=True)
-    deadline_ms = args.deadline_ms
-    if deadline_ms is None and args.execute:
-        deadline_ms = 6.0  # the committed demo plan's shed pressure
-    audit_every = 10 if args.audit_every is None else args.audit_every
-    chaos = dict(
-        faults=demo_fault_spec(args.chaos),
-        audit_every=audit_every,
-        max_heals=5 if args.max_heals is None else args.max_heals,
-        deadline_policy=(
-            DeadlinePolicy(default_deadline_s=deadline_ms * 1e-3) if deadline_ms else None
-        ),
-    )
-    result = crosscheck_chaos(
+    knobs = _engine_knobs(args, n_gpus=max(args.n_gpus, tp), tp=tp, prefix_cache=args.prefix_cache)
+    if args.execute or chaos:
+        mode = "--chaos" if chaos else "--preemption swap" if swap else "--execute"
+        knobs.update(_nr_pool(args, model, trace, stack.nr, mode, tiered=swap))
+        disk = f" + disk {args.disk_pages}" if args.disk_pages else ""
+        pool = f"page {stack.nr} tok (= N_r), " + (
+            f"device {args.device_pages} + host {args.host_pages}{disk} pages, swap preemption"
+            if swap
+            else f"{knobs['n_pages']} pages"
+        )
+    else:  # analytical cluster: serving-scale pages, pool derived from device memory
+        window = 64 if args.residual_window is None else args.residual_window
+        knobs.update(
+            fmt=int_format(4, model, residual_window=window),
+            page_size=64 if args.page_size is None else args.page_size,
+        )
+        pool = f"page {knobs['page_size']} tok"
+    deadline_ms = audit_every = None
+    if chaos:
+        deadline_ms = args.deadline_ms
+        if deadline_ms is None and args.execute:
+            deadline_ms = 6.0  # the committed demo plan's shed pressure
+        audit_every = 10 if args.audit_every is None else args.audit_every
+        knobs.update(
+            faults=demo_fault_spec(args.chaos),
+            audit_every=audit_every,
+            max_heals=5 if args.max_heals is None else args.max_heals,
+            deadline_policy=(
+                DeadlinePolicy(default_deadline_s=deadline_ms * 1e-3) if deadline_ms else None
+            ),
+        )
+    result = crosscheck(
         stack,
         trace,
-        chaos,
-        replicas=args.replicas,
+        replicas=replicas,
         policy=args.router,
         execute=args.execute,
         seed=args.seed,
-        # tp spans a replica's GPUs; --n-gpus is 1 or tp under --tp (validated).
-        **_engine_knobs(args, n_gpus=max(args.n_gpus, args.tp), tp=args.tp, **pool),
+        **knobs,
     )
-    report = result.reports["executed" if args.execute else "analytical"]
+    reports = result.reports
+    report = reports["executed" if args.execute else "analytical"]
     payload = {
-        "mode": "chaos-execute" if args.execute else "chaos",
+        "mode": "execute" if args.execute else "analytical",
+        "page_size": knobs.get("page_size", stack.nr),
+        "preemption": "swap" if swap else "recompute",
+        "prefix_cache": args.prefix_cache,
+        "prefill_chunk_tokens": args.prefill_chunk,
+        "tp": tp,
+        "replicas": replicas,
+        "router": args.router,
         "chaos_seed": args.chaos,
         "deadline_ms": deadline_ms,
         "audit_every": audit_every,
         "checks": result.checks,
-        "reports": {name: r.to_dict() for name, r in result.reports.items()},
-    }
-    lines = [
-        f"serve-sim --chaos {args.chaos}: {model.name} on {arch.name} | "
-        f"INT4 paged-bit, {_pool_label(args)} pages, swap preemption"
-        + (
-            f", tp {args.tp} x {args.replicas} replica{'s' if args.replicas != 1 else ''}"
-            if args.tp > 1 or args.replicas > 1
-            else ""
-        )
-        + (f", deadline {deadline_ms:g} ms" if deadline_ms else ", best-effort")
-        + (", executed" if args.execute else ", analytical"),
-        f"  outcome: {report.completed} finished ({report.deadline_met} in "
-        f"deadline), {report.shed} shed, {report.timed_out} timed out, "
-        f"{report.failed} failed of {report.n_requests}",
-        f"  faults: {report.transfer_retries} retries "
-        f"({report.retry_backoff_s * 1e3:.3f} ms backoff), "
-        f"{report.lost_pages} lost pages, {report.checksum_failures} "
-        f"checksum failures, {report.slow_steps} slow steps",
-        f"  recovery: {report.healed_pages} pages healed via "
-        f"{report.healed_requests} request replays, {report.audits} audits clean",
-        f"  goodput: {report.goodput_tokens_per_s:.1f} tok/s in-deadline vs "
-        f"{report.sustained_tokens_per_s:.1f} tok/s generated",
-        *(f"  check {name}: {value}" for name, value in result.checks.items()),
-    ]
-    _emit(args, model, arch, payload, lines, result.ok)
-
-
-def _serve_execute(args, model, arch, trace) -> None:
-    """``--execute``: real tokens on the analytical clock, verified by
-    ``crosscheck_execute`` (plus its swap and prefix-cache brackets)."""
-    from repro.serving.crosscheck import crosscheck_execute, int4_stack
-
-    swap = args.preemption == "swap"
-    stack = int4_stack(model, arch)
-    mode = "--preemption swap" if swap else "--execute"
-    pool = _nr_pool(args, model, trace, stack.nr, mode, tiered=swap)
-    result = crosscheck_execute(
-        stack,
-        trace,
-        seed=args.seed,
-        **_engine_knobs(args, n_gpus=args.n_gpus, prefix_cache=args.prefix_cache, **pool),
-    )
-    checks, reports = result.checks, result.reports
-    executed = reports["executed"]
-    payload = {
-        "mode": "execute",
-        "page_size": stack.nr,
-        "prefix_cache": args.prefix_cache,
-        "schedule_match": checks["schedule_match"],
-        "checks": checks,
         "reports": {name: r.to_dict() for name, r in reports.items()},
     }
-    lines = [
-        f"serve-sim --execute: {model.name} on {arch.name} | INT4 paged-bit, "
-        f"page {stack.nr} tok (= N_r), "
-        + (f"{_pool_label(args)} pages, swap preemption" if swap else f"{pool['n_pages']} pages")
-        + (", prefix cache on" if args.prefix_cache else "")
+    features = [
+        f"INT4 paged-bit, {pool}",
+        cluster
+        and f"tp {tp} x {replicas} replica{'s' if replicas != 1 else ''}, router {args.router}",
+        args.prefix_cache and "prefix cache on",
+        args.prefill_chunk and f"chunked prefill {args.prefill_chunk} tok/step",
+        chaos and (f"deadline {deadline_ms:g} ms" if deadline_ms else "best-effort"),
+        "executed" if args.execute else "analytical",
     ]
-    for label in ("analytical", "executed"):
+    lines = [
+        f"serve-sim{f' --chaos {args.chaos}' if chaos else ''}: {model.name} on {arch.name} | "
+        + ", ".join(filter(None, features))
+    ]
+    for label in ("analytical", "executed")[: 1 + args.execute]:
         r = reports[label]
         ran = "-" if r.executed_tokens is None else str(r.executed_tokens)
         lines.append(
@@ -332,109 +307,79 @@ def _serve_execute(args, model, arch, trace) -> None:
             f"preemptions {r.preemptions}, done {r.completed}"
         )
     if swap:
+        lines.append(
+            f"  offload: swap-outs {report.swap_outs}, "
+            f"swap-ins {report.swap_ins}, faults {report.offload_faults}, "
+            f"stall {report.offload_stall_s * 1e3:.2f} ms, "
+            f"d2h {report.offload_d2h_bytes} B, h2d {report.offload_h2d_bytes} B"
+        )
+    if "recompute_pressured" in reports:  # the swap brackets ran (an undisturbed swap run)
         pressured, baseline = reports["recompute_pressured"], reports["recompute_unpressured"]
-        lines += [
-            f"  offload: swap-outs {executed.swap_outs}, "
-            f"swap-ins {executed.swap_ins}, faults {executed.offload_faults}, "
-            f"stall {executed.offload_stall_s * 1e3:.2f} ms, "
-            f"d2h {executed.offload_d2h_bytes} B, h2d {executed.offload_h2d_bytes} B",
-            f"  throughput: swap {executed.sustained_tokens_per_s:.1f} tok/s vs "
+        lines.append(
+            f"  throughput: swap {report.sustained_tokens_per_s:.1f} tok/s vs "
             f"recompute@device {pressured.sustained_tokens_per_s:.1f} tok/s vs "
-            f"unpressured {baseline.sustained_tokens_per_s:.1f} tok/s",
-        ]
+            f"unpressured {baseline.sustained_tokens_per_s:.1f} tok/s"
+        )
     if args.prefix_cache:
         lines.append(
-            f"  prefix cache: hit rate {executed.prefix_hit_rate:.3f} "
-            f"({executed.prefix_hit_tokens}/{executed.prefix_probe_tokens} tok), "
-            f"shared pages peak {executed.shared_pages_peak}, "
-            f"effective capacity {executed.effective_capacity_pages} pages"
+            f"  prefix cache: hit rate {report.prefix_hit_rate:.3f} "
+            f"({report.prefix_hit_tokens}/{report.prefix_probe_tokens} tok), "
+            f"shared pages peak {report.shared_pages_peak}, "
+            f"effective capacity {report.effective_capacity_pages} pages"
         )
-    if swap or args.prefix_cache:
-        lines += [f"  check {name}: {ok}" for name, ok in checks.items()]
-    else:
-        lines.append(f"token counts match the analytical schedule: {result.ok}")
-    _emit(args, model, arch, payload, lines, result.ok)
+    if chaos:
+        lines += [
+            f"  outcome: {report.completed} finished ({report.deadline_met} in "
+            f"deadline), {report.shed} shed, {report.timed_out} timed out, "
+            f"{report.failed} failed of {report.n_requests}",
+            f"  faults: {report.transfer_retries} retries "
+            f"({report.retry_backoff_s * 1e3:.3f} ms backoff), "
+            f"{report.lost_pages} lost pages, {report.checksum_failures} "
+            f"checksum failures, {report.slow_steps} slow steps",
+            f"  recovery: {report.healed_pages} pages healed via "
+            f"{report.healed_requests} request replays, {report.audits} audits clean",
+            f"  goodput: {report.goodput_tokens_per_s:.1f} tok/s in-deadline vs "
+            f"{report.sustained_tokens_per_s:.1f} tok/s generated",
+        ]
+    if cluster:
 
+        def rounded(value, scale, digits):
+            return value if value is None else round(value * scale, digits)
 
-def _serve_cluster(args, model, arch, trace) -> None:
-    """``--tp``/``--replicas``: TP-sharded engines behind a router;
-    ``--execute`` adds ``crosscheck_cluster``'s single-rank comparisons."""
-    from repro.model.inference import decode_step_breakdown
-    from repro.model.memory import int_format
-    from repro.serving.crosscheck import crosscheck_cluster, int4_stack
-
-    tp, replicas = args.tp, args.replicas
-    swap = args.preemption == "swap"
-    stack = int4_stack(model, arch)
-    if args.execute:
-        mode = "--preemption swap" if swap else "--execute"
-        pool = _nr_pool(args, model, trace, stack.nr, mode, tiered=swap)
-    else:
-        window = 64 if args.residual_window is None else args.residual_window
-        pool = dict(
-            fmt=int_format(4, model, residual_window=window),
-            page_size=64 if args.page_size is None else args.page_size,
-        )
-    result = crosscheck_cluster(
-        stack,
-        trace,
-        replicas=replicas,
-        policy=args.router,
-        execute=args.execute,
-        seed=args.seed,
-        **_engine_knobs(args, n_gpus=tp, tp=tp, prefix_cache=args.prefix_cache, **pool),
-    )
-    cluster = result.reports["cluster"]
-    peak = max((r.peak_resident_batch for r in cluster.per_replica), default=0) or 1
-    seq = max((r.total_len for r in trace), default=1)
-    sharded = decode_step_breakdown(model, arch, stack.kernel, peak, seq, n_gpus=tp, tp=tp)
-    full = decode_step_breakdown(model, arch, stack.kernel, peak, seq)
-    payload = {
-        "mode": "cluster-execute" if args.execute else "cluster",
-        "tp": tp,
-        "replicas": replicas,
-        "router": args.router,
-        "allreduce_tax_ms": sharded.comm_ms,
-        "rank_attention_ms": sharded.attention_ms,
-        "full_attention_ms": full.attention_ms,
-        "checks": result.checks,
-        "cluster": cluster.to_dict(),
-    }
-
-    def rounded(value, scale, digits):
-        return value if value is None else round(value * scale, digits)
-
-    lines = [
-        f"serve-sim cluster: {model.name} on {arch.name} | INT4, "
-        f"tp {tp} x {replicas} replica{'s' if replicas != 1 else ''}, "
-        f"router {args.router}"
-        + (f", {_pool_label(args)} pages, swap preemption" if swap else "")
-        + (", prefix cache on" if args.prefix_cache else "")
-        + (", executed" if args.execute else ", analytical"),
-        f"  aggregate: {cluster.completed} done of {cluster.n_requests}, "
-        f"{cluster.sustained_tokens_per_s:.1f} tok/s "
-        f"(goodput {cluster.goodput_tokens_per_s:.1f}), "
-        f"p99 ttft {rounded(cluster.p99_ttft_s, 1, 4)} s, "
-        f"p99 tbt {rounded(cluster.p99_tbt_s, 1e3, 3)} ms",
-        f"  routing: dispatch {cluster.dispatch_counts}, "
-        f"imbalance {cluster.load_imbalance:.2f}, prefix groups "
-        f"{cluster.prefix_groups_seen} ({cluster.prefix_groups_split} split), "
-        f"cross-replica prefix misses {cluster.cross_replica_prefix_misses}",
-    ]
-    if tp > 1:
-        lines.append(
-            f"  tp pricing: all-reduce tax {sharded.comm_ms:.4f} ms/step, "
-            f"rank attention {sharded.attention_ms:.4f} ms vs full "
-            f"{full.attention_ms:.4f} ms (batch {peak}, seq {seq})"
-        )
-    for i, r in enumerate(cluster.per_replica):
-        lines.append(
-            f"  replica {i}: {cluster.dispatch_counts[i]} requests, "
+        lines += [
+            f"  aggregate: {report.completed} done of {report.n_requests}, "
+            f"{report.sustained_tokens_per_s:.1f} tok/s "
+            f"(goodput {report.goodput_tokens_per_s:.1f}), "
+            f"p99 ttft {rounded(report.p99_ttft_s, 1, 4)} s, "
+            f"p99 tbt {rounded(report.p99_tbt_s, 1e3, 3)} ms",
+            f"  routing: dispatch {report.dispatch_counts}, "
+            f"imbalance {report.load_imbalance:.2f}, prefix groups "
+            f"{report.prefix_groups_seen} ({report.prefix_groups_split} split), "
+            f"cross-replica prefix misses {report.cross_replica_prefix_misses}",
+        ]
+        if tp > 1:
+            peak = max((r.peak_resident_batch for r in report.per_replica), default=0) or 1
+            seq = max((r.total_len for r in trace), default=1)
+            sharded = decode_step_breakdown(model, arch, stack.kernel, peak, seq, n_gpus=tp, tp=tp)
+            full = decode_step_breakdown(model, arch, stack.kernel, peak, seq)
+            payload["tp_pricing"] = {
+                "allreduce_tax_ms": sharded.comm_ms,
+                "rank_attention_ms": sharded.attention_ms,
+                "full_attention_ms": full.attention_ms,
+            }
+            lines.append(
+                f"  tp pricing: all-reduce tax {sharded.comm_ms:.4f} ms/step, "
+                f"rank attention {sharded.attention_ms:.4f} ms vs full "
+                f"{full.attention_ms:.4f} ms (batch {peak}, seq {seq})"
+            )
+        lines += [
+            f"  replica {i}: {report.dispatch_counts[i]} requests, "
             f"done {r.completed}, {r.sustained_tokens_per_s:.1f} tok/s, "
             f"preemptions {r.preemptions}"
             + (f", swap-outs {r.swap_outs}" if swap else "")
             + (f", prefix hit rate {r.prefix_hit_rate:.3f}" if args.prefix_cache else "")
-        )
+            for i, r in enumerate(report.per_replica)
+        ]
     lines += [f"  check {name}: {value}" for name, value in result.checks.items()]
     _emit(args, model, arch, payload, lines, result.ok)
 
@@ -530,15 +475,8 @@ def _cmd_serve_sim(args) -> None:
             prefix_groups=args.prefix_groups,
         )
         _reject_unsupported(args)
-        if args.chaos is not None:
-            serve = _serve_chaos
-        elif args.tp > 1 or args.replicas > 1:
-            serve = _serve_cluster
-        elif args.execute:
-            serve = _serve_execute
-        else:
-            serve = _serve_formats
-        serve(args, model, arch, trace)
+        checked = args.execute or args.chaos is not None or args.tp > 1 or args.replicas > 1
+        (_serve_checked if checked else _serve_formats)(args, model, arch, trace)
     except (KeyError, ValueError, ServingOOMError) as err:
         _reject(err.args[0] if err.args else err)
 

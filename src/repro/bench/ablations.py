@@ -1,7 +1,8 @@
 """Design-choice ablations beyond the paper's Fig. 16 / Table III.
 
-DESIGN.md calls out several tunables the paper fixes by construction;
-these sweeps quantify each one on the performance model:
+The README's reproduction contract calls out the tunables the paper
+fixes by construction; these sweeps quantify each one on the
+performance model:
 
 - **warp width** ``Wn`` — Table III samples {1, 4}; the sweep shows the
   diminishing returns past the scheduler's hiding capacity and the Eq. 1

@@ -4,7 +4,7 @@ Every figure/table module in :mod:`repro.bench.figures` returns an
 :class:`Experiment` — a set of labelled series with optional paper
 reference values.  The benchmark files print them as aligned tables and
 assert the qualitative *shape* (orderings, monotonicity, crossovers), per
-DESIGN.md's reproduction contract.
+the README's reproduction contract.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ set), and a SwiGLU MLP.  Used by the integration tests, the
 LongBench-proxy accuracy suite and the serving engine's real-execution
 mode (:class:`~repro.attn.runner.ModelRunner`) to push real activations
 through the real quantized-cache code paths — not to reproduce
-trained-model quality, which per DESIGN.md is out of scope for weights we
-cannot download.
+trained-model quality, which per the README's reproduction contract is out
+of scope for weights we cannot download.
 
 Cache state lives in a :class:`CacheSession` (per-layer cache handles +
 the position cursor), so one weight set can serve many concurrent

@@ -203,7 +203,7 @@ class TieredPageStore(EvictionPolicy):
         """Reset the per-step transfer buckets and prefetch pins."""
         self._step_prefetch_ms = 0.0
         self._step_fault_ms = 0.0
-        self._pins.clear()
+        self.unpin_all()
 
     @property
     def step_prefetch_ms(self) -> float:
@@ -218,6 +218,10 @@ class TieredPageStore(EvictionPolicy):
     def pin(self, pages: Iterable[int]) -> None:
         """Protect pages from victim selection until the step ends."""
         self._pins.update(pages)
+
+    def unpin_all(self) -> None:
+        """End a read phase inside a step: what it pinned may be victimized."""
+        self._pins.clear()
 
     # ------------------------------------------------------------- migration
 
@@ -485,7 +489,9 @@ class TieredPageStore(EvictionPolicy):
         missing = [page for page in pages if not self.resident(page)]
         if not missing:
             return 0.0
-        self.pin(missing)
+        # The whole read set, not just ``missing``: promoting one page must
+        # not victimize a resident page of the same request.
+        self.pin(pages)
         ms = 0.0
         for page in missing:
             ms += self._move(page, self._pick_device_victim())

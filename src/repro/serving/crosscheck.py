@@ -8,9 +8,10 @@ that checks that — ``serve-sim --execute``/``--chaos``/``--tp``, the
 chaos/offload/cluster benchmarks and the executed-mode test suites —
 goes through this module: one INT4 stack (:func:`int4_stack`), one
 schedule comparator (:func:`schedules_match`), one decode comparator
-(:func:`decoded_bit_exact`) and three drivers that run the engines and
-return named verdicts (:class:`CrossCheck`).  A new attention backend
-proves itself by passing the same three drivers.
+(:func:`decoded_bit_exact`) and one driver (:func:`crosscheck`) that
+runs the engines and returns named verdicts (:class:`CrossCheck`).  A
+proof obligation belongs to the engine feature in use, not to a CLI
+mode; a new attention backend proves itself by passing the same driver.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import ArchSpec
 from repro.model.config import ModelConfig
 from repro.model.memory import CacheFormat, int_format
-from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
+from repro.serving.engine import EngineConfig
 from repro.serving.request import Request
 
 __all__ = [
+    "EXPECTATIONS",
     "SCHEDULE_FIELDS",
     "CrossCheck",
     "Int4Stack",
-    "crosscheck_chaos",
-    "crosscheck_cluster",
-    "crosscheck_execute",
+    "crosscheck",
     "decoded_bit_exact",
     "int4_stack",
     "schedules_match",
@@ -63,6 +63,22 @@ SCHEDULE_FIELDS = (
     "failed",
     "completed",
     "slow_steps",
+)
+
+#: Verdicts that say *the chosen workload exercised the feature* — a valid
+#: configuration may miss them.  Every other verdict is an *equivalence*:
+#: it must hold on every configuration the driver accepts.
+EXPECTATIONS = frozenset(
+    {
+        "all_completed",
+        "swap_faster_than_recompute",
+        "hit_rate_positive",
+        "faster_than_cache_off",
+        "more_effective_capacity",
+        "exercised_retry",
+        "exercised_heal",
+        "exercised_shed",
+    }
 )
 
 
@@ -124,8 +140,8 @@ class CrossCheck:
     """Verdicts of one cross-check, plus every report it produced.
 
     ``checks`` maps check name to pass/fail in the order the checks were
-    made; ``reports`` maps run name to its :class:`ServingReport` (a
-    :class:`~repro.cluster.report.ClusterReport` for a routed run).
+    made; ``reports`` maps run name to its merged
+    :class:`~repro.cluster.report.ClusterReport`.
     """
 
     checks: Dict[str, bool]
@@ -135,19 +151,26 @@ class CrossCheck:
     def ok(self) -> bool:
         return all(self.checks.values())
 
+    @property
+    def equivalences(self) -> Dict[str, bool]:
+        """The verdicts that are theorems, not :data:`EXPECTATIONS`."""
+        return {name: ok for name, ok in self.checks.items() if name not in EXPECTATIONS}
 
-def schedules_match(a, b) -> bool:
+
+def schedules_match(a, b, clock: bool = True) -> bool:
     """Do two serving reports describe the same schedule?
 
-    Every :data:`SCHEDULE_FIELDS` counter must be equal and the simulated
-    clocks must agree (to float round-off: an executed run sums the same
-    step prices in the same order).  A report that executed tokens must
-    also have run exactly the tokens it scheduled.
+    Every :data:`SCHEDULE_FIELDS` counter must be equal and — unless
+    ``clock=False`` — the simulated clocks must agree (to float
+    round-off: an executed run sums the same step prices in the same
+    order).  A report that executed tokens must also have run exactly the
+    tokens it scheduled.
     """
     same_counts = all(getattr(a, f) == getattr(b, f) for f in SCHEDULE_FIELDS)
     ran_all = all(r.executed_tokens in (None, r.total_generated_tokens) for r in (a, b))
     ta, tb = a.sim_time_s, b.sim_time_s
-    return same_counts and ran_all and abs(ta - tb) <= 1e-9 + 1e-6 * max(abs(ta), abs(tb))
+    same_clock = not clock or abs(ta - tb) <= 1e-9 + 1e-6 * max(abs(ta), abs(tb))
+    return same_counts and ran_all and same_clock
 
 
 def decoded_bit_exact(
@@ -177,65 +200,124 @@ def decoded_bit_exact(
     return True
 
 
-def _run(config: EngineConfig, trace: Sequence[Request]):
-    engine = ContinuousBatchingEngine(config, trace)
-    return engine, engine.run()
+_TIER_KNOBS = ("preemption", "device_pages", "host_pages", "disk_pages")
+_DISTURBANCE_KNOBS = ("faults", "deadline_policy", "audit_every", "max_heals")
 
 
-def _route(config: EngineConfig, trace: Sequence[Request], replicas: int, policy: str):
-    router = Router(config, trace, replicas=replicas, policy=policy)
-    return router, router.run()
-
-
-def crosscheck_execute(
-    stack: Int4Stack, trace: Sequence[Request], *, seed: int = 0, **common
+def crosscheck(
+    stack: Int4Stack,
+    trace: Sequence[Request],
+    *,
+    replicas: int = 1,
+    policy: str = "round_robin",
+    execute: bool = True,
+    seed: int = 0,
+    **config,
 ) -> CrossCheck:
-    """Executed ≡ analytical, and each engine feature ≡ its plain twin.
+    """Run ``config`` plus every reference run its features owe; name the verdicts.
 
-    Always: the executed run follows the analytical schedule.  Under
-    ``preemption="swap"`` two recompute references bracket the swap run:
-    an *unpressured* pool of the same total page count proves swapped-
-    and-restored decode bit-identical to never-swapped decode, and a pool
-    of just the device tier shows what the same device budget costs when
-    pressure is paid in recomputation instead of PCIe traffic.  Under
-    ``prefix_cache=True`` a ``prefix_share=False`` run (hits copied into
-    private pages) must decode bit-identical hidden states on the same
-    schedule, and on a trace that shares prefixes a cache-off run must
-    be strictly slower with strictly less effective capacity.
+    The analytical run always happens; ``execute`` adds the executed twin
+    (the *subject*) and one row of obligations per engine feature present
+    in ``config``.  ``*`` marks an *expectation* (:data:`EXPECTATIONS`:
+    the chosen workload exercised the feature); every other verdict is an
+    *equivalence*, owed on every configuration the driver accepts.  Both
+    fold into ``.ok``.
+
+    - ``execute`` — vs the analytical twin: ``schedule_match``.
+    - ``preemption="swap"`` — vs recompute on the *total* page count
+      (never pressured) and on the *device* tier alone (pressure paid in
+      recomputation instead of PCIe traffic): ``all_completed*``,
+      ``swap_vs_unpressured_bit_exact`` [S],
+      ``swap_faster_than_recompute*``.  Undisturbed runs only: the
+      brackets describe a schedule that sheds nothing, and a disturbed
+      run's undisturbed reference *is* that swap run.
+    - ``prefix_cache`` — vs ``prefix_share=False`` (hits copied into
+      private pages) and vs cache off: ``share_vs_copy_schedule_match``
+      (without the clock under tiers: copy mode owns more physical pages,
+      so swap moves more bytes), ``share_vs_copy_bit_exact``,
+      ``hit_rate_positive*``, ``faster_than_cache_off*``,
+      ``more_effective_capacity*`` (the last three on a trace that shares
+      prefixes).
+    - ``faults`` / ``deadline_policy`` (a *disturbed* run) — vs the same
+      run undisturbed: ``all_damage_healed``,
+      ``outputs_bit_exact_after_recovery``, ``exercised_retry*``,
+      ``exercised_heal*``, ``exercised_shed*``.  Every reference of a
+      disturbed run is undisturbed and its decode streams are compared as
+      bit-exact prefixes, full-length where the request finished:
+      recovery and deadlines cost time, never numerics.
+    - ``tp > 1 or replicas > 1`` — vs single-rank engines over each
+      replica's dispatched subset and over the whole trace:
+      ``exactly_once_across_replicas``,
+      ``tp_decode_bit_exact_vs_single_rank`` [S],
+      ``cluster_bit_exact_vs_single_engine`` [S].
+
+    [S]: a reference that runs a *different schedule* is only a theorem
+    when numerics are schedule-independent.  A prefix-cache hit attends
+    dequantized instead of exact prefix KV and a prefill chunk's
+    boundaries are the scheduler's per-step ``take``, so with
+    ``prefix_cache`` or ``prefill_chunk_tokens`` set the [S] verdicts are
+    not owed, and a disturbed run — whose only reference reschedules — is
+    rejected with ``ValueError``.
+
+    Every run goes through a :class:`~repro.cluster.router.Router` (one
+    replica is exactly a plain engine; ``config`` carries ``tp`` /
+    ``n_gpus``) and is judged on its merged report and decode map.
     """
-    _, analytical = _run(stack.config(False, **common), trace)
-    engine, executed = _run(stack.config(True, seed, **common), trace)
-    checks = {"schedule_match": schedules_match(analytical, executed)}
-    reports = {"analytical": analytical, "executed": executed}
-    if common.get("preemption") == "swap":
-        tiers = ("preemption", "device_pages", "host_pages", "disk_pages")
-        untiered = {k: v for k, v in common.items() if k not in tiers}
-        device = common["device_pages"]
-        total = device + common["host_pages"] + common.get("disk_pages", 0)
-        baseline_engine, baseline = _run(stack.config(True, seed, n_pages=total, **untiered), trace)
-        _, pressured = _run(stack.config(True, seed, n_pages=device, **untiered), trace)
-        checks["all_completed"] = executed.completed == len(trace)
-        checks["swap_vs_unpressured_bit_exact"] = decoded_bit_exact(
-            engine.decoded, baseline_engine.decoded
+    swap = config.get("preemption") == "swap"
+    faults = config.get("faults") is not None
+    deadlines = config.get("deadline_policy") is not None
+    disturbed = faults or deadlines
+    schedule_free = not config.get("prefix_cache") and config.get("prefill_chunk_tokens") is None
+    if disturbed and not schedule_free:
+        raise ValueError(
+            "faults / deadline_policy do not compose with prefix_cache or "
+            "prefill_chunk_tokens: hit patterns and chunk boundaries depend on the "
+            "schedule, so no undisturbed run is a bit-exact reference"
         )
+    untiered = {k: v for k, v in config.items() if k not in _TIER_KNOBS}
+    undisturbed = {k: v for k, v in config.items() if k not in _DISTURBANCE_KNOBS}
+
+    def run(knobs=config, requests=trace, n=replicas, executed=True):
+        router = Router(stack.config(executed, seed, **knobs), requests, n, policy)
+        return router, router.run()
+
+    _, analytical = run(executed=False)
+    checks: Dict[str, bool] = {}
+    reports = {"analytical": analytical}
+    if not execute:
+        return CrossCheck(checks, reports)
+    subject, executed = run()
+    reports["executed"] = executed
+    checks["schedule_match"] = schedules_match(analytical, executed)
+    finished = (
+        {lc.request.req_id for lc in subject.lifecycles if lc.finished} if disturbed else None
+    )
+
+    def same_decode(reference: Router, part=subject) -> bool:
+        return decoded_bit_exact(part.decoded, reference.decoded, finished)
+
+    if swap and not disturbed:
+        device = config["device_pages"]
+        total = device + config["host_pages"] + config.get("disk_pages", 0)
+        unpressured, reports["recompute_unpressured"] = run({**untiered, "n_pages": total})
+        _, pressured = run({**untiered, "n_pages": device})
+        reports["recompute_pressured"] = pressured
+        checks["all_completed"] = executed.completed == len(trace)
+        if schedule_free:
+            checks["swap_vs_unpressured_bit_exact"] = same_decode(unpressured)
         if executed.swap_outs:
             checks["swap_faster_than_recompute"] = (
                 executed.sustained_tokens_per_s > pressured.sustained_tokens_per_s
             )
-        reports["recompute_unpressured"] = baseline
-        reports["recompute_pressured"] = pressured
-    if common.get("prefix_cache"):
-        copied_engine, copied = _run(
-            stack.config(True, seed, **{**common, "prefix_share": False}), trace
-        )
-        _, off = _run(stack.config(True, seed, **{**common, "prefix_cache": False}), trace)
+    if config.get("prefix_cache"):
+        copied_run, copied = run({**config, "prefix_share": False})
+        _, off = run({**config, "prefix_cache": False})
+        reports["executed_copy"], reports["cache_off"] = copied, off
         checks["share_vs_copy_schedule_match"] = (
-            schedules_match(copied, executed)
+            schedules_match(copied, executed, clock=not swap)
             and copied.prefix_hit_tokens == executed.prefix_hit_tokens
         )
-        checks["share_vs_copy_bit_exact"] = decoded_bit_exact(
-            engine.decoded, copied_engine.decoded
-        )
+        checks["share_vs_copy_bit_exact"] = same_decode(copied_run)
         if any(r.shared_prefix_len for r in trace):
             checks["hit_rate_positive"] = executed.prefix_hit_rate > 0
             checks["faster_than_cache_off"] = (
@@ -244,107 +326,33 @@ def crosscheck_execute(
             checks["more_effective_capacity"] = (
                 executed.effective_capacity_pages > off.effective_capacity_pages
             )
-        reports["executed_copy"] = copied
-        reports["cache_off"] = off
-    return CrossCheck(checks, reports)
-
-
-def crosscheck_chaos(
-    stack: Int4Stack,
-    trace: Sequence[Request],
-    chaos: Mapping[str, object],
-    *,
-    replicas: int = 1,
-    policy: str = "round_robin",
-    execute: bool = True,
-    seed: int = 0,
-    **common,
-) -> CrossCheck:
-    """Fault injection over the swap-tiered stack, with recovery proofs.
-
-    ``chaos`` holds the fault-side engine knobs (``faults``,
-    ``deadline_policy``, ``audit_every``, ``max_heals``) the fault-free
-    reference run leaves out.  Every run goes through a
-    :class:`~repro.cluster.router.Router` over ``replicas`` engines (one
-    replica is exactly a plain engine; ``common`` carries ``tp``/``n_gpus``)
-    and is judged on its merged report and merged decode map — each
-    replica draws its own copy of the fault plan.  The analytical chaos
-    run always happens;
-    with ``execute`` the recovery machinery is proven on top: analytical
-    and executed chaos schedules agree on every fault outcome and
-    recovery action, all lost/corrupt pages were healed with no request
-    FAILED, executed decode outputs are bit-identical to a fault-free
-    run wherever recovery succeeded, and the plan actually exercised a
-    retry, a heal and (under a deadline policy) a shed.
-    """
-    _, analytical = _route(stack.config(False, **chaos, **common), trace, replicas, policy)
-    checks: Dict[str, bool] = {}
-    reports = {"analytical": analytical}
-    if execute:
-        router, executed = _route(
-            stack.config(True, seed, **chaos, **common), trace, replicas, policy
-        )
-        free_router, fault_free = _route(
-            stack.config(True, seed, **common), trace, replicas, policy
-        )
-        finished = {lc.request.req_id for lc in router.lifecycles if lc.finished}
-        checks["schedule_match"] = schedules_match(analytical, executed)
+    if disturbed:
+        calm, reports["fault_free"] = run(undisturbed)
         checks["all_damage_healed"] = executed.failed == 0 and not any(
-            engine.tiers.has_bad_pages for engine in router.engines
+            engine.tiers is not None and engine.tiers.has_bad_pages for engine in subject.engines
         )
-        checks["outputs_bit_exact_after_recovery"] = decoded_bit_exact(
-            router.decoded, free_router.decoded, finished
-        )
-        checks["exercised_retry"] = executed.transfer_retries >= 1
-        checks["exercised_heal"] = executed.healed_pages >= 1
-        if chaos.get("deadline_policy") is not None:
+        checks["outputs_bit_exact_after_recovery"] = same_decode(calm)
+        if faults:
+            checks["exercised_retry"] = executed.transfer_retries >= 1
+            checks["exercised_heal"] = executed.healed_pages >= 1
+        if deadlines:
             checks["exercised_shed"] = executed.shed >= 1
-        reports["executed"] = executed
-        reports["fault_free"] = fault_free
-    return CrossCheck(checks, reports)
-
-
-def crosscheck_cluster(
-    stack: Int4Stack,
-    trace: Sequence[Request],
-    *,
-    replicas: int,
-    policy: str = "round_robin",
-    execute: bool = True,
-    seed: int = 0,
-    **common,
-) -> CrossCheck:
-    """TP-sharded engines behind a router ≡ single-rank engines.
-
-    Routes ``trace`` across ``replicas`` engines (``common`` carries
-    ``tp``/``n_gpus``).  With ``execute``: every request must complete
-    exactly once across replicas; each replica's decoded streams must be
-    bit-identical to a single-rank (tp=1) rerun of its dispatched subset
-    — the schedule may differ (tp pricing moves the clock) but decode
-    numerics are schedule-independent; and, without the prefix cache
-    (whose hit pattern legitimately depends on request co-location), the
-    merged cluster output must equal one single-rank engine serving the
-    whole trace.
-    """
-    router, cluster = _route(stack.config(execute, seed, **common), trace, replicas, policy)
-    reports = {"cluster": cluster}
-    checks: Dict[str, bool] = {}
-    if execute:
-        lifecycles = router.lifecycles
-        finished = [lc.request.req_id for lc in lifecycles if lc.finished]
-        checks["exactly_once_across_replicas"] = (
-            sorted(lc.request.req_id for lc in lifecycles) == sorted(r.req_id for r in trace)
-            and len(finished) == len(set(finished)) == len(trace)
+    if replicas > 1 or config.get("tp", 1) > 1:
+        lifecycles = subject.lifecycles
+        once = sorted(lc.request.req_id for lc in lifecycles) == sorted(r.req_id for r in trace)
+        checks["exactly_once_across_replicas"] = once and (
+            disturbed or all(lc.finished for lc in lifecycles)
         )
-        single = stack.config(True, seed, **{**common, "n_gpus": 1, "tp": 1})
-        bit_exact = True
-        for engine in router.engines:
-            reference, _ = _run(single, [lc.request for lc in engine.lifecycles])
-            bit_exact = bit_exact and decoded_bit_exact(engine.decoded, reference.decoded)
-        checks["tp_decode_bit_exact_vs_single_rank"] = bit_exact
-        if not common.get("prefix_cache"):
-            whole, _ = _run(single, trace)
-            checks["cluster_bit_exact_vs_single_engine"] = decoded_bit_exact(
-                router.decoded, whole.decoded
+        if schedule_free:
+            single = {**undisturbed, "tp": 1, "n_gpus": 1}
+            reruns = [
+                run(single, [lc.request for lc in engine.lifecycles], 1)[0]
+                for engine in subject.engines
+            ]
+            checks["tp_decode_bit_exact_vs_single_rank"] = all(
+                map(same_decode, reruns, subject.engines)
             )
+            # One replica's dispatched subset is the whole trace: same run.
+            whole = reruns[0] if replicas == 1 else run(single, n=1)[0]
+            checks["cluster_bit_exact_vs_single_engine"] = same_decode(whole)
     return CrossCheck(checks, reports)

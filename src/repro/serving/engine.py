@@ -620,12 +620,14 @@ class ContinuousBatchingEngine:
         suffix = head.context_len - head.cached_tokens
         prefill_s = self.backend.prefill_time_ms(cfg.model, cfg.arch, suffix, cfg.n_gpus) * 1e-3
         promote_s = 0.0
-        if self.tiers is not None and head.generated:
+        read_tokens = head.context_len if head.generated else head.cached_tokens
+        if self.tiers is not None and read_tokens:
             # A fresh prompt's prefill only *writes* pages (the chunk
-            # attends to itself, the tail lives in residual slots), but a
-            # replay admission — recompute preemption or a heal —
-            # re-decodes its consumed tokens and those decodes read the
-            # context's *full* pages.  Promote exactly that read set up
+            # attends to itself, the tail lives in residual slots) — unless
+            # prefix-cache hits put pages under it, which the suffix then
+            # attends — and a replay admission — recompute preemption or a
+            # heal — re-decodes its consumed tokens and those decodes read
+            # the context's *full* pages.  Promote exactly that read set up
             # front.  This is a *schedule-level* decision: the analytical
             # run issues the same transfers, which keeps an executed chaos
             # run's fault draws in lock-step even when the replay re-admits
@@ -635,7 +637,7 @@ class ContinuousBatchingEngine:
             # absorbed part must not be charged again by the step's closing
             # overlap math.  (Retry stalls from a fault plan stay in the
             # fault bucket — a failed DMA always blocks.)
-            read_set = self.table.sequences[head.seq_id].pages[: head.context_len // cfg.page_size]
+            read_set = self.table.sequences[head.seq_id].pages[: read_tokens // cfg.page_size]
             promote_s = self.tiers.fault_in(read_set, prefetch=True) * 1e-3
             self.tiers.absorb_prefetch(promote_s * 1e3)
             self.report.offload_overlapped_s += min(promote_s, prefill_s)
@@ -921,6 +923,13 @@ class ContinuousBatchingEngine:
                 # the chunk's attention reads the full pages written so
                 # far.  fault_in is a strict no-op when that set is
                 # resident, so a fault-free run's schedule is untouched.
+                # A chunk reads *now*, so its pins are a phase of their
+                # own: one sequence's read set always fits the device
+                # tier, while pins left standing would ride on top of the
+                # decoders' budgeted working set and push the residency
+                # walk onto pinned victims the executed decode then
+                # faults back outside the schedule.
+                self.tiers.unpin_all()
                 self.tiers.fault_in(
                     self.table.sequences[lc.seq_id].pages[
                         : lc.prefilled // self.config.page_size
@@ -930,6 +939,8 @@ class ContinuousBatchingEngine:
             if self._runner is not None:
                 self._runner.prefill(lc, take)
             self._register_prefix(lc)
+        if self.tiers is not None:
+            self.tiers.unpin_all()
         return chunks
 
     def _emit_tokens(self, decoders: Sequence[RequestLifecycle]) -> None:

@@ -3,10 +3,14 @@
 The strongest cluster claim: with ``execute=True`` at ``tp=2`` behind
 routed replicas, every replica's decoded streams must be bit-identical
 to a single-rank (``tp=1``) rerun of exactly the requests that replica
-served.  The rerun preserves each replica's prefix-cache hit pattern —
-a cache hit makes the suffix prefill attend dequantized (lossy) prefix
-KV while a miss attends exact FP32 KV, so only same-subset reruns are
-comparable, not a whole-trace merge.
+served, and the merged output to one single-rank engine serving the
+whole trace.  Both reruns price steps differently, so they run a
+different schedule — a theorem only while numerics are
+schedule-independent: with the prefix cache on (a hit makes the suffix
+prefill attend dequantized prefix KV, a miss exact FP32 KV, and pool
+pressure decides which) ``crosscheck`` does not owe them, and the
+sharded run is tied to the analytical schedule and to its own
+copy-mode twin instead.
 """
 
 import pytest
@@ -17,14 +21,14 @@ from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.model.memory import int_format
 from repro.serving import EngineConfig, poisson_trace
-from repro.serving.crosscheck import crosscheck_cluster, int4_stack
+from repro.serving.crosscheck import crosscheck, int4_stack
 
 A100 = get_arch("a100")
 STACK = int4_stack(TINY, A100)
 
 
 def _crosscheck(trace, policy, prefix_cache=False):
-    return crosscheck_cluster(
+    return crosscheck(
         STACK,
         trace,
         replicas=2,
@@ -48,9 +52,11 @@ def _common():
 class TestExecutedCluster:
     @pytest.mark.parametrize("prefix_cache", [False, True])
     def test_tp2_replicas2_bit_exact_vs_single_rank_reruns(self, prefix_cache):
+        # Near-simultaneous arrivals, so a group's requests are co-resident
+        # and the prefix row's capacity expectation holds too.
         trace = poisson_trace(
             8,
-            200.0,
+            5000.0,
             prompt_len=96,
             output_len=12,
             seed=3,
@@ -58,8 +64,13 @@ class TestExecutedCluster:
             prefix_groups=3,
         )
         result = _crosscheck(trace, "prefix_affinity", prefix_cache)
-        assert result.reports["cluster"].completed == len(trace)
-        assert "tp_decode_bit_exact_vs_single_rank" in result.checks
+        assert result.reports["executed"].completed == len(trace)
+        assert result.checks["exactly_once_across_replicas"]
+        # The single-rank reruns run a different schedule: owed only
+        # while numerics are schedule-independent (prefix cache off).
+        for name in ("tp_decode_bit_exact_vs_single_rank", "cluster_bit_exact_vs_single_engine"):
+            assert (name in result.checks) == (not prefix_cache)
+        assert ("share_vs_copy_bit_exact" in result.checks) == prefix_cache
         assert result.ok, result.checks
 
     def test_without_prefix_cache_matches_whole_trace_single_engine(self):

@@ -17,9 +17,9 @@ from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, poisson_trace
 from repro.serving.crosscheck import (
+    EXPECTATIONS,
     SCHEDULE_FIELDS,
-    crosscheck_chaos,
-    crosscheck_execute,
+    crosscheck,
     decoded_bit_exact,
     int4_stack,
     schedules_match,
@@ -28,10 +28,10 @@ from repro.serving.crosscheck import (
 
 @pytest.fixture(scope="module")
 def smoke():
-    """``crosscheck_execute`` on ci.yml's "real token execution" smoke geometry."""
+    """``crosscheck`` on ci.yml's "real token execution" smoke geometry."""
     trace = poisson_trace(6, 50.0, prompt_len=48, output_len=8, seed=0)
     stack = int4_stack(TINY, get_arch("a100"))
-    return crosscheck_execute(stack, trace, n_pages=96, max_batch=8, max_steps=200)
+    return crosscheck(stack, trace, n_pages=96, max_batch=8, max_steps=200)
 
 
 class TestSchedulesMatch:
@@ -60,6 +60,16 @@ class TestSchedulesMatch:
         analytical, executed = smoke.reports["analytical"], smoke.reports["executed"]
         skipped = replace(executed, executed_tokens=executed.executed_tokens - 1)
         assert not schedules_match(analytical, skipped)
+
+    def test_clock_can_be_left_out_but_counters_cannot(self, smoke):
+        # The share-vs-copy comparison under tiers: copy mode moves more
+        # bytes, so only the clock may differ.
+        analytical, executed = smoke.reports["analytical"], smoke.reports["executed"]
+        drifted = replace(executed, sim_time_s=executed.sim_time_s * 2)
+        assert schedules_match(analytical, drifted, clock=False)
+        assert not schedules_match(
+            analytical, replace(drifted, swap_outs=drifted.swap_outs + 1), clock=False
+        )
 
 
 def _streams(lengths):
@@ -110,30 +120,38 @@ class TestTensorParallelSwap:
 
     STACK = int4_stack(TINY, get_arch("a100"))
     TP2_SWAP = dict(tp=2, n_gpus=2, max_batch=16, preemption="swap", device_pages=8, host_pages=28)
+    #: What ``tp > 1 or replicas > 1`` adds to every checked run.
+    TOPOLOGY = {
+        "exactly_once_across_replicas": True,
+        "tp_decode_bit_exact_vs_single_rank": True,
+        "cluster_bit_exact_vs_single_engine": True,
+    }
 
     @staticmethod
     def _trace():
         return poisson_trace(8, 100000.0, prompt_len=40, output_len=60, seed=3)
 
     def test_tp2_swap_passes_every_execute_check(self):
-        result = crosscheck_execute(self.STACK, self._trace(), max_steps=2000, **self.TP2_SWAP)
+        result = crosscheck(self.STACK, self._trace(), max_steps=2000, **self.TP2_SWAP)
         assert result.checks == {
             "schedule_match": True,
             "all_completed": True,
             "swap_vs_unpressured_bit_exact": True,
             "swap_faster_than_recompute": True,
+            **self.TOPOLOGY,
         }
         assert result.reports["executed"].swap_outs > 0
 
     def test_tp2_swap_chaos_passes_every_chaos_check(self):
         chaos = dict(faults=demo_fault_spec(7), audit_every=10)
-        result = crosscheck_chaos(self.STACK, self._trace(), chaos, max_steps=4000, **self.TP2_SWAP)
+        result = crosscheck(self.STACK, self._trace(), max_steps=4000, **chaos, **self.TP2_SWAP)
         assert result.checks == {
             "schedule_match": True,
             "all_damage_healed": True,
             "outputs_bit_exact_after_recovery": True,
             "exercised_retry": True,
             "exercised_heal": True,
+            **self.TOPOLOGY,
         }
 
     def test_tp2_replicas2_chaos_passes_every_chaos_check(self):
@@ -145,8 +163,8 @@ class TestTensorParallelSwap:
             deadline_policy=DeadlinePolicy(default_deadline_s=10e-3),
         )
         trace = poisson_trace(16, 100000.0, prompt_len=40, output_len=60, seed=3)
-        result = crosscheck_chaos(
-            self.STACK, trace, chaos, replicas=2, **{**self.TP2_SWAP, "max_batch": 3}
+        result = crosscheck(
+            self.STACK, trace, replicas=2, **chaos, **{**self.TP2_SWAP, "max_batch": 3}
         )
         assert result.checks == {
             "schedule_match": True,
@@ -155,6 +173,7 @@ class TestTensorParallelSwap:
             "exercised_retry": True,
             "exercised_heal": True,
             "exercised_shed": True,
+            **self.TOPOLOGY,
         }
         executed = result.reports["executed"]
         assert executed.replicas == 2
@@ -174,3 +193,106 @@ class TestTensorParallelSwap:
         )
         assert plain.run().preemptions == 0
         assert decoded_bit_exact(disturbed.decoded, plain.decoded)
+
+
+class TestFeatureProduct:
+    """Every composition of engine features is green or rejected — no middle.
+
+    The whole product swap x prefix cache x tp x replicas x chunking x
+    faults goes through the one driver at two arrival rates (requests
+    trickling in against the clock, and all at once): a point either
+    raises the one documented ``ValueError`` or returns exactly the
+    equivalences its features owe, every one True.  Expectations are
+    about the workload, not the engine, and are not asserted here.
+    """
+
+    STACK = TestTensorParallelSwap.STACK
+
+    @staticmethod
+    def _owed(swap, prefix, cluster, chunk, faults):
+        """The obligation table, restated as the names a point must return."""
+        schedule_free = not prefix and chunk is None
+        owed = {"schedule_match"}
+        if swap and not faults and schedule_free:
+            owed.add("swap_vs_unpressured_bit_exact")
+        if prefix:
+            owed |= {"share_vs_copy_schedule_match", "share_vs_copy_bit_exact"}
+        if faults:
+            owed |= {"all_damage_healed", "outputs_bit_exact_after_recovery"}
+        if cluster:
+            owed.add("exactly_once_across_replicas")
+            if schedule_free:
+                owed |= {
+                    "tp_decode_bit_exact_vs_single_rank",
+                    "cluster_bit_exact_vs_single_engine",
+                }
+        return owed
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["calm", "faults"])
+    @pytest.mark.parametrize("chunk", [None, 32, 48])
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @pytest.mark.parametrize("tp", [1, 2])
+    @pytest.mark.parametrize("prefix", [False, True], ids=["noprefix", "prefix"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["recompute", "swap"])
+    def test_green_or_rejected(self, swap, prefix, tp, replicas, chunk, faults):
+        config = dict(
+            tp=tp,
+            n_gpus=tp,
+            max_batch=8,
+            max_steps=4000,
+            prefix_cache=prefix,
+            prefill_chunk_tokens=chunk,
+            **(
+                dict(preemption="swap", device_pages=8, host_pages=28)
+                if swap
+                else dict(n_pages=24)
+            ),
+            **(dict(faults=demo_fault_spec(7), audit_every=10) if faults else {}),
+        )
+        rejected = faults and (not swap or prefix or chunk is not None)
+        for rate in (200.0, 100000.0):
+            trace = poisson_trace(
+                6,
+                rate,
+                prompt_len=72,
+                output_len=14,
+                seed=3,
+                prompt_jitter=0.3,
+                shared_prefix_fraction=0.5 if prefix else 0.0,
+                prefix_groups=2,
+            )
+            if rejected:
+                with pytest.raises(ValueError):
+                    crosscheck(self.STACK, trace, replicas=replicas, **config)
+                continue
+            result = crosscheck(self.STACK, trace, replicas=replicas, **config)
+            owed = self._owed(swap, prefix, tp > 1 or replicas > 1, chunk, faults)
+            assert set(result.equivalences) == owed
+            assert all(result.equivalences.values()), (rate, result.checks)
+            assert set(result.checks) - owed <= EXPECTATIONS
+            if swap and rate == 100000.0:  # a burst over an 8-page device tier must swap
+                assert result.reports["executed"].swap_outs > 0
+
+    def test_prefix_hit_pages_are_promoted_on_the_schedule(self):
+        # A whole-prompt admission with prefix-cache hits *reads* the hit
+        # pages; under tiers a swapped-out sharer may have taken them off
+        # device.  The engine must promote them itself (priced, in both
+        # twins) — left to the executed numerics' fault-in fallback, the
+        # executed run paid 12 tier faults against 9 scheduled.
+        trace = poisson_trace(
+            8,
+            100000.0,
+            prompt_len=96,
+            output_len=60,
+            seed=3,
+            shared_prefix_fraction=0.5,
+            prefix_groups=3,
+        )
+        result = crosscheck(
+            self.STACK, trace, preemption="swap", device_pages=8, host_pages=28, prefix_cache=True
+        )
+        assert all(result.equivalences.values()), result.checks
+        analytical, executed = result.reports["analytical"], result.reports["executed"]
+        assert executed.prefix_hit_tokens > 0 and executed.swap_outs > 0
+        assert executed.offload_faults == analytical.offload_faults
+        assert executed.offload_h2d_bytes == analytical.offload_h2d_bytes

@@ -12,7 +12,7 @@ import pytest
 from repro.attn import AnalyticalBackend, PagedBitBackend
 from repro.model.config import TINY
 from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
-from repro.serving.crosscheck import crosscheck_execute, int4_stack
+from repro.serving.crosscheck import crosscheck, int4_stack
 
 
 def _common(a100, n_pages):
@@ -23,7 +23,7 @@ def _common(a100, n_pages):
 
 def _run_pair(a100, trace, n_pages, prefill_chunk=None):
     """(analytical, executed) reports of a run whose schedules matched."""
-    result = crosscheck_execute(
+    result = crosscheck(
         int4_stack(TINY, a100),
         trace,
         n_pages=n_pages,

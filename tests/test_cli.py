@@ -96,7 +96,7 @@ class TestServeSimExecute:
     def test_execute_reports_matching_schedule(self, capsys):
         main(self._ARGS)
         out = capsys.readouterr().out
-        assert "token counts match the analytical schedule: True" in out
+        assert "check schedule_match: True" in out
         assert "executed" in out and "analytical" in out
 
     def test_execute_json_carries_both_reports(self, capsys):
@@ -105,7 +105,7 @@ class TestServeSimExecute:
         main(self._ARGS + ["--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "execute"
-        assert payload["schedule_match"] is True
+        assert payload["checks"] == {"schedule_match": True}
         executed = payload["reports"]["executed"]
         analytical = payload["reports"]["analytical"]
         assert executed["executed_tokens"] == executed["total_generated_tokens"]
@@ -178,7 +178,7 @@ class TestServeSimCluster:
     _ARGS = [
         "serve-sim", "--model", "tiny", "--execute",
         "--tp", "2", "--replicas", "2", "--router", "prefix_affinity",
-        "--prefix-cache", "--requests", "8", "--rate", "200",
+        "--prefix-cache", "--requests", "8", "--rate", "5000",
         "--prompt-len", "96", "--output-len", "12",
         "--shared-prefix", "0.5", "--prefix-groups", "3", "--seed", "3",
     ]
@@ -189,7 +189,12 @@ class TestServeSimCluster:
         assert "tp 2 x 2 replicas" in out
         assert "router prefix_affinity" in out
         assert "check exactly_once_across_replicas: True" in out
-        assert "check tp_decode_bit_exact_vs_single_rank: True" in out
+        assert "check share_vs_copy_bit_exact: True" in out
+        assert "False" not in out
+        # A prefix-cache hit pattern depends on the schedule, so the
+        # single-rank reruns (a different clock) are not owed here; the
+        # swap case below, with the cache off, gets both.
+        assert "vs_single" not in out
 
     def test_executed_cluster_composes_with_swap_preemption(self, capsys):
         """TP ranks are head slices of one paged pool, so an over-capacity
@@ -203,6 +208,7 @@ class TestServeSimCluster:
         assert "device 8 + host 28 pages, swap preemption" in out
         assert out.count("swap-outs 3") == 2
         assert "False" not in out
+        assert "check tp_decode_bit_exact_vs_single_rank: True" in out
         assert "check cluster_bit_exact_vs_single_engine: True" in out
 
     def test_executed_cluster_json(self, capsys):
@@ -210,12 +216,13 @@ class TestServeSimCluster:
 
         main(self._ARGS + ["--json"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["mode"] == "cluster-execute"
+        assert payload["mode"] == "execute"
         assert payload["tp"] == 2 and payload["replicas"] == 2
-        assert payload["allreduce_tax_ms"] > 0
-        assert payload["rank_attention_ms"] < payload["full_attention_ms"]
+        pricing = payload["tp_pricing"]
+        assert pricing["allreduce_tax_ms"] > 0
+        assert pricing["rank_attention_ms"] < pricing["full_attention_ms"]
         assert all(payload["checks"].values())
-        cluster = payload["cluster"]
+        cluster = payload["reports"]["executed"]
         assert cluster["completed"] == 8
         assert cluster["cross_replica_prefix_misses"] == 0
         assert len(cluster["per_replica"]) == 2
@@ -235,6 +242,80 @@ _TINY = ["serve-sim", "--model", "tiny", "--requests", "4"]
 _TIERS = ["--device-pages", "8", "--host-pages", "28"]
 
 
+_SWAP = [
+    "serve-sim", "--model", "tiny", "--execute", "--preemption", "swap",
+    "--rate", "100000", "--output-len", "60",
+]
+
+
+class TestServeSimCompositions:
+    """Legal feature compositions that exited 1 on their own checks before
+    the one driver.  Each now ends with every check True — or, where no
+    bit-exact reference exists, with the one documented rejection."""
+
+    @pytest.mark.parametrize(
+        "flags, rejected",
+        [
+            pytest.param(
+                # Copy mode owns more pages, so its swap clock differs.
+                [*_SWAP, "--device-pages", "24", "--host-pages", "80", "--requests", "12",
+                 "--prompt-len", "64", "--seed", "0", "--prefix-cache",
+                 "--shared-prefix", "0.67", "--prefix-groups", "4"],
+                False,
+                id="swap x prefix-cache",
+            ),
+            pytest.param(
+                # Healed replays re-chunk: recovery was not bit-exact.
+                ["serve-sim", "--model", "tiny", "--execute", "--chaos", "7", *_TIERS,
+                 "--max-batch", "3", "--requests", "8", "--rate", "100000", "--prompt-len", "96",
+                 "--output-len", "60", "--seed", "3", "--deadline-ms", "6",
+                 "--prefill-chunk", "32"],
+                True,
+                id="chaos x prefill-chunk",
+            ),
+            pytest.param(
+                # A mixed step's chunk pins rode on top of the decoders'
+                # device budget; executed decode faulted pages back.
+                [*_SWAP, "--device-pages", "8", "--host-pages", "60", "--requests", "8",
+                 "--prompt-len", "96", "--seed", "7", "--max-batch", "3",
+                 "--prefill-chunk", "48", "--prompt-jitter", "0.3"],
+                False,
+                id="swap x prefill-chunk",
+            ),
+            pytest.param(
+                # fault_in evicted its own read set (15 faults vs 8 scheduled).
+                [*_SWAP, *_TIERS, "--requests", "8", "--prompt-len", "96", "--seed", "3",
+                 "--prefix-cache", "--shared-prefix", "0.5", "--prefix-groups", "3",
+                 "--prefill-chunk", "32"],
+                False,
+                id="swap x prefix-cache x prefill-chunk",
+            ),
+            pytest.param(
+                # ci.yml's composed smoke: every feature row at once.
+                ["serve-sim", "--model", "tiny", "--execute", "--tp", "2",
+                 "--preemption", "swap", "--device-pages", "12", "--host-pages", "80",
+                 "--prefix-cache", "--shared-prefix", "0.34", "--prefill-chunk", "32",
+                 "--requests", "12", "--rate", "20000", "--prompt-len", "96",
+                 "--output-len", "40", "--seed", "7"],
+                False,
+                id="tp x swap x prefix-cache x prefill-chunk",
+            ),
+        ],
+    )
+    def test_green_or_rejected(self, capsys, flags, rejected):
+        if rejected:
+            with pytest.raises(SystemExit) as exc:
+                main(flags)
+            assert exc.value.code == 2
+            out = capsys.readouterr().out
+            assert out.startswith("serve-sim: ") and out.count("\n") == 1
+        else:
+            main(flags)  # exits 1 (SystemExit) if any check is False
+            out = capsys.readouterr().out
+            assert "check schedule_match: True" in out and "False" not in out
+            assert "swap-outs 0" not in out
+
+
 class TestServeSimRejections:
     """Every documented unsupported flag combination: exit 2, one
     ``serve-sim:`` line, no traceback (README "Unsupported combinations")."""
@@ -243,6 +324,8 @@ class TestServeSimRejections:
         "flags",
         [
             ["--chaos", "7", *_TIERS, "--prefix-cache"],
+            ["--chaos", "7", *_TIERS, "--prefill-chunk", "32"],
+            ["--execute", "--chaos", "7", *_TIERS, "--prefill-chunk", "32"],
             ["--tp", "2", "--preemption", "swap"],
             ["--tp", "2", "--execute", "--preemption", "swap"],
             ["--replicas", "2", "--execute", "--preemption", "swap", *_TIERS, "--pages", "10"],
@@ -303,7 +386,8 @@ class TestServeSimRejections:
         ])
         out = capsys.readouterr().out
         assert "tp 2 x 2 replicas" in out
-        assert out.count("check ") == 6 and "False" not in out
+        # Six chaos verdicts plus the three topology ones.
+        assert out.count("check ") == 9 and "False" not in out
 
     def test_execute_rejects_serving_scale_models(self, capsys):
         with pytest.raises(SystemExit) as exc:
