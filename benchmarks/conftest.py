@@ -1,8 +1,12 @@
 """Benchmark-suite configuration.
 
-Every benchmark reproduces one paper artifact: it runs the experiment once
-under ``pytest-benchmark`` timing, prints the paper-vs-measured table, and
-asserts the qualitative shape.  Run with::
+What lives here are the serving and kernel benches: each ``bench_*.py``
+measures one section of the gated ledger (``emit_serving.py`` /
+``bench_kernel_hotpath.py`` write it) and doubles as a pytest smoke that
+runs its point once under ``pytest-benchmark`` timing.  The paper's
+figures and tables are not here: they are rows of
+``repro.bench.claims.CLAIMS`` (``python -m repro experiment all``).  Run
+with::
 
     pytest benchmarks/ --benchmark-only
 """

@@ -5,7 +5,8 @@ Usage::
     python -m repro devices                 # registered GPU table
     python -m repro demo                    # tiny numerics demo
     python -m repro sweep [--arch a100]     # kernel speedup sweep
-    python -m repro experiment fig10        # run one paper experiment
+    python -m repro experiment fig10        # one paper experiment + its claims
+    python -m repro experiment all          # every experiment; exit 1 on a violated claim
     python -m repro serve-sim [--steps 50]  # continuous-batching simulation
     python -m repro serve-sim --model tiny --execute  # real token execution
     python -m repro serve-sim --prefix-cache --shared-prefix 0.5  # prefix caching
@@ -89,27 +90,21 @@ def _cmd_sweep(arch: str) -> None:
 
 
 def _cmd_experiment(name: str) -> None:
-    from repro.bench import figures
+    """Print an experiment's table and one verdict line per claim row."""
+    from repro.bench.claims import EXPERIMENTS, evaluate
 
-    lookup = {
-        "fig4": figures.fig4_motivation,
-        "fig8": figures.fig8_blackwell,
-        "fig9": figures.fig9_hopper,
-        "fig10": figures.fig10_rtx4090,
-        "fig11": figures.fig11_a100,
-        "fig12": figures.fig12_e2e_kivi,
-        "fig13": figures.fig13_e2e_qserve,
-        "fig14": figures.fig14_residual_overhead,
-        "fig15": figures.fig15_dequant_overhead,
-        "fig16": figures.fig16_breakdown,
-        "table1": figures.table1_accuracy,
-        "table2": figures.table2_quantpack,
-        "table3": figures.table3_coop_softmax,
-    }
-    if name not in lookup:
-        print(f"unknown experiment {name!r}; choose from {sorted(lookup)}")
+    if name not in ("all", *EXPERIMENTS):
+        print(f"unknown experiment {name!r}; choose from {['all', *EXPERIMENTS]}")
         sys.exit(2)
-    lookup[name]().show()
+    experiments, all_ok = {}, True
+    for each in EXPERIMENTS if name == "all" else [name]:
+        verdicts = evaluate([each], experiments)
+        experiments[each].show()
+        for verdict in verdicts:
+            print(f"  {verdict}")
+        all_ok &= all(verdict.ok for verdict in verdicts)
+    if not all_ok:
+        sys.exit(1)
 
 
 def _reject(message: str) -> None:

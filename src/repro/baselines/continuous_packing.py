@@ -9,7 +9,7 @@ layout transform), with the original ``Wn = 1`` warp design, and without
 the software pipeline.
 
 The three optimizations are then enabled cumulatively via the config
-flags, which is exactly how ``benchmarks/bench_fig16_breakdown.py`` builds
+flags, which is exactly how ``repro.bench.figures.fig16_breakdown`` builds
 the bars:
 
 ====================  ==========================================

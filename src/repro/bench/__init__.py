@@ -1,23 +1,12 @@
-"""Benchmark harness: per-figure experiment definitions + reporting.
+"""Benchmark harness: experiment definitions, paper claims, reporting.
 
 ``repro.bench.figures`` holds one function per evaluation artifact
-(Figs. 4/8-16, Tables I-III); ``repro.bench.harness`` holds the result
-containers, table rendering and shape assertions the ``benchmarks/``
-pytest files build on.
+(Figs. 4/8-16, Tables I-III) and ``repro.bench.ablations`` the extension
+sweeps; ``repro.bench.harness`` holds the result containers and table
+rendering; ``repro.bench.claims`` names every experiment and states what
+each must show (imported on demand: it pulls in every baseline).
 """
 
-from repro.bench.harness import (
-    Experiment,
-    Series,
-    assert_monotonic_increase,
-    assert_ordering,
-    assert_within,
-)
+from repro.bench.harness import Experiment, Series
 
-__all__ = [
-    "Experiment",
-    "Series",
-    "assert_monotonic_increase",
-    "assert_ordering",
-    "assert_within",
-]
+__all__ = ["Experiment", "Series"]

@@ -12,6 +12,12 @@ performance model:
 - **page size** — paged-attention lookup overhead vs fragmentation.
 - **key group size** — metadata traffic vs quantization error (the
   accuracy side uses the real quantizer, not the model).
+- **cache bit width** — 8 bits down to the 1-bit frontier.
+- **speculative verification** — draft tokens stacked on the MMA's M
+  dimension; not a paper figure, an extension its query transform makes
+  natural (Sec. V-A).
+
+:data:`repro.bench.claims.CLAIMS` states what each sweep must show.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.baselines.flash_decoding import FlashDecodingV2
 from repro.bench.harness import Experiment
+from repro.core.attention import BitDecoding
 from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.packing_kernel import build_packing_launch
 from repro.core.quantization import QuantScheme, dequantize, quantize_key
@@ -179,13 +187,32 @@ def bit_width_sweep(
         title=f"Cache bit-width sweep on {arch.name}",
         unit="ms",
     )
-    from repro.baselines.flash_decoding import FlashDecodingV2
-
     fp16 = FlashDecodingV2(arch).decode_time_ms(geom)
     exp.series_for("Latency-ms").add("fp16", fp16)
     for bits in bit_widths:
-        from repro.core.attention import BitDecoding
-
         engine = BitDecoding(BitDecodingConfig(bits=bits), arch)
         exp.series_for("Latency-ms").add(f"int{bits}", engine.decode_time_ms(geom))
+    return exp
+
+
+def speculative_amortization(device: str = "a100", seq: int = 32768) -> Experiment:
+    """Verifying n draft tokens in one pass vs n single-token passes.
+
+    One pass streams the packed cache once and the n query rows ride the
+    already-padded MMA tile, so per-token attention cost falls until the M
+    dimension saturates.
+    """
+    arch = get_arch(device)
+    exp = Experiment(
+        exp_id=f"speculative-amortization-{device}",
+        title=f"Speculative-verification amortization on {arch.name}",
+        unit="ms | x",
+    )
+    engine = BitDecoding(BitDecodingConfig(bits=4), arch)
+    single = engine.decode_time_ms(AttentionGeometry(1, 32, 8, seq, 128))
+    for n in (1, 2, 4, 8, 16):
+        one_pass = engine.decode_time_ms(AttentionGeometry(1, 32, 8, seq, 128, q_len=n))
+        exp.series_for("One-pass-ms").add(n, one_pass)
+        exp.series_for("N-singles-ms").add(n, n * single)
+        exp.series_for("Gain").add(n, n * single / one_pass)
     return exp

@@ -364,6 +364,15 @@ def fig14_residual_overhead() -> Experiment:
 # Fig. 15 — dequantization overhead + micro analysis
 # ---------------------------------------------------------------------------
 
+#: Paper values per series: (a) dequant share of kernel time, (b) pipe %.
+FIG15_PAPER = {
+    "DequantFraction": {
+        "Atom": 0.48, "Qserve": 0.45, "B-KT-4": 0.13, "B-KC-4": 0.14, "B-KC-2": 0.33,
+    },
+    "Micro/Atom": {"Mem. T.": 72.24, "Tensor Core": 0.0, "FMA": 19.0, "ALU": 32.5},
+    "Micro/BitDecoding": {"Mem. T.": 88.31, "Tensor Core": 24.0, "FMA": 13.0, "ALU": 12.5},
+}
+
 
 def fig15_dequant_overhead() -> Experiment:
     """(a) dequant fraction per system; (b) Atom-vs-BD pipe utilization."""
@@ -382,16 +391,11 @@ def fig15_dequant_overhead() -> Experiment:
         "B-KC-4": _bd(arch, 4, "channel").decode_results(geom)[0],
         "B-KC-2": _bd(arch, 2, "channel").decode_results(geom)[0],
     }
-    paper_fracs = {"Atom": 0.48, "Qserve": 0.45, "B-KT-4": 0.13, "B-KC-4": 0.14, "B-KC-2": 0.33}
     for label, result in systems.items():
         exp.series_for("DequantFraction").add(
-            label, dequant_overhead_fraction(result), paper=paper_fracs.get(label)
+            label, dequant_overhead_fraction(result), paper=FIG15_PAPER["DequantFraction"][label]
         )
 
-    paper_micro = {
-        "Atom": {"Mem. T.": 72.24, "Tensor Core": 0.0, "FMA": 19.0, "ALU": 32.5},
-        "BitDecoding": {"Mem. T.": 88.31, "Tensor Core": 24.0, "FMA": 13.0, "ALU": 12.5},
-    }
     for label, result in (("Atom", systems["Atom"]), ("BitDecoding", systems["B-KC-4"])):
         prof = profile_kernel(result)
         micro = {
@@ -402,7 +406,7 @@ def fig15_dequant_overhead() -> Experiment:
         }
         for metric, value in micro.items():
             exp.series_for(f"Micro/{label}").add(
-                metric, value, paper=paper_micro[label][metric]
+                metric, value, paper=FIG15_PAPER[f"Micro/{label}"][metric]
             )
     return exp
 
@@ -454,9 +458,9 @@ TABLE1_PAPER = {
 }
 
 
-def table1_accuracy(quick: bool = False) -> Experiment:
+def table1_accuracy() -> Experiment:
     """Throughput (A100 serving model) + LongBench-proxy accuracy."""
-    from repro.model.longbench import DEFAULT_SUITE, TaskConfig, run_suite
+    from repro.model.longbench import run_suite
 
     arch = get_arch("a100")
     model = LLAMA31_8B
@@ -465,21 +469,11 @@ def table1_accuracy(quick: bool = False) -> Experiment:
         title="Efficiency and accuracy trade-off (LLaMA-3.1-8B, 32K)",
         unit="tokens/s | proxy accuracy %",
     )
-    suite = DEFAULT_SUITE
-    if quick:
-        suite = tuple(
-            TaskConfig(
-                name=t.name, n_pairs=t.n_pairs, head_dim=t.head_dim, noise=t.noise,
-                key_similarity=t.key_similarity, logit_scale=t.logit_scale, trials=40,
-            )
-            for t in DEFAULT_SUITE[:1]
-        )
-
     fd_tput = max_throughput_tokens_per_s(
         model, arch, fp16_format(), FlashDecodingV2(arch), 32768
     )
     exp.series_for("Throughput").add("FP16", fd_tput, paper=TABLE1_PAPER["FP16"][0])
-    acc_fp16 = run_suite(None, suite)["average"]
+    acc_fp16 = run_suite(None)["average"]
     exp.series_for("Accuracy").add("FP16", 100 * acc_fp16, paper=TABLE1_PAPER["FP16"][1])
 
     for bits in (4, 2):
@@ -487,7 +481,7 @@ def table1_accuracy(quick: bool = False) -> Experiment:
         tput = max_throughput_tokens_per_s(
             model, arch, int_format(bits, model), engine, 32768
         )
-        acc = run_suite(engine, suite)["average"]
+        acc = run_suite(engine)["average"]
         exp.series_for("Throughput").add(
             f"INT{bits}", tput, paper=TABLE1_PAPER[f"INT{bits}"][0]
         )
@@ -545,6 +539,13 @@ def table2_quantpack() -> Experiment:
 # Table III — warps + cooperative softmax
 # ---------------------------------------------------------------------------
 
+#: Paper rows: (Wn, cooperative softmax) -> (latency ms, TC util %, valid).
+TABLE3_PAPER = {
+    ("1", "off"): (3.746, 10.91, True),
+    ("4", "off"): (0.610, 19.71, False),
+    ("4", "on"): (0.613, 19.66, True),
+}
+
 
 def table3_coop_softmax() -> Experiment:
     """Wn / cooperative-softmax ablation: latency, TC util, validity."""
@@ -555,11 +556,6 @@ def table3_coop_softmax() -> Experiment:
         title="Impact of cooperative softmax and warps",
         unit="ms | % | bool",
     )
-    paper = {
-        ("1", "off"): (3.746, 10.91, True),
-        ("4", "off"): (0.610, 19.71, False),
-        ("4", "on"): (0.613, 19.66, True),
-    }
     rng = np.random.default_rng(7)
     k = rng.standard_normal((1, 2, 512, 64)).astype(np.float16)
     v = rng.standard_normal((1, 2, 512, 64)).astype(np.float16)
@@ -585,9 +581,10 @@ def table3_coop_softmax() -> Experiment:
         valid = bool(np.allclose(out, ref, atol=1e-3))
 
         key = (str(wn), "on" if coop else "off")
-        exp.series_for("Latency-ms").add(key, result.time_ms, paper=paper[key][0])
-        exp.series_for("TC-Utilization-pct").add(key, prof.tensor_core_util_pct, paper=paper[key][1])
-        exp.series_for("Valid").add(key, float(valid), paper=float(paper[key][2]))
+        paper = TABLE3_PAPER[key]
+        exp.series_for("Latency-ms").add(key, result.time_ms, paper=paper[0])
+        exp.series_for("TC-Utilization-pct").add(key, prof.tensor_core_util_pct, paper=paper[1])
+        exp.series_for("Valid").add(key, float(valid), paper=float(paper[2]))
     exp.note("Wn=4 without cooperative softmax must be FAST but WRONG")
     return exp
 

@@ -2,9 +2,9 @@
 
 Every figure/table module in :mod:`repro.bench.figures` returns an
 :class:`Experiment` — a set of labelled series with optional paper
-reference values.  The benchmark files print them as aligned tables and
-assert the qualitative *shape* (orderings, monotonicity, crossovers), per
-the README's reproduction contract.
+reference values, rendered as an aligned table.  The qualitative *shape*
+the README's reproduction contract asks of them (orderings, monotonicity,
+crossovers) is stated as rows of :data:`repro.bench.claims.CLAIMS`.
 """
 
 from __future__ import annotations
@@ -99,35 +99,3 @@ class Experiment:
 
     def show(self) -> None:
         print("\n" + self.render())
-
-
-def assert_ordering(
-    exp: Experiment, x: object, faster: str, slower: str, margin: float = 1.0
-) -> None:
-    """Assert series ``faster`` beats ``slower`` at ``x`` by ``margin``x."""
-    fast = exp.series[faster].value_at(x)
-    slow = exp.series[slower].value_at(x)
-    assert fast >= slow * margin, (
-        f"{exp.exp_id}: expected {faster} ({fast:.2f}) >= "
-        f"{margin}x {slower} ({slow:.2f}) at {x}"
-    )
-
-
-def assert_monotonic_increase(exp: Experiment, label: str, tolerance: float = 0.98) -> None:
-    """Assert a series rises (within tolerance) along its x axis."""
-    vals = exp.series[label].values()
-    for a, b in zip(vals, vals[1:]):
-        assert b >= a * tolerance, (
-            f"{exp.exp_id}: series {label} not monotonic: {vals}"
-        )
-
-
-def assert_within(
-    exp: Experiment, label: str, x: object, lo: float, hi: float
-) -> None:
-    """Assert a measured value lies in the accepted reproduction band."""
-    v = exp.series[label].value_at(x)
-    assert lo <= v <= hi, (
-        f"{exp.exp_id}: {label}@{x} = {v:.2f} outside the accepted band "
-        f"[{lo}, {hi}]"
-    )

@@ -1,14 +1,8 @@
-"""Experiment container + assertion helpers."""
+"""Experiment container and table rendering."""
 
 import pytest
 
-from repro.bench.harness import (
-    Experiment,
-    Series,
-    assert_monotonic_increase,
-    assert_ordering,
-    assert_within,
-)
+from repro.bench.harness import Experiment, Series
 
 
 def _experiment():
@@ -55,28 +49,3 @@ class TestExperiment:
         exp = _experiment()
         exp.note("hello")
         assert "note: hello" in exp.render()
-
-
-class TestAssertions:
-    def test_ordering_passes(self):
-        assert_ordering(_experiment(), 1, "fast", "slow")
-
-    def test_ordering_fails(self):
-        with pytest.raises(AssertionError):
-            assert_ordering(_experiment(), 1, "slow", "fast")
-
-    def test_ordering_with_margin(self):
-        with pytest.raises(AssertionError):
-            assert_ordering(_experiment(), 1, "fast", "slow", margin=3.0)
-
-    def test_monotonic_passes(self):
-        assert_monotonic_increase(_experiment(), "fast")
-
-    def test_monotonic_fails(self):
-        with pytest.raises(AssertionError):
-            assert_monotonic_increase(_experiment(), "slow")
-
-    def test_within_band(self):
-        assert_within(_experiment(), "fast", 2, 2.5, 3.5)
-        with pytest.raises(AssertionError):
-            assert_within(_experiment(), "fast", 2, 5.0, 6.0)

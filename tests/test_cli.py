@@ -28,6 +28,25 @@ class TestCli:
         main(["experiment", "table2"])
         out = capsys.readouterr().out
         assert "Marlin" in out
+        assert "  decode ms, BitDecoding: " in out and out.rstrip().endswith("— ok")
+
+    def test_experiment_all_holds_every_row(self, capsys):
+        from repro.bench.claims import CLAIMS
+
+        main(["experiment", "all"])  # would SystemExit(1) on a violated row
+        out = capsys.readouterr().out
+        assert out.count("— ok\n") == sum(map(len, CLAIMS.values()))
+        assert "VIOLATED" not in out
+
+    def test_experiment_exits_1_on_a_violated_row(self, capsys, monkeypatch):
+        from repro.bench import claims
+
+        shut = claims.Claim("impossible", claims.at("Marlin", "Prefill"), lo=1.0, hi=0.0)
+        monkeypatch.setitem(claims.CLAIMS, "table2", [shut])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "table2"])
+        assert exit_info.value.code == 1
+        assert "  impossible: 51.89 in [1, 0] — VIOLATED" in capsys.readouterr().out
 
     def test_serve_sim(self, capsys):
         main([
@@ -77,8 +96,10 @@ class TestCli:
             assert report["p99_tbt_s"] is not None
 
     def test_unknown_experiment_exits(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["experiment", "fig99"])
+        assert exit_info.value.code == 2
+        assert "'all', 'fig4'" in capsys.readouterr().out
 
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
