@@ -11,25 +11,28 @@ Times the kernel hot paths in two implementations of identical numerics:
 Three headline numbers at the acceptance geometry (batch 8, hkv 8,
 seq 16k, INT4, d 64):
 
-- ``speedup_decode_step``: per-decode-step speedup (gated, floor 25x);
-- ``speedup_prefill_pack``: whole-prompt quantize+pack speedup (gated,
-  floor 3x).  Both sides are measured steady-state — the vectorized
-  prefill runs twice and reports the second run, so neither side pays the
-  process's first-allocation page faults while the other reuses a warm
-  heap;
-- ``decode_step_flatness``: the vectorized decode's wall time must stay
-  flat across no-flush steps (the memoization contract).
+- ``speedup_decode_step``: per-decode-step speedup;
+- ``speedup_prefill_pack``: whole-prompt quantize+pack speedup.  Both
+  sides are measured steady-state — the vectorized prefill runs twice and
+  reports the second run, so neither side pays the process's
+  first-allocation page faults while the other reuses a warm heap;
+- ``decode_step_flatness``: max/min vectorized decode wall time across
+  no-flush steps (the memoization contract).
 
 An end-to-end ``transformer`` section (TinyTransformer decode step,
-engine-backed vs exact attention) is reported but not gated: it tracks
-what the kernel-level wins are worth inside a full forward pass.
+engine-backed vs exact attention) tracks what the kernel-level wins are
+worth inside a full forward pass.
 
-CI runs this module as a script to emit the gated benchmark point::
+Report only: these are same-machine host-clock ratios, so nothing gates
+on them.  CI runs this module as a script and uploads the point::
 
     python benchmarks/bench_kernel_hotpath.py --out BENCH_kernels.json
 
-which ``scripts/check_bench_regression.py --kernels BENCH_kernels.json``
-gates (speedup floors + flatness) next to the serving baseline.
+The properties behind them are pinned deterministically: the memo
+flatness contract by ``tests/core/test_vectorized_cache.py``, grouped ==
+looped decode by ``tests/attn/test_grouped_decode.py``, and host time by
+the calibrated ``kernel_longctx`` / ``decode_burst`` workloads of
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """Benchmark-suite configuration.
 
-What lives here are the serving and kernel benches: each ``bench_*.py``
-measures one section of the gated ledger (``emit_serving.py`` /
-``bench_kernel_hotpath.py`` write it) and doubles as a pytest smoke that
-runs its point once under ``pytest-benchmark`` timing.  The paper's
-figures and tables are not here: they are rows of
-``repro.bench.claims.CLAIMS`` (``python -m repro experiment all``).  Run
-with::
+What is left here is host-clock measurement: ``bench_kernel_hotpath.py``
+(a report-only script that doubles as a small-geometry pytest smoke under
+``pytest-benchmark`` timing) and the calibrated end-to-end ledger under
+``e2e/``.  Every modeled number — the paper's figures and tables and the
+``serving-*`` experiments — is a row of ``repro.bench.claims.CLAIMS``
+(``python -m repro experiment all``).  Run with::
 
     pytest benchmarks/ --benchmark-only
 """

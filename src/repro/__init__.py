@@ -23,8 +23,7 @@ low-bit (bit-exact reference) and analytical (cost model):
 
 The lower-level ``BitDecoding`` engine / ``BitKVCache`` pair remains
 available for kernel-granular work (simulated launches, ablations) from
-:mod:`repro.core.attention`; the 0.2-era top-level re-exports were
-removed in 0.4 (see the README migration table).
+:mod:`repro.core.attention`.
 """
 
 from repro.attn import (

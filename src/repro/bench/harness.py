@@ -69,15 +69,16 @@ class Experiment:
                 if x not in xs:
                     xs.append(x)
         label_w = max((len(s.label) for s in self.series.values()), default=8)
-        header = " " * (label_w + 2) + "  ".join(f"{str(x):>12}" for x in xs)
+        widths = [max(12, len(str(x))) for x in xs]
+        header = " " * (label_w + 2) + "  ".join(f"{str(x):>{w}}" for x, w in zip(xs, widths))
         lines.append(header)
         for s in self.series.values():
             cells = []
-            for x in xs:
+            for x, w in zip(xs, widths):
                 try:
                     v = s.value_at(x)
                 except KeyError:
-                    cells.append(f"{'-':>12}")
+                    cells.append(f"{'-':>{w}}")
                     continue
                 paper = None
                 if s.paper is not None:
@@ -85,13 +86,13 @@ class Experiment:
                     paper = s.paper[idx] if idx < len(s.paper) else None
                 if abs(v) >= 1e4:
                     cell = f"{v:.3g}"
-                elif abs(v) < 0.01:
-                    cell = f"{v:.4f}"
+                elif abs(v) < 0.1:
+                    cell = f"{v:.3g}"
                 else:
                     cell = f"{v:.2f}"
                 if paper is not None:
                     cell += f"({paper:g})"
-                cells.append(f"{cell:>12}")
+                cells.append(f"{cell:>{w}}")
             lines.append(f"{s.label:<{label_w}}  " + "  ".join(cells))
         for note in self.notes:
             lines.append(f"   note: {note}")

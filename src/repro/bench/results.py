@@ -1,20 +1,19 @@
 """Reproducible benchmark run directories under ``eval/results/``.
 
-The committed ``BENCH_*.json`` files at the repo root are *summaries* —
-one merged document the regression gate diffs.  Everything else a run
-produces (the exact configuration, seeds, and full per-run payload)
-lands in its own directory::
+A host-clock benchmark run (``benchmarks/bench_kernel_hotpath.py``, the
+``benchmarks/e2e`` ledger) persists its exact configuration and full
+payload in its own directory::
 
     eval/results/<name>-<digest>/
         manifest.json   # name + the exact config (flags, seeds) of the run
-        summary.json    # the same payload merged into the root summary
+        summary.json    # everything the run measured
 
 ``<digest>`` is a content hash of the canonical config JSON, so the same
 configuration always maps to the same directory (re-runs overwrite, a
 changed flag or seed forks a new directory) and two machines running the
-committed benchmark land on identical paths.  Nothing under
-``eval/results/`` is committed; the manifest is what makes a loose root
-summary reproducible after the fact.
+same benchmark land on identical paths.  Nothing under ``eval/results/``
+is committed.  Modeled numbers do not come through here: they are rows of
+:data:`repro.bench.claims.CLAIMS`, committed as ``eval/claims.json``.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ def write_run(
     """Persist one benchmark run under ``eval/results/`` and return its dir.
 
     ``config`` must hold everything needed to reproduce the run (model,
-    trace shape, seeds, fault plan, fast/full mode); ``summary`` is the
-    payload the caller also merges into the root ``BENCH_*.json``.
+    geometry, trace shape, seeds); ``summary`` is what it measured.
     """
     base = Path(root) if root is not None else Path("eval") / "results"
     run_dir = base / f"{name}-{run_digest(config)}"

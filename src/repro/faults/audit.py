@@ -66,10 +66,11 @@ class InvariantAuditor:
 
     def _check_allocator(self, where: str) -> None:
         alloc = self.allocator
-        free = set(alloc._free)
+        free_list = [*alloc._free, *range(alloc._fresh, alloc.n_pages)]
+        free = set(free_list)
         live = set(alloc._refs)
         parked = set(alloc._cached)
-        if len(free) != len(alloc._free):
+        if len(free) != len(free_list):
             self._fail(f"free list holds duplicate pages{where}")
         for a, b, name in (
             (free, live, "free/live"),

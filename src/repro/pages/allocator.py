@@ -10,10 +10,6 @@ LRU pool of reclaimable pages instead of returning to the free list.
 Parked pages still count as free capacity: ``allocate`` evicts the
 least-recently-released parked page (notifying every policy through
 :meth:`EvictionPolicy.page_evicted`) when the free list runs dry.
-
-The 0.2-era ``on_evict`` callback + ``mark_cacheable``/``unmark_cacheable``
-trio and the exclusive-ownership ``free``/``free_many`` shims were removed
-in 0.4; see the README migration table.
 """
 
 from __future__ import annotations
@@ -57,13 +53,20 @@ class PageAllocator:
     tracks the free list, per-page refcounts, and the LRU pool of parked
     refcount-0 pages explicitly so tests can assert conservation invariants
     (no double allocation, no negative refcount, used + reclaimable == total).
+
+    The free list is lazy, so construction is O(1) whatever the pool size:
+    pages ``[_fresh, n_pages)`` have never been handed out, ``_free`` is the
+    LIFO stack of recycled ones.  ``allocate`` pops the stack before it
+    takes a fresh id, so a pool sized from a whole device's memory costs
+    only the pages a run actually touches.
     """
 
     def __init__(self, n_pages: int):
         if n_pages <= 0:
             raise ValueError("n_pages must be positive")
         self.n_pages = n_pages
-        self._free: List[int] = list(range(n_pages - 1, -1, -1))
+        self._free: List[int] = []
+        self._fresh = 0
         self._refs: Dict[int, int] = {}
         # refcount-0 pages some policy retains (prefix cache content);
         # insertion order == least-recently-released first.
@@ -90,7 +93,7 @@ class PageAllocator:
     @property
     def free_pages(self) -> int:
         """Reclaimable pages: truly free plus parked-but-unreferenced."""
-        return len(self._free) + len(self._cached)
+        return len(self._free) + self.n_pages - self._fresh + len(self._cached)
 
     @property
     def used_pages(self) -> int:
@@ -129,6 +132,9 @@ class PageAllocator:
         parked page."""
         if self._free:
             page = self._free.pop()
+        elif self._fresh < self.n_pages:
+            page = self._fresh
+            self._fresh += 1
         elif self._cached:
             page = self._evict_one()
         else:

@@ -48,17 +48,31 @@ class TestHealthy:
 
 
 class TestAllocatorChecks:
+    def test_double_free_caught(self):
+        alloc, table, _ = _system()
+        table.release_sequence(table.add_sequence(4))
+        alloc._free.append(alloc._free[-1])  # the recycled page, freed again
+        with pytest.raises(InvariantViolation, match="duplicate"):
+            InvariantAuditor(alloc, table).audit()
+
+    def test_fresh_page_also_recycled_caught(self):
+        alloc, _, _ = _system()
+        alloc._free.append(5)  # never handed out, yet on the recycled stack
+        with pytest.raises(InvariantViolation, match="duplicate"):
+            InvariantAuditor(alloc).audit()
+
     def test_page_both_free_and_live_caught(self):
         alloc, table, _ = _system()
         seq = table.add_sequence(4)
-        alloc._free.append(table.sequences[seq].pages[0])  # seeded double-free
+        alloc._free.append(table.sequences[seq].pages[0])  # freed while mapped
         with pytest.raises(InvariantViolation, match="free/live"):
             InvariantAuditor(alloc, table).audit()
 
     def test_unaccounted_page_caught(self):
         alloc, _, _ = _system()
-        alloc._free.remove(5)  # page 5 vanishes from every partition
-        with pytest.raises(InvariantViolation, match="unaccounted"):
+        alloc.allocate()
+        alloc._fresh += 1  # page 1 handed out, recorded in no partition
+        with pytest.raises(InvariantViolation, match=r"pages \[1\] are unaccounted"):
             InvariantAuditor(alloc).audit()
 
     def test_nonpositive_refcount_caught(self):

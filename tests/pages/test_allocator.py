@@ -242,3 +242,59 @@ class TestConservationProperty:
                 assert alloc.refcount(page) > 0
             assert alloc.free_pages + alloc.used_pages == 16
             assert alloc.used_pages == len(set(held))
+
+
+class _EagerAllocator(PageAllocator):
+    """The pre-lazy allocator: the whole pool materialised as the LIFO stack."""
+
+    def __init__(self, n_pages):
+        super().__init__(n_pages)
+        self._free = list(range(n_pages - 1, -1, -1))
+        self._fresh = n_pages
+
+
+class TestLazyFreeList:
+    def test_huge_pool_constructs_in_constant_time(self):
+        alloc = PageAllocator(10**8)  # eager: ~4 GB of ints
+        assert alloc.free_pages == 10**8 and alloc.used_pages == 0
+        assert [alloc.allocate() for _ in range(3)] == [0, 1, 2]
+        assert alloc.free_pages == 10**8 - 3
+
+    @given(ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 63)), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_same_ids_in_the_same_order_as_the_eager_list(self, ops):
+        """allocate / acquire / release / reconsider, with odd pages retained
+        so the pool parks and evicts: the lazy allocator and the eager model
+        hand out identical ids and agree on every count at every step."""
+        lazy, eager = PageAllocator(6), _EagerAllocator(6)
+        policies = [_RetainSet({1, 3, 5}), _RetainSet({1, 3, 5})]
+        for alloc, policy in zip((lazy, eager), policies):
+            alloc.register(policy)
+        held = []
+        for op, pick in ops:
+            if op == 0:
+                try:
+                    held.append(lazy.allocate())
+                except OutOfPagesError:
+                    with pytest.raises(OutOfPagesError):
+                        eager.allocate()
+                    continue
+                assert eager.allocate() == held[-1]
+            elif op == 1 and (held or lazy.cached_pages):
+                pool = held + list(lazy._cached)  # live, or parked -> resurrected
+                page = pool[pick % len(pool)]
+                lazy.acquire(page), eager.acquire(page)
+                held.append(page)
+            elif op == 2 and held:
+                page = held.pop(pick % len(held))
+                lazy.release(page), eager.release(page)
+            elif op == 3 and lazy.cached_pages:
+                page = list(lazy._cached)[pick % lazy.cached_pages]
+                for alloc, policy in zip((lazy, eager), policies):
+                    policy.pages.discard(page)
+                    alloc.reconsider(page)
+            assert lazy.free_pages == eager.free_pages
+            assert lazy.refcounts == eager.refcounts
+            assert list(lazy._cached) == list(eager._cached)
+            assert policies[0].evicted == policies[1].evicted
+            assert lazy.evictions == eager.evictions

@@ -30,6 +30,13 @@ class TestCli:
         assert "Marlin" in out
         assert "  decode ms, BitDecoding: " in out and out.rstrip().endswith("— ok")
 
+    def test_experiment_serving_chaos_prints_its_verdicts(self, capsys):
+        main(["experiment", "serving-chaos"])  # would SystemExit(1) on a False verdict
+        out = capsys.readouterr().out
+        assert "== serving-chaos: Chaos plan 7" in out
+        for line in ("failed requests: 0 in [0, 0]", "check exercised_shed: 1 in [1, 1]"):
+            assert f"  {line} — ok\n" in out
+
     def test_experiment_all_holds_every_row(self, capsys):
         from repro.bench.claims import CLAIMS
 
