@@ -39,7 +39,7 @@ from repro.core.residual_kernel import (
     build_residual_launch,
     flush_blocks,
 )
-from repro.core.softmax import OnlineSoftmaxState
+from repro.core.softmax import OnlineSoftmaxState, qk_scores
 from repro.gpu.arch import ArchSpec, get_arch
 from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
 
@@ -367,7 +367,7 @@ class BitDecoding:
             states.append(attend_residual(grouped, k_res, v_res, self.config, scale))
         # Causal tail: query row r belongs to draft token r // gq and may
         # see draft columns 0 .. r // gq; one masked tile for every head.
-        s_tail = (grouped @ np.swapaxes(k_draft, -1, -2)) * scale
+        s_tail = qk_scores(grouped, k_draft, scale)
         rows = np.arange(n * gq) // gq
         mask = np.arange(n)[None, :] > rows[:, None]
         s_tail = np.where(mask, -np.inf, s_tail)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.query_transform import gemm_m_dimension
 from repro.core.quantization import quantize_fp4
-from repro.core.softmax import OnlineSoftmaxState, pad_tail, tile_softmax_split
+from repro.core.softmax import OnlineSoftmaxState, pad_tail, qk_scores, tile_softmax_split
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import (
     dequant_ops,
@@ -101,6 +101,12 @@ def run_numeric(
       kernel through the online softmax, bit-identical to the seed
       implementation.
 
+    Both modes compute QK^T through :func:`~repro.core.softmax.qk_scores`,
+    which runs the GEMM as ``K @ Q^T`` — the KV axis on BLAS's M, the grouped
+    query rows on N — and copies the scores back to C-contiguous
+    ``(..., M, L)``.  The scores are bitwise those of ``Q @ K^T``; the
+    orientation only stops a tiny M from underfilling the host GEMM.
+
     The deliberately non-cooperative softmax ablation (``Wn > 1`` with
     ``use_coop_softmax=False``) is tile-structured by definition — each
     warp's wrong local maximum lives inside a tile — so it always takes
@@ -127,8 +133,7 @@ def run_numeric(
     wn = config.effective_wn
     for t0 in range(0, seq_len, config.tile_n):
         t1 = min(t0 + config.tile_n, seq_len)
-        k_tile = k_hat[..., t0:t1, :]
-        s = (q_grouped @ np.swapaxes(k_tile, -1, -2)) * scale
+        s = qk_scores(q_grouped, k_hat[..., t0:t1, :], scale)
         s, v_tile = pad_tail(s, v_hat[..., t0:t1, :], wn)
         if config.version == "fp4":
             state_update_fp4(state, s, v_tile, config)
@@ -146,13 +151,19 @@ def _run_fused(
 ) -> OnlineSoftmaxState:
     """Fused tile walk: one QK^T GEMM + two-pass softmax over all tiles.
 
+    The one GEMM is :func:`~repro.core.softmax.qk_scores` over the entire
+    packed range: ``k_hat @ q^T`` with the whole packed length as M (an
+    M = ``gq`` GEMM per head is about twice as slow on the host at 4K
+    context), made C-contiguous before the softmax so the PV product's
+    BLAS path — and so every output bit — is unchanged.
+
     On the FP4 path ``P`` is still re-quantized before the PV product, but
     against the row's global maximum instead of the per-tile running
     maximum; quantization blocks are padded (``-inf`` scores, zero value
     rows) to the micro-scaling block size, matching how the tiled walk
     pads its tail tile.
     """
-    s = (q_grouped @ np.swapaxes(k_hat, -1, -2)) * scale
+    s = qk_scores(q_grouped, k_hat, scale)
     if config.version != "fp4":
         return OnlineSoftmaxState.from_scores(s, v_hat)
 

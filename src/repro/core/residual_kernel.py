@@ -48,7 +48,7 @@ from repro.core.quantization import (
     quantize_value,
 )
 from repro.core.query_transform import gemm_m_dimension
-from repro.core.softmax import OnlineSoftmaxState, pad_tail, tile_softmax_split
+from repro.core.softmax import OnlineSoftmaxState, pad_tail, qk_scores, tile_softmax_split
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import quant_pack_ops, rescale_accum_ops, softmax_ops
 from repro.gpu.kernel import KernelLaunch
@@ -582,7 +582,7 @@ def attend_residual(
     )
     if k_res.shape[-2] == 0:
         return state
-    s = (q_grouped @ np.swapaxes(k_res, -1, -2)) * scale
+    s = qk_scores(q_grouped, k_res, scale)
     # Pad the partial residual to the warp split (-inf scores / zero rows),
     # exactly as the kernel pads its warp tiles.
     wn = config.effective_wn
@@ -649,7 +649,7 @@ def attend_residual_grouped(
     v_tile[..., :r_max, :] = v_res
     for g, r in enumerate(res_lens.tolist()):
         if r:
-            s[g, ..., :r] = (q_grouped[g] @ np.swapaxes(k_res[g, :, :r], -1, -2)) * scale
+            s[g, ..., :r] = qk_scores(q_grouped[g], k_res[g, :, :r], scale)
             v_tile[g, :, r:] = 0.0
     m = s.max(axis=-1)
     p = np.exp(s - np.where(np.isfinite(m), m, 0.0)[..., None])

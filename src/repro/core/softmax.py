@@ -39,6 +39,24 @@ def reference_attention(
     return p @ v
 
 
+def qk_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """Scaled decode scores ``(q @ k^T) * scale``, the KV axis as BLAS's M.
+
+    ``q`` is ``(..., M, d)`` FP32 and ``k`` ``(..., L, d)``; returns a
+    C-contiguous ``(..., M, L)``.  A decode query block has a tiny M (the
+    ``gq`` grouped rows), which underfills a host GEMM's register blocking
+    the way it underfills a Tensor-Core tile — the problem Sec. V-A's query
+    transformation solves on the GPU.  Computing ``k @ q^T`` instead puts
+    the long KV axis on M (about 2x faster at M=4, L=3840, d=128, one
+    OpenBLAS thread) and gives bitwise-equal scores, each the same
+    length-``d`` dot product; ``tests/core/test_qk_scores.py`` pins that
+    property over decode shapes.  The copy back to C order is load-bearing:
+    left transposed, the following ``p @ v`` takes another BLAS path and
+    changes in the last bit.
+    """
+    return np.ascontiguousarray(np.swapaxes(k @ np.swapaxes(q, -1, -2), -1, -2)) * scale
+
+
 @dataclass
 class OnlineSoftmaxState:
     """Per-row running state of the flash-style online softmax.
