@@ -36,12 +36,12 @@ from repro.model import (
     LLAMA31_70B,
     QWEN3_14B,
     QWEN3_8B,
+    cache_bytes_per_token,
     decode_throughput_tokens_per_s,
     fp16_format,
     int_format,
     max_throughput_tokens_per_s,
 )
-from repro.model.serving import cache_bytes_per_token
 
 
 def _bd(arch, bits=4, granularity="channel", version="v2", **kw) -> BitDecoding:

@@ -39,7 +39,7 @@ from repro.core.residual_kernel import (
     build_residual_launch,
     flush_blocks,
 )
-from repro.core.softmax import OnlineSoftmaxState, qk_scores
+from repro.core.softmax import OnlineSoftmaxState
 from repro.gpu.arch import ArchSpec, get_arch
 from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
 
@@ -318,74 +318,6 @@ class BitDecoding:
         for st in states[1:]:
             merged.merge(st)
         return ungroup_output(merged.finalize(), hq, q_len)
-
-    def decode_speculative(
-        self,
-        q: np.ndarray,
-        k_draft: np.ndarray,
-        v_draft: np.ndarray,
-        cache: BitKVCache,
-        commit: bool = False,
-    ) -> np.ndarray:
-        """Multi-token (speculative-verification) decode.
-
-        ``q``: ``[batch, n, hq, d]`` — queries for ``n`` draft tokens at
-        positions ``L .. L+n-1``; ``k_draft``/``v_draft``:
-        ``[batch, hkv, n, d]`` — the draft tokens' K/V.  Query ``i``
-        attends over the whole cache plus draft tokens ``0..i`` (causal
-        within the tail), which is exactly the verification pass of
-        speculative decoding.  The grouped-query transform makes the tail
-        a single ``(n*gq) x n`` masked tile per KV head, so Tensor-Core
-        tiles stay full — the paper's "query length is typically small
-        (<16)" observation is what makes this fit one MMA tile.
-
-        With ``commit=True`` the draft tokens are appended to the cache
-        afterwards (accepted-token bookkeeping is the caller's policy).
-        """
-        q = np.asarray(q, dtype=np.float32)
-        k_draft = np.asarray(k_draft, dtype=np.float32)
-        v_draft = np.asarray(v_draft, dtype=np.float32)
-        if q.ndim != 4:
-            raise ValueError("q must be [batch, n, hq, d]")
-        self._check_cache_compatible(cache)
-        batch, n, hq, d = q.shape
-        if k_draft.shape != (batch, cache.hkv, n, d):
-            raise ValueError(
-                f"k_draft must be [batch, hkv, n, d] = "
-                f"{(batch, cache.hkv, n, d)}, got {k_draft.shape}"
-            )
-        scale = 1.0 / math.sqrt(d)
-        gq = hq // cache.hkv
-
-        grouped = group_queries(q, cache.hkv)  # [b, hkv, n*gq, d]
-        states: List[OnlineSoftmaxState] = []
-        k_hat, v_hat = cache.dequant_kv()
-        if k_hat.shape[-2]:
-            states.append(run_numeric(grouped, k_hat, v_hat, self.config, scale))
-        k_res, v_res = cache.residual_kv()
-        if k_res.shape[-2]:
-            states.append(attend_residual(grouped, k_res, v_res, self.config, scale))
-        # Causal tail: query row r belongs to draft token r // gq and may
-        # see draft columns 0 .. r // gq; one masked tile for every head.
-        s_tail = qk_scores(grouped, k_draft, scale)
-        rows = np.arange(n * gq) // gq
-        mask = np.arange(n)[None, :] > rows[:, None]
-        s_tail = np.where(mask, -np.inf, s_tail)
-        tail_state = OnlineSoftmaxState.fresh(n * gq, d, leading=(batch, cache.hkv))
-        tail_state.update(s_tail, v_draft)
-        states.append(tail_state)
-
-        merged = states[0]
-        for st in states[1:]:
-            merged.merge(st)
-        result = ungroup_output(merged.finalize(), hq, q_len=n)
-        if commit:
-            for i in range(n):
-                cache.append_token(
-                    k_draft[:, :, i].astype(np.float16),
-                    v_draft[:, :, i].astype(np.float16),
-                )
-        return result
 
     # ---------------------------------------------------------- performance
 

@@ -15,31 +15,13 @@ from __future__ import annotations
 from repro.gpu.arch import ArchSpec
 from repro.model.config import ModelConfig
 from repro.model.inference import AttentionSystem, decode_throughput_tokens_per_s
-
-# Re-exported for compatibility: CacheFormat and the byte accounting moved
-# to repro.model.memory so the dynamic engine shares one code path.
-from repro.model.memory import (
-    USABLE_MEMORY_FRACTION,
-    CacheFormat,
-    cache_bytes_per_token,
-    fp16_format,
-    int_format,
-    memory_budget_bytes,
-    memory_required_bytes,
-)
+from repro.model.memory import CacheFormat, memory_budget_bytes, memory_required_bytes
 
 __all__ = [
-    "USABLE_MEMORY_FRACTION",
-    "CacheFormat",
     "ServingOOMError",
-    "cache_bytes_per_token",
     "fits",
-    "fp16_format",
-    "int_format",
     "max_batch_size",
     "max_throughput_tokens_per_s",
-    "memory_budget_bytes",
-    "memory_required_bytes",
 ]
 
 

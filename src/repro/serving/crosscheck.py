@@ -9,7 +9,8 @@ chaos/offload/cluster benchmarks and the executed-mode test suites —
 goes through this module: one INT4 stack (:func:`int4_stack`), one
 schedule comparator (:func:`schedules_match`), one decode comparator
 (:func:`decoded_bit_exact`) and one driver (:func:`crosscheck`) that
-runs the engines and returns named verdicts (:class:`CrossCheck`).  A
+runs the engines and returns named verdicts (:class:`CrossCheck`), held
+to one table of what each engine feature owes (:data:`FEATURES`).  A
 proof obligation belongs to the engine feature in use, not to a CLI
 mode; a new attention backend proves itself by passing the same driver.
 """
@@ -17,7 +18,17 @@ mode; a new attention backend proves itself by passing the same driver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -33,12 +44,15 @@ from repro.serving.request import Request
 
 __all__ = [
     "EXPECTATIONS",
+    "FEATURES",
     "SCHEDULE_FIELDS",
     "CrossCheck",
+    "Feature",
     "Int4Stack",
     "crosscheck",
     "decoded_bit_exact",
     "int4_stack",
+    "owed",
     "schedules_match",
 ]
 
@@ -65,21 +79,119 @@ SCHEDULE_FIELDS = (
     "slow_steps",
 )
 
-#: Verdicts that say *the chosen workload exercised the feature* — a valid
-#: configuration may miss them.  Every other verdict is an *equivalence*:
-#: it must hold on every configuration the driver accepts.
-EXPECTATIONS = frozenset(
-    {
-        "all_completed",
-        "swap_faster_than_recompute",
-        "hit_rate_positive",
-        "faster_than_cache_off",
-        "more_effective_capacity",
-        "exercised_retry",
-        "exercised_heal",
-        "exercised_shed",
-    }
+
+class Feature(NamedTuple):
+    """One :data:`FEATURES` row: what an engine feature owes :func:`crosscheck`."""
+
+    name: str
+    #: Is the feature in use?  Reads ``crosscheck``'s keyword arguments.
+    on: Callable[[Mapping], bool]
+    #: Equivalences: theorems owed on every configuration the driver accepts.
+    owes: Tuple[str, ...] = ()
+    #: [S] equivalences: owed only while no feature in use ``reschedules``.
+    owes_s: Tuple[str, ...] = ()
+    #: Expectations: the chosen workload exercised the feature (a valid run may miss them).
+    expects: Tuple[str, ...] = ()
+    #: Numerics depend on the schedule, so a rescheduled reference is no theorem.
+    reschedules: bool = False
+    #: Features this one does not compose with, and the one ``ValueError`` saying why.
+    excludes: Tuple[str, ...] = ()
+    rejection: str = ""
+    #: A ``python -m repro`` command on which every verdict the row adds prints True.
+    smoke: str = ""
+
+
+def _disturbed(config: Mapping) -> bool:
+    return config.get("faults") is not None or config.get("deadline_policy") is not None
+
+
+#: The obligation table — the one statement of which features compose,
+#: what each owes and what is rejected.  [S]: a reference that runs a
+#: *different schedule* is only a theorem when numerics are
+#: schedule-independent.  A prefix-cache hit makes the suffix attend
+#: dequantized instead of exact prefix KV (and pool pressure decides which
+#: requests hit), and a prefill chunk's boundaries are the scheduler's
+#: per-step ``take``; so under either the [S] verdicts are not owed, and a
+#: disturbed run, whose only reference reschedules, is rejected.
+FEATURES = (
+    Feature(
+        "execute",
+        lambda c: c.get("execute", True),
+        owes=("schedule_match",),
+        smoke="serve-sim --model tiny --execute --requests 4 --rate 100 --prompt-len 40 "
+        "--output-len 6 --pages 64 --max-batch 4 --steps 120",
+    ),
+    Feature(
+        # Undisturbed only: a disturbed run's undisturbed reference *is* its swap run.
+        "swap",
+        lambda c: c.get("preemption") == "swap" and not _disturbed(c),
+        owes_s=("swap_vs_unpressured_bit_exact",),
+        expects=("all_completed", "swap_faster_than_recompute"),
+        smoke="serve-sim --model tiny --execute --preemption swap --device-pages 8 "
+        "--host-pages 28 --requests 8 --rate 100000 --prompt-len 40 --output-len 60 --seed 3",
+    ),
+    Feature(
+        "prefix_cache",
+        lambda c: bool(c.get("prefix_cache")),
+        owes=("share_vs_copy_schedule_match", "share_vs_copy_bit_exact"),
+        expects=("hit_rate_positive", "faster_than_cache_off", "more_effective_capacity"),
+        reschedules=True,
+        smoke="serve-sim --model tiny --execute --requests 8 --rate 5000 --prompt-len 256 "
+        "--output-len 24 --pages 96 --max-batch 8 --seed 7 --shared-prefix 0.5 --prefix-cache",
+    ),
+    Feature(
+        "prefill_chunk_tokens",
+        lambda c: c.get("prefill_chunk_tokens") is not None,
+        reschedules=True,
+        smoke="serve-sim --model tiny --execute --requests 6 --rate 100 --prompt-len 70 "
+        "--output-len 12 --pages 12 --prefill-chunk 32 --max-batch 8 --steps 400",
+    ),
+    Feature(
+        "disturbed",  # faults / deadline_policy
+        _disturbed,
+        owes=("all_damage_healed", "outputs_bit_exact_after_recovery"),
+        expects=("exercised_retry", "exercised_heal", "exercised_shed"),
+        excludes=("prefix_cache", "prefill_chunk_tokens"),
+        rejection="faults / deadline_policy do not compose with prefix_cache or "
+        "prefill_chunk_tokens: hit patterns and chunk boundaries depend on the "
+        "schedule, so no undisturbed run is a bit-exact reference",
+        smoke="serve-sim --model tiny --execute --chaos 7 --device-pages 8 --host-pages 28 "
+        "--max-batch 3 --requests 8 --rate 100000 --prompt-len 40 --output-len 60 --seed 3 "
+        "--deadline-ms 6",
+    ),
+    Feature(
+        "cluster",
+        lambda c: c.get("tp", 1) > 1 or c.get("replicas", 1) > 1,
+        owes=("exactly_once_across_replicas",),
+        owes_s=("tp_decode_bit_exact_vs_single_rank", "cluster_bit_exact_vs_single_engine"),
+        smoke="serve-sim --model tiny --execute --tp 2 --replicas 2 --preemption swap "
+        "--device-pages 8 --host-pages 28 --requests 8 --rate 100000 --prompt-len 40 "
+        "--output-len 60 --seed 3",
+    ),
 )
+
+#: Every row's expectations; every other verdict is an equivalence.
+EXPECTATIONS = frozenset(name for row in FEATURES for name in row.expects)
+
+
+def _in_use(config: Mapping) -> Dict[str, Feature]:
+    """The :data:`FEATURES` rows ``config`` turns on, by name.
+
+    Raises the row's ``ValueError`` on a composition it excludes.  Every
+    verdict judges the executed run, so without ``execute`` none is on.
+    """
+    rows = {row.name: row for row in FEATURES if row.on(config)}
+    for row in rows.values():
+        if rows.keys() & set(row.excludes):
+            raise ValueError(row.rejection)
+    return rows if "execute" in rows else {}
+
+
+def owed(config: Mapping) -> FrozenSet[str]:
+    """The equivalences ``crosscheck(stack, trace, **config)`` owes, per :data:`FEATURES`."""
+    rows = _in_use(config).values()
+    fixed = not any(row.reschedules for row in rows)
+    return frozenset(name for row in rows for name in row.owes + (row.owes_s if fixed else ()))
 
 
 class Int4Stack(NamedTuple):
@@ -217,63 +329,18 @@ def crosscheck(
     """Run ``config`` plus every reference run its features owe; name the verdicts.
 
     The analytical run always happens; ``execute`` adds the executed twin
-    (the *subject*) and one row of obligations per engine feature present
-    in ``config``.  ``*`` marks an *expectation* (:data:`EXPECTATIONS`:
-    the chosen workload exercised the feature); every other verdict is an
-    *equivalence*, owed on every configuration the driver accepts.  Both
-    fold into ``.ok``.
-
-    - ``execute`` — vs the analytical twin: ``schedule_match``.
-    - ``preemption="swap"`` — vs recompute on the *total* page count
-      (never pressured) and on the *device* tier alone (pressure paid in
-      recomputation instead of PCIe traffic): ``all_completed*``,
-      ``swap_vs_unpressured_bit_exact`` [S],
-      ``swap_faster_than_recompute*``.  Undisturbed runs only: the
-      brackets describe a schedule that sheds nothing, and a disturbed
-      run's undisturbed reference *is* that swap run.
-    - ``prefix_cache`` — vs ``prefix_share=False`` (hits copied into
-      private pages) and vs cache off: ``share_vs_copy_schedule_match``
-      (without the clock under tiers: copy mode owns more physical pages,
-      so swap moves more bytes), ``share_vs_copy_bit_exact``,
-      ``hit_rate_positive*``, ``faster_than_cache_off*``,
-      ``more_effective_capacity*`` (the last three on a trace that shares
-      prefixes).
-    - ``faults`` / ``deadline_policy`` (a *disturbed* run) — vs the same
-      run undisturbed: ``all_damage_healed``,
-      ``outputs_bit_exact_after_recovery``, ``exercised_retry*``,
-      ``exercised_heal*``, ``exercised_shed*``.  Every reference of a
-      disturbed run is undisturbed and its decode streams are compared as
-      bit-exact prefixes, full-length where the request finished:
-      recovery and deadlines cost time, never numerics.
-    - ``tp > 1 or replicas > 1`` — vs single-rank engines over each
-      replica's dispatched subset and over the whole trace:
-      ``exactly_once_across_replicas``,
-      ``tp_decode_bit_exact_vs_single_rank`` [S],
-      ``cluster_bit_exact_vs_single_engine`` [S].
-
-    [S]: a reference that runs a *different schedule* is only a theorem
-    when numerics are schedule-independent.  A prefix-cache hit attends
-    dequantized instead of exact prefix KV and a prefill chunk's
-    boundaries are the scheduler's per-step ``take``, so with
-    ``prefix_cache`` or ``prefill_chunk_tokens`` set the [S] verdicts are
-    not owed, and a disturbed run — whose only reference reschedules — is
-    rejected with ``ValueError``.
+    (the *subject*) and, per :data:`FEATURES` row in use, that row's
+    reference runs and verdicts.  Both equivalences and expectations fold
+    into ``.ok``; the equivalences made must be exactly :func:`owed`.
 
     Every run goes through a :class:`~repro.cluster.router.Router` (one
     replica is exactly a plain engine; ``config`` carries ``tp`` /
     ``n_gpus``) and is judged on its merged report and decode map.
     """
-    swap = config.get("preemption") == "swap"
-    faults = config.get("faults") is not None
-    deadlines = config.get("deadline_policy") is not None
-    disturbed = faults or deadlines
-    schedule_free = not config.get("prefix_cache") and config.get("prefill_chunk_tokens") is None
-    if disturbed and not schedule_free:
-        raise ValueError(
-            "faults / deadline_policy do not compose with prefix_cache or "
-            "prefill_chunk_tokens: hit patterns and chunk boundaries depend on the "
-            "schedule, so no undisturbed run is a bit-exact reference"
-        )
+    args = {**config, "replicas": replicas, "execute": execute}
+    on = _in_use(args)
+    disturbed = "disturbed" in on
+    schedule_free = not any(row.reschedules for row in on.values())
     untiered = {k: v for k, v in config.items() if k not in _TIER_KNOBS}
     undisturbed = {k: v for k, v in config.items() if k not in _DISTURBANCE_KNOBS}
 
@@ -296,7 +363,9 @@ def crosscheck(
     def same_decode(reference: Router, part=subject) -> bool:
         return decoded_bit_exact(part.decoded, reference.decoded, finished)
 
-    if swap and not disturbed:
+    if "swap" in on:
+        # Recompute on the *total* page count (never pressured) and on the
+        # *device* tier alone (pressure paid in recomputation, not PCIe).
         device = config["device_pages"]
         total = device + config["host_pages"] + config.get("disk_pages", 0)
         unpressured, reports["recompute_unpressured"] = run({**untiered, "n_pages": total})
@@ -309,12 +378,14 @@ def crosscheck(
             checks["swap_faster_than_recompute"] = (
                 executed.sustained_tokens_per_s > pressured.sustained_tokens_per_s
             )
-    if config.get("prefix_cache"):
+    if "prefix_cache" in on:
+        # Hits copied into private pages, and the cache off.  Copy mode owns
+        # more physical pages, so under tiers swap moves more bytes: no clock.
         copied_run, copied = run({**config, "prefix_share": False})
         _, off = run({**config, "prefix_cache": False})
         reports["executed_copy"], reports["cache_off"] = copied, off
         checks["share_vs_copy_schedule_match"] = (
-            schedules_match(copied, executed, clock=not swap)
+            schedules_match(copied, executed, clock=config.get("preemption") != "swap")
             and copied.prefix_hit_tokens == executed.prefix_hit_tokens
         )
         checks["share_vs_copy_bit_exact"] = same_decode(copied_run)
@@ -327,17 +398,22 @@ def crosscheck(
                 executed.effective_capacity_pages > off.effective_capacity_pages
             )
     if disturbed:
+        # The same run undisturbed; decode streams compare as bit-exact
+        # prefixes, full-length where the request finished: recovery and
+        # deadlines cost time, never numerics.
         calm, reports["fault_free"] = run(undisturbed)
         checks["all_damage_healed"] = executed.failed == 0 and not any(
             engine.tiers is not None and engine.tiers.has_bad_pages for engine in subject.engines
         )
         checks["outputs_bit_exact_after_recovery"] = same_decode(calm)
-        if faults:
+        if config.get("faults") is not None:
             checks["exercised_retry"] = executed.transfer_retries >= 1
             checks["exercised_heal"] = executed.healed_pages >= 1
-        if deadlines:
+        if config.get("deadline_policy") is not None:
             checks["exercised_shed"] = executed.shed >= 1
-    if replicas > 1 or config.get("tp", 1) > 1:
+    if "cluster" in on:
+        # Single-rank engines over each replica's dispatched subset and over
+        # the whole trace.
         lifecycles = subject.lifecycles
         once = sorted(lc.request.req_id for lc in lifecycles) == sorted(r.req_id for r in trace)
         checks["exactly_once_across_replicas"] = once and (
@@ -355,4 +431,10 @@ def crosscheck(
             # One replica's dispatched subset is the whole trace: same run.
             whole = reruns[0] if replicas == 1 else run(single, n=1)[0]
             checks["cluster_bit_exact_vs_single_engine"] = same_decode(whole)
-    return CrossCheck(checks, reports)
+    result = CrossCheck(checks, reports)
+    if set(result.equivalences) != owed(args):
+        raise AssertionError(
+            f"crosscheck made equivalences {sorted(result.equivalences)} but FEATURES "
+            f"owes {sorted(owed(args))}"
+        )
+    return result

@@ -58,7 +58,7 @@ class TestBlasProperty:
 # ------------------------------------------------------------ end to end
 
 #: Every module that looks ``qk_scores`` up on the decode path.
-_LOOKUPS = ("repro.core.packing_kernel", "repro.core.residual_kernel", "repro.core.attention")
+_LOOKUPS = ("repro.core.packing_kernel", "repro.core.residual_kernel")
 
 
 def _assert_same_as_reference_formula(monkeypatch, run, sites):
@@ -153,25 +153,4 @@ class TestDecodeBitIdentity:
 
         _assert_same_as_reference_formula(
             monkeypatch, run, [packed_site, "attend_residual_grouped"]
-        )
-
-    def test_speculative_decode(self, monkeypatch):
-        config = BitDecodingConfig(bits=4)
-        hq, hkv, d, n = 8, 2, 64, 4
-
-        def run():
-            rng = np.random.default_rng(5)
-            engine = BitDecoding(config, "a100")
-            seq = 3 * config.residual_block_size + 17
-            cache = engine.prefill(
-                rng.standard_normal((1, hkv, seq, d)).astype(np.float16),
-                rng.standard_normal((1, hkv, seq, d)).astype(np.float16),
-            )
-            q = rng.standard_normal((1, n, hq, d)).astype(np.float16)
-            k_draft = rng.standard_normal((1, hkv, n, d)).astype(np.float16)
-            v_draft = rng.standard_normal((1, hkv, n, d)).astype(np.float16)
-            return [engine.decode_speculative(q, k_draft, v_draft, cache)]
-
-        _assert_same_as_reference_formula(
-            monkeypatch, run, ["_run_fused", "attend_residual", "decode_speculative"]
         )

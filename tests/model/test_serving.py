@@ -8,21 +8,21 @@ from repro.core.config import BitDecodingConfig
 from repro.model.config import LLAMA2_7B, LLAMA31_8B, LLAMA31_70B
 from repro.model.inference import prefill_time_ms
 from repro.model.memory import (
+    CacheFormat,
+    cache_bytes_per_token,
+    fp16_format,
+    int_format,
+    memory_required_bytes,
     page_bytes,
     page_pool_size,
     pages_in_budget,
     residual_bytes_per_seq,
 )
 from repro.model.serving import (
-    CacheFormat,
     ServingOOMError,
-    cache_bytes_per_token,
     fits,
-    fp16_format,
-    int_format,
     max_batch_size,
     max_throughput_tokens_per_s,
-    memory_required_bytes,
 )
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.gpu.arch import get_arch
 from repro.model.config import LLAMA31_8B
 from repro.model.inference import decode_step_ms, prefill_time_ms
-from repro.model.serving import int_format
+from repro.model.memory import int_format
 from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
 from repro.serving.request import Phase, Request, RequestLifecycle
 

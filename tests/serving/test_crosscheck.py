@@ -3,9 +3,11 @@
 Every executed-mode suite and ``serve-sim`` smoke trusts
 :mod:`repro.serving.crosscheck` for its verdicts, so this file pins the
 comparators' *negative* space — a perturbed counter, clock or decode
-stream must flip them to False — and the CI smoke geometry's positive.
+stream must flip them to False — a plain executed run's positive, and
+that the driver refuses verdicts its ``FEATURES`` table does not owe.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,29 +18,98 @@ from repro.faults.plan import demo_fault_spec
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.serving import ContinuousBatchingEngine, DeadlinePolicy, poisson_trace
+from repro.serving import crosscheck as crosscheck_module
 from repro.serving.crosscheck import (
-    EXPECTATIONS,
+    FEATURES,
     SCHEDULE_FIELDS,
     crosscheck,
     decoded_bit_exact,
     int4_stack,
+    owed,
     schedules_match,
 )
 
 
-@pytest.fixture(scope="module")
-def smoke():
-    """``crosscheck`` on ci.yml's "real token execution" smoke geometry."""
+def _smoke_run():
+    """``crosscheck`` on a six-request executed geometry with no other feature."""
     trace = poisson_trace(6, 50.0, prompt_len=48, output_len=8, seed=0)
     stack = int4_stack(TINY, get_arch("a100"))
     return crosscheck(stack, trace, n_pages=96, max_batch=8, max_steps=200)
 
 
+@pytest.fixture(scope="module")
+def smoke():
+    return _smoke_run()
+
+
+#: The smallest ``crosscheck`` keywords that turn each FEATURES row on.
+_KNOB = {
+    "execute": {"execute": True},
+    "swap": {"preemption": "swap"},
+    "prefix_cache": {"prefix_cache": True},
+    "prefill_chunk_tokens": {"prefill_chunk_tokens": 32},
+    "disturbed": {"faults": demo_fault_spec(7)},
+    "cluster": {"tp": 2},
+}
+
+
+class TestFeatures:
+    """The obligation table read on its own, without running an engine."""
+
+    @pytest.mark.parametrize("row", FEATURES, ids=lambda row: row.name)
+    def test_each_row_is_recognised_by_its_own_knob(self, row):
+        config = _KNOB[row.name]
+        assert {each.name for each in FEATURES if each.on(config)} == {"execute", row.name}
+
+    def test_every_verdict_belongs_to_one_row(self):
+        # Equivalences are every verdict not in EXPECTATIONS, so a name
+        # listed twice would blur which kind it is.
+        names = [name for row in FEATURES for name in row.owes + row.owes_s + row.expects]
+        assert len(names) == len(set(names))
+
+    def test_nothing_is_owed_without_execute(self):
+        for name in _KNOB:
+            assert owed({**_KNOB[name], "execute": False}) == frozenset()
+
+    @pytest.mark.parametrize("name", ["prefix_cache", "prefill_chunk_tokens"])
+    def test_a_rescheduling_feature_drops_every_s_verdict(self, name):
+        base = {**_KNOB["swap"], **_KNOB["cluster"]}
+        s_verdicts = {v for row in FEATURES for v in row.owes_s}
+        assert {"swap_vs_unpressured_bit_exact", "cluster_bit_exact_vs_single_engine"} <= owed(
+            base
+        )
+        rescheduled = owed({**base, **_KNOB[name]})
+        assert not rescheduled & s_verdicts
+        assert {"schedule_match", "exactly_once_across_replicas"} <= rescheduled
+
+    @pytest.mark.parametrize(
+        "row, excluded",
+        [(row, name) for row in FEATURES for name in row.excludes],
+        ids=lambda each: getattr(each, "name", each),
+    )
+    def test_an_excluded_composition_raises_the_rows_rejection(self, row, excluded):
+        config = {**_KNOB[row.name], **_KNOB[excluded]}
+        with pytest.raises(ValueError, match=re.escape(row.rejection)):
+            owed(config)
+        trace = poisson_trace(2, 100.0, prompt_len=16, output_len=2, seed=0)
+        stack = int4_stack(TINY, get_arch("a100"))
+        with pytest.raises(ValueError, match=re.escape(row.rejection)):
+            crosscheck(stack, trace, n_pages=16, **config)
+
+
 class TestSchedulesMatch:
-    def test_ci_smoke_geometry_passes_every_check(self, smoke):
+    def test_plain_execute_passes_every_check(self, smoke):
         assert smoke.checks == {"schedule_match": True}
         assert smoke.ok
         assert list(smoke.reports) == ["analytical", "executed"]
+
+    def test_a_row_the_code_does_not_follow_raises(self, monkeypatch):
+        # FEATURES is the one statement of the obligations: crosscheck()
+        # refuses to return verdicts that disagree with it.
+        execute, *rest = FEATURES
+        monkeypatch.setattr(crosscheck_module, "FEATURES", (execute._replace(owes=()), *rest))
+        with pytest.raises(AssertionError, match="FEATURES owes"):
+            _smoke_run()
 
     @pytest.mark.parametrize("field", SCHEDULE_FIELDS)
     def test_any_single_counter_perturbation_is_caught(self, smoke, field):
@@ -155,8 +226,9 @@ class TestTensorParallelSwap:
         }
 
     def test_tp2_replicas2_chaos_passes_every_chaos_check(self):
-        # ci.yml's cluster chaos smoke: the chaos geometry over two tp=2
-        # replicas, judged on the merged report and merged decode map.
+        # The chaos geometry over two tp=2 replicas (twice the requests, a
+        # deadline sized to the all-reduce tax), judged on the merged
+        # report and merged decode map.
         chaos = dict(
             faults=demo_fault_spec(7),
             audit_every=10,
@@ -208,26 +280,6 @@ class TestFeatureProduct:
 
     STACK = TestTensorParallelSwap.STACK
 
-    @staticmethod
-    def _owed(swap, prefix, cluster, chunk, faults):
-        """The obligation table, restated as the names a point must return."""
-        schedule_free = not prefix and chunk is None
-        owed = {"schedule_match"}
-        if swap and not faults and schedule_free:
-            owed.add("swap_vs_unpressured_bit_exact")
-        if prefix:
-            owed |= {"share_vs_copy_schedule_match", "share_vs_copy_bit_exact"}
-        if faults:
-            owed |= {"all_damage_healed", "outputs_bit_exact_after_recovery"}
-        if cluster:
-            owed.add("exactly_once_across_replicas")
-            if schedule_free:
-                owed |= {
-                    "tp_decode_bit_exact_vs_single_rank",
-                    "cluster_bit_exact_vs_single_engine",
-                }
-        return owed
-
     @pytest.mark.parametrize("faults", [False, True], ids=["calm", "faults"])
     @pytest.mark.parametrize("chunk", [None, 32, 48])
     @pytest.mark.parametrize("replicas", [1, 2])
@@ -266,10 +318,8 @@ class TestFeatureProduct:
                     crosscheck(self.STACK, trace, replicas=replicas, **config)
                 continue
             result = crosscheck(self.STACK, trace, replicas=replicas, **config)
-            owed = self._owed(swap, prefix, tp > 1 or replicas > 1, chunk, faults)
-            assert set(result.equivalences) == owed
+            assert set(result.equivalences) == owed({**config, "replicas": replicas})
             assert all(result.equivalences.values()), (rate, result.checks)
-            assert set(result.checks) - owed <= EXPECTATIONS
             if swap and rate == 100000.0:  # a burst over an 8-page device tier must swap
                 assert result.reports["executed"].swap_outs > 0
 

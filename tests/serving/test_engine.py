@@ -8,7 +8,8 @@ and independent of any device's memory size.
 import pytest
 
 from repro.model.config import LLAMA31_8B
-from repro.model.serving import ServingOOMError, int_format
+from repro.model.memory import int_format
+from repro.model.serving import ServingOOMError
 from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
 from repro.serving.request import Request, poisson_trace
 

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.__main__ import main
+from repro.serving import crosscheck as crosscheck_module
+from repro.serving.crosscheck import FEATURES, owed
+
+#: Each FEATURES row's smoke command, by row name.
+_SMOKE = {row.name: row.smoke.split() for row in FEATURES}
 
 
 class TestCli:
@@ -113,24 +118,36 @@ class TestCli:
             main([])
 
 
-class TestServeSimExecute:
-    _ARGS = [
-        "serve-sim", "--model", "tiny", "--execute",
-        "--requests", "4", "--rate", "100",
-        "--prompt-len", "40", "--output-len", "6",
-        "--pages", "64", "--max-batch", "4", "--steps", "120",
-    ]
+class TestFeatureSmokes:
+    """Every FEATURES row's smoke command prints exactly the verdicts the
+    table says its configuration owes, plus its expectations, all True —
+    and each row's own verdicts are among them."""
 
-    def test_execute_reports_matching_schedule(self, capsys):
-        main(self._ARGS)
+    @pytest.mark.parametrize("row", FEATURES, ids=lambda row: row.name)
+    def test_prints_every_verdict_true(self, capsys, monkeypatch, row):
+        configs, crosscheck = [], crosscheck_module.crosscheck
+
+        def spy(stack, trace, **config):
+            configs.append(config)
+            return crosscheck(stack, trace, **config)
+
+        monkeypatch.setattr(crosscheck_module, "crosscheck", spy)
+        main(row.smoke.split())  # exits 1 (SystemExit) if any check is False
         out = capsys.readouterr().out
-        assert "check schedule_match: True" in out
-        assert "executed" in out and "analytical" in out
+        [config] = configs
+        expects = {name for each in FEATURES if each.on(config) for name in each.expects}
+        verdicts = owed(config) | expects
+        assert {*row.owes, *row.owes_s, *row.expects} <= verdicts
+        printed = [line[8:] for line in out.splitlines() if line.startswith("  check ")]
+        assert sorted(printed) == sorted(f"{name}: True" for name in verdicts)
+        assert "swap-outs 0" not in out  # a swap smoke that never swaps proves nothing
 
+
+class TestServeSimExecute:
     def test_execute_json_carries_both_reports(self, capsys):
         import json
 
-        main(self._ARGS + ["--json"])
+        main(_SMOKE["execute"] + ["--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "execute"
         assert payload["checks"] == {"schedule_match": True}
@@ -166,23 +183,10 @@ class TestServeSimPrefixCache:
             assert report["prefix_hit_rate"] > 0
             assert report["effective_capacity_pages"] > report["n_pages"]
 
-    def test_execute_runs_all_cross_checks(self, capsys):
-        main(self._ARGS + ["--execute", "--pages", "96"])
-        out = capsys.readouterr().out
-        for check in (
-            "check schedule_match: True",
-            "check share_vs_copy_schedule_match: True",
-            "check share_vs_copy_bit_exact: True",
-            "check hit_rate_positive: True",
-            "check faster_than_cache_off: True",
-            "check more_effective_capacity: True",
-        ):
-            assert check in out
-
     def test_execute_json_carries_all_reports(self, capsys):
         import json
 
-        main(self._ARGS + ["--execute", "--pages", "96", "--json"])
+        main(_SMOKE["prefix_cache"] + ["--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["prefix_cache"] is True
         assert all(payload["checks"].values())
@@ -216,28 +220,7 @@ class TestServeSimCluster:
         out = capsys.readouterr().out
         assert "tp 2 x 2 replicas" in out
         assert "router prefix_affinity" in out
-        assert "check exactly_once_across_replicas: True" in out
-        assert "check share_vs_copy_bit_exact: True" in out
         assert "False" not in out
-        # A prefix-cache hit pattern depends on the schedule, so the
-        # single-rank reruns (a different clock) are not owed here; the
-        # swap case below, with the cache off, gets both.
-        assert "vs_single" not in out
-
-    def test_executed_cluster_composes_with_swap_preemption(self, capsys):
-        """TP ranks are head slices of one paged pool, so an over-capacity
-        trace swaps per replica and still decodes bit-identically."""
-        main([
-            "serve-sim", "--model", "tiny", "--execute", "--tp", "2", "--replicas", "2",
-            "--preemption", "swap", *_TIERS, "--requests", "8", "--rate", "100000",
-            "--prompt-len", "40", "--output-len", "60", "--seed", "3",
-        ])
-        out = capsys.readouterr().out
-        assert "device 8 + host 28 pages, swap preemption" in out
-        assert out.count("swap-outs 3") == 2
-        assert "False" not in out
-        assert "check tp_decode_bit_exact_vs_single_rank: True" in out
-        assert "check cluster_bit_exact_vs_single_engine: True" in out
 
     def test_executed_cluster_json(self, capsys):
         import json
@@ -319,7 +302,7 @@ class TestServeSimCompositions:
                 id="swap x prefix-cache x prefill-chunk",
             ),
             pytest.param(
-                # ci.yml's composed smoke: every feature row at once.
+                # Every FEATURES row at once but the disturbed one it excludes.
                 ["serve-sim", "--model", "tiny", "--execute", "--tp", "2",
                  "--preemption", "swap", "--device-pages", "12", "--host-pages", "80",
                  "--prefix-cache", "--shared-prefix", "0.34", "--prefill-chunk", "32",
@@ -403,19 +386,6 @@ class TestServeSimRejections:
         out = capsys.readouterr().out
         assert out.startswith("serve-sim --chaos 7: tiny on a100")
         assert "4 finished" in out and "audits clean" in out
-
-    def test_executed_chaos_cluster_passes_all_checks(self, capsys):
-        # ci.yml's cluster chaos smoke: exits 0 with every check True.
-        main([
-            "serve-sim", "--model", "tiny", "--execute", "--chaos", "7", "--tp", "2",
-            "--replicas", "2", *_TIERS, "--max-batch", "3", "--requests", "16",
-            "--rate", "100000", "--prompt-len", "40", "--output-len", "60", "--seed", "3",
-            "--deadline-ms", "10",
-        ])
-        out = capsys.readouterr().out
-        assert "tp 2 x 2 replicas" in out
-        # Six chaos verdicts plus the three topology ones.
-        assert out.count("check ") == 9 and "False" not in out
 
     def test_execute_rejects_serving_scale_models(self, capsys):
         with pytest.raises(SystemExit) as exc:
