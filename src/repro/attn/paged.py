@@ -51,6 +51,11 @@ from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore, TierObserver
 
 
+def _group_key(handles) -> Tuple[Tuple[int, int], ...]:
+    """The ``(seq_id, slot)`` member tuple that keys a group's cached reads."""
+    return tuple((h.seq_id, h.slot) for h in handles)
+
+
 def _extend(memo_kv, new_kv):
     """Append newly dequantized blocks to a memoized ``(K, V)`` pair.
 
@@ -664,8 +669,9 @@ class PagedBitKVCache(TierObserver):
     # ------------------------------------------------------- grouped reads
 
     #: Bound on cached gather maps / group dequant memos.  Keys are the
-    #: exact member tuple, so scheduler churn retires entries naturally;
-    #: the cap just keeps pathological churn from hoarding memory.
+    #: exact member tuple; :meth:`retire_groups` drops superseded ones
+    #: each step, the cap just keeps pathological churn from hoarding
+    #: memory.
     _GROUP_CACHE_ENTRIES = 32
 
     @staticmethod
@@ -674,6 +680,21 @@ class PagedBitKVCache(TierObserver):
         cache[key] = entry
         while len(cache) > PagedBitKVCache._GROUP_CACHE_ENTRIES:
             cache.pop(next(iter(cache)))
+
+    def retire_groups(self, groups: List[List[PagedSeqHandle]]) -> None:
+        """Drop the gather maps and dequant memos this step's groups supersede.
+
+        A sequence sits in exactly one decode group per step, so a cached
+        entry that names one of ``groups``' sequences under any other
+        member tuple belongs to a composition that has moved on; ragged
+        groups churn member tuples every time a member flushes.  Entries
+        naming none of these sequences (another handle's) are kept.
+        """
+        live = {_group_key(g) for g in groups}
+        members = {member for g in groups for member in _group_key(g)}
+        for cache in (self._group_memos, self._group_frame_maps):
+            for key in [k for k in cache if k not in live and not members.isdisjoint(k)]:
+                del cache[key]
 
     def group_view(self, handles: List[PagedSeqHandle]) -> PagedGroupView:
         """A batched decode view over one equal-``n_blocks`` group."""
@@ -733,7 +754,7 @@ class PagedBitKVCache(TierObserver):
         if nb == 0:
             empty = np.zeros((len(handles), self.hkv, 0, self.head_dim), np.float32)
             return empty, empty
-        key = tuple((h.seq_id, h.slot) for h in handles)
+        key = _group_key(handles)
         memo = self._group_memos.get(key)
         have = 0
         if memo is not None and memo["epoch"] == self.content_epoch and memo["nb"] <= nb:
@@ -927,10 +948,9 @@ class PagedBitBackend(AttentionBackend):
 
     def decode_step(self, q: np.ndarray, block_table: KVCacheHandle) -> np.ndarray:
         bt: PagedBatchHandle = block_table
-        if len(bt.seqs) <= 1:
-            return self.decode_step_looped(q, bt)
         tiers = bt.store.tiers
         groups = self._decode_groups(bt.seqs)
+        bt.store.retire_groups([[bt.seqs[b] for b in idxs] for idxs in groups])
         if tiers is not None:
             # Overlap model at group granularity: while a group's batched
             # tile walk runs, the next group's non-resident pages stream

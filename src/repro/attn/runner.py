@@ -184,53 +184,38 @@ class ModelRunner:
             prog.pending = last
 
     def decode(self, lc) -> None:
-        """Advance a decode-ready sequence by one real token."""
-        prog = self._programs[lc.request.req_id]
-        x = prog.pending
-        prog.inputs.append(x)  # consumed input: part of the recompute context
-        h = self.tt.decode_step(x[None], prog.session)
-        prog.pending = h[0]
-        self.decoded.setdefault(lc.request.req_id, []).append(np.array(h[0], np.float32))
-        self.executed_tokens += 1
+        """Advance one decode-ready sequence by one real token."""
+        self.decode_batch([lc])
 
     def decode_batch(self, lcs) -> None:
-        """Advance every decode-ready sequence by one token, grouped.
+        """Advance every decode-ready sequence by one token in ONE forward.
 
-        Sequences at the same position run as ONE batched transformer
-        step: they share the memoized RoPE table, the projections are
-        already leading-dim-batched matmuls (bit-identical per row to a
-        batch-1 step), and the per-layer group handle lets the paged
-        backend batch the cache writes and gather equal-shape caches into
-        single grouped kernel calls.  Output scatter mirrors the
-        sequential :meth:`decode` loop exactly, so executed streams are
-        bit-identical to per-sequence decode.
+        All of the step's decoders, whatever their positions, share one
+        ``decode_step``: RoPE takes a position per row, each projection
+        is one GEMM over every row, and the per-layer batch handle lets
+        the paged backend batch the cache writes and group the reads by
+        ``n_blocks``.  A row's bits never depend on its batch (the GEMMs
+        run at least ``_ROW_FLOOR`` rows, the grouped reads are
+        bit-exact), so this equals per-sequence :meth:`decode` bit for
+        bit.
         """
-        groups: Dict[int, list] = {}
-        for lc in lcs:
-            prog = self._programs[lc.request.req_id]
-            groups.setdefault(prog.session.positions, []).append((lc, prog))
-        for pos, members in groups.items():
-            if len(members) == 1:
-                self.decode(members[0][0])
-                continue
-            xs = np.stack([prog.pending for _, prog in members])
-            for _, prog in members:
-                prog.inputs.append(prog.pending)
-            gsession = CacheSession(
-                caches=[
-                    PagedBatchHandle(
-                        self.stores[i], [prog.handles[i].seqs[0] for _, prog in members]
-                    )
-                    for i in range(len(self.stores))
-                ],
-                positions=pos,
-            )
-            h = self.tt.decode_step(xs, gsession)
-            for g, (lc, prog) in enumerate(members):
-                prog.pending = h[g]
-                prog.session.positions += 1
-                self.decoded.setdefault(lc.request.req_id, []).append(np.array(h[g], np.float32))
-                self.executed_tokens += 1
+        if not lcs:
+            return
+        progs = [self._programs[lc.request.req_id] for lc in lcs]
+        session = CacheSession(
+            caches=[
+                PagedBatchHandle(store, [prog.handles[i].seqs[0] for prog in progs])
+                for i, store in enumerate(self.stores)
+            ],
+            positions=np.array([prog.session.positions for prog in progs]),
+        )
+        h = self.tt.decode_step(np.stack([prog.pending for prog in progs]), session)
+        for lc, prog, row in zip(lcs, progs, h):
+            prog.inputs.append(prog.pending)  # consumed input: part of the recompute context
+            prog.pending = row
+            prog.session.positions += 1
+            self.decoded.setdefault(lc.request.req_id, []).append(np.array(row, np.float32))
+            self.executed_tokens += 1
 
     def _free(self, prog: _SequenceProgram) -> None:
         for handle in prog.handles:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,9 +60,24 @@ def rope_angles(
     return np.cos(angles), np.sin(angles)
 
 
-#: Max memoized RoPE tables per model; a decode step plus its prefill
-#: context needs two, the rest is slack for interleaved usage patterns.
-_ROPE_CACHE_ENTRIES = 8
+#: Fewest rows a projection GEMM runs with.  From this many rows up, the
+#: BLAS kernel gives each row the same bits whatever M is, wherever the
+#: row sits and whatever the other rows hold (pinned by
+#: ``tests/model/test_row_floor.py``), so a decoder's hidden state never
+#: depends on which other decoders share its step.
+_ROW_FLOOR = 4
+
+
+def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` over the last axis as ONE GEMM, zero-padded to ``_ROW_FLOOR`` rows."""
+    lead = x.shape[:-1]
+    rows = np.ascontiguousarray(x, dtype=np.float32).reshape(-1, x.shape[-1])
+    m = rows.shape[0]
+    if m < _ROW_FLOOR:
+        padded = np.zeros((_ROW_FLOOR, rows.shape[1]), np.float32)
+        padded[:m] = rows
+        rows = padded
+    return (rows @ w)[:m].reshape(lead + (w.shape[1],))
 
 
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -75,23 +90,25 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def swiglu(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
-    """SwiGLU MLP: ``down(silu(x @ gate) * (x @ up))``."""
-    gate = x @ w_gate
+def swiglu(x: np.ndarray, w_gate_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
+    """SwiGLU MLP over fused ``[gate | up]`` columns: ``down(silu(x @ gate) * (x @ up))``."""
+    gate, up = np.split(_matmul(x, w_gate_up), 2, axis=-1)
     gate = gate / (1.0 + np.exp(-gate))  # SiLU
-    return (gate * (x @ w_up)) @ w_down
+    return _matmul(gate * up, w_down)
 
 
 @dataclass
 class LayerWeights:
-    """Weights of one decoder layer."""
+    """Weights of one decoder layer.
 
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    Projections that read the same input are fused column-wise: ``wqkv``
+    is ``[wq | wk | wv]`` and ``w_gate_up`` is ``[gate | up]``, so each
+    is one GEMM.
+    """
+
+    wqkv: np.ndarray
     wo: np.ndarray
-    w_gate: np.ndarray
-    w_up: np.ndarray
+    w_gate_up: np.ndarray
     w_down: np.ndarray
     norm_attn: np.ndarray
     norm_mlp: np.ndarray
@@ -110,7 +127,9 @@ class CacheSession:
     caches: List[Optional[KVCacheHandle]] = field(default_factory=list)
     ref_k: List[Optional[np.ndarray]] = field(default_factory=list)
     ref_v: List[Optional[np.ndarray]] = field(default_factory=list)
-    positions: int = 0
+    #: Tokens processed so far; a transient batch session may carry one
+    #: position per row instead.
+    positions: Union[int, np.ndarray] = 0
 
 
 @dataclass
@@ -131,9 +150,6 @@ class TinyTransformer:
     backend: Optional[AttentionBackend] = None
     seed: int = 0
     layers: List[LayerWeights] = field(init=False)
-    _rope_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = field(
-        init=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if self.hq * self.head_dim != self.hidden:
@@ -146,14 +162,19 @@ class TinyTransformer:
         def w(rows, cols):
             return (rng.standard_normal((rows, cols)) * scale).astype(np.float32)
 
+        def fused(*shapes):
+            return np.concatenate([w(rows, cols) for rows, cols in shapes], axis=1)
+
+        # Draw order per layer: wq, wk, wv, wo, gate, up, down.
         self.layers = [
             LayerWeights(
-                wq=w(self.hidden, self.hidden),
-                wk=w(self.hidden, kv_dim),
-                wv=w(self.hidden, kv_dim),
+                wqkv=fused(
+                    (self.hidden, self.hidden), (self.hidden, kv_dim), (self.hidden, kv_dim)
+                ),
                 wo=w(self.hidden, self.hidden),
-                w_gate=w(self.hidden, self.intermediate),
-                w_up=w(self.hidden, self.intermediate),
+                w_gate_up=fused(
+                    (self.hidden, self.intermediate), (self.hidden, self.intermediate)
+                ),
                 w_down=w(self.intermediate, self.hidden),
                 norm_attn=np.ones(self.hidden, dtype=np.float32),
                 norm_mlp=np.ones(self.hidden, dtype=np.float32),
@@ -196,42 +217,24 @@ class TinyTransformer:
         session.ref_v = []
         session.positions = 0
 
-    def _rope(self, pos0: int, seq: int) -> Tuple[np.ndarray, np.ndarray]:
-        """RoPE (cos, sin) tables for positions ``pos0 .. pos0 + seq``.
+    def _attention_inputs(self, layer: LayerWeights, normed: np.ndarray, cos, sin):
+        """RoPE'd ``q (b, n, hq, d)`` and ``k, v (b, hkv, n, d)`` from one fused GEMM.
 
-        Every layer at a given position uses identical tables, so they are
-        memoized on ``(pos0, seq)`` — one trig evaluation per decode step
-        (or prefill) instead of one per layer.  Decode positions strictly
-        increase, so old per-step entries are never hit again; the cache
-        evicts oldest-first past a small bound instead of growing by one
-        dead entry per generated token.
+        ``cos``/``sin`` broadcast against ``(b, heads, n, d / 2)``.
         """
-        key = (pos0, seq)
-        tables = self._rope_cache.get(key)
-        if tables is None:
-            tables = rope_angles(self.head_dim, np.arange(pos0, pos0 + seq))
-            while len(self._rope_cache) >= _ROPE_CACHE_ENTRIES:
-                self._rope_cache.pop(next(iter(self._rope_cache)))
-            self._rope_cache[key] = tables
-        return tables
+        batch, n, _ = normed.shape
+        qkv = _matmul(normed, layer.wqkv).reshape(
+            batch, n, self.hq + 2 * self.hkv, self.head_dim
+        ).transpose(0, 2, 1, 3)
+        q = apply_rope(qkv[:, : self.hq], cos, sin).transpose(0, 2, 1, 3)
+        k = apply_rope(qkv[:, self.hq : self.hq + self.hkv], cos, sin)
+        return q, k, qkv[:, self.hq + self.hkv :]
 
-    def _project_kv(self, layer: LayerWeights, x: np.ndarray, pos0: int):
-        """(k, v) heads for tokens ``x`` of shape (batch, seq, hidden)."""
-        batch, seq, _ = x.shape
-        k = (x @ layer.wk).reshape(batch, seq, self.hkv, self.head_dim)
-        v = (x @ layer.wv).reshape(batch, seq, self.hkv, self.head_dim)
-        cos, sin = self._rope(pos0, seq)
-        k = apply_rope(k.transpose(0, 2, 1, 3), cos, sin)  # (b, hkv, seq, d)
-        v = v.transpose(0, 2, 1, 3)
-        return k, v
-
-    def _project_q(self, layer: LayerWeights, normed: np.ndarray, pos0: int) -> np.ndarray:
-        """RoPE'd queries ``(batch, seq, hq, d)`` for ``normed`` tokens."""
-        batch, seq, _ = normed.shape
-        q = (normed @ layer.wq).reshape(batch, seq, self.hq, self.head_dim)
-        cos, sin = self._rope(pos0, seq)
-        q = apply_rope(q.transpose(0, 2, 1, 3), cos, sin)  # (b, hq, seq, d)
-        return q.transpose(0, 2, 1, 3)
+    def _block_tail(self, layer: LayerWeights, h: np.ndarray, attn: np.ndarray) -> np.ndarray:
+        """Output projection, residual adds and the MLP after attention."""
+        batch, n, _ = h.shape
+        h = h + _matmul(attn.reshape(batch, n, self.hidden), layer.wo)
+        return h + swiglu(rms_norm(h, layer.norm_mlp), layer.w_gate_up, layer.w_down)
 
     # ------------------------------------------------------------------ forward
 
@@ -271,11 +274,10 @@ class TinyTransformer:
         if not sess.ref_k:
             sess.ref_k = [None] * self.n_layers
             sess.ref_v = [None] * self.n_layers
+        cos, sin = rope_angles(self.head_dim, np.arange(pos0, pos0 + n))
         h = x
         for i, layer in enumerate(self.layers):
-            normed = rms_norm(h, layer.norm_attn)
-            k, v = self._project_kv(layer, normed, pos0)
-            q = self._project_q(layer, normed, pos0)
+            q, k, v = self._attention_inputs(layer, rms_norm(h, layer.norm_attn), cos, sin)
             if self.backend is not None:
                 if sess.caches[i] is None:
                     sess.caches[i] = self.backend.new_handle(batch, self.hkv, self.head_dim)
@@ -288,23 +290,29 @@ class TinyTransformer:
                 sess.ref_v[i] = (
                     v if sess.ref_v[i] is None else np.concatenate([sess.ref_v[i], v], axis=2)
                 )
-            attn = attn.reshape(batch, n, self.hidden) @ layer.wo
-            h = h + attn
-            h = h + swiglu(rms_norm(h, layer.norm_mlp), layer.w_gate, layer.w_up, layer.w_down)
+            h = self._block_tail(layer, h, attn)
         sess.positions = pos0 + n
         return h
 
     def decode_step(self, x: np.ndarray, session: Optional[CacheSession] = None) -> np.ndarray:
-        """One decode step for ``x`` of shape (batch, hidden)."""
+        """One decode step for ``x`` of shape (batch, hidden).
+
+        ``session.positions`` may hold one position per row, so one call
+        can advance sequences at different positions together.  Every
+        projection is one GEMM over all rows, and a row's output bits do
+        not depend on the batch it runs in.
+        """
         sess = session if session is not None else self._session
         x = np.asarray(x, dtype=np.float32)
         batch = x.shape[0]
-        pos = sess.positions
+        positions = np.broadcast_to(sess.positions, (batch,))
+        cos, sin = rope_angles(self.head_dim, positions)
+        cos, sin = cos[:, None, None], sin[:, None, None]  # per row, over (heads, 1)
         h = x[:, None, :]  # (b, 1, hidden)
         for i, layer in enumerate(self.layers):
-            normed = rms_norm(h, layer.norm_attn)
-            k_new, v_new = self._project_kv(layer, normed, pos)
-            q = self._project_q(layer, normed, pos)
+            q, k_new, v_new = self._attention_inputs(
+                layer, rms_norm(h, layer.norm_attn), cos, sin
+            )
             if self.backend is not None:
                 handle = sess.caches[i]
                 self.backend.append_kv((k_new[:, :, 0], v_new[:, :, 0]), handle)
@@ -313,10 +321,8 @@ class TinyTransformer:
                 sess.ref_k[i] = np.concatenate([sess.ref_k[i], k_new], axis=2)
                 sess.ref_v[i] = np.concatenate([sess.ref_v[i], v_new], axis=2)
                 attn = self._exact_decode(q, sess.ref_k[i], sess.ref_v[i])
-            attn = attn.reshape(batch, 1, self.hidden) @ layer.wo
-            h = h + attn
-            h = h + swiglu(rms_norm(h, layer.norm_mlp), layer.w_gate, layer.w_up, layer.w_down)
-        sess.positions += 1
+            h = self._block_tail(layer, h, attn)
+        sess.positions = sess.positions + 1
         return h[:, 0, :]
 
     def _exact_decode(self, q, k, v) -> np.ndarray:

@@ -969,12 +969,13 @@ class ContinuousBatchingEngine:
     def _decode_group_shapes(self, lcs) -> List[Tuple[int, int]]:
         """Shape groups ``(group_batch, group_seq_len)`` of one decode step.
 
-        Sequences at equal context length share one batched kernel launch
-        (the runner groups by position so RoPE tables match; the paged
-        backend then sees a uniform-shape batch per group) — the step
-        price models exactly those launches instead of ``batch``
-        independent batch-1 launches, and each group pays its *own*
-        context length rather than everyone-at-max.
+        Sequences at equal context length are priced as one batched
+        kernel launch instead of ``batch`` independent batch-1 launches,
+        and each group pays its *own* context length rather than
+        everyone-at-max.  Execution groups more coarsely (the runner runs
+        every decoder in one forward and the paged backend groups reads
+        by ``n_blocks``); pricing keeps the context-length key so the
+        modeled clock is unchanged.
         """
         groups: Dict[int, int] = {}
         for lc in lcs:

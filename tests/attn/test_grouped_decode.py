@@ -147,9 +147,9 @@ class TestGroupedLoopedParity:
 
 class TestTransformerGroupedParity:
     def test_grouped_session_matches_sequential_decode(self, rng):
-        """The runner's ``decode_batch`` shape: same-position sequences
-        decoded through one transient grouped ``CacheSession`` must emit
-        the exact hidden states of per-sequence ``decode_step`` calls."""
+        """Same-position sequences decoded through one transient grouped
+        ``CacheSession`` must emit the exact hidden states of
+        per-sequence ``decode_step`` calls."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
         dims = dict(n_layers=2, hq=HQ, hkv=HKV, head_dim=D, hidden=64, intermediate=128)
@@ -187,6 +187,32 @@ class TestTransformerGroupedParity:
             for s in grp_sessions:
                 s.positions += 1
             np.testing.assert_array_equal(outs_seq, outs_grp)
+
+
+class TestRetireGroups:
+    def test_decode_drops_only_superseded_member_tuples(self, rng):
+        """A step's groups retire every cached read that names one of its
+        sequences under another member tuple; another batch's are kept."""
+        config = BitDecodingConfig(bits=4, wn=1)
+        nr = config.residual_block_size
+        backend = PagedBitBackend(config, n_pages=64, n_slots=8)
+        bt = _ragged_batch(backend, [2 * nr + 1] * 3 + [nr + 1] * 2, rng)
+        store = bt.store
+        a, b, c, d, e = bt.seqs
+
+        def decode(*seqs):
+            q = rng.standard_normal((len(seqs), 1, HQ, D)).astype(np.float32)
+            backend.decode_step(q, PagedBatchHandle(store, list(seqs)))
+
+        def key(*seqs):
+            return tuple((h.seq_id, h.slot) for h in seqs)
+
+        decode(a, b, c)
+        decode(d, e)
+        assert set(store._group_memos) == {key(a, b, c), key(d, e)}
+        decode(a, b)
+        assert set(store._group_memos) == {key(a, b), key(d, e)}
+        assert set(store._group_frame_maps) == {key(a, b), key(d, e)}
 
 
 # --------------------------------------------------------------- property
@@ -289,3 +315,59 @@ class TestGatherCacheNeverStale:
                 store.write_rows(fresh, *rows(nr))
                 seqs.append(fresh)
             check()
+
+
+class TestRunnerMixedPositions:
+    def test_one_forward_over_ragged_positions_matches_per_sequence_decode(self):
+        """``ModelRunner.decode_batch`` over sequences at different
+        positions, with different ``n_blocks`` and some crossing an N_r
+        flush mid-run, must emit per-sequence ``decode``'s hidden states
+        bit for bit — whichever subset of them decodes together."""
+        from repro.attn.runner import ModelRunner
+        from repro.model.config import TINY
+        from repro.pages.allocator import PageAllocator
+        from repro.pages.page_table import PageTable
+        from repro.serving.request import Request, RequestLifecycle
+
+        config = BitDecodingConfig(bits=4, wn=1)
+        nr = config.residual_block_size
+        prompts = [nr - 2, nr - 1, 2 * nr + 3, 3 * nr - 1, 5, 5, 2 * nr]
+        steps = nr + 3
+
+        def admitted():
+            table = PageTable(PageAllocator(64), page_size=nr)
+            runner = ModelRunner(TINY, PagedBitBackend(config), table, n_slots=8, seed=4)
+            lcs = []
+            for i, prompt in enumerate(prompts):
+                lc = RequestLifecycle(
+                    Request(i, 0.0, prompt, steps),
+                    seq_id=table.add_sequence(prompt),
+                    prefill_target=prompt,
+                )
+                runner.on_admit(lc)
+                runner.prefill(lc, prompt)
+                lcs.append(lc)
+            return table, runner, lcs
+
+        grouped, looped = admitted(), admitted()
+        rng = np.random.default_rng(9)
+        for step in range(steps):
+            # Everyone on the first and last step; random churn between.
+            live = rng.random(len(prompts)) < 0.7 if 0 < step < steps - 1 else None
+            for (table, runner, lcs), batched in ((grouped, True), (looped, False)):
+                members = [lc for i, lc in enumerate(lcs) if live is None or live[i]]
+                for lc in members:
+                    table.append_token(lc.seq_id)
+                if batched:
+                    runner.decode_batch(members)
+                else:
+                    for lc in members:
+                        runner.decode(lc)
+        lengths = {len(s.pages) for s in grouped[0].sequences}
+        assert len(lengths) > 2  # members really had different n_blocks
+        assert grouped[1].decoded.keys() == looped[1].decoded.keys()
+        for req_id, rows in grouped[1].decoded.items():
+            expected = looped[1].decoded[req_id]
+            assert len(rows) == len(expected)
+            for a, b in zip(rows, expected):
+                assert a.tobytes() == b.tobytes(), f"request {req_id} diverged"

@@ -50,12 +50,16 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             rope_angles(15, np.arange(4))
 
-    def test_swiglu_shape(self, rng):
+    def test_swiglu_fused_columns_match_separate_matrices(self, rng):
         x = rng.standard_normal((2, 8)).astype(np.float32)
         w_g = rng.standard_normal((8, 16)).astype(np.float32)
         w_u = rng.standard_normal((8, 16)).astype(np.float32)
         w_d = rng.standard_normal((16, 8)).astype(np.float32)
-        assert swiglu(x, w_g, w_u, w_d).shape == (2, 8)
+        gate = x @ w_g
+        expected = (gate / (1.0 + np.exp(-gate)) * (x @ w_u)) @ w_d
+        out = swiglu(x, np.concatenate([w_g, w_u], axis=1), w_d)
+        assert out.shape == (2, 8)
+        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
 
 
 class TestEndToEnd:
@@ -115,14 +119,13 @@ class TestVectorizedAttention:
         model = TinyTransformer(**dims, seed=1)
         layer = model.layers[0]
         normed = rng.standard_normal((2, 12, 64)).astype(np.float32)
-        k, v = model._project_kv(layer, normed, 0)
-        qr = model._project_q(layer, normed, 0)
+        seq = normed.shape[1]
+        cos, sin = rope_angles(16, np.arange(seq))
+        qr, k, v = model._attention_inputs(layer, normed, cos, sin)
         out = chunked_causal_attention(qr, None, None, k, v).reshape(2, 12, 64) @ layer.wo
 
         # Per-head loop reference (the pre-vectorization implementation).
-        seq = normed.shape[1]
-        q = (normed @ layer.wq).reshape(2, seq, hq, 16)
-        cos, sin = rope_angles(16, np.arange(seq))
+        q = (normed @ layer.wqkv[:, :64]).reshape(2, seq, hq, 16)
         q = apply_rope(q.transpose(0, 2, 1, 3), cos, sin)
         gq = hq // hkv
         per_head = np.empty_like(q)
@@ -151,13 +154,19 @@ class TestVectorizedAttention:
                 ref = reference_attention(q[b, 0, hh : hh + 1], k[b, hh // 2], v[b, hh // 2])
                 np.testing.assert_allclose(out[b, 0, hh], ref[0], rtol=1e-5, atol=1e-6)
 
-    def test_rope_tables_cached_across_layers_and_calls(self, rng):
+    def test_rope_tables_computed_once_per_forward(self, rng, monkeypatch):
+        import repro.model.transformer as transformer
+
+        calls = []
+
+        def counting(head_dim, positions):
+            calls.append(np.asarray(positions).tolist())
+            return rope_angles(head_dim, positions)
+
+        monkeypatch.setattr(transformer, "rope_angles", counting)
         dims = dict(n_layers=3, hq=4, hkv=2, head_dim=16, hidden=64, intermediate=64)
         model = TinyTransformer(**dims, seed=0)
         model.prefill(rng.standard_normal((1, 8, 64)).astype(np.float32))
-        # Prefill touches (0, 8) once, shared by all 3 layers.
-        assert set(model._rope_cache) == {(0, 8)}
-        first = model._rope(0, 8)
-        assert model._rope(0, 8) is first  # memo hit, no recompute
         model.decode_step(rng.standard_normal((1, 64)).astype(np.float32))
-        assert (8, 1) in model._rope_cache
+        # One table per forward, shared by all 3 layers.
+        assert calls == [list(range(8)), [8]]
