@@ -3,12 +3,14 @@
 Usage:  python scripts/generate_experiments.py [--output EXPERIMENTS.md]
 
 ``eval/claims.json`` (one verdict row per line, ``inf`` as ``null``) is
-written beside the document.
+written beside the document.  Exits 1 if any row is violated, after
+writing both.
 """
 
 import argparse
 import json
 import math
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -56,7 +58,10 @@ def main(argv=None) -> None:
         for row in map(asdict, verdicts)
     ]
     claims.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")
-    print(f"wrote {output} and {claims}: {sum(row['ok'] for row in rows)}/{len(rows)} rows hold")
+    held = sum(row["ok"] for row in rows)
+    print(f"wrote {output} and {claims}: {held}/{len(rows)} rows hold")
+    if held < len(rows):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ agree exactly under ``numerics_mode="exact_tiled"`` (the parity suite in
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from typing import List, Optional, Tuple, Union
 
@@ -51,9 +52,9 @@ from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore, TierObserver
 
 
-def _group_key(handles) -> Tuple[Tuple[int, int], ...]:
-    """The ``(seq_id, slot)`` member tuple that keys a group's cached reads."""
-    return tuple((h.seq_id, h.slot) for h in handles)
+def _group_key(handles) -> Tuple[int, ...]:
+    """The member tuple of handle keys that keys a group's cached reads."""
+    return tuple(h.key for h in handles)
 
 
 def _extend(memo_kv, new_kv):
@@ -67,35 +68,22 @@ def _extend(memo_kv, new_kv):
 
 
 class PagedSeqHandle(KVCacheHandle):
-    """One sequence's block table into a :class:`PagedBitKVCache`.
+    """One sequence's block table and residual slot in a :class:`PagedBitKVCache`.
 
-    Duck-types the cache interface :meth:`BitDecoding.decode` reads
-    (``config`` / ``batch`` / ``hkv`` / ``head_dim`` / ``dequant_kv`` /
-    ``residual_kv``), so decode over a paged sequence runs through the
-    exact same kernel code path as the contiguous cache.
+    Reads go through a group view (:meth:`PagedBitKVCache.group_view`),
+    one sequence being a group of one.  ``key`` names this binding in the
+    store's read memo: the store assigns it at bind time and never reuses
+    it, unlike ``seq_id`` and ``slot``, which are both recycled.
     """
 
     seq_len = 0
-    batch = 1
 
-    def __init__(self, store: "PagedBitKVCache", seq_id: int, slot: int):
+    def __init__(self, store: "PagedBitKVCache", seq_id: int, slot: int, key: int):
         self.store = store
         self.seq_id = seq_id
         self.slot = slot
+        self.key = key
         self.seq_len = 0
-        self._dequant_memo: Optional[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = None
-
-    @property
-    def config(self) -> BitDecodingConfig:
-        return self.store.config
-
-    @property
-    def hkv(self) -> int:
-        return self.store.hkv
-
-    @property
-    def head_dim(self) -> int:
-        return self.store.head_dim
 
     @property
     def n_blocks(self) -> int:
@@ -111,12 +99,6 @@ class PagedSeqHandle(KVCacheHandle):
     def block_ids(self) -> List[int]:
         """Physical page ids of the packed blocks, in logical order."""
         return self.store.table.sequences[self.seq_id].pages[: self.n_blocks]
-
-    def dequant_kv(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.store.dequant_seq(self)
-
-    def residual_kv(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.store.residual_view(self)
 
 
 class PagedBatchHandle(KVCacheHandle):
@@ -134,15 +116,16 @@ class PagedBatchHandle(KVCacheHandle):
 class PagedGroupView:
     """Batched cache view over one equal-``n_blocks`` shape group.
 
-    Duck-types the same cache interface :meth:`BitDecoding.decode` reads,
-    but with ``batch == len(handles)``: ``dequant_kv`` gathers every
-    member's packed pages into one ``[G, hkv, L, d]`` SoA tensor (through
-    the store's cached gather index maps) and ``residual_kv`` gathers the
-    FP16 residual slots padded to the widest member, with
-    ``residual_lengths`` carrying each member's true fill so the ragged
-    residual kernel can stay tolerance-free.  One ``run_numeric`` call
-    then covers the whole group — the batched-SoA kernel shape the
-    per-sequence loop could never reach.
+    The only read path over the pool, a single sequence included (a
+    group of one).  Duck-types the cache interface
+    :meth:`BitDecoding.decode` reads (``config`` / ``batch`` / ``hkv`` /
+    ``head_dim`` / ``dequant_kv`` / ``residual_kv``) with
+    ``batch == len(handles)``: ``dequant_kv`` gathers every member's
+    packed pages into one ``[G, hkv, L, d]`` SoA tensor (memoized by the
+    store) and ``residual_kv`` gathers the FP16 residual slots padded to
+    the widest member, with ``residual_lengths`` carrying each member's
+    true fill so the ragged residual kernel can stay tolerance-free.  One
+    ``run_numeric`` call then covers the whole group.
     """
 
     def __init__(self, store: "PagedBitKVCache", handles: List[PagedSeqHandle]):
@@ -153,20 +136,11 @@ class PagedGroupView:
             raise ValueError("group members must share n_blocks (the shape key)")
         self.store = store
         self.handles = list(handles)
+        self.config = store.config
         self.batch = len(handles)
+        self.hkv = store.hkv
+        self.head_dim = store.head_dim
         self.residual_lengths = np.asarray([h.res_len for h in handles], dtype=np.int64)
-
-    @property
-    def config(self) -> BitDecodingConfig:
-        return self.store.config
-
-    @property
-    def hkv(self) -> int:
-        return self.store.hkv
-
-    @property
-    def head_dim(self) -> int:
-        return self.store.head_dim
 
     def dequant_kv(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.store.dequant_group(self.handles)
@@ -262,17 +236,17 @@ class PagedBitKVCache(TierObserver):
         self.res_k = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
         self.res_v = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
 
-        # Gather-cache epochs (the dequant-memo machinery, store-wide).
-        # ``frames_epoch`` advances whenever the page-id -> frame mapping
-        # can move (tier migrations), invalidating cached gather index
-        # maps but not gathered *values*; ``content_epoch`` advances when
-        # page content or sequence membership changes (CoW remaps, page
-        # clones, corruption, slot churn), invalidating gathered values
-        # too.  Per-sequence handles keep their own append-only memo.
-        self.frames_epoch = 0
+        # The read memo: dequantized packed blocks per member tuple of
+        # handle keys (see :meth:`dequant_group`).  Keys are never reused,
+        # so binding and freeing slots invalidates nothing; ``free_slot``
+        # just drops the freed handle's entries.  ``content_epoch``
+        # advances where mapped page content changes (CoW remaps, page
+        # clones, corruption) and invalidates every entry.  Tier moves
+        # change frames, not content, and invalidate nothing: frames are
+        # looked up fresh for the pages a read dequantizes.
         self.content_epoch = 0
-        self._group_memos: dict = {}
-        self._group_frame_maps: dict = {}
+        self._memos: dict = {}
+        self._keys = itertools.count()
 
     def _pools(self) -> Tuple[np.ndarray, ...]:
         return (self.k_words, self.v_words, self.k_scale, self.k_zero, self.v_scale, self.v_zero)
@@ -286,12 +260,10 @@ class PagedBitKVCache(TierObserver):
     # --------------------------------------------------- TierObserver hooks
 
     def copy_frame(self, src: int, dst: int) -> None:
-        self.frames_epoch += 1
         for pool in self._pools():
             pool[dst] = pool[src]
 
     def exchange_frames(self, a: int, b: int) -> None:
-        self.frames_epoch += 1
         for pool in self._pools():
             tmp = pool[a].copy()
             pool[a] = pool[b]
@@ -313,7 +285,6 @@ class PagedBitKVCache(TierObserver):
         damage always changes the frame's checksum — injection can never
         silently miss.
         """
-        self.frames_epoch += 1
         self.content_epoch += 1
         flat = self.k_words[frame].reshape(-1)
         idx = salt % flat.size
@@ -350,8 +321,7 @@ class PagedBitKVCache(TierObserver):
                 f"all {self.slots.n_pages} residual slots in use; release "
                 "finished sequences or construct the pool with more n_slots"
             ) from err
-        self.content_epoch += 1
-        handle = PagedSeqHandle(self, seq_id, slot)
+        handle = PagedSeqHandle(self, seq_id, slot, next(self._keys))
         handle.seq_len = seq_len
         return handle
 
@@ -407,10 +377,11 @@ class PagedBitKVCache(TierObserver):
         return child
 
     def free_slot(self, handle: PagedSeqHandle) -> None:
-        """Return the residual slot; the scheduler owns the pages."""
-        self.content_epoch += 1
+        """Return the residual slot and drop the reads memoized under the
+        handle; the scheduler owns the pages."""
         self.slots.release(handle.slot)
-        handle._dequant_memo = None
+        for key in [k for k in self._memos if handle.key in k]:
+            del self._memos[key]
 
     def release(self, handle: PagedSeqHandle) -> None:
         """Free the sequence's pages and residual slot."""
@@ -631,145 +602,73 @@ class PagedBitKVCache(TierObserver):
         )
         return batch.dequant_kv(self.config)
 
-    def dequant_seq(self, handle: PagedSeqHandle) -> Tuple[np.ndarray, np.ndarray]:
-        """FP32 ``[1, hkv, packed_len, d]`` reconstruction, memoized.
-
-        Blocks are append-only for a live handle, so the memo extends
-        with just the new pages' dequant on a flush — bit-identical to a
-        full rebuild by per-block independence, and O(new blocks) per
-        step instead of O(context).
-        """
-        nb = handle.n_blocks
-        if nb == 0:
-            empty = np.zeros((1, self.hkv, 0, self.head_dim), np.float32)
-            return empty, empty
-        memo = handle._dequant_memo
-        if memo is not None and memo[0] == nb:
-            return memo[1]
-        have = memo[0] if memo is not None and memo[0] < nb else 0
-        pages = self.table.sequences[handle.seq_id].pages[have:nb]
-        if self.tiers is not None:
-            # The measured fallback: pages still off-device fault in
-            # synchronously (stall recorded) before the gather.
-            self.tiers.fault_in(pages)
-        kv = self._dequant_frames(self._frames(pages)[None])
-        if have:
-            kv = _extend(memo[1], kv)
-        handle._dequant_memo = (nb, kv)
-        return kv
-
-    def residual_view(self, handle: PagedSeqHandle) -> Tuple[np.ndarray, np.ndarray]:
-        """Valid FP16 residual rows, ``[1, hkv, res_len, d]``."""
-        n = handle.res_len
-        return (
-            self.res_k[handle.slot][None, :, :n],
-            self.res_v[handle.slot][None, :, :n],
-        )
-
-    # ------------------------------------------------------- grouped reads
-
-    #: Bound on cached gather maps / group dequant memos.  Keys are the
-    #: exact member tuple; :meth:`retire_groups` drops superseded ones
-    #: each step, the cap just keeps pathological churn from hoarding
+    #: Bound on memoized group reads.  :meth:`retire_groups` drops
+    #: superseded member tuples each step and :meth:`free_slot` a freed
+    #: handle's; the cap just keeps pathological churn from hoarding
     #: memory.
-    _GROUP_CACHE_ENTRIES = 32
-
-    @staticmethod
-    def _cache_put(cache: dict, key, entry) -> None:
-        cache.pop(key, None)
-        cache[key] = entry
-        while len(cache) > PagedBitKVCache._GROUP_CACHE_ENTRIES:
-            cache.pop(next(iter(cache)))
+    _MEMO_ENTRIES = 32
 
     def retire_groups(self, groups: List[List[PagedSeqHandle]]) -> None:
-        """Drop the gather maps and dequant memos this step's groups supersede.
+        """Drop the memoized reads this step's groups supersede.
 
-        A sequence sits in exactly one decode group per step, so a cached
-        entry that names one of ``groups``' sequences under any other
-        member tuple belongs to a composition that has moved on; ragged
-        groups churn member tuples every time a member flushes.  Entries
-        naming none of these sequences (another handle's) are kept.
+        A sequence sits in exactly one decode group per step, so an entry
+        that names one of ``groups``' handles under any other member tuple
+        belongs to a composition that has moved on; ragged groups churn
+        member tuples every time a member flushes.  Entries naming none of
+        these handles (another batch's) are kept.
         """
         live = {_group_key(g) for g in groups}
         members = {member for g in groups for member in _group_key(g)}
-        for cache in (self._group_memos, self._group_frame_maps):
-            for key in [k for k in cache if k not in live and not members.isdisjoint(k)]:
-                del cache[key]
+        for key in [k for k in self._memos if k not in live and not members.isdisjoint(k)]:
+            del self._memos[key]
 
     def group_view(self, handles: List[PagedSeqHandle]) -> PagedGroupView:
-        """A batched decode view over one equal-``n_blocks`` group."""
+        """A batched read view over one equal-``n_blocks`` group."""
         return PagedGroupView(self, handles)
-
-    def _group_frames(self, key, handles: List[PagedSeqHandle], nb: int) -> np.ndarray:
-        """Cached ``np.take`` index map ``[G, nb]`` into the pool arrays.
-
-        Valid while both epochs stand; a pure append extends the cached
-        map with just the new pages' frames (block tables are append-only
-        for live handles).  Callers fault pages in *first* — a promotion
-        moves frames and must bump ``frames_epoch`` before the map is
-        built, not after.
-        """
-        entry = self._group_frame_maps.get(key)
-        if (
-            entry is not None
-            and entry["frames_epoch"] == self.frames_epoch
-            and entry["content_epoch"] == self.content_epoch
-            and entry["nb"] <= nb
-        ):
-            have = entry["nb"]
-            if have == nb:
-                return entry["map"]
-            fresh = np.asarray(
-                [self.table.sequences[h.seq_id].pages[have:nb] for h in handles]
-            )
-            fmap = np.concatenate(
-                [entry["map"], self._frames(fresh.reshape(-1)).reshape(len(handles), nb - have)],
-                axis=1,
-            )
-        else:
-            pages = np.asarray([self.table.sequences[h.seq_id].pages[:nb] for h in handles])
-            fmap = self._frames(pages.reshape(-1)).reshape(len(handles), nb)
-        self._cache_put(
-            self._group_frame_maps,
-            key,
-            {
-                "nb": nb,
-                "frames_epoch": self.frames_epoch,
-                "content_epoch": self.content_epoch,
-                "map": fmap,
-            },
-        )
-        return fmap
 
     def dequant_group(self, handles: List[PagedSeqHandle]) -> Tuple[np.ndarray, np.ndarray]:
         """FP32 ``[G, hkv, packed_len, d]`` group reconstruction, memoized.
 
-        The memo is keyed by the exact ``(seq_id, slot)`` member tuple and
-        guarded by ``content_epoch``; while the group composition holds
-        (steady-state decode), each step extends it with one batched
-        dequant of the newly flushed block column instead of rebuilding
-        O(context) state.
+        The memo is keyed by the member tuple of handle keys and guarded
+        by ``content_epoch``.  Blocks are append-only for a live handle, so
+        while the group holds, a flush extends the memo with one batched
+        dequant of just the new block column: frames are looked up for
+        those pages only, after they fault in, and the result is
+        bit-identical to a full rebuild by per-block independence —
+        O(new blocks) per step instead of O(context).
         """
         nb = handles[0].n_blocks
         if nb == 0:
             empty = np.zeros((len(handles), self.hkv, 0, self.head_dim), np.float32)
             return empty, empty
         key = _group_key(handles)
-        memo = self._group_memos.get(key)
+        memo = self._memos.get(key)
         have = 0
-        if memo is not None and memo["epoch"] == self.content_epoch and memo["nb"] <= nb:
-            if memo["nb"] == nb:
-                return memo["kv"]
-            have = memo["nb"]
+        if memo is not None and memo[0] == self.content_epoch:
+            if memo[1] == nb:
+                return memo[2]
+            have = memo[1]
+        pages = [p for h in handles for p in self.table.sequences[h.seq_id].pages[have:nb]]
         if self.tiers is not None:
-            self.tiers.fault_in(
-                [p for h in handles for p in self.table.sequences[h.seq_id].pages[have:nb]]
-            )
-        kv = self._dequant_frames(self._group_frames(key, handles, nb)[:, have:])
+            # The measured fallback: pages still off-device fault in
+            # synchronously (stall recorded) before the gather.
+            self.tiers.fault_in(pages)
+        kv = self._dequant_frames(self._frames(pages).reshape(len(handles), nb - have))
         if have:
-            kv = _extend(memo["kv"], kv)
-        self._cache_put(self._group_memos, key, {"nb": nb, "epoch": self.content_epoch, "kv": kv})
+            kv = _extend(memo[2], kv)
+        self._memos.pop(key, None)
+        self._memos[key] = (self.content_epoch, nb, kv)
+        while len(self._memos) > self._MEMO_ENTRIES:
+            self._memos.pop(next(iter(self._memos)))
         return kv
+
+    def dequant_seq(self, handle: PagedSeqHandle) -> Tuple[np.ndarray, np.ndarray]:
+        """``dequant_group([handle])``: one sequence is a group of one.
+
+        Kept by name only because the end-to-end benchmark's tracing
+        seams (``benchmarks/e2e/tracing.py``) resolve it.
+        """
+        return self.dequant_group([handle])
 
     def residual_group(self, handles: List[PagedSeqHandle]) -> Tuple[np.ndarray, np.ndarray]:
         """FP16 residual rows gathered ``[G, hkv, r_max, d]``, zero-padded.
@@ -782,8 +681,8 @@ class PagedBitKVCache(TierObserver):
         res = [h.res_len for h in handles]
         r_max = max(res)
         slots = np.asarray([h.slot for h in handles])
-        k = self.res_k[slots][:, :, :r_max].copy()
-        v = self.res_v[slots][:, :, :r_max].copy()
+        k = self.res_k[slots, :, :r_max]
+        v = self.res_v[slots, :, :r_max]
         for g, r in enumerate(res):
             if r < r_max:
                 k[g, :, r:] = 0
@@ -822,8 +721,8 @@ class PagedBitBackend(AttentionBackend):
     batches): decode partitions the batch into equal-shape groups
     (:meth:`_decode_groups`) and launches ONE batched kernel per group
     over a gathered ``[group, hkv, ...]`` SoA view — bit-identical to
-    the retained per-sequence loop (:meth:`decode_step_looped`), because
-    both run the very same :meth:`BitDecoding.decode` numeric path.
+    the per-sequence oracle (:meth:`decode_step_looped`), because both
+    run the very same :meth:`BitDecoding.decode` numeric path.
     """
 
     name = "paged-bit"
@@ -867,8 +766,8 @@ class PagedBitBackend(AttentionBackend):
         if seqh.seq_len == 0:
             return None, None
         store = seqh.store
-        k_hat, v_hat = store.dequant_seq(seqh)
-        k_res, v_res = store.residual_view(seqh)
+        k_hat, v_hat = store.dequant_group([seqh])
+        k_res, v_res = store.residual_group([seqh])
         if k_res.shape[2]:
             k_hat = np.concatenate([k_hat, k_res.astype(np.float32)], axis=2)
             v_hat = np.concatenate([v_hat, v_res.astype(np.float32)], axis=2)
@@ -890,12 +789,8 @@ class PagedBitBackend(AttentionBackend):
             for seqh in bt.seqs:
                 bt.store.reserve(seqh, n)
             aligned = [b for b, s in enumerate(bt.seqs) if s.res_len == 0]
-            if len(aligned) > 1:
-                bt.store.write_rows_group(
-                    [bt.seqs[b] for b in aligned], k[aligned], v[aligned]
-                )
-            else:
-                aligned = []
+            if aligned:
+                bt.store.write_rows_group([bt.seqs[b] for b in aligned], k[aligned], v[aligned])
             for b, seqh in enumerate(bt.seqs):
                 if b not in aligned:
                     bt.store.write_rows(seqh, k[b], v[b])
@@ -919,7 +814,7 @@ class PagedBitBackend(AttentionBackend):
         bt.store.append_rows(bt.seqs, k, v)
 
     def _attend(self, q: np.ndarray, cache) -> np.ndarray:
-        """Attention of ``q`` over one cache view (a sequence or a group).
+        """Attention of ``q`` over one group view.
 
         The single seam between the paged storage machinery and the
         kernel numerics: the tensor-parallel backend overrides exactly
@@ -962,22 +857,14 @@ class PagedBitBackend(AttentionBackend):
                 tiers.fault_in(
                     [p for b in groups[gi + 1] for p in bt.seqs[b].block_ids], prefetch=True
                 )
-            if len(idxs) == 1:
-                b = idxs[0]
-                outs[b] = self._attend(q[b : b + 1], bt.seqs[b])
-            else:
-                view = bt.store.group_view([bt.seqs[b] for b in idxs])
-                out = self._attend(q[idxs], view)
-                for j, b in enumerate(idxs):
-                    outs[b] = out[j : j + 1]
+            out = self._attend(q[idxs], bt.store.group_view([bt.seqs[b] for b in idxs]))
+            for j, b in enumerate(idxs):
+                outs[b] = out[j : j + 1]
         return np.concatenate(outs, axis=0)
 
     def decode_step_looped(self, q: np.ndarray, block_table: KVCacheHandle) -> np.ndarray:
-        """The pre-grouping reference path: one decode per sequence.
-
-        Retained as the parity baseline (grouped decode must match it
-        bit-for-bit) and as the bench's looped comparator.
-        """
+        """The per-sequence oracle: one decode per sequence, each a group
+        of one.  Grouped decode must match it bit for bit."""
         bt: PagedBatchHandle = block_table
         tiers = bt.store.tiers
         if tiers is not None and bt.seqs:
@@ -986,7 +873,7 @@ class PagedBitBackend(AttentionBackend):
         for b, seqh in enumerate(bt.seqs):
             if tiers is not None and b + 1 < len(bt.seqs):
                 tiers.fault_in(bt.seqs[b + 1].block_ids, prefetch=True)
-            outs.append(self._attend(q[b : b + 1], seqh))
+            outs.append(self._attend(q[b : b + 1], bt.store.group_view([seqh])))
         return np.concatenate(outs, axis=0)
 
     def release(self, block_table: KVCacheHandle) -> None:

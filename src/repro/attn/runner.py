@@ -183,10 +183,6 @@ class ModelRunner:
         if prog.written >= lc.prefill_target:
             prog.pending = last
 
-    def decode(self, lc) -> None:
-        """Advance one decode-ready sequence by one real token."""
-        self.decode_batch([lc])
-
     def decode_batch(self, lcs) -> None:
         """Advance every decode-ready sequence by one token in ONE forward.
 
@@ -196,8 +192,8 @@ class ModelRunner:
         the paged backend batch the cache writes and group the reads by
         ``n_blocks``.  A row's bits never depend on its batch (the GEMMs
         run at least ``_ROW_FLOOR`` rows, the grouped reads are
-        bit-exact), so this equals per-sequence :meth:`decode` bit for
-        bit.
+        bit-exact), so this equals ``decode_batch([lc])`` per sequence
+        bit for bit.
         """
         if not lcs:
             return

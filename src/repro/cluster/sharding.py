@@ -38,14 +38,14 @@ from repro.attn.protocol import register_backend
 
 
 class HeadSliceView:
-    """One rank's KV heads of a paged cache view, already gathered.
+    """One rank's KV heads of a paged group view, already gathered.
 
     Duck-types the cache interface :meth:`BitDecoding.decode` reads over
-    either a :class:`~repro.attn.paged.PagedSeqHandle` or a
-    :class:`~repro.attn.paged.PagedGroupView`: same batch, same lengths,
-    ``heads`` of its KV heads.  ``packed`` / ``residual`` are the wrapped
-    view's full-head ``dequant_kv()`` / ``residual_kv()`` pairs, fetched
-    once per attention call and sliced (zero-copy) per rank.
+    a :class:`~repro.attn.paged.PagedGroupView` (one sequence is a group
+    of one): same batch, same residual lengths, ``heads`` of its KV
+    heads.  ``packed`` / ``residual`` are the wrapped view's full-head
+    ``dequant_kv()`` / ``residual_kv()`` pairs, fetched once per
+    attention call and sliced (zero-copy) per rank.
     """
 
     def __init__(self, cache, packed, residual, heads: slice):
@@ -53,8 +53,7 @@ class HeadSliceView:
         self.batch = cache.batch
         self.hkv = heads.stop - heads.start
         self.head_dim = cache.head_dim
-        #: Ragged residual fills of a group view (None for one sequence).
-        self.residual_lengths = getattr(cache, "residual_lengths", None)
+        self.residual_lengths = cache.residual_lengths
         self._packed = tuple(x[:, heads] for x in packed)
         self._residual = tuple(x[:, heads] for x in residual)
 

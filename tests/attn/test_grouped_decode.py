@@ -9,11 +9,11 @@ copy-on-write forks.  Grouping reorders nothing and rounds nothing: the
 padded-tail contract in ``attend_residual_grouped`` is tolerance-free,
 so any divergence at all is a gather or invalidation bug.
 
-The hypothesis property at the bottom drives the gather-cache machinery
-(epoch-guarded ``np.take`` index maps and group dequant memos) through
-random append / flush / swap / fork / recycle schedules and asserts the
-cache never serves stale words: every memoized read equals a cold
-rebuild, and both equal the per-sequence reference path.
+The hypothesis property at the bottom drives the read memo (group
+dequant memos keyed by never-reused handle keys, guarded by one content
+epoch) through random append / flush / swap / fork / recycle schedules
+and asserts it never serves stale words: every memoized read equals a
+cold gather of each member's pages.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.attn.paged import PagedBatchHandle, PagedBitBackend
 from repro.core.config import BitDecodingConfig
+from repro.core.residual_kernel import PackedBlockBatch
 from repro.model.transformer import CacheSession, TinyTransformer
 
 HKV, HQ, D = 2, 4, 16
@@ -94,9 +95,8 @@ class TestGroupedLoopedParity:
 
     def test_grouped_parity_across_swap(self, rng):
         """Swap a member out (slot freed, pages kept) and back in: the
-        reattached handle must group bit-identically — the content-epoch
-        bump on ``free_slot``/``reattach`` invalidates any memoized view
-        that could still alias the retired slot."""
+        reattached handle must group bit-identically — it carries a fresh
+        key, so no memoized read of the retired binding can be served."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
         backend = PagedBitBackend(config, n_pages=32, n_slots=8)
@@ -189,6 +189,15 @@ class TestTransformerGroupedParity:
             np.testing.assert_array_equal(outs_seq, outs_grp)
 
 
+def _key(*seqs):
+    return tuple(h.key for h in seqs)
+
+
+def _cold(store, handle):
+    """A sequence's packed K/V gathered and dequantized with no memo."""
+    return store._dequant_frames(store._frames(handle.block_ids)[None])
+
+
 class TestRetireGroups:
     def test_decode_drops_only_superseded_member_tuples(self, rng):
         """A step's groups retire every cached read that names one of its
@@ -204,15 +213,88 @@ class TestRetireGroups:
             q = rng.standard_normal((len(seqs), 1, HQ, D)).astype(np.float32)
             backend.decode_step(q, PagedBatchHandle(store, list(seqs)))
 
-        def key(*seqs):
-            return tuple((h.seq_id, h.slot) for h in seqs)
-
         decode(a, b, c)
         decode(d, e)
-        assert set(store._group_memos) == {key(a, b, c), key(d, e)}
+        assert set(store._memos) == {_key(a, b, c), _key(d, e)}
         decode(a, b)
-        assert set(store._group_memos) == {key(a, b), key(d, e)}
-        assert set(store._group_frame_maps) == {key(a, b), key(d, e)}
+        assert set(store._memos) == {_key(a, b), _key(d, e)}
+
+
+class TestMemoRule:
+    """One rule: reads are memoized per member tuple of handle keys, which
+    are never reused; only page-content changes bump the epoch."""
+
+    def test_recycled_seq_id_and_slot_read_fresh_values(self, rng):
+        """A released member's ``seq_id`` and slot go to a new handle at the
+        same length: the group it joins must read the new words."""
+        config = BitDecodingConfig(bits=4, wn=1)
+        nr = config.residual_block_size
+        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        bt = _ragged_batch(backend, [2 * nr + 3, 2 * nr + 3], rng)
+        store, (a, b) = bt.store, bt.seqs
+        store.dequant_group([a, b])
+        store.release(b)
+        c = _ragged_batch(backend, [2 * nr + 3], rng).seqs[0]
+        assert (c.seq_id, c.slot) == (b.seq_id, b.slot) and c.key != b.key
+        k, v = store.dequant_group([a, c])
+        for g, h in enumerate((a, c)):
+            k_ref, v_ref = _cold(store, h)
+            np.testing.assert_array_equal(k[g], k_ref[0])
+            np.testing.assert_array_equal(v[g], v_ref[0])
+
+    def test_unrelated_admit_and_free_keeps_a_live_group_memo(self, rng, monkeypatch):
+        """Slot churn of another sequence between two decode steps must not
+        re-dequantize a live group's blocks."""
+        config = BitDecodingConfig(bits=4, wn=1)
+        nr = config.residual_block_size
+        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        bt = _ragged_batch(backend, [2 * nr + 3] * 3, rng)
+        q = rng.standard_normal((3, 1, HQ, D)).astype(np.float32)
+        first = backend.decode_step(q, bt)
+
+        blocks = []
+        dequant_kv = PackedBlockBatch.dequant_kv
+
+        def counting(batch, cfg):
+            blocks.append(batch.k_words.shape[0] * batch.k_words.shape[2])
+            return dequant_kv(batch, cfg)
+
+        monkeypatch.setattr(PackedBlockBatch, "dequant_kv", counting)
+        other = _ragged_batch(backend, [nr + 5], rng)
+        backend.release(other)
+        np.testing.assert_array_equal(backend.decode_step(q, bt), first)
+        assert sum(blocks) == 0
+
+    def test_page_content_changes_invalidate_memoized_reads(self, rng):
+        """``copy_pages`` and ``corrupt_frame`` rewrite mapped pages in
+        place: the next read must see the new words."""
+        config = BitDecodingConfig(bits=4, wn=1)
+        nr = config.residual_block_size
+        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        bt = _ragged_batch(backend, [2 * nr + 3, 3 * nr], rng)
+        store, (a, b) = bt.store, bt.seqs
+        for change in (
+            lambda: store.copy_pages(b.block_ids[:1], a.block_ids[:1]),
+            lambda: store.corrupt_frame(a.block_ids[1], salt=12345),
+        ):
+            before = store.dequant_group([a])[0]
+            change()
+            k, v = store.dequant_group([a])
+            assert not np.array_equal(k, before)
+            k_ref, v_ref = _cold(store, a)
+            np.testing.assert_array_equal(k, k_ref)
+            np.testing.assert_array_equal(v, v_ref)
+
+    def test_free_slot_drops_the_freed_handles_entries(self, rng):
+        config = BitDecodingConfig(bits=4, wn=1)
+        nr = config.residual_block_size
+        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        bt = _ragged_batch(backend, [2 * nr + 3] * 3, rng)
+        store, (a, b, c) = bt.store, bt.seqs
+        for group in ([a, b], [c], [a]):
+            store.dequant_group(group)
+        store.free_slot(a)
+        assert set(store._memos) == {_key(c)}
 
 
 # --------------------------------------------------------------- property
@@ -234,12 +316,11 @@ class TestGatherCacheNeverStale:
         """Random op schedules must never let a memoized group read drift.
 
         After every mutation, every equal-``n_blocks`` group of live
-        sequences is read three ways — memoized ``dequant_group``, the
-        same call after dropping every gather cache, and the per-sequence
-        ``dequant_seq`` reference with its memo cleared — and all three
-        must agree bitwise.  Swap, fork (CoW) and page recycling are the
-        schedules that move content under a cached index map; the epoch
-        machinery must catch each one.
+        sequences is read through the memoized ``dequant_group`` and must
+        equal a cold gather of each member's pages bitwise.  Swap, fork
+        (CoW) and page recycling are the schedules that recycle ids and
+        slots or move content under a memo; the memo rule must catch
+        each one.
         """
         rng = np.random.default_rng(seed)
         config = BitDecodingConfig(bits=4, wn=1)
@@ -269,14 +350,8 @@ class TestGatherCacheNeverStale:
                 if nb == 0:
                     continue
                 warm = store.dequant_group(members)
-                store._group_memos.clear()
-                store._group_frame_maps.clear()
-                cold = store.dequant_group(members)
-                np.testing.assert_array_equal(warm[0], cold[0])
-                np.testing.assert_array_equal(warm[1], cold[1])
                 for g, h in enumerate(members):
-                    h._dequant_memo = None
-                    k_ref, v_ref = store.dequant_seq(h)
+                    k_ref, v_ref = _cold(store, h)
                     np.testing.assert_array_equal(warm[0][g], k_ref[0])
                     np.testing.assert_array_equal(warm[1][g], v_ref[0])
 
@@ -321,8 +396,9 @@ class TestRunnerMixedPositions:
     def test_one_forward_over_ragged_positions_matches_per_sequence_decode(self):
         """``ModelRunner.decode_batch`` over sequences at different
         positions, with different ``n_blocks`` and some crossing an N_r
-        flush mid-run, must emit per-sequence ``decode``'s hidden states
-        bit for bit — whichever subset of them decodes together."""
+        flush mid-run, must emit the hidden states of per-sequence
+        ``decode_batch([lc])`` bit for bit — whichever subset of them
+        decodes together."""
         from repro.attn.runner import ModelRunner
         from repro.model.config import TINY
         from repro.pages.allocator import PageAllocator
@@ -362,7 +438,7 @@ class TestRunnerMixedPositions:
                     runner.decode_batch(members)
                 else:
                     for lc in members:
-                        runner.decode(lc)
+                        runner.decode_batch([lc])
         lengths = {len(s.pages) for s in grouped[0].sequences}
         assert len(lengths) > 2  # members really had different n_blocks
         assert grouped[1].decoded.keys() == looped[1].decoded.keys()

@@ -29,6 +29,12 @@ def _rows(rng, n):
     return k, v
 
 
+def _read(handle):
+    """``(packed, residual)`` K/V pairs of one sequence, read as a group of one."""
+    view = handle.store.group_view([handle])
+    return view.dequant_kv(), view.residual_kv()
+
+
 def _reference_reconstruction(k_rows, v_rows):
     """A fresh single-sequence pool fed the same rows, end to end."""
     store = PagedBitKVCache(CONFIG, HKV, D, n_pages=N_PAGES, n_slots=1)
@@ -37,7 +43,7 @@ def _reference_reconstruction(k_rows, v_rows):
     if n:
         store.reserve(handle, n)
         store.write_rows(handle, k_rows, v_rows)
-    return handle.dequant_kv(), handle.residual_kv()
+    return _read(handle)
 
 
 # One op per draw: (kind, amount). "write" appends `amount` tokens to a
@@ -103,10 +109,7 @@ class TestPageRecycling:
                 store.release(handle)  # pages go straight back to the pool
 
         for handle, k_all, v_all in live:
-            (k_hat, v_hat), (k_res, v_res) = (
-                handle.dequant_kv(),
-                handle.residual_kv(),
-            )
+            (k_hat, v_hat), (k_res, v_res) = _read(handle)
             (k_ref, v_ref), (k_res_ref, v_res_ref) = _reference_reconstruction(k_all, v_all)
             np.testing.assert_array_equal(k_hat, k_ref)
             np.testing.assert_array_equal(v_hat, v_ref)
@@ -131,10 +134,11 @@ class TestPageRecycling:
         assert set(second.block_ids) & set(pages_before)
 
         (k_ref, v_ref), (kr_ref, vr_ref) = _reference_reconstruction(k2, v2)
-        np.testing.assert_array_equal(second.dequant_kv()[0], k_ref)
-        np.testing.assert_array_equal(second.dequant_kv()[1], v_ref)
-        np.testing.assert_array_equal(second.residual_kv()[0], kr_ref)
-        np.testing.assert_array_equal(second.residual_kv()[1], vr_ref)
+        (k_hat, v_hat), (k_res, v_res) = _read(second)
+        np.testing.assert_array_equal(k_hat, k_ref)
+        np.testing.assert_array_equal(v_hat, v_ref)
+        np.testing.assert_array_equal(k_res, kr_ref)
+        np.testing.assert_array_equal(v_res, vr_ref)
 
 
 class TestCopyOnWriteDivergence:
@@ -151,7 +155,7 @@ class TestCopyOnWriteDivergence:
 
         child = store.fork(parent)
         assert child.block_ids == parent.block_ids  # fully shared at fork
-        np.testing.assert_array_equal(child.residual_kv()[0], parent.residual_kv()[0])
+        np.testing.assert_array_equal(_read(child)[1][0], _read(parent)[1][0])
 
         ka, va = _rows(rng, NR + 7)
         store.reserve(parent, NR + 7)
@@ -168,7 +172,7 @@ class TestCopyOnWriteDivergence:
             (parent, (np.concatenate([k0, ka], 1), np.concatenate([v0, va], 1))),
             (child, (np.concatenate([k0, kb], 1), np.concatenate([v0, vb], 1))),
         ):
-            (k_hat, v_hat), (k_res, v_res) = handle.dequant_kv(), handle.residual_kv()
+            (k_hat, v_hat), (k_res, v_res) = _read(handle)
             (k_ref, v_ref), (kr_ref, vr_ref) = _reference_reconstruction(ks, vs)
             np.testing.assert_array_equal(k_hat, k_ref)
             np.testing.assert_array_equal(v_hat, v_ref)

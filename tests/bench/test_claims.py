@@ -16,9 +16,9 @@ IDS = [f"{name}: {claim.text}" for name, claim in ROWS]
 
 
 @pytest.fixture(scope="session")
-def verdicts():
-    """Every experiment run once, every row evaluated once."""
-    return {f"{v.experiment}: {v.claim}": v for v in evaluate()}
+def verdicts(experiments):
+    """Every row evaluated once, over the session's experiments."""
+    return {f"{v.experiment}: {v.claim}": v for v in evaluate(experiments=experiments)}
 
 
 @pytest.mark.parametrize("row_id", IDS)

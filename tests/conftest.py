@@ -31,6 +31,15 @@ def rtx5090():
     return get_arch("rtx5090")
 
 
+@pytest.fixture(scope="session")
+def experiments():
+    """Every ``repro.bench.claims`` experiment, run once and shared by the
+    claims table tests and the ``experiment all`` CLI test."""
+    from repro.bench.claims import EXPERIMENTS
+
+    return {name: make() for name, make in EXPERIMENTS.items()}
+
+
 @pytest.fixture(params=sorted(GPU_REGISTRY))
 def any_arch(request):
     """Parametrized over every registered device."""

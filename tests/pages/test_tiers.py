@@ -317,21 +317,21 @@ class TestTieredCacheProperty:
                 state[3] = False
         for t_handle, f_handle, seq_len, _, _ in seqs:
             assert t_handle.seq_len == f_handle.seq_len == seq_len
-            kt, vt = tiered.cache.dequant_seq(t_handle)
-            kf, vf = flat.cache.dequant_seq(f_handle)
+            kt, vt = tiered.cache.dequant_group([t_handle])
+            kf, vf = flat.cache.dequant_group([f_handle])
             np.testing.assert_array_equal(kt, kf)
             np.testing.assert_array_equal(vt, vf)
-            rkt, rvt = tiered.cache.residual_view(t_handle)
-            rkf, rvf = flat.cache.residual_view(f_handle)
+            rkt, rvt = tiered.cache.residual_group([t_handle])
+            rkf, rvf = flat.cache.residual_group([f_handle])
             np.testing.assert_array_equal(rkt, rkf)
             np.testing.assert_array_equal(rvt, rvf)
 
 
 class TestGroupOfOneEquivalence:
-    """The per-sequence and per-group entry points share one gather path
-    and one store path; at ``G == 1`` they must agree bitwise — pinned
-    under a tier store with scrambled frames, where a copy that confused
-    page ids with pool indices would read or write the wrong rows."""
+    """The per-sequence and per-group write paths share one store path; at
+    ``G == 1`` they must agree bitwise — pinned under a tier store with
+    scrambled frames, where a copy that confused page ids with pool
+    indices would write the wrong rows."""
 
     @staticmethod
     def _scramble(world, handle, first_block=0):
@@ -357,25 +357,12 @@ class TestGroupOfOneEquivalence:
             grp.cache.write_rows_group([h_grp], k[None, :, lo:hi], v[None, :, lo:hi])
             assert h_seq.seq_len == h_grp.seq_len == hi
             # Second round extends both memos instead of rebuilding them.
-            for a, b in zip(seq.cache.dequant_seq(h_seq), grp.cache.dequant_group([h_grp])):
+            for a, b in zip(seq.cache.dequant_group([h_seq]), grp.cache.dequant_group([h_grp])):
                 assert a.shape == (1, 2, hi // NR * NR, 16)
                 np.testing.assert_array_equal(a, b)
         frames_s = seq.tiers.frames_of(h_seq.block_ids)
         frames_g = grp.tiers.frames_of(h_grp.block_ids)
         for pool_s, pool_g in zip(seq.cache._pools(), grp.cache._pools()):
             np.testing.assert_array_equal(pool_s[frames_s], pool_g[frames_g])
-        for a, b in zip(seq.cache.residual_view(h_seq), grp.cache.residual_group([h_grp])):
+        for a, b in zip(seq.cache.residual_group([h_seq]), grp.cache.residual_group([h_grp])):
             np.testing.assert_array_equal(a, b)
-
-    def test_dequant_seq_matches_dequant_group_on_one_handle(self):
-        rng = np.random.default_rng(1)
-        n = 3 * NR + 7
-        k, v = rng.standard_normal((2, 2, n, 16)).astype(np.float16)
-        world, handle = self._world(n)
-        world.cache.write_rows(handle, k, v)
-        self._scramble(world, handle)  # each read faults the pages back in
-        k_grp, v_grp = world.cache.dequant_group([handle])
-        self._scramble(world, handle, first_block=1)
-        k_seq, v_seq = world.cache.dequant_seq(handle)
-        np.testing.assert_array_equal(k_seq, k_grp)
-        np.testing.assert_array_equal(v_seq, v_grp)

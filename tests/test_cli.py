@@ -42,9 +42,12 @@ class TestCli:
         for line in ("failed requests: 0 in [0, 0]", "check exercised_shed: 1 in [1, 1]"):
             assert f"  {line} — ok\n" in out
 
-    def test_experiment_all_holds_every_row(self, capsys):
-        from repro.bench.claims import CLAIMS
+    def test_experiment_all_holds_every_row(self, capsys, monkeypatch, experiments):
+        from repro.bench.claims import CLAIMS, EXPERIMENTS
 
+        # Hand back the session's experiments instead of running each again.
+        for name, built in experiments.items():
+            monkeypatch.setitem(EXPERIMENTS, name, lambda built=built: built)
         main(["experiment", "all"])  # would SystemExit(1) on a violated row
         out = capsys.readouterr().out
         assert out.count("— ok\n") == sum(map(len, CLAIMS.values()))
