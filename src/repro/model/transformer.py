@@ -60,24 +60,38 @@ def rope_angles(
     return np.cos(angles), np.sin(angles)
 
 
-#: Fewest rows a projection GEMM runs with.  From this many rows up, the
-#: BLAS kernel gives each row the same bits whatever M is, wherever the
-#: row sits and whatever the other rows hold (pinned by
-#: ``tests/model/test_row_floor.py``), so a decoder's hidden state never
+#: Fewest rows, and fewest ``rows * out_width`` outputs, a projection GEMM
+#: runs with.  OpenBLAS routes small products away from its blocked GEMM,
+#: to paths whose bits differ: below 4 rows a gemv or a small-matrix
+#: kernel, and in the transposed-rows call :func:`_matmul` makes, the TN
+#: small-matrix kernel up to about 1200 outputs, which ``tiny``'s 64-wide
+#: ``wo`` / ``w_down`` hit under 19 rows.  Zero-padding to both floors
+#: keeps every call on the blocked kernel, where a row has the same bits
+#: whatever M is, wherever it sits and whatever the other rows hold, and
+#: the same bits as the ``(in, out)`` GEMM ``rows @ w.T`` (pinned by
+#: ``tests/model/test_row_floor.py``).  So a decoder's hidden state never
 #: depends on which other decoders share its step.
 _ROW_FLOOR = 4
+_OUTPUT_FLOOR = 1201
 
 
 def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` over the last axis as ONE GEMM, zero-padded to ``_ROW_FLOOR`` rows."""
+    """``x @ w.T`` over the last axis for an ``(out, in)`` weight, as ONE GEMM.
+
+    Computed as ``(w @ rows.T).T`` so BLAS's M is the output width, not
+    the few decode rows; rows are zero-padded to the floors above.
+    """
     lead = x.shape[:-1]
+    out_width = w.shape[0]
     rows = np.ascontiguousarray(x, dtype=np.float32).reshape(-1, x.shape[-1])
     m = rows.shape[0]
-    if m < _ROW_FLOOR:
-        padded = np.zeros((_ROW_FLOOR, rows.shape[1]), np.float32)
+    floor = max(_ROW_FLOOR, -(-_OUTPUT_FLOOR // out_width))
+    if m < floor:
+        padded = np.zeros((floor, rows.shape[1]), np.float32)
         padded[:m] = rows
         rows = padded
-    return (rows @ w)[:m].reshape(lead + (w.shape[1],))
+    out = np.ascontiguousarray((w @ rows.T)[:, :m].T)
+    return out.reshape(lead + (out_width,))
 
 
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -91,7 +105,11 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 def swiglu(x: np.ndarray, w_gate_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
-    """SwiGLU MLP over fused ``[gate | up]`` columns: ``down(silu(x @ gate) * (x @ up))``."""
+    """SwiGLU MLP ``down(silu(gate x) * (up x))``.
+
+    Weights are ``(out, in)``; ``w_gate_up`` stacks ``gate`` over ``up``
+    row-wise, so both run as one GEMM.
+    """
     gate, up = np.split(_matmul(x, w_gate_up), 2, axis=-1)
     gate = gate / (1.0 + np.exp(-gate))  # SiLU
     return _matmul(gate * up, w_down)
@@ -101,9 +119,10 @@ def swiglu(x: np.ndarray, w_gate_up: np.ndarray, w_down: np.ndarray) -> np.ndarr
 class LayerWeights:
     """Weights of one decoder layer.
 
-    Projections that read the same input are fused column-wise: ``wqkv``
-    is ``[wq | wk | wv]`` and ``w_gate_up`` is ``[gate | up]``, so each
-    is one GEMM.
+    Every projection is stored output-major, ``(out, in)`` like
+    ``nn.Linear``.  Projections that read the same input are fused
+    row-wise: ``wqkv`` stacks ``wq``, ``wk``, ``wv`` and ``w_gate_up``
+    stacks ``gate``, ``up``, so each is one GEMM.
     """
 
     wqkv: np.ndarray
@@ -159,23 +178,29 @@ class TinyTransformer:
         scale = 1.0 / math.sqrt(self.hidden)
         kv_dim = self.hkv * self.head_dim
 
-        def w(rows, cols):
-            return (rng.standard_normal((rows, cols)) * scale).astype(np.float32)
+        def w(*shapes):
+            """``(out, in)`` weights stacked row-wise, each drawn ``(in, out)``.
 
-        def fused(*shapes):
-            return np.concatenate([w(rows, cols) for rows, cols in shapes], axis=1)
+            Drawn 128 input rows at a time (the same values as one draw), so
+            each block is scaled, cast and transposed while it is in cache.
+            """
+            out = np.empty((sum(n_out for _, n_out in shapes), shapes[0][0]), np.float32)
+            row = 0
+            for n_in, n_out in shapes:
+                for i in range(0, n_in, 128):
+                    z = rng.standard_normal((min(128, n_in - i), n_out))
+                    z *= scale
+                    out[row : row + n_out, i : i + 128] = z.T
+                row += n_out
+            return out
 
         # Draw order per layer: wq, wk, wv, wo, gate, up, down.
         self.layers = [
             LayerWeights(
-                wqkv=fused(
-                    (self.hidden, self.hidden), (self.hidden, kv_dim), (self.hidden, kv_dim)
-                ),
-                wo=w(self.hidden, self.hidden),
-                w_gate_up=fused(
-                    (self.hidden, self.intermediate), (self.hidden, self.intermediate)
-                ),
-                w_down=w(self.intermediate, self.hidden),
+                wqkv=w((self.hidden, self.hidden), (self.hidden, kv_dim), (self.hidden, kv_dim)),
+                wo=w((self.hidden, self.hidden)),
+                w_gate_up=w((self.hidden, self.intermediate), (self.hidden, self.intermediate)),
+                w_down=w((self.intermediate, self.hidden)),
                 norm_attn=np.ones(self.hidden, dtype=np.float32),
                 norm_mlp=np.ones(self.hidden, dtype=np.float32),
             )

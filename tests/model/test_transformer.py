@@ -50,14 +50,14 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             rope_angles(15, np.arange(4))
 
-    def test_swiglu_fused_columns_match_separate_matrices(self, rng):
+    def test_swiglu_fused_rows_match_separate_matrices(self, rng):
         x = rng.standard_normal((2, 8)).astype(np.float32)
-        w_g = rng.standard_normal((8, 16)).astype(np.float32)
-        w_u = rng.standard_normal((8, 16)).astype(np.float32)
-        w_d = rng.standard_normal((16, 8)).astype(np.float32)
-        gate = x @ w_g
-        expected = (gate / (1.0 + np.exp(-gate)) * (x @ w_u)) @ w_d
-        out = swiglu(x, np.concatenate([w_g, w_u], axis=1), w_d)
+        w_g = rng.standard_normal((16, 8)).astype(np.float32)  # (out, in)
+        w_u = rng.standard_normal((16, 8)).astype(np.float32)
+        w_d = rng.standard_normal((8, 16)).astype(np.float32)
+        gate = x @ w_g.T
+        expected = (gate / (1.0 + np.exp(-gate)) * (x @ w_u.T)) @ w_d.T
+        out = swiglu(x, np.concatenate([w_g, w_u], axis=0), w_d)
         assert out.shape == (2, 8)
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
 
@@ -122,10 +122,10 @@ class TestVectorizedAttention:
         seq = normed.shape[1]
         cos, sin = rope_angles(16, np.arange(seq))
         qr, k, v = model._attention_inputs(layer, normed, cos, sin)
-        out = chunked_causal_attention(qr, None, None, k, v).reshape(2, 12, 64) @ layer.wo
+        out = chunked_causal_attention(qr, None, None, k, v).reshape(2, 12, 64) @ layer.wo.T
 
         # Per-head loop reference (the pre-vectorization implementation).
-        q = (normed @ layer.wqkv[:, :64]).reshape(2, seq, hq, 16)
+        q = (normed @ layer.wqkv[:64].T).reshape(2, seq, hq, 16)
         q = apply_rope(q.transpose(0, 2, 1, 3), cos, sin)
         gq = hq // hkv
         per_head = np.empty_like(q)
@@ -137,7 +137,7 @@ class TestVectorizedAttention:
                 p = np.exp(s)
                 p /= p.sum(axis=-1, keepdims=True)
                 per_head[b, hh] = p @ v[b, hh // gq]
-        expected = per_head.transpose(0, 2, 1, 3).reshape(2, seq, 64) @ layer.wo
+        expected = per_head.transpose(0, 2, 1, 3).reshape(2, seq, 64) @ layer.wo.T
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
 
     def test_exact_decode_matches_reference_attention(self, rng):
