@@ -37,7 +37,7 @@ from repro.attn.protocol import (
     get_backend,
     register_backend,
 )
-from repro.attn.reference import causal_mask, chunked_causal_attention
+from repro.attn.reference import chunked_causal_attention
 
 __all__ = [
     "AnalyticalBackend",
@@ -51,7 +51,6 @@ __all__ = [
     "PagedBitKVCache",
     "PagedSeqHandle",
     "backend_names",
-    "causal_mask",
     "chunked_causal_attention",
     "get_backend",
     "register_backend",

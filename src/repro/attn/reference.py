@@ -2,11 +2,11 @@
 
 Prefill is not the paper's focus (the kernels are about *decode* over a
 low-bit cache), so every backend computes prefill attention the same
-exact way: one grouped-query einsum per chunk, causal within the chunk,
-unmasked over whatever context the cache already holds.  Keeping the
-math in one place is what makes backend prefill outputs comparable
-bit-for-bit — the transformer's old ``_attend_prefill`` is exactly the
-``cached_len == 0`` case of :func:`chunked_causal_attention`.
+exact way: one grouped-query attention per chunk, causal within the
+chunk, unmasked over whatever context the cache already holds.  Keeping
+the math in one place is what makes backend prefill outputs comparable
+bit-for-bit — a fresh prompt is the ``cached == 0`` case and an exact
+decode step the ``n == 1`` case of :func:`chunked_causal_attention`.
 """
 
 from __future__ import annotations
@@ -15,21 +15,6 @@ import math
 from typing import Optional
 
 import numpy as np
-
-
-def causal_mask(seq: int) -> np.ndarray:
-    """``(seq, seq)`` additive mask: ``-inf`` strictly above the diagonal.
-
-    Built once per attention call and shared by every head — a 32k-token
-    prefill allocates one O(seq^2) mask, not O(heads * seq^2) of them.
-    The fill goes through a boolean upper-triangle (one byte per element
-    of scratch); ``np.triu_indices`` would transiently cost ~2x the mask
-    itself in int64 index arrays at that scale.
-    """
-    mask = np.zeros((seq, seq), dtype=np.float32)
-    rows = np.arange(seq)
-    mask[rows[:, None] < rows[None, :]] = -np.inf
-    return mask
 
 
 def chunked_causal_attention(
@@ -46,6 +31,14 @@ def chunked_causal_attention(
     or zero-length for a fresh prompt); ``k_new``/``v_new`` are the
     chunk's ``[batch, hkv, n, d]``.  Chunk queries see every context
     token plus their own causal prefix.  Returns ``[batch, n, hq, d]``.
+
+    Scores are key-major, ``(b, hkv, keys, gq * n)``: the long key axis is
+    BLAS's M (Sec. V-A's query transformation) and the softmax reduces
+    over the outer axis of contiguous rows.  Those are the two GEMMs
+    ``np.einsum(..., optimize=True)`` issues for the query-major formula,
+    with the same operand layouts, and an outer-axis reduction keeps its
+    left-to-right summation order (a last-axis sum is pairwise), so the
+    bits equal that formula's (``tests/attn/test_prefill_attention.py``).
     """
     q = np.asarray(q, dtype=np.float32)
     k_new = np.asarray(k_new, dtype=np.float32)
@@ -57,18 +50,26 @@ def chunked_causal_attention(
     if cached:
         k_all = np.concatenate([np.asarray(k_ctx, np.float32), k_new], axis=2)
         v_all = np.concatenate([np.asarray(v_ctx, np.float32), v_new], axis=2)
-        mask = np.concatenate([np.zeros((n, cached), np.float32), causal_mask(n)], axis=1)
     else:
         k_all, v_all = k_new, v_new
-        mask = causal_mask(n)
-    # (b, n, hq, d) -> (b, hq, n, d) -> grouped (b, hkv, gq, n, d)
-    qg = q.transpose(0, 2, 1, 3).reshape(batch, hkv, gq, n, d)
-    scale = 1.0 / math.sqrt(d)
-    s = np.einsum("bhgqd,bhkd->bhgqk", qg, k_all, optimize=True) * scale
-    s += mask
-    s -= s.max(axis=-1, keepdims=True)
-    p = np.exp(s)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = np.einsum("bhgqk,bhkd->bhgqd", p, v_all, optimize=True)
-    out = out.reshape(batch, hq, n, d)
-    return out.transpose(0, 2, 1, 3)
+    keys = cached + n
+    # (b, n, hq, d) -> (b, hkv, d, gq * n): each head group's queries as
+    # columns.  Like the einsum's operand, a C-contiguous copy unless gq
+    # or n is 1, when it stays a strided view (BLAS bits follow layout).
+    q_cols = q.reshape(batch, n, hkv, gq, d).transpose(0, 2, 4, 3, 1).reshape(
+        batch, hkv, d, gq * n
+    )
+    s = k_all @ q_cols
+    s *= 1.0 / math.sqrt(d)
+    s = s.reshape(batch, hkv, keys, gq, n)
+    if n > 1:
+        # Causal within the chunk: new key j is hidden from query i < j.
+        rows = np.arange(n)
+        mask = np.where(rows[:, None] > rows, np.float32(-np.inf), np.float32(0))
+        s[:, :, cached:] += mask[:, None, :]
+    s -= s.max(axis=2, keepdims=True)
+    p = np.exp(s, out=s)
+    p /= p.sum(axis=2, keepdims=True)
+    out = np.swapaxes(v_all, -1, -2) @ p.reshape(batch, hkv, keys, gq * n)
+    # (b, hkv, d, gq, n) -> (b, n, hkv, gq, d) -> (b, n, hq, d)
+    return out.reshape(batch, hkv, d, gq, n).transpose(0, 4, 1, 3, 2).reshape(batch, n, hq, d)

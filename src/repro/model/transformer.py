@@ -28,14 +28,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.attn.protocol import AttentionBackend, KVCacheHandle
-from repro.attn.reference import causal_mask, chunked_causal_attention
+from repro.attn.reference import chunked_causal_attention
 
 __all__ = [
     "CacheSession",
     "LayerWeights",
     "TinyTransformer",
     "apply_rope",
-    "causal_mask",
     "rms_norm",
     "rope_angles",
     "swiglu",
@@ -308,13 +307,7 @@ class TinyTransformer:
                     sess.caches[i] = self.backend.new_handle(batch, self.hkv, self.head_dim)
                 attn = self.backend.prefill(q, (k, v), sess.caches[i])
             else:
-                attn = chunked_causal_attention(q, sess.ref_k[i], sess.ref_v[i], k, v)
-                sess.ref_k[i] = (
-                    k if sess.ref_k[i] is None else np.concatenate([sess.ref_k[i], k], axis=2)
-                )
-                sess.ref_v[i] = (
-                    v if sess.ref_v[i] is None else np.concatenate([sess.ref_v[i], v], axis=2)
-                )
+                attn = self._reference_attention(sess, i, q, k, v)
             h = self._block_tail(layer, h, attn)
         sess.positions = pos0 + n
         return h
@@ -343,30 +336,21 @@ class TinyTransformer:
                 self.backend.append_kv((k_new[:, :, 0], v_new[:, :, 0]), handle)
                 attn = self.backend.decode_step(q, handle)
             else:
-                sess.ref_k[i] = np.concatenate([sess.ref_k[i], k_new], axis=2)
-                sess.ref_v[i] = np.concatenate([sess.ref_v[i], v_new], axis=2)
-                attn = self._exact_decode(q, sess.ref_k[i], sess.ref_v[i])
+                attn = self._reference_attention(sess, i, q, k_new, v_new)
             h = self._block_tail(layer, h, attn)
         sess.positions = sess.positions + 1
         return h[:, 0, :]
 
-    def _exact_decode(self, q, k, v) -> np.ndarray:
-        """Exact FP32 decode attention, one grouped-query einsum per batch.
+    @staticmethod
+    def _reference_attention(sess: CacheSession, i: int, q, k, v) -> np.ndarray:
+        """Exact attention over layer ``i``'s reference context, then append ``k``/``v``.
 
-        Same softmax as :func:`repro.core.softmax.reference_attention`,
-        vectorized over every (batch, query-head) pair at once.
+        A decode step is the ``n == 1`` chunk.
         """
-        batch = q.shape[0]
-        gq = self.hq // self.hkv
-        qg = np.asarray(q[:, 0], dtype=np.float32).reshape(batch, self.hkv, gq, self.head_dim)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        # math.sqrt, not np.sqrt: a float64 scalar would promote the whole
-        # path (and the caller's hidden state) to float64 under NEP 50.
-        scale = np.float32(1.0 / math.sqrt(self.head_dim))
-        s = np.einsum("bhgd,bhkd->bhgk", qg, k, optimize=True) * scale
-        s -= s.max(axis=-1, keepdims=True)
-        p = np.exp(s)
-        p /= p.sum(axis=-1, keepdims=True)
-        out = np.einsum("bhgk,bhkd->bhgd", p, v, optimize=True)
-        return out.reshape(batch, 1, self.hq, self.head_dim)
+        attn = chunked_causal_attention(q, sess.ref_k[i], sess.ref_v[i], k, v)
+        if sess.ref_k[i] is None:
+            sess.ref_k[i], sess.ref_v[i] = k, v
+        else:
+            sess.ref_k[i] = np.concatenate([sess.ref_k[i], k], axis=2)
+            sess.ref_v[i] = np.concatenate([sess.ref_v[i], v], axis=2)
+        return attn

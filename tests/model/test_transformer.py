@@ -109,7 +109,7 @@ class TestEndToEnd:
 
 
 class TestVectorizedAttention:
-    """The grouped-query einsum paths must match per-head loop semantics."""
+    """The grouped-query attention paths must match per-head loop semantics."""
 
     @pytest.mark.parametrize("hq,hkv", [(4, 2), (4, 4), (4, 1)])
     def test_prefill_attention_matches_per_head_loop(self, rng, hq, hkv):
@@ -141,14 +141,14 @@ class TestVectorizedAttention:
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
 
     def test_exact_decode_matches_reference_attention(self, rng):
+        """Decode without a backend is the ``n == 1`` chunk over the cached context."""
+        from repro.attn.reference import chunked_causal_attention
         from repro.core.softmax import reference_attention
 
-        dims = dict(n_layers=1, hq=4, hkv=2, head_dim=16, hidden=64, intermediate=64)
-        model = TinyTransformer(**dims, seed=2)
         q = rng.standard_normal((2, 1, 4, 16)).astype(np.float32)
         k = rng.standard_normal((2, 2, 9, 16)).astype(np.float32)
         v = rng.standard_normal((2, 2, 9, 16)).astype(np.float32)
-        out = model._exact_decode(q, k, v)
+        out = chunked_causal_attention(q, k[:, :, :8], v[:, :, :8], k[:, :, 8:], v[:, :, 8:])
         for b in range(2):
             for hh in range(4):
                 ref = reference_attention(q[b, 0, hh : hh + 1], k[b, hh // 2], v[b, hh // 2])
