@@ -4,7 +4,6 @@
 system              design                          weakness the paper shows
 ==================  =============================  =========================
 FlashDecoding-v2    FP16, Tensor Cores, split-KV    2x cache bytes
-FlashAttention-2    FP16, no split                  underfills at batch=1
 FlashAttention-3    FP16, Hopper wgmma/TMA          still 2x cache bytes
 KIVI                low-bit, separated kernels      launches + traffic, GQA
 QServe              low-bit, fused, CUDA cores      no Tensor Cores, GQA
@@ -17,11 +16,7 @@ ContinuousPacking   repack every step               Fig. 16 baseline
 
 from repro.baselines.atom import Atom
 from repro.baselines.continuous_packing import ContinuousPacking, ablation_config
-from repro.baselines.flash_decoding import (
-    FlashAttention2,
-    FlashDecodingV2,
-    FlashDecodingV3,
-)
+from repro.baselines.flash_decoding import FlashDecodingV2, FlashDecodingV3
 from repro.baselines.kivi import Kivi
 from repro.baselines.ladder import LadderTransform
 from repro.baselines.marlin import MarlinRepack
@@ -31,7 +26,6 @@ __all__ = [
     "Atom",
     "ContinuousPacking",
     "ablation_config",
-    "FlashAttention2",
     "FlashDecodingV2",
     "FlashDecodingV3",
     "Kivi",

@@ -1,11 +1,10 @@
-"""FP16 baselines: FlashDecoding-v2 and the FlashAttention-2/3 decode path.
+"""FP16 baselines: FlashDecoding-v2 and the FlashAttention-3 decode path.
 
 FlashDecoding (the paper's speedup-normalization baseline) is
 FlashAttention-2's decode kernel with split-KV partitioning: the KV
 sequence is divided across thread blocks so small-batch decode still fills
 the machine, and a reduction kernel merges the partial softmax states.
-``FlashAttention2`` is the same kernel without the split (the "Flash-attn-
-v2" series of Figs. 9/11).  ``FlashDecodingV3`` is the Hopper rebuild with
+``FlashDecodingV3`` is the Hopper rebuild with
 ``wgmma`` + TMA (the "Flash-attn-v3" series) — it escapes the ~35% legacy
 SM80 instruction penalty.
 
@@ -42,7 +41,6 @@ class FlashDecodingV2:
 
     arch: ArchSpec
     tile_n: int = 128
-    split_kv: bool = True
     name: str = "FlashDecoding-v2"
 
     # -------------------------------------------------------------- numerics
@@ -51,15 +49,11 @@ class FlashDecodingV2:
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, n_splits: int = 4
     ) -> np.ndarray:
         """Exact FP16 attention for one head: ``q (M, d)``, ``k/v (L, d)``."""
-        if not self.split_kv:
-            n_splits = 1
         return split_kv_attention(q, k, v, n_splits, tile_n=self.tile_n)
 
     # ------------------------------------------------------------------ perf
 
     def n_splits(self, geom: AttentionGeometry) -> int:
-        if not self.split_kv:
-            return 1
         base_blocks = geom.batch * geom.hkv
         tiles = max(1, math.ceil(geom.seq_len / self.tile_n))
         want = max(1, (2 * self.arch.sm_count) // max(base_blocks, 1))
@@ -122,14 +116,6 @@ class FlashDecodingV2:
     @memoized_latency
     def decode_time_ms(self, geom: AttentionGeometry, paged: bool = False) -> float:
         return self.decode_result(geom, paged=paged).time_ms
-
-
-@dataclass
-class FlashAttention2(FlashDecodingV2):
-    """FlashAttention-2 decode without split-KV (``Flash-attn-v2``)."""
-
-    split_kv: bool = False
-    name: str = "Flash-attn-v2"
 
 
 @dataclass

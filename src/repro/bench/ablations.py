@@ -32,8 +32,9 @@ from repro.core.attention import BitDecoding
 from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.packing_kernel import build_packing_launch
 from repro.core.quantization import QuantScheme, dequantize, quantize_key
-from repro.gpu.arch import get_arch
-from repro.gpu.kernel import simulate_kernel
+from repro.gpu.arch import GPU_REGISTRY, get_arch
+from repro.gpu.instructions import dequant_ops
+from repro.gpu.kernel import KernelLaunch, simulate_kernel
 from repro.gpu.profiler import profile_kernel
 from repro.pages.allocator import PageAllocator
 from repro.pages.page_table import PageTable
@@ -64,16 +65,33 @@ def warp_width_sweep(
     return exp
 
 
+#: Codes one dequant-only launch converts, 8192 per thread block.
+_DEQUANT_VALUES = 1e7
+
+
+def _dequant_only_us(device: str, bits: int, method: str) -> float:
+    """Pipe time of a launch that only dequantizes: no loads, no MMA."""
+    launch = KernelLaunch(
+        name=f"dequant-{method}",
+        trace=dequant_ops(_DEQUANT_VALUES, bits, method),
+        grid_blocks=int(_DEQUANT_VALUES // 8192),
+        warps_per_block=4,
+        hide_factor=1.0,
+    )
+    return simulate_kernel(get_arch(device), launch).exec_time_s * 1e6
+
+
 def dequant_path_sweep(
     devices: Iterable[str] = ("a100", "rtx4090", "h100"),
     geom: AttentionGeometry = None,
 ) -> Experiment:
-    """lop3 vs static_cast dequantization across architectures."""
+    """lop3 vs static_cast dequantization: the whole Packing Kernel on
+    ``devices``, and the conversion alone on every registered device."""
     geom = geom or AttentionGeometry(8, 32, 8, 32768, 128)
     exp = Experiment(
         exp_id="ablation-dequant-path",
         title="Dequantization path: lop3 vs static_cast",
-        unit="ms",
+        unit="ms | us (dequant-only)",
     )
     for device in devices:
         arch = get_arch(device)
@@ -81,6 +99,11 @@ def dequant_path_sweep(
             config = BitDecodingConfig(bits=4, dequant_method=method)
             t = simulate_kernel(arch, build_packing_launch(geom, config, arch)).time_ms
             exp.series_for(method).add(device, t)
+    for bits in (4, 2):
+        for method in ("lop3", "cvt"):
+            series = exp.series_for(f"dequant-only/{method}/INT{bits}")
+            for device in GPU_REGISTRY:
+                series.add(device, _dequant_only_us(device, bits, method))
     exp.note("the cvt pipe's low throughput makes naive casts strictly slower")
     return exp
 

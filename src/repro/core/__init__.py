@@ -5,13 +5,11 @@ Subpackage map (paper section in parentheses):
 - :mod:`repro.core.layouts` — fragment layouts + layout induction (IV-A(1))
 - :mod:`repro.core.packing` — bit packing, ``75316420`` interleave (IV-A(3))
 - :mod:`repro.core.quantization` — INT-k KC/KT + MXFP4/NVFP4 (V-B, V-D)
-- :mod:`repro.core.dequant` — lop3 vs static_cast dequantization (IV-A(3))
 - :mod:`repro.core.residual_cache` — Eq. 1 residual sizing (IV-A(2))
 - :mod:`repro.core.residual_kernel` — fused quant+pack kernel (V-B)
 - :mod:`repro.core.packing_kernel` — fused dequant+attention kernel (V-C)
 - :mod:`repro.core.softmax` — cooperative softmax, Algorithm 1 (IV-B(2))
 - :mod:`repro.core.query_transform` — GQA/MQA query grouping (V-A)
-- :mod:`repro.core.pipeline` — software pipeline model (V-C(2))
 - :mod:`repro.core.arch_support` — Hopper/Blackwell paths (V-D)
 - :mod:`repro.core.attention` — the contiguous cache + decode engine
 

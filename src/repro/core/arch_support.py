@@ -59,19 +59,3 @@ def validate_config(arch: ArchSpec, config: BitDecodingConfig) -> None:
     validate_version(arch, config.version)
     if config.version == "fp4" and config.fp4_format not in ("mxfp4", "nvfp4"):
         raise ValueError(f"unknown fp4 format {config.fp4_format!r}")
-
-
-def wgmma_b_operand_in_smem(version: str) -> bool:
-    """True when operand B must reside in shared memory (Hopper wgmma_SS)."""
-    return version == "v3"
-
-
-def stsm_staging_bytes(tile_n: int, head_dim: int) -> int:
-    """Bytes `STSM` stores per dequantized K/V tile pair on the v3 path."""
-    return 2 * tile_n * head_dim * 2
-
-
-def uses_ldmatrix(version: str) -> bool:
-    """The fp4 path feeds packed data straight to the MMA; v2/v3 use
-    ``ldmatrix`` to load fragments."""
-    return version in ("v2", "v3")

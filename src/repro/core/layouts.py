@@ -14,8 +14,10 @@ tile into exactly that mapping.  BitDecoding's key insight (Sec. IV-A(1)) is:
 
 Packing the quantized tile *contiguously* instead (row-major, Fig. 3b)
 breaks this: after unpacking, values sit in the wrong lanes and the MMA
-computes garbage.  Both behaviours are implemented here so tests and
-benchmarks can demonstrate the validity argument, not just assert it.
+computes garbage (``tests/core/test_layouts.py`` builds that
+counterexample).  This module implements the fragment-order path the caches
+run.  Store and load must share one ``ldmatrix``/``mma`` variant
+(Sec. IV-A(4)): layouts agree exactly when their lane/slot tables do.
 
 Layouts are modelled as explicit permutations between tile coordinates
 ``(row, col)`` and fragment coordinates ``(lane, slot)`` for a 32-thread
@@ -29,7 +31,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from repro.core.packing import pack_values, packing_ratio, unpack_values
+from repro.core.packing import pack_values, unpack_values
 
 WARP_LANES = 32
 
@@ -192,88 +194,7 @@ def tiled_layout(base: FragmentLayout, n_repeat: int) -> FragmentLayout:
 
 
 # ---------------------------------------------------------------------------
-# Layout induction (Fig. 5): pack in fragment order
-# ---------------------------------------------------------------------------
-
-
-def induced_pack(
-    qtile: np.ndarray,
-    layout: FragmentLayout,
-    bits: int,
-    word_bits: int = 16,
-    interleaved: bool = True,
-) -> np.ndarray:
-    """Pack a quantized tile in *fragment order* (the Residual Kernel's way).
-
-    The tile is first gathered into fragments (as ``ldmatrix`` leaves it in
-    registers after the attention MMA), then each lane packs its own slots
-    into words.  The result is the warp's packed buffer with shape
-    ``(32, values_per_lane / R)`` — lane-major, exactly as the threads would
-    store it to the low-bit KV cache.
-    """
-    frag = layout.gather(qtile)
-    ratio = packing_ratio(bits, word_bits)
-    if layout.values_per_lane % ratio != 0:
-        raise ValueError(
-            f"{layout.name}: {layout.values_per_lane} values per lane is not "
-            f"a multiple of the packing ratio {ratio}; pad the tile along N "
-            "(this is what Eq. 1's residual block sizing guarantees)"
-        )
-    return pack_values(frag, bits, word_bits, interleaved=interleaved)
-
-
-def induced_unpack(
-    packed: np.ndarray,
-    layout: FragmentLayout,
-    bits: int,
-    word_bits: int = 16,
-    interleaved: bool = True,
-) -> np.ndarray:
-    """Unpack a fragment-order packed buffer back to a tile.
-
-    Models the Packing Kernel: ``ldmatrix`` hands each lane its own packed
-    words; thread-local unpacking then lands every value in the register
-    slot the MMA expects, so scattering reproduces the tile exactly.  This
-    round-trip being the identity *is* the paper's zero-cost layout claim.
-    """
-    frag = unpack_values(packed, bits, word_bits, interleaved=interleaved)
-    return layout.scatter(frag)
-
-
-def contiguous_pack(qtile: np.ndarray, bits: int, word_bits: int = 16) -> np.ndarray:
-    """Pack a quantized tile row-major (the naive layout of Fig. 3b)."""
-    qtile = np.asarray(qtile)
-    flat = qtile.reshape(1, -1)
-    return pack_values(flat, bits, word_bits, interleaved=False)
-
-
-def mismatched_unpack(
-    packed_contiguous: np.ndarray,
-    layout: FragmentLayout,
-    bits: int,
-    word_bits: int = 16,
-) -> np.ndarray:
-    """What the MMA *actually sees* if the cache was packed contiguously.
-
-    The Packing Kernel distributes packed words to lanes as if they were in
-    fragment order; with a contiguous buffer the words land on the wrong
-    lanes, so after unpack+scatter the tile is a permutation of the truth.
-    Returns that (generally wrong) tile so callers can show the corruption.
-    """
-    ratio = packing_ratio(bits, word_bits)
-    if layout.values_per_lane % ratio != 0:
-        raise ValueError(
-            f"{layout.name}: lane holds {layout.values_per_lane} values, "
-            f"not a multiple of packing ratio {ratio}"
-        )
-    words_per_lane = layout.values_per_lane // ratio
-    words = np.asarray(packed_contiguous).reshape(WARP_LANES, words_per_lane)
-    frag = unpack_values(words, bits, word_bits, interleaved=False)
-    return layout.scatter(frag)
-
-
-# ---------------------------------------------------------------------------
-# Block-level packing: a whole residual block through the fragment layout
+# Layout induction (Fig. 5): pack a whole block in fragment order
 # ---------------------------------------------------------------------------
 
 _BLOCK_INDEX_CACHE: Dict[Tuple[str, int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -350,8 +271,8 @@ def block_fragment_pack(
 ) -> np.ndarray:
     """Pack a whole quantized block (e.g. ``N_r x d``) in fragment order.
 
-    Vectorized equivalent of running :func:`induced_pack` over every tile of
-    the block.  Returns the packed words in storage order, shape
+    Each lane packs the slots ``ldmatrix`` left in its registers.  Returns
+    the lane-major words in storage order, shape
     ``(tiles_r, tiles_c, 32, words_per_lane)``.
     """
     qblock = np.asarray(qblock)
@@ -368,21 +289,10 @@ def block_fragment_unpack(
     word_bits: int = 16,
     interleaved: bool = True,
 ) -> np.ndarray:
-    """Inverse of :func:`block_fragment_pack`: packed words back to a block."""
+    """Inverse of :func:`block_fragment_pack`; the round trip being the
+    identity *is* the paper's zero-cost layout claim."""
     frag = unpack_values(packed, bits, word_bits, interleaved=interleaved)
     row_idx, col_idx = _block_fragment_indices(layout, *block_shape)
     block = np.empty(block_shape, dtype=frag.dtype)
     block[row_idx, col_idx] = frag
     return block
-
-
-def layouts_match(layout_store: FragmentLayout, layout_load: FragmentLayout) -> bool:
-    """True when packing under one layout and unpacking under another is safe.
-
-    The paper's coordination rule (Sec. IV-A(4)): the Residual Kernel and
-    the Packing Kernel must use the *same* ``ldmatrix``/``mma`` variant.
-    Two layouts are compatible exactly when their lane/slot tables agree.
-    """
-    if (layout_store.rows, layout_store.cols) != (layout_load.rows, layout_load.cols):
-        return False
-    return bool(np.array_equal(layout_store.lane_slot_table(), layout_load.lane_slot_table()))

@@ -176,31 +176,6 @@ def unpack_values(
     return out.reshape(*words.shape[:-1], -1)
 
 
-def fast_parity_extract(
-    words: np.ndarray, bits: int, word_bits: int = 16
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Emulate the lop3 fast path on interleaved-packed words.
-
-    Returns ``(first_half, second_half)``: logical values ``0..R/2-1`` and
-    ``R/2..R-1``, each half obtained with a *single mask per field pair* —
-    the software analogue of the ``lop3``-based extraction enabled by the
-    ``75316420`` layout, where the first half of the values sits in the even
-    physical fields and the second half in the odd fields.  Only meaningful
-    for words packed with ``interleaved=True``.
-    """
-    ratio = packing_ratio(bits, word_bits)
-    words = np.asarray(words).astype(np.uint32)
-    half = ratio // 2
-    mask = np.uint32((1 << bits) - 1)
-    span = np.uint32(2 * bits)
-    first = np.empty(words.shape + (half,), dtype=np.uint8)
-    second = np.empty(words.shape + (half,), dtype=np.uint8)
-    for j in range(half):
-        first[..., j] = (words >> (span * np.uint32(j))) & mask
-        second[..., j] = (words >> (span * np.uint32(j) + np.uint32(bits))) & mask
-    return first, second
-
-
 def packed_nbytes(n_values: int, bits: int, word_bits: int = 16) -> int:
     """Storage bytes for ``n_values`` codes (must divide the ratio evenly)."""
     ratio = packing_ratio(bits, word_bits)

@@ -242,11 +242,6 @@ def quantize_value(
     return quantize(v, bits, channel_axis, group_size)
 
 
-def quantization_error_bound(params: QuantParams) -> float:
-    """Worst-case absolute reconstruction error: half a step per group."""
-    return float(np.max(params.scale)) / 2.0 + 1e-3  # fp16 metadata slack
-
-
 # ---------------------------------------------------------------------------
 # Micro-scaling FP4 (Blackwell native formats)
 # ---------------------------------------------------------------------------
@@ -314,12 +309,3 @@ def quantize_fp4(x: np.ndarray, fmt: str = "mxfp4", axis: int = -1) -> Tuple[np.
     out = np.moveaxis(q.reshape(moved.shape), -1, axis)
     params = Fp4Params(scale=scale.astype(np.float32), axis=axis, block_size=block, fmt=fmt)
     return out, params
-
-
-def fp4_storage_bits_per_value(fmt: str = "mxfp4") -> float:
-    """Total storage bits per value including the amortized block scale."""
-    if fmt == "mxfp4":
-        return 4.0 + 8.0 / 32.0
-    if fmt == "nvfp4":
-        return 4.0 + 8.0 / 16.0
-    raise ValueError(f"unknown fp4 format {fmt!r}")

@@ -50,90 +50,16 @@ def partition_prefill(seq_len: int, block_size: int) -> Tuple[int, int]:
 
 
 @dataclass
-class ResidualBuffer:
-    """FP16 K/V residual for one (sequence, KV-head) pair.
-
-    Appending the token that fills the buffer returns the *complete block*
-    for the Residual Kernel to quantize; the buffer then empties.  The
-    capacity is always ``N_r``, so a flushed block is Tensor-Core aligned
-    by construction.
-    """
-
-    capacity: int
-    head_dim: int
-    k: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
-    length: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0 or self.head_dim <= 0:
-            raise ValueError("capacity and head_dim must be positive")
-        self.k = np.zeros((self.capacity, self.head_dim), dtype=np.float16)
-        self.v = np.zeros((self.capacity, self.head_dim), dtype=np.float16)
-
-    @property
-    def is_full(self) -> bool:
-        return self.length == self.capacity
-
-    def append(
-        self, k_new: np.ndarray, v_new: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Append one token's K/V rows; return the full block when it flushes.
-
-        Returns ``None`` while the buffer is filling.  When the append
-        completes the block (``res_len == N_r``), returns FP16 copies of the
-        block's (K, V) and resets the buffer.
-        """
-        k_new = np.asarray(k_new, dtype=np.float16).reshape(self.head_dim)
-        v_new = np.asarray(v_new, dtype=np.float16).reshape(self.head_dim)
-        if self.is_full:
-            raise RuntimeError("append on a full residual buffer (missed flush)")
-        self.k[self.length] = k_new
-        self.v[self.length] = v_new
-        self.length += 1
-        if not self.is_full:
-            return None
-        block = (self.k.copy(), self.v.copy())
-        self.length = 0
-        return block
-
-    def fill(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        """Bulk-load the residual from a prefill remainder (< capacity rows)."""
-        k_rows = np.asarray(k_rows, dtype=np.float16)
-        v_rows = np.asarray(v_rows, dtype=np.float16)
-        n = k_rows.shape[0]
-        if n >= self.capacity:
-            raise ValueError(
-                f"prefill remainder ({n}) must be smaller than the block size "
-                f"({self.capacity}); pack complete blocks first"
-            )
-        if v_rows.shape[0] != n:
-            raise ValueError("K and V remainders must have equal length")
-        self.length = n
-        self.k[:n] = k_rows
-        self.v[:n] = v_rows
-
-    def view(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Valid (K, V) rows currently in the residual."""
-        return self.k[: self.length], self.v[: self.length]
-
-    @property
-    def nbytes(self) -> int:
-        """FP16 storage the residual occupies (constant, = 2 buffers)."""
-        return self.k.nbytes + self.v.nbytes
-
-
-@dataclass
 class BatchedResidual:
     """FP16 K/V residual for a whole ``[batch, hkv]`` cache, one tensor each.
 
-    The struct-of-arrays counterpart of per-(sequence, head)
-    :class:`ResidualBuffer` objects: ``k``/``v`` are
-    ``[batch, hkv, N_r, d]`` with a *shared* fill cursor — the paper's
-    padded "Batches" setting keeps every sequence at the same length, so
-    all ``batch x hkv`` residuals fill and flush in lock-step.  An append
-    is one slice write; a flush hands back all blocks at once for the
-    batched quantize+pack.
+    ``k``/``v`` are ``[batch, hkv, N_r, d]`` with a *shared* fill cursor —
+    the paper's padded "Batches" setting keeps every sequence at the same
+    length, so all ``batch x hkv`` residuals fill and flush in lock-step.
+    An append is one slice write.  The append that fills the buffer hands
+    back every head's *complete block* at once for the batched
+    quantize+pack, and the buffer empties.  The capacity is always
+    ``N_r``, so a flushed block is Tensor-Core aligned by construction.
     """
 
     batch: int

@@ -13,7 +13,8 @@ trace-driven performance model:
 - :mod:`repro.gpu.trace` — ``OpTrace``: the counts a kernel implementation
   emits while it walks its tile/warp structure.
 - :mod:`repro.gpu.memory` — DRAM roofline with occupancy-dependent
-  efficiency, L2, and a shared-memory model with bank conflicts.
+  efficiency, L2 and shared-memory bandwidth (bank conflicts arrive as the
+  trace's replay factor).
 - :mod:`repro.gpu.warp` / :mod:`repro.gpu.sm` — warp-scheduler
   latency-hiding and SM occupancy models.
 - :mod:`repro.gpu.kernel` — turns a trace plus a launch configuration and a
@@ -35,8 +36,8 @@ from repro.gpu.arch import (
     RTX5090,
     RTX_PRO_6000,
 )
-from repro.gpu.trace import OpTrace, MemoryScope, AccessPattern
-from repro.gpu.kernel import KernelLaunch, KernelResult, simulate_kernel, sum_results
+from repro.gpu.trace import OpTrace, AccessPattern
+from repro.gpu.kernel import KernelLaunch, KernelResult, simulate_kernel
 from repro.gpu.profiler import KernelProfile, profile_kernel
 
 __all__ = [
@@ -49,12 +50,10 @@ __all__ = [
     "RTX5090",
     "RTX_PRO_6000",
     "OpTrace",
-    "MemoryScope",
     "AccessPattern",
     "KernelLaunch",
     "KernelResult",
     "simulate_kernel",
-    "sum_results",
     "KernelProfile",
     "profile_kernel",
 ]

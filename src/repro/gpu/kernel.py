@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict
 
 from repro.gpu.arch import ArchSpec
 from repro.gpu.memory import dram_time, l2_time, smem_time
@@ -195,33 +195,6 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
         occupancy=occ,
         arch_name=arch.name,
         subtrace_times=sub_times,
-    )
-
-
-def sum_results(results: Iterable[KernelResult], name: str = "total") -> KernelResult:
-    """Serially compose kernel results (back-to-back launches on a stream)."""
-    results = list(results)
-    if not results:
-        raise ValueError("sum_results needs at least one result")
-    total = sum(r.time_s for r in results)
-    launch = sum(r.launch_time_s for r in results)
-    execu = sum(r.exec_time_s for r in results)
-    merged: Dict[str, float] = {}
-    merged_sub: Dict[str, float] = {}
-    for r in results:
-        for k, v in r.resource_times.items():
-            merged[k] = merged.get(k, 0.0) + v
-        for k, v in r.subtrace_times.items():
-            merged_sub[k] = merged_sub.get(k, 0.0) + v
-    return KernelResult(
-        name=name,
-        time_s=total,
-        launch_time_s=launch,
-        exec_time_s=execu,
-        resource_times=merged,
-        occupancy=results[0].occupancy,
-        arch_name=results[0].arch_name,
-        subtrace_times=merged_sub,
     )
 
 

@@ -1,4 +1,4 @@
-"""Memory-hierarchy model: DRAM roofline, L2, shared memory, banks.
+"""Memory-hierarchy model: DRAM roofline, L2, shared memory.
 
 The central effect this module captures is that *achieved* DRAM bandwidth
 depends on how many warps are in flight.  Decode-attention kernels at
@@ -12,21 +12,15 @@ mechanism behind several of the paper's observations:
 - the ``Wn=1`` warp layout of Table III both serializes dequantization and
   starves the memory system.
 
-Shared memory is modelled with 32 banks of 4 bytes; the swizzling scheme of
-Eq. 2 (``col ^= row``) removes the replay factor for ``ldmatrix`` tile
-accesses.
+Shared memory is a bandwidth here.  Bank conflicts reach it as the replay
+factor a kernel records on its trace (``OpTrace.smem_traffic``): the
+swizzled ``ldmatrix`` path of Eq. 2 records none, the continuous-packing
+baseline a fixed 4x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.gpu.arch import ArchSpec
-
-#: Number of shared-memory banks on every modern NVIDIA part.
-SMEM_BANKS = 32
-#: Bytes per bank word.
-SMEM_BANK_BYTES = 4
 
 #: Exponent of the bandwidth-vs-occupancy ramp.  A mildly concave curve:
 #: doubling in-flight warps less than doubles achieved bandwidth near
@@ -83,57 +77,3 @@ def smem_time(arch: ArchSpec, smem_bytes_effective: float, active_sm_fraction: f
         return 0.0
     frac = max(min(active_sm_fraction, 1.0), 1.0 / arch.sm_count)
     return smem_bytes_effective / (arch.smem_bw_bytes_per_s * frac)
-
-
-# ---------------------------------------------------------------------------
-# Bank-conflict model
-# ---------------------------------------------------------------------------
-
-
-def swizzled_column(row: int, col: int) -> int:
-    """Eq. 2 of the paper: XOR-swizzle a shared-memory column index."""
-    if row < 0 or col < 0:
-        raise ValueError("row/col must be non-negative")
-    return row ^ col
-
-
-def bank_conflict_factor(
-    rows: int, row_stride_bytes: int, access_bytes: int = 16, swizzled: bool = True
-) -> float:
-    """Replay factor for a warp loading one ``access_bytes`` chunk per row.
-
-    Models the ``ldmatrix`` access pattern: 32 threads each supply the
-    address of one 8x8-tile row.  Without swizzling, a power-of-two row
-    stride maps many rows to the same bank and the access replays; the
-    XOR swizzle of Eq. 2 spreads rows across banks.
-
-    Returns a multiplicative factor >= 1 applied to shared-memory traffic.
-    """
-    if rows <= 0 or row_stride_bytes <= 0:
-        raise ValueError("rows and row_stride_bytes must be positive")
-    if swizzled:
-        return 1.0
-    # Distinct banks hit by consecutive rows at this stride.
-    words_per_row = row_stride_bytes // SMEM_BANK_BYTES
-    if words_per_row == 0:
-        return 1.0
-    distinct = len({(r * words_per_row) % SMEM_BANKS for r in range(min(rows, SMEM_BANKS))})
-    lanes = min(rows, SMEM_BANKS)
-    return max(1.0, lanes / distinct)
-
-
-@dataclass(frozen=True)
-class MemoryFootprint:
-    """Device-memory footprint of one decode configuration (for OOM checks)."""
-
-    weights_bytes: float
-    kv_cache_bytes: float
-    workspace_bytes: float = 0.0
-
-    @property
-    def total_bytes(self) -> float:
-        return self.weights_bytes + self.kv_cache_bytes + self.workspace_bytes
-
-    def fits(self, device_memory_gb: float) -> bool:
-        """True when the footprint fits in ``device_memory_gb`` gigabytes."""
-        return self.total_bytes <= device_memory_gb * (1024 ** 3)

@@ -18,14 +18,6 @@ from enum import Enum
 from typing import Dict, Iterable
 
 
-class MemoryScope(Enum):
-    """Which level of the hierarchy a transfer touches."""
-
-    GLOBAL = "global"
-    L2 = "l2"
-    SHARED = "shared"
-
-
 class AccessPattern(Enum):
     """Global-memory access pattern, with its achieved-bandwidth efficiency.
 

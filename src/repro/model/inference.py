@@ -303,22 +303,3 @@ def mixed_step_ms(
         decode_groups,
         tp,
     ).total_ms
-
-
-def generation_latency_s(
-    model: ModelConfig,
-    arch: ArchSpec,
-    attention: AttentionSystem,
-    seq_len: int,
-    new_tokens: int,
-    batch: int = 1,
-    n_gpus: int = 1,
-) -> float:
-    """Latency to generate ``new_tokens`` after a ``seq_len`` context.
-
-    Sums per-step latencies as the cache grows (the Fig. 12a setting).
-    """
-    total_ms = 0.0
-    for t in range(new_tokens):
-        total_ms += decode_step_ms(model, arch, attention, batch, seq_len + t, n_gpus)
-    return total_ms * 1e-3

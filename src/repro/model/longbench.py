@@ -27,7 +27,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.attention import BitDecoding
-from repro.core.config import BitDecodingConfig
 from repro.core.softmax import reference_attention
 
 
@@ -112,14 +111,3 @@ def run_suite(
     scores = {task.name: run_task(task, engine, seed=seed + i) for i, task in enumerate(suite)}
     scores["average"] = sum(scores.values()) / len(suite)
     return scores
-
-
-def accuracy_table(
-    arch="a100", bit_widths=(4, 2), suite=DEFAULT_SUITE, seed: int = 0
-) -> Dict[str, Dict[str, float]]:
-    """Table I's accuracy column: FP16 vs quantized caches on the suite."""
-    results = {"FP16": run_suite(None, suite, seed)}
-    for bits in bit_widths:
-        engine = BitDecoding(BitDecodingConfig(bits=bits, granularity="channel"), arch)
-        results[f"INT{bits}"] = run_suite(engine, suite, seed)
-    return results

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.flash_decoding import (
-    FlashAttention2,
-    FlashDecodingV2,
-    FlashDecodingV3,
-)
+from repro.baselines.flash_decoding import FlashDecodingV2, FlashDecodingV3
 from repro.core.config import AttentionGeometry
 from repro.core.softmax import reference_attention
 
@@ -24,17 +20,6 @@ class TestNumerics:
             rtol=1e-4, atol=1e-5,
         )
 
-    def test_fa2_ignores_requested_splits(self, rng, rtx4090):
-        fa2 = FlashAttention2(rtx4090)
-        q = rng.standard_normal((1, 16)).astype(np.float32)
-        k = rng.standard_normal((64, 16)).astype(np.float32)
-        v = rng.standard_normal((64, 16)).astype(np.float32)
-        np.testing.assert_allclose(
-            fa2.run_numeric(q, k, v, n_splits=8),
-            reference_attention(q, k, v),
-            rtol=1e-4, atol=1e-5,
-        )
-
 
 class TestSplitHeuristic:
     def test_splits_at_small_batch(self, a100):
@@ -45,18 +30,8 @@ class TestSplitHeuristic:
         fd = FlashDecodingV2(a100)
         assert fd.n_splits(AttentionGeometry(64, 32, 8, 8192, 128)) == 1
 
-    def test_fa2_never_splits(self, a100):
-        fa2 = FlashAttention2(a100)
-        assert fa2.n_splits(AttentionGeometry(1, 32, 8, 131072, 128)) == 1
-
 
 class TestPerformance:
-    def test_split_helps_single_batch(self, a100):
-        geom = AttentionGeometry(1, 32, 8, 131072, 128)
-        t_fd = FlashDecodingV2(a100).decode_time_ms(geom)
-        t_fa2 = FlashAttention2(a100).decode_time_ms(geom)
-        assert t_fd < t_fa2
-
     def test_time_scales_with_seq_len(self, any_arch):
         fd = FlashDecodingV2(any_arch)
         t1 = fd.decode_time_ms(AttentionGeometry(1, 32, 8, 8192, 128))

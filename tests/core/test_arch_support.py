@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core.arch_support import (
-    resolve_version,
-    stsm_staging_bytes,
-    uses_ldmatrix,
-    validate_config,
-    validate_version,
-    wgmma_b_operand_in_smem,
-)
+from repro.core.arch_support import resolve_version, validate_config, validate_version
 from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import get_arch
 
@@ -45,18 +38,3 @@ class TestValidateConfig:
     def test_mismatched_config_rejected(self):
         with pytest.raises(ValueError):
             validate_config(get_arch("rtx4090"), BitDecodingConfig(version="v3"))
-
-
-class TestPathProperties:
-    def test_wgmma_b_operand_constraint(self):
-        assert wgmma_b_operand_in_smem("v3")
-        assert not wgmma_b_operand_in_smem("v2")
-
-    def test_stsm_bytes(self):
-        # K + V tiles of 128 x 128 FP16.
-        assert stsm_staging_bytes(128, 128) == 2 * 128 * 128 * 2
-
-    def test_fp4_skips_ldmatrix(self):
-        assert uses_ldmatrix("v2")
-        assert uses_ldmatrix("v3")
-        assert not uses_ldmatrix("fp4")

@@ -11,17 +11,27 @@ from repro.core.layouts import (
     MMA_M16N8K8_B,
     MMA_M16N8K16_A,
     MMA_M16N8K16_B,
+    WARP_LANES,
     block_fragment_pack,
     block_fragment_unpack,
-    contiguous_pack,
-    induced_pack,
-    induced_unpack,
-    layouts_match,
-    mismatched_unpack,
     tiled_layout,
 )
+from repro.core.packing import pack_values, unpack_values
 
 ALL_LAYOUTS = list(FRAGMENT_LAYOUTS.values())
+
+
+def contiguous_pack(qtile, bits):
+    """Pack a quantized tile row-major: the naive layout of Fig. 3b."""
+    return pack_values(np.asarray(qtile).reshape(1, -1), bits, 16)
+
+
+def mismatched_unpack(packed_contiguous, layout, bits):
+    """What the MMA sees when a contiguously packed tile is loaded as if it
+    were in fragment order: each lane takes the next run of words, unpacks
+    them thread-locally and scatters them to its own slots."""
+    words = np.asarray(packed_contiguous).reshape(WARP_LANES, -1)
+    return layout.scatter(unpack_values(words, bits, 16))
 
 
 class TestFragmentDefinitions:
@@ -47,11 +57,17 @@ class TestFragmentDefinitions:
 
     def test_k16_and_k8_layouts_differ(self):
         """Different instructions -> different fragment maps (Challenge 1)."""
-        assert not layouts_match(MMA_M16N8K16_B, MMA_M16N8K8_B)
+        assert not np.array_equal(
+            MMA_M16N8K16_B.lane_slot_table(), MMA_M16N8K8_B.lane_slot_table()
+        )
 
-    def test_layouts_match_is_reflexive(self):
-        for layout in ALL_LAYOUTS:
-            assert layouts_match(layout, layout)
+    def test_same_tile_shape_does_not_mean_same_fragments(self):
+        """B of m16n8k16 and the accumulator are both 16 x 8 with four slots
+        per lane, yet their lane/slot tables differ: store and load must
+        share the instruction, not just the tile (Sec. IV-A(4))."""
+        b_table, c_table = MMA_M16N8K16_B.lane_slot_table(), MMA_M16N8_C.lane_slot_table()
+        assert b_table.shape == c_table.shape
+        assert not np.array_equal(b_table, c_table)
 
 
 class TestGatherScatter:
@@ -95,20 +111,21 @@ class TestLayoutInduction:
     @pytest.mark.parametrize("bits", [4, 8])
     def test_induced_pack_unpack_is_identity(self, rng, bits):
         qtile = rng.integers(0, 1 << bits, size=(16, 8), dtype=np.uint8)
-        packed = induced_pack(qtile, MMA_M16N8K16_B, bits)
-        restored = induced_unpack(packed, MMA_M16N8K16_B, bits)
+        packed = block_fragment_pack(qtile, MMA_M16N8K16_B, bits)
+        restored = block_fragment_unpack(packed, (16, 8), MMA_M16N8K16_B, bits)
         np.testing.assert_array_equal(restored, qtile)
 
     def test_int2_needs_repeat_tiling(self, rng):
+        """A lane of one 16 x 8 tile holds 4 values; a 16-bit INT2 word needs 8."""
         qtile = rng.integers(0, 4, size=(16, 8), dtype=np.uint8)
         with pytest.raises(ValueError, match="packing ratio"):
-            induced_pack(qtile, MMA_M16N8K16_B, bits=2)
+            block_fragment_pack(qtile, MMA_M16N8K16_B, bits=2)
 
     def test_int2_works_with_repeat_tiling(self, rng):
         layout = tiled_layout(MMA_M16N8K16_B, 2)
         qtile = rng.integers(0, 4, size=(16, 16), dtype=np.uint8)
-        packed = induced_pack(qtile, layout, bits=2)
-        np.testing.assert_array_equal(induced_unpack(packed, layout, 2), qtile)
+        packed = block_fragment_pack(qtile, layout, bits=2)
+        np.testing.assert_array_equal(block_fragment_unpack(packed, (16, 16), layout, 2), qtile)
 
     def test_contiguous_packing_is_invalid_for_mma(self, rng):
         """Fig. 3b: a row-major packed tile lands on the wrong lanes."""
@@ -128,8 +145,8 @@ class TestLayoutInduction:
 
     def test_induced_pack_word_layout_is_lane_major(self, rng):
         qtile = rng.integers(0, 16, size=(16, 8), dtype=np.uint8)
-        packed = induced_pack(qtile, MMA_M16N8K16_B, 4)
-        assert packed.shape == (32, 1)  # one 16-bit word per lane
+        packed = block_fragment_pack(qtile, MMA_M16N8K16_B, 4)
+        assert packed.shape == (1, 1, 32, 1)  # one tile, one 16-bit word per lane
 
 
 class TestBlockPacking:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.packing import (
     INTERLEAVE_75316420,
     _word_dtype,
-    fast_parity_extract,
     gather_pack_into,
     pack_values,
     packed_nbytes,
@@ -133,22 +132,6 @@ class TestInterleave75316420:
         nibbles = [(word >> (4 * i)) & 0xF for i in range(8)]
         # Physical layout must read v0 v4 v1 v5 v2 v6 v3 v7.
         assert nibbles == [0, 4, 1, 5, 2, 6, 3, 7]
-
-    def test_fast_extract_returns_halves_in_order(self, rng):
-        values = rng.integers(0, 16, size=(4, 8), dtype=np.uint8)
-        words = pack_values(values, 4, 32, interleaved=True)
-        first, second = fast_parity_extract(words, 4, 32)
-        np.testing.assert_array_equal(first.reshape(4, 4), values[:, :4])
-        np.testing.assert_array_equal(second.reshape(4, 4), values[:, 4:])
-
-    @pytest.mark.parametrize("bits,word_bits", [(4, 16), (2, 16), (4, 32), (2, 32)])
-    def test_fast_extract_matches_unpack(self, rng, bits, word_bits):
-        ratio = packing_ratio(bits, word_bits)
-        values = rng.integers(0, 1 << bits, size=(3, ratio), dtype=np.uint8)
-        words = pack_values(values, bits, word_bits, interleaved=True)
-        first, second = fast_parity_extract(words, bits, word_bits)
-        combined = np.concatenate([first, second], axis=-1).reshape(3, ratio)
-        np.testing.assert_array_equal(combined, values)
 
 
 class TestStorageMath:

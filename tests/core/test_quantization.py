@@ -9,8 +9,6 @@ from repro.core.quantization import (
     E2M1_VALUES,
     QuantScheme,
     dequantize,
-    fp4_storage_bits_per_value,
-    quantization_error_bound,
     quantize,
     quantize_fp4,
     quantize_key,
@@ -50,7 +48,8 @@ class TestIntegerQuantization:
         x = rng.standard_normal((64, 32)).astype(np.float32)
         codes, params = quantize(x, bits, axis=0, group_size=32)
         x_hat = dequantize(codes, params)
-        bound = quantization_error_bound(params)
+        # Half a step per group, plus slack for the fp16 metadata.
+        bound = float(np.max(params.scale)) / 2.0 + 1e-3
         assert np.max(np.abs(x_hat - x)) <= bound
 
     def test_higher_bits_lower_error(self, rng):
@@ -168,10 +167,6 @@ class TestFp4:
     def test_misaligned_block_rejected(self, rng):
         with pytest.raises(ValueError):
             quantize_fp4(np.zeros((1, 40), np.float32), "mxfp4")
-
-    def test_storage_bits(self):
-        assert fp4_storage_bits_per_value("mxfp4") == 4.25
-        assert fp4_storage_bits_per_value("nvfp4") == 4.5
 
 
 class TestProperties:

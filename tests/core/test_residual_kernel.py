@@ -68,6 +68,15 @@ class TestFlushNumerics:
         # fp4 reconstruction error is bounded relative to the block max.
         assert np.max(np.abs(k_hat - k.astype(np.float32))) <= np.abs(k).max() * 0.6
 
+    @pytest.mark.parametrize("fmt,bits", [("mxfp4", 4.25), ("nvfp4", 4.5)])
+    def test_fp4_storage_bits_per_value(self, rng, fmt, bits):
+        """4-bit E2M1 codes plus one 8-bit scale per 32 (MX) / 16 (NV) values."""
+        config = BitDecodingConfig(version="fp4", fp4_format=fmt)
+        k, v = _block(rng, config)
+        block = flush_block(k, v, config)
+        n_values = 2 * block.length * block.head_dim
+        assert (block.packed_nbytes + block.meta_nbytes) * 8 / n_values == bits
+
     def test_shape_mismatch_rejected(self, rng):
         config = BitDecodingConfig(bits=4)
         k, _ = _block(rng, config)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.kernel import KernelLaunch, simulate_kernel, sum_results
+from repro.gpu.kernel import KernelLaunch, simulate_kernel
 from repro.gpu.trace import OpTrace
 
 
@@ -117,17 +117,6 @@ class TestTimeModel:
 
 
 class TestComposition:
-    def test_sum_results_adds_times(self, a100):
-        r1 = simulate_kernel(a100, _mem_launch(1e8))
-        r2 = simulate_kernel(a100, _mem_launch(2e8))
-        total = sum_results([r1, r2])
-        assert total.time_s == pytest.approx(r1.time_s + r2.time_s)
-        assert total.launch_time_s == pytest.approx(r1.launch_time_s + r2.launch_time_s)
-
-    def test_sum_results_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sum_results([])
-
     def test_time_unit_conversions(self, a100):
         res = simulate_kernel(a100, _mem_launch(1e9))
         assert res.time_ms == pytest.approx(res.time_s * 1e3)

@@ -5,14 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.memory import (
-    MemoryFootprint,
     achieved_dram_bw,
     bandwidth_utilization,
-    bank_conflict_factor,
     dram_time,
     l2_time,
     smem_time,
-    swizzled_column,
 )
 
 
@@ -62,43 +59,3 @@ class TestTransferTimes:
 
     def test_smem_time_scales_with_active_fraction(self, a100):
         assert smem_time(a100, 1e9, 0.5) == pytest.approx(2 * smem_time(a100, 1e9, 1.0))
-
-
-class TestBankConflicts:
-    def test_swizzle_eliminates_conflicts(self):
-        assert bank_conflict_factor(8, 128, swizzled=True) == 1.0
-
-    def test_power_of_two_stride_conflicts_without_swizzle(self):
-        # 128-byte rows: every row starts at the same bank -> full replay.
-        assert bank_conflict_factor(32, 128, swizzled=False) == 32.0
-
-    def test_odd_stride_has_fewer_conflicts(self):
-        conflicted = bank_conflict_factor(32, 128, swizzled=False)
-        padded = bank_conflict_factor(32, 132, swizzled=False)
-        assert padded < conflicted
-
-    def test_swizzled_column_is_xor(self):
-        assert swizzled_column(3, 5) == 3 ^ 5
-
-    def test_swizzle_is_row_wise_permutation(self):
-        # Within each row, the swizzle must be a bijection over columns.
-        for row in range(8):
-            cols = {swizzled_column(row, c) for c in range(8)}
-            assert cols == set(range(8))
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            bank_conflict_factor(0, 128)
-        with pytest.raises(ValueError):
-            swizzled_column(-1, 0)
-
-
-class TestMemoryFootprint:
-    def test_total_sums_components(self):
-        fp = MemoryFootprint(weights_bytes=10e9, kv_cache_bytes=5e9, workspace_bytes=1e9)
-        assert fp.total_bytes == 16e9
-
-    def test_fits_respects_capacity(self):
-        fp = MemoryFootprint(weights_bytes=70 * 1024 ** 3, kv_cache_bytes=20 * 1024 ** 3)
-        assert not fp.fits(80)
-        assert fp.fits(96)

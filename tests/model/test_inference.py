@@ -10,7 +10,6 @@ from repro.model.inference import (
     decode_step_breakdown,
     decode_step_ms,
     decode_throughput_tokens_per_s,
-    generation_latency_s,
     mixed_step_breakdown,
     mixed_step_ms,
     prefill_attention_flops,
@@ -138,9 +137,3 @@ class TestThroughputAndGeneration:
         step = decode_step_ms(LLAMA31_8B, a100, attn, batch=8, seq_len=4096)
         tput = decode_throughput_tokens_per_s(LLAMA31_8B, a100, attn, 8, 4096)
         assert tput == pytest.approx(8 / (step * 1e-3))
-
-    def test_generation_latency_sums_growing_steps(self, a100):
-        attn = FlashDecodingV2(a100)
-        lat = generation_latency_s(LLAMA31_8B, a100, attn, seq_len=4096, new_tokens=4)
-        one = decode_step_ms(LLAMA31_8B, a100, attn, batch=1, seq_len=4096) * 1e-3
-        assert lat >= 4 * one * 0.99

@@ -2,7 +2,8 @@
 
 This is the pre-vectorization *orchestration* of ``BitKVCache`` /
 ``BitDecoding.decode``: nested Python loops over ``blocks[b][h]`` lists of
-per-block objects and per-(batch, head) kernel calls.  It exists so the
+per-block objects, per-head :class:`ResidualBuffer` objects and
+per-(batch, head) kernel calls.  It exists so the
 batched struct-of-arrays cache can be proven *bit-exact* against the
 per-block semantics (see ``tests/core/test_vectorized_cache.py``) and so
 ``benchmarks/bench_kernel_hotpath.py`` can measure the speedup the
@@ -22,6 +23,7 @@ file — its slowness is the point.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from repro.core.config import BitDecodingConfig
 from repro.core.packing_kernel import run_numeric, split_states
 from repro.core.query_transform import group_queries, ungroup_output
-from repro.core.residual_cache import ResidualBuffer, partition_prefill
+from repro.core.residual_cache import partition_prefill
 from repro.core.residual_kernel import (
     Fp4Block,
     PackedBlock,
@@ -37,6 +39,79 @@ from repro.core.residual_kernel import (
     flush_block,
 )
 from repro.core.softmax import OnlineSoftmaxState
+
+
+@dataclass
+class ResidualBuffer:
+    """FP16 K/V residual for one (sequence, KV-head) pair: the per-head
+    twin of ``repro.core.residual_cache.BatchedResidual``.
+
+    Appending the token that fills the buffer returns the *complete block*
+    for the Residual Kernel to quantize; the buffer then empties.
+    """
+
+    capacity: int
+    head_dim: int
+    k: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+    length: int = field(init=False, default=0)
+
+    def __post_init__(self) -> None:
+        if self.capacity <= 0 or self.head_dim <= 0:
+            raise ValueError("capacity and head_dim must be positive")
+        self.k = np.zeros((self.capacity, self.head_dim), dtype=np.float16)
+        self.v = np.zeros((self.capacity, self.head_dim), dtype=np.float16)
+
+    @property
+    def is_full(self) -> bool:
+        return self.length == self.capacity
+
+    def append(
+        self, k_new: np.ndarray, v_new: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Append one token's K/V rows; return the full block when it flushes.
+
+        Returns ``None`` while the buffer is filling.  When the append
+        completes the block (``res_len == N_r``), returns FP16 copies of the
+        block's (K, V) and resets the buffer.
+        """
+        k_new = np.asarray(k_new, dtype=np.float16).reshape(self.head_dim)
+        v_new = np.asarray(v_new, dtype=np.float16).reshape(self.head_dim)
+        if self.is_full:
+            raise RuntimeError("append on a full residual buffer (missed flush)")
+        self.k[self.length] = k_new
+        self.v[self.length] = v_new
+        self.length += 1
+        if not self.is_full:
+            return None
+        block = (self.k.copy(), self.v.copy())
+        self.length = 0
+        return block
+
+    def fill(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        """Bulk-load the residual from a prefill remainder (< capacity rows)."""
+        k_rows = np.asarray(k_rows, dtype=np.float16)
+        v_rows = np.asarray(v_rows, dtype=np.float16)
+        n = k_rows.shape[0]
+        if n >= self.capacity:
+            raise ValueError(
+                f"prefill remainder ({n}) must be smaller than the block size "
+                f"({self.capacity}); pack complete blocks first"
+            )
+        if v_rows.shape[0] != n:
+            raise ValueError("K and V remainders must have equal length")
+        self.length = n
+        self.k[:n] = k_rows
+        self.v[:n] = v_rows
+
+    def view(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Valid (K, V) rows currently in the residual."""
+        return self.k[: self.length], self.v[: self.length]
+
+    @property
+    def nbytes(self) -> int:
+        """FP16 storage the residual occupies (constant, = 2 buffers)."""
+        return self.k.nbytes + self.v.nbytes
 
 
 class ReferenceBitKVCache:
