@@ -20,6 +20,24 @@ class TestNumerics:
             rtol=1e-4, atol=1e-5,
         )
 
+    def test_single_split_is_exact(self, rng, rtx4090):
+        fd = FlashDecodingV2(rtx4090)
+        q = rng.standard_normal((1, 16)).astype(np.float32)
+        k = rng.standard_normal((64, 16)).astype(np.float32)
+        v = rng.standard_normal((64, 16)).astype(np.float32)
+        np.testing.assert_allclose(
+            fd.run_numeric(q, k, v, n_splits=1),
+            reference_attention(q, k, v),
+            rtol=1e-4, atol=1e-5,
+        )
+
+
+class _OneSplit(FlashDecodingV2):
+    """The same kernel with split-KV turned off (FlashAttention-2's decode)."""
+
+    def n_splits(self, geom: AttentionGeometry) -> int:
+        return 1
+
 
 class TestSplitHeuristic:
     def test_splits_at_small_batch(self, a100):
@@ -32,6 +50,12 @@ class TestSplitHeuristic:
 
 
 class TestPerformance:
+    def test_split_helps_single_batch(self, a100):
+        geom = AttentionGeometry(1, 32, 8, 131072, 128)
+        t_split = FlashDecodingV2(a100).decode_time_ms(geom)
+        t_one = _OneSplit(a100).decode_time_ms(geom)
+        assert t_split < t_one
+
     def test_time_scales_with_seq_len(self, any_arch):
         fd = FlashDecodingV2(any_arch)
         t1 = fd.decode_time_ms(AttentionGeometry(1, 32, 8, 8192, 128))

@@ -61,6 +61,12 @@ class TestFragmentDefinitions:
             MMA_M16N8K16_B.lane_slot_table(), MMA_M16N8K8_B.lane_slot_table()
         )
 
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda l: l.name)
+    def test_single_repeat_tiling_is_identity(self, layout):
+        np.testing.assert_array_equal(
+            tiled_layout(layout, 1).lane_slot_table(), layout.lane_slot_table()
+        )
+
     def test_same_tile_shape_does_not_mean_same_fragments(self):
         """B of m16n8k16 and the accumulator are both 16 x 8 with four slots
         per lane, yet their lane/slot tables differ: store and load must

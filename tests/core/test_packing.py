@@ -133,6 +133,40 @@ class TestInterleave75316420:
         # Physical layout must read v0 v4 v1 v5 v2 v6 v3 v7.
         assert nibbles == [0, 4, 1, 5, 2, 6, 3, 7]
 
+    def test_fast_extract_returns_halves_in_order(self, rng):
+        values = rng.integers(0, 16, size=(4, 8), dtype=np.uint8)
+        words = pack_values(values, 4, 32, interleaved=True)
+        first, second = _parity_extract(words, 4, 32)
+        np.testing.assert_array_equal(first.reshape(4, 4), values[:, :4])
+        np.testing.assert_array_equal(second.reshape(4, 4), values[:, 4:])
+
+    @pytest.mark.parametrize("bits,word_bits", [(4, 16), (2, 16), (4, 32), (2, 32)])
+    def test_fast_extract_matches_unpack(self, rng, bits, word_bits):
+        ratio = packing_ratio(bits, word_bits)
+        values = rng.integers(0, 1 << bits, size=(3, ratio), dtype=np.uint8)
+        words = pack_values(values, bits, word_bits, interleaved=True)
+        first, second = _parity_extract(words, bits, word_bits)
+        combined = np.concatenate([first, second], axis=-1).reshape(3, ratio)
+        np.testing.assert_array_equal(combined, values)
+        np.testing.assert_array_equal(
+            combined, unpack_values(words, bits, word_bits, interleaved=True)
+        )
+
+
+def _parity_extract(words, bits, word_bits):
+    """The lop3 fast path the interleave exists for: one AND with the
+    even-field mask isolates the first half of a word's values, and the same
+    mask after a one-field shift isolates the second half, each in order."""
+    ratio = packing_ratio(bits, word_bits)
+    field = (1 << bits) - 1
+    even_mask = sum(field << (2 * i * bits) for i in range(ratio // 2))
+    w = np.asarray(words).astype(np.int64)
+    halves = []
+    for masked in (w & even_mask, (w >> bits) & even_mask):
+        fields = [(masked >> (2 * i * bits)) & field for i in range(ratio // 2)]
+        halves.append(np.stack(fields, axis=-1).astype(np.uint8))
+    return halves[0], halves[1]
+
 
 class TestStorageMath:
     def test_packed_nbytes(self):

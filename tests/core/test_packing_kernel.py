@@ -100,6 +100,22 @@ class TestTraceBuilder:
         assert "dequant" not in launch.subtraces
         assert "fp4" in launch.trace.tc_flops
 
+    def test_v3_stages_dequantized_tiles_through_smem(self, h100):
+        """wgmma sources operand B from shared memory, so v3 stores the
+        dequantized FP16 K/V back to SMEM (STSM); v2 feeds B from registers."""
+        geom = AttentionGeometry(1, 32, 8, 8192, 128)
+        v2 = build_packing_launch(geom, BitDecodingConfig(bits=4, version="v2"), h100)
+        v3 = build_packing_launch(geom, BitDecodingConfig(bits=4, version="v3"), h100)
+        kv_values = geom.batch * geom.hkv * 2 * geom.seq_len * geom.head_dim
+        assert v3.trace.smem_bytes - v2.trace.smem_bytes == pytest.approx(2 * kv_values * 2)
+
+    def test_v3_smem_holds_one_fp16_kv_tile_pair(self, h100):
+        geom = AttentionGeometry(1, 32, 8, 8192, 128)
+        v2 = build_packing_launch(geom, BitDecodingConfig(bits=4, version="v2"), h100)
+        v3 = build_packing_launch(geom, BitDecodingConfig(bits=4, version="v3"), h100)
+        # K + V tiles of tile_n (128) x head_dim (128) FP16.
+        assert v3.smem_per_block_bytes - v2.smem_per_block_bytes == 2 * 128 * 128 * 2
+
     def test_paged_adds_table_reads_and_stride(self, a100):
         geom = AttentionGeometry(8, 32, 8, 2048, 128)
         config = BitDecodingConfig(bits=4)

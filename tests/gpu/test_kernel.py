@@ -72,6 +72,34 @@ class TestTimeModel:
         times = simulate_kernel(a100, serial).resource_times
         assert t_serial == pytest.approx(sum(times.values()), rel=1e-6)
 
+    def test_full_hide_is_bounded_by_busiest_resource(self, a100):
+        t = OpTrace()
+        t.gmem_read(1e9)
+        t.tensor_core(1e11)
+        res = simulate_kernel(
+            a100, KernelLaunch(name="k", trace=t, grid_blocks=1024, warps_per_block=4)
+        )
+        assert res.exec_time_s == pytest.approx(max(res.resource_times.values()), rel=1e-9)
+        assert res.bound_by == max(res.resource_times, key=res.resource_times.get)
+
+    def test_partial_hide_exposes_that_share_of_the_rest(self, a100):
+        t = OpTrace()
+        t.gmem_read(1e9)
+        t.tensor_core(1e11)
+        launch = KernelLaunch(
+            name="k", trace=t, grid_blocks=1024, warps_per_block=4, hide_factor=0.25
+        )
+        res = simulate_kernel(a100, launch)
+        times = res.resource_times.values()
+        expected = max(times) + 0.75 * (sum(times) - max(times))
+        assert res.exec_time_s == pytest.approx(expected, rel=1e-9)
+
+    def test_empty_trace_costs_only_the_launch(self, a100):
+        launch = KernelLaunch(name="k", trace=OpTrace(), grid_blocks=1, warps_per_block=4)
+        res = simulate_kernel(a100, launch)
+        assert res.exec_time_s == 0.0
+        assert res.time_s == pytest.approx(res.launch_time_s)
+
     def test_legacy_path_slower_on_hopper_only(self, a100, h100):
         launch = _mem_launch(1e9)
         a_legacy = simulate_kernel(a100, launch).exec_time_s
