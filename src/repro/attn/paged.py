@@ -160,11 +160,16 @@ class PagedBitKVCache(TierObserver):
     sequence by their own :class:`PageAllocator` (the serving memory
     model reserves residual buffers per batch slot, not per page).
 
+    Every append — prefill context, decode token, swap-in's residual rows
+    — goes through one write path, :meth:`_write`; :meth:`write_rows`,
+    :meth:`append_rows` and :meth:`write_rows_group` are one-line
+    delegations kept for the tracing seams.
+
     Pass ``table`` to share an externally scheduled
     :class:`~repro.pages.page_table.PageTable` (the serving engine's):
-    page reservation then belongs to the scheduler and
-    :meth:`write_rows` only fills what was reserved.  Without ``table``
-    the store owns its table and reserves pages as it writes.
+    page reservation then belongs to the scheduler and writes only fill
+    what was reserved.  Without ``table`` the store owns its table and
+    reserves pages as it writes.
 
     Pass ``tiers`` to spread the pool over a
     :class:`~repro.pages.tiers.TieredPageStore`: the pool axis then
@@ -339,7 +344,8 @@ class PagedBitKVCache(TierObserver):
         preemption, but the residual slot was returned.  ``seq_len`` may
         sit mid-block, so unlike :meth:`adopt` this also restores the
         partial FP16 residual rows (``[hkv, res_len, d]``) stashed at
-        swap-out.
+        swap-out: the handle binds at the block-aligned length and writes
+        them back through :meth:`_write`.
         """
         if seq_len > self.table.sequences[seq_id].length:
             raise ValueError("seq_len exceeds the sequence's reserved length")
@@ -349,10 +355,9 @@ class PagedBitKVCache(TierObserver):
                 f"seq_len ({seq_len}) implies {n_res} residual tokens; "
                 "their FP16 rows must be supplied to reattach"
             )
-        handle = self._bind(seq_id, seq_len)
+        handle = self._bind(seq_id, seq_len - n_res)
         if n_res:
-            self.res_k[handle.slot][:, :n_res] = np.asarray(res_k, np.float16)
-            self.res_v[handle.slot][:, :n_res] = np.asarray(res_v, np.float16)
+            self._write([handle], np.asarray(res_k)[None], np.asarray(res_v)[None])
         return handle
 
     def add_sequence(self) -> PagedSeqHandle:
@@ -393,7 +398,7 @@ class PagedBitKVCache(TierObserver):
 
         With a shared (scheduler-owned) table this is a no-op: the engine
         reserved the pages when it admitted/extended the sequence, and
-        :meth:`write_rows` enforces that the reservation exists.
+        :meth:`_write` enforces that the reservation exists.
         """
         if not self.shared_table:
             self.table.extend_sequence(handle.seq_id, n_tokens)
@@ -409,147 +414,100 @@ class PagedBitKVCache(TierObserver):
                 f"sequence's reserved length ({reserved}); reserve pages first"
             )
 
-    def write_rows(self, handle: PagedSeqHandle, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        """Append ``n`` tokens' K/V (``[hkv, n, d]``) to a sequence.
+    def _write(self, handles: List[PagedSeqHandle], k: np.ndarray, v: np.ndarray) -> None:
+        """Append ``n`` rows to every handle (``[G, hkv, n, d]``), any fills.
 
-        Rows stream through the residual slot; every time the slot fills
-        to ``N_r`` the completed block is quantized+packed by the same
-        :func:`flush_blocks` the contiguous cache uses and written whole
-        into the sequence's next physical page.  Runs of complete blocks
-        (bulk prefill) skip the slot and flush straight from the input in
-        one batched call — bit-identical, per-block independence.
+        The one write path into the pool, the paper's two-part cache rule:
+        each handle's rows land behind its residual fill, every block that
+        reaches ``N_r`` — across all handles — is quantized and packed by
+        one :func:`flush_blocks` call and written whole into its page, and
+        the tail stays in the slot.  No quantization group or fragment
+        crosses a block, so batching blocks from any mix of handles and
+        fills is bit-identical to flushing each on its own.
         """
-        k_rows = np.asarray(k_rows, np.float16)
-        v_rows = np.asarray(v_rows, np.float16)
-        if k_rows.shape != v_rows.shape or k_rows.ndim != 3:
-            raise ValueError("K and V rows must share an [hkv, n, d] shape")
-        n = k_rows.shape[1]
-        self._check_reserved(handle, n)
+        k = np.asarray(k, np.float16)
+        v = np.asarray(v, np.float16)
+        want = (len(handles), self.hkv, *k.shape[2:3], self.head_dim)
+        if k.shape != want or v.shape != want:
+            raise ValueError(
+                f"K rows {k.shape} and V rows {v.shape} must both be [G, hkv, n, d] = {want}"
+            )
+        n = k.shape[2]
+        for handle in handles:
+            self._check_reserved(handle, n)
         nr = self.block_tokens
-        res_k = self.res_k[handle.slot]
-        res_v = self.res_v[handle.slot]
-        written = 0
-        while written < n:
-            fill = handle.seq_len % nr
-            remaining = n - written
-            if fill == 0 and remaining >= nr:
-                nb = remaining // nr
+        slots = np.asarray([h.slot for h in handles])
+        fills = [h.seq_len % nr for h in handles]
+        if max(fills, default=0) + n <= nr:
+            # Every handle's rows fit in its slot (a decode step): one
+            # scatter, and only the slots that just filled flush.
+            cols = np.add.outer(fills, np.arange(n))
+            self.res_k[slots[:, None], :, cols] = k.swapaxes(1, 2)
+            self.res_v[slots[:, None], :, cols] = v.swapaxes(1, 2)
+            full = [i for i, fill in enumerate(fills) if fill + n == nr]
+            targets = [(handles[i], handles[i].n_blocks) for i in full]
+            if targets:
+                k_blocks, v_blocks = self.res_k[slots[full]], self.res_v[slots[full]]
+        else:
+            # Walk each handle's stream (slot rows, then new rows): complete
+            # blocks go to the flush, the tail back into the slot.
+            targets, parts = [], ([], [])
+            for handle, slot, fill, *rows in zip(handles, slots, fills, k, v):
+                nb, rem = divmod(fill + n, nr)
                 shape = (self.hkv, nb, nr, self.head_dim)
-                flushed = flush_blocks(
-                    k_rows[:, written : written + nb * nr].reshape(shape)[None],
-                    v_rows[:, written : written + nb * nr].reshape(shape)[None],
-                    self.config,
-                )
-                self._store_blocks([handle], flushed)
-                handle.seq_len += nb * nr
-                written += nb * nr
-                continue
-            take = min(nr - fill, remaining)
-            res_k[:, fill : fill + take] = k_rows[:, written : written + take]
-            res_v[:, fill : fill + take] = v_rows[:, written : written + take]
-            handle.seq_len += take
-            written += take
-            if handle.seq_len % nr == 0:
-                flushed = flush_blocks(res_k[None, :, None], res_v[None, :, None], self.config)
-                self._store_blocks([handle], flushed, completed=True)
+                targets += [(handle, handle.n_blocks + i) for i in range(nb)]
+                for res, stream, blocks in zip((self.res_k, self.res_v), rows, parts):
+                    if fill:
+                        stream = np.concatenate([res[slot, :, :fill], stream], axis=1)
+                    blocks.append(stream[:, : nb * nr].reshape(shape).swapaxes(0, 1))
+                    res[slot, :, :rem] = stream[:, nb * nr :]
+            k_blocks, v_blocks = (np.concatenate(blocks) for blocks in parts)
+        for handle in handles:
+            handle.seq_len += n
+        if targets:
+            flushed = flush_blocks(k_blocks[:, :, None], v_blocks[:, :, None], self.config)
+            self._store_blocks(targets, flushed)
 
     def _store_blocks(
-        self, handles: List[PagedSeqHandle], flushed: PackedBlockBatch, completed: bool = False
+        self, targets: List[Tuple[PagedSeqHandle, int]], flushed: PackedBlockBatch
     ) -> None:
-        """Write one batched flush (batch axis = handles) into pages.
+        """Write one flush (``[len(targets), hkv, 1, ...]``) into pages.
 
-        The flush holds ``nb`` blocks per handle: *new* ones starting at
-        its current (block-aligned) length, or — ``completed`` — the ones
-        its length just grew over (the residual slot filled).  Whole pages
-        only, which makes the copy-on-write guard cheap: a target page
-        mapped by more than one sequence (a forked clone) is swapped for
-        a fresh exclusive page before the write, and since the page is
-        overwritten whole no content copy is needed, just the remap.
+        Block ``i`` of the flush lands in the page holding block index
+        ``targets[i][1]`` of handle ``targets[i][0]``.  Whole pages only,
+        which makes the copy-on-write guard cheap: a target page mapped by
+        more than one sequence (a forked clone) is swapped for a fresh
+        exclusive page before the write, and since the page is overwritten
+        whole no content copy is needed, just the remap.
         """
-        nb = flushed.k_words.shape[2]
         pages: List[int] = []
-        for handle in handles:
-            first = handle.n_blocks - nb if completed else handle.n_blocks
-            for i in range(nb):
-                page, copied_from = self.table.ensure_exclusive(handle.seq_id, first + i)
-                if copied_from is not None:
-                    self.content_epoch += 1
-                pages.append(page)
+        for handle, block in targets:
+            page, copied_from = self.table.ensure_exclusive(handle.seq_id, block)
+            if copied_from is not None:
+                self.content_epoch += 1
+            pages.append(page)
         idx = self._frames(pages)
         kp, vp = flushed.k_params, flushed.v_params
         parts = (flushed.k_words, flushed.v_words, kp.scale, kp.zero, vp.scale, vp.zero)
         for pool, part in zip(self._pools(), parts):
-            # [G, hkv, nb, ...] -> [G*nb, hkv, ...] in page-list order.
-            pool[idx] = part.swapaxes(1, 2).reshape((len(pages),) + pool.shape[1:])
+            pool[idx] = part[:, :, 0]
+
+    def write_rows(self, handle: PagedSeqHandle, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        """:meth:`_write` of ``[hkv, n, d]`` rows to one sequence, kept by
+        name for the tracing seams (``benchmarks/e2e/tracing.py``)."""
+        self._write([handle], k_rows[None], v_rows[None])
 
     def append_rows(self, handles: List[PagedSeqHandle], k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        """Append ONE token to every handle at once (``[B, hkv, d]`` rows).
-
-        The decode-step write path, batched: one fancy-index scatter lands
-        every sequence's new row in its residual slot at its own fill, and
-        the sequences whose slot just filled are flushed through a single
-        leading-dim-batched :func:`flush_blocks` call — bit-identical to
-        per-sequence :meth:`write_rows` by per-block independence.
-        """
-        k_rows = np.asarray(k_rows, np.float16)
-        v_rows = np.asarray(v_rows, np.float16)
-        if k_rows.shape != v_rows.shape or k_rows.ndim != 3 or k_rows.shape[0] != len(handles):
-            raise ValueError("K and V rows must share a [batch, hkv, d] shape")
-        for handle in handles:
-            self._check_reserved(handle, 1)
-        nr = self.block_tokens
-        slots = np.asarray([h.slot for h in handles])
-        fills = np.asarray([h.seq_len % nr for h in handles])
-        self.res_k[slots, :, fills] = k_rows
-        self.res_v[slots, :, fills] = v_rows
-        flushing: List[PagedSeqHandle] = []
-        for handle in handles:
-            handle.seq_len += 1
-            if handle.seq_len % nr == 0:
-                flushing.append(handle)
-        if flushing:
-            fslots = np.asarray([h.slot for h in flushing])
-            flushed = flush_blocks(
-                self.res_k[fslots][:, :, None], self.res_v[fslots][:, :, None], self.config
-            )
-            self._store_blocks(flushing, flushed, completed=True)
+        """:meth:`_write` of one token per handle (``[G, hkv, d]`` rows),
+        kept by name for the tracing seams."""
+        self._write(handles, k_rows[:, :, None], v_rows[:, :, None])
 
     def write_rows_group(
         self, handles: List[PagedSeqHandle], k_rows: np.ndarray, v_rows: np.ndarray
     ) -> None:
-        """Bulk-write ``n`` tokens to every handle at once (``[G, hkv, n, d]``).
-
-        The no-query prefill write path, batched: every handle must sit at
-        a block-aligned fill (fresh admissions do), so the complete blocks
-        flush through one ``[G, hkv, nb, N_r, d]`` :func:`flush_blocks`
-        call and the common remainder scatters into the residual slots in
-        one assignment — bit-identical to per-sequence :meth:`write_rows`.
-        """
-        k_rows = np.asarray(k_rows, np.float16)
-        v_rows = np.asarray(v_rows, np.float16)
-        if k_rows.shape != v_rows.shape or k_rows.ndim != 4 or k_rows.shape[0] != len(handles):
-            raise ValueError("K and V rows must share a [batch, hkv, n, d] shape")
-        n = k_rows.shape[2]
-        nr = self.block_tokens
-        for handle in handles:
-            if handle.seq_len % nr:
-                raise ValueError("write_rows_group requires block-aligned fills")
-            self._check_reserved(handle, n)
-        nb, rem = divmod(n, nr)
-        if nb:
-            shape = (len(handles), self.hkv, nb, nr, self.head_dim)
-            flushed = flush_blocks(
-                k_rows[:, :, : nb * nr].reshape(shape),
-                v_rows[:, :, : nb * nr].reshape(shape),
-                self.config,
-            )
-            self._store_blocks(handles, flushed)
-        if rem:
-            slots = np.asarray([h.slot for h in handles])
-            self.res_k[slots, :, :rem] = k_rows[:, :, nb * nr :]
-            self.res_v[slots, :, :rem] = v_rows[:, :, nb * nr :]
-        for handle in handles:
-            handle.seq_len += n
+        """:meth:`_write` of ``[G, hkv, n, d]`` rows at any fills, kept by
+        name for the tracing seams."""
+        self._write(handles, k_rows, v_rows)
 
     def copy_pages(self, src: List[int], dst: List[int]) -> None:
         """Clone packed words + metadata between physical pages.
@@ -781,29 +739,18 @@ class PagedBitBackend(AttentionBackend):
     ) -> Optional[np.ndarray]:
         bt: PagedBatchHandle = block_table
         k, v = kv
-        n = k.shape[2]
+        # Every member's cached context is read before any write; then one
+        # batched write covers the whole batch, whatever its fills.
+        contexts = [] if q is None else [self._context(seqh) for seqh in bt.seqs]
+        for seqh in bt.seqs:
+            bt.store.reserve(seqh, k.shape[2])
+        bt.store.write_rows_group(bt.seqs, k, v)
         if q is None:
-            # Batched write path: reserve first (same page-id assignment
-            # order as the per-sequence loop), then bulk-write every
-            # block-aligned member through one batched flush.
-            for seqh in bt.seqs:
-                bt.store.reserve(seqh, n)
-            aligned = [b for b, s in enumerate(bt.seqs) if s.res_len == 0]
-            if aligned:
-                bt.store.write_rows_group([bt.seqs[b] for b in aligned], k[aligned], v[aligned])
-            for b, seqh in enumerate(bt.seqs):
-                if b not in aligned:
-                    bt.store.write_rows(seqh, k[b], v[b])
             return None
-        outs = []
-        for b, seqh in enumerate(bt.seqs):
-            ctx_k, ctx_v = self._context(seqh)
-            bt.store.reserve(seqh, n)
-            bt.store.write_rows(seqh, k[b], v[b])
-            out = chunked_causal_attention(
-                q[b : b + 1], ctx_k, ctx_v, k[b : b + 1], v[b : b + 1]
-            )
-            outs.append(out)
+        outs = [
+            chunked_causal_attention(q[b : b + 1], ctx_k, ctx_v, k[b : b + 1], v[b : b + 1])
+            for b, (ctx_k, ctx_v) in enumerate(contexts)
+        ]
         return np.concatenate(outs, axis=0)
 
     def append_kv(self, kv: Tuple[np.ndarray, np.ndarray], block_table: KVCacheHandle) -> None:

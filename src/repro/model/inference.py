@@ -40,20 +40,6 @@ class AttentionSystem(Protocol):
     def decode_time_ms(self, geom: AttentionGeometry) -> float: ...
 
 
-@dataclass
-class DecodeStepBreakdown:
-    """Latency components of one end-to-end decode step (milliseconds)."""
-
-    weights_ms: float
-    attention_ms: float
-    overhead_ms: float
-    comm_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        return self.weights_ms + self.attention_ms + self.overhead_ms + self.comm_ms
-
-
 def weight_gemm_ms(model: ModelConfig, arch: ArchSpec, batch: int, n_gpus: int = 1) -> float:
     """Per-step weight-GEMM time: max(memory roofline, compute roofline)."""
     if batch <= 0 or n_gpus <= 0:
@@ -143,8 +129,9 @@ def decode_step_breakdown(
     n_gpus: int = 1,
     decode_groups: Optional[Sequence[Tuple[int, int]]] = None,
     tp: int = 1,
-) -> DecodeStepBreakdown:
-    """Full latency breakdown of one decode step.
+) -> MixedStepBreakdown:
+    """Full latency breakdown of one decode step: a mixed step with no
+    prefill chunks (:func:`mixed_step_breakdown`).
 
     ``decode_groups`` prices the attention term per shape-group kernel
     launch (see :func:`_grouped_attention_ms`); the weight GEMMs, fixed
@@ -153,15 +140,8 @@ def decode_step_breakdown(
     head-shards the attention kernel across ranks (the weight GEMMs and
     all-reduce already scale through ``n_gpus``).
     """
-    attn_ms = _grouped_attention_ms(model, attention, batch, seq_len, decode_groups, tp=tp)
-    weights_ms = weight_gemm_ms(model, arch, batch, n_gpus)
-    overhead_ms = _fixed_overhead_ms(model, arch)
-    comm_ms = _allreduce_ms(model, arch, batch, n_gpus)
-    return DecodeStepBreakdown(
-        weights_ms=weights_ms,
-        attention_ms=attn_ms,
-        overhead_ms=overhead_ms,
-        comm_ms=comm_ms,
+    return mixed_step_breakdown(
+        model, arch, attention, batch, seq_len, [], n_gpus, decode_groups, tp
     )
 
 

@@ -162,12 +162,7 @@ class TieredPageStore(EvictionPolicy):
         self._observers.append(observer)
 
     def tier_of(self, page: int) -> str:
-        frame = self._frame_of[page]
-        if frame < self.device_pages:
-            return "device"
-        if frame < self.device_pages + self.host_pages:
-            return "host"
-        return "disk"
+        return self._tier_of_frame(self._frame_of[page])
 
     def _tier_of_frame(self, frame: int) -> str:
         if frame < self.device_pages:
@@ -459,15 +454,20 @@ class TieredPageStore(EvictionPolicy):
             n_moved += 1
         self.touch(pages)
         if n_moved:
-            if prefetch:
-                self._step_prefetch_ms += ms
-                self.prefetch_ms_total += ms
-                self.prefetched_pages += n_moved
-            else:
-                self._step_fault_ms += ms
-                self.fault_ms_total += ms
-                self.faults += n_moved
+            self._book_promotions(ms, n_moved, prefetch)
         return ms
+
+    def _book_promotions(self, ms: float, n_moved: int, prefetch: bool) -> None:
+        """Book promotions as prefetch issued ahead of compute, or as
+        synchronous fault stall."""
+        if prefetch:
+            self._step_prefetch_ms += ms
+            self.prefetch_ms_total += ms
+            self.prefetched_pages += n_moved
+        else:
+            self._step_fault_ms += ms
+            self.fault_ms_total += ms
+            self.faults += n_moved
 
     def absorb_prefetch(self, ms: float) -> None:
         """Mark ``ms`` of this step's prefetch bucket as already overlapped
@@ -496,14 +496,7 @@ class TieredPageStore(EvictionPolicy):
         for page in missing:
             ms += self._move(page, self._pick_device_victim())
         self.touch(missing)
-        if prefetch:
-            self._step_prefetch_ms += ms
-            self.prefetch_ms_total += ms
-            self.prefetched_pages += len(missing)
-        else:
-            self._step_fault_ms += ms
-            self.fault_ms_total += ms
-            self.faults += len(missing)
+        self._book_promotions(ms, len(missing), prefetch)
         return ms
 
     def demote(self, pages: Sequence[int]) -> float:

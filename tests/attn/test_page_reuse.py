@@ -10,6 +10,7 @@ alias and recycled pages never bleed through.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +140,26 @@ class TestPageRecycling:
         np.testing.assert_array_equal(v_hat, v_ref)
         np.testing.assert_array_equal(k_res, kr_ref)
         np.testing.assert_array_equal(v_res, vr_ref)
+
+
+class TestWriteShapes:
+    @pytest.mark.parametrize("seam", ["write_rows", "append_rows", "write_rows_group"])
+    @pytest.mark.parametrize("hkv, d", [(1, D), (HKV, 1)], ids=["wrong_hkv", "wrong_head_dim"])
+    def test_wrong_shaped_rows_raise_instead_of_broadcasting(self, seam, hkv, d):
+        """Rows with one head (or a unit head dim) would broadcast into
+        every head (or channel); each write seam must refuse them."""
+        store = PagedBitKVCache(CONFIG, HKV, D, n_pages=N_PAGES, n_slots=N_SLOTS)
+        handle = store.add_sequence()
+        store.reserve(handle, 3)
+        rows = np.ones((1, hkv, 3, d), np.float16)
+        target, arg = {
+            "write_rows": (handle, rows[0]),
+            "append_rows": ([handle], rows[:, :, 0]),
+            "write_rows_group": ([handle], rows),
+        }[seam]
+        with pytest.raises(ValueError, match=r"K rows \(.*\) and V rows \(.*\) must both be"):
+            getattr(store, seam)(target, arg, arg)
+        assert handle.seq_len == 0
 
 
 class TestCopyOnWriteDivergence:

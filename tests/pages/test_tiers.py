@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import BitDecodingConfig
+from repro.core.residual_kernel import flush_blocks
 from repro.pages.allocator import EvictionPolicy, OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore, TierObserver
@@ -327,42 +328,64 @@ class TestTieredCacheProperty:
             np.testing.assert_array_equal(rvt, rvf)
 
 
-class TestGroupOfOneEquivalence:
-    """The per-sequence and per-group write paths share one store path; at
-    ``G == 1`` they must agree bitwise — pinned under a tier store with
-    scrambled frames, where a copy that confused page ids with pool
-    indices would write the wrong rows."""
+class TestRaggedGroupWrites:
+    """``write_rows_group`` at ragged fills against an independent oracle:
+    each handle's pages must hold exactly :func:`flush_blocks` of its own
+    complete token stream, and its slot the stream's tail.  Pinned under a
+    tier store with scrambled frames (a write that confused page ids with
+    pool indices would land in the wrong frame) and with a copy-on-write
+    forked member (its first flush lands on a page it shares)."""
 
     @staticmethod
-    def _scramble(world, handle, first_block=0):
-        """Park two of the sequence's pages on host frames."""
-        pages = world.table.sequences[handle.seq_id].pages
-        world.tiers.demote(pages[first_block : first_block + 2])
-        assert not np.array_equal(world.tiers.frames_of(pages), pages)
+    def _check(world, handle, k_all, v_all):
+        nb, rem = divmod(k_all.shape[1], NR)
+        assert handle.seq_len == k_all.shape[1]
+        cache = world.cache
+        np.testing.assert_array_equal(cache.res_k[handle.slot][:, :rem], k_all[:, nb * NR :])
+        np.testing.assert_array_equal(cache.res_v[handle.slot][:, :rem], v_all[:, nb * NR :])
+        if not nb:
+            return
+        oracle = flush_blocks(
+            *(rows[:, : nb * NR].reshape(2, nb, NR, 16)[None] for rows in (k_all, v_all)), CONFIG
+        )
+        kp, vp = oracle.k_params, oracle.v_params
+        parts = (oracle.k_words, oracle.v_words, kp.scale, kp.zero, vp.scale, vp.zero)
+        frames = world.tiers.frames_of(handle.block_ids)
+        for pool, part in zip(cache._pools(), parts):
+            np.testing.assert_array_equal(pool[frames], part[0].swapaxes(0, 1))
+        # Reads after each round extend the memo instead of rebuilding it.
+        for got, want in zip(cache.dequant_group([handle]), oracle.dequant_kv(CONFIG)):
+            np.testing.assert_array_equal(got, want)
 
-    @staticmethod
-    def _world(n_tokens):
-        world = _World(tiered=True, n_pages=12, device=3)
-        return world, world.cache.adopt(world.table.add_sequence(n_tokens))
-
-    def test_write_rows_matches_write_rows_group(self):
-        rng = np.random.default_rng(0)
-        first, second = 2 * NR, NR + 5  # both writes start block-aligned
-        k, v = rng.standard_normal((2, 2, first + second, 16)).astype(np.float16)
-        (seq, h_seq), (grp, h_grp) = (self._world(first + second) for _ in range(2))
-        for lo, hi in ((0, first), (first, first + second)):
-            self._scramble(seq, h_seq, lo // NR)
-            self._scramble(grp, h_grp, lo // NR)
-            seq.cache.write_rows(h_seq, k[:, lo:hi], v[:, lo:hi])
-            grp.cache.write_rows_group([h_grp], k[None, :, lo:hi], v[None, :, lo:hi])
-            assert h_seq.seq_len == h_grp.seq_len == hi
-            # Second round extends both memos instead of rebuilding them.
-            for a, b in zip(seq.cache.dequant_group([h_seq]), grp.cache.dequant_group([h_grp])):
-                assert a.shape == (1, 2, hi // NR * NR, 16)
-                np.testing.assert_array_equal(a, b)
-        frames_s = seq.tiers.frames_of(h_seq.block_ids)
-        frames_g = grp.tiers.frames_of(h_grp.block_ids)
-        for pool_s, pool_g in zip(seq.cache._pools(), grp.cache._pools()):
-            np.testing.assert_array_equal(pool_s[frames_s], pool_g[frames_g])
-        for a, b in zip(seq.cache.residual_group([h_seq]), grp.cache.residual_group([h_grp])):
-            np.testing.assert_array_equal(a, b)
+    @given(
+        starts=st.lists(st.integers(0, 3 * NR), min_size=1, max_size=3),
+        sizes=st.lists(st.sampled_from([1, NR - 1, NR, 2 * NR + 3, 5]), min_size=1, max_size=3),
+        fork=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # One sequence, two block-aligned writes: write_rows_group at G == 1.
+    @example(starts=[0], sizes=[2 * NR, NR + 5], fork=False, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_pages_and_slots_match_each_streams_flush(self, starts, sizes, fork, seed):
+        rng = np.random.default_rng(seed)
+        world = _World(tiered=True, n_pages=48, device=6)
+        handles, streams = [], []
+        for start in starts:
+            handle = world.cache.adopt(world.table.add_sequence(start))
+            k, v = rng.standard_normal((2, 2, start, 16)).astype(np.float16)
+            world.cache.write_rows(handle, k, v)
+            handles.append(handle)
+            streams.append((k, v))
+        if fork:
+            handles.append(world.cache.fork(handles[0]))
+            streams.append(streams[0])
+        for n in sizes:
+            for handle in handles:
+                world.table.extend_sequence(handle.seq_id, n)
+                world.tiers.demote(world.table.sequences[handle.seq_id].pages[:2])
+            k, v = rng.standard_normal((2, len(handles), 2, n, 16)).astype(np.float16)
+            world.cache.write_rows_group(handles, k, v)
+            for g, handle in enumerate(handles):
+                k_all, v_all = streams[g]
+                streams[g] = (np.concatenate([k_all, k[g]], 1), np.concatenate([v_all, v[g]], 1))
+                self._check(world, handle, *streams[g])
