@@ -31,7 +31,7 @@ def main() -> None:
     #    behind the contiguous (bit-exact reference) backend.
     config = BitDecodingConfig(bits=4, granularity="channel")
     backend = ContiguousBitBackend(config, get_arch("a100"))
-    print(f"configuration: {config.short_name} via backend {backend.name!r}")
+    print(f"configuration: {config.short_name} via {type(backend).__name__}")
     print(f"residual block size N_r = {config.residual_block_size} (Eq. 1)")
 
     # 2. Prefill: quantize + pack the context into a cache handle.
@@ -84,15 +84,15 @@ def main() -> None:
     #    contiguous reference under exact_tiled numerics.
     exact = BitDecodingConfig(bits=4, granularity="channel", numerics_mode="exact_tiled")
     short_k, short_v = k[:, :, : 3 * 128], v[:, :, : 3 * 128]
-    pair = {}
+    outs = []
     for impl in (
         ContiguousBitBackend(exact, get_arch("a100")),
         PagedBitBackend(exact, get_arch("a100"), n_pages=64),
     ):
         handle = impl.new_handle(batch, hkv, head_dim)
         impl.prefill(None, (short_k, short_v), handle)
-        pair[impl.name] = impl.decode_step(q, handle)
-    identical = np.array_equal(pair["contiguous-bit"], pair["paged-bit"])
+        outs.append(impl.decode_step(q, handle))
+    identical = np.array_equal(*outs)
     print(f"paged vs contiguous decode bit-identical: {identical}")
 
     # 7. Simulated decode latency at a realistic long-context geometry.

@@ -32,7 +32,6 @@ from repro.attn import (
     ContiguousBitBackend,
     KVCacheHandle,
     PagedBitBackend,
-    get_backend,
 )
 from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.quantization import QuantScheme
@@ -51,6 +50,5 @@ __all__ = [
     "QuantScheme",
     "ArchSpec",
     "get_arch",
-    "get_backend",
     "__version__",
 ]

@@ -30,13 +30,7 @@ from repro.attn.paged import (
     PagedBitKVCache,
     PagedSeqHandle,
 )
-from repro.attn.protocol import (
-    AttentionBackend,
-    KVCacheHandle,
-    backend_names,
-    get_backend,
-    register_backend,
-)
+from repro.attn.protocol import AttentionBackend, KVCacheHandle
 from repro.attn.reference import chunked_causal_attention
 
 __all__ = [
@@ -50,10 +44,7 @@ __all__ = [
     "PagedBitBackend",
     "PagedBitKVCache",
     "PagedSeqHandle",
-    "backend_names",
     "chunked_causal_attention",
-    "get_backend",
-    "register_backend",
 ]
 
 

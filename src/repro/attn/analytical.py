@@ -15,15 +15,11 @@ from typing import NoReturn, Optional, Tuple
 
 import numpy as np
 
-from repro.attn.protocol import AttentionBackend, KVCacheHandle, register_backend
+from repro.attn.protocol import AttentionBackend, KVCacheHandle
 
 
-@register_backend
 class AnalyticalBackend(AttentionBackend):
     """Step pricing over an :class:`~repro.model.inference.AttentionSystem`."""
-
-    name = "analytical"
-    executes_tokens = False
 
     def __init__(self, attention):
         if not hasattr(attention, "decode_time_ms"):

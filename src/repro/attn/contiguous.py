@@ -14,12 +14,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.attn.protocol import (
-    AttentionBackend,
-    KVCacheHandle,
-    coerce_engine,
-    register_backend,
-)
+from repro.attn.protocol import AttentionBackend, KVCacheHandle, coerce_engine
 from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding, BitKVCache
 from repro.core.config import BitDecodingConfig
@@ -41,11 +36,8 @@ class ContiguousHandle(KVCacheHandle):
         return 0 if self.cache is None else self.cache.seq_len
 
 
-@register_backend
 class ContiguousBitBackend(AttentionBackend):
     """Quantized decode over the contiguous two-part cache (the reference)."""
-
-    name = "contiguous-bit"
 
     def __init__(
         self,

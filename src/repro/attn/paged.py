@@ -35,12 +35,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.attn.protocol import (
-    AttentionBackend,
-    KVCacheHandle,
-    coerce_engine,
-    register_backend,
-)
+from repro.attn.protocol import AttentionBackend, KVCacheHandle, coerce_engine
 from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
@@ -666,7 +661,6 @@ class PagedBitKVCache(TierObserver):
         return self.res_k.nbytes + self.res_v.nbytes
 
 
-@register_backend
 class PagedBitBackend(AttentionBackend):
     """Quantized decode over the paged pool, behind per-sequence block tables.
 
@@ -682,8 +676,6 @@ class PagedBitBackend(AttentionBackend):
     the per-sequence oracle (:meth:`decode_step_looped`), because both
     run the very same :meth:`BitDecoding.decode` numeric path.
     """
-
-    name = "paged-bit"
 
     def __init__(
         self,

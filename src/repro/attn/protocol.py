@@ -21,16 +21,12 @@ and the serving engine stop caring which one they are wired to:
   the step-pricing surface (``decode_step_ms`` and friends) the serving
   engine schedules with.  Numeric backends price steps through their own
   kernel model; the analytical backend prices steps and refuses tokens.
-
-Backends register themselves under a short name
-(:func:`register_backend`), so callers can resolve one by configuration:
-``get_backend("paged-bit", engine=BitDecodingConfig(bits=4))``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional, Sequence, Tuple, Type
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,11 +62,6 @@ class AttentionBackend(abc.ABC):
     the end-to-end latency model over :attr:`attention_system`, so every
     backend prices steps consistently with the static serving model.
     """
-
-    #: Registry key; subclasses override.
-    name: str = "abstract"
-    #: Whether the numeric surface is implemented (False for analytical).
-    executes_tokens: bool = True
 
     # ------------------------------------------------------------- numerics
 
@@ -186,34 +177,3 @@ def coerce_engine(engine, arch="a100"):
         engine = BitDecoding(engine, arch)
     return engine
 
-
-# ---------------------------------------------------------------- registry
-
-_BACKENDS: Dict[str, Type[AttentionBackend]] = {}
-
-
-def register_backend(cls: Type[AttentionBackend]) -> Type[AttentionBackend]:
-    """Class decorator: register a backend under its ``name``."""
-    if not cls.name or cls.name == "abstract":
-        raise ValueError(f"{cls.__name__} must define a non-default 'name'")
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str, **kwargs: Any) -> AttentionBackend:
-    """Instantiate a registered backend by name.
-
-    ``kwargs`` are forwarded to the backend constructor, e.g.
-    ``get_backend("paged-bit", engine=BitDecodingConfig(bits=4))``.
-    """
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(backend_names())
-        raise KeyError(f"unknown attention backend {name!r}; registered: {known}") from None
-    return cls(**kwargs)

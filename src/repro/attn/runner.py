@@ -55,8 +55,6 @@ class ModelRunner:
         seed: int = 0,
         tiers: Optional[TieredPageStore] = None,
     ):
-        if not backend.executes_tokens:
-            raise ValueError(f"backend {backend.name!r} cannot execute tokens")
         if not isinstance(backend, PagedBitBackend):
             raise TypeError(
                 "real execution shares the scheduler's page table, which "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.attn.protocol import get_backend
+from repro.attn.paged import PagedBitBackend
 from repro.bench.harness import Experiment
 from repro.cluster import ROUTER_POLICIES, Router
 from repro.core.config import BitDecodingConfig
@@ -94,7 +94,7 @@ def serving_formats() -> Experiment:
             _add(exp, report.format_name + suffix, report, fields)
     exp.note(f"FP16/INT4/INT2: whole-prompt prefill; /{PREFILL_CHUNK}: chunked prefill")
 
-    backend = get_backend("paged-bit", engine=BitDecodingConfig(bits=4), arch=arch)
+    backend = PagedBitBackend(BitDecodingConfig(bits=4), arch)
     batch, seq_len = 8, 16384
     looped_ms = sum(backend.decode_step_ms(TINY, arch, 1, seq_len) for _ in range(batch))
     grouped_ms = backend.decode_step_ms(

@@ -23,18 +23,19 @@ into a hard cross-check.
 Pricing: a TP decode step pays ONE rank's (head-sliced) attention kernel
 — ranks run concurrently — plus the per-layer all-reduce tax
 (:func:`repro.model.inference._allreduce_ms`) and the already-sharded
-weight GEMMs; the backend defaults both ``n_gpus`` and ``tp`` to its own
-degree so direct pricing calls see the tax too.
+weight GEMMs.  The backend inherits its pricing unchanged: callers pass
+``n_gpus`` and ``tp`` (the engine passes its config's, which
+``EngineConfig`` requires to equal the backend's degree under
+``execute=True``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.attn.paged import PagedBitBackend
-from repro.attn.protocol import register_backend
 
 
 class HeadSliceView:
@@ -64,7 +65,6 @@ class HeadSliceView:
         return self._residual
 
 
-@register_backend
 class ShardedPagedBackend(PagedBitBackend):
     """Tensor-parallel paged backend: head-split the attention call.
 
@@ -76,8 +76,6 @@ class ShardedPagedBackend(PagedBitBackend):
     head, so contiguous query and KV splits stay aligned and each rank
     sees a well-formed ``gq``-grouped geometry.
     """
-
-    name = "sharded-paged-bit"
 
     def __init__(self, engine=None, arch="a100", tp: int = 2, n_pages: int = 256, n_slots: int = 64):
         super().__init__(engine, arch, n_pages=n_pages, n_slots=n_slots)
@@ -106,57 +104,3 @@ class ShardedPagedBackend(PagedBitBackend):
         ]
         return np.concatenate(outs, axis=2)
 
-    # ----------------------------------------------------------------- pricing
-
-    def decode_step_ms(
-        self,
-        model,
-        arch,
-        batch: int,
-        seq_len: int,
-        n_gpus: Optional[int] = None,
-        decode_groups: Optional[Sequence[Tuple[int, int]]] = None,
-        tp: Optional[int] = None,
-    ) -> float:
-        """Per-rank attention + sharded GEMMs + the all-reduce tax.
-
-        ``n_gpus``/``tp`` default to the backend's own degree, so direct
-        pricing calls see the TP cost without extra plumbing (the engine
-        passes its config's values explicitly, which must match).
-        """
-        return super().decode_step_ms(
-            model,
-            arch,
-            batch,
-            seq_len,
-            self.tp if n_gpus is None else n_gpus,
-            decode_groups,
-            self.tp if tp is None else tp,
-        )
-
-    def mixed_step_ms(
-        self,
-        model,
-        arch,
-        decode_batch: int,
-        decode_seq_len: int,
-        prefill_chunks: Sequence[Tuple[int, int]],
-        n_gpus: Optional[int] = None,
-        decode_groups: Optional[Sequence[Tuple[int, int]]] = None,
-        tp: Optional[int] = None,
-    ) -> float:
-        return super().mixed_step_ms(
-            model,
-            arch,
-            decode_batch,
-            decode_seq_len,
-            prefill_chunks,
-            self.tp if n_gpus is None else n_gpus,
-            decode_groups,
-            self.tp if tp is None else tp,
-        )
-
-    def prefill_time_ms(self, model, arch, prompt_len: int, n_gpus: Optional[int] = None) -> float:
-        return super().prefill_time_ms(
-            model, arch, prompt_len, self.tp if n_gpus is None else n_gpus
-        )

@@ -90,8 +90,6 @@ class BitDecodingConfig:
     - ``use_pipeline`` — off serializes load / dequant / MMA phases.
     - ``use_coop_softmax`` — off skips the cross-warp max reduction
       (Algorithm 1); with ``Wn > 1`` this produces *incorrect results*.
-    - ``use_residual_cache`` — off quantizes every new token immediately
-      (per-step quantize+pack of a partial tile).
 
     ``numerics_mode`` selects the decode tile walk: ``fused`` (default)
     runs one batched QK^T + two-pass softmax over every tile at once;
@@ -115,7 +113,6 @@ class BitDecodingConfig:
     use_warp_parallel: bool = True
     use_pipeline: bool = True
     use_coop_softmax: bool = True
-    use_residual_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.version not in KERNEL_VERSIONS:

@@ -174,11 +174,3 @@ def unpack_values(
     shifts = (fields * bits).astype(dtype)
     out = ((words[..., None] >> shifts) & mask).astype(np.uint8)
     return out.reshape(*words.shape[:-1], -1)
-
-
-def packed_nbytes(n_values: int, bits: int, word_bits: int = 16) -> int:
-    """Storage bytes for ``n_values`` codes (must divide the ratio evenly)."""
-    ratio = packing_ratio(bits, word_bits)
-    if n_values % ratio != 0:
-        raise ValueError("n_values must be a multiple of the packing ratio")
-    return (n_values // ratio) * (word_bits // 8)

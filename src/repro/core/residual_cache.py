@@ -11,6 +11,8 @@ cache grows one token at a time.  BitDecoding therefore splits the cache:
 matches the warp tiling of the MMA exactly, so whenever the residual fills
 up, one fused Residual-Kernel pass quantizes and packs a *complete,
 fragment-aligned* block into the low-bit cache — never a partial tile.
+Eq. 1 is computed by
+:attr:`~repro.core.config.BitDecodingConfig.residual_block_size`.
 
 This module owns the bookkeeping: appends, flush detection, and the
 partitioning of a prefill context.  The numerical flush (quantize + pack)
@@ -23,16 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.core.config import MMA_PN
-from repro.core.packing import packing_ratio
-
-
-def residual_block_size(wn: int, bits: int, word_bits: int = 16, pn: int = MMA_PN) -> int:
-    """Eq. 1: residual block size ``N_r = P_n x W_n x R``."""
-    if wn <= 0 or pn <= 0:
-        raise ValueError("warp and tile factors must be positive")
-    return pn * wn * packing_ratio(bits, word_bits)
 
 
 def partition_prefill(seq_len: int, block_size: int) -> Tuple[int, int]:

@@ -13,44 +13,43 @@ Determinism rules:
   :func:`numpy.random.default_rng` stream, so adding a category never
   perturbs another's draws.
 - :meth:`FaultPlan.transfer` consumes a *fixed* number of variates per
-  call regardless of the outcome, so a leg filter or a zero rate cannot
-  desynchronize two plans built from specs that differ only in rates.
+  call regardless of the outcome, so a zero rate cannot desynchronize two
+  plans built from specs that differ only in rates.
 
 Fault taxonomy (see the README recovery matrix):
 
 - **transient transfer fault** — a leg transfer fails ``failures`` times
   before succeeding; each failed attempt costs the full leg time plus
-  exponential backoff, priced as synchronous stall.
-- **permanent transfer fault** — the retry budget is exhausted; the
-  page's content is *lost* and the affected sequences must be healed by
-  recompute-style replay.
-- **latency spike** — a successful transfer takes ``spike``× its modeled
-  time (a congested link, an NVMe garbage-collection pause).
+  exponential backoff (:data:`BACKOFF_BASE_MS` doubling per attempt),
+  priced as synchronous stall.
+- **permanent transfer fault** — the retry budget (:data:`MAX_RETRIES`)
+  is exhausted; the page's content is *lost* and the affected sequences
+  must be healed by recompute-style replay.
+- **latency spike** — a successful transfer takes
+  :data:`LATENCY_SPIKE_FACTOR`× its modeled time (a congested link, an
+  NVMe garbage-collection pause).
 - **corruption** — the transfer completes but the payload is damaged in
   flight; detected by the demote/promote checksum pair and healed like a
   lost page.
-- **slow step** — the whole scheduler quantum runs ``step_factor()``×
-  slower (clock skew, a noisy neighbor stealing the host).
+- **slow step** — the whole scheduler quantum runs
+  :data:`SLOW_STEP_FACTOR`× slower (clock skew, a noisy neighbor
+  stealing the host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
-#: Every leg name the tiered store can price.  Direct device<->disk moves
-#: stage through host inside one transfer_ms call; the plan treats them
-#: as a single named leg.
-LEG_NAMES = (
-    "device→host",
-    "host→device",
-    "host→disk",
-    "disk→host",
-    "device→disk",
-    "disk→device",
-)
+#: Failed attempts after which a transfer's content is lost.
+MAX_RETRIES = 3
+#: Backoff after the first failed attempt; it doubles per attempt.
+BACKOFF_BASE_MS = 0.05
+#: Time multiplier of a spiked transfer.
+LATENCY_SPIKE_FACTOR = 8.0
+#: Time multiplier of a slow scheduler step.
+SLOW_STEP_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -59,21 +58,16 @@ class FaultSpec:
 
     All rates are per-event probabilities: ``transfer_fault_rate``,
     ``latency_spike_rate`` and ``corruption_rate`` per leg transfer,
-    ``slow_step_rate`` per scheduler step.  ``legs`` restricts transfer
-    faults / spikes / corruption to the named legs (None = all legs).
+    ``slow_step_rate`` per scheduler step.  The severities are the
+    module constants.
     """
 
     seed: int = 0
     transfer_fault_rate: float = 0.0
     permanent_fraction: float = 0.0
-    max_retries: int = 3
-    backoff_base_ms: float = 0.05
     latency_spike_rate: float = 0.0
-    latency_spike_factor: float = 8.0
     corruption_rate: float = 0.0
     slow_step_rate: float = 0.0
-    slow_step_factor: float = 4.0
-    legs: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         for name in (
@@ -86,16 +80,6 @@ class FaultSpec:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {rate}")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
-        if self.backoff_base_ms < 0:
-            raise ValueError("backoff_base_ms must be non-negative")
-        if self.latency_spike_factor < 1.0 or self.slow_step_factor < 1.0:
-            raise ValueError("spike/slow-step factors must be >= 1.0")
-        if self.legs is not None:
-            unknown = set(self.legs) - set(LEG_NAMES)
-            if unknown:
-                raise ValueError(f"unknown legs {sorted(unknown)}; known: {LEG_NAMES}")
 
     @property
     def all_transient(self) -> bool:
@@ -123,9 +107,6 @@ class TransferOutcome:
         return self.failures == 0 and not self.lost and self.spike == 1.0 and not self.corrupt
 
 
-_CLEAN = TransferOutcome()
-
-
 class FaultPlan:
     """Live fault oracle: seeded RNG streams drawn per transfer / per step."""
 
@@ -140,30 +121,28 @@ class FaultPlan:
 
     # ------------------------------------------------------------- transfers
 
-    def transfer(self, leg: str) -> TransferOutcome:
+    def transfer(self) -> TransferOutcome:
         """Draw the outcome of one leg transfer (fixed variate budget)."""
         spec = self.spec
         u_fail, u_sev, u_spike, u_corrupt = self._transfer_rng.random(4)
         self.transfers_drawn += 1
-        if spec.legs is not None and leg not in spec.legs:
-            return _CLEAN
         failures, lost = 0, False
         if u_fail < spec.transfer_fault_rate:
             if u_sev < spec.permanent_fraction:
-                failures, lost = spec.max_retries, True
+                failures, lost = MAX_RETRIES, True
             else:
                 # Rescale the severity draw over the transient range:
                 # mostly one failed attempt, sometimes two.
                 span = 1.0 - spec.permanent_fraction
                 burst = (u_sev - spec.permanent_fraction) / span if span else 0.0
-                failures = min(1 + (1 if burst > 0.75 else 0), spec.max_retries)
-        spike = spec.latency_spike_factor if u_spike < spec.latency_spike_rate else 1.0
+                failures = min(1 + (1 if burst > 0.75 else 0), MAX_RETRIES)
+        spike = LATENCY_SPIKE_FACTOR if u_spike < spec.latency_spike_rate else 1.0
         corrupt = bool(u_corrupt < spec.corruption_rate) and not lost
         return TransferOutcome(failures=failures, lost=lost, spike=spike, corrupt=corrupt)
 
     def backoff_ms(self, attempt: int) -> float:
         """Exponential backoff charged after failed attempt ``attempt`` (0-based)."""
-        return self.spec.backoff_base_ms * (2.0**attempt)
+        return BACKOFF_BASE_MS * (2.0**attempt)
 
     # ----------------------------------------------------------------- steps
 
@@ -172,7 +151,7 @@ class FaultPlan:
         u = self._step_rng.random()
         self.steps_drawn += 1
         if u < self.spec.slow_step_rate:
-            return self.spec.slow_step_factor
+            return SLOW_STEP_FACTOR
         return 1.0
 
 
@@ -184,11 +163,7 @@ def demo_fault_spec(seed: int) -> FaultSpec:
         seed=seed,
         transfer_fault_rate=0.12,
         permanent_fraction=0.2,
-        max_retries=3,
-        backoff_base_ms=0.05,
         latency_spike_rate=0.08,
-        latency_spike_factor=8.0,
         corruption_rate=0.06,
         slow_step_rate=0.08,
-        slow_step_factor=4.0,
     )

@@ -18,7 +18,6 @@ about what a cache format costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.gpu.arch import ArchSpec
 from repro.model.config import ModelConfig
@@ -36,9 +35,6 @@ class CacheFormat:
     bits_per_value: float
     #: Metadata bytes per token per layer (scales/zeros across heads).
     meta_bytes_per_token_layer: float = 0.0
-    #: Extra resident workspace the system needs, as a function of
-    #: (batch, seq_len) -> bytes (e.g. KIVI's materialized score matrix).
-    workspace_bytes: Optional[Callable[[int, int], float]] = None
     #: FP16 residual window kept per sequence (Sec. IV-A(2)): the newest
     #: tokens stay unquantized until a block of ``N_r`` fills up, so each
     #: resident sequence pins this many full-precision tokens on top of its
@@ -92,8 +88,6 @@ def memory_required_bytes(
     total = model.weights_bytes() / n_gpus
     total += batch * seq_len * cache_bytes_per_token(model, fmt) / n_gpus
     total += batch * residual_bytes_per_seq(model, fmt) / n_gpus
-    if fmt.workspace_bytes is not None:
-        total += fmt.workspace_bytes(batch, seq_len) / n_gpus
     return total
 
 
@@ -126,41 +120,41 @@ def pages_in_budget(
 MEMORY_TIERS = ("device", "host", "disk")
 
 
-@dataclass(frozen=True)
-class MemoryTierModel:
-    """Analytical bandwidth/latency model of page migration between tiers.
+# Page-migration bandwidth and latency.  Device <-> host transfers ride
+# PCIe (one DMA per page migration); host <-> disk transfers ride NVMe,
+# whose read and write bandwidths differ.  The values approximate PCIe
+# 4.0 x16 and a datacenter NVMe drive: deliberately round numbers, since
+# every consumer prices *relative* costs (swap vs recompute), not absolute
+# hardware truth.
+PCIE_GBS = 25.0
+PCIE_LATENCY_US = 10.0
+NVME_READ_GBS = 7.0
+NVME_WRITE_GBS = 3.5
+NVME_LATENCY_US = 80.0
 
-    Device <-> host transfers ride PCIe (one DMA per page migration);
-    host <-> disk transfers ride NVMe, whose read and write bandwidths
-    differ.  A device <-> disk migration stages through host memory and
-    pays both legs.  Defaults approximate PCIe 4.0 x16 and a datacenter
-    NVMe drive — deliberately round numbers, since every consumer prices
-    *relative* costs (swap vs recompute), not absolute hardware truth.
+
+def _leg_ms(nbytes: float, gbs: float, latency_us: float) -> float:
+    return latency_us * 1e-3 + nbytes / (gbs * 1e9) * 1e3
+
+
+def transfer_ms(nbytes: float, src: str, dst: str) -> float:
+    """Milliseconds to move ``nbytes`` from tier ``src`` to ``dst``.
+
+    A device <-> disk migration stages through host memory and pays both
+    legs.
     """
-
-    pcie_gbs: float = 25.0
-    pcie_latency_us: float = 10.0
-    nvme_read_gbs: float = 7.0
-    nvme_write_gbs: float = 3.5
-    nvme_latency_us: float = 80.0
-
-    def _leg_ms(self, nbytes: float, gbs: float, latency_us: float) -> float:
-        return latency_us * 1e-3 + nbytes / (gbs * 1e9) * 1e3
-
-    def transfer_ms(self, nbytes: float, src: str, dst: str) -> float:
-        """Milliseconds to move ``nbytes`` from tier ``src`` to ``dst``."""
-        for tier in (src, dst):
-            if tier not in MEMORY_TIERS:
-                raise ValueError(f"unknown memory tier {tier!r}; expected {MEMORY_TIERS}")
-        if src == dst:
-            return 0.0
-        ms = 0.0
-        if "device" in (src, dst):
-            ms += self._leg_ms(nbytes, self.pcie_gbs, self.pcie_latency_us)
-        if "disk" in (src, dst):
-            gbs = self.nvme_read_gbs if src == "disk" else self.nvme_write_gbs
-            ms += self._leg_ms(nbytes, gbs, self.nvme_latency_us)
-        return ms
+    for tier in (src, dst):
+        if tier not in MEMORY_TIERS:
+            raise ValueError(f"unknown memory tier {tier!r}; expected {MEMORY_TIERS}")
+    if src == dst:
+        return 0.0
+    ms = 0.0
+    if "device" in (src, dst):
+        ms += _leg_ms(nbytes, PCIE_GBS, PCIE_LATENCY_US)
+    if "disk" in (src, dst):
+        gbs = NVME_READ_GBS if src == "disk" else NVME_WRITE_GBS
+        ms += _leg_ms(nbytes, gbs, NVME_LATENCY_US)
+    return ms
 
 
 def page_pool_size(

@@ -11,9 +11,9 @@ bijection is maintained: one page per frame, one frame per page), so a
 page can be demoted to host and promoted back **bit-exactly** — the
 contract the swap-preemption parity suite pins down.
 
-Every migration is priced by a
-:class:`~repro.model.memory.MemoryTierModel` (PCIe for device <-> host,
-NVMe for host <-> disk) and lands in one of two per-step buckets:
+Every migration is priced by :func:`~repro.model.memory.transfer_ms`
+(PCIe for device <-> host, NVMe for host <-> disk, at the bandwidth and
+latency constants beside it) and lands in one of two per-step buckets:
 
 - ``prefetch`` — transfers the scheduler issued ahead of the compute
   that needs them (the next sequence's pages fetched during the current
@@ -43,8 +43,8 @@ transient failures charge retry-with-backoff time straight into the
 fault (stall) bucket, latency spikes multiply the leg, permanent
 failures mark the page *lost*, and corruption events taint the payload
 in flight (observers get :meth:`TierObserver.corrupt_frame` so executed
-runs damage real bytes).  With ``integrity`` on, a live page leaving the
-device tier records a checksum (:meth:`TierObserver.frame_checksum`
+runs damage real bytes).  Under a plan, a live page leaving the device
+tier also records a checksum (:meth:`TierObserver.frame_checksum`
 combined across observers) that is verified when the content next lands
 on device; mismatches — and, in analytical runs with no bytes to hash,
 plan-tainted pages — are marked *corrupt*.  Lost and corrupt pages queue
@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.model.memory import MemoryTierModel
+from repro.model.memory import transfer_ms
 from repro.pages.allocator import EvictionPolicy, PageAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> pages)
@@ -102,9 +102,7 @@ class TieredPageStore(EvictionPolicy):
         host_pages: int,
         disk_pages: int = 0,
         page_nbytes: float = 0.0,
-        model: Optional[MemoryTierModel] = None,
         faults: Optional["FaultPlan"] = None,
-        integrity: Optional[bool] = None,
     ):
         if device_pages <= 0 or host_pages < 0 or disk_pages < 0:
             raise ValueError("device_pages must be positive; host/disk non-negative")
@@ -121,7 +119,6 @@ class TieredPageStore(EvictionPolicy):
         self.disk_pages = disk_pages
         self.n_pages = total
         self.page_nbytes = float(page_nbytes)
-        self.model = model if model is not None else MemoryTierModel()
         # Identity bijection at birth: page i occupies frame i.
         self._frame_of: List[int] = list(range(total))
         self._page_at: List[int] = list(range(total))
@@ -141,9 +138,8 @@ class TieredPageStore(EvictionPolicy):
         self.fault_ms_total = 0.0
         self.prefetch_ms_total = 0.0
         # Fault injection + integrity state (all dormant when plan is None
-        # and integrity is off — the clean path pays only two None checks).
+        # — the clean path pays only None checks).
         self.fault_plan = faults
-        self.integrity = bool(integrity) if integrity is not None else faults is not None
         self._checksums: Dict[int, int] = {}  # page -> digest when its content left device
         self._tainted: set = set()  # pages the plan corrupted in flight
         self._bad_pages: Dict[int, str] = {}  # page -> "lost" | "corrupt"
@@ -233,12 +229,12 @@ class TieredPageStore(EvictionPolicy):
         booked directly as synchronous stall — a failed DMA always blocks
         the step, even when the transfer itself was issued as prefetch.
         """
-        base = self.model.transfer_ms(self.page_nbytes, src_tier, dst_tier)
+        base = transfer_ms(self.page_nbytes, src_tier, dst_tier)
         plan = self.fault_plan
         if plan is None:
             self._account_bytes(src_tier, dst_tier)
             return base, False
-        out = plan.transfer(f"{src_tier}→{dst_tier}")
+        out = plan.transfer()
         if out.failures:
             stall = 0.0
             for attempt in range(out.failures):
@@ -272,9 +268,9 @@ class TieredPageStore(EvictionPolicy):
 
         Under a fault plan each leg may retry, spike, lose its payload, or
         corrupt it; the bijection always completes (the engine heals lost
-        and corrupt pages before anything reads them).  With integrity on,
-        live content leaving the device tier records a checksum, and
-        content arriving on device is verified against it.
+        and corrupt pages before anything reads them).  Live content
+        leaving the device tier records a checksum, and content arriving on
+        device is verified against it.
         """
         src_frame = self._frame_of[page]
         if src_frame == target_frame:
@@ -284,7 +280,7 @@ class TieredPageStore(EvictionPolicy):
         dst_tier = self._tier_of_frame(target_frame)
         displaced_garbage = self._garbage(displaced)
         page_live = not self._garbage(page)
-        if self.integrity:
+        if self.fault_plan is not None:
             if page_live and src_tier == "device":
                 self._record_checksum(page, src_frame)
             if not displaced_garbage and dst_tier == "device":
@@ -307,7 +303,7 @@ class TieredPageStore(EvictionPolicy):
             self._apply_corruption(page)
         if displaced_corrupt:
             self._apply_corruption(displaced)
-        if self.integrity:
+        if self.fault_plan is not None:
             if dst_tier == "device" and page_live:
                 self._verify_on_device(page)
             if src_tier == "device" and not displaced_garbage:

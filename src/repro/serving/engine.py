@@ -96,7 +96,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.gpu.arch import ArchSpec
 from repro.model.config import ModelConfig
 from repro.model.inference import AttentionSystem
-from repro.model.memory import CacheFormat, MemoryTierModel, page_bytes, page_pool_size
+from repro.model.memory import CacheFormat, page_bytes, page_pool_size
 from repro.model.serving import ServingOOMError
 from repro.pages.allocator import OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
@@ -190,9 +190,6 @@ class EngineConfig:
     device_pages: Optional[int] = None
     host_pages: Optional[int] = None
     disk_pages: int = 0
-    #: PCIe/NVMe bandwidth model pricing page migration (defaults used
-    #: when None).
-    tier_model: Optional[MemoryTierModel] = None
     #: Fault-injection spec; the engine builds a deterministic
     #: :class:`~repro.faults.plan.FaultPlan` from it and arms the tier
     #: store.  Requires ``preemption="swap"`` — faults live on the tier
@@ -227,16 +224,8 @@ class EngineConfig:
                     "n_pages is derived (device + host + disk) under "
                     'preemption="swap"; set the tier sizes instead'
                 )
-        elif (
-            self.device_pages is not None
-            or self.host_pages is not None
-            or self.disk_pages
-            or self.tier_model is not None
-        ):
-            raise ValueError(
-                'tier geometry (device/host/disk pages, tier_model) requires '
-                'preemption="swap"'
-            )
+        elif self.device_pages is not None or self.host_pages is not None or self.disk_pages:
+            raise ValueError('tier geometry (device/host/disk pages) requires preemption="swap"')
         if not self.prefix_share and not self.prefix_cache:
             raise ValueError("prefix_share=False only modifies a prefix_cache=True run")
         if self.faults is not None and not self.tiered:
@@ -282,18 +271,13 @@ class EngineConfig:
                 "not both: the backend would silently win the step pricing"
             )
         if self.execute:
-            if self.backend is None or not self.backend.executes_tokens:
-                raise ValueError(
-                    "execute=True needs a token-executing AttentionBackend "
-                    "(e.g. PagedBitBackend); the analytical backend only "
-                    "prices steps"
-                )
             from repro.attn.paged import PagedBitBackend
 
             if not isinstance(self.backend, PagedBitBackend):
                 raise ValueError(
-                    "execute=True shares the scheduler's page table with the "
-                    "numerics, which only the paged-bit backend supports"
+                    "execute=True needs a token-executing paged-bit backend "
+                    "(PagedBitBackend): it shares the scheduler's page table "
+                    "with the numerics; the analytical backend only prices steps"
                 )
             if self.n_pages is None and not self.tiered:
                 raise ValueError(
@@ -360,7 +344,6 @@ class ContinuousBatchingEngine:
                 config.host_pages,
                 config.disk_pages,
                 page_nbytes=page_bytes(config.model, config.fmt, config.page_size),
-                model=config.tier_model,
                 faults=self.fault_plan,
             )
         self.auditor: Optional[InvariantAuditor] = (
@@ -432,11 +415,6 @@ class ContinuousBatchingEngine:
         return lc
 
     # ----------------------------------------------------------- router surface
-
-    @property
-    def clock_s(self) -> float:
-        """Current simulation time."""
-        return self._clock
 
     @property
     def load_requests(self) -> int:
@@ -747,8 +725,7 @@ class ContinuousBatchingEngine:
             return True
         if not policy.shed_on_admission or head.generated or head.preemptions or head.heals:
             return False
-        estimate = self._estimate_service_s(head) * policy.admission_slack
-        if self._clock + estimate > head.deadline_abs:
+        if self._clock + self._estimate_service_s(head) > head.deadline_abs:
             self._queue.popleft()
             self._abort(head, shed=True)
             return True

@@ -113,21 +113,17 @@ class DeadlinePolicy:
     leaves them best-effort).  With ``shed_on_admission`` the FCFS head
     is *shed* — refused before consuming any pages — when the current
     clock plus an optimistic service estimate already overshoots its
-    deadline; ``admission_slack`` scales that estimate (values above 1.0
-    shed earlier, below 1.0 gamble on the estimate being pessimistic).
-    Requests whose deadline passes while in the system are TIMED_OUT and
-    their resources reclaimed after the step that crossed the line.
+    deadline.  Requests whose deadline passes while in the system are
+    TIMED_OUT and their resources reclaimed after the step that crossed
+    the line.
     """
 
     default_deadline_s: Optional[float] = None
     shed_on_admission: bool = True
-    admission_slack: float = 1.0
 
     def __post_init__(self) -> None:
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be positive (or None)")
-        if self.admission_slack <= 0:
-            raise ValueError("admission_slack must be positive")
 
 
 @dataclass

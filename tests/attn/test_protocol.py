@@ -1,30 +1,10 @@
-"""The AttentionBackend protocol: registry, surfaces, deprecation shims."""
+"""The AttentionBackend protocol: pricing and numeric surfaces, handles."""
 
 import numpy as np
 import pytest
 
-from repro.attn import (
-    AnalyticalBackend,
-    ContiguousBitBackend,
-    PagedBitBackend,
-    backend_names,
-    get_backend,
-)
+from repro.attn import AnalyticalBackend, ContiguousBitBackend, PagedBitBackend
 from repro.core.config import BitDecodingConfig
-
-
-class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert set(backend_names()) >= {"analytical", "contiguous-bit", "paged-bit"}
-
-    def test_get_backend_constructs(self):
-        backend = get_backend("contiguous-bit", engine=BitDecodingConfig(bits=2))
-        assert isinstance(backend, ContiguousBitBackend)
-        assert backend.config.bits == 2
-
-    def test_unknown_backend_lists_known(self):
-        with pytest.raises(KeyError, match="paged-bit"):
-            get_backend("flash-attention-9")
 
 
 class TestAnalyticalBackend:
@@ -49,7 +29,6 @@ class TestAnalyticalBackend:
         from repro.core.attention import BitDecoding
 
         backend = AnalyticalBackend(BitDecoding(BitDecodingConfig(bits=4), a100))
-        assert not backend.executes_tokens
         with pytest.raises(NotImplementedError):
             backend.new_handle(1, 2, 16)
         with pytest.raises(NotImplementedError):

@@ -169,16 +169,6 @@ class TestTPPricing:
         # Head sharding shrinks the attention kernel strictly.
         assert tp2.attention_ms < tp1.attention_ms
 
-    def test_backend_pricing_defaults_to_its_own_degree(self, a100):
-        sharded, single = _pair(a100, tp=2)
-        model = get_model("llama-3.1-8b")
-        # No n_gpus/tp arguments: the sharded backend prices at tp=2.
-        ms_sharded = sharded.decode_step_ms(model, a100, 8, 4096)
-        ms_explicit = single.decode_step_ms(model, a100, 8, 4096, n_gpus=2, tp=2)
-        ms_single = single.decode_step_ms(model, a100, 8, 4096)
-        assert ms_sharded == pytest.approx(ms_explicit)
-        assert ms_sharded != pytest.approx(ms_single)
-
     def test_arch_interconnect_fields_validated(self, a100):
         import dataclasses
 

@@ -10,7 +10,6 @@ from repro.core.packing import (
     _word_dtype,
     gather_pack_into,
     pack_values,
-    packed_nbytes,
     packing_ratio,
     unpack_values,
 )
@@ -166,16 +165,6 @@ def _parity_extract(words, bits, word_bits):
         fields = [(masked >> (2 * i * bits)) & field for i in range(ratio // 2)]
         halves.append(np.stack(fields, axis=-1).astype(np.uint8))
     return halves[0], halves[1]
-
-
-class TestStorageMath:
-    def test_packed_nbytes(self):
-        assert packed_nbytes(128, 4, 16) == 64
-        assert packed_nbytes(128, 2, 16) == 32
-
-    def test_packed_nbytes_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            packed_nbytes(130, 4, 16)
 
 
 class TestProperties:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.residual_cache import BatchedResidual, partition_prefill, residual_block_size
+from repro.core.config import BitDecodingConfig
+from repro.core.residual_cache import BatchedResidual, partition_prefill
 from tests.reference_cache import ResidualBuffer
 
 
@@ -21,18 +22,19 @@ class TestEquationOne:
         ],
     )
     def test_block_sizes(self, wn, bits, word_bits, expected):
-        assert residual_block_size(wn, bits, word_bits) == expected
+        config = BitDecodingConfig(wn=wn, bits=bits, word_bits=word_bits)
+        assert config.residual_block_size == expected
 
     def test_block_size_is_mma_aligned(self):
         """N_r must tile evenly by the warp footprint P_n x W_n."""
         for wn in (1, 2, 4, 8):
             for bits in (2, 4, 8):
-                nr = residual_block_size(wn, bits)
+                nr = BitDecodingConfig(wn=wn, bits=bits).residual_block_size
                 assert nr % (8 * wn) == 0
 
     def test_invalid_factors_rejected(self):
-        with pytest.raises(ValueError):
-            residual_block_size(0, 4)
+        with pytest.raises(ValueError, match="wn"):
+            BitDecodingConfig(wn=0, bits=4)
 
 
 class TestPartition:

@@ -8,7 +8,6 @@ from repro.core.config import BitDecodingConfig
 from repro.model.config import LLAMA2_7B, LLAMA31_8B, LLAMA31_70B
 from repro.model.inference import prefill_time_ms
 from repro.model.memory import (
-    CacheFormat,
     cache_bytes_per_token,
     fp16_format,
     int_format,
@@ -64,14 +63,6 @@ class TestCapacity:
     def test_zero_when_nothing_fits(self, rtx4090):
         # 70B weights alone exceed a 24GB card.
         assert max_batch_size(LLAMA31_70B, rtx4090, fp16_format(), 1024) == 0
-
-    def test_workspace_counts_against_memory(self, a100):
-        heavy = CacheFormat(
-            name="kivi-like", bits_per_value=4,
-            workspace_bytes=lambda b, s: 2.0 * float(s) ** 2 * 2.0,
-        )
-        assert not fits(LLAMA31_8B, a100, heavy, 1, 131072)
-        assert fits(LLAMA31_8B, a100, heavy, 1, 65536)
 
     def test_multi_gpu_divides_footprint(self, a100):
         assert not fits(LLAMA31_70B, a100, fp16_format(), 1, 32768, n_gpus=1)

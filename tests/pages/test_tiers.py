@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import BitDecodingConfig
 from repro.core.residual_kernel import flush_blocks
+from repro.model.memory import transfer_ms
 from repro.pages.allocator import EvictionPolicy, OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore, TierObserver
@@ -36,9 +37,9 @@ class _RetainSet(EvictionPolicy):
         self.pages.discard(page)
 
 
-def _store(device=2, host=3, disk=0, nbytes=1000.0, model=None):
+def _store(device=2, host=3, disk=0, nbytes=1000.0):
     alloc = PageAllocator(device + host + disk)
-    tiers = TieredPageStore(alloc, device, host, disk, page_nbytes=nbytes, model=model)
+    tiers = TieredPageStore(alloc, device, host, disk, page_nbytes=nbytes)
     obs = _ArrayStore(alloc.n_pages)
     tiers.add_observer(obs)
     return alloc, tiers, obs
@@ -79,10 +80,7 @@ class TestMigration:
         assert tiers.resident(2)
         # The displaced live device page rides the exchange to page 2's
         # old host frame — both transfer legs are priced and counted.
-        model = tiers.model
-        expected = model.transfer_ms(1000.0, "host", "device") + model.transfer_ms(
-            1000.0, "device", "host"
-        )
+        expected = transfer_ms(1000.0, "host", "device") + transfer_ms(1000.0, "device", "host")
         assert ms == pytest.approx(expected)
         assert tiers.step_fault_ms == pytest.approx(expected)
         assert tiers.step_prefetch_ms == 0.0
@@ -112,7 +110,7 @@ class TestMigration:
         tiers.start_step()
         ms = tiers.ensure_resident([3])
         # One leg only: nothing worth saving rode back to the host frame.
-        assert ms == pytest.approx(tiers.model.transfer_ms(1000.0, "host", "device"))
+        assert ms == pytest.approx(transfer_ms(1000.0, "host", "device"))
         assert tiers.frame_of(3) == 0
         assert tiers.d2h_bytes == 0
         _content_intact(alloc, tiers, obs)
@@ -134,10 +132,7 @@ class TestMigration:
         alloc.allocate_many(3)
         tiers.start_step()
         ms = tiers.ensure_resident([2])
-        model = tiers.model
-        expected = model.transfer_ms(1000.0, "disk", "device") + model.transfer_ms(
-            1000.0, "device", "disk"
-        )
+        expected = transfer_ms(1000.0, "disk", "device") + transfer_ms(1000.0, "device", "disk")
         assert ms == pytest.approx(expected)
         assert tiers.disk_bytes == 2000
         _content_intact(alloc, tiers, obs)

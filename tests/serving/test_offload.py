@@ -11,7 +11,6 @@ schedule never re-prefills at all.)
 import pytest
 
 from repro.model.config import TINY
-from repro.model.memory import MemoryTierModel
 from repro.serving import ContinuousBatchingEngine, poisson_trace
 from repro.serving.crosscheck import decoded_bit_exact, int4_stack, schedules_match
 
@@ -82,13 +81,6 @@ class TestSwapExecution:
         assert report.offload_stall_s >= 0.0
         assert report.offload_overlapped_s > 0.0
 
-    def test_slower_tier_model_costs_more_time(self, a100):
-        fast = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
-        slow = ContinuousBatchingEngine(
-            _swap_config(a100, tier_model=MemoryTierModel(pcie_gbs=0.001)), _trace()
-        ).run()
-        assert slow.sim_time_s > fast.sim_time_s
-
     def test_request_larger_than_device_tier_rejected(self, a100):
         too_long = DEVICE * int4_stack(TINY, a100).nr + 40
         trace = poisson_trace(1, 10.0, prompt_len=too_long, output_len=4, seed=0)
@@ -111,7 +103,7 @@ class TestSwapConfigValidation:
         with pytest.raises(ValueError, match='preemption="swap"'):
             _config(a100, n_pages=16, device_pages=8)
         with pytest.raises(ValueError, match='preemption="swap"'):
-            _config(a100, n_pages=16, tier_model=MemoryTierModel())
+            _config(a100, n_pages=16, host_pages=8)
 
     def test_unknown_preemption_rejected(self, a100):
         with pytest.raises(ValueError, match="preemption"):

@@ -1,17 +1,31 @@
-"""Every public top-level function and class in ``src/repro`` has a reader
-outside the test suite.
+"""Product code reaches every public name and every serving option.
 
-A *reader* is a name or attribute load of the symbol in ``src/`` outside
-the symbol's own body, or anywhere in ``benchmarks/``, ``scripts/``,
-``examples/`` or ``tests/reference_cache.py`` (the hot-path benchmark
-imports that reference).  Imports alone do not count, so an ``__init__``
-re-export does not keep a name alive.  A symbol only tests read is either
-promoted to a ``CLAIMS`` row, moved into the test that pins it, or deleted.
-There is no allowlist.
+Every public top-level function and class in ``src/repro`` has a reader
+outside the test suite.  A *reader* is a name load of the symbol, or an
+attribute load ``x.symbol`` where ``x`` is a name the file binds by
+``import`` / ``from ... import``, in ``src/`` outside the symbol's own
+body, or anywhere in ``benchmarks/``, ``scripts/``, ``examples/`` or
+``tests/reference_cache.py`` (the hot-path benchmark imports that
+reference).  Attribute loads on any other object do not count: a method
+or property of the same name is not a reader of a module-level function.
+Imports alone do not count either, so an ``__init__`` re-export does not
+keep a name alive.  A symbol only tests read is either promoted to a
+``CLAIMS`` row, moved into the test that pins it, or deleted.
+
+Every field of the serving records is set by product code.  An option
+only tests set to a second value is a constant in disguise.
+
+There is no allowlist for either rule.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from repro.faults.plan import FaultSpec
+from repro.model.memory import CacheFormat
+from repro.serving.engine import EngineConfig
+from repro.serving.request import DeadlinePolicy
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -19,15 +33,30 @@ READERS = ("benchmarks", "scripts", "examples")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _imported(tree: ast.Module) -> set:
+    """Names ``tree`` binds by ``import`` or ``from ... import``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.partition(".")[0])
+    return bound
+
+
 def _loads(tree: ast.Module) -> set:
     """Names read in ``tree``; a top-level def's reads of itself don't count."""
+    modules = _imported(tree)
     read = set()
     for top in tree.body:
         own = top.name if isinstance(top, _DEFS) else None
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 name = node.id
-            elif isinstance(node, ast.Attribute):
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
                 name = node.attr
             else:
                 continue
@@ -54,4 +83,35 @@ def test_every_public_src_symbol_has_a_non_test_reader():
         f"{len(unread)} public src/ symbols are read only by tests; give each a "
         "product reader or a CLAIMS row, move it into its test, or delete it:\n  "
         + "\n  ".join(unread)
+    )
+
+
+def test_every_serving_option_has_a_product_setter():
+    """Every field of the serving, fault and memory records is set as a
+    keyword argument or a string dict key in ``src/``, ``benchmarks/`` or
+    ``scripts/``.  ``BitDecodingConfig`` is outside this check: its fields
+    are the paper's parameter space (bit width, granularity, group sizes,
+    kernel version and the Fig. 16 ablation flags).  The ablation
+    experiments sweep those values, and group-size sweeps extend them.
+    """
+    set_names = set()
+    for path in (p for d in ("src", "benchmarks", "scripts") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                set_names.add(node.arg)
+            elif isinstance(node, ast.Dict):
+                set_names.update(
+                    key.value
+                    for key in node.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
+    unset = [
+        f"{record.__name__}.{field.name}"
+        for record in (EngineConfig, FaultSpec, DeadlinePolicy, CacheFormat)
+        for field in dataclasses.fields(record)
+        if field.name not in set_names
+    ]
+    assert not unset, (
+        f"{len(unset)} options are never set by product code; make each a "
+        "constant or give it a product setter:\n  " + "\n  ".join(unset)
     )
