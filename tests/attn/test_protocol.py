@@ -38,6 +38,17 @@ class TestAnalyticalBackend:
         with pytest.raises(TypeError):
             AnalyticalBackend(object())
 
+    def test_runner_requires_the_paged_backend(self):
+        from repro.attn.runner import ModelRunner
+        from repro.model.config import TINY
+        from repro.pages.allocator import PageAllocator
+        from repro.pages.page_table import PageTable
+
+        config = BitDecodingConfig(bits=4, wn=1)
+        table = PageTable(PageAllocator(8), page_size=config.residual_block_size)
+        with pytest.raises(TypeError, match="paged-bit"):
+            ModelRunner(TINY, ContiguousBitBackend(config), table, n_slots=2)
+
 
 class TestHandles:
     def test_contiguous_handle_tracks_seq_len(self, rng):

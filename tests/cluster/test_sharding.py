@@ -169,6 +169,19 @@ class TestTPPricing:
         # Head sharding shrinks the attention kernel strictly.
         assert tp2.attention_ms < tp1.attention_ms
 
+    def test_backend_prices_like_its_base_at_the_given_degree(self, a100):
+        """The engine always passes ``n_gpus``/``tp``; at those arguments a
+        sharded backend prices exactly like the unsharded one."""
+        sharded, single = _pair(a100, tp=2)
+        model = get_model("llama-3.1-8b")
+        kwargs = dict(n_gpus=2, tp=2)
+        assert sharded.decode_step_ms(model, a100, 8, 4096, **kwargs) == single.decode_step_ms(
+            model, a100, 8, 4096, **kwargs
+        )
+        assert sharded.decode_step_ms(model, a100, 8, 4096, **kwargs) != pytest.approx(
+            single.decode_step_ms(model, a100, 8, 4096)
+        )
+
     def test_arch_interconnect_fields_validated(self, a100):
         import dataclasses
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults.plan import (
     BACKOFF_BASE_MS,
+    LATENCY_SPIKE_FACTOR,
     MAX_RETRIES,
     SLOW_STEP_FACTOR,
     FaultPlan,
@@ -41,6 +42,13 @@ class TestSpecValidation:
             FaultSpec(**{field: 1.5})
         with pytest.raises(ValueError, match="probability"):
             FaultSpec(**{field: -0.1})
+
+    def test_retry_and_factor_floors(self):
+        """The retry budget allows at least one attempt, a backoff never
+        refunds time, and a spike or slow step never speeds anything up."""
+        assert isinstance(MAX_RETRIES, int) and MAX_RETRIES >= 1
+        assert BACKOFF_BASE_MS >= 0.0
+        assert LATENCY_SPIKE_FACTOR >= 1.0 and SLOW_STEP_FACTOR >= 1.0
 
     def test_all_transient_means_no_content_loss(self):
         assert FaultSpec(transfer_fault_rate=0.5, slow_step_rate=0.5).all_transient

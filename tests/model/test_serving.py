@@ -8,6 +8,11 @@ from repro.core.config import BitDecodingConfig
 from repro.model.config import LLAMA2_7B, LLAMA31_8B, LLAMA31_70B
 from repro.model.inference import prefill_time_ms
 from repro.model.memory import (
+    NVME_LATENCY_US,
+    NVME_READ_GBS,
+    NVME_WRITE_GBS,
+    PCIE_GBS,
+    PCIE_LATENCY_US,
     cache_bytes_per_token,
     fp16_format,
     int_format,
@@ -16,6 +21,7 @@ from repro.model.memory import (
     page_pool_size,
     pages_in_budget,
     residual_bytes_per_seq,
+    transfer_ms,
 )
 from repro.model.serving import (
     ServingOOMError,
@@ -67,6 +73,40 @@ class TestCapacity:
     def test_multi_gpu_divides_footprint(self, a100):
         assert not fits(LLAMA31_70B, a100, fp16_format(), 1, 32768, n_gpus=1)
         assert fits(LLAMA31_70B, a100, fp16_format(), 1, 32768, n_gpus=8)
+
+
+class TestTransferPricing:
+    NBYTES = 1 << 20
+
+    def test_same_tier_is_free(self):
+        for tier in ("device", "host", "disk"):
+            assert transfer_ms(self.NBYTES, tier, tier) == 0.0
+
+    def test_unknown_tier_rejected(self):
+        with pytest.raises(ValueError, match="unknown memory tier"):
+            transfer_ms(self.NBYTES, "device", "tape")
+
+    def test_pcie_leg_is_latency_plus_bandwidth(self):
+        expected = PCIE_LATENCY_US * 1e-3 + self.NBYTES / (PCIE_GBS * 1e9) * 1e3
+        assert transfer_ms(self.NBYTES, "device", "host") == pytest.approx(expected)
+        assert transfer_ms(self.NBYTES, "host", "device") == pytest.approx(expected)
+
+    def test_nvme_reads_outpace_writes(self):
+        read = transfer_ms(self.NBYTES, "disk", "host")
+        write = transfer_ms(self.NBYTES, "host", "disk")
+        assert read == pytest.approx(
+            NVME_LATENCY_US * 1e-3 + self.NBYTES / (NVME_READ_GBS * 1e9) * 1e3
+        )
+        assert write == pytest.approx(
+            NVME_LATENCY_US * 1e-3 + self.NBYTES / (NVME_WRITE_GBS * 1e9) * 1e3
+        )
+        assert read < write
+
+    def test_device_disk_stages_through_host(self):
+        for a, b in (("device", "disk"), ("disk", "device")):
+            assert transfer_ms(self.NBYTES, a, b) == pytest.approx(
+                transfer_ms(self.NBYTES, a, "host") + transfer_ms(self.NBYTES, "host", b)
+            )
 
 
 class TestSharedMemoryAccounting:

@@ -156,6 +156,18 @@ class TestLossAndCorruption:
         assert tiers.checksum_failures == 1
         assert tiers.drain_bad_pages() == {0: "corrupt"}
 
+    def test_checksums_run_only_with_a_plan(self):
+        """Without a fault plan the store records no digests, so damage
+        done by hand between demote and promote goes unchecked."""
+        _, tiers, obs = _store(observer=True)
+        tiers.start_step()
+        tiers.demote([0])
+        obs.data[tiers.frame_of(0), 0] ^= 0xDEAD
+        tiers.start_step()
+        tiers.ensure_resident([0])
+        assert tiers.fault_plan is None
+        assert tiers.checksum_failures == 0 and not tiers.has_bad_pages
+
     def test_intact_round_trip_raises_no_alarms(self):
         _, tiers, obs = _store(FaultSpec(seed=0), observer=True)
         before = obs.data.copy()

@@ -81,6 +81,15 @@ class TestSwapExecution:
         assert report.offload_stall_s >= 0.0
         assert report.offload_overlapped_s > 0.0
 
+    def test_slower_tier_model_costs_more_time(self, a100, monkeypatch):
+        """Swap traffic is priced by ``transfer_ms`` at the module's
+        bandwidth constants: a slower PCIe link slows the run's clock."""
+        fast = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
+        monkeypatch.setattr("repro.model.memory.PCIE_GBS", 0.001)
+        slow = ContinuousBatchingEngine(_swap_config(a100), _trace()).run()
+        assert slow.swap_outs == fast.swap_outs > 0
+        assert slow.sim_time_s > fast.sim_time_s
+
     def test_request_larger_than_device_tier_rejected(self, a100):
         too_long = DEVICE * int4_stack(TINY, a100).nr + 40
         trace = poisson_trace(1, 10.0, prompt_len=too_long, output_len=4, seed=0)

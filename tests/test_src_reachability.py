@@ -65,6 +65,45 @@ def _loads(tree: ast.Module) -> set:
     return read
 
 
+def _set_names(tree: ast.Module) -> set:
+    """Keyword-argument names and string dict keys in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(
+                key.value
+                for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return names
+
+
+def test_attribute_loads_count_only_on_imported_names():
+    """``mod.f`` reads ``f`` when ``mod`` is imported; ``obj.g`` on any
+    other object does not read a module-level ``g``."""
+    tree = ast.parse(
+        "import pkg.mod\n"
+        "from pkg import other as alias\n"
+        "obj = object()\n"
+        "pkg.mod.deep\n"
+        "alias.f\n"
+        "obj.g\n"
+        "def h():\n"
+        "    return h\n"
+    )
+    read = _loads(tree)
+    assert {"f", "mod", "obj", "alias", "pkg"} <= read
+    assert "g" not in read
+    assert "h" not in read  # a def reading itself is not a reader
+
+
+def test_setters_are_keywords_and_string_dict_keys():
+    tree = ast.parse("f(a=1, **extra)\nd = {'b': 2, 3: 4, name: 5}\nc = 6\n")
+    assert _set_names(tree) == {"a", "b"}
+
+
 def test_every_public_src_symbol_has_a_non_test_reader():
     src_trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
     others = [p for d in READERS for p in (ROOT / d).rglob("*.py")]
@@ -94,17 +133,13 @@ def test_every_serving_option_has_a_product_setter():
     kernel version and the Fig. 16 ablation flags).  The ablation
     experiments sweep those values, and group-size sweeps extend them.
     """
-    set_names = set()
-    for path in (p for d in ("src", "benchmarks", "scripts") for p in (ROOT / d).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.keyword) and node.arg is not None:
-                set_names.add(node.arg)
-            elif isinstance(node, ast.Dict):
-                set_names.update(
-                    key.value
-                    for key in node.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                )
+    set_names = set().union(
+        *(
+            _set_names(ast.parse(path.read_text()))
+            for d in ("src", "benchmarks", "scripts")
+            for path in (ROOT / d).rglob("*.py")
+        )
+    )
     unset = [
         f"{record.__name__}.{field.name}"
         for record in (EngineConfig, FaultSpec, DeadlinePolicy, CacheFormat)
