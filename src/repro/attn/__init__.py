@@ -16,10 +16,10 @@ the role :mod:`repro.core.attention` used to play):
 - :class:`~repro.attn.analytical.AnalyticalBackend` — the end-to-end
   latency model, demoted to just another implementation.
 
-:class:`~repro.attn.runner.ModelRunner` (imported lazily to keep the
-package free of a model-layer import cycle) drives real tokens through a
-:class:`~repro.model.transformer.TinyTransformer` wired to the paged
-backend, sharing the serving engine's page table.
+:class:`~repro.attn.runner.ModelRunner` (imported from its module: it
+pulls in :mod:`repro.model`, which imports this package) drives real
+tokens through a :class:`~repro.model.transformer.TinyTransformer` wired
+to the paged backend, sharing the serving engine's page table.
 """
 
 from repro.attn.analytical import AnalyticalBackend
@@ -39,20 +39,9 @@ __all__ = [
     "ContiguousBitBackend",
     "ContiguousHandle",
     "KVCacheHandle",
-    "ModelRunner",
     "PagedBatchHandle",
     "PagedBitBackend",
     "PagedBitKVCache",
     "PagedSeqHandle",
     "chunked_causal_attention",
 ]
-
-
-def __getattr__(name: str):
-    # ModelRunner pulls in the transformer (repro.model), which itself
-    # imports this package; resolving it lazily breaks the cycle.
-    if name == "ModelRunner":
-        from repro.attn.runner import ModelRunner
-
-        return ModelRunner
-    raise AttributeError(f"module 'repro.attn' has no attribute {name!r}")

@@ -359,23 +359,6 @@ class PagedBitKVCache(TierObserver):
         """Register a fresh empty sequence (store-owned table mode)."""
         return self.adopt(self.table.add_sequence(0))
 
-    def fork(self, handle: PagedSeqHandle) -> PagedSeqHandle:
-        """Clone a sequence copy-on-write: share every page, copy the slot.
-
-        The child maps the parent's physical pages — including a trailing
-        reserved-but-unflushed one — and gets its own residual slot seeded
-        with the parent's FP16 rows.  Packed pages stay shared until one
-        side's flush lands on a shared page, at which point
-        :meth:`_store_blocks` clones the mapping before writing (pages are
-        written whole, so the "copy" is just a fresh page id).
-        """
-        child_seq = self.table.fork_sequence(handle.seq_id)
-        child = self.adopt(child_seq)
-        child.seq_len = handle.seq_len
-        self.res_k[child.slot] = self.res_k[handle.slot]
-        self.res_v[child.slot] = self.res_v[handle.slot]
-        return child
-
     def free_slot(self, handle: PagedSeqHandle) -> None:
         """Return the residual slot and drop the reads memoized under the
         handle; the scheduler owns the pages."""
@@ -642,24 +625,6 @@ class PagedBitKVCache(TierObserver):
                 v[g, :, r:] = 0
         return k, v
 
-    # ------------------------------------------------------------ accounting
-
-    @property
-    def packed_nbytes(self) -> int:
-        """Physical bytes of the packed-word pool (all pages)."""
-        return self.k_words.nbytes + self.v_words.nbytes
-
-    @property
-    def meta_nbytes(self) -> int:
-        """Physical bytes of the quantization-metadata pool."""
-        k_meta = self.k_scale.nbytes + self.k_zero.nbytes
-        return k_meta + self.v_scale.nbytes + self.v_zero.nbytes
-
-    @property
-    def residual_nbytes(self) -> int:
-        """Physical bytes of the FP16 residual slots."""
-        return self.res_k.nbytes + self.res_v.nbytes
-
 
 class PagedBitBackend(AttentionBackend):
     """Quantized decode over the paged pool, behind per-sequence block tables.
@@ -673,21 +638,22 @@ class PagedBitBackend(AttentionBackend):
     batches): decode partitions the batch into equal-shape groups
     (:meth:`_decode_groups`) and launches ONE batched kernel per group
     over a gathered ``[group, hkv, ...]`` SoA view — bit-identical to
-    the per-sequence oracle (:meth:`decode_step_looped`), because both
-    run the very same :meth:`BitDecoding.decode` numeric path.
+    decoding each sequence as a group of one, because both run the very
+    same :meth:`BitDecoding.decode` numeric path.
     """
+
+    #: Residual slots per pool: the most sequences it holds live at once.
+    N_SLOTS = 64
 
     def __init__(
         self,
         engine: Union[BitDecoding, BitDecodingConfig, None] = None,
         arch: Union[ArchSpec, str] = "a100",
         n_pages: int = 256,
-        n_slots: int = 64,
     ):
         self.engine = coerce_engine(engine, arch)
         self.config = self.engine.config
         self.n_pages = n_pages
-        self.n_slots = n_slots
         self._stores: dict = {}
 
     @property
@@ -702,7 +668,7 @@ class PagedBitBackend(AttentionBackend):
         store = self._stores.get(key)
         if store is None:
             store = PagedBitKVCache(
-                self.config, hkv, head_dim, n_pages=self.n_pages, n_slots=self.n_slots
+                self.config, hkv, head_dim, n_pages=self.n_pages, n_slots=self.N_SLOTS
             )
             self._stores[key] = store
         return store
@@ -799,20 +765,6 @@ class PagedBitBackend(AttentionBackend):
             out = self._attend(q[idxs], bt.store.group_view([bt.seqs[b] for b in idxs]))
             for j, b in enumerate(idxs):
                 outs[b] = out[j : j + 1]
-        return np.concatenate(outs, axis=0)
-
-    def decode_step_looped(self, q: np.ndarray, block_table: KVCacheHandle) -> np.ndarray:
-        """The per-sequence oracle: one decode per sequence, each a group
-        of one.  Grouped decode must match it bit for bit."""
-        bt: PagedBatchHandle = block_table
-        tiers = bt.store.tiers
-        if tiers is not None and bt.seqs:
-            tiers.fault_in(bt.seqs[0].block_ids)
-        outs = []
-        for b, seqh in enumerate(bt.seqs):
-            if tiers is not None and b + 1 < len(bt.seqs):
-                tiers.fault_in(bt.seqs[b + 1].block_ids, prefetch=True)
-            outs.append(self._attend(q[b : b + 1], bt.store.group_view([seqh])))
         return np.concatenate(outs, axis=0)
 
     def release(self, block_table: KVCacheHandle) -> None:

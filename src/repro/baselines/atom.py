@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines.common import CUDA_GEMV_EFFICIENCY, int_kv_metadata_bytes
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
@@ -39,11 +37,6 @@ class Atom:
     @property
     def name(self) -> str:
         return "Atom"
-
-    def run_numeric(self, q: np.ndarray, k_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-        from repro.core.softmax import split_kv_attention
-
-        return split_kv_attention(q, k_hat, v_hat, n_splits=1)
 
     def build_launch(self, geom: AttentionGeometry, paged: bool = True) -> KernelLaunch:
         if geom.gq != 1:

@@ -60,14 +60,14 @@ def gqa_reread_traffic(arch: ArchSpec, geom: AttentionGeometry, kv_bytes: float)
     return dram, l2
 
 
-def int_kv_metadata_bytes(geom: AttentionGeometry, group_size: int, seq_len: float = None) -> float:
+def int_kv_metadata_bytes(geom: AttentionGeometry, group_size: int) -> float:
     """half2 scale/zero bytes for an integer-quantized KV cache.
 
     Assumes channel-wise keys (one half2 per channel per ``group_size``
     tokens) and per-token values (one half2 per token) — the configuration
     every system in the evaluation shares.
     """
-    seq = geom.seq_len if seq_len is None else seq_len
+    seq = geom.seq_len
     heads = geom.batch * geom.hkv
     k_meta = heads * geom.head_dim * (seq / group_size) * 4.0
     v_meta = heads * seq * 4.0

@@ -16,12 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines.common import attention_gflops
 from repro.core.config import AttentionGeometry
 from repro.core.query_transform import gemm_m_dimension
-from repro.core.softmax import split_kv_attention
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import rescale_accum_ops, softmax_ops
 from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
@@ -42,14 +39,6 @@ class FlashDecodingV2:
     arch: ArchSpec
     tile_n: int = 128
     name: str = "FlashDecoding-v2"
-
-    # -------------------------------------------------------------- numerics
-
-    def run_numeric(
-        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, n_splits: int = 4
-    ) -> np.ndarray:
-        """Exact FP16 attention for one head: ``q (M, d)``, ``k/v (L, d)``."""
-        return split_kv_attention(q, k, v, n_splits, tile_n=self.tile_n)
 
     # ------------------------------------------------------------------ perf
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines.common import gqa_reread_traffic, int_kv_metadata_bytes
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
@@ -55,22 +53,6 @@ class Kivi:
     @property
     def name(self) -> str:
         return f"KIVI-{self.bits}"
-
-    # -------------------------------------------------------------- numerics
-
-    def run_numeric(self, q: np.ndarray, k_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-        """Non-fused attention: full score matrix materialized (no tiling).
-
-        ``k_hat``/``v_hat`` are dequantized rows (the quantization error is
-        applied by the shared substrate); this mirrors KIVI's numerics,
-        which match any other correct softmax up to float associativity.
-        """
-        q = np.asarray(q, dtype=np.float32)
-        s = (q @ np.asarray(k_hat, np.float32).T) / math.sqrt(q.shape[-1])
-        s = s - s.max(axis=-1, keepdims=True)
-        p = np.exp(s)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p @ np.asarray(v_hat, np.float32)
 
     # ------------------------------------------------------------------ perf
 
@@ -135,17 +117,3 @@ class Kivi:
     @memoized_latency
     def decode_time_ms(self, geom: AttentionGeometry) -> float:
         return self.decode_result(geom).time_ms
-
-    # -------------------------------------------------------------- capacity
-
-    def prefill_workspace_bytes(self, geom: AttentionGeometry) -> float:
-        """Peak prefill workspace: the materialized score matrix.
-
-        Without block tiling, prefill attention holds an ``L x L`` score
-        tile (FP16) per concurrently-processed head (two in flight).  This
-        is the term that OOMs at 128K (Fig. 12a).
-        """
-        return 2.0 * float(geom.seq_len) ** 2 * 2.0
-
-    def cache_bytes(self, geom: AttentionGeometry) -> float:
-        return geom.kv_elements * self.bits / 8.0 + int_kv_metadata_bytes(geom, self.group_size)

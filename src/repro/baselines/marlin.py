@@ -34,10 +34,6 @@ class MarlinRepack:
     arch: ArchSpec
     bits: int = 4
 
-    @property
-    def name(self) -> str:
-        return "Marlin"
-
     def prefill_latency_ms(self, geom: AttentionGeometry) -> float:
         """Repack an entire prefilled cache (offline-style pre-transform)."""
         fp16_bytes = geom.kv_bytes_fp16

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines.common import (
     CUDA_GEMV_EFFICIENCY,
     gqa_reread_traffic,
@@ -48,14 +46,6 @@ class QServe:
     @property
     def name(self) -> str:
         return "QServe"
-
-    # -------------------------------------------------------------- numerics
-
-    def run_numeric(self, q: np.ndarray, k_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-        """Fused online-softmax attention (numerically standard)."""
-        from repro.core.softmax import split_kv_attention
-
-        return split_kv_attention(q, k_hat, v_hat, n_splits=1)
 
     # ------------------------------------------------------------------ perf
 
@@ -121,6 +111,3 @@ class QServe:
     @memoized_latency
     def decode_time_ms(self, geom: AttentionGeometry, paged: bool = True) -> float:
         return self.decode_result(geom, paged=paged).time_ms
-
-    def cache_bytes(self, geom: AttentionGeometry) -> float:
-        return geom.kv_elements * self.bits / 8.0 + int_kv_metadata_bytes(geom, self.group_size)

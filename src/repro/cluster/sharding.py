@@ -77,8 +77,8 @@ class ShardedPagedBackend(PagedBitBackend):
     sees a well-formed ``gq``-grouped geometry.
     """
 
-    def __init__(self, engine=None, arch="a100", tp: int = 2, n_pages: int = 256, n_slots: int = 64):
-        super().__init__(engine, arch, n_pages=n_pages, n_slots=n_slots)
+    def __init__(self, engine=None, tp: int = 2):
+        super().__init__(engine)
         if tp < 1:
             raise ValueError("tp must be >= 1")
         self.tp = tp

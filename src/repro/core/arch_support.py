@@ -10,28 +10,19 @@
   packed 4-bit data directly (no dequantization), at the price of
   re-quantizing ``P`` after every softmax tile.
 
-:func:`resolve_version` picks the best path a device supports and refuses
-impossible combinations — the same role as the paper's "configuration
-setup" (Sec. IV-A(4)).
+:func:`resolve_version` picks the best path a device supports and
+:func:`validate_version` refuses impossible combinations — the same role
+as the paper's "configuration setup" (Sec. IV-A(4)).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import ArchSpec
 
 
-def resolve_version(arch: ArchSpec, requested: Optional[str] = None) -> str:
-    """Best kernel version for ``arch``, honoring an explicit request.
-
-    Raises ``ValueError`` when the requested path needs hardware the device
-    lacks (e.g. ``v3`` on Ampere, ``fp4`` on Hopper).
-    """
-    if requested is not None:
-        validate_version(arch, requested)
-        return requested
+def resolve_version(arch: ArchSpec) -> str:
+    """Best kernel version for ``arch``."""
     if arch.has_native_fp4:
         return "fp4"
     if arch.has_wgmma:

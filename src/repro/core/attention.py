@@ -58,7 +58,7 @@ class BitKVCache:
 
     Dequantized packed K/V are memoized per flush epoch: decode steps that
     do not flush reuse the reconstruction instead of re-dequantizing every
-    block (see :meth:`dequant_kv` / :meth:`invalidate_dequant_cache`).
+    block (see :meth:`dequant_kv`).
     """
 
     def __init__(self, batch: int, hkv: int, head_dim: int, config: BitDecodingConfig):
@@ -167,9 +167,7 @@ class BitKVCache:
         The first call after a flush exercises the real batched unpack +
         dequantization of the stored fragment-order words; subsequent calls
         return the cached reconstruction until the next flush changes the
-        packed part (keyed on ``(n_blocks, flush_epoch)``).  Callers that
-        mutate the packed words or metadata in place must call
-        :meth:`invalidate_dequant_cache`.
+        packed part (keyed on ``(n_blocks, flush_epoch)``).
         """
         if self.packed is None:
             empty = np.zeros((self.batch, self.hkv, 0, self.head_dim), np.float32)
@@ -181,22 +179,9 @@ class BitKVCache:
         self._dequant_memo = (key, kv)
         return kv
 
-    def invalidate_dequant_cache(self) -> None:
-        """Drop the memoized dequantized K/V (after in-place mutation)."""
-        self._dequant_memo = None
-
-    def dequantized_packed(self, b: int, h: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Reconstructed FP32 ``(packed_len, d)`` K/V for one head."""
-        k_hat, v_hat = self.dequant_kv()
-        return k_hat[b, h], v_hat[b, h]
-
     def residual_kv(self) -> Tuple[np.ndarray, np.ndarray]:
         """Valid FP16 residual rows, ``[batch, hkv, res_len, d]``."""
         return self.residual.view()
-
-    def residual_view(self, b: int, h: int) -> Tuple[np.ndarray, np.ndarray]:
-        k_res, v_res = self.residual.view()
-        return k_res[b, h], v_res[b, h]
 
     # ------------------------------------------------------------------ sizes
 
@@ -268,12 +253,7 @@ class BitDecoding:
         """Quantize + pack a prefill context (``[batch, hkv, seq, d]``)."""
         return BitKVCache.from_prefill(k, v, self.config)
 
-    def decode(
-        self,
-        q: np.ndarray,
-        cache: BitKVCache,
-        n_splits: Optional[int] = None,
-    ) -> np.ndarray:
+    def decode(self, q: np.ndarray, cache: BitKVCache) -> np.ndarray:
         """One decode step: attention of ``q`` over the full cache.
 
         ``q``: ``[batch, q_len, hq, d]``.  Returns ``[batch, q_len, hq, d]``.
@@ -297,12 +277,7 @@ class BitDecoding:
         states: List[OnlineSoftmaxState] = []
         k_hat, v_hat = cache.dequant_kv()
         if k_hat.shape[-2]:
-            if n_splits and n_splits > 1:
-                from repro.core.packing_kernel import split_states
-
-                states.extend(split_states(grouped, k_hat, v_hat, self.config, n_splits, scale))
-            else:
-                states.append(run_numeric(grouped, k_hat, v_hat, self.config, scale))
+            states.append(run_numeric(grouped, k_hat, v_hat, self.config, scale))
         k_res, v_res = cache.residual_kv()
         if k_res.shape[-2]:
             res_lens = getattr(cache, "residual_lengths", None)

@@ -50,14 +50,6 @@ class AttentionGeometry:
         return self.hq // self.hkv
 
     @property
-    def attention_variant(self) -> str:
-        if self.gq == 1:
-            return "MHA"
-        if self.hkv == 1:
-            return "MQA"
-        return "GQA"
-
-    @property
     def kv_elements(self) -> int:
         """Total K+V elements across the batch."""
         return 2 * self.batch * self.hkv * self.seq_len * self.head_dim
@@ -66,15 +58,6 @@ class AttentionGeometry:
     def kv_bytes_fp16(self) -> int:
         return self.kv_elements * 2
 
-    def kv_bytes_quantized(self, bits: float, metadata_bytes: float = 0.0) -> float:
-        """Cache bytes at ``bits`` per element plus metadata."""
-        return self.kv_elements * bits / 8.0 + metadata_bytes
-
-    @property
-    def attention_flops(self) -> float:
-        """FLOPs of QK^T + PV for the whole problem (per decode step)."""
-        per_head = 2.0 * self.q_len * self.seq_len * self.head_dim * 2.0
-        return per_head * self.batch * self.hq
 
 
 @dataclass(frozen=True)
@@ -132,10 +115,6 @@ class BitDecodingConfig:
     def effective_wn(self) -> int:
         """Warps along N after the warp-parallelism ablation flag."""
         return self.wn if self.use_warp_parallel else 1
-
-    @property
-    def warps_per_block(self) -> int:
-        return self.effective_wn * self.wm
 
     @property
     def packing_ratio(self) -> int:

@@ -72,41 +72,6 @@ class FragmentLayout:
                 table[lane, slot] = (row, col)
         return table
 
-    def validate_bijective(self) -> None:
-        """Raise unless every tile element is owned by exactly one slot."""
-        table = self.lane_slot_table().reshape(-1, 2)
-        seen = set(map(tuple, table))
-        if len(seen) != self.rows * self.cols:
-            raise ValueError(f"{self.name}: fragment mapping is not a bijection")
-
-    # ---- fragment gather / scatter ---------------------------------------
-
-    def gather(self, tile: np.ndarray) -> np.ndarray:
-        """Distribute a ``(rows, cols)`` tile into ``(32, values_per_lane)``.
-
-        This is what ``ldmatrix`` does: after it, lane ``i`` holds
-        ``frag[i, :]`` in registers.
-        """
-        tile = np.asarray(tile)
-        if tile.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"{self.name} expects a ({self.rows}, {self.cols}) tile, "
-                f"got {tile.shape}"
-            )
-        table = self.lane_slot_table()
-        return tile[table[..., 0], table[..., 1]]
-
-    def scatter(self, frag: np.ndarray, dtype=None) -> np.ndarray:
-        """Inverse of :meth:`gather`: registers back to a tile."""
-        frag = np.asarray(frag)
-        expected = (WARP_LANES, self.values_per_lane)
-        if frag.shape != expected:
-            raise ValueError(f"{self.name} expects fragment shape {expected}, got {frag.shape}")
-        table = self.lane_slot_table()
-        tile = np.empty((self.rows, self.cols), dtype=dtype or frag.dtype)
-        tile[table[..., 0], table[..., 1]] = frag
-        return tile
-
 
 # ---------------------------------------------------------------------------
 # Concrete layouts (PTX ISA fragment definitions)
@@ -126,44 +91,7 @@ def _mma_m16n8k16_b(lane: int, slot: int) -> Tuple[int, int]:
     return row, group
 
 
-def _mma_m16n8k8_b(lane: int, slot: int) -> Tuple[int, int]:
-    """Operand B of ``mma.m16n8k8`` (K x N = 8 x 8): two slots per lane."""
-    group = lane // 4
-    r = lane % 4
-    row = 2 * r + (slot % 2)
-    return row, group
-
-
-def _mma_m16n8k16_a(lane: int, slot: int) -> Tuple[int, int]:
-    """Operand A of ``mma.m16n8k16`` (M x K = 16 x 16): eight slots."""
-    group = lane // 4
-    r = lane % 4
-    row = group + 8 * ((slot % 4) // 2)
-    col = 2 * r + (slot % 2) + 8 * (slot // 4)
-    return row, col
-
-
-def _mma_m16n8_c(lane: int, slot: int) -> Tuple[int, int]:
-    """Accumulator C/D of ``mma.m16n8kX`` (M x N = 16 x 8): four slots."""
-    group = lane // 4
-    r = lane % 4
-    row = group + 8 * (slot // 2)
-    col = 2 * r + (slot % 2)
-    return row, col
-
-
 MMA_M16N8K16_B = FragmentLayout("mma.m16n8k16.B", 16, 8, _mma_m16n8k16_b)
-MMA_M16N8K8_B = FragmentLayout("mma.m16n8k8.B", 8, 8, _mma_m16n8k8_b)
-MMA_M16N8K16_A = FragmentLayout("mma.m16n8k16.A", 16, 16, _mma_m16n8k16_a)
-MMA_M16N8_C = FragmentLayout("mma.m16n8.C", 16, 8, _mma_m16n8_c)
-
-#: Layout registry by instruction name.  Hopper's ``wgmma`` sources operand
-#: B from shared memory (SS variant), so the B "layout" question disappears
-#: for it — see :mod:`repro.core.arch_support`.
-FRAGMENT_LAYOUTS: Dict[str, FragmentLayout] = {
-    layout.name: layout
-    for layout in (MMA_M16N8K16_B, MMA_M16N8K8_B, MMA_M16N8K16_A, MMA_M16N8_C)
-}
 
 
 def tiled_layout(base: FragmentLayout, n_repeat: int) -> FragmentLayout:

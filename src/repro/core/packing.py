@@ -13,8 +13,9 @@ Conventions
   multiple of the packing ratio (callers pad tiles to Tensor-Core-aligned
   sizes, which guarantees this — that is exactly what Eq. 1's residual block
   sizing is for).
-- Value ``j`` of a word lands in bit-field ``j`` ("linear" order) or in
-  field ``INTERLEAVE_75316420[j]`` ("interleaved" order).
+- Value ``j`` of a word lands in bit-field ``j`` ("linear" order) or, at
+  8 values per word, in field ``(0, 2, 4, 6, 1, 3, 5, 7)[j]``
+  ("interleaved" order, :func:`_field_order`).
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ import numpy as np
 SUPPORTED_BITS = (1, 2, 4, 8)
 #: Storage word widths.
 SUPPORTED_WORD_BITS = (8, 16, 32)
-
-#: The paper's interleaved in-word order: logical value ``j`` is stored in
-#: physical bit-field ``INTERLEAVE_75316420[j]``.  With this order, one
-#: ``lop3`` mask extracts the even logical values and one the odd values as
-#: two adjacent half-words, which is what the fast INT->FP16 trick needs.
-INTERLEAVE_75316420: Tuple[int, ...] = (0, 2, 4, 6, 1, 3, 5, 7)
 
 
 def _word_dtype(word_bits: int) -> np.dtype:
@@ -61,7 +56,10 @@ def _field_order(ratio: int, interleaved: bool) -> np.ndarray:
 
     The interleaved order places the first half of the logical values in the
     even physical fields and the second half in the odd fields; for a ratio
-    of 8 this is exactly :data:`INTERLEAVE_75316420`.  For other ratios
+    of 8 this is the paper's ``75316420`` order ``(0, 2, 4, 6, 1, 3, 5, 7)``.
+    With it, one ``lop3`` mask extracts the even logical values and one the
+    odd values as two adjacent half-words, which is what the fast
+    INT->FP16 trick needs.  For other ratios
     (e.g. INT2 in 32-bit words) the same even/odd construction generalizes
     while preserving the one-mask-per-half extraction property.
     """

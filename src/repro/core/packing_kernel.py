@@ -16,7 +16,7 @@ model that mirrors the same per-tile work.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -110,11 +110,9 @@ def run_numeric(
     The deliberately non-cooperative softmax ablation (``Wn > 1`` with
     ``use_coop_softmax=False``) is tile-structured by definition — each
     warp's wrong local maximum lives inside a tile — so it always takes
-    the tiled walk regardless of mode.  Split-KV (:func:`split_states`)
-    fuses *within* each partition and still merges partial states through
-    the reduction kernel.  On the Blackwell native path the probability
-    tile is re-quantized to FP4 before the PV product, reproducing that
-    path's extra numeric error in both modes.
+    the tiled walk regardless of mode.  On the Blackwell native path the
+    probability tile is re-quantized to FP4 before the PV product,
+    reproducing that path's extra numeric error in both modes.
     """
     q_grouped = np.asarray(q_grouped, dtype=np.float32)
     k_hat = np.asarray(k_hat, dtype=np.float32)
@@ -197,29 +195,6 @@ def state_update_fp4(
     state.l = state.l * correction + p_q.sum(axis=-1)
     state.acc = state.acc * correction[..., None] + p_q @ np.asarray(values, np.float32)
     state.m = m_new
-
-
-def split_states(
-    q_grouped: np.ndarray,
-    k_hat: np.ndarray,
-    v_hat: np.ndarray,
-    config: BitDecodingConfig,
-    n_splits: int,
-    scale: Optional[float] = None,
-) -> List[OnlineSoftmaxState]:
-    """Split-KV numerics: independent partial states, one per partition."""
-    seq_len = k_hat.shape[-2]
-    n_splits = max(1, min(n_splits, max(1, seq_len)))
-    bounds = np.linspace(0, seq_len, n_splits + 1, dtype=np.int64)
-    states = []
-    for i in range(n_splits):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        if lo == hi:
-            continue
-        states.append(
-            run_numeric(q_grouped, k_hat[..., lo:hi, :], v_hat[..., lo:hi, :], config, scale)
-        )
-    return states
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class QuantScheme:
             raise ValueError("group_size must be positive")
 
     @property
-    def levels(self) -> int:
-        return 1 << self.bits
-
-    @property
     def short_name(self) -> str:
         """Paper-style tag, e.g. ``KC-4`` / ``KT-2``."""
         prefix = "KC" if self.granularity == "channel" else "KT"

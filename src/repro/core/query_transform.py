@@ -55,15 +55,15 @@ def ungroup_output(out: np.ndarray, hq: int, q_len: int = 1) -> np.ndarray:
     return restored.reshape(batch, q_len, hkv * gq, d)
 
 
-def gemm_m_dimension(hq: int, hkv: int, q_len: int = 1, pad_to: int = 16) -> Tuple[int, int]:
+def gemm_m_dimension(hq: int, hkv: int, q_len: int = 1) -> Tuple[int, int]:
     """(effective M, padded M) of the grouped GEMM.
 
-    ``pad_to`` reflects the MMA tile granularity along M (16 rows for
-    ``mma.m16n8k16``); padding rows are zero work semantically but occupy
-    the fragment, so kernels account tile-padded FLOPs.
+    M pads to the MMA tile granularity (16 rows for ``mma.m16n8k16``);
+    padding rows are zero work semantically but occupy the fragment, so
+    kernels account tile-padded FLOPs.
     """
     if hq % hkv != 0:
         raise ValueError(f"hq ({hq}) must be a multiple of hkv ({hkv})")
     m = (hq // hkv) * q_len
-    padded = ((m + pad_to - 1) // pad_to) * pad_to
+    padded = ((m + 15) // 16) * 16
     return m, padded

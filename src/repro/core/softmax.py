@@ -18,7 +18,7 @@ the benchmark can demonstrate the invalidity rather than assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,19 +98,6 @@ class OnlineSoftmaxState:
         m = scores.max(axis=-1)
         p = np.exp(scores - np.where(np.isfinite(m), m, 0.0)[..., None])
         return cls(m=m, l=p.sum(axis=-1), acc=p @ values)
-
-    def update(self, scores: np.ndarray, values: np.ndarray) -> None:
-        """Fold one tile: ``scores`` is ``(..., M, Tn)``, ``values`` ``(..., Tn, d)``."""
-        scores = np.asarray(scores, dtype=np.float32)
-        values = np.asarray(values, dtype=np.float32)
-        tile_max = scores.max(axis=-1)
-        m_new = np.maximum(self.m, tile_max)
-        correction = np.exp(self.m - m_new)
-        correction = np.where(np.isfinite(correction), correction, 0.0)
-        p = np.exp(scores - m_new[..., None])
-        self.l = self.l * correction + p.sum(axis=-1)
-        self.acc = self.acc * correction[..., None] + p @ values
-        self.m = m_new
 
     def merge(self, other: "OnlineSoftmaxState") -> None:
         """Combine two partial states (split-KV reduction kernel)."""
@@ -213,44 +200,3 @@ def tile_softmax_split(
     state.l = state.l * correction + s_acc.sum(axis=-1)
     state.acc = state.acc * correction[..., None] + s_acc @ values
     state.m = m_new
-
-
-def split_kv_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    n_splits: int,
-    tile_n: int = 128,
-    scale: Optional[float] = None,
-) -> np.ndarray:
-    """FlashDecoding-style split-KV attention (numerics reference).
-
-    The KV sequence is divided into ``n_splits`` partitions processed with
-    independent online-softmax states (separate thread blocks on GPU), then
-    merged by the reduction kernel (:meth:`OnlineSoftmaxState.merge`).
-    """
-    q = np.asarray(q, dtype=np.float32)
-    k = np.asarray(k, dtype=np.float32)
-    v = np.asarray(v, dtype=np.float32)
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
-    seq_len = k.shape[0]
-    n_splits = max(1, min(n_splits, seq_len))
-    bounds = np.linspace(0, seq_len, n_splits + 1, dtype=np.int64)
-
-    partials: List[OnlineSoftmaxState] = []
-    for i in range(n_splits):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        if lo == hi:
-            continue
-        st = OnlineSoftmaxState.fresh(q.shape[0], v.shape[-1])
-        for t0 in range(lo, hi, tile_n):
-            t1 = min(t0 + tile_n, hi)
-            s = (q @ k[t0:t1].T) * scale
-            st.update(s, v[t0:t1])
-        partials.append(st)
-
-    out = partials[0]
-    for st in partials[1:]:
-        out.merge(st)
-    return out.finalize()

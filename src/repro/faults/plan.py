@@ -81,11 +81,6 @@ class FaultSpec:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {rate}")
 
-    @property
-    def all_transient(self) -> bool:
-        """True when no fault can destroy page content (no loss, no rot)."""
-        return self.permanent_fraction == 0.0 and self.corruption_rate == 0.0
-
 
 @dataclass(frozen=True)
 class TransferOutcome:
@@ -102,10 +97,6 @@ class TransferOutcome:
     spike: float = 1.0
     corrupt: bool = False
 
-    @property
-    def clean(self) -> bool:
-        return self.failures == 0 and not self.lost and self.spike == 1.0 and not self.corrupt
-
 
 class FaultPlan:
     """Live fault oracle: seeded RNG streams drawn per transfer / per step."""
@@ -116,8 +107,6 @@ class FaultPlan:
         # skew never contend for the same variates.
         self._transfer_rng = np.random.default_rng([int(spec.seed), 0x7A])
         self._step_rng = np.random.default_rng([int(spec.seed), 0x57])
-        self.transfers_drawn = 0
-        self.steps_drawn = 0
 
     # ------------------------------------------------------------- transfers
 
@@ -125,7 +114,6 @@ class FaultPlan:
         """Draw the outcome of one leg transfer (fixed variate budget)."""
         spec = self.spec
         u_fail, u_sev, u_spike, u_corrupt = self._transfer_rng.random(4)
-        self.transfers_drawn += 1
         failures, lost = 0, False
         if u_fail < spec.transfer_fault_rate:
             if u_sev < spec.permanent_fraction:
@@ -149,7 +137,6 @@ class FaultPlan:
     def step_factor(self) -> float:
         """Slow-down multiplier for the next scheduler step (usually 1.0)."""
         u = self._step_rng.random()
-        self.steps_drawn += 1
         if u < self.spec.slow_step_rate:
             return SLOW_STEP_FACTOR
         return 1.0

@@ -20,51 +20,7 @@ ordering (lop3 path beats cvt path; INT2 unpack costs more logic than INT4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 from repro.gpu.trace import OpTrace
-
-
-# --------------------------------------------------------------------------
-# Tensor-Core MMA shapes
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MmaShape:
-    """One Tensor-Core matrix instruction shape (``mma.mMnNkK``)."""
-
-    m: int
-    n: int
-    k: int
-    name: str
-
-    @property
-    def flops(self) -> int:
-        """FLOPs one instruction performs (multiply + add)."""
-        return 2 * self.m * self.n * self.k
-
-
-#: Per-warp MMA used on Ampere/Ada (and as the legacy path on newer parts).
-MMA_M16N8K16 = MmaShape(16, 8, 16, "mma.m16n8k16")
-#: Smaller-K variant with a different fragment layout (Fig. 3 discussion).
-MMA_M16N8K8 = MmaShape(16, 8, 8, "mma.m16n8k8")
-#: Hopper warpgroup MMA (4 warps cooperate; B sourced from shared memory).
-WGMMA_M64N64K16 = MmaShape(64, 64, 16, "wgmma.m64n64k16")
-#: Blackwell block-scaled FP4 MMA.
-MMA_FP4_M16N8K32 = MmaShape(16, 8, 32, "mma.m16n8k32.mxf4")
-
-MMA_SHAPES: Dict[str, MmaShape] = {
-    shape.name: shape
-    for shape in (MMA_M16N8K16, MMA_M16N8K8, WGMMA_M64N64K16, MMA_FP4_M16N8K32)
-}
-
-
-#: Bytes one ``ldmatrix.x4`` moves from shared memory into registers
-#: (four 8x8 FP16 tiles).
-LDMATRIX_X4_BYTES = 4 * 8 * 8 * 2
-
 
 # --------------------------------------------------------------------------
 # Dequantization cost models

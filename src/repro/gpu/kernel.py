@@ -89,10 +89,6 @@ class KernelResult:
         return self.time_s * 1e3
 
     @property
-    def time_us(self) -> float:
-        return self.time_s * 1e6
-
-    @property
     def bound_by(self) -> str:
         """Name of the resource with the largest busy time."""
         if not self.resource_times:

@@ -20,7 +20,6 @@ Definitions (all percentages of kernel execution time):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.gpu.kernel import KernelResult
 
@@ -43,21 +42,6 @@ class KernelProfile:
     #: Fraction of exec time beyond the bottleneck resource's busy time —
     #: exposure from serialized phases (warps waiting with nothing issued).
     serialization_stall_pct: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "time_ms": self.time_ms,
-            "memory_throughput_pct": self.memory_throughput_pct,
-            "tensor_core_util_pct": self.tensor_core_util_pct,
-            "fma_pct": self.fma_pct,
-            "alu_pct": self.alu_pct,
-            "cvt_pct": self.cvt_pct,
-            "sfu_pct": self.sfu_pct,
-            "smem_pct": self.smem_pct,
-            "memory_stall_pct": self.memory_stall_pct,
-            "compute_throughput_pct": self.compute_throughput_pct,
-            "serialization_stall_pct": self.serialization_stall_pct,
-        }
 
 
 def _pct(part: float, whole: float) -> float:

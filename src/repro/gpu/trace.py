@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable
+from typing import Dict
 
 
 class AccessPattern(Enum):
@@ -189,39 +189,8 @@ class OpTrace:
         out.ldmatrix_ops = max(0.0, out.ldmatrix_ops - sub.ldmatrix_ops)
         return out
 
-    @staticmethod
-    def merged(traces: Iterable["OpTrace"]) -> "OpTrace":
-        """Merge an iterable of traces into a fresh one."""
-        out = OpTrace()
-        for trace in traces:
-            out.merge(trace)
-        return out
-
     # --- summaries -------------------------------------------------------------
-
-    @property
-    def total_tc_flops(self) -> float:
-        return sum(self.tc_flops.values())
-
-    @property
-    def total_gmem_bytes(self) -> float:
-        return self.gmem_read_bytes + self.gmem_write_bytes
 
     @property
     def total_gmem_bytes_effective(self) -> float:
         return self.gmem_read_bytes_effective + self.gmem_write_bytes_effective
-
-    def is_empty(self) -> bool:
-        """True when no work has been recorded."""
-        return (
-            self.total_gmem_bytes == 0
-            and self.l2_bytes == 0
-            and self.smem_bytes == 0
-            and self.total_tc_flops == 0
-            and self.fma_flops == 0
-            and self.alu_ops == 0
-            and self.cvt_ops == 0
-            and self.sfu_ops == 0
-            and self.shfl_ops == 0
-            and self.ldmatrix_ops == 0
-        )

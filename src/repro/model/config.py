@@ -53,15 +53,16 @@ class ModelConfig:
         emb = 2 * self.vocab * self.hidden  # tied-ish in/out embeddings
         return float(self.n_layers * (attn + mlp) + emb)
 
-    def weights_bytes(self, bytes_per_param: float = 2.0) -> float:
-        return self.param_count * bytes_per_param
+    def weights_bytes(self) -> float:
+        """FP16 weight bytes."""
+        return self.param_count * 2.0
 
     def kv_bytes_per_token(self, bits_per_value: float = 16.0) -> float:
         """KV-cache bytes one token adds across all layers."""
         return 2.0 * self.n_layers * self.hkv * self.head_dim * bits_per_value / 8.0
 
     def attention_geometry(
-        self, batch: int, seq_len: int, q_len: int = 1, tp: int = 1
+        self, batch: int, seq_len: int, tp: int = 1
     ) -> AttentionGeometry:
         """Per-layer decode-attention geometry at a serving point.
 
@@ -83,7 +84,6 @@ class ModelConfig:
             hkv=self.hkv // tp,
             seq_len=seq_len,
             head_dim=self.head_dim,
-            q_len=q_len,
         )
 
 

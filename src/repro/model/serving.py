@@ -61,12 +61,11 @@ def max_throughput_tokens_per_s(
     attention: AttentionSystem,
     seq_len: int,
     n_gpus: int = 1,
-    batch_cap: int = 1024,
 ) -> float:
     """Throughput at the largest feasible batch (the paper's protocol:
     "maximum throughput ... under the largest batch sizes available within
     GPU memory")."""
-    batch = max_batch_size(model, arch, fmt, seq_len, n_gpus, cap=batch_cap)
+    batch = max_batch_size(model, arch, fmt, seq_len, n_gpus)
     if batch == 0:
         raise ServingOOMError(
             f"{model.name} with {fmt.name} cache does not fit one sequence "

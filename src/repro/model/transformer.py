@@ -41,20 +41,18 @@ __all__ = [
 ]
 
 
-def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Root-mean-square layer norm (LLaMA-style, no mean subtraction)."""
+def rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Root-mean-square layer norm (LLaMA-style, no mean subtraction, eps 1e-5)."""
     x = np.asarray(x, dtype=np.float32)
-    scale = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    scale = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-5)
     return x * scale * weight
 
 
-def rope_angles(
-    head_dim: int, positions: np.ndarray, base: float = 10000.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(cos, sin) tables for rotary position embedding."""
+def rope_angles(head_dim: int, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) tables for rotary position embedding (base 10000)."""
     if head_dim % 2 != 0:
         raise ValueError("head_dim must be even for RoPE")
-    inv_freq = base ** (-np.arange(0, head_dim, 2, dtype=np.float32) / head_dim)
+    inv_freq = 10000.0 ** (-np.arange(0, head_dim, 2, dtype=np.float32) / head_dim)
     angles = np.outer(np.asarray(positions, dtype=np.float32), inv_freq)
     return np.cos(angles), np.sin(angles)
 
@@ -207,11 +205,6 @@ class TinyTransformer:
         ]
 
     # ------------------------------------------------------------------ plumbing
-
-    @property
-    def caches(self) -> List[Optional[KVCacheHandle]]:
-        """The default session's per-layer cache handles."""
-        return self._session.caches
 
     def new_session(self, handles: Optional[Sequence[KVCacheHandle]] = None) -> CacheSession:
         """A fresh decode session, optionally over pre-bound cache handles.

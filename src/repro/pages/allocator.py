@@ -82,9 +82,6 @@ class PageAllocator:
             raise ValueError("policy is already registered")
         self._policies.append(policy)
 
-    def unregister(self, policy: EvictionPolicy) -> None:
-        self._policies.remove(policy)
-
     def _retained(self, page: int) -> bool:
         return any(policy.retains(page) for policy in self._policies)
 
@@ -98,10 +95,6 @@ class PageAllocator:
     @property
     def used_pages(self) -> int:
         return len(self._refs)
-
-    @property
-    def cached_pages(self) -> int:
-        return len(self._cached)
 
     def refcount(self, page: int) -> int:
         return self._refs.get(page, 0)

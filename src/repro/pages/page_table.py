@@ -22,12 +22,6 @@ class PagedSequence:
     pages: List[int] = field(default_factory=list)
     length: int = 0
 
-    def lookup(self, token_idx: int) -> Tuple[int, int]:
-        """Physical (page_id, offset) of a logical token index."""
-        if not 0 <= token_idx < self.length:
-            raise IndexError(f"token {token_idx} out of range [0, {self.length})")
-        return self.pages[token_idx // self.page_size], token_idx % self.page_size
-
     @property
     def capacity(self) -> int:
         return len(self.pages) * self.page_size

@@ -19,7 +19,7 @@ mutate, and those are never shared.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Sequence
 
 from repro.pages.allocator import EvictionPolicy, PageAllocator
 
@@ -39,14 +39,10 @@ class PrefixCache(EvictionPolicy):
         allocator.register(self)
         self._by_key: Dict[Hashable, int] = {}
         self._by_page: Dict[int, Hashable] = {}
-        self.insertions = 0
         self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._by_key)
-
-    def lookup(self, key: Hashable) -> Optional[int]:
-        return self._by_key.get(key)
 
     def match(self, keys: Sequence[Hashable]) -> List[int]:
         """Longest-prefix match: page ids for the leading run of hit keys.
@@ -81,7 +77,6 @@ class PrefixCache(EvictionPolicy):
             del self._by_key[old_key]
         self._by_key[key] = page
         self._by_page[page] = key
-        self.insertions += 1
         return page
 
     # --------------------------------------------------- EvictionPolicy hooks

@@ -133,10 +133,6 @@ class TieredPageStore(EvictionPolicy):
         self.d2h_bytes = 0
         self.disk_bytes = 0
         self.faults = 0
-        self.prefetched_pages = 0
-        self.demoted_pages = 0
-        self.fault_ms_total = 0.0
-        self.prefetch_ms_total = 0.0
         # Fault injection + integrity state (all dormant when plan is None
         # — the clean path pays only None checks).
         self.fault_plan = faults
@@ -145,20 +141,15 @@ class TieredPageStore(EvictionPolicy):
         self._bad_pages: Dict[int, str] = {}  # page -> "lost" | "corrupt"
         self.transfer_retries = 0
         self.retry_backoff_ms_total = 0.0
-        self.retry_stall_ms_total = 0.0
         self.lost_pages = 0
         self.injected_corruptions = 0
         self.checksum_failures = 0
-        self.spiked_transfers = 0
         allocator.register(self)
 
     # ------------------------------------------------------------- geometry
 
     def add_observer(self, observer: TierObserver) -> None:
         self._observers.append(observer)
-
-    def tier_of(self, page: int) -> str:
-        return self._tier_of_frame(self._frame_of[page])
 
     def _tier_of_frame(self, frame: int) -> str:
         if frame < self.device_pages:
@@ -167,26 +158,12 @@ class TieredPageStore(EvictionPolicy):
             return "host"
         return "disk"
 
-    def frame_of(self, page: int) -> int:
-        return self._frame_of[page]
-
     def frames_of(self, pages: Sequence[int]) -> np.ndarray:
         frame_of = self._frame_of
         return np.asarray([frame_of[p] for p in pages], dtype=np.intp)
 
     def resident(self, page: int) -> bool:
         return self._frame_of[page] < self.device_pages
-
-    @property
-    def resident_live_pages(self) -> int:
-        """Device frames holding content that must survive (ref'd or parked)."""
-        alloc = self.allocator
-        return sum(
-            1
-            for frame in range(self.device_pages)
-            if alloc.refcount(self._page_at[frame]) > 0
-            or alloc.is_cached(self._page_at[frame])
-        )
 
     # ------------------------------------------------------------ step state
 
@@ -242,16 +219,12 @@ class TieredPageStore(EvictionPolicy):
                 self.retry_backoff_ms_total += backoff
                 stall += base + backoff
             self.transfer_retries += out.failures
-            self.retry_stall_ms_total += stall
             self._step_fault_ms += stall
-            self.fault_ms_total += stall
         if out.lost:
             self.lost_pages += 1
             if live:
                 self._mark_bad(page, "lost")
             return 0.0, False
-        if out.spike != 1.0:
-            self.spiked_transfers += 1
         self._account_bytes(src_tier, dst_tier)
         if out.corrupt and live:
             self.injected_corruptions += 1
@@ -458,11 +431,8 @@ class TieredPageStore(EvictionPolicy):
         synchronous fault stall."""
         if prefetch:
             self._step_prefetch_ms += ms
-            self.prefetch_ms_total += ms
-            self.prefetched_pages += n_moved
         else:
             self._step_fault_ms += ms
-            self.fault_ms_total += ms
             self.faults += n_moved
 
     def absorb_prefetch(self, ms: float) -> None:
@@ -502,7 +472,6 @@ class TieredPageStore(EvictionPolicy):
         the step's compute).  Returns the priced milliseconds.
         """
         ms = 0.0
-        n_moved = 0
         exclude = frozenset(pages)
         for page in pages:
             if not self.resident(page):
@@ -510,11 +479,7 @@ class TieredPageStore(EvictionPolicy):
             ms += self._move(page, self._pick_eviction_frame(exclude))
             self._lru.pop(page, None)
             self._pins.discard(page)
-            n_moved += 1
-        if n_moved:
-            self._step_prefetch_ms += ms
-            self.prefetch_ms_total += ms
-            self.demoted_pages += n_moved
+        self._step_prefetch_ms += ms
         return ms
 
     # --------------------------------------------------- EvictionPolicy hooks

@@ -44,7 +44,6 @@ from repro.serving.formats import paper_serving_stacks
 from repro.serving.report import ServingReport
 from repro.serving.request import (
     DeadlinePolicy,
-    Phase,
     Request,
     RequestLifecycle,
     poisson_trace,
@@ -54,7 +53,6 @@ __all__ = [
     "ContinuousBatchingEngine",
     "DeadlinePolicy",
     "EngineConfig",
-    "Phase",
     "Request",
     "RequestLifecycle",
     "ServingReport",

@@ -105,7 +105,6 @@ from repro.pages.tiers import TieredPageStore
 from repro.serving.report import ServingReport
 from repro.serving.request import (
     DeadlinePolicy,
-    Phase,
     Request,
     RequestLifecycle,
     prefix_block_keys,
@@ -115,7 +114,6 @@ __all__ = [
     "ContinuousBatchingEngine",
     "DeadlinePolicy",
     "EngineConfig",
-    "Phase",
     "RequestLifecycle",
     "compare_formats",
 ]

@@ -2,26 +2,25 @@
 
 A request is the unit the continuous-batching scheduler reasons about: it
 arrives at a point in time, carries a prompt that must be prefilled, and
-wants a fixed number of decoded tokens.  Its scheduler-side state walks a
-small machine (:class:`Phase`): QUEUED until admission, PREFILL while the
-prompt is being written into the page pool (whole-prompt admission jumps
-through this in one step; chunked prefill walks it a scheduler quantum at
-a time), DECODE until the last output token, then FINISHED — with
-REJECTED terminal for requests that could never fit the pool.  Traces are
-generated with a seeded Poisson process so every simulation is exactly
-reproducible.
+wants a fixed number of decoded tokens.  Its scheduler-side state
+(:class:`RequestLifecycle`) is queued until admission, prefilling while
+the prompt is being written into the page pool (whole-prompt admission
+jumps through this in one step; chunked prefill walks it a scheduler
+quantum at a time), decoding until the last output token, then finished
+— with ``rejected`` terminal for requests that could never fit the pool.
+Traces are generated with a seeded Poisson process so every simulation
+is exactly reproducible.
 
-Deadlines add three more terminal states: SHED (the deadline-aware
+Deadlines add three more terminal flags: ``shed`` (the deadline-aware
 admission gate refused a request it predicted could not finish in time),
-TIMED_OUT (the deadline passed with the request queued, running or
-swapped), and FAILED (fault recovery exhausted its heal budget).  How
+``timed_out`` (the deadline passed with the request queued, running or
+swapped), and ``failed`` (fault recovery exhausted its heal budget).  How
 aggressively the engine sheds is a :class:`DeadlinePolicy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -87,22 +86,6 @@ def prefix_block_keys(request: Request, n_blocks: int, page_size: int) -> List[H
             tags.append(("req", request.req_id, i))
         keys.append(tuple(tags))
     return keys
-
-
-class Phase(Enum):
-    """Where a request stands in the scheduler's state machine."""
-
-    QUEUED = "queued"
-    PREFILL = "prefill"
-    DECODE = "decode"
-    FINISHED = "finished"
-    REJECTED = "rejected"
-    #: Dropped by deadline-aware admission before ever being served.
-    SHED = "shed"
-    #: Deadline passed while queued, running or swapped.
-    TIMED_OUT = "timed_out"
-    #: Fault recovery exhausted the heal budget.
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -187,25 +170,6 @@ class RequestLifecycle:
         if not self.finished:
             return False
         return self.deadline_abs is None or self.finish_s <= self.deadline_abs
-
-    @property
-    def phase(self) -> Phase:
-        if self.rejected:
-            return Phase.REJECTED
-        if self.shed:
-            return Phase.SHED
-        if self.timed_out:
-            return Phase.TIMED_OUT
-        if self.failed:
-            return Phase.FAILED
-        if self.finished:
-            return Phase.FINISHED
-        if self.seq_id is None:
-            return Phase.QUEUED
-        if not self.prefill_done:
-            return Phase.PREFILL
-        return Phase.DECODE
-
 
 def _jittered(rng: np.random.Generator, base: int, jitter: float) -> int:
     if jitter <= 0:

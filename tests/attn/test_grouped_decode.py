@@ -2,10 +2,10 @@
 
 The batched-decode contract: ``PagedBitBackend.decode_step`` (equal-shape
 sequences gathered into batched SoA views, one ``run_numeric`` launch per
-group) is *bit-identical* to ``decode_step_looped`` (the retained
-per-sequence reference) — across bit widths, granularities, numerics
-modes, ragged residual fills, flush boundaries, swap preemption and
-copy-on-write forks.  Grouping reorders nothing and rounds nothing: the
+group) is *bit-identical* to :func:`decode_looped` (``decode_step`` over
+one-sequence handles, the per-sequence reference) — across bit widths,
+granularities, numerics modes, ragged residual fills, flush boundaries,
+swap preemption and copy-on-write forks.  Grouping reorders nothing and rounds nothing: the
 padded-tail contract in ``attend_residual_grouped`` is tolerance-free,
 so any divergence at all is a gather or invalidation bug.
 
@@ -25,6 +25,7 @@ from repro.attn.paged import PagedBatchHandle, PagedBitBackend
 from repro.core.config import BitDecodingConfig
 from repro.core.residual_kernel import PackedBlockBatch
 from repro.model.transformer import CacheSession, TinyTransformer
+from tests.attn.test_page_reuse import fork
 
 HKV, HQ, D = 2, 4, 16
 
@@ -42,12 +43,22 @@ def _ragged_batch(backend, lengths, rng, hkv=HKV, d=D):
     return PagedBatchHandle(backend.store_for(hkv, d), seqs)
 
 
+def decode_looped(backend, q, bt):
+    """The per-sequence oracle: each sequence decoded as a group of one."""
+    return np.concatenate(
+        [
+            backend.decode_step(q[b : b + 1], PagedBatchHandle(bt.store, [seqh]))
+            for b, seqh in enumerate(bt.seqs)
+        ]
+    )
+
+
 def _assert_grouped_matches_looped(backend, bt, rng, steps, hq=HQ, d=D):
     """Append/decode ``steps`` times, diffing grouped vs looped bitwise."""
     batch = len(bt.seqs)
     q = rng.standard_normal((batch, 1, hq, d)).astype(np.float32)
     np.testing.assert_array_equal(
-        backend.decode_step(q, bt), backend.decode_step_looped(q, bt)
+        backend.decode_step(q, bt), decode_looped(backend, q, bt)
     )
     for _ in range(steps):
         k_new = rng.standard_normal((batch, HKV, d)).astype(np.float32)
@@ -55,7 +66,7 @@ def _assert_grouped_matches_looped(backend, bt, rng, steps, hq=HQ, d=D):
         backend.append_kv((k_new, v_new), bt)
         q = rng.standard_normal((batch, 1, hq, d)).astype(np.float32)
         np.testing.assert_array_equal(
-            backend.decode_step(q, bt), backend.decode_step_looped(q, bt)
+            backend.decode_step(q, bt), decode_looped(backend, q, bt)
         )
 
 
@@ -89,7 +100,7 @@ class TestGroupedLoopedParity:
         # land mid-run at different steps), an empty-packed sequence, and
         # an exactly block-aligned one (res_len == 0).
         lengths = [4 * nr - 3, 4 * nr - 3, 4 * nr - 9, nr - 1, 2 * nr - 5, 3 * nr]
-        backend = PagedBitBackend(config, n_pages=64, n_slots=16)
+        backend = PagedBitBackend(config, n_pages=64)
         bt = _ragged_batch(backend, lengths, rng)
         _assert_grouped_matches_looped(backend, bt, rng, steps=12)
 
@@ -99,12 +110,12 @@ class TestGroupedLoopedParity:
         key, so no memoized read of the retired binding can be served."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=32, n_slots=8)
+        backend = PagedBitBackend(config, n_pages=32)
         store = backend.store_for(HKV, D)
         bt = _ragged_batch(backend, [2 * nr + 5, 2 * nr + 5, 2 * nr + 9], rng)
         q = rng.standard_normal((3, 1, HQ, D)).astype(np.float32)
         np.testing.assert_array_equal(
-            backend.decode_step(q, bt), backend.decode_step_looped(q, bt)
+            backend.decode_step(q, bt), decode_looped(backend, q, bt)
         )
 
         victim = bt.seqs[1]
@@ -121,11 +132,11 @@ class TestGroupedLoopedParity:
         page (cloning it), and decode parent + child in one group."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=32, n_slots=8)
+        backend = PagedBitBackend(config, n_pages=32)
         store = backend.store_for(HKV, D)
         bt = _ragged_batch(backend, [nr + 5], rng)
         parent = bt.seqs[0]
-        child = store.fork(parent)
+        child = fork(store, parent)
         shared = list(parent.block_ids)
         bt.seqs.append(child)
 
@@ -154,10 +165,10 @@ class TestTransformerGroupedParity:
         nr = config.residual_block_size
         dims = dict(n_layers=2, hq=HQ, hkv=HKV, head_dim=D, hidden=64, intermediate=128)
         seq_model = TinyTransformer(
-            **dims, backend=PagedBitBackend(config, n_pages=64, n_slots=8), seed=0
+            **dims, backend=PagedBitBackend(config, n_pages=64), seed=0
         )
         grp_model = TinyTransformer(
-            **dims, backend=PagedBitBackend(config, n_pages=64, n_slots=8), seed=0
+            **dims, backend=PagedBitBackend(config, n_pages=64), seed=0
         )
         prompts = [
             rng.standard_normal((1, nr + 5, 64)).astype(np.float32) * 0.5 for _ in range(3)
@@ -204,7 +215,7 @@ class TestRetireGroups:
         sequences under another member tuple; another batch's are kept."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=64, n_slots=8)
+        backend = PagedBitBackend(config, n_pages=64)
         bt = _ragged_batch(backend, [2 * nr + 1] * 3 + [nr + 1] * 2, rng)
         store = bt.store
         a, b, c, d, e = bt.seqs
@@ -229,7 +240,7 @@ class TestMemoRule:
         same length: the group it joins must read the new words."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        backend = PagedBitBackend(config, n_pages=32)
         bt = _ragged_batch(backend, [2 * nr + 3, 2 * nr + 3], rng)
         store, (a, b) = bt.store, bt.seqs
         store.dequant_group([a, b])
@@ -247,7 +258,7 @@ class TestMemoRule:
         re-dequantize a live group's blocks."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        backend = PagedBitBackend(config, n_pages=32)
         bt = _ragged_batch(backend, [2 * nr + 3] * 3, rng)
         q = rng.standard_normal((3, 1, HQ, D)).astype(np.float32)
         first = backend.decode_step(q, bt)
@@ -270,7 +281,7 @@ class TestMemoRule:
         place: the next read must see the new words."""
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        backend = PagedBitBackend(config, n_pages=32)
         bt = _ragged_batch(backend, [2 * nr + 3, 3 * nr], rng)
         store, (a, b) = bt.store, bt.seqs
         for change in (
@@ -288,7 +299,7 @@ class TestMemoRule:
     def test_free_slot_drops_the_freed_handles_entries(self, rng):
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=32, n_slots=4)
+        backend = PagedBitBackend(config, n_pages=32)
         bt = _ragged_batch(backend, [2 * nr + 3] * 3, rng)
         store, (a, b, c) = bt.store, bt.seqs
         for group in ([a, b], [c], [a]):
@@ -325,7 +336,7 @@ class TestGatherCacheNeverStale:
         rng = np.random.default_rng(seed)
         config = BitDecodingConfig(bits=4, wn=1)
         nr = config.residual_block_size
-        backend = PagedBitBackend(config, n_pages=96, n_slots=24)
+        backend = PagedBitBackend(config, n_pages=96)
         store = backend.store_for(HKV, D)
 
         def rows(n):
@@ -374,7 +385,7 @@ class TestGatherCacheNeverStale:
                 store.free_slot(h)
                 seqs[seqs.index(h)] = store.reattach(seq_id, seq_len, stash_k, stash_v)
             elif op == "fork_flush":
-                child = store.fork(h)
+                child = fork(store, h)
                 fill = nr - child.res_len
                 if fill:
                     store.reserve(child, fill)

@@ -36,6 +36,21 @@ def _read(handle):
     return view.dequant_kv(), view.residual_kv()
 
 
+def fork(store, handle):
+    """Clone a sequence copy-on-write: share every page, copy the slot.
+
+    The child maps the parent's pages (a trailing reserved-but-unflushed
+    one included) and gets its own residual slot seeded with the parent's
+    FP16 rows; the pool's write path clones a shared page before a flush
+    lands on it.
+    """
+    child = store.adopt(store.table.fork_sequence(handle.seq_id))
+    child.seq_len = handle.seq_len
+    store.res_k[child.slot] = store.res_k[handle.slot]
+    store.res_v[child.slot] = store.res_v[handle.slot]
+    return child
+
+
 def _reference_reconstruction(k_rows, v_rows):
     """A fresh single-sequence pool fed the same rows, end to end."""
     store = PagedBitKVCache(CONFIG, HKV, D, n_pages=N_PAGES, n_slots=1)
@@ -102,7 +117,7 @@ class TestPageRecycling:
                 )
             elif kind == "fork" and live and len(live) < N_SLOTS:
                 handle, k_all, v_all = live[amount % len(live)]
-                child = store.fork(handle)
+                child = fork(store, handle)
                 # The child inherits the parent's history as ground truth.
                 live.append((child, k_all.copy(), v_all.copy()))
             elif kind == "preempt" and live:
@@ -174,7 +189,7 @@ class TestCopyOnWriteDivergence:
         store.reserve(parent, 2 * NR + 5)
         store.write_rows(parent, k0, v0)
 
-        child = store.fork(parent)
+        child = fork(store, parent)
         assert child.block_ids == parent.block_ids  # fully shared at fork
         np.testing.assert_array_equal(_read(child)[1][0], _read(parent)[1][0])
 

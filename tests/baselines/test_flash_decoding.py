@@ -1,35 +1,9 @@
 """FP16 baselines: numerics, split heuristics, architecture paths."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.flash_decoding import FlashDecodingV2, FlashDecodingV3
 from repro.core.config import AttentionGeometry
-from repro.core.softmax import reference_attention
-
-
-class TestNumerics:
-    def test_exact_attention(self, rng, rtx4090):
-        fd = FlashDecodingV2(rtx4090)
-        q = rng.standard_normal((4, 32)).astype(np.float32)
-        k = rng.standard_normal((333, 32)).astype(np.float32)
-        v = rng.standard_normal((333, 32)).astype(np.float32)
-        np.testing.assert_allclose(
-            fd.run_numeric(q, k, v, n_splits=5),
-            reference_attention(q, k, v),
-            rtol=1e-4, atol=1e-5,
-        )
-
-    def test_single_split_is_exact(self, rng, rtx4090):
-        fd = FlashDecodingV2(rtx4090)
-        q = rng.standard_normal((1, 16)).astype(np.float32)
-        k = rng.standard_normal((64, 16)).astype(np.float32)
-        v = rng.standard_normal((64, 16)).astype(np.float32)
-        np.testing.assert_allclose(
-            fd.run_numeric(q, k, v, n_splits=1),
-            reference_attention(q, k, v),
-            rtol=1e-4, atol=1e-5,
-        )
 
 
 class _OneSplit(FlashDecodingV2):

@@ -17,6 +17,7 @@ from repro.core.config import BitDecodingConfig
 from repro.model.config import TINY, get_model
 from repro.model.inference import decode_step_breakdown
 from tests.attn.test_grouped_decode import _ragged_batch as ragged_batch
+from tests.attn.test_grouped_decode import decode_looped
 
 KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)  # N_r = 32
 NR = KERNEL_CONFIG.residual_block_size
@@ -75,8 +76,8 @@ class TestBitExactness:
         sharded.append_kv((k, v), bt_s)
         single.append_kv((k, v), bt_1)
         assert np.array_equal(
-            sharded.decode_step_looped(q, bt_s),
-            single.decode_step_looped(q, bt_1),
+            decode_looped(sharded, q, bt_s),
+            decode_looped(single, q, bt_1),
         )
 
     def test_tp_equals_hkv_still_exact(self, rng, a100):
@@ -108,7 +109,7 @@ class TestHeadSplit:
             single.append_kv((k, v), bt_1)
             out_s = sharded.decode_step(q, bt_s)
             assert np.array_equal(out_s, single.decode_step(q, bt_1))
-            assert np.array_equal(out_s, sharded.decode_step_looped(q, bt_s))
+            assert np.array_equal(out_s, decode_looped(sharded, q, bt_s))
         assert [s.seq_len for s in bt_s.seqs] == [n + 4 for n in lengths]
 
     def test_each_rank_decodes_only_its_head_slice(self, rng, a100, monkeypatch):
@@ -127,7 +128,7 @@ class TestHeadSplit:
         monkeypatch.setattr(sharded.engine, "decode", spy)
         q, _, _ = _qkv(rng, batch=3, n=1)
         sharded.decode_step(q, bt)
-        sharded.decode_step_looped(q, bt)
+        decode_looped(sharded, q, bt)
         # decode_step: one group of two + one singleton; looped: three.
         assert seen == [(HQ // 2, HKV // 2, HKV // 2)] * (2 * 2 + 2 * 3)
 

@@ -15,16 +15,13 @@ class TestResolveVersion:
         assert resolve_version(get_arch("rtx5090")) == "fp4"
         assert resolve_version(get_arch("rtx_pro_6000")) == "fp4"
 
-    def test_explicit_request_honored(self):
-        assert resolve_version(get_arch("h100"), "v2") == "v2"
-
     def test_v3_rejected_pre_hopper(self):
         with pytest.raises(ValueError, match="wgmma"):
-            resolve_version(get_arch("a100"), "v3")
+            validate_version(get_arch("a100"), "v3")
 
     def test_fp4_rejected_pre_blackwell(self):
         with pytest.raises(ValueError, match="FP4"):
-            resolve_version(get_arch("h100"), "fp4")
+            validate_version(get_arch("h100"), "fp4")
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):

@@ -101,16 +101,6 @@ class TestDecodeNumerics:
         out = engine.decode(q, cache)
         np.testing.assert_allclose(out, _reference(q, k, v), rtol=1e-3, atol=1e-3)
 
-    def test_split_decode_matches_unsplit(self, rng):
-        engine = BitDecoding(BitDecodingConfig(bits=4), "a100")
-        k, v = _kv(rng, seq=512)
-        cache = engine.prefill(k, v)
-        q = rng.standard_normal((1, 1, 8, 32)).astype(np.float16)
-        np.testing.assert_allclose(
-            engine.decode(q, cache), engine.decode(q, cache, n_splits=4),
-            rtol=1e-4, atol=1e-5,
-        )
-
     def test_gqa_and_mha_both_supported(self, rng):
         for hkv, hq in ((2, 8), (4, 4), (1, 8)):
             engine = BitDecoding(BitDecodingConfig(bits=4), "a100")

@@ -6,11 +6,6 @@ from repro.core.config import AttentionGeometry, BitDecodingConfig
 
 
 class TestAttentionGeometry:
-    def test_variants(self):
-        assert AttentionGeometry(1, 32, 32, 100, 128).attention_variant == "MHA"
-        assert AttentionGeometry(1, 32, 8, 100, 128).attention_variant == "GQA"
-        assert AttentionGeometry(1, 32, 1, 100, 128).attention_variant == "MQA"
-
     def test_gq(self):
         assert AttentionGeometry(1, 32, 8, 100, 128).gq == 4
 
@@ -18,11 +13,6 @@ class TestAttentionGeometry:
         g = AttentionGeometry(2, 32, 8, 1024, 128)
         assert g.kv_elements == 2 * 2 * 8 * 1024 * 128
         assert g.kv_bytes_fp16 == g.kv_elements * 2
-        assert g.kv_bytes_quantized(4) == g.kv_elements / 2
-
-    def test_attention_flops(self):
-        g = AttentionGeometry(1, 2, 2, 100, 16)
-        assert g.attention_flops == 2 * 100 * 16 * 2 * 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -37,7 +27,7 @@ class TestBitDecodingConfig:
         assert cfg.bits == 4
         assert cfg.granularity == "channel"
         assert cfg.residual_block_size == 128
-        assert cfg.warps_per_block == 4
+        assert cfg.effective_wn == 4
 
     def test_residual_block_follows_eq1(self):
         assert BitDecodingConfig(bits=2).residual_block_size == 256

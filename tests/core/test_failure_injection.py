@@ -19,7 +19,7 @@ class TestCorruption:
         """Bit flips in the packed cache must propagate to the output —
         the layout round trip is lossless, including for damage.  In-place
         mutation bypasses the flush-epoch bookkeeping, so the memoized
-        reconstruction must be dropped explicitly."""
+        reconstruction is dropped by hand."""
         engine = BitDecoding(BitDecodingConfig(bits=4), "a100")
         k = rng.standard_normal((1, 1, 256, 32)).astype(np.float16)
         v = rng.standard_normal((1, 1, 256, 32)).astype(np.float16)
@@ -27,7 +27,7 @@ class TestCorruption:
         q = rng.standard_normal((1, 1, 4, 32)).astype(np.float16)
         clean = engine.decode(q, cache)
         cache.packed.v_words.flat[::7] ^= np.uint16(0xFFFF)  # corrupt V storage
-        cache.invalidate_dequant_cache()
+        cache._dequant_memo = None
         corrupted = engine.decode(q, cache)
         assert not np.allclose(clean, corrupted, atol=1e-3)
 
@@ -36,16 +36,15 @@ class TestCorruption:
         k = rng.standard_normal((1, 1, 128, 32)).astype(np.float16)
         v = rng.standard_normal((1, 1, 128, 32)).astype(np.float16)
         cache = engine.prefill(k, v)
-        k_before, _ = cache.dequantized_packed(0, 0)
-        k_before = k_before.copy()
+        k_before = cache.dequant_kv()[0].copy()
         cache.packed.k_params.scale *= 3.0
-        cache.invalidate_dequant_cache()
-        k_after, _ = cache.dequantized_packed(0, 0)
+        cache._dequant_memo = None
+        k_after, _ = cache.dequant_kv()
         assert np.abs(k_after - k_before).max() > 0.1
 
     def test_memoized_dequant_masks_mutation_until_invalidated(self, rng):
-        """The other side of the memoization contract: without an
-        invalidate (or a flush), the cached reconstruction is returned."""
+        """The other side of the memoization contract: until the memo is
+        dropped (or a flush), the cached reconstruction is returned."""
         engine = BitDecoding(BitDecodingConfig(bits=4), "a100")
         k = rng.standard_normal((1, 1, 128, 32)).astype(np.float16)
         v = rng.standard_normal((1, 1, 128, 32)).astype(np.float16)
@@ -54,7 +53,7 @@ class TestCorruption:
         cache.packed.k_params.scale *= 3.0
         k_memo, _ = cache.dequant_kv()
         assert k_memo is k_before  # same cached array, no re-dequant
-        cache.invalidate_dequant_cache()
+        cache._dequant_memo = None
         k_after, _ = cache.dequant_kv()
         assert np.abs(k_after - k_before).max() > 0.1
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.packing import (
-    INTERLEAVE_75316420,
+    _field_order,
     _word_dtype,
     gather_pack_into,
     pack_values,
@@ -121,9 +121,9 @@ class TestRoundTrip:
 
 class TestInterleave75316420:
     def test_pattern_definition(self):
-        # Logical value j lands in physical field INTERLEAVE[j]: first half
-        # in even fields, second half in odd fields.
-        assert INTERLEAVE_75316420 == (0, 2, 4, 6, 1, 3, 5, 7)
+        # Logical value j lands in physical field order[j]: first half in
+        # even fields, second half in odd fields.
+        assert list(_field_order(8, interleaved=True)) == [0, 2, 4, 6, 1, 3, 5, 7]
 
     def test_physical_nibble_placement(self):
         values = np.arange(8, dtype=np.uint8).reshape(1, 8)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import AttentionGeometry, BitDecodingConfig
-from repro.core.packing_kernel import (
-    build_packing_launch,
-    choose_splits,
-    run_numeric,
-    split_states,
-)
+from repro.core.packing_kernel import build_packing_launch, choose_splits, run_numeric
 from repro.core.softmax import reference_attention
 from repro.gpu.kernel import simulate_kernel
 
@@ -22,19 +17,6 @@ class TestNumerics:
         v = rng.standard_normal((300, 32)).astype(np.float32)
         out = run_numeric(q, k, v, config).finalize()
         np.testing.assert_allclose(out, reference_attention(q, k, v), rtol=1e-4, atol=1e-5)
-
-    def test_split_states_merge_to_reference(self, rng):
-        config = BitDecodingConfig(bits=4)
-        q = rng.standard_normal((2, 16)).astype(np.float32)
-        k = rng.standard_normal((500, 16)).astype(np.float32)
-        v = rng.standard_normal((500, 16)).astype(np.float32)
-        states = split_states(q, k, v, config, n_splits=7)
-        merged = states[0]
-        for st in states[1:]:
-            merged.merge(st)
-        np.testing.assert_allclose(
-            merged.finalize(), reference_attention(q, k, v), rtol=1e-4, atol=1e-5
-        )
 
     def test_broken_coop_softmax_is_wrong(self, rng):
         config = BitDecodingConfig(bits=4, use_coop_softmax=False)

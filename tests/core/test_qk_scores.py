@@ -87,18 +87,15 @@ def _assert_same_as_reference_formula(monkeypatch, run, sites):
 
 class TestDecodeBitIdentity:
     @pytest.mark.parametrize(
-        "config, arch, n_splits, packed_site",
+        "config, arch, packed_site",
         [
-            (BitDecodingConfig(bits=4), "a100", None, "_run_fused"),
-            (BitDecodingConfig(bits=4), "a100", 4, "_run_fused"),
-            (BitDecodingConfig(bits=4, numerics_mode="exact_tiled"), "a100", None, "run_numeric"),
-            (BitDecodingConfig(version="fp4", fp4_format="mxfp4"), "rtx5090", None, "_run_fused"),
+            (BitDecodingConfig(bits=4), "a100", "_run_fused"),
+            (BitDecodingConfig(bits=4, numerics_mode="exact_tiled"), "a100", "run_numeric"),
+            (BitDecodingConfig(version="fp4", fp4_format="mxfp4"), "rtx5090", "_run_fused"),
         ],
-        ids=["fused", "split-kv", "exact-tiled", "mxfp4"],
+        ids=["fused", "exact-tiled", "mxfp4"],
     )
-    def test_long_context_decode_across_a_flush(
-        self, monkeypatch, config, arch, n_splits, packed_site
-    ):
+    def test_long_context_decode_across_a_flush(self, monkeypatch, config, arch, packed_site):
         """LLaMA-3.1-8B attention shape at ~4K context; the residual starts
         two tokens short of ``N_r`` so the appends cross a flush."""
         hq, hkv, d = 32, 8, 128
@@ -115,7 +112,7 @@ class TestDecodeBitIdentity:
             outs = []
             for _ in range(3):
                 q = rng.standard_normal((1, 1, hq, d)).astype(np.float16)
-                outs.append(engine.decode(q, cache, n_splits=n_splits))
+                outs.append(engine.decode(q, cache))
                 cache.append_token(
                     rng.standard_normal((1, hkv, d)).astype(np.float16),
                     rng.standard_normal((1, hkv, d)).astype(np.float16),
@@ -135,7 +132,7 @@ class TestDecodeBitIdentity:
 
         def run():
             rng = np.random.default_rng(11)
-            backend = PagedBitBackend(config, n_pages=64, n_slots=16)
+            backend = PagedBitBackend(config, n_pages=64)
             lengths = [4 * nr - 3, 4 * nr - 3, 4 * nr - 9, nr - 1, 2 * nr - 5, 3 * nr]
             bt = _ragged_batch(backend, lengths, rng, hkv=hkv, d=d)
             outs = []

@@ -21,10 +21,6 @@ class TestQuantScheme:
         assert QuantScheme(4, "channel", 64).short_name == "KC-4"
         assert QuantScheme(2, "tensor", 128).short_name == "KT-2"
 
-    def test_levels(self):
-        assert QuantScheme(4, "channel", 64).levels == 16
-        assert QuantScheme(2, "channel", 64).levels == 4
-
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             QuantScheme(3, "channel", 64)

@@ -5,12 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.softmax import (
-    OnlineSoftmaxState,
-    reference_attention,
-    split_kv_attention,
-    tile_softmax_split,
-)
+from repro.core.softmax import OnlineSoftmaxState, reference_attention, tile_softmax_split
+
+
+def update(state, scores, values):
+    """Fold one tile into ``state``: the textbook online-softmax step.
+
+    ``scores`` is ``(..., M, Tn)`` and ``values`` ``(..., Tn, d)``.
+    """
+    scores = np.asarray(scores, dtype=np.float32)
+    values = np.asarray(values, dtype=np.float32)
+    m_new = np.maximum(state.m, scores.max(axis=-1))
+    correction = np.exp(state.m - m_new)
+    correction = np.where(np.isfinite(correction), correction, 0.0)
+    p = np.exp(scores - m_new[..., None])
+    state.l = state.l * correction + p.sum(axis=-1)
+    state.acc = state.acc * correction[..., None] + p @ values
+    state.m = m_new
+
+
+def split_kv_attention(q, k, v, n_splits, tile_n=128):
+    """FlashDecoding-style split-KV attention: ``n_splits`` partitions with
+    independent tiled states, reduced by :meth:`OnlineSoftmaxState.merge`."""
+    q, k, v = (np.asarray(x, dtype=np.float32) for x in (q, k, v))
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    n_splits = max(1, min(n_splits, k.shape[0]))
+    bounds = np.linspace(0, k.shape[0], n_splits + 1, dtype=np.int64)
+    partials = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        state = OnlineSoftmaxState.fresh(q.shape[0], v.shape[-1])
+        for t0 in range(lo, hi, tile_n):
+            t1 = min(t0 + tile_n, hi)
+            update(state, (q @ k[t0:t1].T) * scale, v[t0:t1])
+        partials.append(state)
+    out = partials[0]
+    for state in partials[1:]:
+        out.merge(state)
+    return out.finalize()
 
 
 def _rand_attention(rng, m=4, n=256, d=32):
@@ -25,7 +58,7 @@ class TestOnlineSoftmax:
         q, k, v = _rand_attention(rng)
         state = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         s = (q @ k.T) / np.sqrt(q.shape[1])
-        state.update(s, v)
+        update(state, s, v)
         np.testing.assert_allclose(state.finalize(), reference_attention(q, k, v), rtol=1e-5, atol=1e-6)
 
     def test_tiled_updates_match_reference(self, rng):
@@ -34,7 +67,7 @@ class TestOnlineSoftmax:
         state = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         for t0 in range(0, 300, 64):
             t1 = min(t0 + 64, 300)
-            state.update((q @ k[t0:t1].T) * scale, v[t0:t1])
+            update(state, (q @ k[t0:t1].T) * scale, v[t0:t1])
         np.testing.assert_allclose(state.finalize(), reference_attention(q, k, v), rtol=1e-5, atol=1e-6)
 
     def test_tile_order_does_not_matter(self, rng):
@@ -42,10 +75,10 @@ class TestOnlineSoftmax:
         scale = 1 / np.sqrt(q.shape[1])
         a = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         b = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        a.update((q @ k[:64].T) * scale, v[:64])
-        a.update((q @ k[64:].T) * scale, v[64:])
-        b.update((q @ k[64:].T) * scale, v[64:])
-        b.update((q @ k[:64].T) * scale, v[:64])
+        update(a, (q @ k[:64].T) * scale, v[:64])
+        update(a, (q @ k[64:].T) * scale, v[64:])
+        update(b, (q @ k[64:].T) * scale, v[64:])
+        update(b, (q @ k[:64].T) * scale, v[:64])
         np.testing.assert_allclose(a.finalize(), b.finalize(), rtol=1e-5, atol=1e-6)
 
     def test_merge_equals_sequential(self, rng):
@@ -53,11 +86,11 @@ class TestOnlineSoftmax:
         q, k, v = _rand_attention(rng, n=256)
         scale = 1 / np.sqrt(q.shape[1])
         seq = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        seq.update((q @ k.T) * scale, v)
+        update(seq, (q @ k.T) * scale, v)
         p1 = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        p1.update((q @ k[:96].T) * scale, v[:96])
+        update(p1, (q @ k[:96].T) * scale, v[:96])
         p2 = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        p2.update((q @ k[96:].T) * scale, v[96:])
+        update(p2, (q @ k[96:].T) * scale, v[96:])
         p1.merge(p2)
         np.testing.assert_allclose(p1.finalize(), seq.finalize(), rtol=1e-5, atol=1e-6)
 
@@ -65,7 +98,7 @@ class TestOnlineSoftmax:
         q, k, v = _rand_attention(rng)
         scale = 1 / np.sqrt(q.shape[1])
         full = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        full.update((q @ k.T) * scale, v)
+        update(full, (q @ k.T) * scale, v)
         empty = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         full.merge(empty)
         np.testing.assert_allclose(full.finalize(), reference_attention(q, k, v), rtol=1e-5, atol=1e-6)
@@ -79,8 +112,8 @@ class TestOnlineSoftmax:
         q, k, v = _rand_attention(rng, n=64)
         state = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         s = (q @ k.T) + 300.0
-        state.update(s[:, :32], v[:32])
-        state.update(s[:, 32:] + 300.0, v[32:])  # second tile even hotter
+        update(state, s[:, :32], v[:32])
+        update(state, s[:, 32:] + 300.0, v[32:])  # second tile even hotter
         out = state.finalize()
         assert np.all(np.isfinite(out))
 
@@ -94,7 +127,7 @@ class TestCooperativeSoftmax:
         coop = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         tile_softmax_split(coop, s, v, wn=wn, cooperative=True)
         ref = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        ref.update(s, v)
+        update(ref, s, v)
         np.testing.assert_allclose(coop.finalize(), ref.finalize(), rtol=1e-5, atol=1e-6)
 
     def test_non_cooperative_is_wrong_for_wide_wn(self, rng):
@@ -104,7 +137,7 @@ class TestCooperativeSoftmax:
         broken = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         tile_softmax_split(broken, s, v, wn=4, cooperative=False)
         ref = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        ref.update(s, v)
+        update(ref, s, v)
         assert not np.allclose(broken.finalize(), ref.finalize(), atol=1e-3)
 
     def test_non_cooperative_with_single_warp_is_fine(self, rng):
@@ -113,7 +146,7 @@ class TestCooperativeSoftmax:
         solo = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
         tile_softmax_split(solo, s, v, wn=1, cooperative=False)
         ref = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
-        ref.update(s, v)
+        update(ref, s, v)
         np.testing.assert_allclose(solo.finalize(), ref.finalize(), rtol=1e-5, atol=1e-6)
 
     def test_uneven_split_rejected(self, rng):
@@ -155,7 +188,7 @@ class TestProperties:
         coop = OnlineSoftmaxState.fresh(2, 16)
         tile_softmax_split(coop, s, v, wn=wn, cooperative=True)
         ref = OnlineSoftmaxState.fresh(2, 16)
-        ref.update(s, v)
+        update(ref, s, v)
         np.testing.assert_allclose(coop.finalize(), ref.finalize(), rtol=1e-4, atol=1e-5)
 
     @given(n_splits=st.integers(1, 16), seed=st.integers(0, 2 ** 31))

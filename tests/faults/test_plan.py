@@ -16,6 +16,7 @@ from repro.faults.plan import (
     SLOW_STEP_FACTOR,
     FaultPlan,
     FaultSpec,
+    TransferOutcome,
     demo_fault_spec,
 )
 
@@ -49,12 +50,6 @@ class TestSpecValidation:
         assert isinstance(MAX_RETRIES, int) and MAX_RETRIES >= 1
         assert BACKOFF_BASE_MS >= 0.0
         assert LATENCY_SPIKE_FACTOR >= 1.0 and SLOW_STEP_FACTOR >= 1.0
-
-    def test_all_transient_means_no_content_loss(self):
-        assert FaultSpec(transfer_fault_rate=0.5, slow_step_rate=0.5).all_transient
-        assert not FaultSpec(transfer_fault_rate=0.5, permanent_fraction=0.1).all_transient
-        assert not FaultSpec(corruption_rate=0.1).all_transient
-        assert not demo_fault_spec(0).all_transient
 
 
 class TestDeterminism:
@@ -111,16 +106,9 @@ class TestOutcomes:
 
     def test_clean_plan_is_clean(self):
         plan = FaultPlan(FaultSpec(seed=0))
-        assert all(out.clean for out in _outcomes(plan))
+        assert all(out == TransferOutcome() for out in _outcomes(plan))
         assert all(plan.step_factor() == 1.0 for _ in range(16))
 
     def test_slow_step_factor_applies(self):
         plan = FaultPlan(FaultSpec(seed=0, slow_step_rate=1.0))
         assert plan.step_factor() == SLOW_STEP_FACTOR
-
-    def test_draw_counters_track_consumption(self):
-        plan = FaultPlan(demo_fault_spec(0))
-        _outcomes(plan)
-        plan.step_factor()
-        assert plan.transfers_drawn == TRANSFERS
-        assert plan.steps_drawn == 1

@@ -3,31 +3,12 @@
 import pytest
 
 from repro.gpu.instructions import (
-    LDMATRIX_X4_BYTES,
-    MMA_M16N8K16,
-    MMA_SHAPES,
-    WGMMA_M64N64K16,
     dequant_ops,
     p_requant_ops,
     quant_pack_ops,
     rescale_accum_ops,
     softmax_ops,
 )
-
-
-class TestMmaShapes:
-    def test_m16n8k16_flops(self):
-        assert MMA_M16N8K16.flops == 2 * 16 * 8 * 16
-
-    def test_wgmma_covers_four_warps_of_work(self):
-        assert WGMMA_M64N64K16.flops == 16 * MMA_M16N8K16.flops * 2  # 64x64 vs 16x8
-
-    def test_registry_keys_match_names(self):
-        for name, shape in MMA_SHAPES.items():
-            assert shape.name == name
-
-    def test_ldmatrix_x4_moves_four_8x8_fp16_tiles(self):
-        assert LDMATRIX_X4_BYTES == 512
 
 
 class TestDequantCosts:

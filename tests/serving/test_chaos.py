@@ -215,7 +215,7 @@ class TestAllTransientProperty:
             latency_spike_rate=spike_rate,
             slow_step_rate=slow_rate,
         )
-        assert spec.all_transient
+        assert spec.permanent_fraction == 0.0 and spec.corruption_rate == 0.0  # no content loss
         trace = poisson_trace(4, 100000.0, prompt_len=40, output_len=24, seed=5)
         chaos = ContinuousBatchingEngine(_config(a100, faults=spec), trace)
         report = chaos.run()

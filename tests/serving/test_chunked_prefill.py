@@ -16,7 +16,7 @@ from repro.model.config import LLAMA31_8B
 from repro.model.inference import decode_step_ms, prefill_time_ms
 from repro.model.memory import int_format
 from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
-from repro.serving.request import Phase, Request, RequestLifecycle
+from repro.serving.request import Request, RequestLifecycle
 
 ARCH = get_arch("a100")
 MODEL = LLAMA31_8B
@@ -93,14 +93,14 @@ class TestMixedScheduling:
 
     def test_prefill_progress_state_machine(self):
         lc = RequestLifecycle(Request(req_id=0, arrival_s=0.0, prompt_len=100, output_len=4))
-        assert lc.phase is Phase.QUEUED
+        assert lc.seq_id is None and not lc.prefill_done  # queued
         lc.seq_id = 0
         lc.prefill_target = 100
-        assert lc.phase is Phase.PREFILL
+        assert not lc.prefill_done  # prefilling
         lc.prefilled = 100
-        assert lc.phase is Phase.DECODE
+        assert lc.prefill_done and not lc.finished  # decoding
         lc.finish_s = 1.0
-        assert lc.phase is Phase.FINISHED
+        assert lc.finished
 
     def test_chunked_engine_walks_phases(self):
         trace = [Request(req_id=0, arrival_s=0.0, prompt_len=300, output_len=4)]
@@ -108,7 +108,7 @@ class TestMixedScheduling:
         engine.run()
         lc = engine.lifecycles[0]
         # Two steps of 128 tokens leave the prompt mid-prefill.
-        assert lc.phase is Phase.PREFILL
+        assert lc.seq_id is not None and not lc.prefill_done
         assert lc.prefilled == 256
         assert engine.allocator.used_pages == -(-256 // 64)
 

@@ -12,14 +12,28 @@ Imports alone do not count either, so an ``__init__`` re-export does not
 keep a name alive.  A symbol only tests read is either promoted to a
 ``CLAIMS`` row, moved into the test that pins it, or deleted.
 
+Every public member of a ``src/repro`` class (method, property, or
+attribute a method assigns through ``self.<name>``) and every public
+module-level name bound by assignment has a reader too.  For a member,
+a reader is an attribute load ``.name`` in ``src/`` outside the member's
+own body, an attribute load anywhere in the reader directories above, a
+``getattr(x, "name")`` string literal, or a target in
+``benchmarks/e2e/tracing.py::SEAMS``.  For a module constant it is a name
+load, counted as for top-level symbols, or a ``getattr`` literal.
+Dataclass fields are left to the options rule below, and dunders and
+``@abc.abstractmethod`` declarations are exempt.
+
 Every field of the serving records is set by product code.  An option
 only tests set to a second value is a constant in disguise.
 
-There is no allowlist for either rule.
+There is no allowlist for any of the rules.
 """
 
 import ast
 import dataclasses
+import importlib.util
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 from repro.faults.plan import FaultSpec
@@ -50,7 +64,7 @@ def _loads(tree: ast.Module) -> set:
     for top in tree.body:
         own = top.name if isinstance(top, _DEFS) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif (
                 isinstance(node, ast.Attribute)
@@ -63,6 +77,131 @@ def _loads(tree: ast.Module) -> set:
             if name != own:
                 read.add(name)
     return read
+
+
+def _getattr_literals(tree: ast.Module) -> set:
+    """Attribute names spelled as ``getattr(x, "name")`` in ``tree``."""
+    return {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    }
+
+
+def _attribute_loads(tree: ast.Module) -> dict:
+    """``name -> [line, ...]`` of every attribute load ``x.name`` in ``tree``."""
+    lines = defaultdict(list)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            lines[node.attr].append(node.lineno)
+    return lines
+
+
+def _is_abstract(fn: ast.AST) -> bool:
+    return any(
+        (isinstance(d, ast.Attribute) and d.attr == "abstractmethod")
+        or (isinstance(d, ast.Name) and d.id == "abstractmethod")
+        for d in fn.decorator_list
+    )
+
+
+def _members(tree: ast.Module) -> list:
+    """``(Class.name, name, def node or None)`` for every public member.
+
+    Members are methods and properties in a class body (abstract
+    declarations exempt) and attributes a method assigns as ``self.name``;
+    names a class body annotates (dataclass fields) are not members.
+    """
+    found = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        fields = {
+            stmt.target.id
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+        methods = [s for s in cls.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        seen = set()
+        for fn in methods:
+            if not fn.name.startswith("_") and not _is_abstract(fn) and fn.name not in seen:
+                seen.add(fn.name)
+                found.append((f"{cls.name}.{fn.name}", fn.name, fn))
+        for fn in methods:
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and not node.attr.startswith("_")
+                    and node.attr not in fields | seen
+                ):
+                    seen.add(node.attr)
+                    found.append((f"{cls.name}.{node.attr}", node.attr, None))
+    return found
+
+
+def _constants(tree: ast.Module) -> list:
+    """Public module-level names ``tree`` binds by assignment."""
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not node.id.startswith("_"):
+                    names.append(node.id)
+    return names
+
+
+def _seam_names() -> set:
+    """Member and function names the e2e tracer wraps."""
+    path = ROOT / "benchmarks" / "e2e" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_reachability_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {seam.target.rpartition(".")[2].rpartition(":")[2] for seam in module.SEAMS}
+
+
+def _unread_members(src_trees: dict, other_trees: list, seams: set) -> list:
+    """Members and constants of ``src_trees`` with no reader (see module doc)."""
+    every = list(src_trees.values()) + other_trees
+    literals = set().union(*map(_getattr_literals, every))
+    outside = literals | set(seams)
+    for tree in other_trees:
+        outside.update(_attribute_loads(tree))
+    src_loads = {key: _attribute_loads(tree) for key, tree in src_trees.items()}
+    constant_reads = literals.union(*map(_loads, every))
+    unread = []
+    for key, tree in src_trees.items():
+        for qualname, name, node in _members(tree):
+            if name in outside:
+                continue
+            own = range(node.lineno, node.end_lineno + 1) if node else range(0)
+            if not any(
+                other != key or any(line not in own for line in loads.get(name, ()))
+                for other, loads in src_loads.items()
+                if name in loads
+            ):
+                unread.append(f"{key}::{qualname}")
+        unread.extend(
+            f"{key}::{name}"
+            for name in _constants(tree)
+            if name not in constant_reads
+        )
+    return unread
 
 
 def _set_names(tree: ast.Module) -> set:
@@ -99,18 +238,62 @@ def test_attribute_loads_count_only_on_imported_names():
     assert "h" not in read  # a def reading itself is not a reader
 
 
+def _unread(src, other="", seams=()):
+    return _unread_members({"m.py": ast.parse(src)}, [ast.parse(other)], set(seams))
+
+
+def test_member_readers_exclude_own_body_and_fields():
+    """A method reading itself is not a reader, another method is; names a
+    dataclass body annotates are fields, not members; abstract
+    declarations are exempt."""
+    src = (
+        "class P:\n"
+        "    @abc.abstractmethod\n"
+        "    def hook(self): ...\n"
+        "@dataclass\n"
+        "class R:\n"
+        "    x: int\n"
+        "    def __post_init__(self):\n"
+        "        self.x = 1\n"
+        "        self.count = 0\n"
+        "    def loop(self):\n"
+        "        return self.loop()\n"
+        "    def used(self):\n"
+        "        return self.count\n"
+        "def caller(r):\n"
+        "    return r.used()\n"
+    )
+    assert _unread(src) == ["m.py::R.loop"]
+
+
+def test_seams_getattr_and_outside_loads_read_members():
+    src = "class C:\n    def a(self): ...\n    def b(self): ...\n    def c(self): ...\n"
+    assert _unread(src) == ["m.py::C.a", "m.py::C.b", "m.py::C.c"]
+    assert _unread(src, seams={"a"}) == ["m.py::C.b", "m.py::C.c"]
+    assert _unread(src, other="getattr(obj, 'b')\nobj.c\n", seams={"a"}) == []
+
+
+def test_constant_read_only_through_a_deleted_registry_is_unread():
+    assert _unread("A = 1\nREGISTRY = {'a': A}\n") == ["m.py::REGISTRY"]
+    assert _unread("A = 1\n") == ["m.py::A"]
+    assert _unread("A = 1\n", other="import m\nm.A\n") == []
+
+
 def test_setters_are_keywords_and_string_dict_keys():
     tree = ast.parse("f(a=1, **extra)\nd = {'b': 2, 3: 4, name: 5}\nc = 6\n")
     assert _set_names(tree) == {"a", "b"}
 
 
+def _reader_paths() -> list:
+    paths = [p for d in READERS for p in (ROOT / d).rglob("*.py")]
+    return paths + [ROOT / "tests" / "reference_cache.py"]
+
+
 def test_every_public_src_symbol_has_a_non_test_reader():
     src_trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
-    others = [p for d in READERS for p in (ROOT / d).rglob("*.py")]
-    others.append(ROOT / "tests" / "reference_cache.py")
     read = set().union(
         *map(_loads, src_trees.values()),
-        *(_loads(ast.parse(path.read_text())) for path in others),
+        *(_loads(ast.parse(path.read_text())) for path in _reader_paths()),
     )
     unread = [
         f"{path.relative_to(SRC)}::{top.name}"
@@ -121,6 +304,20 @@ def test_every_public_src_symbol_has_a_non_test_reader():
     assert not unread, (
         f"{len(unread)} public src/ symbols are read only by tests; give each a "
         "product reader or a CLAIMS row, move it into its test, or delete it:\n  "
+        + "\n  ".join(unread)
+    )
+
+
+def test_every_public_member_has_a_non_test_reader():
+    src_trees = {
+        str(path.relative_to(SRC)): ast.parse(path.read_text())
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    others = [ast.parse(path.read_text()) for path in _reader_paths()]
+    unread = _unread_members(src_trees, others, _seam_names())
+    assert not unread, (
+        f"{len(unread)} public src/ members and constants are read only by tests; "
+        "give each a product reader, move it into its test, or delete it:\n  "
         + "\n  ".join(unread)
     )
 
