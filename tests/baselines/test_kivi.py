@@ -1,10 +1,15 @@
 """KIVI baseline: non-fused costs and GQA degradation."""
 
+import math
+
 import pytest
 
 from repro.baselines.flash_decoding import FlashDecodingV2
 from repro.baselines.kivi import Kivi
+from repro.bench.figures import fig12_e2e_kivi
 from repro.core.config import AttentionGeometry
+from repro.model.config import LLAMA31_8B
+from repro.model.memory import cache_bytes_per_token, int_format
 
 
 class TestConstruction:
@@ -47,3 +52,23 @@ class TestCosts:
     def test_two_bit_faster_than_four_bit(self, rtx4090):
         geom = AttentionGeometry(1, 32, 32, 65536, 128)
         assert Kivi(rtx4090, 2).decode_time_ms(geom) < Kivi(rtx4090, 4).decode_time_ms(geom)
+
+    def test_128k_workspace_ooms_an_a100(self):
+        """Fig. 12a: KIVI's non-tiled prefill workspace fits at 64K and
+        runs the A100 out of memory at 128K; BitDecoding runs at both."""
+        single = fig12_e2e_kivi().series
+        for label in ("Single/Kivi-4", "Single/Kivi-2"):
+            points = dict(single[label].points)
+            assert math.isfinite(points[65536])
+            assert math.isnan(points[131072])
+        assert math.isfinite(dict(single["Single/BitDecoding-KC-4"].points)[131072])
+
+    def test_cache_bytes_includes_group32_metadata(self, a100):
+        """The footprint fig12 charges KIVI is its packed codes plus the
+        half2 scale/zero of every group of 32 tokens."""
+        model = LLAMA31_8B
+        fmt = int_format(4, model, group_size=Kivi(a100, 4).group_size)
+        packed = model.n_layers * 2 * model.hkv * model.head_dim * 4 / 8
+        assert cache_bytes_per_token(model, fmt) > packed
+        coarser = int_format(4, model, group_size=128)
+        assert cache_bytes_per_token(model, fmt) > cache_bytes_per_token(model, coarser)

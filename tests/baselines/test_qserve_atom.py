@@ -6,6 +6,8 @@ from repro.baselines.atom import Atom
 from repro.baselines.flash_decoding import FlashDecodingV2
 from repro.baselines.qserve import QServe
 from repro.core.config import AttentionGeometry
+from repro.model.config import LLAMA31_8B
+from repro.model.memory import cache_bytes_per_token, fp16_format, int_format
 
 
 class TestNoTensorCores:
@@ -58,3 +60,10 @@ class TestDequantOverheadAttribution:
         for system in (QServe(rtx4090, 4), Atom(rtx4090, 4)):
             result = system.decode_result(geom)
             assert result.subtrace_times.get("dequant", 0) > 0
+
+    def test_cache_bytes_below_fp16(self, a100):
+        """The cache fig13 sizes for QServe (INT4, one half2 per 64 key
+        channels' tokens) costs under half the FP16 cache per token."""
+        model = LLAMA31_8B
+        fmt = int_format(4, model, group_size=QServe(a100, 4).group_size)
+        assert cache_bytes_per_token(model, fmt) < cache_bytes_per_token(model, fp16_format()) / 2

@@ -15,6 +15,11 @@ class TestResolveVersion:
         assert resolve_version(get_arch("rtx5090")) == "fp4"
         assert resolve_version(get_arch("rtx_pro_6000")) == "fp4"
 
+    def test_explicit_request_honored(self):
+        """A device may run an older path than its best one."""
+        validate_config(get_arch("h100"), BitDecodingConfig(version="v2"))
+        validate_config(get_arch("rtx5090"), BitDecodingConfig(version="v2"))
+
     def test_v3_rejected_pre_hopper(self):
         with pytest.raises(ValueError, match="wgmma"):
             validate_version(get_arch("a100"), "v3")

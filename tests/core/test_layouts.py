@@ -9,6 +9,7 @@ from repro.core.layouts import (
     MMA_M16N8K16_B,
     WARP_LANES,
     FragmentLayout,
+    block_fragment_offsets,
     block_fragment_pack,
     block_fragment_unpack,
     tiled_layout,
@@ -21,6 +22,13 @@ def _mma_m16n8k8_b(lane, slot):
     return 2 * (lane % 4) + slot % 2, lane // 4
 
 
+def _mma_m16n8k16_a(lane, slot):
+    """Operand A of ``mma.m16n8k16`` (M x K = 16 x 16): eight slots."""
+    row = lane // 4 + 8 * ((slot % 4) // 2)
+    col = 2 * (lane % 4) + slot % 2 + 8 * (slot // 4)
+    return row, col
+
+
 def _mma_m16n8_c(lane, slot):
     """Accumulator C/D of ``mma.m16n8kX`` (M x N = 16 x 8): four slots."""
     return lane // 4 + 8 * (slot // 2), 2 * (lane % 4) + slot % 2
@@ -30,8 +38,9 @@ def _mma_m16n8_c(lane, slot):
 #: them; they are the counterexamples for "store and load must share the
 #: instruction".
 MMA_M16N8K8_B = FragmentLayout("mma.m16n8k8.B", 8, 8, _mma_m16n8k8_b)
+MMA_M16N8K16_A = FragmentLayout("mma.m16n8k16.A", 16, 16, _mma_m16n8k16_a)
 MMA_M16N8_C = FragmentLayout("mma.m16n8.C", 16, 8, _mma_m16n8_c)
-ALL_LAYOUTS = [MMA_M16N8K16_B, MMA_M16N8K8_B, MMA_M16N8_C]
+ALL_LAYOUTS = [MMA_M16N8K16_B, MMA_M16N8K8_B, MMA_M16N8K16_A, MMA_M16N8_C]
 
 
 def _assert_bijective(layout):
@@ -75,6 +84,7 @@ class TestFragmentDefinitions:
     def test_values_per_lane(self):
         assert MMA_M16N8K16_B.values_per_lane == 4
         assert MMA_M16N8K8_B.values_per_lane == 2
+        assert MMA_M16N8K16_A.values_per_lane == 8
         assert MMA_M16N8_C.values_per_lane == 4
 
     def test_k16_and_k8_layouts_differ(self):
@@ -96,6 +106,39 @@ class TestFragmentDefinitions:
         b_table, c_table = MMA_M16N8K16_B.lane_slot_table(), MMA_M16N8_C.lane_slot_table()
         assert b_table.shape == c_table.shape
         assert not np.array_equal(b_table, c_table)
+
+
+def _gather(layout, tile):
+    """What ``ldmatrix`` leaves in registers: lane ``i`` holds row ``i``,
+    read through the offsets the cache's fragment-order pack uses."""
+    flat, _ = block_fragment_offsets(layout, *np.shape(tile))
+    return np.asarray(tile).ravel()[flat].reshape(WARP_LANES, -1)
+
+
+def _scatter(layout, frag):
+    """Registers back to the tile, through the inverse offsets."""
+    _, inv = block_fragment_offsets(layout, layout.rows, layout.cols)
+    return np.asarray(frag).ravel()[inv].reshape(layout.rows, layout.cols)
+
+
+class TestGatherScatter:
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda l: l.name)
+    def test_gather_scatter_round_trip(self, rng, layout):
+        tile = rng.standard_normal((layout.rows, layout.cols)).astype(np.float32)
+        frag = _gather(layout, tile)
+        assert frag.shape == (32, layout.values_per_lane)
+        table = layout.lane_slot_table()
+        np.testing.assert_array_equal(frag, tile[table[..., 0], table[..., 1]])
+        np.testing.assert_array_equal(_scatter(layout, frag), tile)
+
+    def test_gather_shape_checked(self, rng):
+        with pytest.raises(ValueError):
+            _gather(MMA_M16N8K16_B, rng.standard_normal((8, 8)))
+
+    def test_scatter_shape_checked(self, rng):
+        packed = block_fragment_pack(np.zeros((16, 8), np.uint8), MMA_M16N8K16_B, 4)
+        with pytest.raises(ValueError):
+            block_fragment_unpack(packed, (8, 8), MMA_M16N8K16_B, 4)
 
 
 class TestTiledLayout:
@@ -195,3 +238,11 @@ class TestProperties:
         packed = block_fragment_pack(block, MMA_M16N8K16_B, bits)
         restored = block_fragment_unpack(packed, shape, MMA_M16N8K16_B, bits)
         np.testing.assert_array_equal(restored, block)
+
+    @given(seed=st.integers(0, 2 ** 31))
+    @settings(max_examples=30, deadline=None)
+    def test_gather_is_a_permutation(self, seed):
+        rng = np.random.default_rng(seed)
+        tile = rng.permutation(16 * 8).reshape(16, 8)
+        frag = _gather(MMA_M16N8K16_B, tile)
+        assert sorted(frag.ravel()) == list(range(128))

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.softmax import OnlineSoftmaxState, reference_attention, tile_softmax_split
+from repro.core.softmax import (
+    OnlineSoftmaxState,
+    pad_tail,
+    reference_attention,
+    tile_softmax_split,
+)
 
 
 def update(state, scores, values):
@@ -116,6 +121,49 @@ class TestOnlineSoftmax:
         update(state, s[:, 32:] + 300.0, v[32:])  # second tile even hotter
         out = state.finalize()
         assert np.all(np.isfinite(out))
+
+
+class TestTwoPassSoftmax:
+    """``from_scores``: the fused path's softmax over a whole score row."""
+
+    def test_from_scores_matches_tiled_walk(self, rng):
+        q, k, v = _rand_attention(rng, n=300)
+        s = (q @ k.T) / np.sqrt(q.shape[1])
+        tiled = OnlineSoftmaxState.fresh(q.shape[0], v.shape[1])
+        for t0 in range(0, 300, 64):
+            update(tiled, s[:, t0:t0 + 64], v[t0:t0 + 64])
+        fused = OnlineSoftmaxState.from_scores(s, v)
+        np.testing.assert_array_equal(fused.m, tiled.m)  # same row maximum
+        np.testing.assert_allclose(fused.l, tiled.l, rtol=1e-5)
+        np.testing.assert_allclose(
+            fused.finalize(), reference_attention(q, k, v), rtol=1e-5, atol=1e-6
+        )
+
+    def test_from_scores_merges_with_a_residual_tail(self, rng):
+        """The packed part's two-pass state merges with the residual
+        tile's state exactly like a tiled one (decode's final merge)."""
+        q, k, v = _rand_attention(rng, n=200)
+        s = (q @ k.T) / np.sqrt(q.shape[1])
+        packed = OnlineSoftmaxState.from_scores(s[:, :128], v[:128])
+        tail = OnlineSoftmaxState.from_scores(s[:, 128:], v[128:])
+        packed.merge(tail)
+        np.testing.assert_allclose(
+            packed.finalize(), reference_attention(q, k, v), rtol=1e-5, atol=1e-6
+        )
+
+    def test_pad_tail_never_changes_the_result(self, rng):
+        q, k, v = _rand_attention(rng, n=50)
+        s = (q @ k.T) / np.sqrt(q.shape[1])
+        ps, pv = pad_tail(s, v, 32)
+        assert ps.shape == (q.shape[0], 64) and pv.shape == (64, v.shape[1])
+        assert np.all(np.isneginf(ps[:, 50:])) and not pv[50:].any()
+        np.testing.assert_allclose(
+            OnlineSoftmaxState.from_scores(ps, pv).finalize(),
+            OnlineSoftmaxState.from_scores(s, v).finalize(),
+            rtol=1e-6, atol=1e-7,
+        )
+        aligned_s, aligned_v = pad_tail(ps, pv, 32)
+        assert aligned_s is ps and aligned_v is pv
 
 
 class TestCooperativeSoftmax:

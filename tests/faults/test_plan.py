@@ -51,6 +51,18 @@ class TestSpecValidation:
         assert BACKOFF_BASE_MS >= 0.0
         assert LATENCY_SPIKE_FACTOR >= 1.0 and SLOW_STEP_FACTOR >= 1.0
 
+    def test_all_transient_means_no_content_loss(self):
+        """Without a permanent fraction or a corruption rate every fault is
+        a retry: no drawn transfer loses or damages its content."""
+        transient = _outcomes(FaultPlan(FaultSpec(transfer_fault_rate=0.5, slow_step_rate=0.5)))
+        assert any(out.failures for out in transient)
+        assert not any(out.lost or out.corrupt for out in transient)
+        permanent = FaultSpec(transfer_fault_rate=0.5, permanent_fraction=0.5)
+        assert any(out.lost for out in _outcomes(FaultPlan(permanent)))
+        assert any(out.corrupt for out in _outcomes(FaultPlan(FaultSpec(corruption_rate=0.5))))
+        demo = _outcomes(FaultPlan(demo_fault_spec(0)))
+        assert any(out.lost or out.corrupt for out in demo)
+
 
 class TestDeterminism:
     def test_same_spec_same_draw_sequence(self):

@@ -39,6 +39,13 @@ class TestRecording:
         t.gmem_write(1000, AccessPattern.SCATTERED)
         assert t.gmem_write_bytes_effective == 4000
 
+    def test_total_effective_bytes_sum_reads_and_writes(self):
+        t = OpTrace()
+        t.gmem_read(1000, AccessPattern.STRIDED)
+        t.gmem_write(1000, AccessPattern.SCATTERED)
+        assert t.total_gmem_bytes_effective == 6000
+        assert _gmem(t) == 2000
+
     def test_smem_conflict_inflates_effective(self):
         t = OpTrace()
         t.smem_traffic(256, conflict_factor=4.0)
@@ -66,6 +73,17 @@ class TestRecording:
         t.tensor_core(25, "fp4")
         assert t.tc_flops == {"fp16": 150, "fp4": 25}
         assert _tc(t) == 175
+
+    def test_fresh_trace_is_empty(self):
+        assert _is_empty(OpTrace())
+
+    def test_any_recording_makes_non_empty(self):
+        t = OpTrace()
+        t.sfu_ops += 1
+        assert not _is_empty(t)
+        t = OpTrace()
+        t.gmem_read(1)
+        assert not _is_empty(t)
 
 
 class TestAlgebra:

@@ -16,6 +16,8 @@ from repro.model.memory import (
     cache_bytes_per_token,
     fp16_format,
     int_format,
+    kv_budget_bytes,
+    memory_budget_bytes,
     memory_required_bytes,
     page_bytes,
     page_pool_size,
@@ -73,6 +75,16 @@ class TestCapacity:
     def test_multi_gpu_divides_footprint(self, a100):
         assert not fits(LLAMA31_70B, a100, fp16_format(), 1, 32768, n_gpus=1)
         assert fits(LLAMA31_70B, a100, fp16_format(), 1, 32768, n_gpus=8)
+
+
+    def test_kv_budget_is_usable_memory_less_weights(self, a100, rtx4090):
+        usable = a100.memory_gb * 1024 ** 3 * 0.9
+        assert memory_budget_bytes(a100) == pytest.approx(usable)
+        weights = LLAMA31_8B.weights_bytes()
+        assert kv_budget_bytes(LLAMA31_8B, a100) == pytest.approx(usable - weights)
+        # Tensor parallelism splits the weights, never the per-GPU budget.
+        assert kv_budget_bytes(LLAMA31_8B, a100, n_gpus=2) == pytest.approx(usable - weights / 2)
+        assert kv_budget_bytes(LLAMA31_70B, rtx4090) == 0.0
 
 
 class TestTransferPricing:

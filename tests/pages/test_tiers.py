@@ -181,6 +181,30 @@ class TestVictimSelection:
         assert _tier(tiers, 1) == "host"
         _content_intact(alloc, tiers, obs)
 
+    def test_unpin_all_makes_pinned_pages_victims_again(self):
+        alloc, tiers, obs = _store(device=2, host=2)
+        alloc.allocate_many(4)
+        tiers.touch([0, 1])  # LRU order: 0 oldest
+        tiers.start_step()
+        tiers.pin([0])
+        tiers.unpin_all()
+        tiers.ensure_resident([2])
+        assert _tier(tiers, 0) == "host"
+        assert tiers.resident(1)
+        _content_intact(alloc, tiers, obs)
+
+    def test_absorbed_prefetch_is_not_charged_twice(self):
+        alloc, tiers, _ = _store()
+        alloc.allocate_many(4)
+        tiers.start_step()
+        tiers.ensure_resident([3], prefetch=True)
+        prefetch = tiers.step_prefetch_ms
+        assert prefetch > 0.0
+        tiers.absorb_prefetch(prefetch / 4)
+        assert tiers.step_prefetch_ms == pytest.approx(0.75 * prefetch)
+        tiers.absorb_prefetch(10 * prefetch)
+        assert tiers.step_prefetch_ms == 0.0
+
     def test_start_step_resets_buckets_and_pins(self):
         alloc, tiers, _ = _store(device=2, host=2)
         alloc.allocate_many(4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serving.request import Request, poisson_trace
+from repro.serving.request import Request, poisson_trace, prefix_block_keys
 
 
 class TestRequest:
@@ -17,6 +17,28 @@ class TestRequest:
             Request(req_id=0, arrival_s=0.0, prompt_len=0, output_len=5)
         with pytest.raises(ValueError):
             Request(req_id=0, arrival_s=0.0, prompt_len=10, output_len=0)
+
+
+class TestPrefixBlockKeys:
+    def _req(self, req_id, group=0, shared=160):
+        return Request(req_id, 0.0, 256, 8, shared_prefix_len=shared, prefix_group=group)
+
+    def test_whole_shared_blocks_match_across_a_group(self):
+        """Blocks fully inside the shared prefix key alike for every request
+        of the group; the block the prefix ends in is the request's own."""
+        a = prefix_block_keys(self._req(1), 4, 64)
+        b = prefix_block_keys(self._req(2), 4, 64)
+        assert a[:2] == b[:2]
+        assert a[2] != b[2] and a[3] != b[3]
+
+    def test_keys_chain_through_every_earlier_block(self):
+        """Equal keys mean equal token prefixes: another group's request
+        matches nowhere, and each key extends the one before it."""
+        a = prefix_block_keys(self._req(1, group=0), 4, 64)
+        b = prefix_block_keys(self._req(2, group=1), 4, 64)
+        assert not set(a) & set(b)
+        assert all(later[:-1] == earlier for earlier, later in zip(a, a[1:]))
+        assert prefix_block_keys(self._req(1, shared=0), 1, 64) == [(("req", 1, 0),)]
 
 
 class TestPoissonTrace:

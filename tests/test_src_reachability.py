@@ -157,7 +157,11 @@ def _constants(tree: ast.Module) -> list:
             continue
         for target in targets:
             for node in ast.walk(target):
-                if isinstance(node, ast.Name) and not node.id.startswith("_"):
+                if (
+                    isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store)
+                    and not node.id.startswith("_")
+                ):
                     names.append(node.id)
     return names
 
@@ -277,6 +281,69 @@ def test_constant_read_only_through_a_deleted_registry_is_unread():
     assert _unread("A = 1\nREGISTRY = {'a': A}\n") == ["m.py::REGISTRY"]
     assert _unread("A = 1\n") == ["m.py::A"]
     assert _unread("A = 1\n", other="import m\nm.A\n") == []
+
+
+def test_dunder_and_private_members_are_exempt():
+    src = (
+        "class C:\n"
+        "    def __len__(self):\n"
+        "        self.__n = 0\n"
+        "        return 0\n"
+        "    def _helper(self):\n"
+        "        self._cache = {}\n"
+    )
+    assert _unread(src) == []
+
+
+def test_write_only_counter_is_an_unread_member():
+    """``self.n += 1`` stores ``n`` without loading it: a counter nothing
+    reads is named, as is a method nothing calls."""
+    src = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.hits = 0\n"
+        "    def tick(self):\n"
+        "        self.hits += 1\n"
+    )
+    assert _unread(src) == ["m.py::C.tick", "m.py::C.hits"]
+    assert _unread(src, other="c.tick()\n") == ["m.py::C.hits"]
+    assert _unread(src, other="c.tick()\nprint(c.hits)\n") == []
+
+
+def test_attribute_stores_outside_src_do_not_read_members():
+    src = "class C:\n    def __init__(self):\n        self.size = 0\n"
+    assert _unread(src, other="c.size = 3\n") == ["m.py::C.size"]
+
+
+def test_property_read_in_another_src_file_is_read():
+    owner = "class C:\n    @property\n    def size(self):\n        return 1\n"
+    user = "def total(cs):\n    return sum(c.size for c in cs)\n"
+    assert _unread(owner) == ["m.py::C.size"]
+    trees = {"owner.py": ast.parse(owner), "user.py": ast.parse(user)}
+    assert _unread_members(trees, [], set()) == []
+
+
+def test_getattr_needs_a_string_literal():
+    src = "class C:\n    def a(self): ...\n"
+    assert _unread(src, other="getattr(obj, name)\n") == ["m.py::C.a"]
+    assert _unread("A = 1\n", other="getattr(mod, 'A')\n") == []
+
+
+def test_constants_are_names_bound_at_module_level():
+    """Tuple and annotated targets bind constants; a subscript store
+    mutates an existing binding and names nothing new; private names and
+    function locals are exempt."""
+    tree = ast.parse(
+        "A, B = 1, 2\nC: int = 3\n_D = 4\nREG['k'] = 5\ndef f():\n    E = 6\n"
+    )
+    assert _constants(tree) == ["A", "B", "C"]
+
+
+def test_seams_cover_the_members_kept_for_the_tracer():
+    """The paged-cache and page-table entry points that only the e2e
+    tracer wraps stay alive through ``SEAMS``."""
+    kept = {"write_rows", "dequant_seq", "append_token", "fork_sequence", "ensure_exclusive"}
+    assert kept <= _seam_names()
 
 
 def test_setters_are_keywords_and_string_dict_keys():
