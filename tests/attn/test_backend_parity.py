@@ -123,9 +123,11 @@ class TestTransformerParity:
         config = BitDecodingConfig(bits=4, wn=1)
         dims = dict(n_layers=2, hq=4, hkv=2, head_dim=16, hidden=64, intermediate=128)
         backend = PagedBitBackend(config, n_pages=8)
+        backend.N_SLOTS = 2  # one slot per layer: a leaked slot fails the next prefill
         model = TinyTransformer(**dims, backend=backend, seed=0)
         store = backend.store_for(2, 16)
-        for _ in range(6):  # > n_pages worth of prompts
+        assert store.slots.n_pages == 2
+        for _ in range(6):  # > n_slots and > n_pages worth of prompts
             model.prefill(rng.standard_normal((1, 40, 64)).astype(np.float32) * 0.5)
             assert store.slots.used_pages == dims["n_layers"]
         model.release_session(model._session)

@@ -2,12 +2,13 @@
 
 The batched-decode contract: ``PagedBitBackend.decode_step`` (equal-shape
 sequences gathered into batched SoA views, one ``run_numeric`` launch per
-group) is *bit-identical* to :func:`decode_looped` (``decode_step`` over
-one-sequence handles, the per-sequence reference) — across bit widths,
-granularities, numerics modes, ragged residual fills, flush boundaries,
-swap preemption and copy-on-write forks.  Grouping reorders nothing and rounds nothing: the
-padded-tail contract in ``attend_residual_grouped`` is tolerance-free,
-so any divergence at all is a gather or invalidation bug.
+group) is *bit-identical* to :func:`decode_looped` (one ``_attend`` per
+sequence over its own one-member view, the per-sequence reference) —
+across bit widths, granularities, numerics modes, ragged residual fills,
+flush boundaries, swap preemption and copy-on-write forks.  Grouping
+reorders nothing and rounds nothing: the padded-tail contract in
+``attend_residual_grouped`` is tolerance-free, so any divergence at all
+is a gather or invalidation bug.
 
 The hypothesis property at the bottom drives the read memo (group
 dequant memos keyed by never-reused handle keys, guarded by one content
@@ -44,13 +45,21 @@ def _ragged_batch(backend, lengths, rng, hkv=HKV, d=D):
 
 
 def decode_looped(backend, q, bt):
-    """The per-sequence oracle: each sequence decoded as a group of one."""
-    return np.concatenate(
-        [
-            backend.decode_step(q[b : b + 1], PagedBatchHandle(bt.store, [seqh]))
-            for b, seqh in enumerate(bt.seqs)
-        ]
-    )
+    """The per-sequence oracle: each sequence decoded as a group of one.
+
+    It reads through ``group_view([seqh])`` directly and never retires a
+    group, so the grouped batch's memo stays warm across steps and grouped
+    decode's incremental memo extension is diffed against a cold rebuild.
+    """
+    tiers = bt.store.tiers
+    if tiers is not None and bt.seqs:
+        tiers.fault_in(bt.seqs[0].block_ids)
+    outs = []
+    for b, seqh in enumerate(bt.seqs):
+        if tiers is not None and b + 1 < len(bt.seqs):
+            tiers.fault_in(bt.seqs[b + 1].block_ids, prefetch=True)
+        outs.append(backend._attend(q[b : b + 1], bt.store.group_view([seqh])))
+    return np.concatenate(outs, axis=0)
 
 
 def _assert_grouped_matches_looped(backend, bt, rng, steps, hq=HQ, d=D):

@@ -36,6 +36,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 from repro.faults.plan import FaultSpec
 from repro.model.memory import CacheFormat
 from repro.serving.engine import EngineConfig
@@ -242,91 +244,78 @@ def test_attribute_loads_count_only_on_imported_names():
     assert "h" not in read  # a def reading itself is not a reader
 
 
-def _unread(src, other="", seams=()):
-    return _unread_members({"m.py": ast.parse(src)}, [ast.parse(other)], set(seams))
+_COUNTER = (
+    "class C:\n"
+    "    def __init__(self):\n"
+    "        self.hits = 0\n"
+    "    def tick(self):\n"
+    "        self.hits += 1\n"
+)
+_THREE = "class C:\n    def a(self): ...\n    def b(self): ...\n    def c(self): ...\n"
+_SIZE = "class C:\n    @property\n    def size(self):\n        return 1\n"
 
 
-def test_member_readers_exclude_own_body_and_fields():
-    """A method reading itself is not a reader, another method is; names a
-    dataclass body annotates are fields, not members; abstract
-    declarations are exempt."""
-    src = (
-        "class P:\n"
-        "    @abc.abstractmethod\n"
-        "    def hook(self): ...\n"
-        "@dataclass\n"
-        "class R:\n"
-        "    x: int\n"
-        "    def __post_init__(self):\n"
-        "        self.x = 1\n"
-        "        self.count = 0\n"
-        "    def loop(self):\n"
-        "        return self.loop()\n"
-        "    def used(self):\n"
-        "        return self.count\n"
-        "def caller(r):\n"
-        "    return r.used()\n"
-    )
-    assert _unread(src) == ["m.py::R.loop"]
-
-
-def test_seams_getattr_and_outside_loads_read_members():
-    src = "class C:\n    def a(self): ...\n    def b(self): ...\n    def c(self): ...\n"
-    assert _unread(src) == ["m.py::C.a", "m.py::C.b", "m.py::C.c"]
-    assert _unread(src, seams={"a"}) == ["m.py::C.b", "m.py::C.c"]
-    assert _unread(src, other="getattr(obj, 'b')\nobj.c\n", seams={"a"}) == []
-
-
-def test_constant_read_only_through_a_deleted_registry_is_unread():
-    assert _unread("A = 1\nREGISTRY = {'a': A}\n") == ["m.py::REGISTRY"]
-    assert _unread("A = 1\n") == ["m.py::A"]
-    assert _unread("A = 1\n", other="import m\nm.A\n") == []
-
-
-def test_dunder_and_private_members_are_exempt():
-    src = (
-        "class C:\n"
-        "    def __len__(self):\n"
-        "        self.__n = 0\n"
-        "        return 0\n"
-        "    def _helper(self):\n"
-        "        self._cache = {}\n"
-    )
-    assert _unread(src) == []
-
-
-def test_write_only_counter_is_an_unread_member():
-    """``self.n += 1`` stores ``n`` without loading it: a counter nothing
-    reads is named, as is a method nothing calls."""
-    src = (
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self.hits = 0\n"
-        "    def tick(self):\n"
-        "        self.hits += 1\n"
-    )
-    assert _unread(src) == ["m.py::C.tick", "m.py::C.hits"]
-    assert _unread(src, other="c.tick()\n") == ["m.py::C.hits"]
-    assert _unread(src, other="c.tick()\nprint(c.hits)\n") == []
-
-
-def test_attribute_stores_outside_src_do_not_read_members():
-    src = "class C:\n    def __init__(self):\n        self.size = 0\n"
-    assert _unread(src, other="c.size = 3\n") == ["m.py::C.size"]
-
-
-def test_property_read_in_another_src_file_is_read():
-    owner = "class C:\n    @property\n    def size(self):\n        return 1\n"
-    user = "def total(cs):\n    return sum(c.size for c in cs)\n"
-    assert _unread(owner) == ["m.py::C.size"]
-    trees = {"owner.py": ast.parse(owner), "user.py": ast.parse(user)}
-    assert _unread_members(trees, [], set()) == []
-
-
-def test_getattr_needs_a_string_literal():
-    src = "class C:\n    def a(self): ...\n"
-    assert _unread(src, other="getattr(obj, name)\n") == ["m.py::C.a"]
-    assert _unread("A = 1\n", other="getattr(mod, 'A')\n") == []
+@pytest.mark.parametrize(
+    "src, other, seams, expected",
+    [
+        # A method reading itself is not a reader, another method is; names
+        # a dataclass body annotates are fields; abstract hooks are exempt.
+        (
+            "class P:\n"
+            "    @abc.abstractmethod\n"
+            "    def hook(self): ...\n"
+            "@dataclass\n"
+            "class R:\n"
+            "    x: int\n"
+            "    def __post_init__(self):\n"
+            "        self.x = 1\n"
+            "        self.count = 0\n"
+            "    def loop(self):\n"
+            "        return self.loop()\n"
+            "    def used(self):\n"
+            "        return self.count\n"
+            "def caller(r):\n"
+            "    return r.used()\n",
+            "",
+            (),
+            ["m.py::R.loop"],
+        ),
+        # Dunder and private members are exempt.
+        (
+            "class C:\n"
+            "    def __len__(self):\n"
+            "        self.__n = 0\n"
+            "        return 0\n"
+            "    def _helper(self):\n"
+            "        self._cache = {}\n",
+            "",
+            (),
+            [],
+        ),
+        # A SEAMS target, a getattr string literal and an outside load read.
+        (_THREE, "", (), ["m.py::C.a", "m.py::C.b", "m.py::C.c"]),
+        (_THREE, "", ("a",), ["m.py::C.b", "m.py::C.c"]),
+        (_THREE, "getattr(obj, 'b')\nobj.c\n", ("a",), []),
+        (_THREE, "getattr(obj, name)\nobj.c\n", ("a",), ["m.py::C.b"]),
+        # ``self.n += 1`` stores without loading: a write-only counter is
+        # unread, and so is an attribute only stored from outside.
+        (_COUNTER, "", (), ["m.py::C.tick", "m.py::C.hits"]),
+        (_COUNTER, "c.tick()\nc.hits = 3\n", (), ["m.py::C.hits"]),
+        (_COUNTER, "c.tick()\nprint(c.hits)\n", (), []),
+        # A property read in another src file is read.
+        (_SIZE, "", (), ["m.py::C.size"]),
+        ({"m.py": _SIZE, "u.py": "def f(cs):\n    return sum(c.size for c in cs)\n"}, "", (), []),
+        # A constant read only through a deleted registry is unread.
+        ("A = 1\nREGISTRY = {'a': A}\n", "", (), ["m.py::REGISTRY"]),
+        ("A = 1\n", "", (), ["m.py::A"]),
+        ("A = 1\n", "import m\nm.A\n", (), []),
+        ("A = 1\n", "getattr(mod, 'A')\n", (), []),
+    ],
+)
+def test_unread_members_and_constants(src, other, seams, expected):
+    files = src if isinstance(src, dict) else {"m.py": src}
+    trees = {key: ast.parse(text) for key, text in files.items()}
+    assert _unread_members(trees, [ast.parse(other)], set(seams)) == expected
 
 
 def test_constants_are_names_bound_at_module_level():
