@@ -19,8 +19,8 @@ seq 16k, INT4, d 64):
 - ``decode_step_flatness``: max/min vectorized decode wall time across
   no-flush steps (the memoization contract).
 
-An end-to-end ``transformer`` section (TinyTransformer decode step,
-engine-backed vs exact attention) tracks what the kernel-level wins are
+An end-to-end ``transformer`` section (TinyTransformer decode step over
+the paged low-bit backend vs exact attention) tracks what the kernel-level wins are
 worth inside a full forward pass.
 
 Report only: these are same-machine host-clock ratios, so nothing gates
@@ -50,7 +50,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.attn import ContiguousBitBackend  # noqa: E402
+from repro.attn import PagedBitBackend  # noqa: E402
 from repro.bench.results import write_run  # noqa: E402
 from repro.core.attention import BitDecoding, BitKVCache  # noqa: E402
 from repro.core.config import BitDecodingConfig  # noqa: E402
@@ -153,7 +153,7 @@ def run_transformer_bench(
     bits=4,
     seed=0,
 ):
-    """End-to-end TinyTransformer decode step: engine cache vs exact FP16.
+    """End-to-end TinyTransformer decode step: paged low-bit cache vs exact FP16.
 
     Small geometry by design — prefill attention materializes O(seq^2)
     scores per KV head, so this measures the decode step's end-to-end
@@ -177,7 +177,7 @@ def run_transformer_bench(
 
     results = {}
     for name, backend in (
-        ("engine", ContiguousBitBackend(BitDecodingConfig(bits=bits), "a100")),
+        ("engine", PagedBitBackend(BitDecodingConfig(bits=bits), "a100")),
         ("exact", None),
     ):
         model = TinyTransformer(**dims, backend=backend, seed=seed)

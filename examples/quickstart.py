@@ -1,12 +1,13 @@
 """Quickstart: decode with a 4-bit KV cache through the AttentionBackend API.
 
 Builds a small GQA attention problem, prefills a quantized cache behind a
-backend handle (the Residual Kernel packs complete blocks, the FP16
-residual holds the tail), runs one decode step through the Packing +
-Residual kernels, and compares against exact FP16 attention — then shows
-the paged backend producing bit-identical decode output from a page pool.
-Also prints the simulated kernel timing on an A100 for a realistic
-long-context geometry.
+paged backend handle (the Residual Kernel packs complete blocks into
+pages, the FP16 residual holds the tail), runs one decode step through
+the Packing + Residual kernels, and compares against exact FP16
+attention — then shows paged decode bit-identical to ``BitDecoding.decode``
+over the contiguous ``BitKVCache``, for INT4 and for MXFP4 (the
+Blackwell micro-scaling format).  Also prints the simulated kernel timing
+on an A100 for a realistic long-context geometry.
 
 Run:  python examples/quickstart.py
 """
@@ -16,10 +17,10 @@ import numpy as np
 from repro import (
     AttentionGeometry,
     BitDecodingConfig,
-    ContiguousBitBackend,
     PagedBitBackend,
     get_arch,
 )
+from repro.core.attention import BitDecoding, BitKVCache
 from repro.core.softmax import reference_attention
 
 
@@ -28,9 +29,9 @@ def main() -> None:
     batch, hkv, hq, seq_len, head_dim = 1, 8, 32, 1000, 128
 
     # 1. Configure: 4-bit, channel-wise keys (the paper's KC-4 flagship),
-    #    behind the contiguous (bit-exact reference) backend.
+    #    behind the paged backend (one page holds one packed block).
     config = BitDecodingConfig(bits=4, granularity="channel")
-    backend = ContiguousBitBackend(config, get_arch("a100"))
+    backend = PagedBitBackend(config, get_arch("a100"))
     print(f"configuration: {config.short_name} via {type(backend).__name__}")
     print(f"residual block size N_r = {config.residual_block_size} (Eq. 1)")
 
@@ -40,13 +41,16 @@ def main() -> None:
     cache = backend.new_handle(batch, hkv, head_dim)
     backend.prefill(None, (k, v), cache)
     # Handles are opaque to the protocol (seq_len is the only portable
-    # observable); the contiguous handle's BitKVCache is reached here
-    # explicitly for backend-specific introspection.
-    bitkv = cache.cache
+    # observable); the paged handle's per-sequence block table is reached
+    # here explicitly for backend-specific introspection.
+    seq = cache.seqs[0]
+    nr = config.residual_block_size
     print(f"cache holds {cache.seq_len} tokens")
     print(
-        f"  {bitkv.packed_len()} packed + {bitkv.res_len()} residual, "
-        f"{bitkv.compression_ratio():.2f}x compression vs FP16"
+        f"  {seq.n_blocks * nr} packed in pages {seq.block_ids} + "
+        f"{seq.res_len} residual, "
+        f"{BitKVCache.from_prefill(k, v, config).compression_ratio():.2f}x "
+        "compression vs FP16"
     )
 
     # 3. Decode one token.
@@ -77,23 +81,27 @@ def main() -> None:
             ),
             cache,
         )
-    print(f"after {config.residual_block_size} appends: {bitkv.packed_len()} packed tokens")
+    print(f"after {nr} appends: {seq.n_blocks * nr} packed tokens")
 
-    # 6. Same protocol, paged storage: packed blocks live in a page pool
-    #    behind a block table, and decode is bit-identical to the
-    #    contiguous reference under exact_tiled numerics.
-    exact = BitDecodingConfig(bits=4, granularity="channel", numerics_mode="exact_tiled")
-    short_k, short_v = k[:, :, : 3 * 128], v[:, :, : 3 * 128]
-    outs = []
-    for impl in (
-        ContiguousBitBackend(exact, get_arch("a100")),
-        PagedBitBackend(exact, get_arch("a100"), n_pages=64),
+    # 6. Paged storage changes where blocks live, not the numerics: under
+    #    exact_tiled numerics, paged decode is bit-identical to
+    #    BitDecoding.decode over the contiguous BitKVCache — for the
+    #    integer path on an A100 and for MXFP4 on a Blackwell device.
+    short_k, short_v = k[:, :, :300], v[:, :, :300]
+    for fmt, arch in (
+        (dict(bits=4, granularity="channel"), "a100"),
+        (dict(version="fp4", fp4_format="mxfp4"), "rtx5090"),
     ):
-        handle = impl.new_handle(batch, hkv, head_dim)
-        impl.prefill(None, (short_k, short_v), handle)
-        outs.append(impl.decode_step(q, handle))
-    identical = np.array_equal(*outs)
-    print(f"paged vs contiguous decode bit-identical: {identical}")
+        exact = BitDecodingConfig(numerics_mode="exact_tiled", **fmt)
+        engine = BitDecoding(exact, get_arch(arch))
+        paged = PagedBitBackend(engine, n_pages=16)
+        handle = paged.new_handle(batch, hkv, head_dim)
+        paged.prefill(None, (short_k, short_v), handle)
+        contiguous = BitKVCache.from_prefill(short_k, short_v, exact)
+        identical = np.array_equal(
+            paged.decode_step(q, handle), engine.decode(q, contiguous)
+        )
+        print(f"{exact.short_name}: paged vs contiguous decode bit-identical: {identical}")
 
     # 7. Simulated decode latency at a realistic long-context geometry.
     geom = AttentionGeometry(batch=1, hq=32, hkv=8, seq_len=131072, head_dim=128)

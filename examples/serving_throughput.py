@@ -11,8 +11,9 @@ page-allocator view of one serving point.
 Run:  python examples/serving_throughput.py
 """
 
-from repro import AnalyticalBackend, BitDecodingConfig, ContiguousBitBackend, get_arch
+from repro import AnalyticalBackend, BitDecodingConfig, get_arch
 from repro.baselines import FlashDecodingV2, QServe
+from repro.core.attention import BitDecoding
 from repro.model import (
     LLAMA2_7B,
     LLAMA31_8B,
@@ -36,16 +37,16 @@ def main() -> None:
     for model in (LLAMA2_7B, LLAMA31_8B, QWEN3_8B):
         fp16 = fp16_format()
         int4 = int_format(4, model)
-        # Every stack is an AttentionBackend; the analytical backend wraps
-        # the baseline cost models, the contiguous-bit backend carries the
-        # real BitDecoding kernel stack.
+        # Every stack is an AttentionBackend pricing steps through its
+        # attention system: the baseline cost models, and the real
+        # BitDecoding kernel stack.
         rows = [
             ("FP16 + FlashDecoding-v2", fp16, AnalyticalBackend(FlashDecodingV2(arch))),
             ("INT4 + QServe", int4, AnalyticalBackend(QServe(arch, 4))),
             (
                 "INT4 + BitDecoding",
                 int4,
-                ContiguousBitBackend(BitDecodingConfig(bits=4), arch),
+                AnalyticalBackend(BitDecoding(BitDecodingConfig(bits=4), arch)),
             ),
         ]
         print(f"{model.name} ({model.attention_variant}):")

@@ -7,13 +7,13 @@ cooperative softmax) with a trace-driven GPU performance model that
 reproduces the paper's evaluation across Ampere/Ada/Hopper/Blackwell.
 
 The public attention API is the :class:`~repro.attn.AttentionBackend`
-protocol with three implementations — paged low-bit (serving), contiguous
-low-bit (bit-exact reference) and analytical (cost model):
+protocol with two implementations — paged low-bit (token execution) and
+analytical (cost model):
 
     import numpy as np
-    from repro import BitDecodingConfig, ContiguousBitBackend
+    from repro import BitDecodingConfig, PagedBitBackend
 
-    backend = ContiguousBitBackend(BitDecodingConfig(bits=4), "a100")
+    backend = PagedBitBackend(BitDecodingConfig(bits=4), "a100")
     cache = backend.new_handle(batch=1, hkv=8, head_dim=128)
     k = np.random.randn(1, 8, 1024, 128).astype(np.float16)
     v = np.random.randn(1, 8, 1024, 128).astype(np.float16)
@@ -21,15 +21,15 @@ low-bit (bit-exact reference) and analytical (cost model):
     q = np.random.randn(1, 1, 32, 128).astype(np.float32)
     out = backend.decode_step(q, cache)
 
-The lower-level ``BitDecoding`` engine / ``BitKVCache`` pair remains
-available for kernel-granular work (simulated launches, ablations) from
+The lower-level ``BitDecoding`` engine / contiguous ``BitKVCache`` pair
+remains available for kernel-granular work (simulated launches,
+ablations, the paged backend's bit-exact reference) from
 :mod:`repro.core.attention`.
 """
 
 from repro.attn import (
     AnalyticalBackend,
     AttentionBackend,
-    ContiguousBitBackend,
     KVCacheHandle,
     PagedBitBackend,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "AttentionBackend",
     "AttentionGeometry",
     "BitDecodingConfig",
-    "ContiguousBitBackend",
     "KVCacheHandle",
     "PagedBitBackend",
     "QuantScheme",

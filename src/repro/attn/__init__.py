@@ -1,4 +1,4 @@
-"""Public attention API: one protocol, three backends.
+"""Public attention API: one protocol, two backends.
 
 This package is the public face of the cache + engine layer (absorbing
 the role :mod:`repro.core.attention` used to play):
@@ -7,12 +7,12 @@ the role :mod:`repro.core.attention` used to play):
   block_table)`` / ``decode_step(q, block_table)`` over an opaque
   :class:`~repro.attn.protocol.KVCacheHandle`, plus the step-pricing
   surface the serving engine schedules with.
-- :class:`~repro.attn.paged.PagedBitBackend` — packed low-bit blocks in
-  a shared page pool behind per-sequence block tables (the serving
-  cache; preemption frees packed pages).
-- :class:`~repro.attn.contiguous.ContiguousBitBackend` — the contiguous
-  struct-of-arrays :class:`~repro.core.attention.BitKVCache`, kept as
-  the bit-exact reference.
+- :class:`~repro.attn.paged.PagedBitBackend` — packed low-bit blocks
+  (integer or MXFP4/NVFP4) in a shared page pool behind per-sequence
+  block tables (the serving cache; preemption frees packed pages).  Its
+  decode is bit-identical to :meth:`~repro.core.attention.BitDecoding.decode`
+  over the contiguous :class:`~repro.core.attention.BitKVCache`, the
+  reference the parity tests compare it with.
 - :class:`~repro.attn.analytical.AnalyticalBackend` — the end-to-end
   latency model, demoted to just another implementation.
 
@@ -23,7 +23,6 @@ to the paged backend, sharing the serving engine's page table.
 """
 
 from repro.attn.analytical import AnalyticalBackend
-from repro.attn.contiguous import ContiguousBitBackend, ContiguousHandle
 from repro.attn.paged import (
     PagedBatchHandle,
     PagedBitBackend,
@@ -36,8 +35,6 @@ from repro.attn.reference import chunked_causal_attention
 __all__ = [
     "AnalyticalBackend",
     "AttentionBackend",
-    "ContiguousBitBackend",
-    "ContiguousHandle",
     "KVCacheHandle",
     "PagedBatchHandle",
     "PagedBitBackend",

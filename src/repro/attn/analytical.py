@@ -2,8 +2,8 @@
 
 Before the protocol existed, the serving engine called the latency
 functions in :mod:`repro.model.inference` directly and could never run a
-real token.  Demoting that cost model to one ``AttentionBackend`` among
-three makes the engine's contract explicit: every backend prices steps;
+real token.  Demoting that cost model to one ``AttentionBackend`` of two
+makes the engine's contract explicit: every backend prices steps;
 numeric backends additionally execute them.  This one prices steps for
 *any* duck-typed attention system (BitDecoding, FlashDecoding, KIVI,
 QServe, ...) and raises loudly if asked for tokens.
@@ -36,7 +36,7 @@ class AnalyticalBackend(AttentionBackend):
     def _no_tokens(self) -> NoReturn:
         raise NotImplementedError(
             "the analytical backend prices scheduler steps; it does not "
-            "execute tokens — use the paged-bit or contiguous-bit backend"
+            "execute tokens — use the paged-bit backend"
         )
 
     def new_handle(self, batch: int, hkv: int, head_dim: int) -> KVCacheHandle:

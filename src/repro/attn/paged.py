@@ -19,12 +19,14 @@ block tables.  One page holds one Tensor-Core-aligned packed block
   (the paper's two-part cache), reserved per batch slot exactly as
   :func:`repro.model.memory.page_pool_size` accounts it.
 
-Storage is bit-identical to the contiguous cache: blocks are produced by
-the same :func:`~repro.core.residual_kernel.flush_blocks` and read back
-through the same :class:`~repro.core.residual_kernel.PackedBlockBatch`
-dequant, so a paged decode and a contiguous decode of the same tokens
-agree exactly under ``numerics_mode="exact_tiled"`` (the parity suite in
-``tests/attn`` enforces it).
+Storage is bit-identical to the contiguous cache, in every format
+(integer and MXFP4/NVFP4): blocks are produced by the same
+:func:`~repro.core.residual_kernel.flush_blocks`, stored as whatever
+per-block tensors it returns, and read back through the same
+:class:`~repro.core.residual_kernel.BlockBatch` dequant, so a paged decode
+and a contiguous decode of the same tokens agree exactly under
+``numerics_mode="exact_tiled"`` (the parity suite in ``tests/attn``
+enforces it).
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.attn.protocol import AttentionBackend, KVCacheHandle, coerce_engine
+from repro.attn.protocol import AttentionBackend, KVCacheHandle
 from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
-from repro.core.quantization import QuantParams
-from repro.core.residual_kernel import PackedBlockBatch, flush_blocks
+from repro.core.residual_kernel import BlockBatch, flush_blocks
 from repro.gpu.arch import ArchSpec
 from repro.pages.allocator import OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
@@ -147,10 +148,10 @@ class PagedGroupView:
 class PagedBitKVCache(TierObserver):
     """Page-pool storage for one layer's packed low-bit K/V.
 
-    The pool arrays mirror :class:`PackedBlockBatch` with the block axis
-    promoted to a *physical page* axis: ``k_words``/``v_words`` are
-    ``[n_pages, hkv, ...fragment words...]`` and the quantization
-    metadata ``[n_pages, hkv, ...group stats...]``.  FP16 residual slots
+    :attr:`pools` mirror a flush's :attr:`BlockBatch.arrays` with the
+    block axis promoted to a *physical page* axis: packed words and
+    quantization metadata (or FP4 values and block scales) are each
+    ``[n_pages, hkv, ...per-block shape...]``.  FP16 residual slots
     are ``[n_slots, hkv, N_r, d]`` pairs handed out per resident
     sequence by their own :class:`PageAllocator` (the serving memory
     model reserves residual buffers per batch slot, not per page).
@@ -185,11 +186,6 @@ class PagedBitKVCache(TierObserver):
         table: Optional[PageTable] = None,
         tiers: Optional[TieredPageStore] = None,
     ):
-        if config.version == "fp4":
-            raise NotImplementedError(
-                "the paged pool stores integer packed words; the FP4 "
-                "micro-scaling path has no paged backend yet"
-            )
         if min(hkv, head_dim, n_slots) <= 0:
             raise ValueError("hkv, head_dim and n_slots must be positive")
         self.config = config
@@ -216,22 +212,15 @@ class PagedBitKVCache(TierObserver):
             tiers.add_observer(self)
         self.tiers = tiers
 
-        # One probe flush fixes every pool shape/dtype: the fragment-word
-        # tensor and group-stat layouts depend only on (N_r, d, config),
-        # never on batch/hkv/block count.
+        # One probe flush fixes every pool shape/dtype: each per-block
+        # tensor depends only on (N_r, d, config), never on batch/hkv/block
+        # count.  The probe also keeps the configuration reads rebuild
+        # gathered pages with.
         zeros = np.zeros((1, 1, 1, nr, head_dim), np.float16)
-        probe = flush_blocks(zeros, zeros, config)
-        self._layout_name = probe.layout_name
-        self._k_axis = probe.k_params.axis
-        self._k_group = probe.k_params.group_size
-        self._v_axis = probe.v_params.axis
-        self._v_group = probe.v_params.group_size
-        self.k_words = np.zeros((n_pages, hkv) + probe.k_words.shape[3:], probe.k_words.dtype)
-        self.v_words = np.zeros((n_pages, hkv) + probe.v_words.shape[3:], probe.v_words.dtype)
-        self.k_scale = np.zeros((n_pages, hkv) + probe.k_params.scale.shape[3:], np.float32)
-        self.k_zero = np.zeros_like(self.k_scale)
-        self.v_scale = np.zeros((n_pages, hkv) + probe.v_params.scale.shape[3:], np.float32)
-        self.v_zero = np.zeros_like(self.v_scale)
+        self._probe = flush_blocks(zeros, zeros, config)
+        self.pools = tuple(
+            np.zeros((n_pages, hkv) + a.shape[3:], a.dtype) for a in self._probe.arrays
+        )
         self.slots = PageAllocator(n_slots)
         self.res_k = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
         self.res_v = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
@@ -248,9 +237,6 @@ class PagedBitKVCache(TierObserver):
         self._memos: dict = {}
         self._keys = itertools.count()
 
-    def _pools(self) -> Tuple[np.ndarray, ...]:
-        return (self.k_words, self.v_words, self.k_scale, self.k_zero, self.v_scale, self.v_zero)
-
     def _frames(self, pages) -> np.ndarray:
         """Physical pool indices for logical page ids (identity untiered)."""
         if self.tiers is None:
@@ -260,11 +246,11 @@ class PagedBitKVCache(TierObserver):
     # --------------------------------------------------- TierObserver hooks
 
     def copy_frame(self, src: int, dst: int) -> None:
-        for pool in self._pools():
+        for pool in self.pools:
             pool[dst] = pool[src]
 
     def exchange_frames(self, a: int, b: int) -> None:
-        for pool in self._pools():
+        for pool in self.pools:
             tmp = pool[a].copy()
             pool[a] = pool[b]
             pool[b] = tmp
@@ -274,19 +260,21 @@ class PagedBitKVCache(TierObserver):
         quantization metadata alike — rot in a scale is as fatal as rot in
         a word)."""
         digest = 0
-        for pool in self._pools():
+        for pool in self.pools:
             digest = zlib.crc32(np.ascontiguousarray(pool[frame]).tobytes(), digest)
         return digest & 0xFFFFFFFF
 
     def corrupt_frame(self, frame: int, salt: int) -> None:
-        """Deterministically flip bits in one frame's packed K words.
+        """Deterministically flip bits in one frame of pool 0 (packed K
+        words, or FP4 K values), viewed as unsigned integers.
 
         The mask is derived from ``salt`` and guaranteed nonzero, so the
         damage always changes the frame's checksum — injection can never
         silently miss.
         """
         self.content_epoch += 1
-        flat = self.k_words[frame].reshape(-1)
+        pool = self.pools[0]
+        flat = pool[frame].reshape(-1).view(f"u{pool.itemsize}")
         idx = salt % flat.size
         # (salt | 1) keeps the low bit set, so the mask is never zero.
         flat[idx] ^= np.asarray((salt | 1) & np.iinfo(flat.dtype).max, dtype=flat.dtype)
@@ -447,7 +435,7 @@ class PagedBitKVCache(TierObserver):
             self._store_blocks(targets, flushed)
 
     def _store_blocks(
-        self, targets: List[Tuple[PagedSeqHandle, int]], flushed: PackedBlockBatch
+        self, targets: List[Tuple[PagedSeqHandle, int]], flushed: BlockBatch
     ) -> None:
         """Write one flush (``[len(targets), hkv, 1, ...]``) into pages.
 
@@ -465,9 +453,7 @@ class PagedBitKVCache(TierObserver):
                 self.content_epoch += 1
             pages.append(page)
         idx = self._frames(pages)
-        kp, vp = flushed.k_params, flushed.v_params
-        parts = (flushed.k_words, flushed.v_words, kp.scale, kp.zero, vp.scale, vp.zero)
-        for pool, part in zip(self._pools(), parts):
+        for pool, part in zip(self.pools, flushed.arrays):
             pool[idx] = part[:, :, 0]
 
     def write_rows(self, handle: PagedSeqHandle, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
@@ -488,7 +474,7 @@ class PagedBitKVCache(TierObserver):
         self._write(handles, k_rows, v_rows)
 
     def copy_pages(self, src: List[int], dst: List[int]) -> None:
-        """Clone packed words + metadata between physical pages.
+        """Clone every pool's content between physical pages.
 
         The engine's ``prefix_share=False`` diagnostic mode uses this to
         materialize prefix-cache hits as private copies instead of shared
@@ -501,14 +487,14 @@ class PagedBitKVCache(TierObserver):
             return
         self.content_epoch += 1
         s, d = self._frames(src), self._frames(dst)
-        for pool in self._pools():
+        for pool in self.pools:
             pool[d] = pool[s]
 
     # --------------------------------------------------------------- reads
 
     def _dequant_frames(self, fmap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather a ``[G, nb]`` frame map into a :class:`PackedBlockBatch`
-        and dequantize it to FP32 ``[G, hkv, nb * N_r, d]``.
+        """Gather a ``[G, nb]`` frame map into a :class:`BlockBatch` and
+        dequantize it to FP32 ``[G, hkv, nb * N_r, d]``.
 
         One fancy-index gather per pool assembles the ``[G, hkv, nb, ...]``
         SoA tensors; dequant is per-block independent, so a batched
@@ -523,19 +509,7 @@ class PagedBitKVCache(TierObserver):
             shaped = pool.take(flat, axis=0).reshape((g, nb) + pool.shape[1:])
             return np.ascontiguousarray(shaped.swapaxes(1, 2))
 
-        k_words, v_words, k_scale, k_zero, v_scale, v_zero = map(gather, self._pools())
-        bits = self.config.bits
-        batch = PackedBlockBatch(
-            length=self.block_tokens,
-            head_dim=self.head_dim,
-            bits=bits,
-            word_bits=self.config.word_bits,
-            layout_name=self._layout_name,
-            k_words=k_words,
-            v_words=v_words,
-            k_params=QuantParams(k_scale, k_zero, self._k_axis, self._k_group, bits),
-            v_params=QuantParams(v_scale, v_zero, self._v_axis, self._v_group, bits),
-        )
+        batch = self._probe.with_arrays([gather(pool) for pool in self.pools])
         return batch.dequant_kv(self.config)
 
     #: Bound on memoized group reads.  :meth:`retire_groups` drops
@@ -651,7 +625,11 @@ class PagedBitBackend(AttentionBackend):
         arch: Union[ArchSpec, str] = "a100",
         n_pages: int = 256,
     ):
-        self.engine = coerce_engine(engine, arch)
+        if engine is None:
+            engine = BitDecodingConfig()
+        if isinstance(engine, BitDecodingConfig):
+            engine = BitDecoding(engine, arch)
+        self.engine = engine
         self.config = self.engine.config
         self.n_pages = n_pages
         self._stores: dict = {}

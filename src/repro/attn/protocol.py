@@ -1,25 +1,23 @@
 """The ``AttentionBackend`` protocol: one API over every cache implementation.
 
-The reproduction grows three ways of answering "attend this query over
-that sequence's KV history":
+The reproduction has two ways of answering "attend this query over that
+sequence's KV history":
 
-- real numerics over a *paged* low-bit cache (packed words living in a
-  shared page pool behind per-sequence block tables),
-- real numerics over the *contiguous* struct-of-arrays cache (the
-  bit-exact reference the kernel tests pin),
+- real numerics over a *paged* low-bit cache (packed blocks, integer or
+  MXFP4/NVFP4, living in a shared page pool behind per-sequence block
+  tables),
 - the *analytical* cost model (no tokens, just milliseconds).
 
-This module defines the protocol all three implement, so the transformer
-and the serving engine stop caring which one they are wired to:
+This module defines the protocol both implement, so the transformer and
+the serving engine stop caring which one they are wired to:
 
 - :class:`KVCacheHandle` — an opaque per-layer cache binding.  For the
   paged backend the handle literally *is* a set of block tables into the
-  shared pool; for the contiguous backend it wraps a
-  :class:`~repro.core.attention.BitKVCache`.
+  shared pool.
 - :class:`AttentionBackend` — ``prefill(q, kv, block_table)`` /
   ``append_kv(kv, block_table)`` / ``decode_step(q, block_table)`` plus
   the step-pricing surface (``decode_step_ms`` and friends) the serving
-  engine schedules with.  Numeric backends price steps through their own
+  engine schedules with.  The numeric backend prices steps through its own
   kernel model; the analytical backend prices steps and refuses tokens.
 """
 
@@ -54,8 +52,7 @@ class AttentionBackend(abc.ABC):
     ``decode_step``): shapes follow the decode-engine convention —
     queries are ``[batch, q_len, hq, d]``, K/V are ``[batch, hkv, n, d]``.
     ``prefill`` may be called repeatedly on the same handle to continue a
-    context chunk by chunk (chunked prefill); backends that only support
-    whole-prompt packing raise on continuation.
+    context chunk by chunk (chunked prefill).
 
     Timing surface (``prefill_time_ms`` / ``decode_step_ms`` /
     ``mixed_step_ms``): the serving engine's clock.  Defaults delegate to
@@ -158,22 +155,4 @@ class AttentionBackend(abc.ABC):
             decode_groups,
             tp,
         )
-
-
-def coerce_engine(engine, arch="a100"):
-    """Normalize a backend's ``engine`` argument to a ``BitDecoding``.
-
-    Accepts a ready :class:`~repro.core.attention.BitDecoding`, a bare
-    :class:`~repro.core.config.BitDecodingConfig` (an engine is built on
-    ``arch``), or None (the default config).  Shared by the numeric
-    backends so their constructors cannot drift.
-    """
-    from repro.core.attention import BitDecoding
-    from repro.core.config import BitDecodingConfig
-
-    if engine is None:
-        engine = BitDecodingConfig()
-    if isinstance(engine, BitDecodingConfig):
-        engine = BitDecoding(engine, arch)
-    return engine
 

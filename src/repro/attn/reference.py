@@ -1,11 +1,12 @@
-"""Exact grouped-query prefill attention shared by the numeric backends.
+"""Exact grouped-query prefill attention, shared by the paged backend and
+the exact reference model.
 
 Prefill is not the paper's focus (the kernels are about *decode* over a
-low-bit cache), so every backend computes prefill attention the same
-exact way: one grouped-query attention per chunk, causal within the
-chunk, unmasked over whatever context the cache already holds.  Keeping
-the math in one place is what makes backend prefill outputs comparable
-bit-for-bit — a fresh prompt is the ``cached == 0`` case and an exact
+low-bit cache), so both compute prefill attention the same exact way:
+one grouped-query attention per chunk, causal within the chunk, unmasked
+over whatever context the cache already holds.  Keeping the math in one
+place is what makes prefill outputs comparable bit-for-bit — a fresh
+prompt is the ``cached == 0`` case and an exact
 decode step the ``n == 1`` case of :func:`chunked_causal_attention`.
 """
 

@@ -14,11 +14,12 @@ Subpackage map (paper section in parentheses):
 - :mod:`repro.core.attention` — the contiguous cache + decode engine
 
 The *public* cache/engine API moved to :mod:`repro.attn` (the
-``AttentionBackend`` protocol and its paged / contiguous / analytical
+``AttentionBackend`` protocol and its paged / analytical
 implementations).  The 0.2-era ``repro.core.BitDecoding`` /
 ``repro.core.BitKVCache`` re-export shims were removed in 0.4; the
-classes themselves live on in :mod:`repro.core.attention` as the
-contiguous backend's internals.
+classes themselves live on in :mod:`repro.core.attention`: the engine
+the paged backend decodes with, and the contiguous cache it is checked
+against.
 """
 
 from repro.core.config import AttentionGeometry, BitDecodingConfig

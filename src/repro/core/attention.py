@@ -32,8 +32,7 @@ from repro.core.packing_kernel import build_packing_launch, run_numeric
 from repro.core.query_transform import group_queries, ungroup_output
 from repro.core.residual_cache import BatchedResidual, partition_prefill
 from repro.core.residual_kernel import (
-    Fp4BlockBatch,
-    PackedBlockBatch,
+    BlockBatch,
     attend_residual,
     attend_residual_grouped,
     build_residual_launch,
@@ -69,7 +68,7 @@ class BitKVCache:
         self.head_dim = head_dim
         self.config = config
         nr = config.residual_block_size
-        self.packed: Optional[Union[PackedBlockBatch, Fp4BlockBatch]] = None
+        self.packed: Optional[BlockBatch] = None
         self.residual = BatchedResidual(batch, hkv, nr, head_dim)
         self.seq_len = 0
         self.flush_epoch = 0

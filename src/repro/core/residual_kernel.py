@@ -20,9 +20,10 @@ words.  Trace builders mirror the same work for the performance model.
 
 from __future__ import annotations
 
+import abc
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -221,21 +222,46 @@ def flush_block(k_block: np.ndarray, v_block: np.ndarray, config: BitDecodingCon
 # ---------------------------------------------------------------------------
 
 
-def _concat_params(a: QuantParams, b: QuantParams, block_axis: int) -> QuantParams:
-    """Concatenate two batched :class:`QuantParams` along the block axis."""
-    if (a.axis, a.group_size, a.bits) != (b.axis, b.group_size, b.bits):
-        raise ValueError("cannot concatenate metadata of differently-quantized blocks")
-    return QuantParams(
-        scale=np.concatenate([a.scale, b.scale], axis=block_axis),
-        zero=np.concatenate([a.zero, b.zero], axis=block_axis),
-        axis=a.axis,
-        group_size=a.group_size,
-        bits=a.bits,
-    )
+class BlockBatch(abc.ABC):
+    """The array interface every batched block format shares.
+
+    A format is a tuple of per-block tensors, block axis 2 (``[batch, hkv,
+    n_blocks, ...]``), plus the configuration that reads them back.
+    Storage that only moves blocks around — concatenating flushes, or the
+    paged pool's per-page frames — works on :attr:`arrays` and rebuilds
+    with :meth:`with_arrays`, never on a format's fields.
+    """
+
+    @property
+    @abc.abstractmethod
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        """Every per-block tensor, block axis at 2, in a fixed order."""
+
+    @abc.abstractmethod
+    def with_arrays(self, arrays) -> "BlockBatch":
+        """The same configuration over other tensors, ordered as :attr:`arrays`."""
+
+    @property
+    def batch(self) -> int:
+        return self.arrays[0].shape[0]
+
+    @property
+    def hkv(self) -> int:
+        return self.arrays[0].shape[1]
+
+    @property
+    def n_blocks(self) -> int:
+        return self.arrays[0].shape[2]
+
+    def extend(self, other: "BlockBatch") -> "BlockBatch":
+        """Append another batch of blocks (one flush) along the block axis."""
+        return self.with_arrays(
+            [np.concatenate(pair, axis=2) for pair in zip(self.arrays, other.arrays)]
+        )
 
 
 @dataclass
-class PackedBlockBatch:
+class PackedBlockBatch(BlockBatch):
     """All quantized+packed blocks of a cache, stored struct-of-arrays.
 
     Block axis is axis 2: ``k_words``/``v_words`` are
@@ -258,37 +284,23 @@ class PackedBlockBatch:
     v_params: QuantParams
 
     @property
-    def batch(self) -> int:
-        return self.k_words.shape[0]
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        kp, vp = self.k_params, self.v_params
+        return (self.k_words, self.v_words, kp.scale, kp.zero, vp.scale, vp.zero)
 
-    @property
-    def hkv(self) -> int:
-        return self.k_words.shape[1]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.k_words.shape[2]
-
-    def extend(self, other: "PackedBlockBatch") -> "PackedBlockBatch":
-        """Append another batch of blocks (one flush) along the block axis."""
-        if (self.length, self.head_dim, self.bits, self.word_bits, self.layout_name) != (
-            other.length,
-            other.head_dim,
-            other.bits,
-            other.word_bits,
-            other.layout_name,
-        ):
-            raise ValueError("cannot extend with blocks of a different configuration")
+    def with_arrays(self, arrays) -> "PackedBlockBatch":
+        k_words, v_words, k_scale, k_zero, v_scale, v_zero = arrays
+        kp, vp = self.k_params, self.v_params
         return PackedBlockBatch(
             length=self.length,
             head_dim=self.head_dim,
             bits=self.bits,
             word_bits=self.word_bits,
             layout_name=self.layout_name,
-            k_words=np.concatenate([self.k_words, other.k_words], axis=2),
-            v_words=np.concatenate([self.v_words, other.v_words], axis=2),
-            k_params=_concat_params(self.k_params, other.k_params, block_axis=2),
-            v_params=_concat_params(self.v_params, other.v_params, block_axis=2),
+            k_words=k_words,
+            v_words=v_words,
+            k_params=QuantParams(k_scale, k_zero, kp.axis, kp.group_size, kp.bits),
+            v_params=QuantParams(v_scale, v_zero, vp.axis, vp.group_size, vp.bits),
         )
 
     def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -307,7 +319,7 @@ class PackedBlockBatch:
             )
         interleaved = config.dequant_method == "lop3"
         n, d = self.length, self.head_dim
-        batch, hkv = self.batch, self.hkv
+        batch, hkv, nb = self.k_words.shape[:3]
 
         # The inverse fragment permutation turns the scatter back into a
         # gather (``np.take``), which runs an order of magnitude faster
@@ -316,19 +328,19 @@ class PackedBlockBatch:
         # land the codes straight in (N_r, d).
         k_frag = unpack_values(self.k_words, self.bits, self.word_bits, interleaved=interleaved)
         _, inv_k = block_fragment_offsets(layout, d, n, transposed=True)
-        k_codes = np.take(k_frag.reshape(batch, hkv, self.n_blocks, n * d), inv_k, axis=-1)
-        k_codes = k_codes.reshape(batch, hkv, self.n_blocks, n, d)
+        k_codes = np.take(k_frag.reshape(batch, hkv, nb, n * d), inv_k, axis=-1)
+        k_codes = k_codes.reshape(batch, hkv, nb, n, d)
 
         v_frag = unpack_values(self.v_words, self.bits, self.word_bits, interleaved=interleaved)
         _, inv_v = block_fragment_offsets(layout, n, d)
-        v_codes = np.take(v_frag.reshape(batch, hkv, self.n_blocks, n * d), inv_v, axis=-1)
-        v_codes = v_codes.reshape(batch, hkv, self.n_blocks, n, d)
+        v_codes = np.take(v_frag.reshape(batch, hkv, nb, n * d), inv_v, axis=-1)
+        v_codes = v_codes.reshape(batch, hkv, nb, n, d)
 
         k_hat = dequantize(k_codes, self.k_params)
         v_hat = dequantize(v_codes, self.v_params)
         return (
-            k_hat.reshape(batch, hkv, self.n_blocks * n, d),
-            v_hat.reshape(batch, hkv, self.n_blocks * n, d),
+            k_hat.reshape(batch, hkv, nb * n, d),
+            v_hat.reshape(batch, hkv, nb * n, d),
         )
 
     @property
@@ -343,7 +355,7 @@ class PackedBlockBatch:
 
 
 @dataclass
-class Fp4BlockBatch:
+class Fp4BlockBatch(BlockBatch):
     """All micro-scaling FP4 blocks of a cache, struct-of-arrays (axis 2)."""
 
     length: int
@@ -355,37 +367,20 @@ class Fp4BlockBatch:
     v_scales: Fp4Params
 
     @property
-    def batch(self) -> int:
-        return self.k_values.shape[0]
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        return (self.k_values, self.v_values, self.k_scales.scale, self.v_scales.scale)
 
-    @property
-    def hkv(self) -> int:
-        return self.k_values.shape[1]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.k_values.shape[2]
-
-    def extend(self, other: "Fp4BlockBatch") -> "Fp4BlockBatch":
-        if (self.length, self.head_dim, self.fmt) != (other.length, other.head_dim, other.fmt):
-            raise ValueError("cannot extend with blocks of a different configuration")
-
-        def cat(a: Fp4Params, b: Fp4Params) -> Fp4Params:
-            return Fp4Params(
-                scale=np.concatenate([a.scale, b.scale], axis=2),
-                axis=a.axis,
-                block_size=a.block_size,
-                fmt=a.fmt,
-            )
-
+    def with_arrays(self, arrays) -> "Fp4BlockBatch":
+        k_values, v_values, k_scale, v_scale = arrays
+        ks, vs = self.k_scales, self.v_scales
         return Fp4BlockBatch(
             length=self.length,
             head_dim=self.head_dim,
             fmt=self.fmt,
-            k_values=np.concatenate([self.k_values, other.k_values], axis=2),
-            v_values=np.concatenate([self.v_values, other.v_values], axis=2),
-            k_scales=cat(self.k_scales, other.k_scales),
-            v_scales=cat(self.v_scales, other.v_scales),
+            k_values=k_values,
+            v_values=v_values,
+            k_scales=Fp4Params(k_scale, ks.axis, ks.block_size, ks.fmt),
+            v_scales=Fp4Params(v_scale, vs.axis, vs.block_size, vs.fmt),
         )
 
     def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -416,7 +411,7 @@ _FLUSH_CHUNK_VALUES = 512 * 1024
 
 def flush_blocks(
     k_blocks: np.ndarray, v_blocks: np.ndarray, config: BitDecodingConfig
-) -> Union[PackedBlockBatch, Fp4BlockBatch]:
+) -> BlockBatch:
     """Quantize + pack a batch of residual blocks, cache-blocked.
 
     ``k_blocks`` / ``v_blocks`` are ``[batch, hkv, n_blocks, N_r, d]``.

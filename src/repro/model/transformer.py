@@ -1,9 +1,8 @@
 """A small runnable numpy transformer decoder.
 
 A functional substrate for end-to-end *numerics*: RMSNorm, RoPE, attention
-through any :class:`~repro.attn.protocol.AttentionBackend` (paged or
-contiguous low-bit caches, or the exact FP16 reference when no backend is
-set), and a SwiGLU MLP.  Used by the integration tests, the
+through an :class:`~repro.attn.protocol.AttentionBackend` (the paged
+low-bit cache, or the exact FP16 reference when no backend is set), and a SwiGLU MLP.  Used by the integration tests, the
 LongBench-proxy accuracy suite and the serving engine's real-execution
 mode (:class:`~repro.attn.runner.ModelRunner`) to push real activations
 through the real quantized-cache code paths — not to reproduce
@@ -221,9 +220,8 @@ class TinyTransformer:
         """Free whatever the session's cache handles pin in the backend.
 
         For the paged backend this returns the sequences' pages and
-        residual slots to the shared pool; contiguous handles have
-        nothing pooled to free.  The session is reset to empty and can be
-        prefilled again.
+        residual slots to the shared pool.  The session is reset to empty
+        and can be prefilled again.
         """
         if self.backend is not None:
             for handle in session.caches:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attn import AnalyticalBackend, ContiguousBitBackend, PagedBitBackend
+from repro.attn import AnalyticalBackend, PagedBitBackend
 from repro.core.config import BitDecodingConfig
 
 
@@ -38,21 +38,22 @@ class TestAnalyticalBackend:
         with pytest.raises(TypeError):
             AnalyticalBackend(object())
 
-    def test_runner_requires_the_paged_backend(self):
+    def test_runner_requires_the_paged_backend(self, a100):
         from repro.attn.runner import ModelRunner
+        from repro.core.attention import BitDecoding
         from repro.model.config import TINY
         from repro.pages.allocator import PageAllocator
         from repro.pages.page_table import PageTable
 
-        config = BitDecodingConfig(bits=4, wn=1)
-        table = PageTable(PageAllocator(8), page_size=config.residual_block_size)
+        kernel = BitDecoding(BitDecodingConfig(bits=4, wn=1), a100)
+        table = PageTable(PageAllocator(8), page_size=kernel.config.residual_block_size)
         with pytest.raises(TypeError, match="paged-bit"):
-            ModelRunner(TINY, ContiguousBitBackend(config), table, n_slots=2)
+            ModelRunner(TINY, AnalyticalBackend(kernel), table, n_slots=2)
 
 
 class TestHandles:
-    def test_contiguous_handle_tracks_seq_len(self, rng):
-        backend = ContiguousBitBackend(BitDecodingConfig(bits=4, wn=1))
+    def test_paged_handle_tracks_seq_len(self, rng):
+        backend = PagedBitBackend(BitDecodingConfig(bits=4, wn=1), n_pages=8)
         handle = backend.new_handle(1, 2, 16)
         assert handle.seq_len == 0
         k = rng.standard_normal((1, 2, 10, 16)).astype(np.float16)
@@ -62,14 +63,6 @@ class TestHandles:
             (np.zeros((1, 2, 16), np.float32), np.zeros((1, 2, 16), np.float32)), handle
         )
         assert handle.seq_len == 11
-
-    def test_contiguous_rejects_chunked_continuation(self, rng):
-        backend = ContiguousBitBackend(BitDecodingConfig(bits=4, wn=1))
-        handle = backend.new_handle(1, 2, 16)
-        k = rng.standard_normal((1, 2, 8, 16)).astype(np.float16)
-        backend.prefill(None, (k, k), handle)
-        with pytest.raises(NotImplementedError):
-            backend.prefill(None, (k, k), handle)
 
     def test_paged_handle_block_tables_grow_with_flushes(self, rng):
         config = BitDecodingConfig(bits=4, wn=1)  # N_r = 32

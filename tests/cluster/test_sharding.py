@@ -138,7 +138,9 @@ class TestHeadSplit:
         sharded, single = _pair(a100)
         store = sharded.store_for(HKV, HEAD_DIM)
         assert type(store) is PagedBitKVCache
-        assert store.k_words.shape == single.store_for(HKV, HEAD_DIM).k_words.shape
+        assert [p.shape for p in store.pools] == [
+            p.shape for p in single.store_for(HKV, HEAD_DIM).pools
+        ]
 
     def test_tp_must_divide_hkv(self, rng, a100):
         sharded, _ = _pair(a100, tp=3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attn import ContiguousBitBackend
+from repro.attn import PagedBitBackend
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
 from repro.model.transformer import (
@@ -86,7 +86,7 @@ class TestEndToEnd:
         engine = BitDecoding(
             BitDecodingConfig(bits=8, wn=2), "a100"
         )  # small N_r so the cache actually quantizes
-        quant = TinyTransformer(**dims, backend=ContiguousBitBackend(engine), seed=0)
+        quant = TinyTransformer(**dims, backend=PagedBitBackend(engine), seed=0)
         quant.prefill(x.copy())
 
         for step in steps:
@@ -97,7 +97,7 @@ class TestEndToEnd:
 
     def test_cache_grows_with_decode(self, rng, dims):
         engine = BitDecoding(BitDecodingConfig(bits=4), "a100")
-        model = TinyTransformer(**dims, backend=ContiguousBitBackend(engine), seed=0)
+        model = TinyTransformer(**dims, backend=PagedBitBackend(engine), seed=0)
         model.prefill(rng.standard_normal((1, 10, 64)).astype(np.float32))
         assert model._session.caches[0].seq_len == 10
         model.decode_step(rng.standard_normal((1, 64)).astype(np.float32))

@@ -365,10 +365,8 @@ class TestRaggedGroupWrites:
         oracle = flush_blocks(
             *(rows[:, : nb * NR].reshape(2, nb, NR, 16)[None] for rows in (k_all, v_all)), CONFIG
         )
-        kp, vp = oracle.k_params, oracle.v_params
-        parts = (oracle.k_words, oracle.v_words, kp.scale, kp.zero, vp.scale, vp.zero)
         frames = world.tiers.frames_of(handle.block_ids)
-        for pool, part in zip(cache._pools(), parts):
+        for pool, part in zip(cache.pools, oracle.arrays):
             np.testing.assert_array_equal(pool[frames], part[0].swapaxes(0, 1))
         # Reads after each round extend the memo instead of rebuilding it.
         for got, want in zip(cache.dequant_group([handle]), oracle.dequant_kv(CONFIG)):
@@ -406,3 +404,55 @@ class TestRaggedGroupWrites:
                 k_all, v_all = streams[g]
                 streams[g] = (np.concatenate([k_all, k[g]], 1), np.concatenate([v_all, v[g]], 1))
                 self._check(world, handle, *streams[g])
+
+
+class TestFp4TieredRoundTrip:
+    """An MXFP4 pool stores whatever its flush returns (FP4 values and
+    block scales), so it swaps out and back in bit-exactly, and the
+    checksum catches a frame damaged while parked on the host."""
+
+    def test_swap_round_trip_and_corruption_detection(self, rng):
+        from repro.attn.paged import PagedBitKVCache
+        from repro.faults.plan import FaultPlan, FaultSpec
+
+        config = BitDecodingConfig(version="fp4", fp4_format="mxfp4", wn=1)
+        nr = config.residual_block_size
+        alloc = PageAllocator(8)
+        table = PageTable(alloc, page_size=nr)
+        # A plan with every rate zero: checksums are recorded and verified,
+        # nothing is injected.  Two device frames hold one sequence.
+        tiers = TieredPageStore(alloc, 2, 6, page_nbytes=64.0, faults=FaultPlan(FaultSpec()))
+        cache = PagedBitKVCache(config, hkv=2, head_dim=32, table=table, tiers=tiers, n_slots=2)
+        a, b = (cache.adopt(table.add_sequence(2 * nr)) for _ in range(2))
+        for handle in (a, b):
+            cache.write_rows(handle, *rng.standard_normal((2, 2, 2 * nr, 32)).astype(np.float16))
+        assert cache.pools[0].dtype == np.float16  # FP4 values, not packed words
+        pages_a, pages_b = (list(table.sequences[h.seq_id].pages) for h in (a, b))
+
+        def checksums(pages):
+            return [cache.frame_checksum(f) for f in tiers.frames_of(pages)]
+
+        # Swap A out, B in, and A back in over B (an exchange of live
+        # frames): every page lands bit-exactly, the checksums verify, and
+        # a rebound handle reads what was written.
+        before, sums_a, sums_b = cache.dequant_group([a]), checksums(pages_a), checksums(pages_b)
+        cache.free_slot(a)
+        tiers.demote(pages_a)
+        tiers.ensure_resident(pages_b)
+        tiers.ensure_resident(pages_a)
+        assert not any(tiers.resident(p) for p in pages_b)
+        assert tiers.drain_bad_pages() == {}
+        assert (checksums(pages_a), checksums(pages_b)) == (sums_a, sums_b)
+        a = cache.reattach(a.seq_id, 2 * nr)
+        for got, want in zip(cache.dequant_group([a]), before):
+            np.testing.assert_array_equal(got, want)
+
+        # Damage one of B's parked frames outside the plan: promotion
+        # catches it.
+        frame = int(tiers.frames_of(pages_b[:1])[0])
+        digest = cache.frame_checksum(frame)
+        cache.corrupt_frame(frame, salt=12345)
+        assert cache.frame_checksum(frame) != digest
+        tiers.ensure_resident(pages_b)
+        assert tiers.drain_bad_pages() == {pages_b[0]: "corrupt"}
+        assert tiers.checksum_failures == 1

@@ -57,9 +57,9 @@ class TestExecuteMode:
 
     def test_execute_requires_numeric_backend(self, a100):
         kernel = int4_stack(TINY, a100).kernel
-        with pytest.raises(ValueError, match="token-executing"):
+        with pytest.raises(ValueError, match="token-executing paged-bit"):
             EngineConfig(backend=AnalyticalBackend(kernel), execute=True, **_common(a100, 16))
-        with pytest.raises(ValueError, match="token-executing"):
+        with pytest.raises(ValueError, match="token-executing paged-bit"):
             EngineConfig(attention=kernel, execute=True, **_common(a100, 16))
 
     def test_execute_requires_page_size_nr(self, a100):
@@ -81,13 +81,3 @@ class TestExecuteMode:
     def test_config_requires_some_attention(self, a100):
         with pytest.raises(ValueError, match="attention"):
             EngineConfig(model=TINY, arch=a100, fmt=int4_stack(TINY, a100).fmt)
-
-    def test_execute_rejects_non_paged_numeric_backend(self, a100):
-        from repro.attn import ContiguousBitBackend
-
-        with pytest.raises(ValueError, match="paged-bit"):
-            EngineConfig(
-                backend=ContiguousBitBackend(int4_stack(TINY, a100).kernel),
-                execute=True,
-                **_common(a100, 16),
-            )
