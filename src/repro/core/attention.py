@@ -22,7 +22,7 @@ every launch.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.residual_kernel import (
 )
 from repro.core.softmax import OnlineSoftmaxState
 from repro.gpu.arch import ArchSpec, get_arch
-from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, remember, simulate_kernel
 
 
 class BitKVCache:
@@ -224,6 +224,8 @@ class BitDecoding:
         self.arch = get_arch(arch) if isinstance(arch, str) else arch
         validate_config(self.arch, config)
         self.config = config
+        self._group_memos: Dict[tuple, Dict[Tuple[int, int], float]] = {}
+        self._residual_memo: Dict[tuple, float] = {}
 
     def _check_cache_compatible(self, cache: BitKVCache) -> None:
         """Refuse caches built under a different kernel configuration.
@@ -295,6 +297,23 @@ class BitDecoding:
 
     # ---------------------------------------------------------- performance
 
+    def _res_len(self, res_len: Optional[int]) -> int:
+        """``res_len`` or, when None, half the residual block (the average
+        decode state)."""
+        return max(1, self.config.residual_block_size // 2) if res_len is None else res_len
+
+    def _packing_launch(
+        self, geom: AttentionGeometry, res_len: int, paged: bool, page_size: int
+    ) -> Optional[KernelLaunch]:
+        """The Packing-Kernel launch over the ``seq_len - res_len`` packed
+        tokens, or None when nothing is packed yet."""
+        packed_len = max(0, geom.seq_len - res_len)
+        if packed_len == 0:
+            return None
+        return build_packing_launch(
+            geom, self.config, self.arch, packed_len=packed_len, paged=paged, page_size=page_size
+        )
+
     def decode_launches(
         self,
         geom: AttentionGeometry,
@@ -308,24 +327,10 @@ class BitDecoding:
         ``res_len`` defaults to half the residual block (the average decode
         state); pass ``res_len=None, flush=True`` to model a flush step.
         """
-        nr = self.config.residual_block_size
-        if res_len is None:
-            res_len = max(1, nr // 2)
-        packed_len = max(0, geom.seq_len - res_len)
-        launches = []
-        if packed_len > 0:
-            launches.append(
-                build_packing_launch(
-                    geom,
-                    self.config,
-                    self.arch,
-                    packed_len=packed_len,
-                    paged=paged,
-                    page_size=page_size,
-                )
-            )
-        launches.append(build_residual_launch(geom, self.config, self.arch, res_len, flush=flush))
-        return launches
+        res_len = self._res_len(res_len)
+        packing = self._packing_launch(geom, res_len, paged, page_size)
+        residual = build_residual_launch(geom, self.config, self.arch, res_len, flush=flush)
+        return [residual] if packing is None else [packing, residual]
 
     def decode_results(self, geom: AttentionGeometry, **kwargs) -> List[KernelResult]:
         """Simulate one decode step's launches on this engine's device."""
@@ -334,12 +339,54 @@ class BitDecoding:
             for launch in self.decode_launches(geom, **kwargs)
         ]
 
+    def _residual_ms(self, geom: AttentionGeometry, res_len: int, flush: bool) -> float:
+        """Residual-Kernel latency, memoized without ``geom.seq_len``.
+
+        :func:`build_residual_launch` never reads the cache length, so one
+        simulation serves every length of a ``(batch, heads, head_dim,
+        q_len, res_len, flush)`` class.  The memo is separate from
+        ``decode_time_ms``'s, whose keys are whole geometries.
+        """
+        key = (geom.batch, geom.hq, geom.hkv, geom.head_dim, geom.q_len, res_len, flush)
+        value = self._residual_memo.get(key)
+        if value is None:
+            launch = build_residual_launch(geom, self.config, self.arch, res_len, flush=flush)
+            value = remember(self._residual_memo, key, simulate_kernel(self.arch, launch).time_ms)
+        return value
+
     @memoized_latency
-    def decode_time_ms(self, geom: AttentionGeometry, **kwargs) -> float:
+    def decode_time_ms(
+        self,
+        geom: AttentionGeometry,
+        res_len: Optional[int] = None,
+        flush: bool = False,
+        paged: bool = False,
+        page_size: int = 64,
+    ) -> float:
         """Simulated latency (ms) of one decode attention step.
 
-        Memoized per engine on ``geom`` + kwargs; :meth:`decode_launches` /
+        The Packing launch plus the Residual launch of
+        :meth:`decode_launches`, summed in that order.  Memoized per engine
+        on ``geom`` + kwargs; a miss simulates only the Packing launch
+        (whose trace reads ``seq_len``) and takes the Residual launch from
+        :meth:`_residual_ms`.  :meth:`decode_launches` /
         :meth:`decode_results` stay uncached because they hand out mutable
         launches and results.
         """
-        return sum(r.time_ms for r in self.decode_results(geom, **kwargs))
+        res_len = self._res_len(res_len)
+        packing = self._packing_launch(geom, res_len, paged, page_size)
+        packing_ms = 0.0 if packing is None else simulate_kernel(self.arch, packing).time_ms
+        return packing_ms + self._residual_ms(geom, res_len, flush)
+
+    def group_memo(self, model, tp: int) -> Dict[Tuple[int, int], float]:
+        """Per-step attention ms by ``(group_batch, group_seq_len)`` for
+        ``model`` at ``tp``: ``model.n_layers`` times :meth:`decode_time_ms`
+        at ``model.attention_geometry(group_batch, group_seq_len, tp=tp)``.
+
+        The step pricing in :mod:`repro.model.inference` fills it, so a
+        decode group priced before costs one lookup on an int pair instead
+        of a geometry build plus a dataclass-keyed hit.  It lives on the
+        engine (a fresh engine is cold) and is cleared at
+        :data:`~repro.gpu.kernel.LATENCY_MEMO_CAP` entries.
+        """
+        return self._group_memos.setdefault((model, tp), {})

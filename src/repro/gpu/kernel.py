@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, Hashable
 
 from repro.gpu.arch import ArchSpec
 from repro.gpu.memory import dram_time, l2_time, smem_time
@@ -32,8 +32,10 @@ BARRIER_CYCLES = 30.0
 #: Instruction paths a kernel can compile for.
 INSTRUCTION_PATHS = ("sm80", "sm90", "blackwell_fp4")
 
-#: Latencies one system instance memoizes before its memo is cleared (a
-#: serving trace prices a few thousand distinct shapes; this is ~10 MB).
+#: Entries one latency memo holds before it is cleared.  A serving trace
+#: adds one entry per distinct decode shape to each of a system's geometry
+#: memo and group memo (a few thousand) and one per residual class to
+#: BitDecoding's residual memo (a few dozen); a full memo is ~10 MB.
 LATENCY_MEMO_CAP = 1 << 16
 
 
@@ -81,8 +83,17 @@ class KernelResult:
     resource_times: Dict[str, float]
     occupancy: Occupancy
     arch_name: str
-    #: Standalone times of the launch's subtraces (same occupancy/overlap).
-    subtrace_times: Dict[str, float] = field(default_factory=dict)
+    #: Computes :attr:`subtrace_times`; bound by :func:`simulate_kernel`.
+    _subtrace_times: Callable[[], Dict[str, float]] = field(default=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def subtrace_times(self) -> Dict[str, float]:
+        """Standalone times of the launch's subtraces (same occupancy/overlap).
+
+        Computed on first read: step pricing only needs :attr:`time_s`, so
+        it never pays the extra resource pass per subtrace.
+        """
+        return self._subtrace_times()
 
     @property
     def time_ms(self) -> float:
@@ -175,12 +186,15 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
     launch_time = launch.launches * arch.kernel_launch_us * 1e-6
     total = launch_time + exec_time + barrier_time
 
-    sub_times = {}
-    for tag, sub in launch.subtraces.items():
-        sub_times[tag] = (
-            _combine(_resource_times(arch, launch, sub, occ), launch.hide_factor)
-            / path_eff
-        )
+    # Bound now, evaluated on read: a caller editing the launch afterwards
+    # cannot change this result.
+    subtraces, hide = dict(launch.subtraces), launch.hide_factor
+
+    def subtrace_times() -> Dict[str, float]:
+        return {
+            tag: _combine(_resource_times(arch, launch, sub, occ), hide) / path_eff
+            for tag, sub in subtraces.items()
+        }
 
     return KernelResult(
         name=launch.name,
@@ -190,8 +204,17 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
         resource_times=times,
         occupancy=occ,
         arch_name=arch.name,
-        subtrace_times=sub_times,
+        _subtrace_times=subtrace_times,
     )
+
+
+def remember(memo: Dict[Hashable, float], key: Hashable, value: float) -> float:
+    """Store ``value`` under ``key`` and return it; a memo that has reached
+    :data:`LATENCY_MEMO_CAP` entries is cleared first."""
+    if len(memo) >= LATENCY_MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
@@ -200,13 +223,19 @@ def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
     The latency is a pure function of the frozen ``geom``, the keyword
     arguments and the instance's construction-time ``arch``/config, so the
     first call at a shape builds and simulates its launches and every later
-    one is a dict lookup returning the same float — a scheduler step costs
-    O(new shapes), not O(groups).  The key is ``geom`` plus the
-    ``(name, value)`` kwargs pairs sorted by name: kwargs order changes
-    nothing and keys that differ in one kwarg never collide.  The memo
-    lives on the instance (no process-global state; a fresh instance is
-    cold), fills lazily and is cleared when it reaches
+    one is a dict lookup returning the same float.  The key is ``geom``
+    plus the ``(name, value)`` kwargs pairs sorted by name: kwargs order
+    changes nothing and keys that differ in one kwarg never collide.  The
+    memo lives on the instance (no process-global state; a fresh instance
+    is cold), fills lazily and is cleared when it reaches
     :data:`LATENCY_MEMO_CAP` entries.  A call that raises stores nothing.
+
+    A hit still hashes a dataclass and sorts the kwargs (a few
+    microseconds), so BitDecoding keeps two more memos.  The engine's step
+    pricing asks :meth:`~repro.core.attention.BitDecoding.group_memo` first,
+    which answers a repeated ``(batch, seq_len)`` with one int-pair lookup.
+    And a miss here simulates only the launch that reads ``seq_len``: the
+    residual launch, which does not, is memoized apart.
     """
 
     @functools.wraps(method)
@@ -218,10 +247,7 @@ def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
         key = (geom, *sorted(kwargs.items()))
         value = memo.get(key)
         if value is None:
-            value = method(self, geom, **kwargs)
-            if len(memo) >= LATENCY_MEMO_CAP:
-                memo.clear()
-            memo[key] = value
+            value = remember(memo, key, method(self, geom, **kwargs))
         return value
 
     return lookup

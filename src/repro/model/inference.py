@@ -27,6 +27,7 @@ from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
+from repro.gpu.kernel import remember
 from repro.model.config import ModelConfig
 
 #: Non-attention kernels per layer (norms, GEMM launches) after CUDA-graph
@@ -107,16 +108,25 @@ def _grouped_attention_ms(
     ``tp`` shards the head space: each rank runs the same kernel over
     ``hq/tp`` query heads and ``hkv/tp`` KV heads, and ranks run
     concurrently, so the step pays one rank's (smaller) attention time.
+
+    A system with a ``group_memo(model, tp)`` (BitDecoding) answers a group
+    it has priced before with one int-pair lookup; any other system is
+    asked for every group (the throwaway ``{}`` never hits: the engine's
+    groups within one step have distinct lengths).
     """
     if decode_groups is None:
-        geom = model.attention_geometry(batch, seq_len, tp=tp)
-        return model.n_layers * attention.decode_time_ms(geom)
-    if sum(b for b, _ in decode_groups) != batch:
+        decode_groups = ((batch, seq_len),)
+    elif sum(b for b, _ in decode_groups) != batch:
         raise ValueError("decode_groups batches must sum to the step's decode batch")
+    group_memo = getattr(attention, "group_memo", None)
+    memo = {} if group_memo is None else group_memo(model, tp)
     attn_ms = 0.0
-    for group_batch, group_seq_len in decode_groups:
-        geom = model.attention_geometry(group_batch, group_seq_len, tp=tp)
-        attn_ms += model.n_layers * attention.decode_time_ms(geom)
+    for group in decode_groups:
+        group_ms = memo.get(group)
+        if group_ms is None:
+            geom = model.attention_geometry(*group, tp=tp)
+            group_ms = remember(memo, group, model.n_layers * attention.decode_time_ms(geom))
+        attn_ms += group_ms
     return attn_ms
 
 

@@ -15,7 +15,8 @@ cache, decode runs the real Packing/Residual kernels.  Scores are the
 fraction of trials where the attended output decodes (nearest-neighbor) to
 the correct value.  FP16 runs the same tasks through exact attention, so
 the FP16 -> INT4 -> INT2 degradation ordering and rough magnitudes are
-directly comparable to Table I's deltas (-0.2% / -2.7%).
+directly comparable to Table I's deltas relative to FP16 (-0.2% / -1.8%:
+48.25 -> 48.16 / 47.38 in ``repro.bench.figures.TABLE1_PAPER``).
 """
 
 from __future__ import annotations

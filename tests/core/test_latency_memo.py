@@ -1,23 +1,30 @@
-"""The per-instance kernel-latency memo is exact.
+"""The per-instance kernel-latency memos are exact.
 
 ``decode_time_ms`` of every attention system is memoized on the frozen
-geometry plus its name-sorted kwargs (``repro.gpu.kernel.memoized_latency``).
-A memo may only ever change *when* a latency is computed, never *what* it
-is: every comparison here is ``==`` against a cold, freshly built instance.
+geometry plus its name-sorted kwargs (``repro.gpu.kernel.memoized_latency``);
+BitDecoding's additionally takes its Residual launch from a memo keyed
+without ``seq_len``.  A memo may only ever change *when* a latency is
+computed, never *what* it is: every comparison here is ``==`` against a
+cold, freshly built instance or the uncached launches.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.gpu.kernel as kernel_module
 from repro.baselines import Atom, FlashDecodingV2, QServe
 from repro.core.attention import BitDecoding
 from repro.core.config import AttentionGeometry, BitDecodingConfig
+from repro.core.residual_kernel import build_residual_launch
 from repro.gpu.arch import get_arch
+from repro.gpu.kernel import simulate_kernel
 
 A100 = get_arch("a100")
+RTX5090 = get_arch("rtx5090")
 CONFIG = BitDecodingConfig(bits=4)  # N_r = 128
 
 GEOMETRIES = [
@@ -85,6 +92,59 @@ class TestExactness:
         first = engine.decode_time_ms(AttentionGeometry(4, 32, 8, 1000, 128))
         assert engine.decode_time_ms(AttentionGeometry(4, 32, 8, 1000, 128)) == first
         assert len(engine._latency_memo) == 1
+
+
+#: Every cache format the residual memo must serve: integer bit widths at
+#: both key granularities, and both FP4 formats on a Blackwell part.
+INT_FORMATS = [
+    (BitDecodingConfig(bits=bits, granularity=granularity), A100)
+    for bits in (2, 4, 8)
+    for granularity in ("token", "channel")
+]
+FP4_FORMATS = [
+    (BitDecodingConfig(version="fp4", fp4_format=f), RTX5090) for f in ("mxfp4", "nvfp4")
+]
+
+
+class TestResidualMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_warm_equals_uncached_launches_at_every_length(self, data):
+        config, arch = data.draw(st.sampled_from(INT_FORMATS + FP4_FORMATS), label="format")
+        hkv = data.draw(st.sampled_from((1, 2, 8)), label="hkv")
+        hq = hkv * data.draw(st.sampled_from((1, 4, 8)), label="gq")
+        batch = data.draw(st.integers(1, 16), label="batch")
+        head_dim = data.draw(st.sampled_from((64, 128)), label="head_dim")
+        nr = config.residual_block_size
+        kwargs = dict(
+            res_len=data.draw(st.one_of(st.none(), st.integers(1, nr)), label="res_len"),
+            flush=data.draw(st.booleans(), label="flush"),
+            paged=data.draw(st.booleans(), label="paged"),
+            page_size=data.draw(st.sampled_from((16, 64, 128)), label="page_size"),
+        )
+        seq_lens = data.draw(
+            st.lists(st.integers(1, 1 << 15), min_size=2, max_size=4, unique=True),
+            label="seq_lens",
+        )
+        warm = BitDecoding(config, arch)
+        for _ in range(2):
+            for seq_len in seq_lens:
+                geom = AttentionGeometry(batch, hq, hkv, seq_len, head_dim)
+                results = BitDecoding(config, arch).decode_results(geom, **kwargs)
+                uncached = sum(r.time_ms for r in results)
+                assert warm.decode_time_ms(geom, **kwargs) == uncached
+                assert BitDecoding(config, arch).decode_time_ms(geom, **kwargs) == uncached
+        assert len(warm._residual_memo) == 1  # one simulation served every length
+
+        # The invariant the memo rests on: the Residual launch ignores seq_len.
+        res_len = kwargs["res_len"] or max(1, nr // 2)
+
+        def residual_s(seq_len):
+            geom = AttentionGeometry(batch, hq, hkv, seq_len, head_dim)
+            launch = build_residual_launch(geom, config, arch, res_len, flush=kwargs["flush"])
+            return simulate_kernel(arch, launch).time_s
+
+        assert residual_s(seq_lens[0]) == residual_s(seq_lens[1])
 
 
 class TestKeys:

@@ -1,10 +1,13 @@
 """Step pricing costs O(new shapes) — shown by counting, never by a clock.
 
-The engine prices every ragged decode group of every step through
-``BitDecoding.decode_time_ms``.  With the per-instance latency memo a
-shape is simulated once (two launches: packing + residual); a run priced
-through a shim that builds a cold attention system per call must produce
-the same report, field for field.
+The engine prices every ragged decode group of every step.  A
+``(group_batch, group_seq_len)`` priced before is one lookup in
+``BitDecoding.group_memo``; a new one calls ``decode_time_ms`` once, which
+simulates one Packing launch for the shape.  The Residual launch never
+reads ``seq_len``, so it is simulated once per residual class (here: per
+distinct group batch, since heads, ``res_len`` and ``flush`` are fixed).
+A run priced through a shim that builds a cold attention system per call
+must produce the same report, field for field.
 """
 
 import dataclasses
@@ -79,9 +82,17 @@ def _priced_shapes(grouped_calls):
     return shapes
 
 
-def test_simulations_equal_twice_the_distinct_shapes(monkeypatch):
+def _packing_and_residual(simulated):
+    """Split the recorded ``simulate_kernel(arch, launch)`` calls by kernel."""
+    names = [launch.name for _arch, launch in simulated]
+    assert set(names) <= {"packing_kernel", "residual_kernel"}
+    return names.count("packing_kernel"), names.count("residual_kernel")
+
+
+def test_simulations_equal_the_distinct_shapes_and_residual_classes(monkeypatch):
     simulated = _count_calls(monkeypatch, attention_module, "simulate_kernel")
     grouped = _count_calls(monkeypatch, inference, "_grouped_attention_ms")
+    launched = _count_calls(monkeypatch, BitDecoding, "decode_time_ms")
     engine = ContinuousBatchingEngine(_config(BitDecoding(KERNEL_CONFIG, A100)), _trace())
     report = engine.run()
     assert report.completed == 24
@@ -89,11 +100,15 @@ def test_simulations_equal_twice_the_distinct_shapes(monkeypatch):
     shapes = _priced_shapes(grouped)
     priced_groups = sum(len(call[4]) for call in grouped)
     assert all(seq_len > KERNEL_CONFIG.residual_block_size for _, seq_len in shapes)
-    assert len(simulated) == 2 * len(shapes)  # one packing + one residual launch each
+    assert len(launched) == len(shapes)  # a repeated group never reaches decode_time_ms
+    packing, residual = _packing_and_residual(simulated)
+    assert packing == len(shapes)
+    assert residual == len({batch for batch, _ in shapes})
     assert priced_groups > len(shapes)  # the trace really does repeat shapes
+    assert len(shapes) > residual  # ... and lengths within one batch class
 
 
-def test_replicas_share_the_configs_kernel_and_its_memo(monkeypatch):
+def test_replicas_share_the_configs_kernel_and_its_memos(monkeypatch):
     simulated = _count_calls(monkeypatch, attention_module, "simulate_kernel")
     grouped = _count_calls(monkeypatch, inference, "_grouped_attention_ms")
     kernel = BitDecoding(KERNEL_CONFIG, A100)
@@ -101,7 +116,11 @@ def test_replicas_share_the_configs_kernel_and_its_memo(monkeypatch):
     report = router.run()
     assert report.completed == 24
     assert all(e.backend.attention_system is kernel for e in router.engines)
-    assert len(simulated) == 2 * len(_priced_shapes(grouped)) == 2 * len(kernel._latency_memo)
+    shapes = _priced_shapes(grouped)
+    packing, residual = _packing_and_residual(simulated)
+    assert packing == len(shapes) == len(kernel._latency_memo)
+    assert len(kernel.group_memo(LLAMA31_8B, 2)) == len(shapes)
+    assert residual == len(kernel._residual_memo) == len({batch for batch, _ in shapes})
 
 
 def _assert_equal_field_for_field(a, b):
