@@ -21,7 +21,11 @@ seq 16k, INT4, d 64):
 
 An end-to-end ``transformer`` section (TinyTransformer decode step over
 the paged low-bit backend vs exact attention) tracks what the kernel-level wins are
-worth inside a full forward pass.
+worth inside a full forward pass.  Its ``replay_ms`` row times a recomputed
+sequence's 33 consumed decode tokens replayed as ONE layer-major forward
+(``prefill_chunk``'s decode tail, what the serving runner does on a heal
+or a recompute preemption), next to ``replay_per_token_ms``, the same
+tokens as one ``decode_step`` each.
 
 Report only: these are same-machine host-clock ratios, so nothing gates
 on them.  CI runs this module as a script and uploads the point::
@@ -152,6 +156,7 @@ def run_transformer_bench(
     steps=4,
     bits=4,
     seed=0,
+    replay_tokens=33,
 ):
     """End-to-end TinyTransformer decode step: paged low-bit cache vs exact FP16.
 
@@ -192,6 +197,7 @@ def run_transformer_bench(
             "per_step_ms": step_ms,
         }
 
+    replay = _replay_ms(dims, bits, seed, replay_tokens, prefill_tokens)
     return {
         "geometry": {
             "batch": batch,
@@ -204,9 +210,37 @@ def run_transformer_bench(
         },
         "engine_step_ms": results["engine"]["step_ms"],
         "exact_step_ms": results["exact"]["step_ms"],
+        "replay_tokens": replay_tokens,
+        "replay_ms": replay["layer_major"],
+        "replay_per_token_ms": replay["per_token"],
         "engine": results["engine"],
         "exact": results["exact"],
     }
+
+
+def _replay_ms(dims, bits, seed, n_tokens, context, repeats=3):
+    """Fastest of ``repeats`` replays of ``n_tokens`` decode inputs after a
+    ``context``-token prompt, per mode: one layer-major forward vs one
+    ``decode_step`` per token.  Each repeat replays into a fresh session."""
+    model = TinyTransformer(
+        **dims, backend=PagedBitBackend(BitDecodingConfig(bits=bits), "a100"), seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    prompt = rng.standard_normal((1, context, model.hidden)).astype(np.float32) * 0.5
+    tail = rng.standard_normal((n_tokens, model.hidden)).astype(np.float32) * 0.5
+    modes = {
+        "layer_major": lambda s: model.prefill_chunk(tail[None], s, decode_tail=n_tokens),
+        "per_token": lambda s: [model.decode_step(row[None], s) for row in tail],
+    }
+    best = {}
+    for _ in range(repeats):
+        for name, replay in modes.items():
+            session = model.new_session()
+            model.prefill_chunk(prompt, session)
+            _, t = _timed(lambda: replay(session))
+            model.release_session(session)
+            best[name] = min(t, best.get(name, t))
+    return best
 
 
 def _print_summary(result):
@@ -240,6 +274,11 @@ def _print_summary(result):
             f"engine {transformer['engine_step_ms']:.1f} ms | "
             f"exact {transformer['exact_step_ms']:.1f} ms"
         )
+        print(
+            f"  transformer replay of {transformer['replay_tokens']} decode tokens: "
+            f"layer-major {transformer['replay_ms']:.1f} ms | "
+            f"per-token {transformer['replay_per_token_ms']:.1f} ms"
+        )
 
 
 def test_kernel_hotpath_smoke(run):
@@ -256,6 +295,7 @@ def test_kernel_hotpath_smoke(run):
     assert result["vectorized"]["steady_step_ms"] <= result["vectorized"]["first_step_ms"] * 1.5
     assert result["transformer"]["engine_step_ms"] > 0
     assert result["transformer"]["exact_step_ms"] > 0
+    assert result["transformer"]["replay_ms"] > 0
 
 
 def main(argv=None):

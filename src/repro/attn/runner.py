@@ -155,31 +155,24 @@ class ModelRunner:
     def prefill(self, lc, n_tokens: int) -> None:
         """Run one prefill chunk through the model into reserved pages.
 
-        Replay (re-admission after a preemption or a heal) is *bit-exact*:
-        prompt rows go through ``prefill_chunk`` with the same chunk
-        boundaries the original admission used, and consumed decode inputs
-        beyond the prompt are re-decoded one token at a time through the
-        quantized cache — the exact call sequence that produced them, so
-        a recovered sequence's remaining decode outputs match the
-        uninterrupted run bit for bit.
+        The chunk is ONE forward, whatever it holds.  Replay (re-admission
+        after a preemption or a heal) is *bit-exact*: prompt rows attend
+        as a prefill chunk with the same boundaries the original admission
+        used, and consumed decode inputs beyond the prompt ride the same
+        forward as ``prefill_chunk``'s decode tail — they share its
+        projection GEMMs, and each attends the quantized cache as the
+        decode step that originally produced it.  So a recovered
+        sequence's remaining decode outputs match the uninterrupted run
+        bit for bit.
         """
         prog = self._programs[lc.request.req_id]
         end = prog.written + n_tokens
-        prompt_len = lc.request.prompt_len
-        last = None
-        if prog.written < prompt_len:
-            hi = min(end, prompt_len)
-            x = np.stack(prog.inputs[prog.written : hi])[None]
-            h = self.tt.prefill_chunk(x, prog.session)
-            prog.written = hi
-            last = h[0, -1]
-        while prog.written < end:
-            x = prog.inputs[prog.written]
-            h = self.tt.decode_step(x[None], prog.session)
-            prog.written += 1
-            last = h[0]
+        tail = end - max(prog.written, min(end, lc.request.prompt_len))
+        x = np.stack(prog.inputs[prog.written : end])[None]
+        h = self.tt.prefill_chunk(x, prog.session, decode_tail=tail)
+        prog.written = end
         if prog.written >= lc.prefill_target:
-            prog.pending = last
+            prog.pending = h[0, -1]
 
     def decode_batch(self, lcs) -> None:
         """Advance every decode-ready sequence by one token in ONE forward.
@@ -191,7 +184,8 @@ class ModelRunner:
         ``n_blocks``.  A row's bits never depend on its batch (the GEMMs
         run at least ``_ROW_FLOOR`` rows, the grouped reads are
         bit-exact), so this equals ``decode_batch([lc])`` per sequence
-        bit for bit.
+        bit for bit — and equals the same row replayed later in a
+        :meth:`prefill` chunk's decode tail.
         """
         if not lcs:
             return

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.packing import packing_ratio
-from repro.core.quantization import QuantScheme
 
 #: Elements one warp tile covers along N under ``mma.m16n8k16`` (P_n, Eq. 1).
 MMA_PN = 8
@@ -124,12 +123,6 @@ class BitDecodingConfig:
     def residual_block_size(self) -> int:
         """Eq. 1: ``N_r = P_n x W_n x R`` (Tensor-Core aligned)."""
         return MMA_PN * self.effective_wn * self.packing_ratio
-
-    @property
-    def key_scheme(self) -> QuantScheme:
-        return QuantScheme(
-            bits=self.bits, granularity=self.granularity, group_size=self.key_group_size
-        )
 
     @property
     def instruction_path(self) -> str:

@@ -31,7 +31,6 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from repro.core.packing import pack_values, unpack_values
 
 WARP_LANES = 32
 
@@ -188,39 +187,3 @@ def block_fragment_offsets(
     inv[flat] = np.arange(flat.size, dtype=flat.dtype)
     _BLOCK_OFFSET_CACHE[key] = (flat, inv)
     return flat, inv
-
-
-def block_fragment_pack(
-    qblock: np.ndarray,
-    layout: FragmentLayout,
-    bits: int,
-    word_bits: int = 16,
-    interleaved: bool = True,
-) -> np.ndarray:
-    """Pack a whole quantized block (e.g. ``N_r x d``) in fragment order.
-
-    Each lane packs the slots ``ldmatrix`` left in its registers.  Returns
-    the lane-major words in storage order, shape
-    ``(tiles_r, tiles_c, 32, words_per_lane)``.
-    """
-    qblock = np.asarray(qblock)
-    row_idx, col_idx = _block_fragment_indices(layout, *qblock.shape)
-    frag = qblock[row_idx, col_idx]  # (tr, tc, 32, vpl)
-    return pack_values(frag, bits, word_bits, interleaved=interleaved)
-
-
-def block_fragment_unpack(
-    packed: np.ndarray,
-    block_shape: Tuple[int, int],
-    layout: FragmentLayout,
-    bits: int,
-    word_bits: int = 16,
-    interleaved: bool = True,
-) -> np.ndarray:
-    """Inverse of :func:`block_fragment_pack`; the round trip being the
-    identity *is* the paper's zero-cost layout claim."""
-    frag = unpack_values(packed, bits, word_bits, interleaved=interleaved)
-    row_idx, col_idx = _block_fragment_indices(layout, *block_shape)
-    block = np.empty(block_shape, dtype=frag.dtype)
-    block[row_idx, col_idx] = frag
-    return block

@@ -9,10 +9,10 @@ the ``lop3``-based fast dequantization possible (Sec. IV-A(3)).
 Conventions
 -----------
 - Quantized values are unsigned codes in ``[0, 2**bits)``.
-- ``pack_values`` packs along the last axis; the number of values must be a
-  multiple of the packing ratio (callers pad tiles to Tensor-Core-aligned
-  sizes, which guarantees this — that is exactly what Eq. 1's residual block
-  sizing is for).
+- :func:`gather_pack_into` packs along the last axis; the number of values
+  must be a multiple of the packing ratio (callers pad tiles to
+  Tensor-Core-aligned sizes, which guarantees this — that is exactly what
+  Eq. 1's residual block sizing is for).
 - Value ``j`` of a word lands in bit-field ``j`` ("linear" order) or, at
   8 values per word, in field ``(0, 2, 4, 6, 1, 3, 5, 7)[j]``
   ("interleaved" order, :func:`_field_order`).
@@ -74,42 +74,6 @@ def _field_order(ratio: int, interleaved: bool) -> np.ndarray:
     return order
 
 
-def pack_values(
-    values: np.ndarray,
-    bits: int,
-    word_bits: int = 16,
-    interleaved: bool = False,
-) -> np.ndarray:
-    """Pack unsigned ``bits``-wide codes into storage words.
-
-    ``values`` may have any shape; packing collapses the last axis by the
-    packing ratio.  Raises when the last axis is not a multiple of the ratio
-    or when any code is out of range.
-    """
-    ratio = packing_ratio(bits, word_bits)
-    values = np.asarray(values)
-    if values.shape[-1] % ratio != 0:
-        raise ValueError(
-            f"last axis ({values.shape[-1]}) must be a multiple of the "
-            f"packing ratio ({ratio})"
-        )
-    if values.size and (values.min() < 0 or values.max() >= (1 << bits)):
-        raise ValueError(f"values out of range for {bits}-bit codes")
-
-    dtype = _word_dtype(word_bits)
-    # Shift and OR in the storage word's own width: every code shifted by
-    # its field offset stays below 2**word_bits by construction, so the
-    # narrow arithmetic is exact and the temporaries are word-sized.
-    # (This is the seed packing arithmetic, deliberately left as-is: the
-    # per-block reference cache and the hot-path benchmark baseline both
-    # run through it.  The batched flush packs through the faster
-    # :func:`gather_pack_into`, which is unit-tested bit-equal to it.)
-    grouped = values.astype(dtype).reshape(*values.shape[:-1], -1, ratio)
-    fields = _field_order(ratio, interleaved)
-    shifts = (fields * bits).astype(dtype)
-    return np.bitwise_or.reduce(grouped << shifts, axis=-1)
-
-
 def gather_pack_into(
     codes_flat: np.ndarray,
     flat_index: np.ndarray,
@@ -119,7 +83,7 @@ def gather_pack_into(
     interleaved: bool = False,
     scratch: Tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Fused fragment gather + word pack: ``pack_values(take(codes))``.
+    """Fused fragment gather + word pack of uint8 codes into storage words.
 
     ``codes_flat`` is ``(..., n_values)`` uint8 codes (assumed in-range —
     the quantizer's clip guarantees it), ``flat_index`` the fragment-order
@@ -132,7 +96,8 @@ def gather_pack_into(
 
     ``scratch`` optionally supplies reusable ``(uint8, word)`` buffers of
     ``out``'s shape.  Returns ``out``.  Bit-identical to the unfused
-    ``pack_values(np.take(codes_flat, flat_index, axis=-1), ...)``.
+    gather-then-pack spec (``pack_values(np.take(codes_flat, flat_index,
+    axis=-1), ...)`` in ``tests/reference_cache.py``).
     """
     ratio = packing_ratio(bits, word_bits)
     dtype = _word_dtype(word_bits)
@@ -163,7 +128,7 @@ def unpack_values(
     word_bits: int = 16,
     interleaved: bool = False,
 ) -> np.ndarray:
-    """Inverse of :func:`pack_values`; expands the last axis by the ratio."""
+    """Unpack storage words back to uint8 codes; expands the last axis by the ratio."""
     ratio = packing_ratio(bits, word_bits)
     dtype = _word_dtype(word_bits)
     words = np.asarray(words).astype(dtype, copy=False)

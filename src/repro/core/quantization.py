@@ -231,13 +231,6 @@ def quantize_key(
     return quantize(k, scheme.bits, axis, scheme.group_size)
 
 
-def quantize_value(
-    v: np.ndarray, bits: int, group_size: int, channel_axis: int = -1
-) -> Tuple[np.ndarray, QuantParams]:
-    """Quantize a Value block tensor-wise (groups along the hidden axis)."""
-    return quantize(v, bits, channel_axis, group_size)
-
-
 # ---------------------------------------------------------------------------
 # Micro-scaling FP4 (Blackwell native formats)
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ entirely in registers:
   the stored words are already what the Packing Kernel's ``ldmatrix``
   expects.
 
-Numerics here are bit-exact: :func:`flush_block` really quantizes and packs
-through the fragment permutation; the Packing Kernel really unpacks the
-words.  Trace builders mirror the same work for the performance model.
+Numerics here are bit-exact: :func:`flush_blocks` really quantizes and
+packs through the fragment permutation; the Packing Kernel really unpacks
+the words.  Trace builders mirror the same work for the performance model.
 """
 
 from __future__ import annotations
@@ -33,20 +33,15 @@ from repro.core.layouts import (
     FragmentLayout,
     _block_fragment_indices,
     block_fragment_offsets,
-    block_fragment_pack,
-    block_fragment_unpack,
     tiled_layout,
 )
 from repro.core.packing import _word_dtype, gather_pack_into, unpack_values
 from repro.core.quantization import (
     Fp4Params,
     QuantParams,
-    QuantScheme,
     _quantize_chunk,
     dequantize,
     quantize_fp4,
-    quantize_key,
-    quantize_value,
 )
 from repro.core.query_transform import gemm_m_dimension
 from repro.core.softmax import OnlineSoftmaxState, pad_tail, qk_scores, tile_softmax_split
@@ -68,153 +63,6 @@ def _kv_fragment_layout(config: BitDecodingConfig) -> FragmentLayout:
     ratio = config.packing_ratio
     repeat = max(1, math.ceil(ratio / base.values_per_lane))
     return tiled_layout(base, repeat) if repeat > 1 else base
-
-
-@dataclass
-class PackedBlock:
-    """One quantized+packed residual block of the low-bit KV cache.
-
-    ``k_words`` is packed in (d, seq) orientation — K is the B operand of
-    ``Q K^T`` whose contraction dimension is ``d`` — while ``v_words`` is
-    packed in (seq, d) orientation for the ``P V`` MMA.
-    """
-
-    length: int
-    head_dim: int
-    bits: int
-    word_bits: int
-    layout_name: str
-    k_words: np.ndarray
-    v_words: np.ndarray
-    k_params: QuantParams
-    v_params: QuantParams
-
-    def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
-        """Unpack + dequantize this block back to FP32 ``(length, d)`` pairs."""
-        layout = _kv_fragment_layout(config)
-        if layout.name != self.layout_name:
-            raise ValueError(
-                "Packing Kernel instruction configuration "
-                f"({layout.name}) does not match the Residual Kernel's "
-                f"({self.layout_name}); Sec. IV-A(4) requires them identical"
-            )
-        interleaved = config.dequant_method == "lop3"
-        k_codes = block_fragment_unpack(
-            self.k_words,
-            (self.head_dim, self.length),
-            layout,
-            self.bits,
-            self.word_bits,
-            interleaved=interleaved,
-        )
-        v_codes = block_fragment_unpack(
-            self.v_words,
-            (self.length, self.head_dim),
-            layout,
-            self.bits,
-            self.word_bits,
-            interleaved=interleaved,
-        )
-        k_hat = dequantize(k_codes.T, self.k_params)
-        v_hat = dequantize(v_codes, self.v_params)
-        return k_hat, v_hat
-
-    @property
-    def packed_nbytes(self) -> int:
-        return self.k_words.nbytes + self.v_words.nbytes
-
-    @property
-    def meta_nbytes(self) -> float:
-        return self.k_params.nbytes + self.v_params.nbytes
-
-
-@dataclass
-class Fp4Block:
-    """One micro-scaling FP4 block (Blackwell native path).
-
-    Stores the representable (already block-scaled) values the tensor cores
-    compute with, plus the per-block scales for byte accounting.
-    """
-
-    length: int
-    head_dim: int
-    fmt: str
-    k_values: np.ndarray
-    v_values: np.ndarray
-    k_scales: Fp4Params
-    v_scales: Fp4Params
-
-    def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
-        return self.k_values.astype(np.float32), self.v_values.astype(np.float32)
-
-    @property
-    def packed_nbytes(self) -> int:
-        return int(self.length * self.head_dim)  # 2 tensors x 4 bits
-
-    @property
-    def meta_nbytes(self) -> float:
-        return self.k_scales.nbytes + self.v_scales.nbytes
-
-
-def flush_block(k_block: np.ndarray, v_block: np.ndarray, config: BitDecodingConfig):
-    """Quantize + pack one full residual block (the fused flush).
-
-    ``k_block`` / ``v_block`` are FP16 ``(N_r, d)``.  Returns a
-    :class:`PackedBlock` (integer path) or :class:`Fp4Block` (Blackwell
-    native path).
-    """
-    k_block = np.asarray(k_block, dtype=np.float32)
-    v_block = np.asarray(v_block, dtype=np.float32)
-    n, d = k_block.shape
-    if v_block.shape != (n, d):
-        raise ValueError("K and V blocks must share a shape")
-
-    if config.version == "fp4":
-        k_vals, k_scales = quantize_fp4(k_block, config.fp4_format, axis=-1)
-        v_vals, v_scales = quantize_fp4(v_block, config.fp4_format, axis=-1)
-        return Fp4Block(
-            length=n,
-            head_dim=d,
-            fmt=config.fp4_format,
-            k_values=k_vals.astype(np.float16),
-            v_values=v_vals.astype(np.float16),
-            k_scales=k_scales,
-            v_scales=v_scales,
-        )
-
-    # Group sizes clamp to the block's actual extents: the key group runs
-    # along seq (KC) or channels (KT), the value group along channels.
-    key_axis_len = n if config.granularity == "channel" else d
-    key_scheme = config.key_scheme
-    if key_scheme.group_size > key_axis_len:
-        key_scheme = QuantScheme(
-            bits=key_scheme.bits,
-            granularity=key_scheme.granularity,
-            group_size=key_axis_len,
-        )
-    k_codes, k_params = quantize_key(k_block, key_scheme, seq_axis=0, channel_axis=1)
-    v_codes, v_params = quantize_value(
-        v_block, config.bits, min(config.value_group_size, d), channel_axis=1
-    )
-    layout = _kv_fragment_layout(config)
-    interleaved = config.dequant_method == "lop3"
-    k_words = block_fragment_pack(
-        k_codes.T, layout, config.bits, config.word_bits, interleaved=interleaved
-    )
-    v_words = block_fragment_pack(
-        v_codes, layout, config.bits, config.word_bits, interleaved=interleaved
-    )
-    return PackedBlock(
-        length=n,
-        head_dim=d,
-        bits=config.bits,
-        word_bits=config.word_bits,
-        layout_name=layout.name,
-        k_words=k_words,
-        v_words=v_words,
-        k_params=k_params,
-        v_params=v_params,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +113,12 @@ class PackedBlockBatch(BlockBatch):
     """All quantized+packed blocks of a cache, stored struct-of-arrays.
 
     Block axis is axis 2: ``k_words``/``v_words`` are
-    ``[batch, hkv, n_blocks, tiles_r, tiles_c, 32, words_per_lane]`` (the
-    per-block fragment-order words of :func:`flush_block`, batched), and the
-    ``half2`` metadata inside ``k_params``/``v_params`` carries the same
-    ``[batch, hkv, n_blocks, ...]`` leading dims.  K blocks are packed in
-    ``(d, N_r)`` orientation, V blocks in ``(N_r, d)``, exactly as the
-    per-block :class:`PackedBlock` stores them.
+    ``[batch, hkv, n_blocks, tiles_r, tiles_c, 32, words_per_lane]`` (each
+    block's words in fragment order), and the ``half2`` metadata inside
+    ``k_params``/``v_params`` carries the same ``[batch, hkv, n_blocks,
+    ...]`` leading dims.  K blocks are packed in ``(d, N_r)`` orientation
+    (K is the B operand of ``Q K^T``, contracting over ``d``), V blocks in
+    ``(N_r, d)`` for the ``P V`` MMA.
     """
 
     length: int
@@ -421,9 +269,10 @@ def flush_blocks(
     each run does group statistics, affine quantization and the fused
     fragment-gather + word-pack (:func:`repro.core.packing.gather_pack_into`)
     while its working set is still cache-resident, with every intermediate
-    buffer reused across chunks.  Bit-exact equivalent of calling
-    :func:`flush_block` per (batch, head, block) — the hypothesis sweep in
-    ``tests/core/test_vectorized_cache.py`` enforces exactly that.
+    buffer reused across chunks.  Bit-exact equivalent of flushing each
+    (batch, head, block) on its own — the per-block spec in
+    ``tests/reference_cache.py``, which the hypothesis sweep in
+    ``tests/core/test_vectorized_cache.py`` holds it to.
     """
     k_blocks = np.asarray(k_blocks)
     v_blocks = np.asarray(v_blocks)
@@ -446,7 +295,8 @@ def flush_blocks(
             v_scales=v_scales,
         )
 
-    # Group sizes clamp to the block's actual extents, as in flush_block.
+    # Group sizes clamp to the block's actual extents: the key group runs
+    # along seq (KC) or channels (KT), the value group along channels.
     key_axis_len = n if config.granularity == "channel" else d
     key_group = min(config.key_group_size, key_axis_len)
     channel = config.granularity == "channel"

@@ -66,7 +66,9 @@ def rope_angles(head_dim: int, positions: np.ndarray) -> Tuple[np.ndarray, np.nd
 #: whatever M is, wherever it sits and whatever the other rows hold, and
 #: the same bits as the ``(in, out)`` GEMM ``rows @ w.T`` (pinned by
 #: ``tests/model/test_row_floor.py``).  So a decoder's hidden state never
-#: depends on which other decoders share its step.
+#: depends on which other decoders share its step, and a replayed decode
+#: row riding a prefill chunk's GEMMs (``prefill_chunk``'s ``decode_tail``)
+#: has the bits of the 1-row ``decode_step`` that first produced it.
 _ROW_FLOOR = 4
 _OUTPUT_FLOOR = 1201
 
@@ -270,7 +272,9 @@ class TinyTransformer:
             )
         return self.prefill_chunk(x, session)
 
-    def prefill_chunk(self, x: np.ndarray, session: CacheSession) -> np.ndarray:
+    def prefill_chunk(
+        self, x: np.ndarray, session: CacheSession, decode_tail: int = 0
+    ) -> np.ndarray:
         """Advance a session by one prefill chunk ``(batch, n, hidden)``.
 
         Chunk tokens attend the session's cached context unmasked and
@@ -279,9 +283,21 @@ class TinyTransformer:
         through the quantized cache (that *is* the numerics of chunked
         prefill over a low-bit cache); without one, the exact reference
         context is used.
+
+        The last ``decode_tail`` rows are replayed decode tokens (a
+        recomputed sequence's consumed decode inputs): in every layer they
+        share the chunk's projection GEMMs, then each appends its K/V and
+        attends the cache as its own decode step, after the prompt rows.
+        Every layer's cache sees the call sequence of ``prefill_chunk``
+        on the prompt rows followed by one :meth:`decode_step` per tail
+        row, and since projection rows, norms, RoPE and the MLP are
+        row-local bit for bit (``_ROW_FLOOR``), so are the outputs.
         """
         x = np.asarray(x, dtype=np.float32)
         batch, n, _ = x.shape
+        if not 0 <= decode_tail <= n:
+            raise ValueError(f"decode_tail ({decode_tail}) must lie in [0, {n}]")
+        prompt = n - decode_tail
         sess = session
         pos0 = sess.positions
         if not sess.caches:
@@ -293,13 +309,21 @@ class TinyTransformer:
         h = x
         for i, layer in enumerate(self.layers):
             q, k, v = self._attention_inputs(layer, rms_norm(h, layer.norm_attn), cos, sin)
-            if self.backend is not None:
-                if sess.caches[i] is None:
-                    sess.caches[i] = self.backend.new_handle(batch, self.hkv, self.head_dim)
-                attn = self.backend.prefill(q, (k, v), sess.caches[i])
-            else:
-                attn = self._reference_attention(sess, i, q, k, v)
-            h = self._block_tail(layer, h, attn)
+            parts = []
+            if prompt:
+                qp, kp, vp = q[:, :prompt], k[:, :, :prompt], v[:, :, :prompt]
+                if self.backend is not None:
+                    if sess.caches[i] is None:
+                        sess.caches[i] = self.backend.new_handle(batch, self.hkv, self.head_dim)
+                    parts.append(self.backend.prefill(qp, (kp, vp), sess.caches[i]))
+                else:
+                    parts.append(self._reference_attention(sess, i, qp, kp, vp))
+            for t in range(prompt, n):
+                row = slice(t, t + 1)
+                parts.append(
+                    self._decode_attention(sess, i, q[:, row], k[:, :, row], v[:, :, row])
+                )
+            h = self._block_tail(layer, h, np.concatenate(parts, axis=1))
         sess.positions = pos0 + n
         return h
 
@@ -322,15 +346,18 @@ class TinyTransformer:
             q, k_new, v_new = self._attention_inputs(
                 layer, rms_norm(h, layer.norm_attn), cos, sin
             )
-            if self.backend is not None:
-                handle = sess.caches[i]
-                self.backend.append_kv((k_new[:, :, 0], v_new[:, :, 0]), handle)
-                attn = self.backend.decode_step(q, handle)
-            else:
-                attn = self._reference_attention(sess, i, q, k_new, v_new)
-            h = self._block_tail(layer, h, attn)
+            h = self._block_tail(layer, h, self._decode_attention(sess, i, q, k_new, v_new))
         sess.positions = sess.positions + 1
         return h[:, 0, :]
+
+    def _decode_attention(self, sess: CacheSession, i: int, q, k, v) -> np.ndarray:
+        """One decode row per sequence (``q (b, 1, hq, d)``, ``k, v (b, hkv, 1, d)``)
+        through layer ``i``: append its K/V, then attend the cache."""
+        if self.backend is None:
+            return self._reference_attention(sess, i, q, k, v)
+        handle = sess.caches[i]
+        self.backend.append_kv((k[:, :, 0], v[:, :, 0]), handle)
+        return self.backend.decode_step(q, handle)
 
     @staticmethod
     def _reference_attention(sess: CacheSession, i: int, q, k, v) -> np.ndarray:

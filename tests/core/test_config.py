@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.config import AttentionGeometry, BitDecodingConfig
 
+from tests.reference_cache import key_scheme
+
 
 class TestAttentionGeometry:
     def test_gq(self):
@@ -74,7 +76,7 @@ class TestBitDecodingConfig:
 
     def test_key_scheme_reflects_config(self):
         cfg = BitDecodingConfig(bits=2, granularity="tensor", key_group_size=32)
-        scheme = cfg.key_scheme
+        scheme = key_scheme(cfg)
         assert scheme.bits == 2
         assert scheme.granularity == "tensor"
         assert scheme.group_size == 32

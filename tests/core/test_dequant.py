@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import AttentionGeometry, BitDecodingConfig
-from repro.core.packing import pack_values, unpack_values
+from repro.core.packing import unpack_values
 from repro.core.packing_kernel import build_packing_launch
 from repro.core.quantization import QuantParams, dequantize
+
+from tests.reference_cache import pack_values
 
 
 def _row_params(scale, zero, bits, n_cols):

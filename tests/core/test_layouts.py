@@ -10,11 +10,11 @@ from repro.core.layouts import (
     WARP_LANES,
     FragmentLayout,
     block_fragment_offsets,
-    block_fragment_pack,
-    block_fragment_unpack,
     tiled_layout,
 )
-from repro.core.packing import pack_values, unpack_values
+from repro.core.packing import unpack_values
+
+from tests.reference_cache import block_fragment_pack, block_fragment_unpack, pack_values
 
 
 def _mma_m16n8k8_b(lane, slot):

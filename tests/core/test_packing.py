@@ -9,10 +9,11 @@ from repro.core.packing import (
     _field_order,
     _word_dtype,
     gather_pack_into,
-    pack_values,
     packing_ratio,
     unpack_values,
 )
+
+from tests.reference_cache import pack_values
 
 
 class TestGatherPackInto:

@@ -12,8 +12,9 @@ from repro.core.quantization import (
     quantize,
     quantize_fp4,
     quantize_key,
-    quantize_value,
 )
+
+from tests.reference_cache import quantize_value
 
 
 class TestQuantScheme:

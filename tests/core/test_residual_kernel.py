@@ -5,15 +5,14 @@ import pytest
 
 from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.residual_kernel import (
-    Fp4Block,
-    PackedBlock,
     attend_residual,
     build_prefill_quant_launch,
     build_residual_launch,
-    flush_block,
 )
 from repro.core.softmax import reference_attention
 from repro.gpu.kernel import simulate_kernel
+
+from tests.reference_cache import Fp4Block, PackedBlock, flush_block
 
 
 def _block(rng, config, n=None, d=32):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.attn import PagedBitBackend
+from repro.attn.paged import PagedBatchHandle, PagedBitKVCache
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
 from repro.model.transformer import (
@@ -170,3 +173,91 @@ class TestVectorizedAttention:
         model.decode_step(rng.standard_normal((1, 64)).astype(np.float32))
         # One table per forward, shared by all 3 layers.
         assert calls == [list(range(8)), [8]]
+
+
+#: ``tiny`` and the bench-gqa geometry the e2e benchmark executes, at two layers.
+REPLAY_GEOMETRIES = {
+    "tiny": dict(hq=4, hkv=2, head_dim=16, hidden=64, intermediate=128),
+    "bench-gqa": dict(hq=8, hkv=2, head_dim=64, hidden=512, intermediate=1024),
+}
+
+
+def _replay(geometry: str, bits: int, pre: int, prompt: int, tail: int, merged: bool):
+    """``pre`` context rows, then a chunk of ``prompt`` rows plus a ``tail``
+    of replayed decode rows, as ONE forward (``merged``) or as
+    ``prefill_chunk`` on the prompt rows plus one ``decode_step`` per tail
+    row.  Returns the chunk's hidden rows, the per-layer stores (separate,
+    as in the serving runner) and the session.  ``N_r`` is 32 (INT4) or
+    64 (INT2); ``bits=None`` runs exact attention, with no stores."""
+    dims = REPLAY_GEOMETRIES[geometry]
+    if bits is None:
+        model = TinyTransformer(n_layers=2, seed=3, **dims)
+        stores, session = [], model.new_session()
+    else:
+        config = BitDecodingConfig(bits=bits, wn=1)
+        model = TinyTransformer(n_layers=2, backend=PagedBitBackend(config), seed=3, **dims)
+        stores = [
+            PagedBitKVCache(config, dims["hkv"], dims["head_dim"], n_pages=8, n_slots=1)
+            for _ in model.layers
+        ]
+        session = model.new_session([PagedBatchHandle(s, [s.add_sequence()]) for s in stores])
+    rng = np.random.default_rng([geometry == "tiny", bits or 0, pre, prompt, tail])
+    rows = (rng.standard_normal((pre + prompt + tail, dims["hidden"])) * 0.25).astype(np.float32)
+    if pre:
+        model.prefill_chunk(rows[None, :pre], session)
+    chunk = rows[pre:]
+    if merged:
+        hidden = model.prefill_chunk(chunk[None], session, decode_tail=tail)[0]
+    else:
+        outs = [model.prefill_chunk(chunk[None, :prompt], session)[0]] if prompt else []
+        outs += [model.decode_step(row[None], session) for row in chunk[prompt:]]
+        hidden = np.concatenate(outs)
+    assert session.positions == pre + prompt + tail
+    return hidden, stores, session
+
+
+class TestReplayTail:
+    """A replayed decode tail shares the chunk's forward bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        geometry=st.sampled_from(sorted(REPLAY_GEOMETRIES)),
+        bits=st.sampled_from([2, 4]),
+        pre=st.integers(0, 40),
+        prompt=st.integers(0, 40),
+        tail=st.integers(0, 70),
+    )
+    # Row floor 4, tiny's output floor of 19 rows, N_r flushes (INT4 at
+    # 32 and 64 tokens, INT2 at 64), a tail-only chunk past the prompt end,
+    # and the 128 + 33 rows of a replayed bench-gqa chunk.
+    @example(geometry="tiny", bits=4, pre=0, prompt=1, tail=3)
+    @example(geometry="tiny", bits=4, pre=5, prompt=0, tail=19)
+    @example(geometry="tiny", bits=2, pre=30, prompt=3, tail=70)
+    @example(geometry="bench-gqa", bits=4, pre=20, prompt=0, tail=4)
+    @example(geometry="bench-gqa", bits=4, pre=0, prompt=128, tail=33)
+    def test_merged_forward_equals_prefill_then_decode_steps(
+        self, geometry, bits, pre, prompt, tail
+    ):
+        if pre + prompt == 0 or prompt + tail == 0:
+            return  # a chunk holds a row, and a decode row follows a prompt row
+        merged, merged_stores, _ = _replay(geometry, bits, pre, prompt, tail, merged=True)
+        stepped, stepped_stores, _ = _replay(geometry, bits, pre, prompt, tail, merged=False)
+        assert merged.tobytes() == stepped.tobytes()
+        for a, b in zip(merged_stores, stepped_stores):
+            for pool_a, pool_b in zip(a.pools, b.pools):
+                assert pool_a.tobytes() == pool_b.tobytes()
+            assert a.res_k.tobytes() == b.res_k.tobytes()
+            assert a.res_v.tobytes() == b.res_v.tobytes()
+
+    def test_exact_reference_context_matches_too(self):
+        merged, _, merged_session = _replay("tiny", None, 5, 7, 9, merged=True)
+        stepped, _, stepped_session = _replay("tiny", None, 5, 7, 9, merged=False)
+        assert merged.tobytes() == stepped.tobytes()
+        for name in ("ref_k", "ref_v"):
+            for a, b in zip(getattr(merged_session, name), getattr(stepped_session, name)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_tail_longer_than_the_chunk_is_rejected(self):
+        model = TinyTransformer(n_layers=1, seed=0, **REPLAY_GEOMETRIES["tiny"])
+        with pytest.raises(ValueError, match="decode_tail"):
+            model.prefill_chunk(np.zeros((1, 2, 64), np.float32), model.new_session(), 3)

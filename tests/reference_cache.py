@@ -9,15 +9,24 @@ per-block semantics (see ``tests/core/test_vectorized_cache.py``) and so
 ``benchmarks/bench_kernel_hotpath.py`` can measure the speedup the
 vectorization buys.
 
+It also holds the per-block *flush spec* the seed cache stores with:
+:func:`flush_block` quantizes one ``(N_r, d)`` block into a
+:class:`PackedBlock` (or an :class:`Fp4Block`) through
+:func:`block_fragment_pack` and the seed word arithmetic
+:func:`pack_values`, and the blocks read back through
+:func:`block_fragment_unpack`.  The product path is the batched
+``flush_blocks`` (``block_fragment_offsets`` + ``gather_pack_into``); the
+sweep pins it to this spec bit for bit, and ``tests/core/test_layouts.py``
+pins the spec's fragment order against the Fig. 3 counterexample.
+
 Scope of the equivalence: this reference shares the low-level primitives
-(``quantize``/``dequantize``/``pack_values``/``flush_block``/
-``run_numeric``) with the vectorized path, so the sweep pins the
-batched-vs-per-block *orchestration*, not the primitives themselves —
-those are pinned separately by their own unit tests
-(``tests/core/test_quantization.py``, ``test_packing.py``,
-``test_residual_kernel.py``, ``test_softmax.py``), which predate the
-vectorization and ran unchanged against it.  Do not "optimize" this
-file — its slowness is the point.
+(``quantize``/``dequantize``/``unpack_values``/``run_numeric``) with the
+vectorized path, so the sweep pins the batched-vs-per-block
+*orchestration*, not the primitives themselves — those are pinned
+separately by their own unit tests (``tests/core/test_quantization.py``,
+``test_packing.py``, ``test_residual_kernel.py``, ``test_softmax.py``),
+which predate the vectorization and ran unchanged against it.  Do not
+"optimize" this file — its slowness is the point.
 """
 
 from __future__ import annotations
@@ -29,16 +38,263 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.config import BitDecodingConfig
+from repro.core.layouts import FragmentLayout, _block_fragment_indices
+from repro.core.packing import _field_order, _word_dtype, packing_ratio, unpack_values
 from repro.core.packing_kernel import run_numeric
+from repro.core.quantization import (
+    Fp4Params,
+    QuantParams,
+    QuantScheme,
+    dequantize,
+    quantize,
+    quantize_fp4,
+    quantize_key,
+)
 from repro.core.query_transform import group_queries, ungroup_output
 from repro.core.residual_cache import partition_prefill
-from repro.core.residual_kernel import (
-    Fp4Block,
-    PackedBlock,
-    attend_residual,
-    flush_block,
-)
+from repro.core.residual_kernel import _kv_fragment_layout, attend_residual
 from repro.core.softmax import OnlineSoftmaxState
+
+
+# ---------------------------------------------------------------------------
+# The per-block flush spec
+# ---------------------------------------------------------------------------
+
+
+def key_scheme(config: BitDecodingConfig) -> QuantScheme:
+    """The Key quantization scheme a configuration selects."""
+    return QuantScheme(
+        bits=config.bits, granularity=config.granularity, group_size=config.key_group_size
+    )
+
+
+def quantize_value(
+    v: np.ndarray, bits: int, group_size: int, channel_axis: int = -1
+) -> Tuple[np.ndarray, QuantParams]:
+    """Quantize a Value block tensor-wise (groups along the hidden axis)."""
+    return quantize(v, bits, channel_axis, group_size)
+
+
+def pack_values(
+    values: np.ndarray,
+    bits: int,
+    word_bits: int = 16,
+    interleaved: bool = False,
+) -> np.ndarray:
+    """Pack unsigned ``bits``-wide codes into storage words.
+
+    ``values`` may have any shape; packing collapses the last axis by the
+    packing ratio.  Raises when the last axis is not a multiple of the ratio
+    or when any code is out of range.
+    """
+    ratio = packing_ratio(bits, word_bits)
+    values = np.asarray(values)
+    if values.shape[-1] % ratio != 0:
+        raise ValueError(
+            f"last axis ({values.shape[-1]}) must be a multiple of the "
+            f"packing ratio ({ratio})"
+        )
+    if values.size and (values.min() < 0 or values.max() >= (1 << bits)):
+        raise ValueError(f"values out of range for {bits}-bit codes")
+
+    dtype = _word_dtype(word_bits)
+    # Shift and OR in the storage word's own width: every code shifted by
+    # its field offset stays below 2**word_bits by construction, so the
+    # narrow arithmetic is exact and the temporaries are word-sized.
+    # (This is the seed packing arithmetic, deliberately left as-is: the
+    # per-block spec and the hot-path benchmark baseline both run through
+    # it.  The batched flush packs through the faster ``gather_pack_into``,
+    # which is unit-tested bit-equal to it.)
+    grouped = values.astype(dtype).reshape(*values.shape[:-1], -1, ratio)
+    fields = _field_order(ratio, interleaved)
+    shifts = (fields * bits).astype(dtype)
+    return np.bitwise_or.reduce(grouped << shifts, axis=-1)
+
+
+def block_fragment_pack(
+    qblock: np.ndarray,
+    layout: FragmentLayout,
+    bits: int,
+    word_bits: int = 16,
+    interleaved: bool = True,
+) -> np.ndarray:
+    """Pack a whole quantized block (e.g. ``N_r x d``) in fragment order.
+
+    Each lane packs the slots ``ldmatrix`` left in its registers.  Returns
+    the lane-major words in storage order, shape
+    ``(tiles_r, tiles_c, 32, words_per_lane)``.
+    """
+    qblock = np.asarray(qblock)
+    row_idx, col_idx = _block_fragment_indices(layout, *qblock.shape)
+    frag = qblock[row_idx, col_idx]  # (tr, tc, 32, vpl)
+    return pack_values(frag, bits, word_bits, interleaved=interleaved)
+
+
+def block_fragment_unpack(
+    packed: np.ndarray,
+    block_shape: Tuple[int, int],
+    layout: FragmentLayout,
+    bits: int,
+    word_bits: int = 16,
+    interleaved: bool = True,
+) -> np.ndarray:
+    """Inverse of :func:`block_fragment_pack`; the round trip being the
+    identity *is* the paper's zero-cost layout claim."""
+    frag = unpack_values(packed, bits, word_bits, interleaved=interleaved)
+    row_idx, col_idx = _block_fragment_indices(layout, *block_shape)
+    block = np.empty(block_shape, dtype=frag.dtype)
+    block[row_idx, col_idx] = frag
+    return block
+
+
+@dataclass
+class PackedBlock:
+    """One quantized+packed residual block of the low-bit KV cache.
+
+    ``k_words`` is packed in (d, seq) orientation — K is the B operand of
+    ``Q K^T`` whose contraction dimension is ``d`` — while ``v_words`` is
+    packed in (seq, d) orientation for the ``P V`` MMA.
+    """
+
+    length: int
+    head_dim: int
+    bits: int
+    word_bits: int
+    layout_name: str
+    k_words: np.ndarray
+    v_words: np.ndarray
+    k_params: QuantParams
+    v_params: QuantParams
+
+    def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
+        """Unpack + dequantize this block back to FP32 ``(length, d)`` pairs."""
+        layout = _kv_fragment_layout(config)
+        if layout.name != self.layout_name:
+            raise ValueError(
+                "Packing Kernel instruction configuration "
+                f"({layout.name}) does not match the Residual Kernel's "
+                f"({self.layout_name}); Sec. IV-A(4) requires them identical"
+            )
+        interleaved = config.dequant_method == "lop3"
+        k_codes = block_fragment_unpack(
+            self.k_words,
+            (self.head_dim, self.length),
+            layout,
+            self.bits,
+            self.word_bits,
+            interleaved=interleaved,
+        )
+        v_codes = block_fragment_unpack(
+            self.v_words,
+            (self.length, self.head_dim),
+            layout,
+            self.bits,
+            self.word_bits,
+            interleaved=interleaved,
+        )
+        k_hat = dequantize(k_codes.T, self.k_params)
+        v_hat = dequantize(v_codes, self.v_params)
+        return k_hat, v_hat
+
+    @property
+    def packed_nbytes(self) -> int:
+        return self.k_words.nbytes + self.v_words.nbytes
+
+    @property
+    def meta_nbytes(self) -> float:
+        return self.k_params.nbytes + self.v_params.nbytes
+
+
+@dataclass
+class Fp4Block:
+    """One micro-scaling FP4 block (Blackwell native path).
+
+    Stores the representable (already block-scaled) values the tensor cores
+    compute with, plus the per-block scales for byte accounting.
+    """
+
+    length: int
+    head_dim: int
+    fmt: str
+    k_values: np.ndarray
+    v_values: np.ndarray
+    k_scales: Fp4Params
+    v_scales: Fp4Params
+
+    def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
+        return self.k_values.astype(np.float32), self.v_values.astype(np.float32)
+
+    @property
+    def packed_nbytes(self) -> int:
+        return int(self.length * self.head_dim)  # 2 tensors x 4 bits
+
+    @property
+    def meta_nbytes(self) -> float:
+        return self.k_scales.nbytes + self.v_scales.nbytes
+
+
+def flush_block(k_block: np.ndarray, v_block: np.ndarray, config: BitDecodingConfig):
+    """Quantize + pack one full residual block (the fused flush).
+
+    ``k_block`` / ``v_block`` are FP16 ``(N_r, d)``.  Returns a
+    :class:`PackedBlock` (integer path) or :class:`Fp4Block` (Blackwell
+    native path).
+    """
+    k_block = np.asarray(k_block, dtype=np.float32)
+    v_block = np.asarray(v_block, dtype=np.float32)
+    n, d = k_block.shape
+    if v_block.shape != (n, d):
+        raise ValueError("K and V blocks must share a shape")
+
+    if config.version == "fp4":
+        k_vals, k_scales = quantize_fp4(k_block, config.fp4_format, axis=-1)
+        v_vals, v_scales = quantize_fp4(v_block, config.fp4_format, axis=-1)
+        return Fp4Block(
+            length=n,
+            head_dim=d,
+            fmt=config.fp4_format,
+            k_values=k_vals.astype(np.float16),
+            v_values=v_vals.astype(np.float16),
+            k_scales=k_scales,
+            v_scales=v_scales,
+        )
+
+    # Group sizes clamp to the block's actual extents: the key group runs
+    # along seq (KC) or channels (KT), the value group along channels.
+    key_axis_len = n if config.granularity == "channel" else d
+    scheme = key_scheme(config)
+    if scheme.group_size > key_axis_len:
+        scheme = QuantScheme(
+            bits=scheme.bits, granularity=scheme.granularity, group_size=key_axis_len
+        )
+    k_codes, k_params = quantize_key(k_block, scheme, seq_axis=0, channel_axis=1)
+    v_codes, v_params = quantize_value(
+        v_block, config.bits, min(config.value_group_size, d), channel_axis=1
+    )
+    layout = _kv_fragment_layout(config)
+    interleaved = config.dequant_method == "lop3"
+    k_words = block_fragment_pack(
+        k_codes.T, layout, config.bits, config.word_bits, interleaved=interleaved
+    )
+    v_words = block_fragment_pack(
+        v_codes, layout, config.bits, config.word_bits, interleaved=interleaved
+    )
+    return PackedBlock(
+        length=n,
+        head_dim=d,
+        bits=config.bits,
+        word_bits=config.word_bits,
+        layout_name=layout.name,
+        k_words=k_words,
+        v_words=v_words,
+        k_params=k_params,
+        v_params=v_params,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The seed cache
+# ---------------------------------------------------------------------------
 
 
 @dataclass

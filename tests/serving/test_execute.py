@@ -9,8 +9,12 @@ preemptions), and every generated token must actually have been run.
 
 import pytest
 
+from repro.__main__ import main
 from repro.attn import AnalyticalBackend, PagedBitBackend
+from repro.attn.runner import ModelRunner
+from repro.faults.plan import demo_fault_spec
 from repro.model.config import TINY
+from repro.model.transformer import TinyTransformer
 from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
 from repro.serving.crosscheck import crosscheck, int4_stack
 
@@ -81,3 +85,63 @@ class TestExecuteMode:
     def test_config_requires_some_attention(self, a100):
         with pytest.raises(ValueError, match="attention"):
             EngineConfig(model=TINY, arch=a100, fmt=int4_stack(TINY, a100).fmt)
+
+
+class TestOneForwardPerPrefill:
+    """A replay's consumed decode tokens ride its prefill chunk's forward.
+
+    Every ``ModelRunner.prefill`` call, a recompute replay or a heal
+    included, makes exactly one transformer forward; a per-token fallback
+    to ``decode_step`` would show up here as extra forwards.
+    """
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        """Forwards per ``ModelRunner.prefill`` call, plus each call's decode tail."""
+        calls, tails, inside = [], [], []
+
+        def counted(name):
+            original = getattr(TinyTransformer, name)
+
+            def wrapper(self, *args, **kwargs):
+                if inside:
+                    inside[-1] += 1
+                if name == "prefill_chunk":
+                    tails.append(kwargs.get("decode_tail", 0))
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(TinyTransformer, name, wrapper)
+
+        counted("prefill_chunk")
+        counted("decode_step")
+        prefill = ModelRunner.prefill
+
+        def counting_prefill(self, lc, n_tokens):
+            inside.append(0)
+            try:
+                prefill(self, lc, n_tokens)
+            finally:
+                calls.append(inside.pop())
+
+        monkeypatch.setattr(ModelRunner, "prefill", counting_prefill)
+        return calls, tails
+
+    def test_recompute_replays(self, capsys, forwards):
+        main(["serve-sim", "--model", "tiny", "--execute", "--pages", "16", "--requests", "16",
+              "--rate", "100000", "--prompt-len", "40", "--output-len", "60", "--seed", "3"])
+        assert "check schedule_match: True" in capsys.readouterr().out  # exits 1 on a False check
+        calls, tails = forwards
+        assert calls and set(calls) == {1}
+        assert sum(tail > 0 for tail in tails) >= 4  # replays of consumed decode tokens ran
+
+    def test_heal_replays(self, a100, forwards):
+        config = int4_stack(TINY, a100).config(
+            True, max_batch=16, max_steps=4000, preemption="swap", device_pages=8,
+            host_pages=28, faults=demo_fault_spec(7),
+        )
+        trace = poisson_trace(8, 100000.0, prompt_len=40, output_len=60, seed=3)
+        report = ContinuousBatchingEngine(config, trace).run()
+        assert report.healed_requests > 0 and report.completed == len(trace)
+        calls, tails = forwards
+        assert calls and set(calls) == {1}
+        assert sum(tail > 0 for tail in tails) >= 4

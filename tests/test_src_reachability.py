@@ -4,9 +4,8 @@ Every public top-level function and class in ``src/repro`` has a reader
 outside the test suite.  A *reader* is a name load of the symbol, or an
 attribute load ``x.symbol`` where ``x`` is a name the file binds by
 ``import`` / ``from ... import``, in ``src/`` outside the symbol's own
-body, or anywhere in ``benchmarks/``, ``scripts/``, ``examples/`` or
-``tests/reference_cache.py`` (the hot-path benchmark imports that
-reference).  Attribute loads on any other object do not count: a method
+body, or anywhere in ``benchmarks/``, ``scripts/`` or ``examples/``.
+Attribute loads on any other object do not count: a method
 or property of the same name is not a reader of a module-level function.
 Imports alone do not count either, so an ``__init__`` re-export does not
 keep a name alive.  A symbol only tests read is either promoted to a
@@ -341,8 +340,7 @@ def test_setters_are_keywords_and_string_dict_keys():
 
 
 def _reader_paths() -> list:
-    paths = [p for d in READERS for p in (ROOT / d).rglob("*.py")]
-    return paths + [ROOT / "tests" / "reference_cache.py"]
+    return [p for d in READERS for p in (ROOT / d).rglob("*.py")]
 
 
 def test_every_public_src_symbol_has_a_non_test_reader():
