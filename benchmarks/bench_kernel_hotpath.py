@@ -22,10 +22,10 @@ seq 16k, INT4, d 64):
 An end-to-end ``transformer`` section (TinyTransformer decode step over
 the paged low-bit backend vs exact attention) tracks what the kernel-level wins are
 worth inside a full forward pass.  Its ``replay_ms`` row times a recomputed
-sequence's 33 consumed decode tokens replayed as ONE layer-major forward
-(``prefill_chunk``'s decode tail, what the serving runner does on a heal
-or a recompute preemption), next to ``replay_per_token_ms``, the same
-tokens as one ``decode_step`` each.
+sequence's ``REPLAY_TOKENS`` consumed decode tokens replayed as ONE
+layer-major forward (``prefill_chunk``'s decode tail, what the serving
+runner does on a heal or a recompute preemption), next to
+``replay_per_token_ms``, the same tokens as one ``decode_step`` each.
 
 Report only: these are same-machine host-clock ratios, so nothing gates
 on them.  CI runs this module as a script and uploads the point::
@@ -64,6 +64,9 @@ from tests.reference_cache import ReferenceBitKVCache, reference_decode  # noqa:
 
 #: Acceptance geometry (ISSUE 3/4): 16k tokens, batch 8, hkv 8, INT4.
 DEFAULT_GEOMETRY = dict(batch=8, hkv=8, hq=8, seq_len=16384, head_dim=64, bits=4)
+# Consumed decode tokens per replay: the length of the heal/recompute
+# replays the tiered_chaos workload runs.
+REPLAY_TOKENS = 33
 
 
 def _timed(fn):
@@ -156,7 +159,6 @@ def run_transformer_bench(
     steps=4,
     bits=4,
     seed=0,
-    replay_tokens=33,
 ):
     """End-to-end TinyTransformer decode step: paged low-bit cache vs exact FP16.
 
@@ -197,7 +199,7 @@ def run_transformer_bench(
             "per_step_ms": step_ms,
         }
 
-    replay = _replay_ms(dims, bits, seed, replay_tokens, prefill_tokens)
+    replay = _replay_ms(dims, bits, seed, prefill_tokens)
     return {
         "geometry": {
             "batch": batch,
@@ -210,7 +212,7 @@ def run_transformer_bench(
         },
         "engine_step_ms": results["engine"]["step_ms"],
         "exact_step_ms": results["exact"]["step_ms"],
-        "replay_tokens": replay_tokens,
+        "replay_tokens": REPLAY_TOKENS,
         "replay_ms": replay["layer_major"],
         "replay_per_token_ms": replay["per_token"],
         "engine": results["engine"],
@@ -218,8 +220,8 @@ def run_transformer_bench(
     }
 
 
-def _replay_ms(dims, bits, seed, n_tokens, context, repeats=3):
-    """Fastest of ``repeats`` replays of ``n_tokens`` decode inputs after a
+def _replay_ms(dims, bits, seed, context):
+    """Fastest of three replays of ``REPLAY_TOKENS`` decode inputs after a
     ``context``-token prompt, per mode: one layer-major forward vs one
     ``decode_step`` per token.  Each repeat replays into a fresh session."""
     model = TinyTransformer(
@@ -227,13 +229,13 @@ def _replay_ms(dims, bits, seed, n_tokens, context, repeats=3):
     )
     rng = np.random.default_rng(seed)
     prompt = rng.standard_normal((1, context, model.hidden)).astype(np.float32) * 0.5
-    tail = rng.standard_normal((n_tokens, model.hidden)).astype(np.float32) * 0.5
+    tail = rng.standard_normal((REPLAY_TOKENS, model.hidden)).astype(np.float32) * 0.5
     modes = {
-        "layer_major": lambda s: model.prefill_chunk(tail[None], s, decode_tail=n_tokens),
+        "layer_major": lambda s: model.prefill_chunk(tail[None], s, decode_tail=REPLAY_TOKENS),
         "per_token": lambda s: [model.decode_step(row[None], s) for row in tail],
     }
     best = {}
-    for _ in range(repeats):
+    for _ in range(3):
         for name, replay in modes.items():
             session = model.new_session()
             model.prefill_chunk(prompt, session)

@@ -27,14 +27,11 @@ GEOMETRIES = {
                  intermediate=TINY.intermediate),
     "bench-gqa": dict(hq=8, hkv=2, head_dim=64, hidden=512, intermediate=1024),
 }
-#: Every decode batch up to 64, then the M of merged prompt + replay-tail
-#: forwards (``prefill_chunk(..., decode_tail=...)``): sparse over 65-200,
-#: the 128 + 33 of a replayed bench-gqa chunk, and 640.
-ROW_COUNTS = (
-    list(range(1, 65))
-    + [65, 66, 67, 71, 79, 80, 96, 97, 111, 127, 128, 129, 143, 160, 161, 162, 175, 192, 199, 200]
-    + [640]
-)
+#: Every M up to 200, then 640.  That covers every decode batch and every
+#: merged prompt + replay-tail forward (``prefill_chunk(..., decode_tail=...)``)
+#: the executed workloads reach: a whole 128-token prompt plus up to 63
+#: consumed decode tokens on tiered_chaos is any M from 129 to 191.
+ROW_COUNTS = list(range(1, 201)) + [640]
 
 
 def _blas() -> str:
