@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.attn.paged import PagedBatchHandle, PagedBitBackend, PagedBitKVCache
-from repro.model.transformer import CacheSession, TinyTransformer
+from repro.model.transformer import CacheSession, PrefillChunk, TinyTransformer
 from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore
 
@@ -90,6 +90,9 @@ class ModelRunner:
         #: Per-request decode hidden states, in generation order — the
         #: bit-exactness witness the prefix-sharing comparisons diff.
         self.decoded: Dict[int, List[np.ndarray]] = {}
+        #: Prefill chunks waiting for the step's forward:
+        #: ``(program, chunk, whether it completes the prefill)``.
+        self._held: List[Tuple[_SequenceProgram, PrefillChunk, bool]] = []
 
     # ------------------------------------------------------------- lifecycle
 
@@ -144,6 +147,7 @@ class ModelRunner:
             for s in self.stores
         ]
         if copy_from:
+            self._forward([])  # the source pages may be a held chunk's
             dst = self.stores[0].table.sequences[lc.seq_id].pages[: len(copy_from)]
             for store in self.stores:
                 store.copy_pages(copy_from, dst)
@@ -152,42 +156,64 @@ class ModelRunner:
         prog.written = cached
         prog.pending = None
 
-    def prefill(self, lc, n_tokens: int) -> None:
+    def prefill(self, lc, n_tokens: int, hold: bool = False) -> None:
         """Run one prefill chunk through the model into reserved pages.
 
         The chunk is ONE forward, whatever it holds.  Replay (re-admission
         after a preemption or a heal) is *bit-exact*: prompt rows attend
         as a prefill chunk with the same boundaries the original admission
         used, and consumed decode inputs beyond the prompt ride the same
-        forward as ``prefill_chunk``'s decode tail — they share its
-        projection GEMMs, and each attends the quantized cache as the
-        decode step that originally produced it.  So a recovered
-        sequence's remaining decode outputs match the uninterrupted run
-        bit for bit.
+        forward as the chunk's decode tail — they share its projection
+        GEMMs, and each attends the quantized cache as the decode step
+        that originally produced it.  So a recovered sequence's remaining
+        decode outputs match the uninterrupted run bit for bit.
+
+        ``hold`` keeps the chunk for the step's :meth:`decode_batch`, whose
+        forward then carries it ahead of the decode rows: a mixed step's
+        chunks and decoders share every projection GEMM.  Every other hook
+        runs the held chunks first, so a chunk whose sequence is evicted
+        later in the step is written before its pages are freed.
         """
         prog = self._programs[lc.request.req_id]
         end = prog.written + n_tokens
         tail = end - max(prog.written, min(end, lc.request.prompt_len))
         x = np.stack(prog.inputs[prog.written : end])[None]
-        h = self.tt.prefill_chunk(x, prog.session, decode_tail=tail)
+        self._held.append((prog, PrefillChunk(x, prog.session, tail), end >= lc.prefill_target))
         prog.written = end
-        if prog.written >= lc.prefill_target:
-            prog.pending = h[0, -1]
+        if not hold:
+            self._forward([])
 
     def decode_batch(self, lcs) -> None:
         """Advance every decode-ready sequence by one token in ONE forward.
 
         All of the step's decoders, whatever their positions, share one
-        ``decode_step``: RoPE takes a position per row, each projection
-        is one GEMM over every row, and the per-layer batch handle lets
-        the paged backend batch the cache writes and group the reads by
-        ``n_blocks``.  A row's bits never depend on its batch (the GEMMs
-        run at least ``_ROW_FLOOR`` rows, the grouped reads are
-        bit-exact), so this equals ``decode_batch([lc])`` per sequence
-        bit for bit — and equals the same row replayed later in a
-        :meth:`prefill` chunk's decode tail.
+        ``decode_step``, and so do the step's held prefill chunks, ahead
+        of them: RoPE takes a position per row, each projection is one
+        GEMM over every row, and per layer each chunk attends in order
+        before the per-layer batch handle lets the paged backend batch
+        the decoders' cache writes and group their reads by ``n_blocks``.
+        A row's bits never depend on the other rows of its forward (the
+        GEMMs run at least ``_ROW_FLOOR`` rows, the grouped reads are
+        bit-exact), so this equals one forward per chunk and then
+        ``decode_batch([lc])`` per sequence bit for bit — and equals the
+        same row replayed later in a :meth:`prefill` chunk's decode tail.
         """
-        if not lcs:
+        self._forward(lcs)
+
+    def _forward(self, lcs) -> None:
+        """One forward over the held chunks, then one decode row per ``lcs``.
+
+        Rows kept past the step are copies: a pending input is kept in the
+        recompute program, and a view would pin the forward's whole output.
+        """
+        held, self._held = self._held, []
+        if not held and not lcs:
+            return
+        if len(held) == 1 and not lcs:
+            prog, chunk, done = held[0]
+            h = self.tt.prefill_chunk(chunk.x, chunk.session, decode_tail=chunk.decode_tail)[0]
+            if done:
+                prog.pending = h[-1].copy()
             return
         progs = [self._programs[lc.request.req_id] for lc in lcs]
         session = CacheSession(
@@ -197,12 +223,18 @@ class ModelRunner:
             ],
             positions=np.array([prog.session.positions for prog in progs]),
         )
-        h = self.tt.decode_step(np.stack([prog.pending for prog in progs]), session)
-        for lc, prog, row in zip(lcs, progs, h):
+        x = np.array([prog.pending for prog in progs], np.float32).reshape(-1, self.model.hidden)
+        h = self.tt.decode_step(x, session, chunks=[chunk for _, chunk, _ in held])
+        row = 0
+        for prog, chunk, done in held:
+            row += chunk.x.shape[1]
+            if done:
+                prog.pending = h[row - 1].copy()
+        for lc, prog, out in zip(lcs, progs, h[row:].copy()):
             prog.inputs.append(prog.pending)  # consumed input: part of the recompute context
-            prog.pending = row
+            prog.pending = out
             prog.session.positions += 1
-            self.decoded.setdefault(lc.request.req_id, []).append(np.array(row, np.float32))
+            self.decoded.setdefault(lc.request.req_id, []).append(out)
             self.executed_tokens += 1
 
     def _free(self, prog: _SequenceProgram) -> None:
@@ -222,6 +254,7 @@ class ModelRunner:
         discarded along with the handles, since recompute-style replay
         rebuilds everything from the input program.
         """
+        self._forward([])
         prog = self._programs[lc.request.req_id]
         self._free(prog)
         prog.swap_state = None
@@ -229,6 +262,7 @@ class ModelRunner:
     def on_abort(self, lc) -> None:
         """A request left the system without finishing (timed out, shed
         after admission, or failed): release whatever it still binds."""
+        self._forward([])
         prog = self._programs.pop(lc.request.req_id, None)
         if prog is not None:
             self._free(prog)
@@ -243,6 +277,7 @@ class ModelRunner:
         — plus the decode cursor.  The session object (positions, pending
         input) stays on the program, unbound from any cache handle.
         """
+        self._forward([])
         prog = self._programs[lc.request.req_id]
         seqh0 = prog.handles[0].seqs[0]
         seq_len, n_res = seqh0.seq_len, seqh0.res_len
@@ -268,6 +303,7 @@ class ModelRunner:
         the words that were flushed before the swap — the bit-identity
         the swap parity suite asserts.
         """
+        self._forward([])
         prog = self._programs[lc.request.req_id]
         seq_len, stash = prog.swap_state
         prog.handles = [
@@ -278,4 +314,5 @@ class ModelRunner:
         prog.swap_state = None
 
     def on_finish(self, lc) -> None:
+        self._forward([])
         self._free(self._programs.pop(lc.request.req_id))

@@ -12,17 +12,20 @@ of scope for weights we cannot download.
 Cache state lives in a :class:`CacheSession` (per-layer cache handles +
 the position cursor), so one weight set can serve many concurrent
 sequences: the serving runner holds one session per resident request and
-advances them independently through :meth:`TinyTransformer.prefill_chunk`
-and :meth:`TinyTransformer.decode_step`.  The no-argument methods keep
-operating on a default session, preserving the original single-sequence
-API.
+advances them through :meth:`TinyTransformer.prefill_chunk` and
+:meth:`TinyTransformer.decode_step`, both thin entry points over one
+layer-major forward that takes any mix of rows: a decode step may carry
+other sessions' prefill chunks (:class:`PrefillChunk`), so a scheduler
+step's chunk rows and decode rows share every projection GEMM.  The
+no-argument methods keep operating on a default session, preserving the
+original single-sequence API.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from repro.attn.reference import chunked_causal_attention
 __all__ = [
     "CacheSession",
     "LayerWeights",
+    "PrefillChunk",
     "TinyTransformer",
     "apply_rope",
     "rms_norm",
@@ -66,30 +70,25 @@ def rope_angles(head_dim: int, positions: np.ndarray) -> Tuple[np.ndarray, np.nd
 #: whatever M is, wherever it sits and whatever the other rows hold, and
 #: the same bits as the ``(in, out)`` GEMM ``rows @ w.T`` (pinned by
 #: ``tests/model/test_row_floor.py``).  So a decoder's hidden state never
-#: depends on which other decoders share its step, and a replayed decode
-#: row riding a prefill chunk's GEMMs (``prefill_chunk``'s ``decode_tail``)
-#: has the bits of the 1-row ``decode_step`` that first produced it.
+#: depends on which other rows share its step's forward: other decoders,
+#: a prefill chunk's rows, or a replayed decode tail.
 _ROW_FLOOR = 4
 _OUTPUT_FLOOR = 1201
 
 
-def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` over the last axis for an ``(out, in)`` weight, as ONE GEMM.
+def _matmul(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows @ w.T`` for ``(m, in)`` rows and an ``(out, in)`` weight, as ONE GEMM.
 
     Computed as ``(w @ rows.T).T`` so BLAS's M is the output width, not
     the few decode rows; rows are zero-padded to the floors above.
     """
-    lead = x.shape[:-1]
-    out_width = w.shape[0]
-    rows = np.ascontiguousarray(x, dtype=np.float32).reshape(-1, x.shape[-1])
     m = rows.shape[0]
-    floor = max(_ROW_FLOOR, -(-_OUTPUT_FLOOR // out_width))
+    floor = max(_ROW_FLOOR, -(-_OUTPUT_FLOOR // w.shape[0]))
     if m < floor:
         padded = np.zeros((floor, rows.shape[1]), np.float32)
         padded[:m] = rows
         rows = padded
-    out = np.ascontiguousarray((w @ rows.T)[:, :m].T)
-    return out.reshape(lead + (out_width,))
+    return np.ascontiguousarray((w @ rows.T)[:, :m].T)
 
 
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -105,8 +104,8 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 def swiglu(x: np.ndarray, w_gate_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
     """SwiGLU MLP ``down(silu(gate x) * (up x))``.
 
-    Weights are ``(out, in)``; ``w_gate_up`` stacks ``gate`` over ``up``
-    row-wise, so both run as one GEMM.
+    Weights are ``(out, in)`` and ``x`` is ``(rows, in)``; ``w_gate_up``
+    stacks ``gate`` over ``up`` row-wise, so both run as one GEMM.
     """
     gate, up = np.split(_matmul(x, w_gate_up), 2, axis=-1)
     gate = gate / (1.0 + np.exp(-gate))  # SiLU
@@ -147,6 +146,15 @@ class CacheSession:
     #: Tokens processed so far; a transient batch session may carry one
     #: position per row instead.
     positions: Union[int, np.ndarray] = 0
+
+
+class PrefillChunk(NamedTuple):
+    """One session's prefill chunk ``x (batch, n, hidden)`` in a forward;
+    its last ``decode_tail`` rows are replayed decode tokens."""
+
+    x: np.ndarray
+    session: CacheSession
+    decode_tail: int = 0
 
 
 @dataclass
@@ -234,24 +242,17 @@ class TinyTransformer:
         session.ref_v = []
         session.positions = 0
 
-    def _attention_inputs(self, layer: LayerWeights, normed: np.ndarray, cos, sin):
-        """RoPE'd ``q (b, n, hq, d)`` and ``k, v (b, hkv, n, d)`` from one fused GEMM.
+    def _rope_qkv(self, qkv: np.ndarray, cos, sin):
+        """RoPE'd ``q (b, n, hq, d)`` and ``k, v (b, hkv, n, d)`` from fused
+        ``wqkv`` outputs ``(b, n, (hq + 2 hkv) d)``.
 
         ``cos``/``sin`` broadcast against ``(b, heads, n, d / 2)``.
         """
-        batch, n, _ = normed.shape
-        qkv = _matmul(normed, layer.wqkv).reshape(
-            batch, n, self.hq + 2 * self.hkv, self.head_dim
-        ).transpose(0, 2, 1, 3)
+        batch, n, _ = qkv.shape
+        qkv = qkv.reshape(batch, n, self.hq + 2 * self.hkv, self.head_dim).transpose(0, 2, 1, 3)
         q = apply_rope(qkv[:, : self.hq], cos, sin).transpose(0, 2, 1, 3)
         k = apply_rope(qkv[:, self.hq : self.hq + self.hkv], cos, sin)
         return q, k, qkv[:, self.hq + self.hkv :]
-
-    def _block_tail(self, layer: LayerWeights, h: np.ndarray, attn: np.ndarray) -> np.ndarray:
-        """Output projection, residual adds and the MLP after attention."""
-        batch, n, _ = h.shape
-        h = h + _matmul(attn.reshape(batch, n, self.hidden), layer.wo)
-        return h + swiglu(rms_norm(h, layer.norm_mlp), layer.w_gate_up, layer.w_down)
 
     # ------------------------------------------------------------------ forward
 
@@ -285,70 +286,107 @@ class TinyTransformer:
         context is used.
 
         The last ``decode_tail`` rows are replayed decode tokens (a
-        recomputed sequence's consumed decode inputs): in every layer they
-        share the chunk's projection GEMMs, then each appends its K/V and
-        attends the cache as its own decode step, after the prompt rows.
-        Every layer's cache sees the call sequence of ``prefill_chunk``
-        on the prompt rows followed by one :meth:`decode_step` per tail
-        row, and since projection rows, norms, RoPE and the MLP are
-        row-local bit for bit (``_ROW_FLOOR``), so are the outputs.
+        recomputed sequence's consumed decode inputs): they share the
+        chunk's projection GEMMs, then each appends its K/V and attends
+        the cache as its own decode step, after the prompt rows (see
+        :meth:`_forward`).
         """
         x = np.asarray(x, dtype=np.float32)
-        batch, n, _ = x.shape
-        if not 0 <= decode_tail <= n:
-            raise ValueError(f"decode_tail ({decode_tail}) must lie in [0, {n}]")
-        prompt = n - decode_tail
-        sess = session
-        pos0 = sess.positions
-        if not sess.caches:
-            sess.caches = [None] * self.n_layers
-        if not sess.ref_k:
-            sess.ref_k = [None] * self.n_layers
-            sess.ref_v = [None] * self.n_layers
-        cos, sin = rope_angles(self.head_dim, np.arange(pos0, pos0 + n))
-        h = x
-        for i, layer in enumerate(self.layers):
-            q, k, v = self._attention_inputs(layer, rms_norm(h, layer.norm_attn), cos, sin)
-            parts = []
-            if prompt:
-                qp, kp, vp = q[:, :prompt], k[:, :, :prompt], v[:, :, :prompt]
-                if self.backend is not None:
-                    if sess.caches[i] is None:
-                        sess.caches[i] = self.backend.new_handle(batch, self.hkv, self.head_dim)
-                    parts.append(self.backend.prefill(qp, (kp, vp), sess.caches[i]))
-                else:
-                    parts.append(self._reference_attention(sess, i, qp, kp, vp))
-            for t in range(prompt, n):
-                row = slice(t, t + 1)
-                parts.append(
-                    self._decode_attention(sess, i, q[:, row], k[:, :, row], v[:, :, row])
-                )
-            h = self._block_tail(layer, h, np.concatenate(parts, axis=1))
-        sess.positions = pos0 + n
-        return h
+        return self._forward([PrefillChunk(x, session, decode_tail)]).reshape(x.shape)
 
-    def decode_step(self, x: np.ndarray, session: Optional[CacheSession] = None) -> np.ndarray:
+    def decode_step(
+        self,
+        x: np.ndarray,
+        session: Optional[CacheSession] = None,
+        chunks: Sequence[PrefillChunk] = (),
+    ) -> np.ndarray:
         """One decode step for ``x`` of shape (batch, hidden).
 
         ``session.positions`` may hold one position per row, so one call
         can advance sequences at different positions together.  Every
         projection is one GEMM over all rows, and a row's output bits do
         not depend on the batch it runs in.
+
+        ``chunks`` are other sessions' prefill chunks riding the same
+        forward ahead of the decode rows: their rows share every
+        projection GEMM, and each chunk's attention runs before the
+        decoders', in order.  Returns every row's hidden state, flat:
+        each chunk's ``batch * n`` rows, then ``x``'s rows.
         """
         sess = session if session is not None else self._session
         x = np.asarray(x, dtype=np.float32)
-        batch = x.shape[0]
-        positions = np.broadcast_to(sess.positions, (batch,))
-        cos, sin = rope_angles(self.head_dim, positions)
-        cos, sin = cos[:, None, None], sin[:, None, None]  # per row, over (heads, 1)
-        h = x[:, None, :]  # (b, 1, hidden)
+        return self._forward([*chunks, PrefillChunk(x[:, None, :], sess, decode_tail=1)])
+
+    def _forward(self, chunks: Sequence[PrefillChunk]) -> np.ndarray:
+        """The one layer-major forward: every chunk's rows, flat ``(rows, hidden)``.
+
+        A decode batch is the ``n == 1`` chunk that is all tail; its
+        session may hold one position per row.  Each projection is ONE
+        GEMM over every chunk's rows; norms, RoPE and the MLP are
+        row-local.  Per layer, attention runs per chunk in the given
+        order: the prompt rows as chunked prefill, then each tail row's
+        ``append_kv`` + ``decode_step`` on the chunk's handle.  So every
+        layer's cache sees the call sequence of one forward per chunk,
+        and since a projection row's bits do not depend on the other rows
+        (``_ROW_FLOOR``), neither do the outputs.  A session may appear
+        in at most one chunk.
+        """
+        segments, rows = [], []
+        for x, sess, tail in chunks:
+            batch, n, _ = x.shape
+            if not 0 <= tail <= n:
+                raise ValueError(f"decode_tail ({tail}) must lie in [0, {n}]")
+            if not batch * n:
+                continue
+            if not sess.caches:
+                sess.caches = [None] * self.n_layers
+            if not sess.ref_k:
+                sess.ref_k = [None] * self.n_layers
+                sess.ref_v = [None] * self.n_layers
+            if np.ndim(sess.positions):  # one position per row, over (heads, 1)
+                cos, sin = rope_angles(self.head_dim, sess.positions)
+                cos, sin = cos[:, None, None], sin[:, None, None]
+            else:
+                cos, sin = rope_angles(self.head_dim, np.arange(sess.positions, sess.positions + n))
+            segments.append((sess, batch, n, n - tail, cos, sin))
+            rows.append(np.asarray(x, dtype=np.float32).reshape(batch * n, self.hidden))
+        h = np.concatenate(rows)
         for i, layer in enumerate(self.layers):
-            q, k_new, v_new = self._attention_inputs(
-                layer, rms_norm(h, layer.norm_attn), cos, sin
-            )
-            h = self._block_tail(layer, h, self._decode_attention(sess, i, q, k_new, v_new))
-        sess.positions = sess.positions + 1
-        return h[:, 0, :]
+            h = h + _matmul(self._attention(i, layer, h, segments), layer.wo)
+            h = h + swiglu(rms_norm(h, layer.norm_mlp), layer.w_gate_up, layer.w_down)
+        for sess, _, n, *_ in segments:
+            sess.positions = sess.positions + n
+        return h
+
+    def _attention(self, i: int, layer: LayerWeights, h: np.ndarray, segments) -> np.ndarray:
+        """Layer ``i``'s attention rows ``(rows, hidden)``: one fused ``wqkv``
+        GEMM over every row, then attention per chunk, in order."""
+        qkv = _matmul(rms_norm(h, layer.norm_attn), layer.wqkv)
+        parts, start = [], 0
+        for sess, batch, n, prompt, cos, sin in segments:
+            stop = start + batch * n
+            q, k, v = self._rope_qkv(qkv[start:stop].reshape(batch, n, -1), cos, sin)
+            start = stop
+            attn = self._chunk_attention(sess, i, q, k, v, prompt)
+            parts.append(attn.reshape(batch * n, self.hidden))
+        return np.concatenate(parts)
+
+    def _chunk_attention(self, sess: CacheSession, i: int, q, k, v, prompt: int) -> np.ndarray:
+        """One chunk's attention in layer ``i``: the first ``prompt`` rows as
+        chunked prefill, then each later row as its own decode step."""
+        parts = []
+        if prompt:
+            qp, kp, vp = q[:, :prompt], k[:, :, :prompt], v[:, :, :prompt]
+            if self.backend is not None:
+                if sess.caches[i] is None:
+                    sess.caches[i] = self.backend.new_handle(len(q), self.hkv, self.head_dim)
+                parts.append(self.backend.prefill(qp, (kp, vp), sess.caches[i]))
+            else:
+                parts.append(self._reference_attention(sess, i, qp, kp, vp))
+        for t in range(prompt, q.shape[1]):
+            row = slice(t, t + 1)
+            parts.append(self._decode_attention(sess, i, q[:, row], k[:, :, row], v[:, :, row]))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def _decode_attention(self, sess: CacheSession, i: int, q, k, v) -> np.ndarray:
         """One decode row per sequence (``q (b, 1, hq, d)``, ``k, v (b, hkv, 1, d)``)

@@ -50,10 +50,11 @@ Mechanics (the vLLM/QServe-style loop, one simulation step at a time):
   engine's page table*.  Admission reserves the pages the prefill
   numerics fill, chunked prefill writes packed blocks page by page, and
   preemption frees pages that really hold the victim's quantized KV.
-  The clock is still the analytical one (same backend pricing), so the
-  executed schedule is byte-for-byte the analytical schedule, with
-  ``ServingReport.executed_tokens`` proving every generated token was
-  actually computed.
+  Untiered, a step's prefill chunks ride its decode rows' forward (one
+  forward per step).  The clock is still the analytical one (same
+  backend pricing), so the executed schedule is byte-for-byte the
+  analytical schedule, with ``ServingReport.executed_tokens`` proving
+  every generated token was actually computed.
 
 The page pool is sized from the *same* byte accounting the static model
 uses (:func:`repro.model.memory.page_pool_size`), which is what makes
@@ -912,7 +913,10 @@ class ContinuousBatchingEngine:
                     prefetch=True,
                 )
             if self._runner is not None:
-                self._runner.prefill(lc, take)
+                # Untiered, the chunk rides the step's decode forward.  The
+                # tier walk and heal run between chunks and decoders, so a
+                # tiered chunk executes now.
+                self._runner.prefill(lc, take, hold=self.tiers is None)
             self._register_prefix(lc)
         if self.tiers is not None:
             self.tiers.unpin_all()

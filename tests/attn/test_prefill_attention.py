@@ -95,9 +95,8 @@ class TestEinsumBits:
         layer = model.layers[0]
         x = np.random.default_rng(3).standard_normal((1, 512, 512)).astype(np.float32)
         cos, sin = rope_angles(64, np.arange(512))
-        q_all, k_all, v_all = model._attention_inputs(
-            layer, rms_norm(x, layer.norm_attn), cos, sin
-        )
+        qkv = rms_norm(x, layer.norm_attn) @ layer.wqkv.T
+        q_all, k_all, v_all = model._rope_qkv(qkv, cos, sin)
         mismatches = []
         for n in (1, 15, 59, 64, 69, 128):
             for cached in (0, 59, 128, 187, 384):

@@ -4,9 +4,10 @@ Every projection in :class:`~repro.model.transformer.TinyTransformer` goes
 through ``_matmul``: one GEMM over an output-major ``(out, in)`` weight,
 zero-padded to at least ``_ROW_FLOOR`` rows and more than 1200 outputs.
 That a decode step over many sequences equals one step per sequence bit
-for bit rests on a BLAS property: from the floor up, row r of the GEMM has
-the same bits whatever M is, wherever r sits and whatever the other rows
-hold.  The recorded digests also rest on those bits equalling the
+for bit, and that a scheduler step's prefill chunks can share its decode
+rows' forward, rest on a BLAS property: from the floor up, row r of the
+GEMM has the same bits whatever M is, wherever r sits and whatever the
+other rows hold.  The recorded digests also rest on those bits equalling the
 ``(in, out)`` GEMM ``rows @ w.T`` they were cut with.  This file pins both
 properties on every fused weight shape the executed workloads use, so a
 BLAS upgrade that breaks them fails here instead of every downstream
@@ -27,11 +28,13 @@ GEOMETRIES = {
                  intermediate=TINY.intermediate),
     "bench-gqa": dict(hq=8, hkv=2, head_dim=64, hidden=512, intermediate=1024),
 }
-#: Every M up to 200, then 640.  That covers every decode batch and every
-#: merged prompt + replay-tail forward (``prefill_chunk(..., decode_tail=...)``)
-#: the executed workloads reach: a whole 128-token prompt plus up to 63
-#: consumed decode tokens on tiered_chaos is any M from 129 to 191.
-ROW_COUNTS = list(range(1, 201)) + [640]
+#: Every M up to 200, then 256 and 640.  That covers every decode batch and
+#: every merged forward the executed workloads and tier-1's executed runs
+#: reach: a whole 128-token prompt plus up to 63 consumed decode tokens on
+#: tiered_chaos is any M from 129 to 191, a step's prefill chunks plus its
+#: decode rows reach 132 on prefill_shared, and every forward of tier-1's
+#: executed runs has at most 200 rows but for whole 256-token prompts.
+ROW_COUNTS = list(range(1, 201)) + [256, 640]
 
 
 def _blas() -> str:

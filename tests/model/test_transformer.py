@@ -10,6 +10,8 @@ from repro.attn.paged import PagedBatchHandle, PagedBitKVCache
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
 from repro.model.transformer import (
+    CacheSession,
+    PrefillChunk,
     TinyTransformer,
     apply_rope,
     rms_norm,
@@ -124,7 +126,7 @@ class TestVectorizedAttention:
         normed = rng.standard_normal((2, 12, 64)).astype(np.float32)
         seq = normed.shape[1]
         cos, sin = rope_angles(16, np.arange(seq))
-        qr, k, v = model._attention_inputs(layer, normed, cos, sin)
+        qr, k, v = model._rope_qkv(normed @ layer.wqkv.T, cos, sin)
         out = chunked_causal_attention(qr, None, None, k, v).reshape(2, 12, 64) @ layer.wo.T
 
         # Per-head loop reference (the pre-vectorization implementation).
@@ -261,3 +263,97 @@ class TestReplayTail:
         model = TinyTransformer(n_layers=1, seed=0, **REPLAY_GEOMETRIES["tiny"])
         with pytest.raises(ValueError, match="decode_tail"):
             model.prefill_chunk(np.zeros((1, 2, 64), np.float32), model.new_session(), 3)
+
+
+def _mixed(geometry: str, bits: int, chunks, contexts, merged: bool):
+    """One scheduler step's rows over separate sessions sharing per-layer
+    stores (as in the serving runner): a chunk per ``(pre, prompt, tail)``
+    (``pre`` rows of context first) and one decode batch over sessions
+    holding ``contexts`` tokens each.  Run as ONE forward (``merged``:
+    ``decode_step(..., chunks=...)``) or as separate forwards: per chunk,
+    ``prefill_chunk`` on its prompt rows and one ``decode_step`` per tail
+    row, then one batched ``decode_step``.  Returns the step's hidden rows
+    and the stores."""
+    dims = REPLAY_GEOMETRIES[geometry]
+    config = BitDecodingConfig(bits=bits, wn=1)
+    model = TinyTransformer(n_layers=2, backend=PagedBitBackend(config), seed=3, **dims)
+    n_seqs = len(chunks) + len(contexts)
+    stores = [
+        PagedBitKVCache(config, dims["hkv"], dims["head_dim"], n_pages=4 * n_seqs, n_slots=n_seqs)
+        for _ in model.layers
+    ]
+    seqs = [[store.add_sequence() for store in stores] for _ in range(n_seqs)]
+    sessions = [
+        model.new_session([PagedBatchHandle(s, [h]) for s, h in zip(stores, handles)])
+        for handles in seqs
+    ]
+    rng = np.random.default_rng([geometry == "tiny", bits, *np.ravel(chunks), *contexts])
+
+    def rows(n):
+        return (rng.standard_normal((n, dims["hidden"])) * 0.25).astype(np.float32)
+
+    for session, n in zip(sessions, [pre for pre, _, _ in chunks] + list(contexts)):
+        if n:
+            model.prefill_chunk(rows(n)[None], session)
+    xs = [rows(prompt + tail) for _, prompt, tail in chunks]
+    decoders = seqs[len(chunks) :]
+    batch = CacheSession(
+        caches=[PagedBatchHandle(s, [h[i] for h in decoders]) for i, s in enumerate(stores)],
+        positions=np.array(contexts, dtype=np.int64),
+    )
+    x = rows(len(contexts))
+    if merged:
+        held = [PrefillChunk(c[None], s, tail) for c, s, (_, _, tail) in zip(xs, sessions, chunks)]
+        hidden = model.decode_step(x, batch, chunks=held)
+    else:
+        outs = []
+        for c, session, (_, prompt, _) in zip(xs, sessions, chunks):
+            if prompt:
+                outs.append(model.prefill_chunk(c[None, :prompt], session)[0])
+            outs += [model.decode_step(row[None], session) for row in c[prompt:]]
+        if contexts:
+            outs.append(model.decode_step(x, batch))
+        hidden = np.concatenate(outs)
+    for session, (pre, prompt, tail) in zip(sessions, chunks):
+        assert session.positions == pre + prompt + tail
+    assert list(batch.positions) == [n + 1 for n in contexts]
+    return hidden, stores
+
+
+#: One chunk's ``(pre, prompt, tail)``: a chunk holds a row, and a decode
+#: row follows a prompt row.
+_CHUNK = st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 20)).filter(
+    lambda c: c[0] + c[1] > 0 and c[1] + c[2] > 0
+)
+
+
+class TestMergedStep:
+    """A step's prefill chunks share its decode rows' forward bit for bit."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        geometry=st.sampled_from(sorted(REPLAY_GEOMETRIES)),
+        bits=st.sampled_from([2, 4]),
+        chunks=st.lists(_CHUNK, min_size=1, max_size=3),
+        contexts=st.lists(st.integers(1, 70), max_size=4),
+    )
+    # Chunks alone, a 1-row step under the row floor, tiny's ragged
+    # decoders across an N_r flush, and bench-gqa's 128-token chunk plus
+    # four decoders (prefill_shared's mixed step).
+    @example(geometry="tiny", bits=4, chunks=[(0, 5, 0), (3, 2, 1)], contexts=[])
+    @example(geometry="tiny", bits=4, chunks=[(0, 1, 0)], contexts=[])
+    @example(geometry="tiny", bits=2, chunks=[(40, 23, 1)], contexts=[31, 63, 64, 1])
+    @example(geometry="bench-gqa", bits=4, chunks=[(0, 40, 0)] * 2 + [(31, 0, 20)], contexts=[1])
+    @example(geometry="bench-gqa", bits=4, chunks=[(0, 128, 0)], contexts=[32, 33, 95, 100])
+    def test_one_forward_equals_a_forward_per_chunk_then_decode(
+        self, geometry, bits, chunks, contexts
+    ):
+        merged, merged_stores = _mixed(geometry, bits, chunks, contexts, merged=True)
+        stepped, stepped_stores = _mixed(geometry, bits, chunks, contexts, merged=False)
+        assert merged.shape == (sum(p + t for _, p, t in chunks) + len(contexts), merged.shape[1])
+        assert merged.tobytes() == stepped.tobytes()
+        for a, b in zip(merged_stores, stepped_stores):
+            for pool_a, pool_b in zip(a.pools, b.pools):
+                assert pool_a.tobytes() == pool_b.tobytes()
+            assert a.res_k.tobytes() == b.res_k.tobytes()
+            assert a.res_v.tobytes() == b.res_v.tobytes()

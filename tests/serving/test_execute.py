@@ -145,3 +145,157 @@ class TestOneForwardPerPrefill:
         calls, tails = forwards
         assert calls and set(calls) == {1}
         assert sum(tail > 0 for tail in tails) >= 4
+
+
+#: Chunked executed runs, as ``(poisson_trace kwargs, EngineConfig kwargs)``.
+#: ``evict_held``: a 7-page pool where a decoder's one-token grow evicts a
+#: sequence whose chunk is still held for the step's forward; ``copy``:
+#: prefix-cache hits cloned into private pages (``prefix_share=False``);
+#: ``tiered``: swap preemption, whose chunks execute at once.
+CHUNKED_RUNS = {
+    "evict_held": (
+        dict(n_requests=6, rate_rps=1e5, prompt_len=40, output_len=40, seed=0, output_jitter=0.5),
+        dict(n_pages=7, max_batch=8, prefill_chunk_tokens=32),
+    ),
+    "copy": (
+        dict(
+            n_requests=8,
+            rate_rps=2000.0,
+            prompt_len=128,
+            output_len=24,
+            seed=7,
+            shared_prefix_fraction=0.5,
+            prefix_groups=2,
+        ),
+        dict(
+            n_pages=48,
+            max_batch=8,
+            prefill_chunk_tokens=32,
+            prefix_cache=True,
+            prefix_share=False,
+        ),
+    ),
+    "tiered": (
+        dict(n_requests=8, rate_rps=1e5, prompt_len=40, output_len=60, seed=3),
+        dict(
+            max_batch=8,
+            preemption="swap",
+            device_pages=8,
+            host_pages=28,
+            prefill_chunk_tokens=32,
+        ),
+    ),
+}
+
+
+def _engine(a100, name):
+    trace_kwargs, config = CHUNKED_RUNS[name]
+    trace = poisson_trace(**trace_kwargs)
+    config = int4_stack(TINY, a100).config(True, max_steps=4000, **config)
+    return ContinuousBatchingEngine(config, trace)
+
+
+class TestOneForwardPerStep:
+    """A mixed step's prefill chunks ride its decode rows' forward.
+
+    The reference is the execution where every chunk runs its own forward
+    the moment it is scheduled: holding a chunk for the step's
+    ``decode_batch`` must not move one decoded bit.
+    """
+
+    @pytest.fixture
+    def held_victims(self, monkeypatch):
+        """Sequences a decoder's grow evicted while their chunk was held."""
+        victims, growing = [], []
+        extend = ContinuousBatchingEngine._extend
+        on_preempt = ModelRunner.on_preempt
+
+        def tracked_extend(self, lc, n_tokens):
+            growing.append(lc.prefill_done)
+            try:
+                return extend(self, lc, n_tokens)
+            finally:
+                growing.pop()
+
+        def tracked_preempt(self, lc):
+            prog = self._programs[lc.request.req_id]
+            if growing and growing[-1] and any(p is prog for p, _, _ in self._held):
+                victims.append(lc.request.req_id)
+            on_preempt(self, lc)
+
+        monkeypatch.setattr(ContinuousBatchingEngine, "_extend", tracked_extend)
+        monkeypatch.setattr(ModelRunner, "on_preempt", tracked_preempt)
+        return victims
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
+    def test_bit_exact_with_a_forward_per_chunk(self, a100, monkeypatch, held_victims, name):
+        merged = _engine(a100, name)
+        report = merged.run()
+        assert report.completed == report.n_requests
+        assert report.mixed_steps > 0
+        if name == "evict_held":
+            assert held_victims
+        with monkeypatch.context() as m:
+            prefill = ModelRunner.prefill
+            m.setattr(ModelRunner, "prefill", lambda self, lc, n, hold=False: prefill(self, lc, n))
+            stepped = _engine(a100, name)
+            stepped.run()
+        assert merged.decoded.keys() == stepped.decoded.keys()
+        for req_id, rows in stepped.decoded.items():
+            assert [r.tobytes() for r in merged.decoded[req_id]] == [r.tobytes() for r in rows]
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
+    def test_crosscheck_green(self, a100, name):
+        trace_kwargs, config = CHUNKED_RUNS[name]
+        # A prefix-cache run's crosscheck owes its copy-mode twin itself
+        # (``share_vs_copy_bit_exact``), so it is given the sharing run.
+        config = {k: v for k, v in config.items() if k != "prefix_share"}
+        trace = poisson_trace(**trace_kwargs)
+        result = crosscheck(int4_stack(TINY, a100), trace, max_steps=4000, **config)
+        assert result.checks and result.ok, result.checks
+
+    def test_one_forward_per_tick_unless_a_hook_flushes(self, a100, monkeypatch):
+        """Untiered and chunked, every tick that runs tokens makes exactly
+        one forward through the two seams; a tick makes more only when a
+        runner hook had to run held chunks first."""
+        forwards, flushes, depth = [0], [0], []
+
+        def counted(name):
+            original = getattr(TinyTransformer, name)
+
+            def wrapper(self, *args, **kwargs):
+                forwards[-1] += not depth
+                depth.append(1)
+                try:
+                    return original(self, *args, **kwargs)
+                finally:
+                    depth.pop()
+
+            monkeypatch.setattr(TinyTransformer, name, wrapper)
+
+        def flushing(name):
+            original = getattr(ModelRunner, name)
+
+            def wrapper(self, *args, **kwargs):
+                flushes[-1] += bool(self._held)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ModelRunner, name, wrapper)
+
+        counted("prefill_chunk")
+        counted("decode_step")
+        for name in ("on_admit", "on_preempt", "on_abort", "on_finish"):
+            flushing(name)
+        tick = ContinuousBatchingEngine._tick
+
+        def counted_tick(self):
+            forwards.append(0)
+            flushes.append(0)
+            return tick(self)
+
+        monkeypatch.setattr(ContinuousBatchingEngine, "_tick", counted_tick)
+        report = _engine(a100, "evict_held").run()
+        ticks = [(f, h) for f, h in zip(forwards, flushes) if f]
+        assert len(ticks) == report.prefill_steps + report.decode_steps - report.mixed_steps
+        assert any(h for _, h in ticks)
+        assert all(f == 1 + h for f, h in ticks), ticks
