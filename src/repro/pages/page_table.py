@@ -45,6 +45,10 @@ class PageTable:
         self.sequences: List[PagedSequence] = []
         self._free_ids: List[int] = []
 
+    def pages_for(self, tokens: int) -> int:
+        """Pages a context of ``tokens`` tokens occupies."""
+        return -(-tokens // self.page_size)
+
     def add_sequence(
         self, initial_length: int = 0, shared_pages: Optional[Sequence[int]] = None
     ) -> int:
@@ -63,7 +67,7 @@ class PageTable:
         allocation behind) when the pool cannot hold the context.
         """
         shared = list(shared_pages) if shared_pages else []
-        n_pages = -(-initial_length // self.page_size) if initial_length else 0
+        n_pages = self.pages_for(initial_length)
         if len(shared) > n_pages:
             raise ValueError(
                 f"{len(shared)} shared pages exceed the {n_pages} pages an "
@@ -114,7 +118,7 @@ class PageTable:
             raise ValueError(f"sequence {seq_id} is released")
         seq = self.sequences[seq_id]
         target = seq.length + n_tokens
-        n_pages = -(-target // self.page_size) - len(seq.pages)
+        n_pages = self.pages_for(target) - len(seq.pages)
         if n_pages > 0:
             seq.pages.extend(self.allocator.allocate_many(n_pages))
         seq.length = target

@@ -35,12 +35,8 @@ Quickstart::
 Or from the command line: ``python -m repro serve-sim``.
 """
 
-from repro.serving.engine import (
-    ContinuousBatchingEngine,
-    EngineConfig,
-    compare_formats,
-)
-from repro.serving.formats import paper_serving_stacks
+from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
+from repro.serving.formats import compare_formats, paper_serving_stacks
 from repro.serving.report import ServingReport
 from repro.serving.request import (
     DeadlinePolicy,

@@ -403,7 +403,7 @@ def crosscheck(
         # deadlines cost time, never numerics.
         calm, reports["fault_free"] = run(undisturbed)
         checks["all_damage_healed"] = executed.failed == 0 and not any(
-            engine.tiers is not None and engine.tiers.has_bad_pages for engine in subject.engines
+            engine.swap is not None and engine.swap.has_bad_pages for engine in subject.engines
         )
         checks["outputs_bit_exact_after_recovery"] = same_decode(calm)
         if config.get("faults") is not None:

@@ -26,7 +26,9 @@ Mechanics (the vLLM/QServe-style loop, one simulation step at a time):
   preempts the most recently admitted sequence — decoding or mid-prefill —
   releases exactly the pages it had reserved so far, and requeues it at
   the front of the wait queue (recompute-style: its generated-token count
-  is kept, its KV is rebuilt on re-admission).
+  is kept, its KV is rebuilt on re-admission).  ``preemption="swap"``
+  moves it off the device tier instead; :mod:`repro.serving.swap` owns
+  that path and describes the fault healing, deadlines and audits.
 - **Prefix caching** (``EngineConfig.prefix_cache``, the vLLM/SGLang
   discipline): admission probes a :class:`~repro.pages.prefix_cache.PrefixCache`
   of flushed page-aligned blocks chunk by chunk; hit pages are mapped into
@@ -40,7 +42,7 @@ Mechanics (the vLLM/QServe-style loop, one simulation step at a time):
   :class:`~repro.attn.protocol.AttentionBackend` protocol: a bare
   attention system is wrapped into an
   :class:`~repro.attn.analytical.AnalyticalBackend` (the end-to-end
-  latency model, demoted to one implementation among three), so FP16 vs
+  latency model, one of the two backend implementations), so FP16 vs
   INT4 vs INT2 runs differ exactly where the paper says they do:
   page-pool capacity and attention kernel time.
 - **Real execution** (``EngineConfig.execute``): with a
@@ -63,24 +65,6 @@ the engine checks page conservation — the pages held by resident
 sequences must equal the allocator's used count — so scheduling bugs
 (double releases, leaked mid-prefill reservations) fail loudly instead of
 skewing the comparison.
-
-**Faults, deadlines and degradation** (``EngineConfig.faults`` /
-``deadline_policy`` / ``audit_every``): a
-:class:`~repro.faults.plan.FaultSpec` arms the tier store with a
-deterministic :class:`~repro.faults.plan.FaultPlan` — transient transfer
-faults retry with backoff (priced as stall), permanent faults and
-in-flight corruption (caught by demote/promote checksums) surface as
-*bad pages* the engine heals by recompute-style replay of just the
-affected sequences before any numerics read them.  A
-:class:`~repro.serving.request.DeadlinePolicy` adds per-request
-deadlines: admission sheds a head that cannot finish in time, expired
-requests are timed out and reclaimed, and the report splits goodput
-(tokens of deadline-meeting requests) from raw throughput.  An
-:class:`~repro.faults.audit.InvariantAuditor` cross-checks allocator,
-block tables and tier bijection every ``audit_every`` steps.  All
-decisions are schedule-level, so an analytical and an executed chaos run
-stay in lock-step — the ``serve-sim --chaos --execute`` cross-check
-proves recovered decodes bit-identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -93,16 +77,15 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.attn.analytical import AnalyticalBackend
 from repro.attn.protocol import AttentionBackend
 from repro.faults.audit import InvariantAuditor
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import FaultSpec
 from repro.gpu.arch import ArchSpec
 from repro.model.config import ModelConfig
 from repro.model.inference import AttentionSystem
-from repro.model.memory import CacheFormat, page_bytes, page_pool_size
+from repro.model.memory import CacheFormat, page_pool_size
 from repro.model.serving import ServingOOMError
 from repro.pages.allocator import OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
 from repro.pages.prefix_cache import PrefixCache
-from repro.pages.tiers import TieredPageStore
 from repro.serving.report import ServingReport
 from repro.serving.request import (
     DeadlinePolicy,
@@ -110,13 +93,13 @@ from repro.serving.request import (
     RequestLifecycle,
     prefix_block_keys,
 )
+from repro.serving.swap import SwapPreemption
 
 __all__ = [
     "ContinuousBatchingEngine",
     "DeadlinePolicy",
     "EngineConfig",
     "RequestLifecycle",
-    "compare_formats",
 ]
 
 
@@ -178,8 +161,9 @@ class EngineConfig:
     prefix_share: bool = True
     #: What happens when pages run out: ``"recompute"`` releases the
     #: victim's pages and replays its prefill on re-admission (the 0.2
-    #: behaviour); ``"swap"`` demotes the victim's pages to the host tier
-    #: and promotes them back on resume — no recompute, bit-identical KV.
+    #: behaviour); ``"swap"`` moves the victim's pages off the device tier
+    #: and back on resume — no recompute, bit-identical KV
+    #: (:mod:`repro.serving.swap`).
     preemption: str = "recompute"
     #: Tier geometry of a ``preemption="swap"`` run: the device tier holds
     #: ``device_pages`` frames, backed by ``host_pages`` (+ modeled
@@ -189,10 +173,9 @@ class EngineConfig:
     device_pages: Optional[int] = None
     host_pages: Optional[int] = None
     disk_pages: int = 0
-    #: Fault-injection spec; the engine builds a deterministic
-    #: :class:`~repro.faults.plan.FaultPlan` from it and arms the tier
-    #: store.  Requires ``preemption="swap"`` — faults live on the tier
-    #: transfer legs.
+    #: Fault-injection spec; the swap owner builds a deterministic fault
+    #: plan from it and arms the tier store.  Requires
+    #: ``preemption="swap"`` — faults live on the tier transfer legs.
     faults: Optional[FaultSpec] = None
     #: Deadline semantics (shedding, timeouts, goodput); None ignores
     #: ``Request.deadline_s`` entirely.
@@ -232,8 +215,10 @@ class EngineConfig:
                 'faults are injected on tier transfer legs: FaultSpec needs '
                 'preemption="swap" and a tier geometry'
             )
-        if self.audit_every is not None and self.audit_every <= 0:
-            raise ValueError("audit_every must be positive (or None)")
+        for name in ("max_steps", "prefill_chunk_tokens", "audit_every"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive (or None), got {value}")
         if self.max_heals < 1:
             raise ValueError("max_heals must be at least 1")
         if self.page_size <= 0:
@@ -260,8 +245,6 @@ class EngineConfig:
                 f"tp (got n_gpus={self.n_gpus}); data parallelism is layered "
                 "on top via cluster replicas, not n_gpus"
             )
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens <= 0:
-            raise ValueError("prefill_chunk_tokens must be positive (or None)")
         if self.attention is None and self.backend is None:
             raise ValueError("provide an attention system or an AttentionBackend")
         if self.attention is not None and self.backend is not None:
@@ -329,30 +312,35 @@ class ContinuousBatchingEngine:
         self.n_pages = n_pages
         self.allocator = PageAllocator(n_pages)
         self.table = PageTable(self.allocator, page_size=config.page_size)
-        # Each engine builds its own plan from the spec: an analytical and
-        # an executed run of the same config issue identical transfer
-        # sequences, so their plans draw identical fault outcomes.
-        self.fault_plan: Optional[FaultPlan] = (
-            FaultPlan(config.faults) if config.faults is not None else None
-        )
-        self.tiers: Optional[TieredPageStore] = None
-        if config.tiered:
-            self.tiers = TieredPageStore(
-                self.allocator,
-                config.device_pages,
-                config.host_pages,
-                config.disk_pages,
-                page_nbytes=page_bytes(config.model, config.fmt, config.page_size),
-                faults=self.fault_plan,
-            )
-        self.auditor: Optional[InvariantAuditor] = (
-            InvariantAuditor(self.allocator, table=self.table, tiers=self.tiers)
-            if config.audit_every is not None
-            else None
-        )
         #: Pages the decode working set must fit at once (whole pool when
         #: untiered).
         self.device_pages = config.device_pages if config.tiered else n_pages
+        #: The run's one accounting record: events count straight into it,
+        #: :meth:`finish` reads out the rest and derives the rates.
+        self.report = ServingReport(
+            format_name=config.fmt.name,
+            n_pages=n_pages,
+            page_size=config.page_size,
+            prefill_chunk_tokens=config.prefill_chunk_tokens,
+            prefix_cache_enabled=config.prefix_cache,
+            preemption=config.preemption,
+            device_pages=self.device_pages,
+            host_pages=config.host_pages or 0,
+            disk_pages=config.disk_pages,
+            faults_enabled=config.faults is not None,
+        )
+        self._running: List[RequestLifecycle] = []
+        self.swap: Optional[SwapPreemption] = (
+            SwapPreemption(config, self.table, self._running, self.report)
+            if config.tiered
+            else None
+        )
+        tiers = self.swap.tiers if self.swap is not None else None
+        self.auditor: Optional[InvariantAuditor] = (
+            InvariantAuditor(self.allocator, table=self.table, tiers=tiers)
+            if config.audit_every is not None
+            else None
+        )
         self.prefix_cache: Optional[PrefixCache] = (
             PrefixCache(self.allocator) if config.prefix_cache else None
         )
@@ -370,8 +358,10 @@ class ContinuousBatchingEngine:
                 self.table,
                 n_slots=config.max_batch,
                 seed=config.execute_seed,
-                tiers=self.tiers,
+                tiers=tiers,
             )
+            if self.swap is not None:
+                self.swap.runner = self._runner
         self.lifecycles: List[RequestLifecycle] = [
             self._make_lifecycle(r)
             for r in sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
@@ -380,26 +370,10 @@ class ContinuousBatchingEngine:
         #: the wait queue as the clock passes them.
         self._pending: Deque[RequestLifecycle] = deque(self.lifecycles)
         self._queue: Deque[RequestLifecycle] = deque()
-        self._running: List[RequestLifecycle] = []
-        #: Swap-preempted sequences: pages still mapped (demoted off the
-        #: device tier), resumed FCFS when the device working set fits.
-        self._swapped: Deque[RequestLifecycle] = deque()
+        #: The swap owner's swapped set (always empty untiered).
+        self._swapped = self.swap.swapped if self.swap is not None else deque()
         self._clock = 0.0
         self._steps = 0
-        #: The run's one accounting record: events count straight into it,
-        #: :meth:`finish` reads out the rest and derives the rates.
-        self.report = ServingReport(
-            format_name=config.fmt.name,
-            n_pages=n_pages,
-            page_size=config.page_size,
-            prefill_chunk_tokens=config.prefill_chunk_tokens,
-            prefix_cache_enabled=config.prefix_cache,
-            preemption=config.preemption,
-            device_pages=self.device_pages,
-            host_pages=config.host_pages or 0,
-            disk_pages=config.disk_pages,
-            faults_enabled=self.fault_plan is not None,
-        )
 
     # ------------------------------------------------------------- scheduling
 
@@ -456,15 +430,12 @@ class ContinuousBatchingEngine:
         self._pending.append(lc)
         return lc
 
-    def _pages_needed(self, tokens: int) -> int:
-        return -(-tokens // self.config.page_size)
-
     def _reject_impossible(self, head: RequestLifecycle) -> bool:
         """Reject a request that could never finish with the pool to itself;
         admitting it would only preempt-thrash.  Under swap preemption the
         binding constraint is the *device* tier: a sequence's own decode
         working set (all its pages) must be device-resident at once."""
-        if self._pages_needed(head.request.total_len) > min(self.n_pages, self.device_pages):
+        if self.table.pages_for(head.request.total_len) > min(self.n_pages, self.device_pages):
             head.rejected = True
             self._queue.popleft()
             return True
@@ -563,14 +534,14 @@ class ContinuousBatchingEngine:
         chunked = cfg.prefill_chunk_tokens is not None
         committed = 0  # pages the running set's contexts are committed to (chunked gate)
         if chunked:
-            committed = sum(self._pages_needed(lc.context_len) for lc in self._running)
+            committed = sum(self.table.pages_for(lc.context_len) for lc in self._running)
         while self._queue and len(self._running) < cfg.max_batch:
             head = self._queue[0]
             if self._reject_impossible(head):
                 continue
             if self._shed_head(head):
                 continue
-            need = self._pages_needed(head.context_len)
+            need = self.table.pages_for(head.context_len)
             hit_pages = self._probe_prefix(head)
             if chunked:
                 need -= len(hit_pages) if cfg.prefix_share else 0
@@ -598,26 +569,8 @@ class ContinuousBatchingEngine:
         prefill_s = self.backend.prefill_time_ms(cfg.model, cfg.arch, suffix, cfg.n_gpus) * 1e-3
         promote_s = 0.0
         read_tokens = head.context_len if head.generated else head.cached_tokens
-        if self.tiers is not None and read_tokens:
-            # A fresh prompt's prefill only *writes* pages (the chunk
-            # attends to itself, the tail lives in residual slots) — unless
-            # prefix-cache hits put pages under it, which the suffix then
-            # attends — and a replay admission — recompute preemption or a
-            # heal — re-decodes its consumed tokens and those decodes read
-            # the context's *full* pages.  Promote exactly that read set up
-            # front.  This is a *schedule-level* decision: the analytical
-            # run issues the same transfers, which keeps an executed chaos
-            # run's fault draws in lock-step even when the replay re-admits
-            # onto host-tier frames — and fault_in is a strict no-op when
-            # the set is already resident.  The promotion DMA rides under
-            # the prefill pass itself: only its overhang surfaces, and the
-            # absorbed part must not be charged again by the step's closing
-            # overlap math.  (Retry stalls from a fault plan stay in the
-            # fault bucket — a failed DMA always blocks.)
-            read_set = self.table.sequences[head.seq_id].pages[: read_tokens // cfg.page_size]
-            promote_s = self.tiers.fault_in(read_set, prefetch=True) * 1e-3
-            self.tiers.absorb_prefetch(promote_s * 1e3)
-            self.report.offload_overlapped_s += min(promote_s, prefill_s)
+        if self.swap is not None and read_tokens:
+            promote_s = self.swap.promote_read_set(head, read_tokens, prefill_s)
         self._clock += max(prefill_s, promote_s)
         self.report.prefill_steps += 1
         if self._runner is not None:
@@ -747,7 +700,7 @@ class ContinuousBatchingEngine:
             self._abort(lc, timed_out=True)
 
     def _heal_bad_pages(self) -> None:
-        """Drain the tier store's lost/corrupt ledger and recover.
+        """Recover from the lost/corrupt pages the swap owner drains.
 
         Every sequence mapping a bad page is healed (its release turns the
         page's content into garbage, so the damage cannot be read), and
@@ -755,100 +708,16 @@ class ContinuousBatchingEngine:
         future admission maps the damaged content.  Runs at every point
         the store may have produced bad pages, always *before* numerics.
         """
-        if self.tiers is None or not self.tiers.has_bad_pages:
-            return
-        for page in self.tiers.drain_bad_pages():
-            self.report.healed_pages += 1
+        for page in self.swap.drain():
             if self.prefix_cache is not None:
                 self.prefix_cache.forget_page(page)
             victims = [
                 lc
-                for lc in list(self._running) + list(self._swapped)
+                for lc in chain(self._running, self._swapped)
                 if lc.seq_id is not None and page in self.table.sequences[lc.seq_id].pages
             ]
             for lc in victims:
                 self._requeue(lc, heal=True)
-
-    # --------------------------------------------------------- swap preemption
-
-    def _decode_working_pages(self) -> int:
-        """Device pages the next decode step needs resident at once: every
-        decode-ready sequence's pages after its one-token grow."""
-        return sum(
-            self._pages_needed(lc.context_len + 1)
-            for lc in self._running
-            if lc.seq_id is not None and lc.prefill_done
-        )
-
-    def _swap_out(self, victim: RequestLifecycle) -> None:
-        """Demote a decode-ready sequence's pages off the device tier.
-
-        Unlike :meth:`_requeue` nothing is released or requeued: the page
-        table keeps the sequence mapped (the allocator still counts its
-        pages used), the tier store moves the physical content to host
-        frames (priced d2h), and the runner stashes only the FP16 residual
-        rows that live outside the pages.
-        """
-        assert self.tiers is not None and victim.seq_id is not None
-        if self._runner is not None:
-            self._runner.on_swap_out(victim)
-        self.tiers.demote(self.table.sequences[victim.seq_id].pages)
-        self._running.remove(victim)
-        self._swapped.append(victim)
-        self.report.swap_outs += 1
-
-    def _resume_swapped(self) -> None:
-        """Promote swapped sequences back, FCFS, while their working set
-        fits the device tier next to the resident decoders'."""
-        assert self.tiers is not None
-        while self._swapped and len(self._running) < self.config.max_batch:
-            cand = self._swapped[0]
-            need = self._pages_needed(cand.context_len + 1)
-            if self._decode_working_pages() + need > self.device_pages:
-                break
-            self._swapped.popleft()
-            if self._runner is not None:
-                self._runner.on_swap_in(cand)
-            # Promotion rides ahead of the step's compute (overlappable);
-            # anything the model still misses faults in the measured path.
-            self.tiers.ensure_resident(self.table.sequences[cand.seq_id].pages, prefetch=True)
-            self._running.append(cand)
-            self.report.swap_ins += 1
-
-    def _swap_out_overflow(self) -> None:
-        """Shrink the decode working set to device capacity by swapping out
-        the most recently admitted decode-ready sequences (mirroring the
-        recompute victim order).  At least one decoder always stays — a
-        single sequence is guaranteed to fit by admission-time rejection."""
-        assert self.tiers is not None
-        while self._decode_working_pages() > self.device_pages:
-            ready = [lc for lc in self._running if lc.seq_id is not None and lc.prefill_done]
-            if len(ready) <= 1:
-                break
-            self._swap_out(ready[-1])
-
-    def _charge_step(self, step_s: float) -> float:
-        """Price a step's tier traffic on top of its compute time.
-
-        Synchronous faults stall in full; prefetched/demoted transfers
-        overlap the compute and only their overhang surfaces.  A fault
-        plan may dilate the whole step (clock skew / noisy neighbor);
-        the dilation is applied to the compute before the overlap math,
-        since a slow step hides *more* prefetch, not less.
-        """
-        if self.fault_plan is not None:
-            factor = self.fault_plan.step_factor()
-            if factor != 1.0:
-                self.report.slow_steps += 1
-                self.report.slow_step_stall_s += step_s * (factor - 1.0)
-                step_s *= factor
-        if self.tiers is None:
-            return step_s
-        stall_s = self.tiers.step_fault_ms * 1e-3
-        prefetch_s = self.tiers.step_prefetch_ms * 1e-3
-        self.report.offload_stall_s += stall_s
-        self.report.offload_overlapped_s += min(prefetch_s, step_s)
-        return step_s + stall_s + max(0.0, prefetch_s - step_s)
 
     def _extend(self, lc: RequestLifecycle, n_tokens: int) -> bool:
         """Grow ``lc`` by a chunk (or one decode token), evicting on demand.
@@ -894,32 +763,16 @@ class ContinuousBatchingEngine:
             chunks.append((lc.prefilled, take))
             lc.prefilled += take
             budget -= take
-            if self.tiers is not None:
-                # Same schedule-level promotion as whole-prompt admission:
-                # the chunk's attention reads the full pages written so
-                # far.  fault_in is a strict no-op when that set is
-                # resident, so a fault-free run's schedule is untouched.
-                # A chunk reads *now*, so its pins are a phase of their
-                # own: one sequence's read set always fits the device
-                # tier, while pins left standing would ride on top of the
-                # decoders' budgeted working set and push the residency
-                # walk onto pinned victims the executed decode then
-                # faults back outside the schedule.
-                self.tiers.unpin_all()
-                self.tiers.fault_in(
-                    self.table.sequences[lc.seq_id].pages[
-                        : lc.prefilled // self.config.page_size
-                    ],
-                    prefetch=True,
-                )
+            if self.swap is not None:
+                self.swap.promote_read_set(lc, lc.prefilled)
             if self._runner is not None:
                 # Untiered, the chunk rides the step's decode forward.  The
                 # tier walk and heal run between chunks and decoders, so a
                 # tiered chunk executes now.
-                self._runner.prefill(lc, take, hold=self.tiers is None)
+                self._runner.prefill(lc, take, hold=self.swap is None)
             self._register_prefix(lc)
-        if self.tiers is not None:
-            self.tiers.unpin_all()
+        if self.swap is not None:
+            self.swap.end_chunk_reads()
         return chunks
 
     def _emit_tokens(self, decoders: Sequence[RequestLifecycle]) -> None:
@@ -982,21 +835,17 @@ class ContinuousBatchingEngine:
         decoders = [lc for lc in decode_ready if lc.seq_id is not None]
         if not chunks and not decoders:
             return
-        if self.tiers is not None:
-            # Residency walk in decode order: the first sequence's cold
-            # pages fault (nothing to hide behind), every later sequence's
-            # pages are prefetched under the preceding tile walks.
-            for i, lc in enumerate(decoders):
-                self.tiers.ensure_resident(self.table.sequences[lc.seq_id].pages, prefetch=i > 0)
+        if self.swap is not None:
+            self.swap.walk(decoders)
             # Pages the walk lost or promoted corrupt are healed before
             # the numerics read anything: the victims leave the batch.
             self._heal_bad_pages()
             decoders = [lc for lc in decoders if lc.seq_id is not None]
-        if not chunks and not decoders:
-            # Every decoder healed away.  The retry stalls and wasted
-            # transfers still advance the clock.
-            self._clock += self._charge_step(0.0)
-            return
+            if not chunks and not decoders:
+                # Every decoder healed away.  The retry stalls and wasted
+                # transfers still advance the clock.
+                self._clock += self.swap.charge(0.0)
+                return
         if self._runner is not None:
             self._runner.decode_batch(decoders)
         batch = len(decoders)
@@ -1014,7 +863,7 @@ class ContinuousBatchingEngine:
             )
             * 1e-3
         )
-        self._clock += self._charge_step(step_s)
+        self._clock += step_s if self.swap is None else self.swap.charge(step_s)
         report = self.report
         if chunks:
             report.prefill_steps += 1
@@ -1087,13 +936,12 @@ class ContinuousBatchingEngine:
         if self.config.max_steps is not None and self._steps >= self.config.max_steps:
             return False
         self._steps += 1
-        if self.tiers is not None:
-            self.tiers.start_step()
-            self._resume_swapped()
+        if self.swap is not None:
+            self.swap.start_step()
             self._heal_bad_pages()
         self._admit()
-        if self.tiers is not None:
-            self._swap_out_overflow()
+        if self.swap is not None:
+            self.swap.swap_out_overflow()
             self._heal_bad_pages()
         self._step()
         self._enforce_deadlines()
@@ -1139,15 +987,8 @@ class ContinuousBatchingEngine:
         report.prefix_evictions = self.allocator.evictions
         if self._runner is not None:
             report.executed_tokens = self._runner.executed_tokens
-        if self.tiers is not None:
-            report.offload_h2d_bytes = self.tiers.h2d_bytes
-            report.offload_d2h_bytes = self.tiers.d2h_bytes
-            report.offload_disk_bytes = self.tiers.disk_bytes
-            report.offload_faults = self.tiers.faults
-            report.transfer_retries = self.tiers.transfer_retries
-            report.retry_backoff_s = self.tiers.retry_backoff_ms_total * 1e-3
-            report.checksum_failures = self.tiers.checksum_failures
-            report.lost_pages = self.tiers.lost_pages
+        if self.swap is not None:
+            self.swap.read_out()
         return report.finalize()
 
     def run(self) -> ServingReport:
@@ -1155,45 +996,3 @@ class ContinuousBatchingEngine:
         while self._tick():
             pass
         return self.finish()
-
-
-def compare_formats(
-    model: ModelConfig,
-    arch: ArchSpec,
-    stacks: Sequence[Tuple[CacheFormat, AttentionSystem]],
-    requests: Sequence[Request],
-    page_size: int = 64,
-    max_batch: int = 384,
-    n_gpus: int = 1,
-    max_steps: Optional[int] = None,
-    prefill_chunk_tokens: Optional[int] = None,
-    prefix_cache: bool = False,
-) -> List[ServingReport]:
-    """Run the same trace through several (format, attention) stacks.
-
-    Every stack gets the page pool its format affords within the *same*
-    device-memory budget — the lower-bit formats earn more pages, which is
-    the whole serving argument of the paper.  ``prefill_chunk_tokens``
-    switches every stack to chunked prefill so on/off comparisons stay
-    apples-to-apples; ``prefix_cache`` likewise turns prefix caching on
-    for every stack.
-    """
-    reports = []
-    for fmt, attention in stacks:
-        engine = ContinuousBatchingEngine(
-            EngineConfig(
-                model=model,
-                arch=arch,
-                fmt=fmt,
-                attention=attention,
-                page_size=page_size,
-                max_batch=max_batch,
-                n_gpus=n_gpus,
-                max_steps=max_steps,
-                prefill_chunk_tokens=prefill_chunk_tokens,
-                prefix_cache=prefix_cache,
-            ),
-            requests,
-        )
-        reports.append(engine.run())
-    return reports

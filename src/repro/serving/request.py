@@ -192,10 +192,10 @@ def poisson_trace(
     """Build a deterministic Poisson arrival trace.
 
     Inter-arrival gaps are exponential with mean ``1 / rate_rps``; prompt
-    and output lengths are drawn uniformly within ``+-jitter`` of their
-    base values (0 keeps them fixed).  The same seed always yields the
-    same trace, which is what makes the engine tests and the FP16 vs
-    INT4/INT2 comparisons apples-to-apples.
+    and output lengths are drawn uniformly within ``+-jitter`` (a fraction
+    in ``[0, 1)``) of their base values (0 keeps them fixed).  The same
+    seed always yields the same trace, which is what makes the engine
+    tests and the FP16 vs INT4/INT2 comparisons apples-to-apples.
 
     ``shared_prefix_fraction`` models shared system prompts: that fraction
     of the *base* prompt length is a prefix whose token content is shared
@@ -211,8 +211,13 @@ def poisson_trace(
         raise ValueError("n_requests must be positive")
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
-    if not 0.0 <= shared_prefix_fraction < 1.0:
-        raise ValueError("shared_prefix_fraction must lie in [0, 1)")
+    for name, fraction in (
+        ("prompt_jitter", prompt_jitter),
+        ("output_jitter", output_jitter),
+        ("shared_prefix_fraction", shared_prefix_fraction),
+    ):
+        if not 0.0 <= fraction < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {fraction}")
     if prefix_groups <= 0:
         raise ValueError("prefix_groups must be positive")
     shared_len = int(prompt_len * shared_prefix_fraction)

@@ -76,7 +76,7 @@ class TestBitExactRecovery:
         report = chaos.run()
         assert report.transfer_retries > 0  # the plan actually fired
         assert report.healed_pages > 0
-        assert report.failed == 0 and not chaos.tiers.has_bad_pages
+        assert report.failed == 0 and not chaos.swap.has_bad_pages
         assert report.completed == 8
         free = ContinuousBatchingEngine(_config(a100), _trace())
         free_report = free.run()

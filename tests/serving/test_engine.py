@@ -187,3 +187,9 @@ class TestConfigValidation:
                 attention=ConstAttention(),
                 page_size=0,
             )
+
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_non_positive_step_cap_raises(self, a100, max_steps):
+        """A cap below one step used to run nothing and report all zeros."""
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            make_engine(poisson_trace(2, 1.0, 8, 2), n_pages=64, max_steps=max_steps, a100=a100)

@@ -254,6 +254,20 @@ class TestOneForwardPerStep:
         result = crosscheck(int4_stack(TINY, a100), trace, max_steps=4000, **config)
         assert result.checks and result.ok, result.checks
 
+    def test_tiered_chunked_tier_traffic_pinned(self, a100):
+        """Exact tier traffic of the ``tiered`` run, whose chunks promote
+        their read sets as prefetch and execute at once, with the chunk
+        phase's pins dropped before the decoders' residency walk.  The
+        equivalences above hold whatever that traffic is."""
+        report = _engine(a100, "tiered").run()
+        assert report.completed == report.n_requests and report.mixed_steps > 0
+        assert (report.swap_outs, report.swap_ins, report.offload_faults) == (10, 10, 8)
+        assert (report.offload_h2d_bytes, report.offload_d2h_bytes) == (139776, 99456)
+        exact = dict(rel=1e-12, abs=0.0)
+        assert report.offload_stall_s == pytest.approx(0.00013139776, **exact)
+        assert report.offload_overlapped_s == pytest.approx(0.0007656856149507634, **exact)
+        assert report.sim_time_s == pytest.approx(0.013271036958770964, **exact)
+
     def test_one_forward_per_tick_unless_a_hook_flushes(self, a100, monkeypatch):
         """Untiered and chunked, every tick that runs tokens makes exactly
         one forward through the two seams; a tick makes more only when a

@@ -74,6 +74,14 @@ class TestPoissonTrace:
         assert {r.prompt_len for r in trace} == {777}
         assert {r.output_len for r in trace} == {33}
 
+    @pytest.mark.parametrize("jitter", [-0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("name", ["prompt_jitter", "output_jitter"])
+    def test_jitter_outside_unit_interval_rejected(self, name, jitter):
+        """A negative jitter used to act as 0, and jitter >= 1 drew lengths
+        <= 0 that were silently clamped to 1."""
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\)"):
+            poisson_trace(4, 4.0, 10, 10, **{name: jitter})
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             poisson_trace(0, 4.0, 10, 10)

@@ -110,6 +110,23 @@ class TestCli:
             assert report["completed"] == 6
             assert report["p99_tbt_s"] is not None
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--steps", "-3"], "max_steps must be positive"),
+            (["--steps", "0"], "max_steps must be positive"),
+            (["--output-jitter", "2"], "output_jitter must lie in [0, 1)"),
+            (["--prompt-jitter", "-0.1"], "prompt_jitter must lie in [0, 1)"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_serve_sim_bad_value_exits_2(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-sim", "--requests", "4", *flags])
+        assert exit_info.value.code == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"serve-sim: {message}") and out.count("\n") == 1
+
     def test_unknown_experiment_exits(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["experiment", "fig99"])
