@@ -1,16 +1,22 @@
 """Regenerate EXPERIMENTS.md and eval/claims.json from ``repro.bench.claims``.
 
-Usage:  python scripts/generate_experiments.py [--output EXPERIMENTS.md]
+Usage:  python scripts/generate_experiments.py [--output EXPERIMENTS.md] [--check]
 
 ``eval/claims.json`` (one verdict row per line, ``inf`` as ``null``) is
 written beside the document.  Exits 1 if any row is violated, after
 writing both.
+
+``--check`` writes nothing in the repo: it regenerates into a temporary
+directory, prints every row whose ``measured`` differs from the committed
+``eval/claims.json`` as ``experiment / claim: old -> new``, and exits 1 if
+any row moved or is violated.
 """
 
 import argparse
 import json
 import math
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -34,13 +40,43 @@ evaluates the same rows and exits 1 on a violated one.
 """
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--output", default=str(REPO / "EXPERIMENTS.md"))
     parser.add_argument(
-        "--output", default=str(Path(__file__).resolve().parent.parent / "EXPERIMENTS.md")
+        "--check", action="store_true", help="report moved rows of the committed ledger"
     )
-    output = Path(parser.parse_args(argv).output)
+    args = parser.parse_args(argv)
+    if args.check:
+        with tempfile.TemporaryDirectory() as tmp:
+            held = write(Path(tmp) / "EXPERIMENTS.md")
+            fresh = json.loads((Path(tmp) / "eval" / "claims.json").read_text())
+        moved = moved_rows(json.loads((REPO / "eval" / "claims.json").read_text()), fresh)
+        print("\n".join(moved) or "no row of eval/claims.json moved")
+        ok = held and not moved
+    else:
+        ok = write(Path(args.output))
+    if not ok:
+        sys.exit(1)
 
+
+def moved_rows(committed, fresh) -> list:
+    """``experiment / claim: old -> new`` for every row whose measured value
+    differs between two ledgers (``None`` for a row one of them lacks)."""
+    old = {(r["experiment"], r["claim"]): r["measured"] for r in committed}
+    new = {(r["experiment"], r["claim"]): r["measured"] for r in fresh}
+    return [
+        f"{key[0]} / {key[1]}: {old.get(key)} -> {new.get(key)}"
+        for key in {**old, **new}
+        if old.get(key) != new.get(key)
+    ]
+
+
+def write(output: Path) -> bool:
+    """Write ``output`` and the ledger beside it; True iff every row holds."""
     claims = output.parent / "eval" / "claims.json"
     claims.parent.mkdir(parents=True, exist_ok=True)
 
@@ -60,8 +96,7 @@ def main(argv=None) -> None:
     claims.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")
     held = sum(row["ok"] for row in rows)
     print(f"wrote {output} and {claims}: {held}/{len(rows)} rows hold")
-    if held < len(rows):
-        sys.exit(1)
+    return held == len(rows)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,15 @@ FlashDecoding-v2    FP16, Tensor Cores, split-KV    2x cache bytes
 FlashAttention-3    FP16, Hopper wgmma/TMA          still 2x cache bytes
 KIVI                low-bit, separated kernels      launches + traffic, GQA
 QServe              low-bit, fused, CUDA cores      no Tensor Cores, GQA
-Atom                low-bit, fused, CUDA cores      MHA only, naive casts
+Atom                QServe's MHA variant           MHA only, naive casts
 Marlin              weight repack utility           host-side pre-transform
 Ladder              weight layout compiler          static-shape transforms
 ContinuousPacking   repack every step               Fig. 16 baseline
 ==================  =============================  =========================
+
+The first five share one skeleton, :class:`~repro.gpu.kernel.KernelSystem`,
+and define only ``build_launch``; Atom is a :class:`QServe` subclass
+(``cvt`` dequant, no GQA, no page-table read).
 """
 
 from repro.baselines.atom import Atom

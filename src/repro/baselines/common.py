@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
+from repro.model.memory import int_meta_bytes_per_token
 
 #: Fraction of CUDA-core peak a fused FMA-based attention GEMV sustains.
 #: FMA pipelines lack the operand reuse of MMA fragments: every
@@ -61,17 +62,11 @@ def gqa_reread_traffic(arch: ArchSpec, geom: AttentionGeometry, kv_bytes: float)
 
 
 def int_kv_metadata_bytes(geom: AttentionGeometry, group_size: int) -> float:
-    """half2 scale/zero bytes for an integer-quantized KV cache.
-
-    Assumes channel-wise keys (one half2 per channel per ``group_size``
-    tokens) and per-token values (one half2 per token) — the configuration
-    every system in the evaluation shares.
-    """
-    seq = geom.seq_len
-    heads = geom.batch * geom.hkv
-    k_meta = heads * geom.head_dim * (seq / group_size) * 4.0
-    v_meta = heads * seq * 4.0
-    return k_meta + v_meta
+    """half2 scale/zero bytes of an integer-quantized KV cache: the
+    capacity model's bytes per token (:func:`int_meta_bytes_per_token`)
+    times the geometry's cached tokens."""
+    tokens = geom.batch * geom.seq_len
+    return tokens * int_meta_bytes_per_token(geom.hkv, geom.head_dim, group_size)
 
 
 def attention_gflops(geom: AttentionGeometry, m_rows: float) -> float:

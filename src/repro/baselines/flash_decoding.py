@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 from repro.baselines.common import attention_gflops
 from repro.core.config import AttentionGeometry
+from repro.core.packing_kernel import choose_splits, split_kv_output
 from repro.core.query_transform import gemm_m_dimension
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import rescale_accum_ops, softmax_ops
-from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelSystem
 from repro.gpu.sm import occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import memory_hide_factor
@@ -33,38 +34,25 @@ _FA2_WARPS = 4
 
 
 @dataclass
-class FlashDecodingV2:
-    """FP16 split-KV decode attention (the 1.0x reference)."""
+class FlashDecodingV2(KernelSystem):
+    """FP16 split-KV decode attention (the 1.0x reference); it splits the
+    sequence by the same rule as BitDecoding's Packing Kernel."""
 
     arch: ArchSpec
     tile_n: int = 128
     name: str = "FlashDecoding-v2"
 
-    # ------------------------------------------------------------------ perf
-
-    def n_splits(self, geom: AttentionGeometry) -> int:
-        base_blocks = geom.batch * geom.hkv
-        tiles = max(1, math.ceil(geom.seq_len / self.tile_n))
-        want = max(1, (2 * self.arch.sm_count) // max(base_blocks, 1))
-        return max(1, min(want, tiles))
-
     def build_launch(self, geom: AttentionGeometry, paged: bool = False) -> KernelLaunch:
         d = geom.head_dim
         _, m_pad = gemm_m_dimension(geom.hq, geom.hkv, geom.q_len)
         heads = geom.batch * geom.hkv
-        splits = self.n_splits(geom)
+        splits = choose_splits(self.arch, geom, self.tile_n)
 
         trace = OpTrace()
         pattern = AccessPattern.STRIDED if paged else AccessPattern.COALESCED
         trace.gmem_read(geom.kv_bytes_fp16, pattern)
         trace.gmem_read(heads * splits * m_pad * d * 2.0)  # Q per block
-        if splits > 1:
-            partial = heads * splits * m_pad * (d + 2.0) * 4.0
-            trace.gmem_write(partial)
-            trace.gmem_read(partial)
-            trace.gmem_write(heads * m_pad * d * 2.0)
-        else:
-            trace.gmem_write(heads * m_pad * d * 2.0)
+        split_kv_output(trace, heads, splits, m_pad, d)
 
         trace.tensor_core(attention_gflops(geom, m_pad), "fp16")
         trace.merge(softmax_ops(heads * m_pad * geom.seq_len, heads * m_pad))
@@ -98,13 +86,6 @@ class FlashDecodingV2:
 
     def _instruction_path(self) -> str:
         return "sm80"
-
-    def decode_result(self, geom: AttentionGeometry, paged: bool = False) -> KernelResult:
-        return simulate_kernel(self.arch, self.build_launch(geom, paged=paged))
-
-    @memoized_latency
-    def decode_time_ms(self, geom: AttentionGeometry, paged: bool = False) -> float:
-        return self.decode_result(geom, paged=paged).time_ms
 
 
 @dataclass

@@ -27,7 +27,7 @@ from repro.baselines.common import gqa_reread_traffic, int_kv_metadata_bytes
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import dequant_ops, softmax_ops
-from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelSystem
 from repro.gpu.sm import occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import memory_hide_factor
@@ -39,7 +39,7 @@ _KIVI_WARPS = 4
 
 
 @dataclass
-class Kivi:
+class Kivi(KernelSystem):
     """Non-fused low-bit attention (KIVI-4 / KIVI-2)."""
 
     arch: ArchSpec
@@ -53,8 +53,6 @@ class Kivi:
     @property
     def name(self) -> str:
         return f"KIVI-{self.bits}"
-
-    # ------------------------------------------------------------------ perf
 
     def build_launch(self, geom: AttentionGeometry) -> KernelLaunch:
         d = geom.head_dim
@@ -110,10 +108,3 @@ class Kivi:
             instruction_path="sm80",
             launches=_KIVI_LAUNCHES,
         )
-
-    def decode_result(self, geom: AttentionGeometry) -> KernelResult:
-        return simulate_kernel(self.arch, self.build_launch(geom))
-
-    @memoized_latency
-    def decode_time_ms(self, geom: AttentionGeometry) -> float:
-        return self.decode_result(geom).time_ms

@@ -13,6 +13,9 @@ the paper measures:
   is lowest relative to its bandwidth, QServe lands *below* the FP16
   Tensor-Core baseline (Fig. 11);
 - it supports paged caches (its native serving mode).
+
+:class:`~repro.baselines.atom.Atom` is the same fused kernel on MHA only,
+so it is a subclass that changes the class constants this builder reads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.baselines.common import (
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import dequant_ops, softmax_ops
-from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, KernelSystem
 from repro.gpu.sm import occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import memory_hide_factor
@@ -36,20 +39,26 @@ _QSERVE_WARPS = 4
 
 
 @dataclass
-class QServe:
+class QServe(KernelSystem):
     """Fused CUDA-core-only low-bit decode attention (W4A8KV4's KV path)."""
 
     arch: ArchSpec
     bits: int = 4
     group_size: int = 64
 
-    @property
-    def name(self) -> str:
-        return "QServe"
-
-    # ------------------------------------------------------------------ perf
+    name = "QServe"
+    #: Dequantization path of :func:`~repro.gpu.instructions.dequant_ops`.
+    dequant_method = "lop3"
+    supports_gqa = True
+    #: Whether a paged launch reads the page table from global memory.
+    reads_page_table = True
 
     def build_launch(self, geom: AttentionGeometry, paged: bool = True) -> KernelLaunch:
+        if geom.gq != 1 and not self.supports_gqa:
+            raise ValueError(
+                f"{self.name} does not support GQA (geometry has gq={geom.gq}); "
+                "the paper evaluates it on MHA workloads only"
+            )
         d = geom.head_dim
         packed_bytes = geom.kv_elements * self.bits / 8.0
         meta_bytes = int_kv_metadata_bytes(geom, self.group_size)
@@ -61,7 +70,7 @@ class QServe:
         trace.l2_read(l2_kv)
         trace.gmem_read(geom.batch * geom.hq * geom.q_len * d * 2.0)
         trace.gmem_write(geom.batch * geom.hq * geom.q_len * d * 2.0)
-        if paged:
+        if paged and self.reads_page_table:
             trace.gmem_read(
                 geom.batch * geom.hkv * (geom.seq_len / 64.0) * 8.0,
                 AccessPattern.SCATTERED,
@@ -74,7 +83,7 @@ class QServe:
 
         # Dequant instructions interleave into the same FMA GEMV stream and
         # run at its degraded issue rate, so their cost inflates equally.
-        dq = dequant_ops(geom.kv_elements * geom.gq, self.bits, "lop3").scaled(
+        dq = dequant_ops(geom.kv_elements * geom.gq, self.bits, self.dequant_method).scaled(
             1.0 / CUDA_GEMV_EFFICIENCY
         )
         trace.merge(dq)
@@ -104,10 +113,3 @@ class QServe:
             launches=1,
             subtraces={"dequant": dq},
         )
-
-    def decode_result(self, geom: AttentionGeometry, paged: bool = True) -> KernelResult:
-        return simulate_kernel(self.arch, self.build_launch(geom, paged=paged))
-
-    @memoized_latency
-    def decode_time_ms(self, geom: AttentionGeometry, paged: bool = True) -> float:
-        return self.decode_result(geom, paged=paged).time_ms

@@ -22,8 +22,6 @@ performance model:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from repro.baselines.flash_decoding import FlashDecodingV2
@@ -40,22 +38,21 @@ from repro.pages.allocator import PageAllocator
 from repro.pages.page_table import PageTable
 
 
-def warp_width_sweep(
-    device: str = "a100",
-    widths: Sequence[int] = (1, 2, 4, 8),
-    geom: AttentionGeometry = None,
-) -> Experiment:
-    """Latency / TC utilization / residual-block size across ``Wn``."""
-    arch = get_arch(device)
-    geom = geom or AttentionGeometry(8, 32, 8, 32768, 128)
+#: The decode point the A100 kernel sweeps price: bs=8 at 32K, hq=32, hkv=8.
+_BATCHED_32K = AttentionGeometry(8, 32, 8, 32768, 128)
+
+
+def warp_width_sweep() -> Experiment:
+    """Latency / TC utilization / residual-block size across ``Wn`` (A100)."""
+    arch = get_arch("a100")
     exp = Experiment(
-        exp_id=f"ablation-warp-width-{device}",
+        exp_id="ablation-warp-width-a100",
         title=f"Warp-width (Wn) sweep on {arch.name}",
         unit="ms | % | tokens",
     )
-    for wn in widths:
+    for wn in (1, 2, 4, 8):
         config = BitDecodingConfig(bits=4, wn=wn)
-        launch = build_packing_launch(geom, config, arch)
+        launch = build_packing_launch(_BATCHED_32K, config, arch)
         result = simulate_kernel(arch, launch)
         prof = profile_kernel(result)
         exp.series_for("Latency-ms").add(wn, result.time_ms)
@@ -81,23 +78,20 @@ def _dequant_only_us(device: str, bits: int, method: str) -> float:
     return simulate_kernel(get_arch(device), launch).exec_time_s * 1e6
 
 
-def dequant_path_sweep(
-    devices: Iterable[str] = ("a100", "rtx4090", "h100"),
-    geom: AttentionGeometry = None,
-) -> Experiment:
-    """lop3 vs static_cast dequantization: the whole Packing Kernel on
-    ``devices``, and the conversion alone on every registered device."""
-    geom = geom or AttentionGeometry(8, 32, 8, 32768, 128)
+def dequant_path_sweep() -> Experiment:
+    """lop3 vs static_cast dequantization: the whole Packing Kernel on the
+    A100, RTX 4090 and H100, and the conversion alone on every registered
+    device."""
     exp = Experiment(
         exp_id="ablation-dequant-path",
         title="Dequantization path: lop3 vs static_cast",
         unit="ms | us (dequant-only)",
     )
-    for device in devices:
+    for device in ("a100", "rtx4090", "h100"):
         arch = get_arch(device)
         for method in ("lop3", "cvt"):
             config = BitDecodingConfig(bits=4, dequant_method=method)
-            t = simulate_kernel(arch, build_packing_launch(geom, config, arch)).time_ms
+            t = simulate_kernel(arch, build_packing_launch(_BATCHED_32K, config, arch)).time_ms
             exp.series_for(method).add(device, t)
     for bits in (4, 2):
         for method in ("lop3", "cvt"):
@@ -108,20 +102,16 @@ def dequant_path_sweep(
     return exp
 
 
-def tile_size_sweep(
-    device: str = "a100",
-    tiles: Sequence[int] = (32, 64, 128, 256),
-    geom: AttentionGeometry = None,
-) -> Experiment:
-    """Latency and shared-memory footprint across ``T_n``."""
-    arch = get_arch(device)
-    geom = geom or AttentionGeometry(1, 32, 8, 65536, 128)
+def tile_size_sweep() -> Experiment:
+    """Latency and shared-memory footprint across ``T_n`` (A100, bs=1 at 64K)."""
+    arch = get_arch("a100")
+    geom = AttentionGeometry(1, 32, 8, 65536, 128)
     exp = Experiment(
-        exp_id=f"ablation-tile-size-{device}",
+        exp_id="ablation-tile-size-a100",
         title=f"KV tile size (T_n) sweep on {arch.name}",
         unit="ms | KiB",
     )
-    for tile_n in tiles:
+    for tile_n in (32, 64, 128, 256):
         config = BitDecodingConfig(bits=4, tile_n=tile_n)
         launch = build_packing_launch(geom, config, arch)
         result = simulate_kernel(arch, launch)
@@ -132,23 +122,19 @@ def tile_size_sweep(
     return exp
 
 
-def page_size_sweep(
-    device: str = "a100",
-    page_sizes: Sequence[int] = (16, 32, 64, 128, 256),
-    geom: AttentionGeometry = None,
-    mean_seq_len: int = 32768,
-) -> Experiment:
-    """Paged-attention overhead vs allocation fragmentation per page size."""
-    arch = get_arch(device)
-    geom = geom or AttentionGeometry(16, 32, 8, 32768, 128)
+def page_size_sweep() -> Experiment:
+    """Paged-attention overhead vs allocation fragmentation per page size
+    (A100, bs=16 at 32K; 64 sequence lengths drawn around 32K)."""
+    arch = get_arch("a100")
+    geom = AttentionGeometry(16, 32, 8, 32768, 128)
     exp = Experiment(
-        exp_id=f"ablation-page-size-{device}",
+        exp_id="ablation-page-size-a100",
         title=f"Page-size sweep on {arch.name}",
         unit="ms | %",
     )
     rng = np.random.default_rng(0)
-    lengths = rng.integers(mean_seq_len // 2, mean_seq_len * 3 // 2, size=64)
-    for page in page_sizes:
+    lengths = rng.integers(16384, 49152, size=64)
+    for page in (16, 32, 64, 128, 256):
         config = BitDecodingConfig(bits=4)
         launch = build_packing_launch(geom, config, arch, paged=True, page_size=page)
         result = simulate_kernel(arch, launch)
@@ -162,27 +148,23 @@ def page_size_sweep(
     return exp
 
 
-def key_group_size_sweep(
-    group_sizes: Sequence[int] = (16, 32, 64, 128),
-    bits: int = 2,
-    seed: int = 0,
-) -> Experiment:
-    """Metadata bytes vs reconstruction error across KC group sizes.
+def key_group_size_sweep() -> Experiment:
+    """Metadata bytes vs reconstruction error across KC group sizes (INT2).
 
     The error side runs the *real* quantizer on an outlier-bearing key
     distribution (per-channel outliers, as KIVI reports for LLMs).
     """
     exp = Experiment(
         exp_id="ablation-key-group-size",
-        title=f"Channel-wise key group-size sweep (INT{bits})",
+        title="Channel-wise key group-size sweep (INT2)",
         unit="bytes/token | mean abs error",
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     k = rng.standard_normal((512, 128)).astype(np.float32)
     k[:, rng.integers(0, 128, size=4)] *= 20.0  # outlier channels
-    for group in group_sizes:
+    for group in (16, 32, 64, 128):
         codes, params = quantize_key(
-            k, QuantScheme(bits, "channel", group), seq_axis=0, channel_axis=1
+            k, QuantScheme(2, "channel", group), seq_axis=0, channel_axis=1
         )
         err = float(np.abs(dequantize(codes, params) - k).mean())
         meta_per_token = params.nbytes / k.shape[0]
@@ -192,49 +174,47 @@ def key_group_size_sweep(
     return exp
 
 
-def bit_width_sweep(
-    device: str = "rtx4090",
-    bit_widths: Sequence[int] = (8, 4, 2, 1),
-    geom: AttentionGeometry = None,
-) -> Experiment:
-    """Latency across cache bit widths, including the 1-bit frontier.
+def bit_width_sweep() -> Experiment:
+    """Latency across cache bit widths, including the 1-bit frontier (RTX
+    4090, bs=1 at 128K).
 
     The paper cites 1-bit caches as an emerging direction (Sec. I); the
     kernel supports it end to end — the accuracy side of 1-bit lives in
     the LongBench-proxy suite, where it visibly collapses.
     """
-    arch = get_arch(device)
-    geom = geom or AttentionGeometry(1, 32, 8, 131072, 128)
+    arch = get_arch("rtx4090")
+    geom = AttentionGeometry(1, 32, 8, 131072, 128)
     exp = Experiment(
-        exp_id=f"ablation-bit-width-{device}",
+        exp_id="ablation-bit-width-rtx4090",
         title=f"Cache bit-width sweep on {arch.name}",
         unit="ms",
     )
     fp16 = FlashDecodingV2(arch).decode_time_ms(geom)
     exp.series_for("Latency-ms").add("fp16", fp16)
-    for bits in bit_widths:
+    for bits in (8, 4, 2, 1):
         engine = BitDecoding(BitDecodingConfig(bits=bits), arch)
         exp.series_for("Latency-ms").add(f"int{bits}", engine.decode_time_ms(geom))
     return exp
 
 
-def speculative_amortization(device: str = "a100", seq: int = 32768) -> Experiment:
-    """Verifying n draft tokens in one pass vs n single-token passes.
+def speculative_amortization() -> Experiment:
+    """Verifying n draft tokens in one pass vs n single-token passes (A100,
+    bs=1 at 32K).
 
     One pass streams the packed cache once and the n query rows ride the
     already-padded MMA tile, so per-token attention cost falls until the M
     dimension saturates.
     """
-    arch = get_arch(device)
+    arch = get_arch("a100")
     exp = Experiment(
-        exp_id=f"speculative-amortization-{device}",
+        exp_id="speculative-amortization-a100",
         title=f"Speculative-verification amortization on {arch.name}",
         unit="ms | x",
     )
     engine = BitDecoding(BitDecodingConfig(bits=4), arch)
-    single = engine.decode_time_ms(AttentionGeometry(1, 32, 8, seq, 128))
+    single = engine.decode_time_ms(AttentionGeometry(1, 32, 8, 32768, 128))
     for n in (1, 2, 4, 8, 16):
-        one_pass = engine.decode_time_ms(AttentionGeometry(1, 32, 8, seq, 128, q_len=n))
+        one_pass = engine.decode_time_ms(AttentionGeometry(1, 32, 8, 32768, 128, q_len=n))
         exp.series_for("One-pass-ms").add(n, one_pass)
         exp.series_for("N-singles-ms").add(n, n * single)
         exp.series_for("Gain").add(n, n * single / one_pass)

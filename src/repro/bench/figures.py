@@ -51,6 +51,17 @@ def _bd(arch, bits=4, granularity="channel", version="v2", **kw) -> BitDecoding:
     )
 
 
+def _speedups(exp, arch, panel, systems, points, paged=False) -> None:
+    """Add ``ref / system.decode_time_ms(geom)`` at each ``(x, geom)`` of
+    ``points`` to the ``panel/label`` series of every system, ``ref`` being
+    FP16 FlashDecoding-v2 (over a paged cache if ``paged``) at ``geom``."""
+    base = FlashDecodingV2(arch)
+    for x, geom in points:
+        ref = base.decode_time_ms(geom, paged=paged)
+        for label, system in systems.items():
+            exp.series_for(f"{panel}/{label}").add(x, ref / system.decode_time_ms(geom))
+
+
 # ---------------------------------------------------------------------------
 # Fig. 8 — Blackwell (RTX 5090 / RTX PRO 6000), native MXFP4
 # ---------------------------------------------------------------------------
@@ -67,20 +78,16 @@ def fig8_blackwell(device: str = "rtx5090") -> Experiment:
         exp_id=f"fig8-{device}",
         title=f"Kernel performance with mxfp4 on {arch.name} (Blackwell)",
     )
-    base = FlashDecodingV2(arch)
-    kivi4 = Kivi(arch, 4)
-    bd_fp4 = BitDecoding(BitDecodingConfig(version="fp4", fp4_format="mxfp4"), arch)
-
-    for seq in (8192, 32768, 131072):
-        geom = AttentionGeometry(1, 128, 8, seq, 128)
-        ref = base.decode_time_ms(geom)
-        exp.series_for("Single/KIVI-4").add(seq, ref / kivi4.decode_time_ms(geom))
-        exp.series_for("Single/BitDecoding-mxfp4").add(seq, ref / bd_fp4.decode_time_ms(geom))
-    for bs in (8, 32, 128):
-        geom = AttentionGeometry(bs, 32, 8, 8192, 128)
-        ref = base.decode_time_ms(geom)
-        exp.series_for("Batches/KIVI-4").add(bs, ref / kivi4.decode_time_ms(geom))
-        exp.series_for("Batches/BitDecoding-mxfp4").add(bs, ref / bd_fp4.decode_time_ms(geom))
+    systems = {
+        "KIVI-4": Kivi(arch, 4),
+        "BitDecoding-mxfp4": BitDecoding(
+            BitDecodingConfig(version="fp4", fp4_format="mxfp4"), arch
+        ),
+    }
+    single = [(seq, AttentionGeometry(1, 128, 8, seq, 128)) for seq in (8192, 32768, 131072)]
+    batches = [(bs, AttentionGeometry(bs, 32, 8, 8192, 128)) for bs in (8, 32, 128)]
+    _speedups(exp, arch, "Single", systems, single)
+    _speedups(exp, arch, "Batches", systems, batches)
     exp.note(
         "paper anchors: RTX 5090 up to 8.6x batched, >4.3x single@128k; "
         "RTX PRO 6000 peaks at 6.5x"
@@ -97,9 +104,8 @@ def fig9_hopper() -> Experiment:
     """H100: Single (bs=1, hq=128, hkv=32, 1k-100k) and Batches (32k)."""
     arch = get_arch("h100")
     exp = Experiment(exp_id="fig9-h100", title="Kernel performance on Hopper (H100)")
-    base = FlashDecodingV2(arch)
-    fa3 = FlashDecodingV3(arch)
     systems = {
+        "Flash-attn-v3": FlashDecodingV3(arch),
         "BitDecoding-KT-4 (v2)": _bd(arch, 4, "tensor", "v2"),
         "BitDecoding-KC-4 (v2)": _bd(arch, 4, "channel", "v2"),
         "BitDecoding-KC-2 (v2)": _bd(arch, 2, "channel", "v2"),
@@ -107,18 +113,10 @@ def fig9_hopper() -> Experiment:
         "BitDecoding-KC-4 (v3)": _bd(arch, 4, "channel", "v3"),
         "BitDecoding-KC-2 (v3)": _bd(arch, 2, "channel", "v3"),
     }
-    for seq in (1024, 10240, 102400):
-        geom = AttentionGeometry(1, 128, 32, seq, 128)
-        ref = base.decode_time_ms(geom)
-        exp.series_for("Single/Flash-attn-v3").add(seq, ref / fa3.decode_time_ms(geom))
-        for label, system in systems.items():
-            exp.series_for(f"Single/{label}").add(seq, ref / system.decode_time_ms(geom))
-    for bs in (8, 32, 128):
-        geom = AttentionGeometry(bs, 128, 32, 32768, 128)
-        ref = base.decode_time_ms(geom)
-        exp.series_for("Batches/Flash-attn-v3").add(bs, ref / fa3.decode_time_ms(geom))
-        for label, system in systems.items():
-            exp.series_for(f"Batches/{label}").add(bs, ref / system.decode_time_ms(geom))
+    single = [(seq, AttentionGeometry(1, 128, 32, seq, 128)) for seq in (1024, 10240, 102400)]
+    batches = [(bs, AttentionGeometry(bs, 128, 32, 32768, 128)) for bs in (8, 32, 128)]
+    _speedups(exp, arch, "Single", systems, single)
+    _speedups(exp, arch, "Batches", systems, batches)
     exp.note("paper anchors: BitDecoding-v2 up to 4.1x, v3 up to 8.0x")
     return exp
 
@@ -132,47 +130,26 @@ def fig10_rtx4090() -> Experiment:
     """The six-panel Ada evaluation."""
     arch = get_arch("rtx4090")
     exp = Experiment(exp_id="fig10-rtx4090", title="Kernel performance on RTX 4090")
-    base = FlashDecodingV2(arch)
     bd = {
         "KT-4": _bd(arch, 4, "tensor"),
         "KC-4": _bd(arch, 4, "channel"),
         "KC-2": _bd(arch, 2, "channel"),
     }
     kivi = {"KIVI-4": Kivi(arch, 4), "KIVI-2": Kivi(arch, 2)}
-    qserve = QServe(arch, 4)
 
     for hkv, variant in ((32, "MHA"), (8, "GQA")):
         # Single: bs=1, hq=32, seq sweep.
-        for seq in (1024, 10240, 102400):
-            geom = AttentionGeometry(1, 32, hkv, seq, 128)
-            ref = base.decode_time_ms(geom)
-            for label, system in {**kivi, **bd}.items():
-                exp.series_for(f"Single-{variant}/{label}").add(
-                    seq, ref / system.decode_time_ms(geom)
-                )
+        single = [(seq, AttentionGeometry(1, 32, hkv, seq, 128)) for seq in (1024, 10240, 102400)]
+        _speedups(exp, arch, f"Single-{variant}", {**kivi, **bd}, single)
         # Batches: len=4k, bs sweep.
-        for bs in (8, 32, 128):
-            geom = AttentionGeometry(bs, 32, hkv, 4096, 128)
-            ref = base.decode_time_ms(geom)
-            for label, system in {**kivi, **bd}.items():
-                exp.series_for(f"Batches-{variant}/{label}").add(
-                    bs, ref / system.decode_time_ms(geom)
-                )
-        # Pages: len=2k, bs 2..8, vs fused CUDA-core systems.
-        for bs in (2, 4, 8):
-            geom = AttentionGeometry(bs, 32, hkv, 2048, 128)
-            ref = base.decode_time_ms(geom, paged=True)
-            exp.series_for(f"Pages-{variant}/QServe").add(
-                bs, ref / qserve.decode_time_ms(geom)
-            )
-            if variant == "MHA":
-                exp.series_for(f"Pages-{variant}/Atom").add(
-                    bs, ref / Atom(arch, 4).decode_time_ms(geom)
-                )
-            for label, system in bd.items():
-                exp.series_for(f"Pages-{variant}/{label}").add(
-                    bs, ref / system.decode_time_ms(geom)
-                )
+        batches = [(bs, AttentionGeometry(bs, 32, hkv, 4096, 128)) for bs in (8, 32, 128)]
+        _speedups(exp, arch, f"Batches-{variant}", {**kivi, **bd}, batches)
+        # Pages: len=2k, bs 2..8, vs fused CUDA-core systems (Atom is MHA only).
+        fused = {"QServe": QServe(arch, 4)}
+        if variant == "MHA":
+            fused["Atom"] = Atom(arch, 4)
+        pages = [(bs, AttentionGeometry(bs, 32, hkv, 2048, 128)) for bs in (2, 4, 8)]
+        _speedups(exp, arch, f"Pages-{variant}", {**fused, **bd}, pages, paged=True)
     exp.note(
         "paper anchors: ~4x (4-bit) / >7x (2-bit) in Single+Batches; Pages "
         "MHA BitDecoding >6x vs QServe 3.5x; Pages GQA 3x vs QServe 1.4x"
@@ -189,7 +166,6 @@ def fig11_a100() -> Experiment:
     """A100: Single (hq=128, hkv=16), Batches (32k), Pages (2k, GQA)."""
     arch = get_arch("a100")
     exp = Experiment(exp_id="fig11-a100", title="Kernel performance on A100")
-    base = FlashDecodingV2(arch)
     bd = {
         "KT-4": _bd(arch, 4, "tensor"),
         "KC-4": _bd(arch, 4, "channel"),
@@ -197,22 +173,12 @@ def fig11_a100() -> Experiment:
     }
     kivi = {"KIVI-4": Kivi(arch, 4), "KIVI-2": Kivi(arch, 2)}
 
-    for seq in (1024, 10240, 102400):
-        geom = AttentionGeometry(1, 128, 16, seq, 128)
-        ref = base.decode_time_ms(geom)
-        for label, system in {**kivi, **bd}.items():
-            exp.series_for(f"Single/{label}").add(seq, ref / system.decode_time_ms(geom))
-    for bs in (8, 32, 128):
-        geom = AttentionGeometry(bs, 128, 16, 32768, 128)
-        ref = base.decode_time_ms(geom)
-        for label, system in {**kivi, **bd}.items():
-            exp.series_for(f"Batches/{label}").add(bs, ref / system.decode_time_ms(geom))
-    for bs in (8, 16, 32, 64):
-        geom = AttentionGeometry(bs, 32, 8, 2048, 128)
-        ref = base.decode_time_ms(geom, paged=True)
-        exp.series_for("Pages/QServe").add(bs, ref / QServe(arch, 4).decode_time_ms(geom))
-        for label, system in bd.items():
-            exp.series_for(f"Pages/{label}").add(bs, ref / system.decode_time_ms(geom))
+    single = [(seq, AttentionGeometry(1, 128, 16, seq, 128)) for seq in (1024, 10240, 102400)]
+    batches = [(bs, AttentionGeometry(bs, 128, 16, 32768, 128)) for bs in (8, 32, 128)]
+    pages = [(bs, AttentionGeometry(bs, 32, 8, 2048, 128)) for bs in (8, 16, 32, 64)]
+    _speedups(exp, arch, "Single", {**kivi, **bd}, single)
+    _speedups(exp, arch, "Batches", {**kivi, **bd}, batches)
+    _speedups(exp, arch, "Pages", {"QServe": QServe(arch, 4), **bd}, pages, paged=True)
     exp.note(
         "paper anchors: BitDecoding up to 3x; KIVI/QServe can fall below the "
         "FP16 baseline; the 4-bit vs 2-bit gap narrows vs RTX 4090"

@@ -69,6 +69,17 @@ def choose_splits(
     return max(1, min(want, tiles))
 
 
+def split_kv_output(trace: OpTrace, heads: int, n_splits: int, m_pad: int, d: int) -> None:
+    """Record a split-KV decode's output traffic: past one split, every block
+    writes its fp32 partial state (``d`` accumulators plus max and sum) and
+    a reduction kernel reads it back before the FP16 output is written."""
+    if n_splits > 1:
+        partial_bytes = heads * n_splits * m_pad * (d + 2.0) * 4.0
+        trace.gmem_write(partial_bytes)
+        trace.gmem_read(partial_bytes)  # reduction kernel
+    trace.gmem_write(heads * m_pad * d * 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Numerics
 # ---------------------------------------------------------------------------
@@ -243,13 +254,7 @@ def build_packing_launch(
     if paged:
         # Page-table entries: one 8-byte entry per page per block.
         trace.gmem_read(heads * (packed_len / page_size) * 8.0, AccessPattern.SCATTERED)
-    if n_splits > 1:
-        partial_bytes = heads * n_splits * m_pad * (d + 2.0) * 4.0
-        trace.gmem_write(partial_bytes)
-        trace.gmem_read(partial_bytes)  # reduction kernel
-        trace.gmem_write(heads * m_pad * d * 2.0)
-    else:
-        trace.gmem_write(heads * m_pad * d * 2.0)
+    split_kv_output(trace, heads, n_splits, m_pad, d)
 
     # Tensor-core GEMMs: QK^T + PV with the M dimension padded to the tile.
     tc_precision = "fp4" if config.version == "fp4" else "fp16"

@@ -220,6 +220,9 @@ def remember(memo: Dict[Hashable, float], key: Hashable, value: float) -> float:
 def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
     """Exact per-instance memo for a system's ``decode_time_ms(geom, **kwargs)``.
 
+    Every one-launch baseline gets it through :class:`KernelSystem`;
+    BitDecoding and ContinuousPacking decorate their own.
+
     The latency is a pure function of the frozen ``geom``, the keyword
     arguments and the instance's construction-time ``arch``/config, so the
     first call at a shape builds and simulates its launches and every later
@@ -251,3 +254,16 @@ def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
         return value
 
     return lookup
+
+
+class KernelSystem:
+    """A decode system priced as one launch.  A subclass holds ``arch`` and
+    defines ``build_launch(geom, **kwargs)``; the base simulates that
+    launch and memoizes its latency."""
+
+    def decode_result(self, geom, **kwargs) -> KernelResult:
+        return simulate_kernel(self.arch, self.build_launch(geom, **kwargs))
+
+    @memoized_latency
+    def decode_time_ms(self, geom, **kwargs) -> float:
+        return self.decode_result(geom, **kwargs).time_ms

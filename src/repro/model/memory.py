@@ -46,6 +46,16 @@ def fp16_format() -> CacheFormat:
     return CacheFormat(name="FP16", bits_per_value=16.0)
 
 
+def int_meta_bytes_per_token(hkv: int, head_dim: int, group_size: int) -> float:
+    """half2 scale/zero bytes one token of an integer cache costs per layer.
+
+    Channel-wise keys (one half2 per channel per ``group_size`` tokens) and
+    per-token values (one half2 per token): the configuration every system
+    in the evaluation shares.
+    """
+    return hkv * head_dim / group_size * 4.0 + hkv * 4.0
+
+
 def int_format(
     bits: int,
     model: ModelConfig,
@@ -53,12 +63,10 @@ def int_format(
     residual_window: int = 0,
 ) -> CacheFormat:
     """Integer cache with channel-wise keys + per-token values (half2)."""
-    k_meta = model.hkv * model.head_dim / group_size * 4.0
-    v_meta = model.hkv * 4.0
     return CacheFormat(
         name=f"INT{bits}",
         bits_per_value=float(bits),
-        meta_bytes_per_token_layer=k_meta + v_meta,
+        meta_bytes_per_token_layer=int_meta_bytes_per_token(model.hkv, model.head_dim, group_size),
         residual_window_tokens=residual_window,
     )
 

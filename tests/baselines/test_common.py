@@ -10,6 +10,8 @@ from repro.baselines.common import (
     l2_hit_fraction,
 )
 from repro.core.config import AttentionGeometry
+from repro.model.config import LLAMA31_8B
+from repro.model.memory import int_format
 
 MB = 1024 * 1024
 
@@ -51,6 +53,14 @@ class TestMetadataAndFlops:
         assert meta == heads * 128 * (4096 / 64) * 4.0 + heads * 4096 * 4.0
         key_part = meta - int_kv_metadata_bytes(geom, 128)
         assert key_part == pytest.approx(heads * 128 * (4096 / 128) * 4.0)
+
+    def test_metadata_is_the_capacity_models_bytes_per_token(self):
+        """The launches read what ``int_format`` charges per cached token."""
+        model = LLAMA31_8B
+        geom = AttentionGeometry(4, model.hq, model.hkv, 1000, model.head_dim)
+        for group in (32, 64, 128):
+            per_token = int_format(4, model, group_size=group).meta_bytes_per_token_layer
+            assert int_kv_metadata_bytes(geom, group) == 4 * 1000 * per_token
 
     def test_attention_flops_scale_with_rows_and_context(self):
         """QK^T and PV each cost ``2 * rows * seq * d`` per KV head."""

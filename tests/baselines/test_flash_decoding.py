@@ -2,32 +2,38 @@
 
 import pytest
 
+from repro.baselines import flash_decoding
 from repro.baselines.flash_decoding import FlashDecodingV2, FlashDecodingV3
 from repro.core.config import AttentionGeometry
-
-
-class _OneSplit(FlashDecodingV2):
-    """The same kernel with split-KV turned off (FlashAttention-2's decode)."""
-
-    def n_splits(self, geom: AttentionGeometry) -> int:
-        return 1
+from repro.core.packing_kernel import choose_splits
 
 
 class TestSplitHeuristic:
+    """FlashDecoding-v2 splits the sequence by the Packing Kernel's rule."""
+
     def test_splits_at_small_batch(self, a100):
         fd = FlashDecodingV2(a100)
-        assert fd.n_splits(AttentionGeometry(1, 32, 8, 131072, 128)) > 8
+        assert choose_splits(a100, AttentionGeometry(1, 32, 8, 131072, 128), fd.tile_n) > 8
 
     def test_no_split_at_large_batch(self, a100):
         fd = FlashDecodingV2(a100)
-        assert fd.n_splits(AttentionGeometry(64, 32, 8, 8192, 128)) == 1
+        assert choose_splits(a100, AttentionGeometry(64, 32, 8, 8192, 128), fd.tile_n) == 1
+
+    def test_launch_grid_is_one_block_per_head_and_split(self, a100):
+        geom = AttentionGeometry(1, 32, 8, 131072, 128)
+        fd = FlashDecodingV2(a100)
+        launch = fd.build_launch(geom)
+        assert launch.grid_blocks == geom.batch * geom.hkv * choose_splits(a100, geom, fd.tile_n)
+        assert launch.launches == 2  # the split-KV reduction
 
 
 class TestPerformance:
-    def test_split_helps_single_batch(self, a100):
+    def test_split_helps_single_batch(self, a100, monkeypatch):
         geom = AttentionGeometry(1, 32, 8, 131072, 128)
         t_split = FlashDecodingV2(a100).decode_time_ms(geom)
-        t_one = _OneSplit(a100).decode_time_ms(geom)
+        # The same kernel with split-KV turned off (FlashAttention-2's decode).
+        monkeypatch.setattr(flash_decoding, "choose_splits", lambda *args: 1)
+        t_one = FlashDecodingV2(a100).decode_time_ms(geom)
         assert t_split < t_one
 
     def test_time_scales_with_seq_len(self, any_arch):

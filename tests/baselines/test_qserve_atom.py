@@ -25,6 +25,25 @@ class TestNoTensorCores:
         assert launch.trace.cvt_ops > 0
 
 
+class TestAtomIsQServesMhaVariant:
+    def test_same_launch_but_dequant_group_and_page_table(self, a100):
+        """On MHA, Atom's launch is QServe's at group 128 with cvt casts and
+        no page-table read: contiguous, only the dequant pipe differs."""
+        geom = AttentionGeometry(8, 32, 32, 2048, 128)
+        atom = Atom(a100, 4).build_launch(geom, paged=False).trace
+        qserve = QServe(a100, 4, group_size=128).build_launch(geom, paged=False).trace
+        assert atom.gmem_read_bytes == qserve.gmem_read_bytes
+        assert atom.fma_flops == qserve.fma_flops
+        assert atom.cvt_ops > 0 and qserve.cvt_ops == 0
+
+    def test_only_qserve_reads_the_page_table(self, a100):
+        geom = AttentionGeometry(8, 32, 32, 2048, 128)
+        for system, extra in ((QServe(a100, 4), True), (Atom(a100, 4), False)):
+            paged = system.build_launch(geom, paged=True).trace.gmem_read_bytes
+            contiguous = system.build_launch(geom, paged=False).trace.gmem_read_bytes
+            assert (paged > contiguous) == extra
+
+
 class TestGqaBehaviour:
     def test_atom_rejects_gqa(self, a100):
         with pytest.raises(ValueError, match="GQA"):

@@ -1,5 +1,6 @@
 """The paper-claims table: every row holds, and the ledger matches it."""
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -84,15 +85,24 @@ class TestCommittedLedger:
     """``eval/claims.json`` and ``EXPERIMENTS.md`` are regenerated, not edited.
 
     The rows, papers and bands must be exactly the table's.  Measured values
-    are informational for the paper experiments (Table I, Table III validity
-    and the key-group ablation go through NumPy RNG + BLAS) and exact for the
-    ``serving-*`` rows: seeded traces on the modeled clock, so an intentional
-    behaviour change shows its moved numbers as the ledger's ``git diff``.
+    are informational only where a row runs NumPy numerics (Table I, Table
+    III validity and the key-group ablation go through NumPy RNG + BLAS).
+    Every other row is exact: the ``serving-*`` rows run seeded traces on
+    the modeled clock and the rest price launches on the analytic model, so
+    an intentional behaviour change shows its moved numbers as the ledger's
+    ``git diff``.
     """
 
     @pytest.fixture
     def ledger(self):
         return json.loads((REPO / "eval" / "claims.json").read_text())
+
+    @staticmethod
+    def _runs_numerics(row) -> bool:
+        return (
+            row["experiment"] in ("table1", "ablation-key-group-size")
+            or row["experiment"] == "table3" and row["claim"].startswith("valid, ")
+        )
 
     def test_claims_json_is_the_table(self, ledger):
         def finite(x):
@@ -115,6 +125,44 @@ class TestCommittedLedger:
             assert verdicts[row_id].measured == pytest.approx(measured, rel=1e-9, abs=0), (
                 f"{row_id} moved: rerun python scripts/generate_experiments.py"
             )
+
+    def test_modeled_measured_values_are_the_committed_ones(self, ledger, verdicts):
+        """Kernel pricing (Figs. 4, 8-16), Table II, the Table III latency
+        rows, the ablations and speculative amortization: a refactor that
+        moves one of these numbers inside its band still fails here."""
+        committed = {
+            f"{r['experiment']}: {r['claim']}": r["measured"]
+            for r in ledger
+            if not r["experiment"].startswith("serving-") and not self._runs_numerics(r)
+        }
+        assert len(committed) > 150, "stale: rerun python scripts/generate_experiments.py"
+        moved = [
+            f"{row_id}: {measured} -> {verdicts[row_id].measured}"
+            for row_id, measured in committed.items()
+            if verdicts[row_id].measured != pytest.approx(measured, rel=1e-9, abs=0)
+        ]
+        assert not moved, moved
+
+    def test_check_names_each_moved_row(self):
+        """``generate_experiments.py --check`` reports ``experiment / claim:
+        old -> new`` for a moved, an added and a dropped row, nothing else."""
+        spec = importlib.util.spec_from_file_location(
+            "generate_experiments", REPO / "scripts" / "generate_experiments.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def row(claim, measured):
+            return {"experiment": "fig8", "claim": claim, "measured": measured}
+
+        committed = [row("same", 1.0), row("moved", 2.0), row("dropped", 3.0)]
+        fresh = [row("same", 1.0), row("moved", 2.5), row("added", 4.0)]
+        assert script.moved_rows(committed, fresh) == [
+            "fig8 / moved: 2.0 -> 2.5",
+            "fig8 / dropped: 3.0 -> None",
+            "fig8 / added: None -> 4.0",
+        ]
+        assert script.moved_rows(committed, committed) == []
 
     def test_experiments_md_has_a_verdict_line_per_row(self):
         lines = (REPO / "EXPERIMENTS.md").read_text().splitlines()

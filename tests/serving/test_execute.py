@@ -17,6 +17,7 @@ from repro.model.config import TINY
 from repro.model.transformer import TinyTransformer
 from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
 from repro.serving.crosscheck import crosscheck, int4_stack
+from repro.serving.swap import SwapPreemption
 
 
 def _common(a100, n_pages):
@@ -267,6 +268,46 @@ class TestOneForwardPerStep:
         assert report.offload_stall_s == pytest.approx(0.00013139776, **exact)
         assert report.offload_overlapped_s == pytest.approx(0.0007656856149507634, **exact)
         assert report.sim_time_s == pytest.approx(0.013271036958770964, **exact)
+
+    def test_tiered_chunk_reads_are_their_own_pin_phase(self, a100, monkeypatch):
+        """Each chunk's promotion first drops the pins of the chunk before it.
+
+        In this run one step promotes two chunks whose read sets, each with
+        pages off the device tier, together exceed its 6 pages.  Were the
+        first chunk's pages still pinned, the second's promotions would take
+        other victims, and the tier traffic pinned here would move.
+        """
+        steps = []
+        start_step = SwapPreemption.start_step
+        promote = SwapPreemption.promote_read_set
+
+        def counted_start(self):
+            steps.append([])
+            return start_step(self)
+
+        def recorded_promote(self, lc, tokens, prefill_s=None):
+            if prefill_s is None:
+                pages = self._pages(lc)[: tokens // self._table.page_size]
+                missing = sum(not self.tiers.resident(page) for page in pages)
+                steps[-1].append((len(pages), missing))
+            return promote(self, lc, tokens, prefill_s)
+
+        monkeypatch.setattr(SwapPreemption, "start_step", counted_start)
+        monkeypatch.setattr(SwapPreemption, "promote_read_set", recorded_promote)
+        trace = poisson_trace(4, 1e5, prompt_len=128, output_len=24, seed=0)
+        swap = dict(preemption="swap", device_pages=6, host_pages=40, prefill_chunk_tokens=192)
+        config = int4_stack(TINY, a100).config(True, max_steps=4000, max_batch=8, **swap)
+        report = ContinuousBatchingEngine(config, trace).run()
+        assert report.completed == report.n_requests
+        assert any(
+            len(chunks) >= 2
+            and all(missing for _, missing in chunks)
+            and sum(n for n, _ in chunks) > config.device_pages
+            for chunks in steps
+        ), steps
+        assert (report.swap_outs, report.swap_ins, report.offload_faults) == (3, 3, 9)
+        assert (report.offload_h2d_bytes, report.offload_d2h_bytes) == (86016, 56448)
+        assert report.sim_time_s == pytest.approx(0.004902274036193185, rel=1e-12, abs=0.0)
 
     def test_one_forward_per_tick_unless_a_hook_flushes(self, a100, monkeypatch):
         """Untiered and chunked, every tick that runs tokens makes exactly
