@@ -94,7 +94,7 @@ class PagedSeqHandle(KVCacheHandle):
     @property
     def block_ids(self) -> List[int]:
         """Physical page ids of the packed blocks, in logical order."""
-        return self.store.table.sequences[self.seq_id].pages[: self.n_blocks]
+        return list(self.store.table.sequences[self.seq_id].pages[: self.n_blocks])
 
 
 class PagedBatchHandle(KVCacheHandle):

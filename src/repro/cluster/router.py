@@ -18,8 +18,8 @@ Policies:
 - ``least_loaded`` — the replica with the fewest in-flight requests
   (resident pages, then index, break ties).  Balances queue depth but is
   just as prefix-oblivious.
-- ``prefix_affinity`` — hash the request's *head prefix-block key*
-  (:func:`~repro.serving.request.prefix_block_keys`), so every request
+- ``prefix_affinity`` — hash the request's *head-block routing key*
+  (:func:`_affinity_key`), so every request
   of a shared-prefix group lands on the same replica — whose
   :class:`~repro.serving.prefix_cache.PrefixCache` already holds the
   group's pages.  Requests without a page-aligned shared prefix hash
@@ -38,20 +38,24 @@ from typing import Dict, List, Sequence, Set
 
 from repro.cluster.report import ClusterReport
 from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
-from repro.serving.request import Request, RequestLifecycle, prefix_block_keys
+from repro.serving.request import Request, RequestLifecycle
 
 ROUTER_POLICIES = ("round_robin", "least_loaded", "prefix_affinity")
 
 
 def _affinity_key(request: Request, page_size: int):
-    """The routing key: the request's first prefix-cache block key.
+    """The routing key of the request's head block.
 
-    This is exactly the key the replica's prefix cache would index the
-    head block under — ``("prefix", group, 0)`` when the shared prefix
-    covers a full page, else a request-private tag — so equal routing
-    keys mean "these requests can share cached pages".
+    ``(("prefix", group, 0),)`` when the shared prefix covers a full
+    page, else ``(("req", req_id, 0),)``: equal routing keys exactly when
+    the replica's prefix cache keys the head block alike
+    (:func:`~repro.serving.request.prefix_block_keys`), so equal routing
+    keys mean "these requests can share cached pages".  The routing hash
+    reads this tuple's ``repr``, so its shape stays fixed.
     """
-    return prefix_block_keys(request, 1, page_size)[0]
+    if page_size <= request.shared_prefix_len:
+        return (("prefix", request.prefix_group, 0),)
+    return (("req", request.req_id, 0),)
 
 
 def _stable_hash(key) -> int:

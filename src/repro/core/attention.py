@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.arch_support import validate_config
 from repro.core.config import AttentionGeometry, BitDecodingConfig
-from repro.core.packing_kernel import build_packing_launch, run_numeric
+from repro.core.packing_kernel import PackingShape, build_packing_launch, run_numeric
 from repro.core.query_transform import group_queries, ungroup_output
 from repro.core.residual_cache import BatchedResidual, partition_prefill
 from repro.core.residual_kernel import (
@@ -226,6 +226,9 @@ class BitDecoding:
         self.config = config
         self._group_memos: Dict[tuple, Dict[Tuple[int, int], float]] = {}
         self._residual_memo: Dict[tuple, float] = {}
+        #: One :class:`PackingShape` per length-free geometry class; as many
+        #: entries as distinct decode-group batches the engine has priced.
+        self._packing_shapes: Dict[tuple, PackingShape] = {}
 
     def _check_cache_compatible(self, cache: BitKVCache) -> None:
         """Refuse caches built under a different kernel configuration.
@@ -310,8 +313,18 @@ class BitDecoding:
         packed_len = max(0, geom.seq_len - res_len)
         if packed_len == 0:
             return None
+        key = (geom.batch, geom.hq, geom.hkv, geom.head_dim, geom.q_len)
+        shape = self._packing_shapes.get(key)
+        if shape is None:
+            shape = self._packing_shapes[key] = PackingShape(geom, self.config, self.arch)
         return build_packing_launch(
-            geom, self.config, self.arch, packed_len=packed_len, paged=paged, page_size=page_size
+            geom,
+            self.config,
+            self.arch,
+            packed_len=packed_len,
+            paged=paged,
+            page_size=page_size,
+            shape=shape,
         )
 
     def decode_launches(

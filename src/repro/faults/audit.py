@@ -55,7 +55,7 @@ class InvariantAuditor:
         where = f" at step {step}" if step is not None else ""
         self._check_allocator(where)
         if self.table is not None:
-            self._check_ownership(where)
+            self.check_ownership(where)
         if self.tiers is not None:
             self._check_bijection(where)
 
@@ -88,7 +88,9 @@ class InvariantAuditor:
         if bad:
             self._fail(f"non-positive refcounts {bad}{where}")
 
-    def _check_ownership(self, where: str) -> None:
+    def check_ownership(self, where: str = "") -> None:
+        """The full recount: every page's refcount equals the number of live
+        block tables mapping it, and no released sequence keeps pages."""
         table, alloc = self.table, self.allocator
         released = set(table._free_ids)
         mapped: Counter = Counter()

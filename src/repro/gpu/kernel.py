@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.gpu.arch import ArchSpec
 from repro.gpu.memory import dram_time, l2_time, smem_time
@@ -49,6 +49,10 @@ class KernelLaunch:
     warps_per_block: int
     smem_per_block_bytes: int = 0
     regs_per_thread: int = 64
+    #: The launch's occupancy when it was resolved at build time (the same
+    #: :func:`~repro.gpu.sm.occupancy` of the four fields above); None
+    #: lets :func:`simulate_kernel` resolve it.
+    occupancy: Optional[Occupancy] = None
     #: Overlap quality in [0, 1]; see module docstring.
     hide_factor: float = 1.0
     #: Which instruction path the kernel was built for.
@@ -169,13 +173,15 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
     if launch.instruction_path == "blackwell_fp4" and not arch.has_native_fp4:
         raise ValueError(f"{arch.name} has no native FP4 tensor cores")
 
-    occ = occupancy(
-        arch,
-        launch.grid_blocks,
-        launch.warps_per_block,
-        launch.smem_per_block_bytes,
-        launch.regs_per_thread,
-    )
+    occ = launch.occupancy
+    if occ is None:
+        occ = occupancy(
+            arch,
+            launch.grid_blocks,
+            launch.warps_per_block,
+            launch.smem_per_block_bytes,
+            launch.regs_per_thread,
+        )
     path_eff = _path_efficiency(arch, launch)
     times = _resource_times(arch, launch, launch.trace, occ)
     exec_time = _combine(times, launch.hide_factor) / path_eff

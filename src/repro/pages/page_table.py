@@ -4,27 +4,42 @@ Block tables may point multiple sequences at one physical page (prefix
 sharing); the allocator's refcounts keep shared pages alive until the
 last mapping drops.  Mutation of a shared page goes through
 :meth:`PageTable.ensure_exclusive` — copy-on-write at page granularity.
+
+Only the table's own mutators change a block table, and each one keeps
+three books as it goes: how many block tables map each page, the total
+number of mappings, and the ids of the live sequences.  A whole-pool
+check then compares books instead of walking every block table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.pages.allocator import PageAllocator
 
 
-@dataclass
 class PagedSequence:
-    """One sequence's page table: logical token index -> (page, offset)."""
+    """One sequence's page table: logical token index -> (page, offset).
 
-    page_size: int
-    pages: List[int] = field(default_factory=list)
-    length: int = 0
+    ``pages`` is a tuple that only :class:`PageTable` replaces, so its
+    books see every change to a mapping.
+    """
+
+    __slots__ = ("page_size", "_pages", "length")
+
+    def __init__(self, page_size: int, pages: Iterable[int] = (), length: int = 0):
+        self.page_size = page_size
+        self._pages: Tuple[int, ...] = tuple(pages)
+        self.length = length
+
+    @property
+    def pages(self) -> Tuple[int, ...]:
+        return self._pages
 
     @property
     def capacity(self) -> int:
-        return len(self.pages) * self.page_size
+        return len(self._pages) * self.page_size
 
     def needs_page(self) -> bool:
         return self.length == self.capacity
@@ -44,6 +59,39 @@ class PageTable:
         self.page_size = page_size
         self.sequences: List[PagedSequence] = []
         self._free_ids: List[int] = []
+        self._mapped: Dict[int, int] = {}
+        self._live: Set[int] = set()
+        #: Block-table entries over every live sequence (a page mapped by
+        #: ``n`` sequences counts ``n`` times).
+        self.mapped_total = 0
+
+    @property
+    def mapped(self) -> Mapping[int, int]:
+        """Read-only live view of ``{page: block tables mapping it}`` over
+        exactly the mapped pages: equal to the allocator's ``refcounts``
+        whenever no reference is held outside a block table."""
+        return MappingProxyType(self._mapped)
+
+    @property
+    def live_ids(self) -> Set[int]:
+        """Ids of the sequences registered and not yet released."""
+        return set(self._live)
+
+    def _map(self, pages: Iterable[int]) -> None:
+        mapped = self._mapped
+        for page in pages:
+            mapped[page] = mapped.get(page, 0) + 1
+            self.mapped_total += 1
+
+    def _unmap(self, pages: Iterable[int]) -> None:
+        mapped = self._mapped
+        for page in pages:
+            count = mapped[page] - 1
+            if count:
+                mapped[page] = count
+            else:
+                del mapped[page]
+            self.mapped_total -= 1
 
     def pages_for(self, tokens: int) -> int:
         """Pages a context of ``tokens`` tokens occupies."""
@@ -86,21 +134,24 @@ class PageTable:
             for held in shared:
                 self.allocator.release(held)
             raise
-        seq = PagedSequence(
-            page_size=self.page_size, pages=shared + fresh, length=initial_length
-        )
+        seq = PagedSequence(self.page_size, shared + fresh, initial_length)
         if self._free_ids:
             seq_id = self._free_ids.pop()
             self.sequences[seq_id] = seq
-            return seq_id
-        self.sequences.append(seq)
-        return len(self.sequences) - 1
+        else:
+            seq_id = len(self.sequences)
+            self.sequences.append(seq)
+        self._map(seq.pages)
+        self._live.add(seq_id)
+        return seq_id
 
     def append_token(self, seq_id: int) -> None:
         """Grow a sequence by one token, allocating a page on boundaries."""
         seq = self.sequences[seq_id]
         if seq.needs_page():
-            seq.pages.append(self.allocator.allocate())
+            page = self.allocator.allocate()
+            seq._pages += (page,)
+            self._map((page,))
         seq.length += 1
 
     def extend_sequence(self, seq_id: int, n_tokens: int) -> None:
@@ -114,13 +165,15 @@ class PageTable:
         """
         if n_tokens < 0:
             raise ValueError("n_tokens must be non-negative")
-        if seq_id in self._free_ids:
-            raise ValueError(f"sequence {seq_id} is released")
+        if seq_id not in self._live:
+            raise ValueError(f"sequence {seq_id} is not live")
         seq = self.sequences[seq_id]
         target = seq.length + n_tokens
         n_pages = self.pages_for(target) - len(seq.pages)
         if n_pages > 0:
-            seq.pages.extend(self.allocator.allocate_many(n_pages))
+            fresh = self.allocator.allocate_many(n_pages)
+            seq._pages += tuple(fresh)
+            self._map(fresh)
         seq.length = target
 
     def ensure_exclusive(self, seq_id: int, block_idx: int) -> Tuple[int, Optional[int]]:
@@ -138,7 +191,10 @@ class PageTable:
         if self.allocator.refcount(page) <= 1:
             return page, None
         fresh = self.allocator.allocate()
-        seq.pages[block_idx] = fresh
+        pages = seq.pages
+        seq._pages = pages[:block_idx] + (fresh,) + pages[block_idx + 1 :]
+        self._map((fresh,))
+        self._unmap((page,))
         self.allocator.release(page)
         return fresh, page
 
@@ -149,8 +205,8 @@ class PageTable:
         including a trailing reserved-but-unflushed one — so either side
         mutating a shared page must go through :meth:`ensure_exclusive`.
         """
-        if seq_id in self._free_ids:
-            raise ValueError(f"sequence {seq_id} is released")
+        if seq_id not in self._live:
+            raise ValueError(f"sequence {seq_id} is not live")
         parent = self.sequences[seq_id]
         child_id = self.add_sequence(
             initial_length=parent.capacity, shared_pages=parent.pages
@@ -160,13 +216,15 @@ class PageTable:
 
     def release_sequence(self, seq_id: int) -> None:
         """Drop this sequence's reference on all its pages, recycle its id."""
-        if seq_id in self._free_ids:
-            raise ValueError(f"sequence {seq_id} is already released")
+        if seq_id not in self._live:
+            raise ValueError(f"sequence {seq_id} is not live (already released?)")
         seq = self.sequences[seq_id]
         self.allocator.release_many(seq.pages)
-        seq.pages = []
+        self._unmap(seq.pages)
+        seq._pages = ()
         seq.length = 0
         self._free_ids.append(seq_id)
+        self._live.discard(seq_id)
 
     def total_tokens(self) -> int:
         return sum(seq.length for seq in self.sequences)

@@ -2,9 +2,8 @@
 
 Maps content keys of page-aligned, *flushed* packed blocks to physical
 page ids, vLLM/SGLang-style.  A key identifies the full token prefix up
-to and including its block (keys chain: block *i*'s key embeds block
-*i-1*'s), so a longest-prefix probe is just successive lookups until the
-first miss.
+to and including its block (equal keys mean equal prefixes), so a
+longest-prefix probe is just successive lookups until the first miss.
 
 The cache is an :class:`~repro.pages.allocator.EvictionPolicy`: it
 *retains* every page it maps, so when such a page's refcount drops to
@@ -19,7 +18,7 @@ mutate, and those are never shared.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, Hashable, Iterable, List
 
 from repro.pages.allocator import EvictionPolicy, PageAllocator
 
@@ -44,11 +43,12 @@ class PrefixCache(EvictionPolicy):
     def __len__(self) -> int:
         return len(self._by_key)
 
-    def match(self, keys: Sequence[Hashable]) -> List[int]:
+    def match(self, keys: Iterable[Hashable]) -> List[int]:
         """Longest-prefix match: page ids for the leading run of hit keys.
 
-        Stops at the first miss — keys chain, so a miss at block *i*
-        implies a miss at every later block.  Pure: the caller (the
+        Stops at the first miss, without drawing another key from
+        ``keys`` — a key names its whole prefix, so the probe's run of
+        hits ends there.  Pure: the caller (the
         engine) decides whether the probe turns into an admission and
         accounts hits there.
         """

@@ -69,7 +69,7 @@ skewing the comparison.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -453,9 +453,10 @@ class ContinuousBatchingEngine:
         """
         if self.prefix_cache is None:
             return []
-        max_blocks = (head.context_len - 1) // self.config.page_size
-        keys = prefix_block_keys(head.request, max_blocks, self.config.page_size)
-        return self.prefix_cache.match(keys)
+        ps = self.config.page_size
+        return self.prefix_cache.match(
+            prefix_block_keys(head.request, ps, 0, (head.context_len - 1) // ps)
+        )
 
     def _fresh_pages_available(self, need: int, hit_pages: List[int]) -> bool:
         """Can ``need`` pages be mapped given ``hit_pages`` arrive shared?
@@ -504,10 +505,10 @@ class ContinuousBatchingEngine:
         limit = min(lc.prefilled, lc.prefill_target) // ps
         if limit <= lc.registered_blocks:
             return
-        keys = prefix_block_keys(lc.request, limit, ps)
         pages = self.table.sequences[lc.seq_id].pages
-        for i in range(lc.registered_blocks, limit):
-            self.prefix_cache.insert(keys[i], pages[i])
+        start = lc.registered_blocks
+        for i, key in enumerate(prefix_block_keys(lc.request, ps, start, limit), start):
+            self.prefix_cache.insert(key, pages[i])
         lc.registered_blocks = limit
 
     def _admit(self) -> None:
@@ -878,37 +879,37 @@ class ContinuousBatchingEngine:
         """Pages held by resident sequences must equal the allocator's books.
 
         Under prefix sharing a physical page may appear in several block
-        tables, so the check is refcount-aware: every page's refcount must
-        equal the number of resident mappings, the distinct resident pages
-        must equal the allocator's used count, and used + reclaimable
-        (free list + cached LRU pool) must cover the pool.  The same walk
-        records the instantaneous sharing saving (sum of refcount-1) whose
-        peak the report surfaces as effective extra capacity.
+        tables, so the check is refcount-aware: the table's live sequences
+        must be exactly the residents, every page's refcount must equal the
+        number of block tables mapping it, and used + reclaimable (free
+        list + cached LRU pool) must cover the pool.  The mapping counts
+        are the books :class:`~repro.pages.page_table.PageTable` keeps at
+        its mutators, so the check costs one set and one dict comparison
+        instead of a walk over every block table; the walk itself stays in
+        :class:`~repro.faults.audit.InvariantAuditor` and runs at
+        :meth:`finish`.  The instantaneous sharing saving (mappings minus
+        distinct pages) feeds the report's effective-capacity peak.
         """
-        mapped = Counter(
-            chain.from_iterable(
-                self.table.sequences[lc.seq_id].pages
-                for lc in chain(self._running, self._swapped)
-                if lc.seq_id is not None
+        table, alloc = self.table, self.allocator
+        residents = {lc.seq_id for lc in chain(self._running, self._swapped)}
+        residents.discard(None)
+        mapped, refs = table.mapped, alloc.refcounts
+        used, free = alloc.used_pages, alloc.free_pages
+        live = table.live_ids
+        if live != residents or mapped != refs or used + free != self.n_pages:
+            bad_refs = sorted(
+                (page, mapped.get(page, 0), refs.get(page, 0))
+                for page in mapped.keys() | refs.keys()
+                if mapped.get(page, 0) != refs.get(page, 0)
             )
-        )
-        # The allocator's refcount map holds exactly the used pages, so one
-        # dict equality covers both "same distinct pages" and "same counts".
-        refs = self.allocator.refcounts
-        used = self.allocator.used_pages
-        free = self.allocator.free_pages
-        if mapped != refs or used + free != self.n_pages:
-            bad_refs = [
-                (page, count, refs.get(page, 0))
-                for page, count in mapped.items()
-                if refs.get(page, 0) != count
-            ]
             raise AssertionError(
                 f"page conservation violated: residents map {len(mapped)} distinct "
                 f"pages, allocator says {used} used + {free} reclaimable of "
-                f"{self.n_pages}; refcount mismatches: {bad_refs[:5]}"
+                f"{self.n_pages}; refcount mismatches: {bad_refs[:5]}; sequences "
+                f"live but not resident: {sorted(live - residents)}, resident but "
+                f"not live: {sorted(residents - live)}"
             )
-        saving = sum(mapped.values()) - len(mapped)
+        saving = table.mapped_total - len(mapped)
         self.report.shared_pages_peak = max(self.report.shared_pages_peak, saving)
 
     # -------------------------------------------------------------------- run
@@ -976,6 +977,8 @@ class ContinuousBatchingEngine:
         if self.auditor is not None:
             self.auditor.audit()
             report.audits = self.auditor.audits
+        else:  # the full block-table recount behind the per-step books
+            InvariantAuditor(self.allocator, table=self.table).check_ownership(" at finish")
         report.sim_time_s = self._clock
         report.n_requests = len(lifecycles)
         report.rejected = sum(lc.rejected for lc in lifecycles)

@@ -21,7 +21,7 @@ aggressively the engine sheds is a :class:`DeadlinePolicy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, Iterator, List, Optional
 
 import numpy as np
 
@@ -65,27 +65,34 @@ class Request:
         return self.prompt_len + self.output_len
 
 
-def prefix_block_keys(request: Request, n_blocks: int, page_size: int) -> List[Hashable]:
-    """Content keys of a request's first ``n_blocks`` page-aligned blocks.
+def prefix_block_keys(
+    request: Request, page_size: int, start: int, stop: int
+) -> Iterator[Hashable]:
+    """Content keys of a request's page-aligned blocks ``start .. stop - 1``.
 
     Requests carry lengths, not token ids, so a block's "content hash" is
-    derived from its *token identity*: blocks fully inside the shared
-    prefix are tagged by ``(prefix_group, block_idx)`` — identical across
-    every request of the group — and later blocks by ``(req_id, block_idx)``.
-    Keys chain (block *i*'s key embeds all earlier tags), so equal keys
-    mean the entire token prefix up to that block matches, exactly like a
-    radix-tree path.  The tags are plain tuples, not salted ``hash()``
-    values, so they are stable across processes and runs.
+    derived from its *token identity*.  A block fully inside the shared
+    prefix is ``("prefix", prefix_group, i)`` — identical across every
+    request of the group.  Any later block is private:
+    ``("req", req_id, group, shared_blocks, i)``, where ``shared_blocks``
+    counts the full blocks of the shared prefix and ``group`` is the
+    prefix group, or None when no full block is shared.  Equal keys mean
+    the entire token prefix up to that block matches, exactly like a
+    radix-tree path: a private key names everything that precedes it, so
+    no key has to embed the tags of the blocks before it, and every key
+    has a constant size.  The tags are plain tuples, not salted
+    ``hash()`` values, so they are stable across processes and runs.
+
+    Lazy: a caller that stops at the first cache miss or registers only
+    its new blocks builds no other key.
     """
-    keys: List[Hashable] = []
-    tags: List[Tuple] = []
-    for i in range(n_blocks):
-        if (i + 1) * page_size <= request.shared_prefix_len:
-            tags.append(("prefix", request.prefix_group, i))
+    shared = request.shared_prefix_len // page_size
+    group = request.prefix_group if shared else None
+    for i in range(start, stop):
+        if i < shared:
+            yield ("prefix", request.prefix_group, i)
         else:
-            tags.append(("req", request.req_id, i))
-        keys.append(tuple(tags))
-    return keys
+            yield ("req", request.req_id, group, shared, i)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ bit-identical to a fault-free run.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.model.memory import page_bytes
@@ -80,7 +80,7 @@ class SwapPreemption:
         #: executes tokens; it stashes residual rows across a swap.
         self.runner = None
 
-    def _pages(self, lc: RequestLifecycle) -> List[int]:
+    def _pages(self, lc: RequestLifecycle) -> Tuple[int, ...]:
         return self._table.sequences[lc.seq_id].pages
 
     def _decode_working_pages(self) -> int:

@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ROUTER_POLICIES, ClusterReport, Router
+from repro.cluster.router import _affinity_key, _stable_hash
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
 from repro.gpu.arch import get_arch
 from repro.model.config import LLAMA31_8B
 from repro.model.memory import int_format
 from repro.serving import ContinuousBatchingEngine, EngineConfig, ServingReport, poisson_trace
+from repro.serving.request import Request
 
 KERNEL_CONFIG = BitDecodingConfig(bits=4, wn=1)
 
@@ -153,6 +155,18 @@ class TestAffinity:
         assert report.prefix_groups_seen == 0
         assert report.cross_replica_prefix_misses == 0
         assert min(router.dispatch_counts) > 0  # not all on one replica
+
+
+    def test_routing_hashes_are_pinned(self):
+        """The SHA-256 routing hash reads the head-block key's ``repr``; these
+        values were cut from the chained block keys, so a key redesign that
+        moved any replica choice fails here."""
+        shared = Request(7, 0.0, 256, 8, shared_prefix_len=160, prefix_group=3)
+        private = Request(7, 0.0, 256, 8, shared_prefix_len=32, prefix_group=3)
+        assert _affinity_key(shared, 64) == (("prefix", 3, 0),)
+        assert _affinity_key(private, 64) == (("req", 7, 0),)
+        assert _stable_hash(_affinity_key(shared, 64)) == 18200835632709209150
+        assert _stable_hash(_affinity_key(private, 64)) == 16669179465118106520
 
 
 class TestRoundRobinAndLeastLoaded:

@@ -19,9 +19,11 @@ import repro.gpu.kernel as kernel_module
 from repro.baselines import Atom, FlashDecodingV2, QServe
 from repro.core.attention import BitDecoding
 from repro.core.config import AttentionGeometry, BitDecodingConfig
+from repro.core.packing_kernel import PackingShape, build_packing_launch, choose_splits
 from repro.core.residual_kernel import build_residual_launch
 from repro.gpu.arch import get_arch
 from repro.gpu.kernel import simulate_kernel
+from repro.gpu.sm import occupancy
 
 A100 = get_arch("a100")
 RTX5090 = get_arch("rtx5090")
@@ -145,6 +147,80 @@ class TestResidualMemo:
             return simulate_kernel(arch, launch).time_s
 
         assert residual_s(seq_lens[0]) == residual_s(seq_lens[1])
+
+
+def _launch_fields(launch):
+    return (
+        launch.trace, launch.grid_blocks, launch.warps_per_block, launch.smem_per_block_bytes,
+        launch.hide_factor, launch.launches, launch.subtraces,
+    )
+
+
+class TestPackingShape:
+    """A warm engine keeps one :class:`PackingShape` per length-free geometry
+    class; the lengths it prices, in whatever order, must come out as a
+    cold engine prices each of them alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pricing_order_never_changes_a_latency(self, data):
+        config, arch = data.draw(st.sampled_from(INT_FORMATS + FP4_FORMATS), label="format")
+        hkv = data.draw(st.sampled_from((1, 2, 8)), label="hkv")
+        hq = hkv * data.draw(st.sampled_from((1, 4)), label="gq")
+        batch = data.draw(st.integers(1, 12), label="batch")
+        # Short lengths cap the split count at the tile count, long ones at
+        # the machine-filling target: both sides of the split rule.
+        seq_lens = data.draw(
+            st.lists(
+                st.integers(1, 600) | st.integers(600, 1 << 16), min_size=3, max_size=6,
+                unique=True,
+            ),
+            label="seq_lens",
+        )
+        kwargs = dict(paged=data.draw(st.booleans(), label="paged"))
+        geoms = [AttentionGeometry(batch, hq, hkv, n, 128) for n in seq_lens]
+        fresh = [BitDecoding(config, arch).decode_time_ms(g, **kwargs) for g in geoms]
+        ascending = BitDecoding(config, arch)
+        by_length = sorted(range(len(geoms)), key=lambda i: seq_lens[i])
+        assert [ascending.decode_time_ms(geoms[i], **kwargs) for i in by_length] == [
+            fresh[i] for i in by_length
+        ]
+        shuffled = BitDecoding(config, arch)
+        order = data.draw(st.permutations(range(len(geoms))), label="order")
+        assert [shuffled.decode_time_ms(geoms[i], **kwargs) for i in order] == [
+            fresh[i] for i in order
+        ]
+        assert [shuffled.decode_time_ms(g, **kwargs) for g in geoms] == fresh  # warm
+        # One shape served every length that packs anything (the default
+        # residual fill is half a block).
+        packs = max(seq_lens) > max(1, config.residual_block_size // 2)
+        assert len(shuffled._packing_shapes) == packs
+
+        # A warm engine's uncached results equal a cold engine's, field by field.
+        for geom in geoms:
+            warm_results = shuffled.decode_results(geom, **kwargs)
+            cold_results = BitDecoding(config, arch).decode_results(geom, **kwargs)
+            for warm, cold in zip(warm_results, cold_results):
+                assert warm.time_s == cold.time_s
+                assert warm.resource_times == cold.resource_times
+                assert warm.occupancy == cold.occupancy
+                assert warm.subtrace_times == cold.subtrace_times
+
+    @pytest.mark.parametrize("seq_len", [1, 64, 65, 4096, 131072])
+    def test_a_kept_shape_builds_the_launch_a_fresh_one_does(self, seq_len):
+        geom = AttentionGeometry(3, 32, 8, seq_len, 128)
+        shape = PackingShape(AttentionGeometry(3, 32, 8, 7, 128), CONFIG, A100)
+        for paged in (False, True):
+            kept = build_packing_launch(geom, CONFIG, A100, paged=paged, shape=shape)
+            fresh = build_packing_launch(geom, CONFIG, A100, paged=paged)
+            assert _launch_fields(kept) == _launch_fields(fresh)
+            # The occupancy the launch carries is the one its fields give.
+            assert kept.occupancy == occupancy(
+                A100, kept.grid_blocks, kept.warps_per_block, kept.smem_per_block_bytes,
+                kept.regs_per_thread,
+            )
+            splits = choose_splits(A100, geom, CONFIG.tile_n)
+            assert kept.grid_blocks == geom.batch * geom.hkv * splits
 
 
 class TestKeys:

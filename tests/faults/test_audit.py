@@ -95,9 +95,9 @@ class TestOwnershipChecks:
     def test_released_sequence_retaining_pages_caught(self):
         alloc, table, _ = _system()
         seq = table.add_sequence(4)
-        pages = list(table.sequences[seq].pages)
+        pages = table.sequences[seq].pages
         table.release_sequence(seq)
-        table.sequences[seq].pages = pages  # use-after-free mapping
+        table.sequences[seq]._pages = pages  # a release that kept its mapping
         with pytest.raises(InvariantViolation, match="released sequence"):
             InvariantAuditor(alloc, table).audit()
 

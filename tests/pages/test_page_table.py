@@ -1,5 +1,7 @@
 """Page table: logical->physical mapping and growth."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,3 +237,68 @@ class TestGrowthProperty:
         seq = table.sequences[sid]
         assert seq.length == appends
         assert len(seq.pages) == -(-appends // page_size)
+
+
+def recount(table):
+    """The books rebuilt from the block tables of the live sequences."""
+    released = set(table._free_ids)
+    live = {i for i in range(len(table.sequences)) if i not in released}
+    mapped = Counter(p for i in live for p in table.sequences[i].pages)
+    return live, mapped, sum(mapped.values())
+
+
+#: One table operation: (name, which live sequence, size argument).
+OPS = st.tuples(
+    st.sampled_from(["add", "add_shared", "append", "extend", "cow", "fork", "release"]),
+    st.integers(0, 7),
+    st.integers(0, 20),
+)
+
+
+class TestBooks:
+    @given(page_size=st.sampled_from([1, 4, 16]), ops=st.lists(OPS, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_books_equal_the_recount_after_every_operation(self, page_size, ops):
+        """After any run of mutators (exhaustion included), the mapping
+        multiset, the mapping total and the live ids the table keeps equal
+        a recount from the block tables, and the multiset equals the
+        allocator's refcounts."""
+        alloc = PageAllocator(24)
+        table = PageTable(alloc, page_size=page_size)
+        for name, pick, size in ops:
+            live = sorted(table.live_ids)
+            seq_id = live[pick % len(live)] if live else None
+            try:
+                if name == "add":
+                    table.add_sequence(size)
+                elif seq_id is None:
+                    continue
+                elif name == "add_shared":
+                    pages = table.sequences[seq_id].pages
+                    shared = pages[: min(len(pages), -(-size // page_size))]
+                    table.add_sequence(size, shared_pages=shared)
+                elif name == "append":
+                    table.append_token(seq_id)
+                elif name == "extend":
+                    table.extend_sequence(seq_id, size)
+                elif name == "cow" and table.sequences[seq_id].pages:
+                    table.ensure_exclusive(seq_id, size % len(table.sequences[seq_id].pages))
+                elif name == "fork":
+                    table.fork_sequence(seq_id)
+                elif name == "release":
+                    table.release_sequence(seq_id)
+            except (OutOfPagesError, ValueError):
+                pass
+            live_ids, mapped, total = recount(table)
+            assert table.live_ids == live_ids
+            assert table.mapped == mapped
+            assert table.mapped_total == total
+            assert table.mapped == alloc.refcounts
+
+    def test_block_tables_change_only_through_the_table(self):
+        table = PageTable(PageAllocator(8), page_size=4)
+        seq = table.sequences[table.add_sequence(8)]
+        with pytest.raises(AttributeError):
+            seq.pages.append(7)
+        with pytest.raises(AttributeError):
+            seq.pages = (7,)

@@ -182,27 +182,38 @@ class TestPartialPrefillPreemption:
         engine.run()  # stops mid-decode: both sequences resident, books clean
         engine._assert_conservation()
         first, second = (engine.table.sequences[lc.seq_id].pages for lc in engine._running)
-        over_referenced, double_mapped = first[0], second[0]
-        engine.allocator.acquire(over_referenced)  # corrupt one refcount ...
-        first.append(double_mapped)  # ... and one mapping
+        over_referenced, unreferenced = first[0], second[0]
+        engine.allocator.acquire(over_referenced)  # one reference too many ...
+        engine.allocator.release(unreferenced)  # ... and one mapping without one
         used = engine.allocator.used_pages
         with pytest.raises(AssertionError) as excinfo:
             engine._assert_conservation()
         assert str(excinfo.value) == (
-            f"page conservation violated: residents map {used} distinct pages, "
+            f"page conservation violated: residents map {used + 1} distinct pages, "
             f"allocator says {used} used + {engine.n_pages - used} reclaimable of "
             f"{engine.n_pages}; refcount mismatches: "
-            f"[({over_referenced}, 1, 2), ({double_mapped}, 2, 1)]"
+            f"{sorted([(over_referenced, 1, 2), (unreferenced, 1, 0)])}; sequences "
+            "live but not resident: [], resident but not live: []"
         )
 
-    def test_conservation_reports_a_mapping_the_allocator_never_issued(self):
+    def test_conservation_reports_a_mapping_with_no_reference(self):
         trace = [Request(req_id=0, arrival_s=0.0, prompt_len=128, output_len=40)]
         engine = make_engine(trace, pool_for(trace), chunk=64, max_steps=4)
         engine.run()
         (lc,) = engine._running
-        unissued = next(p for p in range(engine.n_pages) if engine.allocator.refcount(p) == 0)
-        engine.table.sequences[lc.seq_id].pages.append(unissued)
-        with pytest.raises(AssertionError, match=rf"refcount mismatches: \[\({unissued}, 1, 0\)\]"):
+        held = engine.table.sequences[lc.seq_id].pages[-1]
+        engine.allocator.release(held)  # the page goes back to the free list, still mapped
+        with pytest.raises(AssertionError, match=rf"refcount mismatches: \[\({held}, 1, 0\)\]"):
+            engine._assert_conservation()
+
+    def test_conservation_names_a_sequence_the_scheduler_lost(self):
+        trace = [Request(req_id=0, arrival_s=0.0, prompt_len=128, output_len=40)]
+        engine = make_engine(trace, pool_for(trace), chunk=64, max_steps=4)
+        engine.run()
+        (lc,) = engine._running
+        lost = lc.seq_id
+        engine._running.clear()
+        with pytest.raises(AssertionError, match=rf"live but not resident: \[{lost}\]"):
             engine._assert_conservation()
 
 

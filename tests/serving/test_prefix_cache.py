@@ -19,6 +19,8 @@ import pytest
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
 from repro.serving import ContinuousBatchingEngine, EngineConfig, poisson_trace
+from repro.serving import engine as engine_module
+from repro.serving.request import Request, prefix_block_keys
 from repro.serving.crosscheck import decoded_bit_exact, int4_stack
 
 #: The INT4 stack's residual block size = its executed page size.
@@ -90,6 +92,25 @@ class TestAnalytical:
         report = _engine(a100, trace, n_pages=10, max_batch=2, prefix_cache=True).run()
         assert report.completed == 10
         assert report.prefix_evictions > 0
+
+    def test_keys_are_built_once_per_block(self, a100, monkeypatch):
+        """A registration builds keys only for its newly registered blocks
+        and a probe stops at its first miss, so a 1K-token prompt prefilled
+        in 64-token chunks builds each block's key once (plus the first
+        probe's one miss) — the count is linear in the prompt, not in
+        chunks x blocks — and every key has one of two constant sizes."""
+        built = []
+
+        def counting(*args):
+            for key in prefix_block_keys(*args):
+                built.append(key)
+                yield key
+
+        monkeypatch.setattr(engine_module, "prefix_block_keys", counting)
+        request = Request(0, 0.0, 1024, 4, shared_prefix_len=512)
+        _engine(a100, [request], prefill_chunk=64, prefix_cache=True).run()
+        assert len(built) == 1024 // NR + 1
+        assert {len(key) for key in built} == {3, 5}
 
     def test_share_flag_requires_cache(self):
         # The validation fires before any field is touched, so the other

@@ -1,6 +1,8 @@
 """Request model and Poisson trace generation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.request import Request, poisson_trace, prefix_block_keys
 
@@ -19,27 +21,73 @@ class TestRequest:
             Request(req_id=0, arrival_s=0.0, prompt_len=10, output_len=0)
 
 
+def chained_keys(request, n_blocks, page_size):
+    """The chained definition the constant-size keys replace, verbatim:
+    block *i*'s key is the tuple of every tag up to *i*.  Kept as the
+    equality oracle."""
+    keys = []
+    tags = []
+    for i in range(n_blocks):
+        if (i + 1) * page_size <= request.shared_prefix_len:
+            tags.append(("prefix", request.prefix_group, i))
+        else:
+            tags.append(("req", request.req_id, i))
+        keys.append(tuple(tags))
+    return keys
+
+
+def keys(request, n_blocks, page_size):
+    return list(prefix_block_keys(request, page_size, 0, n_blocks))
+
+
+@st.composite
+def request_pairs(draw):
+    """Two requests whose shared prefixes end on, before or after page
+    boundaries, with equal or distinct ids and groups, and a page size."""
+    page_size = draw(st.sampled_from([1, 2, 3, 16, 64]))
+    prompt_len = 6 * page_size
+    pair = []
+    for _ in range(2):
+        shared = draw(
+            st.sampled_from([0, page_size - 1, page_size, 2 * page_size, 2 * page_size + 1])
+            | st.integers(0, prompt_len)
+        )
+        pair.append(
+            Request(
+                req_id=draw(st.integers(0, 2)),
+                arrival_s=0.0,
+                prompt_len=prompt_len,
+                output_len=1,
+                shared_prefix_len=max(0, shared),
+                prefix_group=draw(st.integers(0, 1)),
+            )
+        )
+    return pair, page_size
+
+
 class TestPrefixBlockKeys:
-    def _req(self, req_id, group=0, shared=160):
-        return Request(req_id, 0.0, 256, 8, shared_prefix_len=shared, prefix_group=group)
+    @settings(max_examples=300, deadline=None)
+    @given(request_pairs())
+    def test_keys_are_equal_exactly_when_the_chained_keys_are(self, drawn):
+        """At every pair of block indices, two requests' keys are equal
+        exactly when the chained keys of the old definition are."""
+        (a, b), page_size = drawn
+        n = 7
+        new_a, new_b = keys(a, n, page_size), keys(b, n, page_size)
+        old_a, old_b = chained_keys(a, n, page_size), chained_keys(b, n, page_size)
+        for i in range(n):
+            for j in range(n):
+                assert (new_a[i] == new_b[j]) == (old_a[i] == old_b[j]), (i, j)
 
-    def test_whole_shared_blocks_match_across_a_group(self):
-        """Blocks fully inside the shared prefix key alike for every request
-        of the group; the block the prefix ends in is the request's own."""
-        a = prefix_block_keys(self._req(1), 4, 64)
-        b = prefix_block_keys(self._req(2), 4, 64)
-        assert a[:2] == b[:2]
-        assert a[2] != b[2] and a[3] != b[3]
+    def test_every_key_has_a_constant_size(self):
+        shared = Request(1, 0.0, 8192, 8, shared_prefix_len=4096, prefix_group=3)
+        private = Request(2, 0.0, 8192, 8)
+        for request in (shared, private):
+            assert {len(key) for key in keys(request, 128, 64)} <= {3, 5}
 
-    def test_keys_chain_through_every_earlier_block(self):
-        """Equal keys mean equal token prefixes: another group's request
-        matches nowhere, and each key extends the one before it."""
-        a = prefix_block_keys(self._req(1, group=0), 4, 64)
-        b = prefix_block_keys(self._req(2, group=1), 4, 64)
-        assert not set(a) & set(b)
-        assert all(later[:-1] == earlier for earlier, later in zip(a, a[1:]))
-        assert prefix_block_keys(self._req(1, shared=0), 1, 64) == [(("req", 1, 0),)]
-
+    def test_a_slice_builds_only_its_own_blocks(self):
+        request = Request(1, 0.0, 8192, 8, shared_prefix_len=4096)
+        assert list(prefix_block_keys(request, 64, 96, 100)) == keys(request, 100, 64)[96:]
 
 class TestPoissonTrace:
     def test_deterministic_for_seed(self):
