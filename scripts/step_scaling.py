@@ -4,9 +4,13 @@ Report only: prints one row per point and gates on nothing.  Every point
 is the analytical LLaMA-3.1-8B INT4 engine of the ``cluster_scale``
 workload (A100, tp=2, 64-token pages, 512-token chunked prefill, prefix
 cache on) over a burst whose prompts share half their tokens in two
-groups: 8 requests at 4K, 32K and 128K context, then 10^2 and 10^3 4K
-requests queued at once.  A point runs its trace to the end or to
-``STEPS`` steps and divides the wall time by the steps it ran.
+groups: 8 requests at 4K, 32K and 128K context, then 10^2, 10^3 and 10^4
+4K requests queued at once.  A point runs its trace to the end or to
+``STEPS`` steps and divides the wall time by the steps it ran.  Last
+comes the host cost of one ``BitDecoding.decode_time_ms`` miss: a fresh
+engine prices 2 000 batch-1 lengths of LLaMA-3.1-8B at tp=2, each new.
+Every point and the miss line is the best of ``REPEATS`` fresh runs,
+since a shared host's noise only ever adds time.
 
     PYTHONPATH=src python scripts/step_scaling.py
 """
@@ -23,13 +27,16 @@ from repro.serving.engine import ContinuousBatchingEngine, EngineConfig
 from repro.serving.request import poisson_trace
 
 STEPS = 2200
+REPEATS = 3
 POINTS = [  # (label, requests, context tokens)
     ("context 4K", 8, 4096),
     ("context 32K", 8, 32768),
     ("context 128K", 8, 131072),
     ("queue 10^2", 100, 4096),
     ("queue 10^3", 1000, 4096),
+    ("queue 10^4", 10000, 4096),
 ]
+MISS_LENGTHS = 2000
 
 
 def ms_per_step(n_requests: int, context: int) -> tuple:
@@ -50,13 +57,30 @@ def ms_per_step(n_requests: int, context: int) -> tuple:
     return steps, 1e3 * wall / steps
 
 
+def best(run, *args):
+    """The fastest of ``REPEATS`` fresh runs of ``run(*args)`` (its last
+    element is the time)."""
+    return min((run(*args) for _ in range(REPEATS)), key=lambda r: r[-1])
+
+
+def us_per_miss() -> tuple:
+    kernel = BitDecoding(BitDecodingConfig(bits=4, wn=1), "a100")
+    geoms = [LLAMA31_8B.attention_geometry(1, 4096 + i, tp=2) for i in range(MISS_LENGTHS)]
+    start = time.perf_counter()
+    for geom in geoms:
+        kernel.decode_time_ms(geom)
+    return (1e6 * (time.perf_counter() - start) / MISS_LENGTHS,)
+
+
 def main() -> None:
     print(f"{'point':<14} {'steps':>6} {'ms/step':>9}")
     ms = {}
     for label, n_requests, context in POINTS:
-        steps, ms[label] = ms_per_step(n_requests, context)
+        steps, ms[label] = best(ms_per_step, n_requests, context)
         print(f"{label:<14} {steps:>6} {ms[label]:>9.3f}")
     print(f"128K / 4K ms per step: {ms['context 128K'] / ms['context 4K']:.2f}x")
+    print(f"10^3 / 10^2 ms per step: {ms['queue 10^3'] / ms['queue 10^2']:.2f}x")
+    print(f"us per decode_time_ms miss: {best(us_per_miss)[0]:.1f}")
 
 
 if __name__ == "__main__":

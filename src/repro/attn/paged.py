@@ -222,8 +222,10 @@ class PagedBitKVCache(TierObserver):
             np.zeros((n_pages, hkv) + a.shape[3:], a.dtype) for a in self._probe.arrays
         )
         self.slots = PageAllocator(n_slots)
-        self.res_k = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
-        self.res_v = np.zeros((n_slots, hkv, nr, head_dim), np.float16)
+        # FP16 residual values in FP32 slots (rounded once, at the write):
+        # the residual numerics and the flush staging both read FP32.
+        self.res_k = np.zeros((n_slots, hkv, nr, head_dim), np.float32)
+        self.res_v = np.zeros((n_slots, hkv, nr, head_dim), np.float32)
 
         # The read memo: dequantized packed blocks per member tuple of
         # handle keys (see :meth:`dequant_group`).  Keys are never reused,
@@ -581,22 +583,22 @@ class PagedBitKVCache(TierObserver):
         return self.dequant_group([handle])
 
     def residual_group(self, handles: List[PagedSeqHandle]) -> Tuple[np.ndarray, np.ndarray]:
-        """FP16 residual rows gathered ``[G, hkv, r_max, d]``, zero-padded.
+        """Residual rows gathered ``[G, hkv, r_max, d]`` (FP16 values in
+        FP32), zero-padded.
 
         Rows past a member's fill are zeroed (slots hold stale rows from
         earlier fills); the ragged residual kernel masks their score
         columns to ``-inf`` anyway, but the contract is that pad K *and*
         V rows are exact zeros.
         """
-        res = [h.res_len for h in handles]
-        r_max = max(res)
+        res = np.asarray([h.res_len for h in handles])
+        r_max = int(res.max())
         slots = np.asarray([h.slot for h in handles])
         k = self.res_k[slots, :, :r_max]
         v = self.res_v[slots, :, :r_max]
-        for g, r in enumerate(res):
-            if r < r_max:
-                k[g, :, r:] = 0
-                v[g, :, r:] = 0
+        members, rows = np.nonzero(np.arange(r_max) >= res[:, None])
+        k[members, :, rows] = 0
+        v[members, :, rows] = 0
         return k, v
 
 

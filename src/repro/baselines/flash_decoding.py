@@ -57,7 +57,7 @@ class FlashDecodingV2(KernelSystem):
         trace.tensor_core(attention_gflops(geom, m_pad), "fp16")
         trace.merge(softmax_ops(heads * m_pad * geom.seq_len, heads * m_pad))
         tiles = heads * math.ceil(geom.seq_len / self.tile_n)
-        trace.merge(rescale_accum_ops(m_pad * d * tiles))
+        rescale_accum_ops(m_pad * d * tiles, trace)
         # FP16 tiles staged through smem (cp.async in + ldmatrix out).
         trace.smem_traffic(2.0 * geom.kv_bytes_fp16)
         trace.barriers_per_block += 2.0 * math.ceil(geom.seq_len / (splits * self.tile_n))

@@ -226,6 +226,9 @@ class BitDecoding:
         self.config = config
         self._group_memos: Dict[tuple, Dict[Tuple[int, int], float]] = {}
         self._residual_memo: Dict[tuple, float] = {}
+        #: The default ``res_len``: half the residual block, the average
+        #: decode state.
+        self._half_block = max(1, config.residual_block_size // 2)
         #: One :class:`PackingShape` per length-free geometry class; as many
         #: entries as distinct decode-group batches the engine has priced.
         self._packing_shapes: Dict[tuple, PackingShape] = {}
@@ -303,7 +306,7 @@ class BitDecoding:
     def _res_len(self, res_len: Optional[int]) -> int:
         """``res_len`` or, when None, half the residual block (the average
         decode state)."""
-        return max(1, self.config.residual_block_size // 2) if res_len is None else res_len
+        return self._half_block if res_len is None else res_len
 
     def _packing_launch(
         self, geom: AttentionGeometry, res_len: int, paged: bool, page_size: int

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.query_transform import gemm_m_dimension
 from repro.core.quantization import quantize_fp4
+from repro.core.residual_kernel import _meta_bytes  # shared metadata math
 from repro.core.softmax import OnlineSoftmaxState, pad_tail, qk_scores, tile_softmax_split
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import (
@@ -31,7 +32,7 @@ from repro.gpu.instructions import (
     rescale_accum_ops,
     softmax_ops,
 )
-from repro.gpu.kernel import KernelLaunch
+from repro.gpu.kernel import KernelLaunch, ResourceRates
 from repro.gpu.sm import Occupancy, occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import WarpLayout, combined_hide_factor
@@ -226,9 +227,10 @@ class PackingShape:
 
     Padded M, block count, warp layout, shared memory per block and the
     split target follow from the geometry's batch, heads, head dim and
-    query length plus the config and device; so do the occupancy and hide
-    factor at a given split count, which :meth:`at_splits` keeps per count.
-    A :class:`~repro.core.attention.BitDecoding` engine holds one shape per
+    query length plus the config and device; so do the occupancy, hide
+    factor and :class:`~repro.gpu.kernel.ResourceRates` at a given split
+    count, which :meth:`at_splits` keeps per count.  A
+    :class:`~repro.core.attention.BitDecoding` engine holds one shape per
     geometry class, so a pricing miss at a new length fills in only the
     tiles, splits and bytes.
     """
@@ -237,13 +239,17 @@ class PackingShape:
         self.config, self.arch = config, arch
         _, self.m_pad = gemm_m_dimension(geom.hq, geom.hkv, geom.q_len)
         self.heads = geom.batch * geom.hkv
+        #: Config properties the build reads on every miss.
+        self.wn, self.bits_per_value = config.effective_wn, config.storage_bits_per_value
+        self.instruction_path = config.instruction_path
         self.warp_layout = WarpLayout(wm=config.wm, wn=config.effective_wn)
         self.smem_block = _smem_per_block(self.m_pad, geom.head_dim, config)
         self.split_target = _split_target(arch, geom)
-        self._at_splits: Dict[int, Tuple[Occupancy, float]] = {}
+        self._at_splits: Dict[int, Tuple[Occupancy, float, ResourceRates]] = {}
 
-    def at_splits(self, n_splits: int) -> Tuple[Occupancy, float]:
-        """``(occupancy, hide factor)`` of the launch at ``n_splits``."""
+    def at_splits(self, n_splits: int) -> Tuple[Occupancy, float, ResourceRates]:
+        """``(occupancy, hide factor, resource rates)`` of the launch at
+        ``n_splits``."""
         known = self._at_splits.get(n_splits)
         if known is not None:
             return known
@@ -260,8 +266,8 @@ class PackingShape:
             hide = min(1.0, hide + 0.15)
         if not config.use_layout_induction:
             hide = min(hide, 0.3)
-        self._at_splits[n_splits] = occ, hide
-        return occ, hide
+        known = self._at_splits[n_splits] = occ, hide, ResourceRates(self.arch, occ)
+        return known
 
 
 def build_packing_launch(
@@ -288,23 +294,19 @@ def build_packing_launch(
         raise ValueError("packed_len must be positive")
     if shape is None:
         shape = PackingShape(geom, config, arch)
-    d = geom.head_dim
-    m_pad, heads = shape.m_pad, shape.heads
-    tiles_per_head = math.ceil(packed_len / config.tile_n)
+    d, m_pad, heads, tile_n, wn = geom.head_dim, shape.m_pad, shape.heads, config.tile_n, shape.wn
+    tiles_per_head = math.ceil(packed_len / tile_n)
     if n_splits is None:
         n_splits = max(1, min(shape.split_target, tiles_per_head))
     tiles = heads * tiles_per_head
+    fp4 = config.version == "fp4"
 
-    bits_per_value = config.storage_bits_per_value
     kv_values = heads * 2.0 * packed_len * d
-    packed_bytes = kv_values * bits_per_value / 8.0
-    from repro.core.residual_kernel import _meta_bytes  # shared metadata math
-
+    packed_bytes = kv_values * shape.bits_per_value / 8.0
     meta_bytes = _meta_bytes(heads, packed_len, d, config)
 
     trace = OpTrace()
-    pattern = AccessPattern.STRIDED if paged else AccessPattern.COALESCED
-    trace.gmem_read(packed_bytes, pattern)
+    trace.gmem_read(packed_bytes, AccessPattern.STRIDED if paged else AccessPattern.COALESCED)
     trace.gmem_read(meta_bytes)  # cp.async.ca fine-grained metadata stream
     trace.gmem_read(heads * n_splits * m_pad * d * 2.0)  # Q per block
     if paged:
@@ -313,29 +315,22 @@ def build_packing_launch(
     split_kv_output(trace, heads, n_splits, m_pad, d)
 
     # Tensor-core GEMMs: QK^T + PV with the M dimension padded to the tile.
-    tc_precision = "fp4" if config.version == "fp4" else "fp16"
-    trace.tensor_core(heads * 2.0 * 2.0 * m_pad * packed_len * d, tc_precision)
+    trace.tensor_core(heads * 2.0 * 2.0 * m_pad * packed_len * d, "fp4" if fp4 else "fp16")
 
-    subtraces: Dict[str, OpTrace] = {}
-    if config.version == "fp4":
-        requant = p_requant_ops(heads * m_pad * packed_len)
-        trace.merge(requant)
-        subtraces["p_requant"] = requant
+    if fp4:
+        dq_name, dq = "p_requant", p_requant_ops(heads * m_pad * packed_len)
     else:
-        dq = dequant_ops(kv_values, config.bits, config.dequant_method)
-        trace.merge(dq)
-        subtraces["dequant"] = dq
-
-    sm_ops = softmax_ops(heads * m_pad * packed_len, m_pad * tiles, config.effective_wn)
-    trace.merge(sm_ops)
-    subtraces["softmax"] = sm_ops
-    trace.merge(rescale_accum_ops(m_pad * d * tiles))
+        dq_name, dq = "dequant", dequant_ops(kv_values, config.bits, config.dequant_method)
+    sm_ops = softmax_ops(heads * m_pad * packed_len, m_pad * tiles, wn)
+    trace.merge(dq).merge(sm_ops)
+    rescale_accum_ops(m_pad * d * tiles, trace)
+    subtraces: Dict[str, OpTrace] = {dq_name: dq, "softmax": sm_ops}
 
     # Shared-memory staging: packed tiles in (cp.async) + ldmatrix out; the
     # cooperative softmax stages P through sAcc (write + ldmatrix back).
     smem_traffic = 2.0 * packed_bytes + 2.0 * meta_bytes
-    if config.effective_wn > 1 and config.use_coop_softmax:
-        smem_traffic += 2.0 * m_pad * config.tile_n * 2.0 * tiles
+    if wn > 1 and config.use_coop_softmax:
+        smem_traffic += 2.0 * m_pad * tile_n * 2.0 * tiles
     if config.version == "v3":
         # STSM stores dequantized FP16 tiles for wgmma_SS consumption.
         smem_traffic += 2.0 * (kv_values * 2.0)
@@ -351,20 +346,24 @@ def build_packing_launch(
         trace.merge(transform)
         subtraces["layout_transform"] = transform
 
-    trace.barriers_per_block += 2.0 * math.ceil(packed_len / (n_splits * config.tile_n))
+    trace.barriers_per_block += 2.0 * math.ceil(packed_len / (n_splits * tile_n))
 
-    occ, hide = shape.at_splits(n_splits)
+    occ, hide, rates = shape.at_splits(n_splits)
+    # Positional, in field order: keyword matching twelve fields would cost
+    # as much as the construction itself, once per pricing miss.
     return KernelLaunch(
-        name="packing_kernel",
-        trace=trace,
-        grid_blocks=heads * n_splits,
-        warps_per_block=shape.warp_layout.warps_per_block,
-        smem_per_block_bytes=shape.smem_block,
-        occupancy=occ,
-        hide_factor=hide,
-        instruction_path=config.instruction_path,
-        launches=2 if n_splits > 1 else 1,
-        subtraces=subtraces,
+        "packing_kernel",
+        trace,
+        heads * n_splits,  # grid blocks
+        shape.warp_layout.warps_per_block,
+        shape.smem_block,
+        64,  # registers per thread
+        occ,
+        rates,
+        hide,
+        shape.instruction_path,
+        2 if n_splits > 1 else 1,  # host launches: split-KV adds the reduction
+        subtraces,
     )
 
 

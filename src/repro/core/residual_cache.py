@@ -45,6 +45,12 @@ def partition_prefill(seq_len: int, block_size: int) -> Tuple[int, int]:
 class BatchedResidual:
     """FP16 K/V residual for a whole ``[batch, hkv]`` cache, one tensor each.
 
+    The values are FP16: every write rounds through FP16 once.  The
+    containers are FP32, because every reader (the Residual Kernel's
+    numerics, the flush's staging) works in FP32: a decode then reads the
+    rows as they are instead of converting the whole residual each step.
+    :attr:`nbytes` counts the FP16 storage the values need.
+
     ``k``/``v`` are ``[batch, hkv, N_r, d]`` with a *shared* fill cursor —
     the paper's padded "Batches" setting keeps every sequence at the same
     length, so all ``batch x hkv`` residuals fill and flush in lock-step.
@@ -66,8 +72,8 @@ class BatchedResidual:
         if min(self.batch, self.hkv, self.capacity, self.head_dim) <= 0:
             raise ValueError("batch, hkv, capacity and head_dim must be positive")
         shape = (self.batch, self.hkv, self.capacity, self.head_dim)
-        self.k = np.zeros(shape, dtype=np.float16)
-        self.v = np.zeros(shape, dtype=np.float16)
+        self.k = np.zeros(shape, dtype=np.float32)
+        self.v = np.zeros(shape, dtype=np.float32)
 
     @property
     def is_full(self) -> bool:
@@ -79,8 +85,8 @@ class BatchedResidual:
         """Append one token's K/V rows (``[batch, hkv, d]``) for every head.
 
         Returns ``None`` while filling; when the append completes the block,
-        returns FP16 copies of all heads' blocks (``[batch, hkv, N_r, d]``)
-        and resets the shared cursor.
+        returns copies of all heads' blocks (``[batch, hkv, N_r, d]``, FP16
+        values in FP32) and resets the shared cursor.
         """
         if self.is_full:
             raise RuntimeError("append on a full residual buffer (missed flush)")
@@ -116,4 +122,4 @@ class BatchedResidual:
     @property
     def nbytes(self) -> int:
         """FP16 storage the residual occupies (constant, = 2 buffers)."""
-        return self.k.nbytes + self.v.nbytes
+        return 2 * (self.k.size + self.v.size)

@@ -486,27 +486,26 @@ def attend_residual_grouped(
     G, hkv = k_res.shape[0], k_res.shape[1]
     M = q_grouped.shape[-2]
     d = v_res.shape[-1]
-    # Per-member QK^T at each member's true width (bit-exactness; see
-    # docstring) — residual tiles are at most ``N_r`` keys, so this loop is
-    # negligible next to the grouped packed-cache matmul.
+    # QK^T at each member's true width (bit-exactness; see docstring), one
+    # stacked matmul per distinct fill: numpy issues the same per-matrix
+    # GEMM for every member of it.
     s = np.full((G, hkv, M, n_pad), -np.inf, dtype=np.float32)
     v_tile = np.zeros((G, hkv, n_pad, d), dtype=np.float32)
     v_tile[..., :r_max, :] = v_res
-    for g, r in enumerate(res_lens.tolist()):
-        if r:
-            s[g, ..., :r] = qk_scores(q_grouped[g], k_res[g, :, :r], scale)
-            v_tile[g, :, r:] = 0.0
+    members, rows = np.nonzero(np.arange(r_max) >= res_lens[:, None])
+    v_tile[members, :, rows] = 0.0
+    fills = [(r, np.flatnonzero(res_lens == r)) for r in np.unique(res_lens).tolist() if r]
+    for r, group in fills:
+        s[group, ..., :r] = qk_scores(q_grouped[group], k_res[group, :, :r], scale)
     m = s.max(axis=-1)
     p = np.exp(s - np.where(np.isfinite(m), m, 0.0)[..., None])
     # ``+ 0.0`` mirrors the fresh-state ``0 * correction + …`` update so
     # even signed zeros match the per-sequence path.
     acc = p @ v_tile + 0.0
-    lens = np.zeros(m.shape, dtype=np.float32)
-    for g, r in enumerate(res_lens.tolist()):
-        if r == 0:
-            continue  # fresh-state identity: m=-inf, l=0, acc=0
+    lens = np.zeros(m.shape, dtype=np.float32)  # an empty fill keeps l=0 (fresh state)
+    for r, group in fills:
         n_g = min(-(-r // wn) * wn, n_pad)
-        lens[g] = p[g, ..., :n_g].sum(axis=-1) + 0.0
+        lens[group] = p[group, ..., :n_g].sum(axis=-1) + 0.0
     return OnlineSoftmaxState(m=m, l=lens, acc=acc)
 
 
@@ -545,7 +544,7 @@ def build_residual_launch(
     # QK^T + PV on tensor cores over the residual rows.
     trace.tensor_core(heads * 2.0 * 2.0 * m_pad * res_len * d, "fp16")
     trace.merge(softmax_ops(heads * m_pad * res_len, heads * m_pad, config.effective_wn))
-    trace.merge(rescale_accum_ops(heads * m_pad * d))
+    rescale_accum_ops(heads * m_pad * d, trace)
     # Staged tiles through shared memory (in + ldmatrix out).
     trace.smem_traffic(heads * 2.0 * (2.0 * res_len * d * 2.0 + m_pad * d * 2.0))
     trace.barriers_per_block += 2.0

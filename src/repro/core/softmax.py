@@ -50,11 +50,13 @@ def qk_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     the long KV axis on M (about 2x faster at M=4, L=3840, d=128, one
     OpenBLAS thread) and gives bitwise-equal scores, each the same
     length-``d`` dot product; ``tests/core/test_qk_scores.py`` pins that
-    property over decode shapes.  The copy back to C order is load-bearing:
-    left transposed, the following ``p @ v`` takes another BLAS path and
-    changes in the last bit.
+    property over decode shapes.  The scale writes the scores into a fresh
+    C-order array, and that order is load-bearing: left transposed, the
+    following ``p @ v`` takes another BLAS path and changes in the last
+    bit.
     """
-    return np.ascontiguousarray(np.swapaxes(k @ np.swapaxes(q, -1, -2), -1, -2)) * scale
+    scores = np.swapaxes(k @ np.swapaxes(q, -1, -2), -1, -2)
+    return np.multiply(scores, scale, out=np.empty_like(scores, order="C"))
 
 
 @dataclass
@@ -96,7 +98,8 @@ class OnlineSoftmaxState:
         scores = np.asarray(scores, dtype=np.float32)
         values = np.asarray(values, dtype=np.float32)
         m = scores.max(axis=-1)
-        p = np.exp(scores - np.where(np.isfinite(m), m, 0.0)[..., None])
+        p = scores - np.where(np.isfinite(m), m, 0.0)[..., None]
+        np.exp(p, out=p)
         return cls(m=m, l=p.sum(axis=-1), acc=p @ values)
 
     def merge(self, other: "OnlineSoftmaxState") -> None:

@@ -8,6 +8,13 @@ later when a sequence reads someone else's pages:
 
 - **allocator partition** — every page id is in exactly one of the free
   list, the live refcount map (refcount >= 1), or the parked LRU pool.
+  Ids at or above the allocator's fresh cursor were never issued and are
+  free by construction, so the check walks only the issued ids (plus one
+  test that no recycled, live or parked id lies beyond the cursor): its
+  cost follows the pages a run touched, not the pool size.
+- **running set** — the engine's running total of the pages its running
+  set is committed to, and its decode-ready list, equal the recount and
+  the filter over that set.
 - **ownership** — a page's refcount equals the number of live sequences
   mapping it in the block tables, and no released sequence retains
   pages.
@@ -21,6 +28,7 @@ subclass, so test suites treating asserts as failures catch it too).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Optional
 
 from repro.pages.allocator import PageAllocator
@@ -44,10 +52,14 @@ class InvariantAuditor:
         allocator: PageAllocator,
         table: Optional[PageTable] = None,
         tiers=None,
+        running=None,
     ):
         self.allocator = allocator
         self.table = table
         self.tiers = tiers
+        #: The engine's :class:`~repro.serving.request.RunningSet`, whose
+        #: books :meth:`check_running` recounts.
+        self.running = running
         self.audits = 0
 
     def audit(self, step: Optional[int] = None) -> None:
@@ -56,6 +68,8 @@ class InvariantAuditor:
         self._check_allocator(where)
         if self.table is not None:
             self.check_ownership(where)
+        if self.running is not None:
+            self.check_running(where)
         if self.tiers is not None:
             self._check_bijection(where)
 
@@ -66,12 +80,14 @@ class InvariantAuditor:
 
     def _check_allocator(self, where: str) -> None:
         alloc = self.allocator
-        free_list = [*alloc._free, *range(alloc._fresh, alloc.n_pages)]
-        free = set(free_list)
-        live = set(alloc._refs)
-        parked = set(alloc._cached)
-        if len(free) != len(free_list):
+        issued = alloc._fresh
+        free, live, parked = set(alloc._free), set(alloc._refs), set(alloc._cached)
+        # Ids from the fresh cursor on are free without being listed: a
+        # recycled one there is on the free list twice, and a live or
+        # parked one clashes with the free set below.
+        if len(free) != len(alloc._free) or any(p >= issued for p in free):
             self._fail(f"free list holds duplicate pages{where}")
+        free |= {p for p in chain(live, parked) if p >= issued}
         for a, b, name in (
             (free, live, "free/live"),
             (free, parked, "free/parked"),
@@ -81,8 +97,8 @@ class InvariantAuditor:
             if overlap:
                 self._fail(f"pages {sorted(overlap)} are both {name}{where}")
         union = free | live | parked
-        if union != set(range(alloc.n_pages)):
-            missing = sorted(set(range(alloc.n_pages)) - union)
+        if union != set(range(issued)):
+            missing = sorted(set(range(issued)) - union)
             self._fail(f"pages {missing} are unaccounted for{where}")
         bad = {p: r for p, r in alloc._refs.items() if r <= 0}
         if bad:
@@ -109,6 +125,13 @@ class InvariantAuditor:
         orphaned = set(alloc._refs) - set(mapped)
         if orphaned:
             self._fail(f"pages {sorted(orphaned)} hold refs but no sequence maps them{where}")
+
+    def check_running(self, where: str = "") -> None:
+        """The recount behind the running set's committed-pages and
+        decode-ready books."""
+        wrong = self.running.check()
+        if wrong is not None:
+            self._fail(f"{wrong}{where}")
 
     def _check_bijection(self, where: str) -> None:
         tiers = self.tiers

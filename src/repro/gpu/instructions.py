@@ -122,8 +122,9 @@ def p_requant_ops(n_values: float) -> OpTrace:
     return trace
 
 
-def rescale_accum_ops(n_values: float) -> OpTrace:
-    """Trace for the `diag(exp(m_old - m_new)) @ O` accumulator rescale."""
-    trace = OpTrace()
+def rescale_accum_ops(n_values: float, trace: OpTrace) -> OpTrace:
+    """Record the `diag(exp(m_old - m_new)) @ O` accumulator rescale into
+    ``trace`` and return it.  Kernels record it straight into their
+    launch trace: it has no subtrace of its own."""
     trace.fma_flops += 2.0 * n_values
     return trace

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Optional
 
 from repro.gpu.arch import ArchSpec
-from repro.gpu.memory import dram_time, l2_time, smem_time
+from repro.gpu.memory import achieved_dram_bw, l2_bw, smem_bw
 from repro.gpu.sm import Occupancy, occupancy
 from repro.gpu.trace import OpTrace
 
@@ -53,6 +53,9 @@ class KernelLaunch:
     #: :func:`~repro.gpu.sm.occupancy` of the four fields above); None
     #: lets :func:`simulate_kernel` resolve it.
     occupancy: Optional[Occupancy] = None
+    #: The :class:`ResourceRates` of that occupancy when the builder keeps
+    #: them; None lets :func:`simulate_kernel` derive them.
+    rates: Optional["ResourceRates"] = None
     #: Overlap quality in [0, 1]; see module docstring.
     hide_factor: float = 1.0
     #: Which instruction path the kernel was built for.
@@ -111,69 +114,95 @@ class KernelResult:
         return max(self.resource_times, key=self.resource_times.get)
 
 
-def _tc_peak(arch: ArchSpec, launch: KernelLaunch, precision: str) -> float:
-    """Tensor-core peak FLOP/s for this launch."""
-    return arch.tc_flops_per_s(precision)
-
-
-def _path_efficiency(arch: ArchSpec, launch: KernelLaunch) -> float:
+def _path_efficiency(arch: ArchSpec, instruction_path: str) -> float:
     """Whole-kernel throughput factor for the chosen instruction path.
 
     The paper reports a ~35% throughput penalty for running legacy SM80
     instruction sequences on Hopper (Sec. III-A); kernels built for the
     native path (``sm90`` wgmma/TMA, ``blackwell_fp4``) run at full speed.
     """
-    if launch.instruction_path == "sm80" and arch.is_at_least("hopper"):
+    if instruction_path == "sm80" and arch.is_at_least("hopper"):
         return arch.legacy_path_efficiency
     return 1.0
 
 
-def _resource_times(
-    arch: ArchSpec, launch: KernelLaunch, trace: OpTrace, occ: Occupancy
-) -> Dict[str, float]:
-    """Busy time per hardware resource for one trace under one launch."""
-    active_frac = occ.active_sm_fraction
-    times: Dict[str, float] = {}
+class ResourceRates:
+    """What :func:`_resource_times` divides by, for one occupancy on one device.
 
-    times["dram"] = dram_time(
-        arch, trace.total_gmem_bytes_effective, occ.inflight_warps
-    ) if trace.total_gmem_bytes_effective > 0 else 0.0
-    times["l2"] = l2_time(arch, trace.l2_bytes, active_frac)
-    times["smem"] = smem_time(arch, trace.smem_bytes_effective, active_frac)
+    The achieved DRAM bandwidth (the occupancy ramp of
+    :func:`~repro.gpu.memory.achieved_dram_bw`), the L2 and shared-memory
+    bandwidths over the active SMs and the compute pipes' throughputs at
+    the active fraction depend on nothing but the device and the
+    occupancy.  :func:`simulate_kernel` derives them per launch unless the
+    launch carries them: :class:`~repro.core.packing_kernel.PackingShape`
+    keeps one per split count beside the occupancy, so a pricing miss
+    divides by numbers it already has.  Every rate is the product the
+    per-call formula took, in the same order, so no time moves.
+    """
 
+    __slots__ = ("dram", "l2", "smem", "fma", "alu", "cvt", "sfu", "_arch", "_frac", "_tc")
+
+    def __init__(self, arch: ArchSpec, occ: Occupancy):
+        active_frac = occ.active_sm_fraction
+        self.dram = achieved_dram_bw(arch, occ.inflight_warps)
+        self.l2 = l2_bw(arch, active_frac)
+        self.smem = smem_bw(arch, active_frac)
+        frac = max(active_frac, 1.0 / arch.sm_count)
+        self.fma = arch.cuda_flops_per_s * frac
+        self.alu = arch.alu_ops_per_s() * frac
+        self.cvt = arch.cvt_ops_per_s() * frac
+        self.sfu = arch.sfu_ops_per_s() * frac
+        self._arch, self._frac, self._tc = arch, frac, {}
+
+    def tensor_core(self, precision: str) -> float:
+        """Tensor-Core FLOP/s at ``precision`` (raises where the device has
+        no such hardware, on first use)."""
+        peak = self._tc.get(precision)
+        if peak is None:
+            peak = self._tc[precision] = self._arch.tc_flops_per_s(precision) * self._frac
+        return peak
+
+
+def _resource_times(trace: OpTrace, rates: ResourceRates) -> Dict[str, float]:
+    """Busy time per hardware resource for one trace at one launch's rates."""
+    gmem = trace.total_gmem_bytes_effective
+    if gmem > 0 and rates.dram <= 0:
+        raise ValueError("cannot move bytes with zero in-flight warps")
     tc_time = 0.0
     for precision, flops in trace.tc_flops.items():
-        if flops <= 0:
-            continue
-        peak = _tc_peak(arch, launch, precision) * max(active_frac, 1.0 / arch.sm_count)
-        tc_time += flops / peak
-    times["tensor_core"] = tc_time
-
-    frac = max(active_frac, 1.0 / arch.sm_count)
-    times["fma"] = trace.fma_flops / (arch.cuda_flops_per_s * frac) if trace.fma_flops else 0.0
+        if flops > 0:
+            tc_time += flops / rates.tensor_core(precision)
     alu = trace.alu_ops + trace.shfl_ops
-    times["alu"] = alu / (arch.alu_ops_per_s() * frac) if alu else 0.0
-    times["cvt"] = trace.cvt_ops / (arch.cvt_ops_per_s() * frac) if trace.cvt_ops else 0.0
-    times["sfu"] = trace.sfu_ops / (arch.sfu_ops_per_s() * frac) if trace.sfu_ops else 0.0
-    return times
+    return {
+        "dram": gmem / rates.dram if gmem > 0 else 0.0,
+        "l2": trace.l2_bytes / rates.l2 if trace.l2_bytes > 0 else 0.0,
+        "smem": trace.smem_bytes_effective / rates.smem if trace.smem_bytes_effective > 0 else 0.0,
+        "tensor_core": tc_time,
+        "fma": trace.fma_flops / rates.fma if trace.fma_flops else 0.0,
+        "alu": alu / rates.alu if alu else 0.0,
+        "cvt": trace.cvt_ops / rates.cvt if trace.cvt_ops else 0.0,
+        "sfu": trace.sfu_ops / rates.sfu if trace.sfu_ops else 0.0,
+    }
 
 
 def _combine(times: Dict[str, float], hide_factor: float) -> float:
-    total = sum(times.values())
+    busy = times.values()
+    total = sum(busy)
     if total <= 0:
         return 0.0
-    peak = max(times.values())
+    peak = max(busy)
     return peak + (total - peak) * (1.0 - hide_factor)
 
 
 def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
     """Simulate one kernel launch on ``arch`` and return timing + breakdown."""
-    if launch.instruction_path == "sm90" and not arch.has_wgmma:
+    path = launch.instruction_path
+    if path == "sm90" and not arch.has_wgmma:
         raise ValueError(f"{arch.name} cannot execute the sm90 (wgmma) path")
-    if launch.instruction_path == "blackwell_fp4" and not arch.has_native_fp4:
+    if path == "blackwell_fp4" and not arch.has_native_fp4:
         raise ValueError(f"{arch.name} has no native FP4 tensor cores")
 
-    occ = launch.occupancy
+    occ, rates = launch.occupancy, launch.rates
     if occ is None:
         occ = occupancy(
             arch,
@@ -182,35 +211,35 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
             launch.smem_per_block_bytes,
             launch.regs_per_thread,
         )
-    path_eff = _path_efficiency(arch, launch)
-    times = _resource_times(arch, launch, launch.trace, occ)
-    exec_time = _combine(times, launch.hide_factor) / path_eff
+    if rates is None:
+        rates = ResourceRates(arch, occ)
+    path_eff = _path_efficiency(arch, path)
+    hide, trace = launch.hide_factor, launch.trace
+    times = _resource_times(trace, rates)
+    exec_time = _combine(times, hide) / path_eff
 
     # Barriers serialize within a block; blocks across the machine run them
     # in parallel, so charge per-wave.
-    barrier_time = launch.trace.barriers_per_block * BARRIER_CYCLES * arch.cycle_s * occ.waves
+    barrier_time = trace.barriers_per_block * BARRIER_CYCLES * arch.cycle_s * occ.waves
     launch_time = launch.launches * arch.kernel_launch_us * 1e-6
     total = launch_time + exec_time + barrier_time
 
     # Bound now, evaluated on read: a caller editing the launch afterwards
     # cannot change this result.
-    subtraces, hide = dict(launch.subtraces), launch.hide_factor
+    subtraces = dict(launch.subtraces)
 
     def subtrace_times() -> Dict[str, float]:
         return {
-            tag: _combine(_resource_times(arch, launch, sub, occ), hide) / path_eff
+            tag: _combine(_resource_times(sub, rates), hide) / path_eff
             for tag, sub in subtraces.items()
         }
 
+    # Positional (name, time, launch, exec, resources, occupancy, arch,
+    # subtraces): a pricing miss builds one, and keyword matching would
+    # cost as much as the rest of the construction.
     return KernelResult(
-        name=launch.name,
-        time_s=total,
-        launch_time_s=launch_time,
-        exec_time_s=exec_time + barrier_time,
-        resource_times=times,
-        occupancy=occ,
-        arch_name=arch.name,
-        _subtrace_times=subtrace_times,
+        launch.name, total, launch_time, exec_time + barrier_time, times, occ, arch.name,
+        subtrace_times,
     )
 
 
@@ -253,7 +282,7 @@ def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
             memo = self._latency_memo
         except AttributeError:
             memo = self._latency_memo = {}
-        key = (geom, *sorted(kwargs.items()))
+        key = (geom, *sorted(kwargs.items())) if kwargs else (geom,)
         value = memo.get(key)
         if value is None:
             value = remember(memo, key, method(self, geom, **kwargs))

@@ -53,27 +53,14 @@ def achieved_dram_bw(arch: ArchSpec, inflight_warps: float) -> float:
     return arch.dram_bw_bytes_per_s * bandwidth_utilization(arch, inflight_warps)
 
 
-def dram_time(arch: ArchSpec, effective_bytes: float, inflight_warps: float) -> float:
-    """Seconds to move ``effective_bytes`` through DRAM."""
-    if effective_bytes <= 0:
-        return 0.0
-    bw = achieved_dram_bw(arch, inflight_warps)
-    if bw <= 0:
-        raise ValueError("cannot move bytes with zero in-flight warps")
-    return effective_bytes / bw
-
-
-def l2_time(arch: ArchSpec, l2_bytes: float, active_sm_fraction: float) -> float:
-    """Seconds of L2 service time; L2 bandwidth scales with active SMs."""
-    if l2_bytes <= 0:
-        return 0.0
+def l2_bw(arch: ArchSpec, active_sm_fraction: float) -> float:
+    """L2 bandwidth in bytes/s available to a launch; it scales with the
+    active SMs (at least one)."""
     frac = max(min(active_sm_fraction, 1.0), 1.0 / arch.sm_count)
-    return l2_bytes / (arch.l2_bw_bytes_per_s * frac)
+    return arch.l2_bw_bytes_per_s * frac
 
 
-def smem_time(arch: ArchSpec, smem_bytes_effective: float, active_sm_fraction: float) -> float:
-    """Seconds of shared-memory service time across the active SMs."""
-    if smem_bytes_effective <= 0:
-        return 0.0
+def smem_bw(arch: ArchSpec, active_sm_fraction: float) -> float:
+    """Shared-memory bandwidth in bytes/s summed over the active SMs."""
     frac = max(min(active_sm_fraction, 1.0), 1.0 / arch.sm_count)
-    return smem_bytes_effective / (arch.smem_bw_bytes_per_s * frac)
+    return arch.smem_bw_bytes_per_s * frac

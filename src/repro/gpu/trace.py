@@ -30,6 +30,11 @@ class AccessPattern(Enum):
     STRIDED = 0.5
     SCATTERED = 0.25
 
+    def __init__(self, efficiency: float):
+        #: The value as a plain attribute: ``Enum.value`` is a descriptor
+        #: call, and every recorded transfer divides by it.
+        self.efficiency = efficiency
+
 
 @dataclass
 class OpTrace:
@@ -81,14 +86,14 @@ class OpTrace:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         self.gmem_read_bytes += nbytes
-        self.gmem_read_bytes_effective += nbytes / pattern.value
+        self.gmem_read_bytes_effective += nbytes / pattern.efficiency
 
     def gmem_write(self, nbytes: float, pattern: AccessPattern = AccessPattern.COALESCED) -> None:
         """Record a global-memory write of ``nbytes`` with an access pattern."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         self.gmem_write_bytes += nbytes
-        self.gmem_write_bytes_effective += nbytes / pattern.value
+        self.gmem_write_bytes_effective += nbytes / pattern.efficiency
 
     def l2_read(self, nbytes: float) -> None:
         """Record traffic served from L2 (e.g. broadcast Q, page tables)."""

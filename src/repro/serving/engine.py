@@ -91,6 +91,7 @@ from repro.serving.request import (
     DeadlinePolicy,
     Request,
     RequestLifecycle,
+    RunningSet,
     prefix_block_keys,
 )
 from repro.serving.swap import SwapPreemption
@@ -329,15 +330,18 @@ class ContinuousBatchingEngine:
             disk_pages=config.disk_pages,
             faults_enabled=config.faults is not None,
         )
-        self._running: List[RequestLifecycle] = []
+        #: The running set and its committed-pages book; ``_running`` is its
+        #: list, read-only here (membership changes through ``running``).
+        self.running = RunningSet(self.table)
+        self._running: List[RequestLifecycle] = self.running.seqs
         self.swap: Optional[SwapPreemption] = (
-            SwapPreemption(config, self.table, self._running, self.report)
+            SwapPreemption(config, self.table, self.running, self.report)
             if config.tiered
             else None
         )
         tiers = self.swap.tiers if self.swap is not None else None
         self.auditor: Optional[InvariantAuditor] = (
-            InvariantAuditor(self.allocator, table=self.table, tiers=tiers)
+            InvariantAuditor(self.allocator, table=self.table, tiers=tiers, running=self.running)
             if config.audit_every is not None
             else None
         )
@@ -533,9 +537,7 @@ class ContinuousBatchingEngine:
         """
         cfg = self.config
         chunked = cfg.prefill_chunk_tokens is not None
-        committed = 0  # pages the running set's contexts are committed to (chunked gate)
-        if chunked:
-            committed = sum(self.table.pages_for(lc.context_len) for lc in self._running)
+        committed = self.running.committed_pages  # the chunked gate's budget
         while self._queue and len(self._running) < cfg.max_batch:
             head = self._queue[0]
             if self._reject_impossible(head):
@@ -556,7 +558,7 @@ class ContinuousBatchingEngine:
             self._map_admission(head, initial, hit_pages)
             head.prefilled = initial
             head.prefill_target = head.context_len
-            self._running.append(head)
+            self.running.join(head)
             if not chunked:
                 self._prefill_whole(head)
             self._register_prefix(head)
@@ -595,9 +597,9 @@ class ContinuousBatchingEngine:
 
     def _remove(self, lc: RequestLifecycle) -> None:
         """Take ``lc`` out of the scheduler set holding it (at most one does)."""
-        for holder in (self._running, self._swapped, self._queue):
+        for leave in (self.running.leave, self._swapped.remove, self._queue.remove):
             try:
-                holder.remove(lc)
+                leave(lc)
                 return
             except ValueError:
                 pass
@@ -763,6 +765,8 @@ class ContinuousBatchingEngine:
                 continue
             chunks.append((lc.prefilled, take))
             lc.prefilled += take
+            if lc.prefill_done:
+                self.running.prefilled(lc)
             budget -= take
             if self.swap is not None:
                 self.swap.promote_read_set(lc, lc.prefilled)
@@ -782,7 +786,7 @@ class ContinuousBatchingEngine:
         for lc in decoders:
             if lc.seq_id is None:
                 continue
-            lc.generated += 1
+            self.running.grow(lc)
             report.total_generated_tokens += 1
             if lc.first_token_s is None:
                 lc.first_token_s = self._clock
@@ -797,7 +801,7 @@ class ContinuousBatchingEngine:
                 lc.seq_id = None
                 lc.finish_s = self._clock
                 report.latency_samples.append(self._clock - lc.request.arrival_s)
-                self._running.remove(lc)
+                self.running.leave(lc)
 
     def _decode_group_shapes(self, lcs) -> List[Tuple[int, int]]:
         """Shape groups ``(group_batch, group_seq_len)`` of one decode step.
@@ -827,7 +831,7 @@ class ContinuousBatchingEngine:
         decode step after prefill.
         """
         cfg = self.config
-        decode_ready = [lc for lc in self._running if lc.prefill_done]
+        decode_ready = list(self.running.ready)  # prefills finishing now decode next step
         chunks = self._advance_prefills()
         for lc in decode_ready:
             if lc.seq_id is None:
@@ -977,8 +981,10 @@ class ContinuousBatchingEngine:
         if self.auditor is not None:
             self.auditor.audit()
             report.audits = self.auditor.audits
-        else:  # the full block-table recount behind the per-step books
-            InvariantAuditor(self.allocator, table=self.table).check_ownership(" at finish")
+        else:  # the full recounts behind the per-step books
+            auditor = InvariantAuditor(self.allocator, table=self.table, running=self.running)
+            auditor.check_ownership(" at finish")
+            auditor.check_running(" at finish")
         report.sim_time_s = self._clock
         report.n_requests = len(lifecycles)
         report.rejected = sum(lc.rejected for lc in lifecycles)

@@ -116,9 +116,12 @@ class DeadlinePolicy:
             raise ValueError("default_deadline_s must be positive (or None)")
 
 
-@dataclass
+@dataclass(eq=False)
 class RequestLifecycle:
     """Mutable scheduler-side state of one request.
+
+    Equality is identity: the scheduler's sets find and remove a lifecycle
+    by ``==``, and comparing field tuples cost ~1 µs per element passed.
 
     ``prefilled`` tracks how many context tokens have been written into
     the page pool toward ``prefill_target`` (set at admission to prompt
@@ -177,6 +180,81 @@ class RequestLifecycle:
         if not self.finished:
             return False
         return self.deadline_abs is None or self.finish_s <= self.deadline_abs
+
+
+class RunningSet:
+    """An engine's running sequences in admission order, with two books.
+
+    ``seqs`` is the list the scheduler reads (iteration, ``len``, the
+    youngest at ``[-1]``).  Every change of membership goes through
+    :meth:`join` and :meth:`leave`, a finished prefill through
+    :meth:`prefilled` and a generated token through :meth:`grow`, so
+
+    - ``committed_pages`` always equals
+      ``sum(pages_for(lc.context_len) for lc in seqs)``, the budget
+      chunked admission gates on, and
+    - ``ready`` always equals ``[lc for lc in seqs if lc.prefill_done]``,
+      the decode order a step prices its groups in.
+
+    Both cost O(1) per step instead of a walk over the running set.  The
+    recount (:meth:`check`) runs in
+    :class:`~repro.faults.audit.InvariantAuditor` and once at ``finish()``.
+    """
+
+    def __init__(self, table):
+        self.seqs: List[RequestLifecycle] = []
+        self.ready: List[RequestLifecycle] = []
+        self.committed_pages = 0
+        self._table = table
+
+    def join(self, lc: RequestLifecycle) -> None:
+        self.seqs.append(lc)
+        if lc.prefill_done:
+            self.ready.append(lc)
+        self.committed_pages += self._table.pages_for(lc.context_len)
+
+    def leave(self, lc: RequestLifecycle) -> None:
+        """Take ``lc`` out; raises ``ValueError`` (books untouched) when it
+        is not running."""
+        self.seqs.remove(lc)
+        if lc in self.ready:
+            self.ready.remove(lc)
+        self.committed_pages -= self._table.pages_for(lc.context_len)
+
+    def prefilled(self, lc: RequestLifecycle) -> None:
+        """``lc`` (running) just finished its prefill: it joins ``ready`` at
+        its place in running order."""
+        ready, at = self.ready, 0
+        for other in self.seqs:
+            if other is lc:
+                break
+            if at < len(ready) and ready[at] is other:
+                at += 1
+        ready.insert(at, lc)
+
+    def grow(self, lc: RequestLifecycle) -> None:
+        """``lc`` (running) gains one generated token; its commitment grows
+        by a page when the old context filled its last page exactly."""
+        if lc.context_len % self._table.page_size == 0:
+            self.committed_pages += 1
+        lc.generated += 1
+
+    def check(self) -> Optional[str]:
+        """What the recount finds wrong with the books, or None."""
+        recount = sum(self._table.pages_for(lc.context_len) for lc in self.seqs)
+        if recount != self.committed_pages:
+            return (
+                f"committed-pages book says {self.committed_pages}, the running set "
+                f"recounts {recount}"
+            )
+        ready = [lc for lc in self.seqs if lc.prefill_done]
+        if ready != self.ready:
+            return (
+                f"decode-ready book holds requests {[lc.request.req_id for lc in self.ready]}, "
+                f"the running set filters to {[lc.request.req_id for lc in ready]}"
+            )
+        return None
+
 
 def _jittered(rng: np.random.Generator, base: int, jitter: float) -> int:
     if jitter <= 0:

@@ -35,7 +35,7 @@ from repro.faults.plan import FaultPlan
 from repro.model.memory import page_bytes
 from repro.pages.page_table import PageTable
 from repro.pages.tiers import TieredPageStore
-from repro.serving.request import RequestLifecycle
+from repro.serving.request import RequestLifecycle, RunningSet
 
 __all__ = ["SwapPreemption"]
 
@@ -43,9 +43,10 @@ __all__ = ["SwapPreemption"]
 class SwapPreemption:
     """The tier store, the swapped set and the tier charge of one engine.
 
-    It moves sequences between the engine's resident list (``running``)
-    and :attr:`swapped`, and counts into the engine's report.  The engine
-    calls it at fixed points of every scheduler step, in this order
+    It moves sequences between the engine's running set (``running``,
+    whose books it keeps through ``join``/``leave``) and :attr:`swapped`,
+    and counts into the engine's report.  The engine calls it at fixed
+    points of every scheduler step, in this order
     (healing, :meth:`drain`, runs after each phase that may lose or
     corrupt pages, always before numerics read them):
 
@@ -60,7 +61,7 @@ class SwapPreemption:
     6. :meth:`charge` — price the step's tier traffic.
     """
 
-    def __init__(self, config, table: PageTable, running: List[RequestLifecycle], report):
+    def __init__(self, config, table: PageTable, running: RunningSet, report):
         # Each engine builds its own plan from the spec: an analytical and
         # an executed run of the same config issue identical transfer
         # sequences, so their plans draw identical fault outcomes.
@@ -72,7 +73,7 @@ class SwapPreemption:
             page_nbytes=page_bytes(config.model, config.fmt, config.page_size),
             faults=FaultPlan(config.faults) if config.faults is not None else None,
         )
-        self._config, self._table, self._running, self._report = config, table, running, report
+        self._config, self._table, self._resident, self._report = config, table, running, report
         #: Swap-preempted sequences: pages still mapped (demoted off the
         #: device tier), resumed FCFS when the device working set fits.
         self.swapped: Deque[RequestLifecycle] = deque()
@@ -86,18 +87,14 @@ class SwapPreemption:
     def _decode_working_pages(self) -> int:
         """Device pages the next decode step needs resident at once: every
         decode-ready sequence's pages after its one-token grow."""
-        return sum(
-            self._table.pages_for(lc.context_len + 1)
-            for lc in self._running
-            if lc.seq_id is not None and lc.prefill_done
-        )
+        return sum(self._table.pages_for(lc.context_len + 1) for lc in self._resident.ready)
 
     def start_step(self) -> None:
         """Reset the per-step buckets and pins, then promote swapped
         sequences back, FCFS, while their working set fits the device tier
         next to the resident decoders'."""
         self.tiers.start_step()
-        while self.swapped and len(self._running) < self._config.max_batch:
+        while self.swapped and len(self._resident.seqs) < self._config.max_batch:
             cand = self.swapped[0]
             need = self._table.pages_for(cand.context_len + 1)
             if self._decode_working_pages() + need > self._config.device_pages:
@@ -108,7 +105,7 @@ class SwapPreemption:
             # Promotion rides ahead of the step's compute (overlappable);
             # anything the model still misses faults in the measured path.
             self.tiers.ensure_resident(self._pages(cand), prefetch=True)
-            self._running.append(cand)
+            self._resident.join(cand)
             self._report.swap_ins += 1
 
     def _swap_out(self, victim: RequestLifecycle) -> None:
@@ -123,7 +120,7 @@ class SwapPreemption:
         if self.runner is not None:
             self.runner.on_swap_out(victim)
         self.tiers.demote(self._pages(victim))
-        self._running.remove(victim)
+        self._resident.leave(victim)
         self.swapped.append(victim)
         self._report.swap_outs += 1
 
@@ -133,7 +130,7 @@ class SwapPreemption:
         recompute victim order).  At least one decoder always stays — a
         single sequence is guaranteed to fit by admission-time rejection."""
         while self._decode_working_pages() > self._config.device_pages:
-            ready = [lc for lc in self._running if lc.seq_id is not None and lc.prefill_done]
+            ready = self._resident.ready
             if len(ready) <= 1:
                 break
             self._swap_out(ready[-1])

@@ -130,18 +130,25 @@ class TestResidualBuffer:
         with pytest.raises(ValueError, match="equal length"):
             buf.fill(np.zeros((*lead, 3, 4), np.float16), np.zeros((*lead, 2, 4), np.float16))
 
-    def test_view_is_fp16(self, buffer):
+    def test_view_holds_fp16_values(self, rng, buffer):
+        """Writes round through FP16 once: the view's values round-trip
+        through FP16 exactly and equal the FP16 rounding of the input."""
         lead, make = buffer
         buf = make(4, 4)
-        buf.append(np.ones((*lead, 4)), np.ones((*lead, 4)))
-        k_view, v_view = buf.view()
-        assert k_view.dtype == np.float16
+        k = rng.standard_normal((*lead, 2, 4))  # float64: finer than FP16
+        v = rng.standard_normal((*lead, 2, 4))
+        buf.append(k[..., 0, :], v[..., 0, :])
+        buf.fill(k, v)
+        for view, rows in zip(buf.view(), (k, v)):
+            np.testing.assert_array_equal(view.astype(np.float16).astype(view.dtype), view)
+            np.testing.assert_array_equal(view, rows.astype(np.float16))
 
     def test_constant_memory_footprint(self, buffer):
+        """``nbytes`` counts two FP16 bytes per value, whatever the container."""
         lead, make = buffer
         buf = make(128, 128)
         expected = 2 * 128 * 128 * 2 * int(np.prod(lead))
-        assert buf.nbytes == expected
+        assert buf.nbytes == expected == 2 * (buf.k.size + buf.v.size)
 
 
 class TestProperties:

@@ -258,7 +258,7 @@ class TestDequantMemoization:
         packed = cache.packed
         assert cache.packed_nbytes == packed.k_words.nbytes + packed.v_words.nbytes
         assert cache.meta_nbytes == packed.k_params.nbytes + packed.v_params.nbytes
-        assert cache.residual_nbytes == cache.residual.k.nbytes + cache.residual.v.nbytes
+        assert cache.residual_nbytes == 2 * (cache.residual.k.size + cache.residual.v.size)
 
 
 class TestEmptyAndErrorPaths:

@@ -127,3 +127,40 @@ class TestTierChecks:
         store._frame_of[0] = store._frame_of[1]
         with pytest.raises(InvariantViolation, match="at step 42"):
             InvariantAuditor(alloc, tiers=store).audit(step=42)
+
+
+class TestLargePool:
+    """The partition check walks the ids the allocator has issued, not the
+    pool: on a 10**6-page pool with a handful of live pages every
+    seeded violation is still named."""
+
+    N_PAGES = 10 ** 6
+
+    def _system(self):
+        alloc, table, _ = _system(n_pages=self.N_PAGES)
+        kept = table.add_sequence(12)
+        table.release_sequence(table.add_sequence(8))  # two recycled pages
+        return alloc, table, table.sequences[kept].pages
+
+    def test_healthy_pool_passes(self):
+        alloc, table, _ = self._system()
+        InvariantAuditor(alloc, table).audit()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda alloc, pages: alloc._free.append(alloc._free[-1]), "duplicate"),
+            (lambda alloc, pages: alloc._free.append(10 ** 6 - 1), "duplicate"),
+            (lambda alloc, pages: alloc._free.append(pages[0]), "free/live"),
+            (lambda alloc, pages: alloc._refs.__setitem__(10 ** 6 - 2, 1), "free/live"),
+            (lambda alloc, pages: alloc._cached.__setitem__(10 ** 6 - 3, None), "free/parked"),
+            (lambda alloc, pages: alloc._cached.__setitem__(pages[1], None), "live/parked"),
+            (lambda alloc, pages: alloc._free.pop(), "unaccounted"),
+            (lambda alloc, pages: alloc._refs.__setitem__(pages[2], 0), "non-positive"),
+        ],
+    )
+    def test_violation_caught(self, corrupt, message):
+        alloc, _, pages = self._system()
+        corrupt(alloc, pages)
+        with pytest.raises(InvariantViolation, match=message):
+            InvariantAuditor(alloc).audit()

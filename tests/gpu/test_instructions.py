@@ -9,6 +9,7 @@ from repro.gpu.instructions import (
     rescale_accum_ops,
     softmax_ops,
 )
+from repro.gpu.trace import OpTrace
 
 
 class TestDequantCosts:
@@ -81,4 +82,6 @@ class TestSoftmaxCosts:
         assert rq.cvt_ops == 0
 
     def test_rescale_two_flops_per_value(self):
-        assert rescale_accum_ops(100).fma_flops == 200
+        trace = OpTrace(fma_flops=1.0)
+        assert rescale_accum_ops(100, trace) is trace
+        assert trace.fma_flops == 201

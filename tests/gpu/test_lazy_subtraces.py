@@ -62,9 +62,10 @@ def _eager_subtrace_times(arch, launch):
         launch.smem_per_block_bytes,
         launch.regs_per_thread,
     )
-    hide, path_eff = launch.hide_factor, kernel._path_efficiency(arch, launch)
+    hide, path_eff = launch.hide_factor, kernel._path_efficiency(arch, launch.instruction_path)
+    rates = kernel.ResourceRates(arch, occ)
     return {
-        tag: kernel._combine(kernel._resource_times(arch, launch, sub, occ), hide) / path_eff
+        tag: kernel._combine(kernel._resource_times(sub, rates), hide) / path_eff
         for tag, sub in launch.subtraces.items()
     }
 
