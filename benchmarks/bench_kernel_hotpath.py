@@ -26,6 +26,10 @@ sequence's ``REPLAY_TOKENS`` consumed decode tokens replayed as ONE
 layer-major forward (``prefill_chunk``'s decode tail, what the serving
 runner does on a heal or a recompute preemption), next to
 ``replay_per_token_ms``, the same tokens as one ``decode_step`` each.
+Its ``chunk_live_row_ms`` row times one ``CHUNK_TOKENS``-row prefill chunk
+that reads only its last row (``live_rows=1``, what the serving runner
+asks of a chunk that completes a prefill), next to
+``chunk_all_rows_ms``, the same chunk returning every row.
 
 Report only: these are same-machine host-clock ratios, so nothing gates
 on them.  CI runs this module as a script and uploads the point::
@@ -67,6 +71,9 @@ DEFAULT_GEOMETRY = dict(batch=8, hkv=8, hq=8, seq_len=16384, head_dim=64, bits=4
 # Consumed decode tokens per replay: the length of the heal/recompute
 # replays the tiered_chaos workload runs.
 REPLAY_TOKENS = 33
+# Rows per prefill chunk in the chunk point: the prefill_shared workload's
+# chunk size.
+CHUNK_TOKENS = 128
 
 
 def _timed(fn):
@@ -200,6 +207,7 @@ def run_transformer_bench(
         }
 
     replay = _replay_ms(dims, bits, seed, prefill_tokens)
+    chunk = _chunk_ms(dims, bits, seed, prefill_tokens)
     return {
         "geometry": {
             "batch": batch,
@@ -215,6 +223,9 @@ def run_transformer_bench(
         "replay_tokens": REPLAY_TOKENS,
         "replay_ms": replay["layer_major"],
         "replay_per_token_ms": replay["per_token"],
+        "chunk_tokens": CHUNK_TOKENS,
+        "chunk_all_rows_ms": chunk["all_rows"],
+        "chunk_live_row_ms": chunk["live_row"],
         "engine": results["engine"],
         "exact": results["exact"],
     }
@@ -224,22 +235,45 @@ def _replay_ms(dims, bits, seed, context):
     """Fastest of three replays of ``REPLAY_TOKENS`` decode inputs after a
     ``context``-token prompt, per mode: one layer-major forward vs one
     ``decode_step`` per token.  Each repeat replays into a fresh session."""
+    model, prompt, rng = _paged_model(dims, bits, seed, context)
+    tail = rng.standard_normal((REPLAY_TOKENS, model.hidden)).astype(np.float32) * 0.5
+    return _best_ms(model, prompt, {
+        "layer_major": lambda s: model.prefill_chunk(tail[None], s, decode_tail=REPLAY_TOKENS),
+        "per_token": lambda s: [model.decode_step(row[None], s) for row in tail],
+    })
+
+
+def _chunk_ms(dims, bits, seed, context):
+    """Fastest of three ``CHUNK_TOKENS``-row prefill chunks after a
+    ``context``-token prompt, per mode: every row returned vs only the
+    last (``live_rows=1``).  Each repeat runs into a fresh session."""
+    model, prompt, rng = _paged_model(dims, bits, seed, context)
+    chunk = rng.standard_normal((1, CHUNK_TOKENS, model.hidden)).astype(np.float32) * 0.5
+    return _best_ms(model, prompt, {
+        "all_rows": lambda s: model.prefill_chunk(chunk, s),
+        "live_row": lambda s: model.prefill_chunk(chunk, s, live_rows=1),
+    })
+
+
+def _paged_model(dims, bits, seed, context):
+    """A paged-backend model, a ``context``-row prompt and the rng that drew it."""
     model = TinyTransformer(
         **dims, backend=PagedBitBackend(BitDecodingConfig(bits=bits), "a100"), seed=seed
     )
     rng = np.random.default_rng(seed)
     prompt = rng.standard_normal((1, context, model.hidden)).astype(np.float32) * 0.5
-    tail = rng.standard_normal((REPLAY_TOKENS, model.hidden)).astype(np.float32) * 0.5
-    modes = {
-        "layer_major": lambda s: model.prefill_chunk(tail[None], s, decode_tail=REPLAY_TOKENS),
-        "per_token": lambda s: [model.decode_step(row[None], s) for row in tail],
-    }
+    return model, prompt, rng
+
+
+def _best_ms(model, prompt, modes):
+    """Fastest of three runs per mode, alternating modes, each into a
+    fresh session holding ``prompt``."""
     best = {}
     for _ in range(3):
-        for name, replay in modes.items():
+        for name, run in modes.items():
             session = model.new_session()
             model.prefill_chunk(prompt, session)
-            _, t = _timed(lambda: replay(session))
+            _, t = _timed(lambda: run(session))
             model.release_session(session)
             best[name] = min(t, best.get(name, t))
     return best
@@ -281,6 +315,11 @@ def _print_summary(result):
             f"layer-major {transformer['replay_ms']:.1f} ms | "
             f"per-token {transformer['replay_per_token_ms']:.1f} ms"
         )
+        print(
+            f"  transformer {transformer['chunk_tokens']}-row prefill chunk: "
+            f"last row read {transformer['chunk_live_row_ms']:.1f} ms | "
+            f"all rows read {transformer['chunk_all_rows_ms']:.1f} ms"
+        )
 
 
 def test_kernel_hotpath_smoke(run):
@@ -298,6 +337,7 @@ def test_kernel_hotpath_smoke(run):
     assert result["transformer"]["engine_step_ms"] > 0
     assert result["transformer"]["exact_step_ms"] > 0
     assert result["transformer"]["replay_ms"] > 0
+    assert result["transformer"]["chunk_live_row_ms"] > 0
 
 
 def main(argv=None):

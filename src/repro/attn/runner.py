@@ -90,9 +90,9 @@ class ModelRunner:
         #: Per-request decode hidden states, in generation order — the
         #: bit-exactness witness the prefix-sharing comparisons diff.
         self.decoded: Dict[int, List[np.ndarray]] = {}
-        #: Prefill chunks waiting for the step's forward:
-        #: ``(program, chunk, whether it completes the prefill)``.
-        self._held: List[Tuple[_SequenceProgram, PrefillChunk, bool]] = []
+        #: Prefill chunks waiting for the step's forward, with their
+        #: programs; a chunk that completes its prefill has one live row.
+        self._held: List[Tuple[_SequenceProgram, PrefillChunk]] = []
 
     # ------------------------------------------------------------- lifecycle
 
@@ -168,6 +168,11 @@ class ModelRunner:
         that originally produced it.  So a recovered sequence's remaining
         decode outputs match the uninterrupted run bit for bit.
 
+        Only the hidden state of a chunk's last row is ever read, and only
+        when the chunk completes the prefill (it is the first decode
+        input), so the chunk has ``live_rows`` 1 then and 0 otherwise: the
+        other rows skip the final layer past its K/V write.
+
         ``hold`` keeps the chunk for the step's :meth:`decode_batch`, whose
         forward then carries it ahead of the decode rows: a mixed step's
         chunks and decoders share every projection GEMM.  Every other hook
@@ -178,7 +183,8 @@ class ModelRunner:
         end = prog.written + n_tokens
         tail = end - max(prog.written, min(end, lc.request.prompt_len))
         x = np.stack(prog.inputs[prog.written : end])[None]
-        self._held.append((prog, PrefillChunk(x, prog.session, tail), end >= lc.prefill_target))
+        live = int(end >= lc.prefill_target)
+        self._held.append((prog, PrefillChunk(x, prog.session, tail, live)))
         prog.written = end
         if not hold:
             self._forward([])
@@ -203,6 +209,8 @@ class ModelRunner:
     def _forward(self, lcs) -> None:
         """One forward over the held chunks, then one decode row per ``lcs``.
 
+        The forward returns the held chunks' live rows (one per chunk
+        that completes its prefill, in order), then the decode rows.
         Rows kept past the step are copies: a pending input is kept in the
         recompute program, and a view would pin the forward's whole output.
         """
@@ -210,9 +218,11 @@ class ModelRunner:
         if not held and not lcs:
             return
         if len(held) == 1 and not lcs:
-            prog, chunk, done = held[0]
-            h = self.tt.prefill_chunk(chunk.x, chunk.session, decode_tail=chunk.decode_tail)[0]
-            if done:
+            prog, chunk = held[0]
+            h = self.tt.prefill_chunk(
+                chunk.x, chunk.session, decode_tail=chunk.decode_tail, live_rows=chunk.live_rows
+            )[0]
+            if chunk.live_rows:
                 prog.pending = h[-1].copy()
             return
         progs = [self._programs[lc.request.req_id] for lc in lcs]
@@ -224,12 +234,12 @@ class ModelRunner:
             positions=np.array([prog.session.positions for prog in progs]),
         )
         x = np.array([prog.pending for prog in progs], np.float32).reshape(-1, self.model.hidden)
-        h = self.tt.decode_step(x, session, chunks=[chunk for _, chunk, _ in held])
+        h = self.tt.decode_step(x, session, chunks=[chunk for _, chunk in held])
         row = 0
-        for prog, chunk, done in held:
-            row += chunk.x.shape[1]
-            if done:
-                prog.pending = h[row - 1].copy()
+        for prog, chunk in held:
+            if chunk.live_rows:
+                prog.pending = h[row].copy()
+                row += 1
         for lc, prog, out in zip(lcs, progs, h[row:].copy()):
             prog.inputs.append(prog.pending)  # consumed input: part of the recompute context
             prog.pending = out

@@ -448,8 +448,9 @@ def attend_residual_grouped(
 
     ``q_grouped`` is ``[G, hkv, M, d]``; ``k_res``/``v_res`` are
     ``[G, hkv, r_max, d]`` where member ``g`` owns rows ``[0, res_lens[g])``
-    and the tail rows are zero padding.  The padding contract is
-    tolerance-free: the result is bit-identical to running
+    and the tail rows are zero padding, as
+    :meth:`~repro.attn.paged.PagedBitKVCache.residual_group` gathers them.
+    The padding contract is tolerance-free: the result is bit-identical to running
     :func:`attend_residual` per member on its unpadded rows, because
 
     - each member's score rows are computed by a matmul over exactly its
@@ -490,10 +491,12 @@ def attend_residual_grouped(
     # stacked matmul per distinct fill: numpy issues the same per-matrix
     # GEMM for every member of it.
     s = np.full((G, hkv, M, n_pad), -np.inf, dtype=np.float32)
-    v_tile = np.zeros((G, hkv, n_pad, d), dtype=np.float32)
-    v_tile[..., :r_max, :] = v_res
-    members, rows = np.nonzero(np.arange(r_max) >= res_lens[:, None])
-    v_tile[members, :, rows] = 0.0
+    # The pad rows are already zeros (see docstring), so ``v_res`` is the
+    # PV operand as it stands unless ``wn`` pads the width further.
+    v_tile = v_res
+    if n_pad > r_max:
+        v_tile = np.zeros((G, hkv, n_pad, d), dtype=np.float32)
+        v_tile[..., :r_max, :] = v_res
     fills = [(r, np.flatnonzero(res_lens == r)) for r in np.unique(res_lens).tolist() if r]
     for r, group in fills:
         s[group, ..., :r] = qk_scores(q_grouped[group], k_res[group, :, :r], scale)

@@ -149,12 +149,19 @@ class CacheSession:
 
 
 class PrefillChunk(NamedTuple):
-    """One session's prefill chunk ``x (batch, n, hidden)`` in a forward;
-    its last ``decode_tail`` rows are replayed decode tokens."""
+    """One session's prefill chunk ``x (batch, n, hidden)`` in a forward.
+
+    Its last ``decode_tail`` rows are replayed decode tokens.  Its last
+    ``live_rows`` rows (per batch member; None: all ``n``) are the ones
+    whose hidden state the caller reads: the forward returns only those,
+    and runs the final layer's attention read, ``wo`` and MLP only for
+    them (see :meth:`TinyTransformer._forward`).
+    """
 
     x: np.ndarray
     session: CacheSession
     decode_tail: int = 0
+    live_rows: Optional[int] = None
 
 
 @dataclass
@@ -274,7 +281,11 @@ class TinyTransformer:
         return self.prefill_chunk(x, session)
 
     def prefill_chunk(
-        self, x: np.ndarray, session: CacheSession, decode_tail: int = 0
+        self,
+        x: np.ndarray,
+        session: CacheSession,
+        decode_tail: int = 0,
+        live_rows: Optional[int] = None,
     ) -> np.ndarray:
         """Advance a session by one prefill chunk ``(batch, n, hidden)``.
 
@@ -290,9 +301,17 @@ class TinyTransformer:
         chunk's projection GEMMs, then each appends its K/V and attends
         the cache as its own decode step, after the prompt rows (see
         :meth:`_forward`).
+
+        Returns the hidden states of the last ``live_rows`` rows of each
+        batch member, ``(batch, live_rows, hidden)`` (None: every row).
+        The other rows still write their K/V in every layer, but stop
+        before the final layer's attention read.
         """
         x = np.asarray(x, dtype=np.float32)
-        return self._forward([PrefillChunk(x, session, decode_tail)]).reshape(x.shape)
+        batch, n, hidden = x.shape
+        live = n if live_rows is None else live_rows
+        chunk = PrefillChunk(x, session, decode_tail, live_rows)
+        return self._forward([chunk]).reshape(batch, live, hidden)
 
     def decode_step(
         self,
@@ -310,15 +329,16 @@ class TinyTransformer:
         ``chunks`` are other sessions' prefill chunks riding the same
         forward ahead of the decode rows: their rows share every
         projection GEMM, and each chunk's attention runs before the
-        decoders', in order.  Returns every row's hidden state, flat:
-        each chunk's ``batch * n`` rows, then ``x``'s rows.
+        decoders', in order.  Returns the read rows' hidden states, flat:
+        each chunk's live rows (all ``batch * n`` unless it sets
+        ``live_rows``), then ``x``'s rows.
         """
         sess = session if session is not None else self._session
         x = np.asarray(x, dtype=np.float32)
         return self._forward([*chunks, PrefillChunk(x[:, None, :], sess, decode_tail=1)])
 
     def _forward(self, chunks: Sequence[PrefillChunk]) -> np.ndarray:
-        """The one layer-major forward: every chunk's rows, flat ``(rows, hidden)``.
+        """The one layer-major forward: every chunk's live rows, flat ``(rows, hidden)``.
 
         A decode batch is the ``n == 1`` chunk that is all tail; its
         session may hold one position per row.  Each projection is ONE
@@ -330,12 +350,27 @@ class TinyTransformer:
         and since a projection row's bits do not depend on the other rows
         (``_ROW_FLOOR``), neither do the outputs.  A session may appear
         in at most one chunk.
+
+        Only a chunk's ``live_rows`` trailing rows (per batch member) are
+        returned, in chunk order, so only they run the final layer past
+        its ``wqkv`` GEMM: a dead row there writes its K/V (prompt rows
+        through ``backend.prefill(None, ...)``, tail rows through
+        ``append_kv``) and skips the attention read, ``wo`` and the MLP.
+        A live prompt row keeps its chunk's whole prefill attention and is
+        sliced out of it: attending its query alone would change the
+        GEMM's N, and with it the row's bits.  The ``wqkv`` GEMM is not
+        cut down to the dead rows' K/V outputs either, for the same
+        reason on some kernel sets.
         """
-        segments, rows = [], []
-        for x, sess, tail in chunks:
+        segments, rows, live_index = [], [], []
+        start = 0
+        for x, sess, tail, live_rows in chunks:
             batch, n, _ = x.shape
+            live = n if live_rows is None else live_rows
             if not 0 <= tail <= n:
                 raise ValueError(f"decode_tail ({tail}) must lie in [0, {n}]")
+            if not 0 <= live <= n:
+                raise ValueError(f"live_rows ({live}) must lie in [0, {n}]")
             if not batch * n:
                 continue
             if not sess.caches:
@@ -348,62 +383,96 @@ class TinyTransformer:
                 cos, sin = cos[:, None, None], sin[:, None, None]
             else:
                 cos, sin = rope_angles(self.head_dim, np.arange(sess.positions, sess.positions + n))
-            segments.append((sess, batch, n, n - tail, cos, sin))
+            segments.append((sess, batch, n, n - tail, live, cos, sin))
             rows.append(np.asarray(x, dtype=np.float32).reshape(batch * n, self.hidden))
+            member_starts = start + n * np.arange(batch)[:, None]
+            live_index.append((member_starts + np.arange(n - live, n)).ravel())
+            start += batch * n
         h = np.concatenate(rows)
+        live = np.concatenate(live_index)
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            h = h + _matmul(self._attention(i, layer, h, segments), layer.wo)
-            h = h + swiglu(rms_norm(h, layer.norm_mlp), layer.w_gate_up, layer.w_down)
+            attn = self._attention(i, layer, h, segments, final=i == last)
+            if i == last and len(live) < len(h):
+                h = h[live]
+            if len(h):
+                h = h + _matmul(attn, layer.wo)
+                h = h + swiglu(rms_norm(h, layer.norm_mlp), layer.w_gate_up, layer.w_down)
         for sess, _, n, *_ in segments:
             sess.positions = sess.positions + n
         return h
 
-    def _attention(self, i: int, layer: LayerWeights, h: np.ndarray, segments) -> np.ndarray:
+    def _attention(
+        self, i: int, layer: LayerWeights, h: np.ndarray, segments, final: bool
+    ) -> Optional[np.ndarray]:
         """Layer ``i``'s attention rows ``(rows, hidden)``: one fused ``wqkv``
-        GEMM over every row, then attention per chunk, in order."""
+        GEMM over every row, then attention per chunk, in order.  In the
+        ``final`` layer only each chunk's live rows attend and are returned
+        (None when there are none)."""
         qkv = _matmul(rms_norm(h, layer.norm_attn), layer.wqkv)
         parts, start = [], 0
-        for sess, batch, n, prompt, cos, sin in segments:
+        for sess, batch, n, prompt, live, cos, sin in segments:
             stop = start + batch * n
             q, k, v = self._rope_qkv(qkv[start:stop].reshape(batch, n, -1), cos, sin)
             start = stop
-            attn = self._chunk_attention(sess, i, q, k, v, prompt)
-            parts.append(attn.reshape(batch * n, self.hidden))
-        return np.concatenate(parts)
+            live = live if final else n
+            attn = self._chunk_attention(sess, i, q, k, v, prompt, live)
+            if live:
+                parts.append(attn.reshape(batch * live, self.hidden))
+        return np.concatenate(parts) if parts else None
 
-    def _chunk_attention(self, sess: CacheSession, i: int, q, k, v, prompt: int) -> np.ndarray:
-        """One chunk's attention in layer ``i``: the first ``prompt`` rows as
-        chunked prefill, then each later row as its own decode step."""
+    def _chunk_attention(
+        self, sess: CacheSession, i: int, q, k, v, prompt: int, live: int
+    ) -> Optional[np.ndarray]:
+        """One chunk's attention in layer ``i`` for its last ``live`` rows
+        (None when 0): every row's K/V is written, the first ``prompt`` rows
+        as chunked prefill, then each later row as its own decode step.
+        Prompt rows attend only when one of them is live, tail rows each
+        when it is."""
+        n = q.shape[1]
+        first_live = n - live
         parts = []
         if prompt:
-            qp, kp, vp = q[:, :prompt], k[:, :, :prompt], v[:, :, :prompt]
+            qp = q[:, :prompt] if first_live < prompt else None
+            kp, vp = k[:, :, :prompt], v[:, :, :prompt]
             if self.backend is not None:
                 if sess.caches[i] is None:
                     sess.caches[i] = self.backend.new_handle(len(q), self.hkv, self.head_dim)
-                parts.append(self.backend.prefill(qp, (kp, vp), sess.caches[i]))
+                out = self.backend.prefill(qp, (kp, vp), sess.caches[i])
             else:
-                parts.append(self._reference_attention(sess, i, qp, kp, vp))
-        for t in range(prompt, q.shape[1]):
+                out = self._reference_attention(sess, i, qp, kp, vp)
+            if qp is not None:
+                parts.append(out[:, first_live:])
+        for t in range(prompt, n):
             row = slice(t, t + 1)
-            parts.append(self._decode_attention(sess, i, q[:, row], k[:, :, row], v[:, :, row]))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            qt = q[:, row] if t >= first_live else None
+            out = self._decode_attention(sess, i, qt, k[:, :, row], v[:, :, row])
+            if out is not None:
+                parts.append(out)
+        if len(parts) <= 1:
+            return parts[0] if parts else None
+        return np.concatenate(parts, axis=1)
 
-    def _decode_attention(self, sess: CacheSession, i: int, q, k, v) -> np.ndarray:
+    def _decode_attention(self, sess: CacheSession, i: int, q, k, v) -> Optional[np.ndarray]:
         """One decode row per sequence (``q (b, 1, hq, d)``, ``k, v (b, hkv, 1, d)``)
-        through layer ``i``: append its K/V, then attend the cache."""
+        through layer ``i``: append its K/V, then attend the cache (unless
+        ``q`` is None)."""
         if self.backend is None:
             return self._reference_attention(sess, i, q, k, v)
         handle = sess.caches[i]
         self.backend.append_kv((k[:, :, 0], v[:, :, 0]), handle)
-        return self.backend.decode_step(q, handle)
+        return None if q is None else self.backend.decode_step(q, handle)
 
     @staticmethod
-    def _reference_attention(sess: CacheSession, i: int, q, k, v) -> np.ndarray:
-        """Exact attention over layer ``i``'s reference context, then append ``k``/``v``.
+    def _reference_attention(sess: CacheSession, i: int, q, k, v) -> Optional[np.ndarray]:
+        """Exact attention over layer ``i``'s reference context (None when
+        ``q`` is None), then append ``k``/``v``.
 
         A decode step is the ``n == 1`` chunk.
         """
-        attn = chunked_causal_attention(q, sess.ref_k[i], sess.ref_v[i], k, v)
+        attn = None
+        if q is not None:
+            attn = chunked_causal_attention(q, sess.ref_k[i], sess.ref_v[i], k, v)
         if sess.ref_k[i] is None:
             sess.ref_k[i], sess.ref_v[i] = k, v
         else:

@@ -14,7 +14,7 @@ check then compares books instead of walking every block table.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, KeysView, List, Mapping, Optional, Sequence, Tuple
 
 from repro.pages.allocator import PageAllocator
 
@@ -60,7 +60,7 @@ class PageTable:
         self.sequences: List[PagedSequence] = []
         self._free_ids: List[int] = []
         self._mapped: Dict[int, int] = {}
-        self._live: Set[int] = set()
+        self._live: Dict[int, None] = {}
         #: Block-table entries over every live sequence (a page mapped by
         #: ``n`` sequences counts ``n`` times).
         self.mapped_total = 0
@@ -73,9 +73,10 @@ class PageTable:
         return MappingProxyType(self._mapped)
 
     @property
-    def live_ids(self) -> Set[int]:
-        """Ids of the sequences registered and not yet released."""
-        return set(self._live)
+    def live_ids(self) -> KeysView[int]:
+        """Read-only live view of the ids of the sequences registered and
+        not yet released (compares equal to a set of the same ids)."""
+        return self._live.keys()
 
     def _map(self, pages: Iterable[int]) -> None:
         mapped = self._mapped
@@ -142,7 +143,7 @@ class PageTable:
             seq_id = len(self.sequences)
             self.sequences.append(seq)
         self._map(seq.pages)
-        self._live.add(seq_id)
+        self._live[seq_id] = None
         return seq_id
 
     def append_token(self, seq_id: int) -> None:
@@ -224,7 +225,7 @@ class PageTable:
         seq._pages = ()
         seq.length = 0
         self._free_ids.append(seq_id)
-        self._live.discard(seq_id)
+        del self._live[seq_id]
 
     def total_tokens(self) -> int:
         return sum(seq.length for seq in self.sequences)

@@ -374,8 +374,9 @@ class ContinuousBatchingEngine:
         #: the wait queue as the clock passes them.
         self._pending: Deque[RequestLifecycle] = deque(self.lifecycles)
         self._queue: Deque[RequestLifecycle] = deque()
-        #: The swap owner's swapped set (always empty untiered).
-        self._swapped = self.swap.swapped if self.swap is not None else deque()
+        #: The swapped set: the running set's parked deque, which the swap
+        #: owner fills and drains (always empty untiered).
+        self._swapped = self.running.parked
         self._clock = 0.0
         self._steps = 0
 
@@ -596,8 +597,9 @@ class ContinuousBatchingEngine:
         lc.prefilled = lc.prefill_target = lc.cached_tokens = lc.registered_blocks = 0
 
     def _remove(self, lc: RequestLifecycle) -> None:
-        """Take ``lc`` out of the scheduler set holding it (at most one does)."""
-        for leave in (self.running.leave, self._swapped.remove, self._queue.remove):
+        """Take ``lc`` out of the scheduler set holding it (at most one does),
+        before :meth:`_unmap` forgets its seq id."""
+        for leave in (self.running.leave, self.running.drop_parked, self._queue.remove):
             try:
                 leave(lc)
                 return
@@ -619,6 +621,7 @@ class ContinuousBatchingEngine:
         killing eventually FAILs instead of looping forever.
         """
         assert lc.seq_id is not None
+        self._remove(lc)
         self._unmap(lc)
         if heal:
             lc.heals += 1
@@ -626,7 +629,6 @@ class ContinuousBatchingEngine:
         else:
             lc.preemptions += 1
             self.report.preemptions += 1
-        self._remove(lc)
         if lc.heals > self.config.max_heals:
             self._abort(lc, failed=True)
         else:
@@ -644,9 +646,9 @@ class ContinuousBatchingEngine:
         Releases whatever it still holds (pages, runner program, queue or
         resident slot) and stamps the terminal state.
         """
+        self._remove(lc)
         self._unmap(lc, abort=True)
         lc.shed, lc.timed_out, lc.failed = shed, timed_out, failed
-        self._remove(lc)
 
     def _estimate_service_s(self, lc: RequestLifecycle) -> float:
         """Optimistic completion estimate for deadline-aware admission:
@@ -797,11 +799,11 @@ class ContinuousBatchingEngine:
             if lc.generated >= lc.request.output_len:
                 if self._runner is not None:
                     self._runner.on_finish(lc)
+                self.running.leave(lc)
                 self.table.release_sequence(lc.seq_id)
                 lc.seq_id = None
                 lc.finish_s = self._clock
                 report.latency_samples.append(self._clock - lc.request.arrival_s)
-                self.running.leave(lc)
 
     def _decode_group_shapes(self, lcs) -> List[Tuple[int, int]]:
         """Shape groups ``(group_batch, group_seq_len)`` of one decode step.
@@ -886,21 +888,30 @@ class ContinuousBatchingEngine:
         tables, so the check is refcount-aware: the table's live sequences
         must be exactly the residents, every page's refcount must equal the
         number of block tables mapping it, and used + reclaimable (free
-        list + cached LRU pool) must cover the pool.  The mapping counts
-        are the books :class:`~repro.pages.page_table.PageTable` keeps at
-        its mutators, so the check costs one set and one dict comparison
-        instead of a walk over every block table; the walk itself stays in
-        :class:`~repro.faults.audit.InvariantAuditor` and runs at
+        list + cached LRU pool) must cover the pool.  The residents are the
+        running set's resident-id book (its size checked against the
+        running and swapped lists, which catches a sequence dropped behind
+        the book's back) and the mapping counts are the books
+        :class:`~repro.pages.page_table.PageTable` keeps at its mutators,
+        so the check costs two comparisons of live views and builds
+        nothing; the walks behind the books stay in
+        :class:`~repro.faults.audit.InvariantAuditor` and run at
         :meth:`finish`.  The instantaneous sharing saving (mappings minus
         distinct pages) feeds the report's effective-capacity peak.
         """
         table, alloc = self.table, self.allocator
-        residents = {lc.seq_id for lc in chain(self._running, self._swapped)}
-        residents.discard(None)
+        book = self.running.resident_ids
         mapped, refs = table.mapped, alloc.refcounts
         used, free = alloc.used_pages, alloc.free_pages
         live = table.live_ids
-        if live != residents or mapped != refs or used + free != self.n_pages:
+        if (
+            len(book) != len(self._running) + len(self._swapped)
+            or live != book
+            or mapped != refs
+            or used + free != self.n_pages
+        ):
+            residents = {lc.seq_id for lc in chain(self._running, self._swapped)}
+            residents.discard(None)
             bad_refs = sorted(
                 (page, mapped.get(page, 0), refs.get(page, 0))
                 for page in mapped.keys() | refs.keys()
@@ -912,6 +923,7 @@ class ContinuousBatchingEngine:
                 f"{self.n_pages}; refcount mismatches: {bad_refs[:5]}; sequences "
                 f"live but not resident: {sorted(live - residents)}, resident but "
                 f"not live: {sorted(residents - live)}"
+                + ("" if book == residents else f"; resident-id book: {sorted(book)}")
             )
         saving = table.mapped_total - len(mapped)
         self.report.shared_pages_peak = max(self.report.shared_pages_peak, saving)

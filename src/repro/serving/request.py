@@ -20,8 +20,10 @@ aggressively the engine sheds is a :class:`DeadlinePolicy`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional
+from itertools import chain
+from typing import Deque, Hashable, Iterator, List, Optional, Set
 
 import numpy as np
 
@@ -183,20 +185,25 @@ class RequestLifecycle:
 
 
 class RunningSet:
-    """An engine's running sequences in admission order, with two books.
+    """An engine's running sequences in admission order, with three books.
 
     ``seqs`` is the list the scheduler reads (iteration, ``len``, the
-    youngest at ``[-1]``).  Every change of membership goes through
-    :meth:`join` and :meth:`leave`, a finished prefill through
-    :meth:`prefilled` and a generated token through :meth:`grow`, so
+    youngest at ``[-1]``); ``parked`` holds, FCFS, the sequences a swap
+    took off the device, still resident (empty untiered; the swap owner
+    resumes one by popping it and calling :meth:`join`).  Every other
+    change of membership goes through :meth:`join`, :meth:`leave` and
+    :meth:`drop_parked`, a finished prefill through :meth:`prefilled` and
+    a generated token through :meth:`grow`, so
 
     - ``committed_pages`` always equals
       ``sum(pages_for(lc.context_len) for lc in seqs)``, the budget
-      chunked admission gates on, and
+      chunked admission gates on,
     - ``ready`` always equals ``[lc for lc in seqs if lc.prefill_done]``,
-      the decode order a step prices its groups in.
+      the decode order a step prices its groups in, and
+    - ``resident_ids`` always equals the seq ids of ``seqs`` and
+      ``parked``, the sequences the page table must hold live.
 
-    Both cost O(1) per step instead of a walk over the running set.  The
+    Each costs O(1) per step instead of a walk over the running set.  The
     recount (:meth:`check`) runs in
     :class:`~repro.faults.audit.InvariantAuditor` and once at ``finish()``.
     """
@@ -204,22 +211,39 @@ class RunningSet:
     def __init__(self, table):
         self.seqs: List[RequestLifecycle] = []
         self.ready: List[RequestLifecycle] = []
+        self.parked: Deque[RequestLifecycle] = deque()
         self.committed_pages = 0
+        self.resident_ids: Set[int] = set()
         self._table = table
 
     def join(self, lc: RequestLifecycle) -> None:
+        """Add ``lc`` (mapped in the page table), fresh or popped from
+        ``parked``."""
         self.seqs.append(lc)
         if lc.prefill_done:
             self.ready.append(lc)
         self.committed_pages += self._table.pages_for(lc.context_len)
+        self.resident_ids.add(lc.seq_id)
 
-    def leave(self, lc: RequestLifecycle) -> None:
-        """Take ``lc`` out; raises ``ValueError`` (books untouched) when it
-        is not running."""
+    def leave(self, lc: RequestLifecycle, parked: bool = False) -> None:
+        """Take ``lc`` out, while it is still mapped; with ``parked`` it
+        joins ``parked`` and stays resident.  Raises ``ValueError`` (books
+        untouched) when it is not running."""
         self.seqs.remove(lc)
         if lc in self.ready:
             self.ready.remove(lc)
         self.committed_pages -= self._table.pages_for(lc.context_len)
+        if parked:
+            self.parked.append(lc)
+        else:
+            self.resident_ids.discard(lc.seq_id)
+
+    def drop_parked(self, lc: RequestLifecycle) -> None:
+        """Take parked ``lc`` out of the residents, while it is still
+        mapped; raises ``ValueError`` (books untouched) when it is not
+        parked."""
+        self.parked.remove(lc)
+        self.resident_ids.discard(lc.seq_id)
 
     def prefilled(self, lc: RequestLifecycle) -> None:
         """``lc`` (running) just finished its prefill: it joins ``ready`` at
@@ -252,6 +276,12 @@ class RunningSet:
             return (
                 f"decode-ready book holds requests {[lc.request.req_id for lc in self.ready]}, "
                 f"the running set filters to {[lc.request.req_id for lc in ready]}"
+            )
+        residents = {lc.seq_id for lc in chain(self.seqs, self.parked)}
+        if residents != self.resident_ids:
+            return (
+                f"resident-id book holds sequences {sorted(self.resident_ids)}, the "
+                f"running and parked sets hold {sorted(residents)}"
             )
         return None
 

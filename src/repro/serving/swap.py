@@ -28,7 +28,6 @@ bit-identical to a fault-free run.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -44,7 +43,8 @@ class SwapPreemption:
     """The tier store, the swapped set and the tier charge of one engine.
 
     It moves sequences between the engine's running set (``running``,
-    whose books it keeps through ``join``/``leave``) and :attr:`swapped`,
+    whose books it keeps through ``join``/``leave``) and :attr:`swapped`
+    (the running set's ``parked`` deque),
     and counts into the engine's report.  The engine calls it at fixed
     points of every scheduler step, in this order
     (healing, :meth:`drain`, runs after each phase that may lose or
@@ -76,7 +76,8 @@ class SwapPreemption:
         self._config, self._table, self._resident, self._report = config, table, running, report
         #: Swap-preempted sequences: pages still mapped (demoted off the
         #: device tier), resumed FCFS when the device working set fits.
-        self.swapped: Deque[RequestLifecycle] = deque()
+        #: The running set parks them, so they stay in its resident book.
+        self.swapped: Deque[RequestLifecycle] = running.parked
         #: The engine's :class:`~repro.attn.runner.ModelRunner` when it
         #: executes tokens; it stashes residual rows across a swap.
         self.runner = None
@@ -120,8 +121,7 @@ class SwapPreemption:
         if self.runner is not None:
             self.runner.on_swap_out(victim)
         self.tiers.demote(self._pages(victim))
-        self._resident.leave(victim)
-        self.swapped.append(victim)
+        self._resident.leave(victim, parked=True)
         self._report.swap_outs += 1
 
     def swap_out_overflow(self) -> None:

@@ -184,13 +184,16 @@ REPLAY_GEOMETRIES = {
 }
 
 
-def _replay(geometry: str, bits: int, pre: int, prompt: int, tail: int, merged: bool):
+def _replay(
+    geometry: str, bits: int, pre: int, prompt: int, tail: int, merged: bool, live=None
+):
     """``pre`` context rows, then a chunk of ``prompt`` rows plus a ``tail``
-    of replayed decode rows, as ONE forward (``merged``) or as
-    ``prefill_chunk`` on the prompt rows plus one ``decode_step`` per tail
-    row.  Returns the chunk's hidden rows, the per-layer stores (separate,
-    as in the serving runner) and the session.  ``N_r`` is 32 (INT4) or
-    64 (INT2); ``bits=None`` runs exact attention, with no stores."""
+    of replayed decode rows, as ONE forward (``merged``, reading its last
+    ``live`` rows) or as ``prefill_chunk`` on the prompt rows plus one
+    ``decode_step`` per tail row.  Returns the chunk's hidden rows, the
+    per-layer stores (separate, as in the serving runner) and the session.
+    ``N_r`` is 32 (INT4) or 64 (INT2); ``bits=None`` runs exact attention,
+    with no stores."""
     dims = REPLAY_GEOMETRIES[geometry]
     if bits is None:
         model = TinyTransformer(n_layers=2, seed=3, **dims)
@@ -209,7 +212,7 @@ def _replay(geometry: str, bits: int, pre: int, prompt: int, tail: int, merged: 
         model.prefill_chunk(rows[None, :pre], session)
     chunk = rows[pre:]
     if merged:
-        hidden = model.prefill_chunk(chunk[None], session, decode_tail=tail)[0]
+        hidden = model.prefill_chunk(chunk[None], session, decode_tail=tail, live_rows=live)[0]
     else:
         outs = [model.prefill_chunk(chunk[None, :prompt], session)[0]] if prompt else []
         outs += [model.decode_step(row[None], session) for row in chunk[prompt:]]
@@ -218,59 +221,100 @@ def _replay(geometry: str, bits: int, pre: int, prompt: int, tail: int, merged: 
     return hidden, stores, session
 
 
+def _assert_same_cache(stores_a, stores_b, session_a=None, session_b=None):
+    """Every layer store's pools and residual slots, and the sessions'
+    exact reference context when given, byte for byte."""
+    for a, b in zip(stores_a, stores_b, strict=True):
+        for pool_a, pool_b in zip(a.pools, b.pools, strict=True):
+            assert pool_a.tobytes() == pool_b.tobytes()
+        assert a.res_k.tobytes() == b.res_k.tobytes()
+        assert a.res_v.tobytes() == b.res_v.tobytes()
+    for name in ("ref_k", "ref_v") if session_a is not None else ():
+        refs = zip(getattr(session_a, name), getattr(session_b, name), strict=True)
+        for a, b in refs:
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
 class TestReplayTail:
-    """A replayed decode tail shares the chunk's forward bit for bit."""
+    """A replayed decode tail shares the chunk's forward bit for bit, and
+    reading only a chunk's trailing rows moves neither them nor the cache."""
 
     @settings(max_examples=20, deadline=None)
     @given(
         geometry=st.sampled_from(sorted(REPLAY_GEOMETRIES)),
-        bits=st.sampled_from([2, 4]),
+        bits=st.sampled_from([None, 2, 4]),
         pre=st.integers(0, 40),
         prompt=st.integers(0, 40),
         tail=st.integers(0, 70),
+        live=st.one_of(st.none(), st.integers(0, 3), st.integers(0, 110)),
     )
     # Row floor 4, tiny's output floor of 19 rows, N_r flushes (INT4 at
     # 32 and 64 tokens, INT2 at 64), a tail-only chunk past the prompt end,
-    # and the 128 + 33 rows of a replayed bench-gqa chunk.
-    @example(geometry="tiny", bits=4, pre=0, prompt=1, tail=3)
-    @example(geometry="tiny", bits=4, pre=5, prompt=0, tail=19)
-    @example(geometry="tiny", bits=2, pre=30, prompt=3, tail=70)
-    @example(geometry="bench-gqa", bits=4, pre=20, prompt=0, tail=4)
-    @example(geometry="bench-gqa", bits=4, pre=0, prompt=128, tail=33)
+    # and the 128 + 33 rows of a replayed bench-gqa chunk; then the
+    # runner's live rows (the last row, or none) on prompt-only and
+    # replay chunks, a live run across the prompt/tail seam, and exact
+    # attention.
+    @example(geometry="tiny", bits=4, pre=0, prompt=1, tail=3, live=None)
+    @example(geometry="tiny", bits=4, pre=5, prompt=0, tail=19, live=None)
+    @example(geometry="tiny", bits=2, pre=30, prompt=3, tail=70, live=None)
+    @example(geometry="bench-gqa", bits=4, pre=20, prompt=0, tail=4, live=None)
+    @example(geometry="bench-gqa", bits=4, pre=0, prompt=128, tail=33, live=None)
+    @example(geometry="bench-gqa", bits=4, pre=0, prompt=128, tail=0, live=1)
+    @example(geometry="bench-gqa", bits=4, pre=32, prompt=40, tail=0, live=0)
+    @example(geometry="tiny", bits=4, pre=0, prompt=40, tail=30, live=1)
+    @example(geometry="tiny", bits=2, pre=10, prompt=30, tail=5, live=9)
+    @example(geometry="tiny", bits=None, pre=5, prompt=7, tail=9, live=12)
+    @example(geometry="tiny", bits=None, pre=5, prompt=7, tail=0, live=0)
     def test_merged_forward_equals_prefill_then_decode_steps(
-        self, geometry, bits, pre, prompt, tail
+        self, geometry, bits, pre, prompt, tail, live
     ):
         if pre + prompt == 0 or prompt + tail == 0:
             return  # a chunk holds a row, and a decode row follows a prompt row
-        merged, merged_stores, _ = _replay(geometry, bits, pre, prompt, tail, merged=True)
-        stepped, stepped_stores, _ = _replay(geometry, bits, pre, prompt, tail, merged=False)
-        assert merged.tobytes() == stepped.tobytes()
-        for a, b in zip(merged_stores, stepped_stores):
-            for pool_a, pool_b in zip(a.pools, b.pools):
-                assert pool_a.tobytes() == pool_b.tobytes()
-            assert a.res_k.tobytes() == b.res_k.tobytes()
-            assert a.res_v.tobytes() == b.res_v.tobytes()
+        live = None if live is None else min(live, prompt + tail)
+        merged, merged_stores, merged_session = _replay(
+            geometry, bits, pre, prompt, tail, merged=True, live=live
+        )
+        stepped, stepped_stores, stepped_session = _replay(
+            geometry, bits, pre, prompt, tail, merged=False
+        )
+        expected = stepped if live is None else stepped[len(stepped) - live :]
+        assert merged.shape == expected.shape
+        assert merged.tobytes() == expected.tobytes()
+        _assert_same_cache(merged_stores, stepped_stores, merged_session, stepped_session)
 
     def test_exact_reference_context_matches_too(self):
         merged, _, merged_session = _replay("tiny", None, 5, 7, 9, merged=True)
         stepped, _, stepped_session = _replay("tiny", None, 5, 7, 9, merged=False)
         assert merged.tobytes() == stepped.tobytes()
-        for name in ("ref_k", "ref_v"):
-            for a, b in zip(getattr(merged_session, name), getattr(stepped_session, name)):
-                assert a.tobytes() == b.tobytes()
+        _assert_same_cache([], [], merged_session, stepped_session)
 
     def test_tail_longer_than_the_chunk_is_rejected(self):
         model = TinyTransformer(n_layers=1, seed=0, **REPLAY_GEOMETRIES["tiny"])
         with pytest.raises(ValueError, match="decode_tail"):
             model.prefill_chunk(np.zeros((1, 2, 64), np.float32), model.new_session(), 3)
 
+    def test_more_live_rows_than_the_chunk_is_rejected(self):
+        model = TinyTransformer(n_layers=1, seed=0, **REPLAY_GEOMETRIES["tiny"])
+        with pytest.raises(ValueError, match="live_rows"):
+            model.prefill_chunk(np.zeros((1, 2, 64), np.float32), model.new_session(), 0, 3)
 
-def _mixed(geometry: str, bits: int, chunks, contexts, merged: bool):
+    def test_live_rows_of_a_batched_chunk_are_per_member(self, rng):
+        """``(batch, live_rows, hidden)``: each member's trailing rows."""
+        model = TinyTransformer(n_layers=2, seed=0, **REPLAY_GEOMETRIES["tiny"])
+        x = rng.standard_normal((3, 6, 64)).astype(np.float32)
+        full = model.prefill_chunk(x, model.new_session())
+        live = model.prefill_chunk(x, model.new_session(), live_rows=2)
+        assert live.shape == (3, 2, 64)
+        assert live.tobytes() == np.ascontiguousarray(full[:, -2:]).tobytes()
+
+
+def _mixed(geometry: str, bits: int, chunks, contexts, merged: bool, lives=None):
     """One scheduler step's rows over separate sessions sharing per-layer
     stores (as in the serving runner): a chunk per ``(pre, prompt, tail)``
     (``pre`` rows of context first) and one decode batch over sessions
     holding ``contexts`` tokens each.  Run as ONE forward (``merged``:
-    ``decode_step(..., chunks=...)``) or as separate forwards: per chunk,
+    ``decode_step(..., chunks=...)``, chunk ``j`` reading its last
+    ``lives[j]`` rows) or as separate forwards: per chunk,
     ``prefill_chunk`` on its prompt rows and one ``decode_step`` per tail
     row, then one batched ``decode_step``.  Returns the step's hidden rows
     and the stores."""
@@ -303,7 +347,11 @@ def _mixed(geometry: str, bits: int, chunks, contexts, merged: bool):
     )
     x = rows(len(contexts))
     if merged:
-        held = [PrefillChunk(c[None], s, tail) for c, s, (_, _, tail) in zip(xs, sessions, chunks)]
+        lives = lives or [None] * len(chunks)
+        held = [
+            PrefillChunk(c[None], s, tail, live)
+            for c, s, (_, _, tail), live in zip(xs, sessions, chunks, lives)
+        ]
         hidden = model.decode_step(x, batch, chunks=held)
     else:
         outs = []
@@ -328,7 +376,9 @@ _CHUNK = st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 20)).f
 
 
 class TestMergedStep:
-    """A step's prefill chunks share its decode rows' forward bit for bit."""
+    """A step's prefill chunks share its decode rows' forward bit for bit,
+    and reading only each chunk's trailing rows moves neither them nor the
+    cache."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -336,24 +386,50 @@ class TestMergedStep:
         bits=st.sampled_from([2, 4]),
         chunks=st.lists(_CHUNK, min_size=1, max_size=3),
         contexts=st.lists(st.integers(1, 70), max_size=4),
+        lives=st.lists(st.one_of(st.none(), st.integers(0, 1), st.integers(0, 60)), max_size=3),
     )
     # Chunks alone, a 1-row step under the row floor, tiny's ragged
     # decoders across an N_r flush, and bench-gqa's 128-token chunk plus
-    # four decoders (prefill_shared's mixed step).
-    @example(geometry="tiny", bits=4, chunks=[(0, 5, 0), (3, 2, 1)], contexts=[])
-    @example(geometry="tiny", bits=4, chunks=[(0, 1, 0)], contexts=[])
-    @example(geometry="tiny", bits=2, chunks=[(40, 23, 1)], contexts=[31, 63, 64, 1])
-    @example(geometry="bench-gqa", bits=4, chunks=[(0, 40, 0)] * 2 + [(31, 0, 20)], contexts=[1])
-    @example(geometry="bench-gqa", bits=4, chunks=[(0, 128, 0)], contexts=[32, 33, 95, 100])
+    # four decoders (prefill_shared's mixed step); then the runner's live
+    # rows: the completing chunk's last row beside dead chunks, a dead
+    # replay chunk, and a step with no live chunk row.
+    @example(geometry="tiny", bits=4, chunks=[(0, 5, 0), (3, 2, 1)], contexts=[], lives=[])
+    @example(geometry="tiny", bits=4, chunks=[(0, 1, 0)], contexts=[], lives=[])
+    @example(geometry="tiny", bits=2, chunks=[(40, 23, 1)], contexts=[31, 63, 64, 1], lives=[])
+    @example(
+        geometry="bench-gqa",
+        bits=4,
+        chunks=[(0, 40, 0)] * 2 + [(31, 0, 20)],
+        contexts=[1],
+        lives=[],
+    )
+    @example(
+        geometry="bench-gqa", bits=4, chunks=[(0, 128, 0)], contexts=[32, 33, 95, 100], lives=[]
+    )
+    @example(
+        geometry="bench-gqa",
+        bits=4,
+        chunks=[(0, 128, 0), (128, 40, 0)],
+        contexts=[32, 33],
+        lives=[0, 1],
+    )
+    @example(geometry="tiny", bits=4, chunks=[(31, 2, 5), (0, 9, 0)], contexts=[7], lives=[0, 0])
+    @example(geometry="tiny", bits=2, chunks=[(0, 20, 0)], contexts=[], lives=[0])
     def test_one_forward_equals_a_forward_per_chunk_then_decode(
-        self, geometry, bits, chunks, contexts
+        self, geometry, bits, chunks, contexts, lives
     ):
-        merged, merged_stores = _mixed(geometry, bits, chunks, contexts, merged=True)
+        sizes = [prompt + tail for _, prompt, tail in chunks]
+        lives = [None if live is None else min(live, n) for live, n in zip(lives, sizes)]
+        lives += [None] * (len(chunks) - len(lives))
+        merged, merged_stores = _mixed(geometry, bits, chunks, contexts, merged=True, lives=lives)
         stepped, stepped_stores = _mixed(geometry, bits, chunks, contexts, merged=False)
-        assert merged.shape == (sum(p + t for _, p, t in chunks) + len(contexts), merged.shape[1])
-        assert merged.tobytes() == stepped.tobytes()
-        for a, b in zip(merged_stores, stepped_stores):
-            for pool_a, pool_b in zip(a.pools, b.pools):
-                assert pool_a.tobytes() == pool_b.tobytes()
-            assert a.res_k.tobytes() == b.res_k.tobytes()
-            assert a.res_v.tobytes() == b.res_v.tobytes()
+        # The all-rows forward's rows, each chunk cut to its trailing live rows.
+        ends = np.cumsum(sizes)
+        expected = np.concatenate(
+            [stepped[end - (n if live is None else live) : end]
+             for end, n, live in zip(ends, sizes, lives)]
+            + [stepped[len(stepped) - len(contexts) :]]
+        )
+        assert merged.shape == expected.shape
+        assert merged.tobytes() == expected.tobytes()
+        _assert_same_cache(merged_stores, stepped_stores)

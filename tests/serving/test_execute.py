@@ -220,7 +220,7 @@ class TestOneForwardPerStep:
 
         def tracked_preempt(self, lc):
             prog = self._programs[lc.request.req_id]
-            if growing and growing[-1] and any(p is prog for p, _, _ in self._held):
+            if growing and growing[-1] and any(p is prog for p, _ in self._held):
                 victims.append(lc.request.req_id)
             on_preempt(self, lc)
 
@@ -354,3 +354,41 @@ class TestOneForwardPerStep:
         assert len(ticks) == report.prefill_steps + report.decode_steps - report.mixed_steps
         assert any(h for _, h in ticks)
         assert all(f == 1 + h for f, h in ticks), ticks
+
+
+class TestLiveRows:
+    """The runner reads one hidden row per chunk that completes a prefill
+    and one per decoder, so only those rows run the final layer's MLP."""
+
+    def test_last_layer_runs_only_the_rows_the_runner_reads(self, a100, monkeypatch):
+        import repro.model.transformer as transformer
+
+        rows_into = {}  # id(w_down) -> rows its MLP ran
+        swiglu = transformer.swiglu
+
+        def counting_swiglu(x, w_gate_up, w_down):
+            rows_into[id(w_down)] = rows_into.get(id(w_down), 0) + len(x)
+            return swiglu(x, w_gate_up, w_down)
+
+        fed = dict(chunk_rows=0, completing=0, decode_rows=0)
+        prefill, decode_batch = ModelRunner.prefill, ModelRunner.decode_batch
+
+        def counting_prefill(self, lc, n_tokens, hold=False):
+            prefill(self, lc, n_tokens, hold)
+            fed["chunk_rows"] += n_tokens
+            fed["completing"] += lc.prefilled >= lc.prefill_target
+
+        def counting_decode(self, lcs):
+            decode_batch(self, lcs)
+            fed["decode_rows"] += len(lcs)
+
+        monkeypatch.setattr(transformer, "swiglu", counting_swiglu)
+        monkeypatch.setattr(ModelRunner, "prefill", counting_prefill)
+        monkeypatch.setattr(ModelRunner, "decode_batch", counting_decode)
+        engine = _engine(a100, "evict_held")
+        report = engine.run()
+        assert report.preemptions > 0 and report.completed == report.n_requests
+        first, *_, last = engine._runner.tt.layers
+        assert fed["chunk_rows"] > fed["completing"] >= report.n_requests
+        assert rows_into[id(first.w_down)] == fed["chunk_rows"] + fed["decode_rows"]
+        assert rows_into[id(last.w_down)] == fed["completing"] + fed["decode_rows"]

@@ -1,13 +1,14 @@
 """The running set's books against their recount, and what they buy.
 
 :class:`~repro.serving.request.RunningSet` keeps the pages the running
-set's contexts are committed to as a running total and its decode-ready
-members as a list in running order.  Every membership change, finished
+set's contexts are committed to as a running total, its decode-ready
+members as a list in running order, and the seq ids of its running and
+swap-parked members as a set.  Every membership change, finished
 prefill and generated token updates them, so chunked admission's gate and
 a step's decode filter cost O(1) instead of a walk over the resident
 batch.  The property below runs the configuration space (chunk size, page
 size, prefix cache, recompute or swap preemption, faults, deadlines,
-tight pools) and recounts both books after every scheduler step; the
+tight pools) and recounts the books after every scheduler step; the
 count guard pins that an admission's work no longer grows with the
 number of residents.
 """
@@ -151,6 +152,21 @@ class TestRecount:
         engine.running.ready.append(engine._running[-1])
         with pytest.raises(InvariantViolation, match="decode-ready book"):
             InvariantAuditor(engine.allocator, running=engine.running).audit()
+
+    def test_auditor_names_a_stale_resident_id(self):
+        engine = self._running_engine()
+        engine.running.resident_ids.add(10 ** 6)
+        with pytest.raises(InvariantViolation, match="resident-id book holds"):
+            InvariantAuditor(engine.allocator, running=engine.running).audit()
+
+    def test_per_step_check_names_a_book_the_lists_disagree_with(self):
+        """The step's conservation check reads the resident-id book, not
+        the lists: a book that lost a running sequence's id fails it."""
+        engine = self._running_engine()
+        lost = engine._running[0].seq_id
+        engine.running.resident_ids.discard(lost)
+        with pytest.raises(AssertionError, match=rf"resident-id book: (?!.*\b{lost}\b)"):
+            engine._assert_conservation()
 
     def test_finish_recounts_without_an_auditor(self):
         engine = self._running_engine()
