@@ -9,8 +9,11 @@ groups: 8 requests at 4K, 32K and 128K context, then 10^2, 10^3 and 10^4
 ``STEPS`` steps and divides the wall time by the steps it ran.  Last
 comes the host cost of one ``BitDecoding.decode_time_ms`` miss: a fresh
 engine prices 2 000 batch-1 lengths of LLaMA-3.1-8B at tp=2, each new.
-Every point and the miss line is the best of ``REPEATS`` fresh runs,
-since a shared host's noise only ever adds time.
+Then the same lengths through ``BitDecoding.fill_group_class``, the way
+engine steps price them: one call per tile class fills all its lengths,
+and the line divides the time by the lengths filled.  Every point and
+both per-length lines are the best of ``REPEATS`` fresh runs, since a
+shared host's noise only ever adds time.
 
     PYTHONPATH=src python scripts/step_scaling.py
 """
@@ -72,6 +75,15 @@ def us_per_miss() -> tuple:
     return (1e6 * (time.perf_counter() - start) / MISS_LENGTHS,)
 
 
+def us_per_filled_length() -> tuple:
+    kernel = BitDecoding(BitDecodingConfig(bits=4, wn=1), "a100")
+    start = time.perf_counter()
+    for seq_len in range(4096, 4096 + MISS_LENGTHS, kernel.config.tile_n):
+        kernel.fill_group_class(LLAMA31_8B, 2, 1, seq_len)  # a new tile class each
+    elapsed = time.perf_counter() - start
+    return (1e6 * elapsed / len(kernel.group_memo(LLAMA31_8B, 2)),)
+
+
 def main() -> None:
     print(f"{'point':<14} {'steps':>6} {'ms/step':>9}")
     ms = {}
@@ -81,6 +93,7 @@ def main() -> None:
     print(f"128K / 4K ms per step: {ms['context 128K'] / ms['context 4K']:.2f}x")
     print(f"10^3 / 10^2 ms per step: {ms['queue 10^3'] / ms['queue 10^2']:.2f}x")
     print(f"us per decode_time_ms miss: {best(us_per_miss)[0]:.1f}")
+    print(f"us per length, class fill: {best(us_per_filled_length)[0]:.2f}")
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ every launch.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -40,7 +41,14 @@ from repro.core.residual_kernel import (
 )
 from repro.core.softmax import OnlineSoftmaxState
 from repro.gpu.arch import ArchSpec, get_arch
-from repro.gpu.kernel import KernelLaunch, KernelResult, memoized_latency, remember, simulate_kernel
+from repro.gpu.kernel import (
+    KernelLaunch,
+    KernelResult,
+    memoized_latency,
+    remember,
+    remember_many,
+    simulate_kernel,
+)
 
 
 class BitKVCache:
@@ -316,10 +324,6 @@ class BitDecoding:
         packed_len = max(0, geom.seq_len - res_len)
         if packed_len == 0:
             return None
-        key = (geom.batch, geom.hq, geom.hkv, geom.head_dim, geom.q_len)
-        shape = self._packing_shapes.get(key)
-        if shape is None:
-            shape = self._packing_shapes[key] = PackingShape(geom, self.config, self.arch)
         return build_packing_launch(
             geom,
             self.config,
@@ -327,8 +331,16 @@ class BitDecoding:
             packed_len=packed_len,
             paged=paged,
             page_size=page_size,
-            shape=shape,
+            shape=self._packing_shape(geom),
         )
+
+    def _packing_shape(self, geom: AttentionGeometry) -> PackingShape:
+        """The engine's :class:`PackingShape` for ``geom``'s length-free class."""
+        key = (geom.batch, geom.hq, geom.hkv, geom.head_dim, geom.q_len)
+        shape = self._packing_shapes.get(key)
+        if shape is None:
+            shape = self._packing_shapes[key] = PackingShape(geom, self.config, self.arch)
+        return shape
 
     def decode_launches(
         self,
@@ -385,7 +397,9 @@ class BitDecoding:
         :meth:`decode_launches`, summed in that order.  Memoized per engine
         on ``geom`` + kwargs; a miss simulates only the Packing launch
         (whose trace reads ``seq_len``) and takes the Residual launch from
-        :meth:`_residual_ms`.  :meth:`decode_launches` /
+        :meth:`_residual_ms`.  Engine step pricing does not miss here:
+        :meth:`fill_group_class` prices a whole tile class of lengths at
+        once, to these same floats.  :meth:`decode_launches` /
         :meth:`decode_results` stay uncached because they hand out mutable
         launches and results.
         """
@@ -399,10 +413,42 @@ class BitDecoding:
         ``model`` at ``tp``: ``model.n_layers`` times :meth:`decode_time_ms`
         at ``model.attention_geometry(group_batch, group_seq_len, tp=tp)``.
 
-        The step pricing in :mod:`repro.model.inference` fills it, so a
-        decode group priced before costs one lookup on an int pair instead
-        of a geometry build plus a dataclass-keyed hit.  It lives on the
-        engine (a fresh engine is cold) and is cleared at
-        :data:`~repro.gpu.kernel.LATENCY_MEMO_CAP` entries.
+        The step pricing in :mod:`repro.model.inference` fills it through
+        :meth:`fill_group_class`, a whole tile class of lengths per miss,
+        so a decode group priced before costs one lookup on an int pair
+        instead of a geometry build plus a dataclass-keyed hit.  It lives
+        on the engine (a fresh engine is cold) and is cleared before it
+        would pass :data:`~repro.gpu.kernel.LATENCY_MEMO_CAP` entries.
         """
         return self._group_memos.setdefault((model, tp), {})
+
+    def fill_group_class(self, model, tp: int, group_batch: int, seq_len: int) -> float:
+        """Fill :meth:`group_memo` for every length in ``seq_len``'s tile
+        class at ``group_batch`` and return the value at ``seq_len``.
+
+        A tile class is the ``tile_n`` lengths whose packed part
+        ``L - res_len`` (``res_len`` the default half block) spans the
+        same number of tiles, so they share a split count and one
+        :meth:`PackingShape.class_times_ms` pass prices them all.  Each
+        stored value is ``model.n_layers * decode_time_ms(geom)`` to the
+        last bit: the Packing ms, plus :meth:`_residual_ms` (one
+        simulation per residual class), times the layer count, in that
+        order.  A length with nothing packed has no Packing launch and
+        takes :meth:`decode_time_ms` alone.  Engine steps meet lengths in
+        dense consecutive runs, which is why this pays; an isolated length
+        is cheaper through :meth:`decode_time_ms`.
+        """
+        memo = self.group_memo(model, tp)
+        geom = model.attention_geometry(group_batch, seq_len, tp=tp)
+        res_len = self._half_block
+        packed_len = seq_len - res_len
+        if packed_len <= 0:
+            value = model.n_layers * self.decode_time_ms(geom)
+            return remember(memo, (group_batch, seq_len), value)
+        tile_n = self.config.tile_n
+        first = (packed_len - 1) // tile_n * tile_n + 1
+        packing_ms = self._packing_shape(geom).class_times_ms(np.arange(first, first + tile_n))
+        values = model.n_layers * (packing_ms + self._residual_ms(geom, res_len, False))
+        lengths = range(first + res_len, first + res_len + tile_n)
+        remember_many(memo, zip(repeat(group_batch), lengths), values.tolist())
+        return memo[group_batch, seq_len]

@@ -32,7 +32,7 @@ from repro.gpu.instructions import (
     rescale_accum_ops,
     softmax_ops,
 )
-from repro.gpu.kernel import KernelLaunch, ResourceRates
+from repro.gpu.kernel import KernelLaunch, ResourceRates, launch_times_ms
 from repro.gpu.sm import Occupancy, occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import WarpLayout, combined_hide_factor
@@ -72,15 +72,23 @@ def choose_splits(
     return max(1, min(_split_target(arch, geom), tiles))
 
 
+def _split_kv_bytes(heads: int, n_splits: int, m_pad: int, d: int) -> Tuple[float, float]:
+    """``(partial, output)`` bytes of a split-KV decode: past one split,
+    every block writes its fp32 partial state (``d`` accumulators plus max
+    and sum; 0.0 at one split), then the FP16 output."""
+    partial = heads * n_splits * m_pad * (d + 2.0) * 4.0 if n_splits > 1 else 0.0
+    return partial, heads * m_pad * d * 2.0
+
+
 def split_kv_output(trace: OpTrace, heads: int, n_splits: int, m_pad: int, d: int) -> None:
     """Record a split-KV decode's output traffic: past one split, every block
-    writes its fp32 partial state (``d`` accumulators plus max and sum) and
-    a reduction kernel reads it back before the FP16 output is written."""
-    if n_splits > 1:
-        partial_bytes = heads * n_splits * m_pad * (d + 2.0) * 4.0
-        trace.gmem_write(partial_bytes)
-        trace.gmem_read(partial_bytes)  # reduction kernel
-    trace.gmem_write(heads * m_pad * d * 2.0)
+    writes its fp32 partial state and a reduction kernel reads it back
+    before the FP16 output is written (:func:`_split_kv_bytes`)."""
+    partial, output = _split_kv_bytes(heads, n_splits, m_pad, d)
+    if partial:
+        trace.gmem_write(partial)
+        trace.gmem_read(partial)  # reduction kernel
+    trace.gmem_write(output)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +240,15 @@ class PackingShape:
     count, which :meth:`at_splits` keeps per count.  A
     :class:`~repro.core.attention.BitDecoding` engine holds one shape per
     geometry class, so a pricing miss at a new length fills in only the
-    tiles, splits and bytes.
+    tiles, splits and bytes, and :meth:`class_times_ms` prices a whole
+    tile class of lengths in one array pass.
     """
 
     def __init__(self, geom: AttentionGeometry, config: BitDecodingConfig, arch: ArchSpec):
         self.config, self.arch = config, arch
         _, self.m_pad = gemm_m_dimension(geom.hq, geom.hkv, geom.q_len)
         self.heads = geom.batch * geom.hkv
+        self.head_dim = geom.head_dim
         #: Config properties the build reads on every miss.
         self.wn, self.bits_per_value = config.effective_wn, config.storage_bits_per_value
         self.instruction_path = config.instruction_path
@@ -269,6 +279,109 @@ class PackingShape:
         known = self._at_splits[n_splits] = occ, hide, ResourceRates(self.arch, occ)
         return known
 
+    def class_times_ms(self, packed_lens: np.ndarray) -> np.ndarray:
+        """Unpaged Packing-launch ms at each of ``packed_lens``: positive
+        int lengths of one tile class (equal ``ceil(len / tile_n)``).
+
+        The class shares its split count, so one :meth:`at_splits` entry
+        prices every length, and :func:`_packing_trace` plus
+        :func:`~repro.gpu.kernel.launch_times_ms` run the float operations
+        of :func:`build_packing_launch` then
+        :func:`~repro.gpu.kernel.simulate_kernel` elementwise, in the same
+        order: each value equals the scalar path's ``time_ms`` bit for bit.
+        """
+        tiles_per_head = -(-int(packed_lens[0]) // self.config.tile_n)
+        n_splits = max(1, min(self.split_target, tiles_per_head))
+        trace, _ = _packing_trace(self, packed_lens, n_splits, tiles_per_head, False, 64)
+        occ, hide, rates = self.at_splits(n_splits)
+        launches = 2 if n_splits > 1 else 1
+        return launch_times_ms(self.arch, trace, rates, occ, hide, self.instruction_path, launches)
+
+
+def _packing_trace(
+    shape: PackingShape,
+    packed_len,
+    n_splits: int,
+    tiles_per_head: int,
+    paged: bool,
+    page_size: int,
+) -> Tuple[OpTrace, Dict[str, OpTrace]]:
+    """The Packing launch's trace and subtraces over ``packed_len`` packed
+    tokens per head.
+
+    ``packed_len`` is an int, or an int array of lengths that share
+    ``tiles_per_head`` (and so ``n_splits``); every length-dependent count
+    is then an array with one element per length.  The counts are plain
+    arithmetic, so one formula serves both.  ``gmem_read`` and
+    ``smem_traffic`` check their argument in a way no array passes, so
+    their sums are written out here in the order they would accumulate
+    them (the softmax's cooperative shared-memory term, merged with
+    ``sm_ops``, before the staging traffic).
+    """
+    config, heads, m_pad, wn = shape.config, shape.heads, shape.m_pad, shape.wn
+    d, tile_n = shape.head_dim, config.tile_n
+    tiles = heads * tiles_per_head
+    fp4 = config.version == "fp4"
+
+    kv_values = heads * 2.0 * packed_len * d
+    packed_bytes = kv_values * shape.bits_per_value / 8.0
+    meta_bytes = _meta_bytes(heads, packed_len, d, config)
+    q_bytes = heads * n_splits * m_pad * d * 2.0  # Q per block
+    # Packed words (strided when paged) and the cp.async.ca metadata stream.
+    pattern = AccessPattern.STRIDED if paged else AccessPattern.COALESCED
+    read = packed_bytes + meta_bytes + q_bytes
+    read_eff = packed_bytes / pattern.efficiency + meta_bytes + q_bytes
+    if paged:
+        # Page-table entries: one 8-byte entry per page per block.
+        entries = heads * (packed_len / page_size) * 8.0
+        read, read_eff = read + entries, read_eff + entries / AccessPattern.SCATTERED.efficiency
+    # Split-KV output as split_kv_output records it: the partials are read
+    # back by the reduction kernel (adding 0.0 at one split changes nothing).
+    partial, output = _split_kv_bytes(heads, n_splits, m_pad, d)
+    read, read_eff, write = read + partial, read_eff + partial, partial + output
+    trace = OpTrace(
+        gmem_read_bytes=read,
+        gmem_write_bytes=write,
+        gmem_read_bytes_effective=read_eff,
+        gmem_write_bytes_effective=write,
+        # Tensor-core GEMMs: QK^T + PV with the M dimension padded to the tile.
+        tc_flops={"fp4" if fp4 else "fp16": heads * 2.0 * 2.0 * m_pad * packed_len * d},
+    )
+
+    if fp4:
+        dq_name, dq = "p_requant", p_requant_ops(heads * m_pad * packed_len)
+    else:
+        dq_name, dq = "dequant", dequant_ops(kv_values, config.bits, config.dequant_method)
+    sm_ops = softmax_ops(heads * m_pad * packed_len, m_pad * tiles, wn)
+    trace.merge(dq).merge(sm_ops)
+    rescale_accum_ops(m_pad * d * tiles, trace)
+    subtraces: Dict[str, OpTrace] = {dq_name: dq, "softmax": sm_ops}
+
+    # Shared-memory staging: packed tiles in (cp.async) + ldmatrix out; the
+    # cooperative softmax stages P through sAcc (write + ldmatrix back).
+    staging = 2.0 * packed_bytes + 2.0 * meta_bytes
+    if wn > 1 and config.use_coop_softmax:
+        staging = staging + 2.0 * m_pad * tile_n * 2.0 * tiles
+    if config.version == "v3":
+        # STSM stores dequantized FP16 tiles for wgmma_SS consumption.
+        staging = staging + 2.0 * (kv_values * 2.0)
+    conflict = 1.0 if config.use_layout_induction else 4.0
+    trace.smem_bytes = trace.smem_bytes + staging
+    trace.smem_bytes_effective = trace.smem_bytes_effective + staging * conflict
+
+    if not config.use_layout_induction:
+        # Continuous-packing baseline: explicit per-tile layout transform
+        # (unpack, permute through shared memory, repack) before the MMA.
+        transform = OpTrace(
+            alu_ops=2.0 * kv_values,
+            smem_bytes=2.0 * kv_values,
+            smem_bytes_effective=2.0 * kv_values * 4.0,
+        )
+        trace.merge(transform)
+        subtraces["layout_transform"] = transform
+    trace.barriers_per_block += 2.0 * -(-packed_len // (n_splits * tile_n))
+    return trace, subtraces
+
 
 def build_packing_launch(
     geom: AttentionGeometry,
@@ -294,67 +407,17 @@ def build_packing_launch(
         raise ValueError("packed_len must be positive")
     if shape is None:
         shape = PackingShape(geom, config, arch)
-    d, m_pad, heads, tile_n, wn = geom.head_dim, shape.m_pad, shape.heads, config.tile_n, shape.wn
-    tiles_per_head = math.ceil(packed_len / tile_n)
+    tiles_per_head = -(-packed_len // config.tile_n)
     if n_splits is None:
         n_splits = max(1, min(shape.split_target, tiles_per_head))
-    tiles = heads * tiles_per_head
-    fp4 = config.version == "fp4"
-
-    kv_values = heads * 2.0 * packed_len * d
-    packed_bytes = kv_values * shape.bits_per_value / 8.0
-    meta_bytes = _meta_bytes(heads, packed_len, d, config)
-
-    trace = OpTrace()
-    trace.gmem_read(packed_bytes, AccessPattern.STRIDED if paged else AccessPattern.COALESCED)
-    trace.gmem_read(meta_bytes)  # cp.async.ca fine-grained metadata stream
-    trace.gmem_read(heads * n_splits * m_pad * d * 2.0)  # Q per block
-    if paged:
-        # Page-table entries: one 8-byte entry per page per block.
-        trace.gmem_read(heads * (packed_len / page_size) * 8.0, AccessPattern.SCATTERED)
-    split_kv_output(trace, heads, n_splits, m_pad, d)
-
-    # Tensor-core GEMMs: QK^T + PV with the M dimension padded to the tile.
-    trace.tensor_core(heads * 2.0 * 2.0 * m_pad * packed_len * d, "fp4" if fp4 else "fp16")
-
-    if fp4:
-        dq_name, dq = "p_requant", p_requant_ops(heads * m_pad * packed_len)
-    else:
-        dq_name, dq = "dequant", dequant_ops(kv_values, config.bits, config.dequant_method)
-    sm_ops = softmax_ops(heads * m_pad * packed_len, m_pad * tiles, wn)
-    trace.merge(dq).merge(sm_ops)
-    rescale_accum_ops(m_pad * d * tiles, trace)
-    subtraces: Dict[str, OpTrace] = {dq_name: dq, "softmax": sm_ops}
-
-    # Shared-memory staging: packed tiles in (cp.async) + ldmatrix out; the
-    # cooperative softmax stages P through sAcc (write + ldmatrix back).
-    smem_traffic = 2.0 * packed_bytes + 2.0 * meta_bytes
-    if wn > 1 and config.use_coop_softmax:
-        smem_traffic += 2.0 * m_pad * tile_n * 2.0 * tiles
-    if config.version == "v3":
-        # STSM stores dequantized FP16 tiles for wgmma_SS consumption.
-        smem_traffic += 2.0 * (kv_values * 2.0)
-    conflict = 1.0 if config.use_layout_induction else 4.0
-    trace.smem_traffic(smem_traffic, conflict_factor=conflict)
-
-    if not config.use_layout_induction:
-        # Continuous-packing baseline: explicit per-tile layout transform
-        # (unpack, permute through shared memory, repack) before the MMA.
-        transform = OpTrace()
-        transform.alu_ops += 2.0 * kv_values
-        transform.smem_traffic(2.0 * kv_values, conflict_factor=4.0)
-        trace.merge(transform)
-        subtraces["layout_transform"] = transform
-
-    trace.barriers_per_block += 2.0 * math.ceil(packed_len / (n_splits * tile_n))
-
+    trace, subtraces = _packing_trace(shape, packed_len, n_splits, tiles_per_head, paged, page_size)
     occ, hide, rates = shape.at_splits(n_splits)
     # Positional, in field order: keyword matching twelve fields would cost
     # as much as the construction itself, once per pricing miss.
     return KernelLaunch(
         "packing_kernel",
         trace,
-        heads * n_splits,  # grid blocks
+        shape.heads * n_splits,  # grid blocks
         shape.warp_layout.warps_per_block,
         shape.smem_block,
         64,  # registers per thread

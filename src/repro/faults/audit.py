@@ -106,7 +106,8 @@ class InvariantAuditor:
 
     def check_ownership(self, where: str = "") -> None:
         """The full recount: every page's refcount equals the number of live
-        block tables mapping it, and no released sequence keeps pages."""
+        block tables mapping it, no released sequence keeps pages, and the
+        allocator's mismatch book (the per-step check's input) reads 0."""
         table, alloc = self.table, self.allocator
         released = set(table._free_ids)
         mapped: Counter = Counter()
@@ -125,6 +126,11 @@ class InvariantAuditor:
         orphaned = set(alloc._refs) - set(mapped)
         if orphaned:
             self._fail(f"pages {sorted(orphaned)} hold refs but no sequence maps them{where}")
+        if alloc.mismatched_pages:
+            self._fail(
+                f"allocator books {alloc.mismatched_pages} refcount/mapping mismatches "
+                f"the recount does not find{where}"
+            )
 
     def check_running(self, where: str = "") -> None:
         """The recount behind the running set's committed-pages and

@@ -18,8 +18,11 @@ penalty (SM80 code on Hopper/Blackwell) are added on top.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.gpu.arch import ArchSpec
 from repro.gpu.memory import achieved_dram_bw, l2_bw, smem_bw
@@ -120,7 +123,12 @@ def _path_efficiency(arch: ArchSpec, instruction_path: str) -> float:
     The paper reports a ~35% throughput penalty for running legacy SM80
     instruction sequences on Hopper (Sec. III-A); kernels built for the
     native path (``sm90`` wgmma/TMA, ``blackwell_fp4``) run at full speed.
+    Raises when ``arch`` cannot execute the path at all.
     """
+    if instruction_path == "sm90" and not arch.has_wgmma:
+        raise ValueError(f"{arch.name} cannot execute the sm90 (wgmma) path")
+    if instruction_path == "blackwell_fp4" and not arch.has_native_fp4:
+        raise ValueError(f"{arch.name} has no native FP4 tensor cores")
     if instruction_path == "sm80" and arch.is_at_least("hopper"):
         return arch.legacy_path_efficiency
     return 1.0
@@ -185,23 +193,46 @@ def _resource_times(trace: OpTrace, rates: ResourceRates) -> Dict[str, float]:
     }
 
 
-def _combine(times: Dict[str, float], hide_factor: float) -> float:
+def _combine(times: Dict[str, Any], hide_factor: float, maximum: Callable = max) -> Any:
+    """Overlap-combined execution time of the busy times in ``times``:
+    floats, or arrays with one element per launch (then pass
+    ``maximum=np.maximum``).
+
+    The sum runs strictly left to right in the resources' order, and the
+    peak is a chain of pairwise ``maximum``: the builtin ``sum`` compensates
+    its rounding from Python 3.12 on and ``np.add.reduce`` may pair terms,
+    either of which would let a scalar and an array pricing, or two Python
+    versions, disagree in the last bit.  All-zero times combine to 0.0.
+    """
     busy = times.values()
-    total = sum(busy)
-    if total <= 0:
-        return 0.0
-    peak = max(busy)
+    total = functools.reduce(operator.add, busy)
+    peak = functools.reduce(maximum, busy)
     return peak + (total - peak) * (1.0 - hide_factor)
+
+
+def _launch_seconds(
+    arch: ArchSpec,
+    trace: OpTrace,
+    occ: Occupancy,
+    times: Dict[str, Any],
+    hide: float,
+    path_eff: float,
+    launches: int,
+    maximum: Callable = max,
+) -> Tuple[Any, Any, Any]:
+    """``(total, launch, exec + barrier)`` seconds of a launch whose
+    resources are busy for ``times`` (floats or arrays, see :func:`_combine`)."""
+    exec_time = _combine(times, hide, maximum) / path_eff
+    # Barriers serialize within a block; blocks across the machine run them
+    # in parallel, so charge per-wave.
+    barrier_time = trace.barriers_per_block * BARRIER_CYCLES * arch.cycle_s * occ.waves
+    launch_time = launches * arch.kernel_launch_us * 1e-6
+    return launch_time + exec_time + barrier_time, launch_time, exec_time + barrier_time
 
 
 def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
     """Simulate one kernel launch on ``arch`` and return timing + breakdown."""
-    path = launch.instruction_path
-    if path == "sm90" and not arch.has_wgmma:
-        raise ValueError(f"{arch.name} cannot execute the sm90 (wgmma) path")
-    if path == "blackwell_fp4" and not arch.has_native_fp4:
-        raise ValueError(f"{arch.name} has no native FP4 tensor cores")
-
+    path_eff = _path_efficiency(arch, launch.instruction_path)
     occ, rates = launch.occupancy, launch.rates
     if occ is None:
         occ = occupancy(
@@ -213,16 +244,11 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
         )
     if rates is None:
         rates = ResourceRates(arch, occ)
-    path_eff = _path_efficiency(arch, path)
     hide, trace = launch.hide_factor, launch.trace
     times = _resource_times(trace, rates)
-    exec_time = _combine(times, hide) / path_eff
-
-    # Barriers serialize within a block; blocks across the machine run them
-    # in parallel, so charge per-wave.
-    barrier_time = trace.barriers_per_block * BARRIER_CYCLES * arch.cycle_s * occ.waves
-    launch_time = launch.launches * arch.kernel_launch_us * 1e-6
-    total = launch_time + exec_time + barrier_time
+    total, launch_time, busy_time = _launch_seconds(
+        arch, trace, occ, times, hide, path_eff, launch.launches
+    )
 
     # Bound now, evaluated on read: a caller editing the launch afterwards
     # cannot change this result.
@@ -238,9 +264,49 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
     # subtraces): a pricing miss builds one, and keyword matching would
     # cost as much as the rest of the construction.
     return KernelResult(
-        launch.name, total, launch_time, exec_time + barrier_time, times, occ, arch.name,
+        launch.name, total, launch_time, busy_time, times, occ, arch.name,
         subtrace_times,
     )
+
+
+def launch_times_ms(
+    arch: ArchSpec,
+    trace: OpTrace,
+    rates: ResourceRates,
+    occ: Occupancy,
+    hide: float,
+    instruction_path: str,
+    launches: int,
+) -> np.ndarray:
+    """:func:`simulate_kernel`'s ``time_ms`` for a trace whose counts are
+    arrays, one launch per element, all at one occupancy.
+
+    The divisions are :func:`_resource_times`' without its zero guards
+    (counts are never negative and rates are positive, so a zero count
+    divides to the 0.0 a guard returns); the rest is the scalar path's
+    :func:`_launch_seconds`.  So each element equals that launch's scalar
+    ``time_ms`` bit for bit.
+    """
+    path_eff = _path_efficiency(arch, instruction_path)
+    gmem = trace.total_gmem_bytes_effective
+    if rates.dram <= 0 and np.any(gmem > 0):
+        raise ValueError("cannot move bytes with zero in-flight warps")
+    tc_time = 0.0
+    for precision, flops in trace.tc_flops.items():
+        if np.any(flops > 0):
+            tc_time = tc_time + flops / rates.tensor_core(precision)
+    times = {
+        "dram": gmem / rates.dram,
+        "l2": trace.l2_bytes / rates.l2,
+        "smem": trace.smem_bytes_effective / rates.smem,
+        "tensor_core": tc_time,
+        "fma": trace.fma_flops / rates.fma,
+        "alu": (trace.alu_ops + trace.shfl_ops) / rates.alu,
+        "cvt": trace.cvt_ops / rates.cvt,
+        "sfu": trace.sfu_ops / rates.sfu,
+    }
+    total, _, _ = _launch_seconds(arch, trace, occ, times, hide, path_eff, launches, np.maximum)
+    return total * 1e3
 
 
 def remember(memo: Dict[Hashable, float], key: Hashable, value: float) -> float:
@@ -250,6 +316,16 @@ def remember(memo: Dict[Hashable, float], key: Hashable, value: float) -> float:
         memo.clear()
     memo[key] = value
     return value
+
+
+def remember_many(
+    memo: Dict[Hashable, float], keys: Iterable[Hashable], values: List[float]
+) -> None:
+    """Store ``values`` under ``keys``; a memo that would pass
+    :data:`LATENCY_MEMO_CAP` entries is cleared first."""
+    if len(memo) + len(values) > LATENCY_MEMO_CAP:
+        memo.clear()
+    memo.update(zip(keys, values))
 
 
 def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
@@ -271,9 +347,11 @@ def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
     A hit still hashes a dataclass and sorts the kwargs (a few
     microseconds), so BitDecoding keeps two more memos.  The engine's step
     pricing asks :meth:`~repro.core.attention.BitDecoding.group_memo` first,
-    which answers a repeated ``(batch, seq_len)`` with one int-pair lookup.
-    And a miss here simulates only the launch that reads ``seq_len``: the
-    residual launch, which does not, is memoized apart.
+    which answers a repeated ``(batch, seq_len)`` with one int-pair lookup
+    and, on a miss, is filled for the length's whole tile class in one
+    array pass without coming here.  A miss here simulates only the launch
+    that reads ``seq_len``: the residual launch, which does not, is
+    memoized apart.
     """
 
     @functools.wraps(method)

@@ -27,7 +27,6 @@ from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.core.config import AttentionGeometry
 from repro.gpu.arch import ArchSpec
-from repro.gpu.kernel import remember
 from repro.model.config import ModelConfig
 
 #: Non-attention kernels per layer (norms, GEMM launches) after CUDA-graph
@@ -110,22 +109,28 @@ def _grouped_attention_ms(
     concurrently, so the step pays one rank's (smaller) attention time.
 
     A system with a ``group_memo(model, tp)`` (BitDecoding) answers a group
-    it has priced before with one int-pair lookup; any other system is
-    asked for every group (the throwaway ``{}`` never hits: the engine's
-    groups within one step have distinct lengths).
+    it has priced before with one int-pair lookup, and on a miss its
+    ``fill_group_class`` prices every length of the group's tile class in
+    one array pass: the engine's lengths grow one token per step, so the
+    neighbours are the next steps' groups.  Any other system is asked
+    ``decode_time_ms`` for every group.
     """
     if decode_groups is None:
         decode_groups = ((batch, seq_len),)
     elif sum(b for b, _ in decode_groups) != batch:
         raise ValueError("decode_groups batches must sum to the step's decode batch")
     group_memo = getattr(attention, "group_memo", None)
-    memo = {} if group_memo is None else group_memo(model, tp)
     attn_ms = 0.0
+    if group_memo is None:
+        for group in decode_groups:
+            geom = model.attention_geometry(*group, tp=tp)
+            attn_ms += model.n_layers * attention.decode_time_ms(geom)
+        return attn_ms
+    memo = group_memo(model, tp)
     for group in decode_groups:
         group_ms = memo.get(group)
         if group_ms is None:
-            geom = model.attention_geometry(*group, tp=tp)
-            group_ms = remember(memo, group, model.n_layers * attention.decode_time_ms(geom))
+            group_ms = attention.fill_group_class(model, tp, *group)
         attn_ms += group_ms
     return attn_ms
 

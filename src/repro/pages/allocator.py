@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Dict, List, Mapping
+from typing import Dict, Iterable, List, Mapping
 
 
 class OutOfPagesError(RuntimeError):
@@ -73,6 +73,11 @@ class PageAllocator:
         self._cached: "OrderedDict[int, None]" = OrderedDict()
         self._policies: List[EvictionPolicy] = []
         self.evictions = 0
+        #: ``{page: block tables mapping it}`` as booked by :meth:`map` /
+        #: :meth:`unmap`, and the number of pages whose refcount differs
+        #: from it, kept exact at every change to either.
+        self._mapped: Dict[int, int] = {}
+        self.mismatched_pages = 0
 
     # ------------------------------------------------------------- policies
 
@@ -106,6 +111,38 @@ class PageAllocator:
         :meth:`refcount` once per page."""
         return MappingProxyType(self._refs)
 
+    @property
+    def mapped(self) -> Mapping[int, int]:
+        """Read-only live view of ``{page: block tables mapping it}`` over
+        exactly the mapped pages: equal to :attr:`refcounts` whenever no
+        reference is held outside a block table."""
+        return MappingProxyType(self._mapped)
+
+    def map(self, pages: Iterable[int]) -> None:
+        """Book one more block-table mapping of each of ``pages``."""
+        mapped, refs, mismatched = self._mapped, self._refs, self.mismatched_pages
+        for page in pages:
+            old, ref = mapped.get(page, 0), refs.get(page, 0)
+            mapped[page] = old + 1
+            mismatched += (old + 1 != ref) - (old != ref)
+        self.mismatched_pages = mismatched
+
+    def unmap(self, pages: Iterable[int]) -> None:
+        """Book one mapping fewer of each of ``pages``."""
+        mapped, refs, mismatched = self._mapped, self._refs, self.mismatched_pages
+        for page in pages:
+            old, ref = mapped[page], refs.get(page, 0)
+            if old > 1:
+                mapped[page] = old - 1
+            else:
+                del mapped[page]
+            mismatched += (old - 1 != ref) - (old != ref)
+        self.mismatched_pages = mismatched
+
+    def _refcount_changed(self, page: int, old: int, new: int) -> None:
+        mapped = self._mapped.get(page, 0)
+        self.mismatched_pages += (new != mapped) - (old != mapped)
+
     def is_cached(self, page: int) -> bool:
         """True for a refcount-0 page parked in the reclaimable LRU pool."""
         return page in self._cached
@@ -133,6 +170,7 @@ class PageAllocator:
         else:
             raise OutOfPagesError(f"all {self.n_pages} pages in use; cannot grow the KV cache")
         self._refs[page] = 1
+        self._refcount_changed(page, 0, 1)
         return page
 
     def allocate_many(self, count: int) -> List[int]:
@@ -150,12 +188,15 @@ class PageAllocator:
         pool — acquiring a parked page resurrects it without touching its
         content, which is exactly the prefix-cache hit path.
         """
-        if page in self._refs:
-            self._refs[page] += 1
+        refs = self._refs.get(page)
+        if refs is not None:
+            self._refs[page] = refs + 1
+            self._refcount_changed(page, refs, refs + 1)
             return
         if page in self._cached:
             del self._cached[page]
             self._refs[page] = 1
+            self._refcount_changed(page, 0, 1)
             return
         raise ValueError(f"page {page} is not allocated or cached")
 
@@ -164,6 +205,7 @@ class PageAllocator:
         refs = self._refs.get(page)
         if refs is None:
             raise ValueError(f"page {page} is not allocated")
+        self._refcount_changed(page, refs, refs - 1)
         if refs > 1:
             self._refs[page] = refs - 1
             return

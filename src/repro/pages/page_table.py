@@ -6,14 +6,16 @@ last mapping drops.  Mutation of a shared page goes through
 :meth:`PageTable.ensure_exclusive` — copy-on-write at page granularity.
 
 Only the table's own mutators change a block table, and each one keeps
-three books as it goes: how many block tables map each page, the total
-number of mappings, and the ids of the live sequences.  A whole-pool
-check then compares books instead of walking every block table.
+three books as it goes: the total number of mappings, the ids of the live
+sequences, and, in the allocator (:meth:`PageAllocator.map
+<repro.pages.allocator.PageAllocator.map>`), how many block tables map
+each page, which lets the allocator know at every refcount or mapping
+change how many pages' refcounts differ from their mapping counts.  A
+whole-pool check then reads books instead of walking every block table.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Dict, Iterable, KeysView, List, Mapping, Optional, Sequence, Tuple
 
 from repro.pages.allocator import PageAllocator
@@ -59,7 +61,6 @@ class PageTable:
         self.page_size = page_size
         self.sequences: List[PagedSequence] = []
         self._free_ids: List[int] = []
-        self._mapped: Dict[int, int] = {}
         self._live: Dict[int, None] = {}
         #: Block-table entries over every live sequence (a page mapped by
         #: ``n`` sequences counts ``n`` times).
@@ -67,10 +68,9 @@ class PageTable:
 
     @property
     def mapped(self) -> Mapping[int, int]:
-        """Read-only live view of ``{page: block tables mapping it}`` over
-        exactly the mapped pages: equal to the allocator's ``refcounts``
-        whenever no reference is held outside a block table."""
-        return MappingProxyType(self._mapped)
+        """Read-only live view of ``{page: block tables mapping it}``, the
+        allocator's :attr:`~repro.pages.allocator.PageAllocator.mapped`."""
+        return self.allocator.mapped
 
     @property
     def live_ids(self) -> KeysView[int]:
@@ -78,21 +78,13 @@ class PageTable:
         not yet released (compares equal to a set of the same ids)."""
         return self._live.keys()
 
-    def _map(self, pages: Iterable[int]) -> None:
-        mapped = self._mapped
-        for page in pages:
-            mapped[page] = mapped.get(page, 0) + 1
-            self.mapped_total += 1
+    def _map(self, pages: Sequence[int]) -> None:
+        self.allocator.map(pages)
+        self.mapped_total += len(pages)
 
-    def _unmap(self, pages: Iterable[int]) -> None:
-        mapped = self._mapped
-        for page in pages:
-            count = mapped[page] - 1
-            if count:
-                mapped[page] = count
-            else:
-                del mapped[page]
-            self.mapped_total -= 1
+    def _unmap(self, pages: Sequence[int]) -> None:
+        self.allocator.unmap(pages)
+        self.mapped_total -= len(pages)
 
     def pages_for(self, tokens: int) -> int:
         """Pages a context of ``tokens`` tokens occupies."""

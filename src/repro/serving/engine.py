@@ -891,25 +891,28 @@ class ContinuousBatchingEngine:
         list + cached LRU pool) must cover the pool.  The residents are the
         running set's resident-id book (its size checked against the
         running and swapped lists, which catches a sequence dropped behind
-        the book's back) and the mapping counts are the books
-        :class:`~repro.pages.page_table.PageTable` keeps at its mutators,
-        so the check costs two comparisons of live views and builds
-        nothing; the walks behind the books stay in
-        :class:`~repro.faults.audit.InvariantAuditor` and run at
-        :meth:`finish`.  The instantaneous sharing saving (mappings minus
-        distinct pages) feeds the report's effective-capacity peak.
+        the book's back), and the refcount check reads the allocator's
+        count of pages whose refcount differs from their mapping count,
+        which the allocator keeps at its own mutators and at the mapping
+        changes :class:`~repro.pages.page_table.PageTable` books there
+        (exact per page, so two errors cannot cancel).  The check costs
+        one comparison of live views and builds nothing; the walks behind
+        the books stay in :class:`~repro.faults.audit.InvariantAuditor`
+        and run at :meth:`finish`.  The instantaneous sharing saving
+        (mappings minus distinct pages) feeds the report's
+        effective-capacity peak.
         """
         table, alloc = self.table, self.allocator
         book = self.running.resident_ids
-        mapped, refs = table.mapped, alloc.refcounts
         used, free = alloc.used_pages, alloc.free_pages
         live = table.live_ids
         if (
             len(book) != len(self._running) + len(self._swapped)
             or live != book
-            or mapped != refs
+            or alloc.mismatched_pages
             or used + free != self.n_pages
         ):
+            mapped, refs = table.mapped, alloc.refcounts
             residents = {lc.seq_id for lc in chain(self._running, self._swapped)}
             residents.discard(None)
             bad_refs = sorted(
@@ -925,7 +928,7 @@ class ContinuousBatchingEngine:
                 f"not live: {sorted(residents - live)}"
                 + ("" if book == residents else f"; resident-id book: {sorted(book)}")
             )
-        saving = table.mapped_total - len(mapped)
+        saving = table.mapped_total - len(table.mapped)
         self.report.shared_pages_peak = max(self.report.shared_pages_peak, saving)
 
     # -------------------------------------------------------------------- run

@@ -101,6 +101,14 @@ class TestOwnershipChecks:
         with pytest.raises(InvariantViolation, match="released sequence"):
             InvariantAuditor(alloc, table).audit()
 
+    def test_mismatch_book_that_drifts_from_the_recount_caught(self):
+        alloc, table, _ = _system()
+        table.add_sequence(4)
+        assert alloc.mismatched_pages == 0
+        alloc.mismatched_pages += 1  # a mutator that booked a change it never made
+        with pytest.raises(InvariantViolation, match="mismatches the recount"):
+            InvariantAuditor(alloc, table).audit()
+
     def test_orphaned_refs_caught(self):
         alloc, table, _ = _system()
         alloc.allocate()  # a ref'd page no sequence maps

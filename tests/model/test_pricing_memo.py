@@ -1,13 +1,14 @@
-"""Step pricing costs O(new shapes) — shown by counting, never by a clock.
+"""Step pricing costs O(new tile classes) — shown by counting, never by a clock.
 
 The engine prices every ragged decode group of every step.  A
 ``(group_batch, group_seq_len)`` priced before is one lookup in
-``BitDecoding.group_memo``; a new one calls ``decode_time_ms`` once, which
-simulates one Packing launch for the shape.  The Residual launch never
-reads ``seq_len``, so it is simulated once per residual class (here: per
-distinct group batch, since heads, ``res_len`` and ``flush`` are fixed).
-A run priced through a shim that builds a cold attention system per call
-must produce the same report, field for field.
+``BitDecoding.group_memo``; a new one fills the memo for every length of
+its tile class (equal ``ceil((L - res_len) / tile_n)``) in one array pass,
+so the engine path builds no Packing launch at all.  The Residual launch
+never reads ``seq_len``, so it is simulated once per residual class (here:
+per distinct group batch, since heads, ``res_len`` and ``flush`` are
+fixed).  A run priced through a shim that builds a cold attention system
+per call must produce the same report, field for field.
 """
 
 import dataclasses
@@ -82,17 +83,33 @@ def _priced_shapes(grouped_calls):
     return shapes
 
 
-def _packing_and_residual(simulated):
-    """Split the recorded ``simulate_kernel(arch, launch)`` calls by kernel."""
+def _kernel_names(simulated):
+    """The kernel name of each recorded ``simulate_kernel(arch, launch)`` call."""
     names = [launch.name for _arch, launch in simulated]
     assert set(names) <= {"packing_kernel", "residual_kernel"}
-    return names.count("packing_kernel"), names.count("residual_kernel")
+    return names
 
 
-def test_simulations_equal_the_distinct_shapes_and_residual_classes(monkeypatch):
-    simulated = _count_calls(monkeypatch, attention_module, "simulate_kernel")
-    grouped = _count_calls(monkeypatch, inference, "_grouped_attention_ms")
-    launched = _count_calls(monkeypatch, BitDecoding, "decode_time_ms")
+def _tile_classes(shapes):
+    """Distinct ``(group_batch, tile class)`` pairs over priced shapes."""
+    res_len, tile_n = KERNEL_CONFIG.residual_block_size // 2, KERNEL_CONFIG.tile_n
+    return {(batch, -(-(seq_len - res_len) // tile_n)) for batch, seq_len in shapes}
+
+
+def _spy_on_pricing(monkeypatch):
+    """Spies on every way a shape gets priced: ``(simulated, grouped,
+    launched, built, filled)`` argument lists."""
+    return (
+        _count_calls(monkeypatch, attention_module, "simulate_kernel"),
+        _count_calls(monkeypatch, inference, "_grouped_attention_ms"),
+        _count_calls(monkeypatch, BitDecoding, "decode_time_ms"),
+        _count_calls(monkeypatch, attention_module, "build_packing_launch"),
+        _count_calls(monkeypatch, BitDecoding, "fill_group_class"),
+    )
+
+
+def test_fills_equal_the_distinct_tile_classes_and_residual_classes(monkeypatch):
+    simulated, grouped, launched, built, filled = _spy_on_pricing(monkeypatch)
     engine = ContinuousBatchingEngine(_config(BitDecoding(KERNEL_CONFIG, A100)), _trace())
     report = engine.run()
     assert report.completed == 24
@@ -100,26 +117,28 @@ def test_simulations_equal_the_distinct_shapes_and_residual_classes(monkeypatch)
     shapes = _priced_shapes(grouped)
     priced_groups = sum(len(call[4]) for call in grouped)
     assert all(seq_len > KERNEL_CONFIG.residual_block_size for _, seq_len in shapes)
-    assert len(launched) == len(shapes)  # a repeated group never reaches decode_time_ms
-    packing, residual = _packing_and_residual(simulated)
-    assert packing == len(shapes)
-    assert residual == len({batch for batch, _ in shapes})
+    assert built == [] and launched == []  # the engine path builds no Packing launch
+    assert len(filled) == len(_tile_classes(shapes))
+    assert _kernel_names(simulated) == ["residual_kernel"] * len({b for b, _ in shapes})
     assert priced_groups > len(shapes)  # the trace really does repeat shapes
-    assert len(shapes) > residual  # ... and lengths within one batch class
+    assert len(shapes) > len(filled)  # ... and one fill covers several priced lengths
+    assert len(filled) > len({b for b, _ in shapes})  # ... of more than one class per batch
 
 
 def test_replicas_share_the_configs_kernel_and_its_memos(monkeypatch):
-    simulated = _count_calls(monkeypatch, attention_module, "simulate_kernel")
-    grouped = _count_calls(monkeypatch, inference, "_grouped_attention_ms")
+    simulated, grouped, launched, built, filled = _spy_on_pricing(monkeypatch)
     kernel = BitDecoding(KERNEL_CONFIG, A100)
     router = Router(_config(kernel, tp=2, n_gpus=2), _trace(), replicas=2, policy="prefix_affinity")
     report = router.run()
     assert report.completed == 24
     assert all(e.backend.attention_system is kernel for e in router.engines)
     shapes = _priced_shapes(grouped)
-    packing, residual = _packing_and_residual(simulated)
-    assert packing == len(shapes) == len(kernel._latency_memo)
-    assert len(kernel.group_memo(LLAMA31_8B, 2)) == len(shapes)
+    assert built == [] and launched == []
+    assert len(filled) == len(_tile_classes(shapes))
+    memo = kernel.group_memo(LLAMA31_8B, 2)
+    assert shapes <= memo.keys()
+    assert len(memo) == len(filled) * KERNEL_CONFIG.tile_n
+    residual = _kernel_names(simulated).count("residual_kernel")
     assert residual == len(kernel._residual_memo) == len({batch for batch, _ in shapes})
 
 

@@ -3,9 +3,10 @@
 Each test runs a real engine and, inside one chosen scheduler step, breaks
 the books the way a defective mutator would: a sequence the scheduler
 dropped but the table still maps, an allocator reference nothing maps, a
-mapping whose reference was dropped, and a copy-on-write that skips its
-release.  The step's conservation check must raise ``AssertionError`` in
-that same step, before the next one starts.
+mapping whose reference was dropped, a copy-on-write that skips its
+release, and two reference errors whose sums cancel.  The step's
+conservation check must raise ``AssertionError`` in that same step, before
+the next one starts.
 """
 
 import pytest
@@ -134,6 +135,29 @@ class TestConservationCatchesFaults:
             assert copied_from == page != fresh
 
         assert run_with_fault(engine, leaky_cow) == INJECT_AT
+
+    def test_two_refcount_errors_that_cancel_in_every_sum(self):
+        """A leaked acquire on one page and a stray release on another keep
+        the refcount total, the used count and the free count: only a
+        per-page comparison sees them."""
+        engine = make_engine(shared_trace(), prefix_cache=True)
+
+        def move_a_reference(engine):
+            alloc = engine.allocator
+            pages = resident_pages(engine)
+            shared = next(page for page in pages if alloc.refcount(page) == 2)
+            private = next(page for page in pages if alloc.refcount(page) == 1)
+
+            def totals():
+                return sum(alloc.refcounts.values()), alloc.used_pages, alloc.free_pages
+
+            before = totals()
+            alloc.acquire(private)
+            alloc.release(shared)
+            assert totals() == before
+            assert sum(engine.table.mapped.values()) == engine.table.mapped_total == before[0]
+
+        assert run_with_fault(engine, move_a_reference) == INJECT_AT
 
     def test_a_copy_on_write_that_releases_is_conserved(self):
         """The same copy-on-write with its release intact keeps the books."""
