@@ -346,6 +346,8 @@ def _packing_trace(
         gmem_write_bytes_effective=write,
         # Tensor-core GEMMs: QK^T + PV with the M dimension padded to the tile.
         tc_flops={"fp4" if fp4 else "fp16": heads * 2.0 * 2.0 * m_pad * packed_len * d},
+        # Two __syncthreads per tile a block walks (no subtrace adds any).
+        barriers_per_block=2.0 * -(-packed_len // (n_splits * tile_n)),
     )
 
     if fp4:
@@ -379,7 +381,6 @@ def _packing_trace(
         )
         trace.merge(transform)
         subtraces["layout_transform"] = transform
-    trace.barriers_per_block += 2.0 * -(-packed_len // (n_splits * tile_n))
     return trace, subtraces
 
 

@@ -13,11 +13,13 @@ later when a sequence reads someone else's pages:
   test that no recycled, live or parked id lies beyond the cursor): its
   cost follows the pages a run touched, not the pool size.
 - **running set** — the engine's running total of the pages its running
-  set is committed to, and its decode-ready list, equal the recount and
-  the filter over that set.
+  set is committed to, its decode-ready and prefilling lists and the ids
+  it holds in the page table equal the recount and the filters over
+  that set.
 - **ownership** — a page's refcount equals the number of live sequences
-  mapping it in the block tables, and no released sequence retains
-  pages.
+  mapping it in the block tables, no released sequence retains pages,
+  and the table's count of ids live but not held (or held but not live)
+  equals the recount.
 - **tier bijection** — ``frame_of`` and ``page_at`` are inverse
   permutations, and the device LRU tracks only device-resident pages.
 
@@ -106,8 +108,9 @@ class InvariantAuditor:
 
     def check_ownership(self, where: str = "") -> None:
         """The full recount: every page's refcount equals the number of live
-        block tables mapping it, no released sequence keeps pages, and the
-        allocator's mismatch book (the per-step check's input) reads 0."""
+        block tables mapping it, no released sequence keeps pages, the
+        allocator's mismatch book (the per-step check's input) reads 0, and
+        the table's unmatched-id count equals the ids it recounts."""
         table, alloc = self.table, self.allocator
         released = set(table._free_ids)
         mapped: Counter = Counter()
@@ -131,10 +134,16 @@ class InvariantAuditor:
                 f"allocator books {alloc.mismatched_pages} refcount/mapping mismatches "
                 f"the recount does not find{where}"
             )
+        unmatched = len(set(table.live_ids) ^ set(table.held_ids))
+        if table.unmatched_ids != unmatched:
+            self._fail(
+                f"table books {table.unmatched_ids} unmatched sequence ids, the "
+                f"recount finds {unmatched}{where}"
+            )
 
     def check_running(self, where: str = "") -> None:
-        """The recount behind the running set's committed-pages and
-        decode-ready books."""
+        """The recount behind the running set's committed-pages,
+        decode-ready, prefilling and resident-id books."""
         wrong = self.running.check()
         if wrong is not None:
             self._fail(f"{wrong}{where}")

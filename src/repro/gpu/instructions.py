@@ -56,11 +56,11 @@ def dequant_ops(n_values: float, bits: int, method: str = "lop3") -> OpTrace:
     if bits not in table:
         raise ValueError(f"unsupported dequant bit width {bits}")
     cost = table[bits]
-    trace = OpTrace()
-    trace.alu_ops += cost["alu"] * n_values
-    trace.fma_flops += cost["fma"] * n_values
-    trace.cvt_ops += cost["cvt"] * n_values
-    return trace
+    return OpTrace(
+        alu_ops=cost["alu"] * n_values,
+        fma_flops=cost["fma"] * n_values,
+        cvt_ops=cost["cvt"] * n_values,
+    )
 
 
 def quant_pack_ops(n_values: float, bits: int, group_size: int) -> OpTrace:
@@ -96,11 +96,12 @@ def softmax_ops(n_scores: float, n_rows: float, coop_warps: int = 1) -> OpTrace:
     ``coop_warps`` the number of warps participating in the cross-warp
     reduction of Algorithm 1 (adds ``shfl`` + shared-memory round trips).
     """
-    trace = OpTrace()
-    trace.alu_ops += 1.0 * n_scores  # running-max compares
-    trace.sfu_ops += 1.0 * n_scores  # exp
-    trace.fma_flops += 3.0 * n_scores  # subtract max, scale, accumulate
-    trace.shfl_ops += 5.0 * n_rows  # intra-warp rowmax butterfly
+    trace = OpTrace(
+        alu_ops=1.0 * n_scores,  # running-max compares
+        sfu_ops=1.0 * n_scores,  # exp
+        fma_flops=3.0 * n_scores,  # subtract max, scale, accumulate
+        shfl_ops=5.0 * n_rows,  # intra-warp rowmax butterfly
+    )
     if coop_warps > 1:
         # Inter-warp reduction via the sTMP buffer: one float per warp per
         # row written + read back (Algorithm 1, line 2).
@@ -116,10 +117,7 @@ def p_requant_ops(n_values: float) -> OpTrace:
     the second MMA (Sec. III-B, Challenge 2).  Cost: rowmax reuse plus one
     FMA + round/pack per value.
     """
-    trace = OpTrace()
-    trace.fma_flops += 2.0 * n_values
-    trace.alu_ops += 1.0 * n_values
-    return trace
+    return OpTrace(fma_flops=2.0 * n_values, alu_ops=1.0 * n_values)
 
 
 def rescale_accum_ops(n_values: float, trace: OpTrace) -> OpTrace:

@@ -23,6 +23,7 @@ The attention-system protocol is duck-typed: anything with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.core.config import AttentionGeometry
@@ -117,7 +118,7 @@ def _grouped_attention_ms(
     """
     if decode_groups is None:
         decode_groups = ((batch, seq_len),)
-    elif sum(b for b, _ in decode_groups) != batch:
+    elif sum(map(itemgetter(0), decode_groups)) != batch:
         raise ValueError("decode_groups batches must sum to the step's decode batch")
     group_memo = getattr(attention, "group_memo", None)
     attn_ms = 0.0

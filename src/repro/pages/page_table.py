@@ -10,8 +10,10 @@ three books as it goes: the total number of mappings, the ids of the live
 sequences, and, in the allocator (:meth:`PageAllocator.map
 <repro.pages.allocator.PageAllocator.map>`), how many block tables map
 each page, which lets the allocator know at every refcount or mapping
-change how many pages' refcounts differ from their mapping counts.  A
-whole-pool check then reads books instead of walking every block table.
+change how many pages' refcounts differ from their mapping counts.  The
+table also keeps the ids a scheduler holds resident (:meth:`PageTable.hold`)
+and how many ids are live without a holder or held without being live.
+A whole-pool check then reads books instead of walking every block table.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class PageTable:
         self.sequences: List[PagedSequence] = []
         self._free_ids: List[int] = []
         self._live: Dict[int, None] = {}
+        self._held: Dict[int, None] = {}
+        #: Ids in exactly one of :attr:`live_ids` and :attr:`held_ids`: 0
+        #: whenever the holder and the table agree on who is resident.
+        self.unmatched_ids = 0
         #: Block-table entries over every live sequence (a page mapped by
         #: ``n`` sequences counts ``n`` times).
         self.mapped_total = 0
@@ -77,6 +83,25 @@ class PageTable:
         """Read-only live view of the ids of the sequences registered and
         not yet released (compares equal to a set of the same ids)."""
         return self._live.keys()
+
+    @property
+    def held_ids(self) -> KeysView[int]:
+        """Read-only live view of the ids a holder declared resident with
+        :meth:`hold` and has not :meth:`unhold`-ed."""
+        return self._held.keys()
+
+    def hold(self, seq_id: int) -> None:
+        """Book ``seq_id`` as held resident by the table's holder (the
+        engine's running set); holding a held id is a no-op."""
+        if seq_id not in self._held:
+            self._held[seq_id] = None
+            self.unmatched_ids += -1 if seq_id in self._live else 1
+
+    def unhold(self, seq_id: int) -> None:
+        """Book ``seq_id`` as no longer held; a no-op for an unheld id."""
+        if seq_id in self._held:
+            del self._held[seq_id]
+            self.unmatched_ids += 1 if seq_id in self._live else -1
 
     def _map(self, pages: Sequence[int]) -> None:
         self.allocator.map(pages)
@@ -136,6 +161,7 @@ class PageTable:
             self.sequences.append(seq)
         self._map(seq.pages)
         self._live[seq_id] = None
+        self.unmatched_ids += -1 if seq_id in self._held else 1
         return seq_id
 
     def append_token(self, seq_id: int) -> None:
@@ -146,6 +172,28 @@ class PageTable:
             seq._pages += (page,)
             self._map((page,))
         seq.length += 1
+
+    def append_within_pages(self, seq_ids: Sequence[int]) -> List[int]:
+        """Grow by one token each of ``seq_ids`` that has room in its last
+        page (a decode step's growth in one pass), and return the positions
+        of the others in list order.
+
+        Those sit at a page boundary and are left untouched: the caller
+        grows each with :meth:`extend_sequence` in turn, so their page ids
+        go out in list order.  The pass takes no page, so it cannot run the
+        pool dry.  A released id (no pages, length 0) is at a boundary, and
+        its :meth:`extend_sequence` raises.
+        """
+        sequences, page_size = self.sequences, self.page_size
+        boundary: List[int] = []
+        for at, seq_id in enumerate(seq_ids):
+            seq = sequences[seq_id]
+            length = seq.length
+            if not length % page_size and seq.needs_page():
+                boundary.append(at)
+            else:
+                seq.length = length + 1
+        return boundary
 
     def extend_sequence(self, seq_id: int, n_tokens: int) -> None:
         """Grow a sequence by ``n_tokens`` (one prefill chunk) atomically.
@@ -218,6 +266,7 @@ class PageTable:
         seq.length = 0
         self._free_ids.append(seq_id)
         del self._live[seq_id]
+        self.unmatched_ids += 1 if seq_id in self._held else -1
 
     def total_tokens(self) -> int:
         return sum(seq.length for seq in self.sequences)

@@ -747,21 +747,24 @@ class ContinuousBatchingEngine:
     def _advance_prefills(self) -> List[Tuple[int, int]]:
         """Spend this step's token budget on in-flight prefills (FCFS).
 
-        Returns the ``(context_len, chunk_tokens)`` descriptors of the
-        chunks written, which is exactly what the mixed-step latency model
-        prices.  A chunk whose sequence is later evicted in the same step
-        stays in the list: the work was done before the eviction, and
-        recompute discipline pays for wasted work.
+        Walks the running set's ``prefilling`` book, the sequences not yet
+        decode-ready in running order, so a step whose residents all
+        decode reads no sequence here.  Returns the ``(context_len,
+        chunk_tokens)`` descriptors of the chunks written, which is
+        exactly what the mixed-step latency model prices.  A chunk whose
+        sequence is later evicted in the same step stays in the list: the
+        work was done before the eviction, and recompute discipline pays
+        for wasted work.
         """
         budget = self.config.prefill_chunk_tokens
         chunks: List[Tuple[int, int]] = []
         if budget is None:
             return chunks  # whole-prompt admission already prefilled everything
-        for lc in list(self._running):
+        for lc in list(self.running.prefilling):
             if budget <= 0:
                 break
-            if lc.seq_id is None or lc.prefill_done:
-                continue
+            if lc.seq_id is None:
+                continue  # evicted by an earlier chunk's extension
             take = min(budget, lc.prefill_target - lc.prefilled)
             if not self._extend(lc, take):
                 continue
@@ -782,31 +785,71 @@ class ContinuousBatchingEngine:
             self.swap.end_chunk_reads()
         return chunks
 
-    def _emit_tokens(self, decoders: Sequence[RequestLifecycle]) -> None:
-        """Credit one generated token to each decoder at the current clock."""
-        report = self.report
+    def _grow_decoders(
+        self, ready: Sequence[RequestLifecycle]
+    ) -> Tuple[List[RequestLifecycle], List[RequestLifecycle]]:
+        """Reserve every still-resident decoder's next token, in decode order.
+
+        One :meth:`PageTable.append_within_pages
+        <repro.pages.page_table.PageTable.append_within_pages>` pass gives
+        every decoder with room in its last page its token.  The rest sit
+        at a page boundary and each takes its page through :meth:`_extend`
+        in decode order, evicting the youngest resident when the pool runs
+        dry.  Only they touch the pool, so page ids and evictions come out
+        as growing the decoders one at a time gave them, and an evicted
+        decoder's release resets its length.  Returns the decoders that
+        grew and are still resident, and those of them that took a page,
+        both in decode order.
+        """
+        decoders = [lc for lc in ready if lc.seq_id is not None]
+        boundary = self.table.append_within_pages([lc.seq_id for lc in decoders])
+        if not boundary:
+            return decoders, []
+        crossers = [decoders[at] for at in boundary]
+        for lc in crossers:
+            if lc.seq_id is not None:
+                self._extend(lc, 1)
+        return (
+            [lc for lc in decoders if lc.seq_id is not None],
+            [lc for lc in crossers if lc.seq_id is not None],
+        )
+
+    def _emit_tokens(self, decoders: Sequence[RequestLifecycle], crossed: int) -> None:
+        """Credit one generated token to each decoder at the current clock.
+
+        The running set books the tokens and the ``crossed`` decoders that
+        took a page in one :meth:`RunningSet.advance
+        <repro.serving.request.RunningSet.advance>` call, and the report
+        adds the step's tokens once.  The pass over the decoders then only
+        stamps times and appends the TTFT, TBT and latency samples in
+        decode order; it calls out only for a decoder that finishes.
+        """
+        report, clock = self.report, self._clock
+        self.running.advance(decoders, crossed)
+        report.total_generated_tokens += len(decoders)
+        ttft, tbt = report.ttft_samples, report.tbt_samples
         for lc in decoders:
-            if lc.seq_id is None:
-                continue
-            self.running.grow(lc)
-            report.total_generated_tokens += 1
             if lc.first_token_s is None:
-                lc.first_token_s = self._clock
-                report.ttft_samples.append(self._clock - lc.request.arrival_s)
+                lc.first_token_s = clock
+                ttft.append(clock - lc.request.arrival_s)
             else:
-                report.tbt_samples.append(self._clock - lc.last_token_s)
-            lc.last_token_s = self._clock
+                tbt.append(clock - lc.last_token_s)
+            lc.last_token_s = clock
             if lc.generated >= lc.request.output_len:
                 if self._runner is not None:
                     self._runner.on_finish(lc)
                 self.running.leave(lc)
                 self.table.release_sequence(lc.seq_id)
                 lc.seq_id = None
-                lc.finish_s = self._clock
-                report.latency_samples.append(self._clock - lc.request.arrival_s)
+                lc.finish_s = clock
+                report.latency_samples.append(clock - lc.request.arrival_s)
 
-    def _decode_group_shapes(self, lcs) -> List[Tuple[int, int]]:
-        """Shape groups ``(group_batch, group_seq_len)`` of one decode step.
+    @staticmethod
+    def _decode_group_shapes(
+        decoders: Sequence[RequestLifecycle],
+    ) -> Tuple[List[Tuple[int, int]], int]:
+        """Shape groups ``(group_batch, group_seq_len)`` of one decode step,
+        in first-occurrence order, and the step's longest ``seq_len``.
 
         Sequences at equal context length are priced as one batched
         kernel launch instead of ``batch`` independent batch-1 launches,
@@ -814,32 +857,38 @@ class ContinuousBatchingEngine:
         everyone-at-max.  Execution groups more coarsely (the runner runs
         every decoder in one forward and the paged backend groups reads
         by ``n_blocks``); pricing keeps the context-length key so the
-        modeled clock is unchanged.
+        modeled clock is unchanged.  Reads each decoder's ``context_len``
+        once.
         """
-        groups: Dict[int, int] = {}
-        for lc in lcs:
-            length = lc.context_len + 1
-            groups[length] = groups.get(length, 0) + 1
-        return [(count, length) for length, count in groups.items()]
+        lengths: Dict[int, int] = {}
+        get = lengths.get
+        for lc in decoders:
+            length = lc.context_len
+            lengths[length] = get(length, 0) + 1
+        groups = [(n, length + 1) for length, n in lengths.items()]
+        return groups, max(lengths, default=-1) + 1
 
     def _step(self) -> None:
         """One scheduler step: prefill chunks + decode tokens together.
 
         Whole-prompt runs take this path with an empty chunk list (their
         prefill was charged at admission), which prices exactly like a
-        pure decode step.  Sequences whose prefill completes this step
-        start decoding on the *next* step, mirroring whole-prompt
-        admission where the first output token comes from the first
-        decode step after prefill.
+        pure decode step.  The decode-ready snapshot is taken before the
+        chunks, so sequences whose prefill completes this step start
+        decoding on the *next* step, mirroring whole-prompt admission
+        where the first output token comes from the first decode step
+        after prefill.  Past the chunks, each decoder is read in a few
+        whole-batch passes: one page-table pass grows those with room in
+        their last page and only page crossers extend one by one
+        (:meth:`_grow_decoders`), one reads their context lengths into
+        the priced shape groups (:meth:`_decode_group_shapes`), and one
+        emits their tokens (:meth:`_emit_tokens`).  The tier walk and the
+        heal run between the growth and the numerics.
         """
         cfg = self.config
-        decode_ready = list(self.running.ready)  # prefills finishing now decode next step
+        ready = list(self.running.ready)  # prefills finishing now decode next step
         chunks = self._advance_prefills()
-        for lc in decode_ready:
-            if lc.seq_id is None:
-                continue  # preempted by a prefill extension or earlier grow
-            self._extend(lc, 1)
-        decoders = [lc for lc in decode_ready if lc.seq_id is not None]
+        decoders, crossers = self._grow_decoders(ready)
         if not chunks and not decoders:
             return
         if self.swap is not None:
@@ -848,6 +897,7 @@ class ContinuousBatchingEngine:
             # the numerics read anything: the victims leave the batch.
             self._heal_bad_pages()
             decoders = [lc for lc in decoders if lc.seq_id is not None]
+            crossers = [lc for lc in crossers if lc.seq_id is not None]
             if not chunks and not decoders:
                 # Every decoder healed away.  The retry stalls and wasted
                 # transfers still advance the clock.
@@ -855,17 +905,16 @@ class ContinuousBatchingEngine:
                 return
         if self._runner is not None:
             self._runner.decode_batch(decoders)
-        batch = len(decoders)
-        seq_len = max((lc.context_len + 1 for lc in decoders), default=0)
+        decode_groups, seq_len = self._decode_group_shapes(decoders)
         step_s = (
             self.backend.mixed_step_ms(
                 cfg.model,
                 cfg.arch,
-                batch,
+                len(decoders),
                 seq_len,
                 chunks,
                 cfg.n_gpus,
-                decode_groups=self._decode_group_shapes(decoders),
+                decode_groups=decode_groups,
                 tp=cfg.tp,
             )
             * 1e-3
@@ -879,7 +928,7 @@ class ContinuousBatchingEngine:
         if chunks and decoders:
             report.mixed_steps += 1
         report.peak_resident_batch = max(report.peak_resident_batch, len(self._running))
-        self._emit_tokens(decoders)
+        self._emit_tokens(decoders, len(crossers))
 
     def _assert_conservation(self) -> None:
         """Pages held by resident sequences must equal the allocator's books.
@@ -889,30 +938,30 @@ class ContinuousBatchingEngine:
         must be exactly the residents, every page's refcount must equal the
         number of block tables mapping it, and used + reclaimable (free
         list + cached LRU pool) must cover the pool.  The residents are the
-        running set's resident-id book (its size checked against the
-        running and swapped lists, which catches a sequence dropped behind
-        the book's back), and the refcount check reads the allocator's
-        count of pages whose refcount differs from their mapping count,
-        which the allocator keeps at its own mutators and at the mapping
-        changes :class:`~repro.pages.page_table.PageTable` books there
-        (exact per page, so two errors cannot cancel).  The check costs
-        one comparison of live views and builds nothing; the walks behind
-        the books stay in :class:`~repro.faults.audit.InvariantAuditor`
-        and run at :meth:`finish`.  The instantaneous sharing saving
-        (mappings minus distinct pages) feeds the report's
-        effective-capacity peak.
+        ids the running set holds in the table (their number checked
+        against the running and swapped lists, which catches a sequence
+        dropped behind the books' back), and the table counts the ids that
+        are live but not held or held but not live.  The refcount check
+        reads the allocator's count of pages whose refcount differs from
+        their mapping count, which the allocator keeps at its own mutators
+        and at the mapping changes :class:`~repro.pages.page_table.PageTable`
+        books there (exact per page and per id, so two errors cannot
+        cancel).  The check reads four counters and builds nothing; the
+        walks behind the books stay in
+        :class:`~repro.faults.audit.InvariantAuditor` and run at
+        :meth:`finish`.  The instantaneous sharing saving (mappings minus
+        distinct pages) feeds the report's effective-capacity peak.
         """
         table, alloc = self.table, self.allocator
-        book = self.running.resident_ids
+        book = table.held_ids
         used, free = alloc.used_pages, alloc.free_pages
-        live = table.live_ids
         if (
             len(book) != len(self._running) + len(self._swapped)
-            or live != book
+            or table.unmatched_ids
             or alloc.mismatched_pages
             or used + free != self.n_pages
         ):
-            mapped, refs = table.mapped, alloc.refcounts
+            mapped, refs, live = table.mapped, alloc.refcounts, table.live_ids
             residents = {lc.seq_id for lc in chain(self._running, self._swapped)}
             residents.discard(None)
             bad_refs = sorted(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Deque, Hashable, Iterator, List, Optional, Set
+from typing import Deque, Hashable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -193,75 +193,76 @@ class RunningSet:
     resumes one by popping it and calling :meth:`join`).  Every other
     change of membership goes through :meth:`join`, :meth:`leave` and
     :meth:`drop_parked`, a finished prefill through :meth:`prefilled` and
-    a generated token through :meth:`grow`, so
+    a step's generated tokens through :meth:`advance`, so
 
     - ``committed_pages`` always equals
       ``sum(pages_for(lc.context_len) for lc in seqs)``, the budget
       chunked admission gates on,
     - ``ready`` always equals ``[lc for lc in seqs if lc.prefill_done]``,
       the decode order a step prices its groups in, and
-    - ``resident_ids`` always equals the seq ids of ``seqs`` and
-      ``parked``, the sequences the page table must hold live.
+    - ``prefilling`` always equals the rest of ``seqs``, in running
+      order: the in-flight prefills a step spends its chunk budget on.
 
-    Each costs O(1) per step instead of a walk over the running set.  The
-    recount (:meth:`check`) runs in
-    :class:`~repro.faults.audit.InvariantAuditor` and once at ``finish()``.
+    The seq ids of ``seqs`` and ``parked`` are the sequences the page
+    table must hold live; membership changes book them in the table
+    (:meth:`PageTable.hold <repro.pages.page_table.PageTable.hold>`), which
+    counts the ids the two sides disagree on.  Each book costs O(1) per
+    step instead of a walk over the running set.  The recount
+    (:meth:`check`) runs in :class:`~repro.faults.audit.InvariantAuditor`
+    and once at ``finish()``.
     """
 
     def __init__(self, table):
         self.seqs: List[RequestLifecycle] = []
         self.ready: List[RequestLifecycle] = []
+        self.prefilling: List[RequestLifecycle] = []
         self.parked: Deque[RequestLifecycle] = deque()
         self.committed_pages = 0
-        self.resident_ids: Set[int] = set()
         self._table = table
 
     def join(self, lc: RequestLifecycle) -> None:
         """Add ``lc`` (mapped in the page table), fresh or popped from
         ``parked``."""
         self.seqs.append(lc)
-        if lc.prefill_done:
-            self.ready.append(lc)
+        (self.ready if lc.prefill_done else self.prefilling).append(lc)
         self.committed_pages += self._table.pages_for(lc.context_len)
-        self.resident_ids.add(lc.seq_id)
+        self._table.hold(lc.seq_id)
 
     def leave(self, lc: RequestLifecycle, parked: bool = False) -> None:
         """Take ``lc`` out, while it is still mapped; with ``parked`` it
         joins ``parked`` and stays resident.  Raises ``ValueError`` (books
         untouched) when it is not running."""
         self.seqs.remove(lc)
-        if lc in self.ready:
-            self.ready.remove(lc)
+        (self.ready if lc.prefill_done else self.prefilling).remove(lc)
         self.committed_pages -= self._table.pages_for(lc.context_len)
         if parked:
             self.parked.append(lc)
         else:
-            self.resident_ids.discard(lc.seq_id)
+            self._table.unhold(lc.seq_id)
 
     def drop_parked(self, lc: RequestLifecycle) -> None:
         """Take parked ``lc`` out of the residents, while it is still
         mapped; raises ``ValueError`` (books untouched) when it is not
         parked."""
         self.parked.remove(lc)
-        self.resident_ids.discard(lc.seq_id)
+        self._table.unhold(lc.seq_id)
 
     def prefilled(self, lc: RequestLifecycle) -> None:
-        """``lc`` (running) just finished its prefill: it joins ``ready`` at
-        its place in running order."""
-        ready, at = self.ready, 0
-        for other in self.seqs:
-            if other is lc:
-                break
-            if at < len(ready) and ready[at] is other:
-                at += 1
-        ready.insert(at, lc)
+        """``lc`` (running) just finished its prefill: it moves from
+        ``prefilling`` to ``ready``, at its place in running order.  The two
+        books split ``seqs`` in order, so the running sequences before
+        ``lc`` that are not prefilling are the ready ones it goes after."""
+        before = self.prefilling.index(lc)
+        del self.prefilling[before]
+        self.ready.insert(self.seqs.index(lc) - before, lc)
 
-    def grow(self, lc: RequestLifecycle) -> None:
-        """``lc`` (running) gains one generated token; its commitment grows
-        by a page when the old context filled its last page exactly."""
-        if lc.context_len % self._table.page_size == 0:
-            self.committed_pages += 1
-        lc.generated += 1
+    def advance(self, decoders: Sequence[RequestLifecycle], crossed: int) -> None:
+        """Each of ``decoders`` (running) gains one generated token;
+        ``crossed`` of them had filled their last page exactly, so the
+        commitment grows by that many pages."""
+        for lc in decoders:
+            lc.generated += 1
+        self.committed_pages += crossed
 
     def check(self) -> Optional[str]:
         """What the recount finds wrong with the books, or None."""
@@ -271,16 +272,19 @@ class RunningSet:
                 f"committed-pages book says {self.committed_pages}, the running set "
                 f"recounts {recount}"
             )
-        ready = [lc for lc in self.seqs if lc.prefill_done]
-        if ready != self.ready:
-            return (
-                f"decode-ready book holds requests {[lc.request.req_id for lc in self.ready]}, "
-                f"the running set filters to {[lc.request.req_id for lc in ready]}"
-            )
+        for name, book, recount in (
+            ("decode-ready", self.ready, [lc for lc in self.seqs if lc.prefill_done]),
+            ("prefilling", self.prefilling, [lc for lc in self.seqs if not lc.prefill_done]),
+        ):
+            if book != recount:
+                return (
+                    f"{name} book holds requests {[lc.request.req_id for lc in book]}, "
+                    f"the running set filters to {[lc.request.req_id for lc in recount]}"
+                )
         residents = {lc.seq_id for lc in chain(self.seqs, self.parked)}
-        if residents != self.resident_ids:
+        if residents != self._table.held_ids:
             return (
-                f"resident-id book holds sequences {sorted(self.resident_ids)}, the "
+                f"resident-id book holds sequences {sorted(self._table.held_ids)}, the "
                 f"running and parked sets hold {sorted(residents)}"
             )
         return None

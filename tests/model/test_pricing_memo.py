@@ -13,6 +13,8 @@ per call must produce the same report, field for field.
 
 import dataclasses
 
+import pytest
+
 import repro.core.attention as attention_module
 import repro.model.inference as inference
 from repro.cluster import Router
@@ -162,3 +164,16 @@ def test_cluster_report_equals_uncached_pricing():
     _assert_equal_field_for_field(memoized, uncached)
     for ours, theirs in zip(memoized.per_replica, uncached.per_replica):
         _assert_equal_field_for_field(ours, theirs)
+
+
+def test_a_group_list_that_does_not_partition_the_batch_is_rejected():
+    """Memoized or not, the groups' batches must sum to the step's batch,
+    and a rejected call fills no memo entry."""
+    kernel = BitDecoding(KERNEL_CONFIG, A100)
+    for attention in (kernel, FreshKernelPerCall()):
+        for groups in ([(2, 4096)], [(2, 4096), (2, 4100)], []):
+            with pytest.raises(ValueError, match="must sum to the step's decode batch"):
+                inference.decode_step_ms(
+                    LLAMA31_8B, A100, attention, 3, 4100, decode_groups=groups
+                )
+    assert not kernel.group_memo(LLAMA31_8B, 1)

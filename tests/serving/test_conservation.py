@@ -2,7 +2,8 @@
 
 Each test runs a real engine and, inside one chosen scheduler step, breaks
 the books the way a defective mutator would: a sequence the scheduler
-dropped but the table still maps, an allocator reference nothing maps, a
+dropped but the table still maps, a resident the table released while it
+registered a stray sequence, an allocator reference nothing maps, a
 mapping whose reference was dropped, a copy-on-write that skips its
 release, and two reference errors whose sums cancel.  The step's
 conservation check must raise ``AssertionError`` in that same step, before
@@ -82,15 +83,29 @@ class TestConservationCatchesFaults:
 
         assert run_with_fault(make_engine(shared_trace()), forget) == INJECT_AT
 
+    def test_a_swapped_id_between_table_and_running_set(self):
+        """The table drops a resident's sequence and registers a stray one:
+        both id sets keep their size, so only the exact count of ids on
+        one side but not the other sees it."""
+
+        def swap_an_id(engine):
+            table = engine.table
+            stray = table.add_sequence(0)
+            table.release_sequence(engine._running[0].seq_id)
+            assert len(table.live_ids) == len(table.held_ids)
+            assert stray not in table.held_ids
+
+        assert run_with_fault(make_engine(shared_trace()), swap_an_id) == INJECT_AT
+
     def test_a_finish_that_skips_its_release(self):
         engine = make_engine([Request(0, 0.0, 128, 3), Request(1, 0.0, 128, 40)])
         emit, finished_at = engine._emit_tokens, []
 
-        def leaky_emit(decoders):
+        def leaky_emit(*args):
             release = engine.table.release_sequence
             engine.table.release_sequence = lambda seq_id: None
             try:
-                emit(decoders)
+                emit(*args)
             finally:
                 engine.table.release_sequence = release
             if engine.lifecycles[0].finished and not finished_at:

@@ -2,10 +2,11 @@
 
 :class:`~repro.serving.request.RunningSet` keeps the pages the running
 set's contexts are committed to as a running total, its decode-ready
-members as a list in running order, and the seq ids of its running and
-swap-parked members as a set.  Every membership change, finished
-prefill and generated token updates them, so chunked admission's gate and
-a step's decode filter cost O(1) instead of a walk over the resident
+and its still-prefilling members as two lists in running order, and the
+seq ids of its running and swap-parked members as ids it holds in the
+page table.  Every membership change, finished prefill and generated
+token updates them, so chunked admission's gate, a step's decode filter
+and its prefill walk cost O(1) instead of a walk over the resident
 batch.  The property below runs the configuration space (chunk size, page
 size, prefix cache, recompute or swap preemption, faults, deadlines,
 tight pools) and recounts the books after every scheduler step; the
@@ -153,9 +154,16 @@ class TestRecount:
         with pytest.raises(InvariantViolation, match="decode-ready book"):
             InvariantAuditor(engine.allocator, running=engine.running).audit()
 
+    def test_auditor_names_a_drifted_prefilling_book(self):
+        engine = self._running_engine()
+        assert engine.running.prefilling
+        engine.running.prefilling.clear()
+        with pytest.raises(InvariantViolation, match=r"prefilling book holds requests \[\]"):
+            InvariantAuditor(engine.allocator, running=engine.running).audit()
+
     def test_auditor_names_a_stale_resident_id(self):
         engine = self._running_engine()
-        engine.running.resident_ids.add(10 ** 6)
+        engine.table.hold(10 ** 6)
         with pytest.raises(InvariantViolation, match="resident-id book holds"):
             InvariantAuditor(engine.allocator, running=engine.running).audit()
 
@@ -164,7 +172,7 @@ class TestRecount:
         the lists: a book that lost a running sequence's id fails it."""
         engine = self._running_engine()
         lost = engine._running[0].seq_id
-        engine.running.resident_ids.discard(lost)
+        engine.table.unhold(lost)
         with pytest.raises(AssertionError, match=rf"resident-id book: (?!.*\b{lost}\b)"):
             engine._assert_conservation()
 
