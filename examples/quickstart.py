@@ -10,6 +10,7 @@ Blackwell micro-scaling format).  Also prints the simulated kernel timing
 on an A100 for a realistic long-context geometry.
 
 Run:  python examples/quickstart.py
+(exits 1 if either format's paged decode differs from the contiguous one)
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.core.attention import BitDecoding, BitKVCache
 from repro.core.softmax import reference_attention
 
 
-def main() -> None:
+def main() -> int:
     rng = np.random.default_rng(0)
     batch, hkv, hq, seq_len, head_dim = 1, 8, 32, 1000, 128
 
@@ -83,25 +84,27 @@ def main() -> None:
         )
     print(f"after {nr} appends: {seq.n_blocks * nr} packed tokens")
 
-    # 6. Paged storage changes where blocks live, not the numerics: under
-    #    exact_tiled numerics, paged decode is bit-identical to
-    #    BitDecoding.decode over the contiguous BitKVCache — for the
-    #    integer path on an A100 and for MXFP4 on a Blackwell device.
+    # 6. Paged storage changes where blocks live, not the numerics: paged
+    #    decode is bit-identical to BitDecoding.decode over the contiguous
+    #    BitKVCache — for the integer path on an A100 and for MXFP4 on a
+    #    Blackwell device.
     short_k, short_v = k[:, :, :300], v[:, :, :300]
+    all_identical = True
     for fmt, arch in (
         (dict(bits=4, granularity="channel"), "a100"),
         (dict(version="fp4", fp4_format="mxfp4"), "rtx5090"),
     ):
-        exact = BitDecodingConfig(numerics_mode="exact_tiled", **fmt)
-        engine = BitDecoding(exact, get_arch(arch))
+        fmt_config = BitDecodingConfig(**fmt)
+        engine = BitDecoding(fmt_config, get_arch(arch))
         paged = PagedBitBackend(engine, n_pages=16)
         handle = paged.new_handle(batch, hkv, head_dim)
         paged.prefill(None, (short_k, short_v), handle)
-        contiguous = BitKVCache.from_prefill(short_k, short_v, exact)
+        contiguous = BitKVCache.from_prefill(short_k, short_v, fmt_config)
         identical = np.array_equal(
             paged.decode_step(q, handle), engine.decode(q, contiguous)
         )
-        print(f"{exact.short_name}: paged vs contiguous decode bit-identical: {identical}")
+        all_identical = all_identical and identical
+        print(f"{fmt_config.short_name}: paged vs contiguous decode bit-identical: {identical}")
 
     # 7. Simulated decode latency at a realistic long-context geometry.
     geom = AttentionGeometry(batch=1, hq=32, hkv=8, seq_len=131072, head_dim=128)
@@ -112,7 +115,8 @@ def main() -> None:
             f"(bound by {result.bound_by})"
         )
     print(f"decode attention total: {engine.decode_time_ms(geom):.4f} ms @ 128K on A100")
+    return 0 if all_identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -23,10 +23,10 @@ Storage is bit-identical to the contiguous cache, in every format
 (integer and MXFP4/NVFP4): blocks are produced by the same
 :func:`~repro.core.residual_kernel.flush_blocks`, stored as whatever
 per-block tensors it returns, and read back through the same
-:class:`~repro.core.residual_kernel.BlockBatch` dequant, so a paged decode
-and a contiguous decode of the same tokens agree exactly under
-``numerics_mode="exact_tiled"`` (the parity suite in ``tests/attn``
-enforces it).
+:class:`~repro.core.residual_kernel.BlockBatch` dequant, and decode runs
+the same walk over them, so a paged decode and a contiguous decode of the
+same tokens agree bit for bit (the parity suite in ``tests/attn``
+enforces it for every format).
 """
 
 from __future__ import annotations

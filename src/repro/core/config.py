@@ -12,14 +12,6 @@ MMA_PN = 8
 #: Kernel instruction-path versions (paper Sec. V-D / Fig. 9).
 KERNEL_VERSIONS = ("v2", "v3", "fp4")
 
-#: Numerics modes of the decode tile walk (see ``run_numeric``):
-#: ``fused`` computes one batched QK^T over every tile and a two-pass
-#: softmax (fast; BLAS summation order differs from the per-tile online
-#: update, so it is tolerance-equal, not bit-equal); ``exact_tiled`` walks
-#: ``tile_n`` tiles through the online softmax exactly as the seed
-#: implementation did and stays bit-identical to it.
-NUMERICS_MODES = ("fused", "exact_tiled")
-
 
 @dataclass(frozen=True)
 class AttentionGeometry:
@@ -72,11 +64,6 @@ class BitDecodingConfig:
     - ``use_pipeline`` — off serializes load / dequant / MMA phases.
     - ``use_coop_softmax`` — off skips the cross-warp max reduction
       (Algorithm 1); with ``Wn > 1`` this produces *incorrect results*.
-
-    ``numerics_mode`` selects the decode tile walk: ``fused`` (default)
-    runs one batched QK^T + two-pass softmax over every tile at once;
-    ``exact_tiled`` retains the seed per-tile online softmax and stays
-    bit-identical to it (see :data:`NUMERICS_MODES`).
     """
 
     bits: int = 4
@@ -90,7 +77,6 @@ class BitDecodingConfig:
     version: str = "v2"
     dequant_method: str = "lop3"
     fp4_format: str = "mxfp4"
-    numerics_mode: str = "fused"
     use_layout_induction: bool = True
     use_warp_parallel: bool = True
     use_pipeline: bool = True
@@ -103,10 +89,6 @@ class BitDecodingConfig:
             raise ValueError(f"unsupported bit width {self.bits}")
         if self.dequant_method not in ("lop3", "cvt"):
             raise ValueError("dequant_method must be 'lop3' or 'cvt'")
-        if self.numerics_mode not in NUMERICS_MODES:
-            raise ValueError(
-                f"numerics_mode must be one of {NUMERICS_MODES}, got {self.numerics_mode!r}"
-            )
         if self.tile_n <= 0 or self.wn <= 0 or self.wm <= 0:
             raise ValueError("tile_n / wn / wm must be positive")
 

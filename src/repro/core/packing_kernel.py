@@ -40,15 +40,16 @@ from repro.gpu.warp import WarpLayout, combined_hide_factor
 #: Target resident blocks per SM when choosing the split-KV factor.
 _SPLIT_TARGET_BLOCKS_PER_SM = 2
 
-#: Documented tolerance of the ``fused`` numerics mode vs ``exact_tiled``,
-#: as max |fused - tiled| / max(1, max |tiled|) per decode output.  Both
-#: modes quantize the same probabilities (the FP4 path re-quantizes P
+#: Documented tolerance of the fused decode walk (:func:`_run_fused`) vs
+#: the seed per-tile online softmax kept in ``tests/reference_cache.py``,
+#: as max |fused - seed| / max(1, max |seed|) per decode output.  Both
+#: walks quantize the same probabilities (the FP4 path re-quantizes P
 #: against the per-tile running maximum in either), so they differ only by
 #: fp32 summation order: measured <= ~2e-6 on the integer paths and
 #: <= ~2e-7 on MXFP4 over a sweep of bits {1, 2, 4, 8}, both granularities
 #: and both FP4 formats.  ``tests/core/test_vectorized_cache.py`` enforces
-#: it as the dual-mode contract and pins the cases that once broke a
-#: looser FP4 bound.  One value per key; the e2e benchmark reads ``"int"``.
+#: it and pins the cases that once broke a looser FP4 bound.  One value
+#: per key; the e2e benchmark reads ``"int"``.
 FUSED_NUMERICS_TOLERANCE = {"int": 1e-5, "fp4": 1e-5}
 
 
@@ -112,29 +113,25 @@ def run_numeric(
     passes ``[batch, hkv, ...]`` tensors so the whole decode batch walks
     each tile in one numpy update, with no per-head Python loop.
 
-    Two numerics modes (``config.numerics_mode``):
+    Every cooperative config (``use_coop_softmax`` or ``Wn == 1``) and
+    every FP4 config takes :func:`_run_fused`: one batched QK^T over the
+    entire packed range and a two-pass softmax, with no Python tile loop.
+    The cooperative softmax (Algorithm 1) makes the tile walk equal to one
+    softmax over the row, so tile boundaries change only the fp32
+    summation order.  Only the deliberately broken non-cooperative
+    integer ablation (``Wn > 1`` with ``use_coop_softmax=False``, Table
+    III) depends on them — each warp's wrong local maximum lives inside a
+    tile — so it walks ``tile_n``-wide tiles through
+    :func:`~repro.core.softmax.tile_softmax_split`.  On the Blackwell
+    native path the fused walk re-quantizes the probability tile to FP4
+    before the PV product; that update never reads the cooperative flag,
+    so FP4 has the one walk.
 
-    - ``fused`` (default): one batched QK^T over the entire packed range
-      followed by a two-pass softmax — no Python tile loop at all.  Fusing
-      changes BLAS summation order, so the result is *tolerance*-equal to
-      the tiled walk, not bit-equal (see
-      ``tests/core/test_vectorized_cache.py`` for the dual-mode contract).
-    - ``exact_tiled``: walks the same ``tile_n``-wide tiles as the GPU
-      kernel through the online softmax, bit-identical to the seed
-      implementation.
-
-    Both modes compute QK^T through :func:`~repro.core.softmax.qk_scores`,
+    Both walks compute QK^T through :func:`~repro.core.softmax.qk_scores`,
     which runs the GEMM as ``K @ Q^T`` — the KV axis on BLAS's M, the grouped
     query rows on N — and copies the scores back to C-contiguous
     ``(..., M, L)``.  The scores are bitwise those of ``Q @ K^T``; the
     orientation only stops a tiny M from underfilling the host GEMM.
-
-    The deliberately non-cooperative softmax ablation (``Wn > 1`` with
-    ``use_coop_softmax=False``) is tile-structured by definition — each
-    warp's wrong local maximum lives inside a tile — so it always takes
-    the tiled walk regardless of mode.  On the Blackwell native path the
-    probability tile is re-quantized to FP4 before the PV product,
-    reproducing that path's extra numeric error in both modes.
     """
     q_grouped = np.asarray(q_grouped, dtype=np.float32)
     k_hat = np.asarray(k_hat, dtype=np.float32)
@@ -142,23 +139,19 @@ def run_numeric(
     if scale is None:
         scale = 1.0 / math.sqrt(q_grouped.shape[-1])
 
-    coop = config.use_coop_softmax or config.effective_wn == 1
-    if config.numerics_mode == "fused" and coop:
+    wn = config.effective_wn
+    if config.use_coop_softmax or wn == 1 or config.version == "fp4":
         return _run_fused(q_grouped, k_hat, v_hat, config, scale)
 
     state = OnlineSoftmaxState.fresh(
         q_grouped.shape[-2], v_hat.shape[-1], leading=q_grouped.shape[:-2]
     )
     seq_len = k_hat.shape[-2]
-    wn = config.effective_wn
     for t0 in range(0, seq_len, config.tile_n):
         t1 = min(t0 + config.tile_n, seq_len)
         s = qk_scores(q_grouped, k_hat[..., t0:t1, :], scale)
         s, v_tile = pad_tail(s, v_hat[..., t0:t1, :], wn)
-        if config.version == "fp4":
-            state_update_fp4(state, s, v_tile, config)
-        else:
-            tile_softmax_split(state, s, v_tile, wn, cooperative=config.use_coop_softmax)
+        tile_softmax_split(state, s, v_tile, wn, cooperative=False)
     return state
 
 
@@ -178,12 +171,13 @@ def _run_fused(
     BLAS path — and so every output bit — is unchanged.
 
     On the FP4 path ``P`` is re-quantized before the PV product exactly
-    as the tiled walk quantizes it: against the running maximum up to
-    each ``tile_n``-wide tile (``np.maximum.accumulate`` over the tiles'
-    maxima), so every micro-scaling block sees the same probabilities.
-    Each tile is then rescaled by ``exp(m_run - m_final)`` — the
-    correction the tiled walk applies step by step — and one PV GEMM
-    follows, so fused and tiled FP4 differ only in summation order.  The
+    as a per-tile online walk quantizes it: against the running maximum
+    up to each ``tile_n``-wide tile (``np.maximum.accumulate`` over the
+    tiles' maxima), so every micro-scaling block sees the same
+    probabilities.  Each tile is then rescaled by ``exp(m_run - m_final)``
+    — the correction the online walk applies step by step — and one PV
+    GEMM follows, so this and the seed per-tile walk
+    (``tests/reference_cache.py``) differ only in summation order.  The
     tail tile is padded with ``-inf`` scores and zero value rows.
     """
     s = qk_scores(q_grouped, k_hat, scale)
@@ -199,30 +193,6 @@ def _run_fused(
     correction = np.exp(m_run - np.where(np.isfinite(m), m, 0.0)[..., None])  # 0 at -inf
     p_q = (p_q * correction[..., None]).reshape(s.shape)
     return OnlineSoftmaxState(m=m, l=p_q.sum(axis=-1), acc=p_q @ np.asarray(v_hat, np.float32))
-
-
-def state_update_fp4(
-    state: OnlineSoftmaxState,
-    scores: np.ndarray,
-    values: np.ndarray,
-    config: BitDecodingConfig,
-) -> None:
-    """Tile update on the Blackwell native-FP4 path.
-
-    ``P = exp(S - m)`` is quantized to the micro-scaling FP4 format before
-    the second MMA (``O = Quant(P) V``, Sec. III-B Challenge 2); values are
-    already FP4-representable.  P rows lie in [0, 1], so a block of 16/32
-    probabilities shares one scale.
-    """
-    scores = np.asarray(scores, dtype=np.float32)
-    tile_max = scores.max(axis=-1)
-    m_new = np.maximum(state.m, tile_max)
-    correction = np.where(np.isfinite(state.m), np.exp(state.m - m_new), 0.0)
-    p = np.exp(scores - m_new[..., None])
-    p_q, _ = quantize_fp4(p, config.fp4_format, axis=-1)
-    state.l = state.l * correction + p_q.sum(axis=-1)
-    state.acc = state.acc * correction[..., None] + p_q @ np.asarray(values, np.float32)
-    state.m = m_new
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,9 @@ class ContinuousBatchingEngine:
             disk_pages=config.disk_pages,
             faults_enabled=config.faults is not None,
         )
-        #: The running set and its committed-pages book; ``_running`` is its
-        #: list, read-only here (membership changes through ``running``).
+        #: The running set (``seqs``), the swapped set (``parked``) and their
+        #: books; membership changes only through its methods.
         self.running = RunningSet(self.table)
-        self._running: List[RequestLifecycle] = self.running.seqs
         self.swap: Optional[SwapPreemption] = (
             SwapPreemption(config, self.table, self.running, self.report)
             if config.tiered
@@ -374,9 +373,6 @@ class ContinuousBatchingEngine:
         #: the wait queue as the clock passes them.
         self._pending: Deque[RequestLifecycle] = deque(self.lifecycles)
         self._queue: Deque[RequestLifecycle] = deque()
-        #: The swapped set: the running set's parked deque, which the swap
-        #: owner fills and drains (always empty untiered).
-        self._swapped = self.running.parked
         self._clock = 0.0
         self._steps = 0
 
@@ -399,7 +395,8 @@ class ContinuousBatchingEngine:
         """Requests the engine is responsible for but has not finished:
         queued, resident, swapped out, and submitted-but-not-yet-arrived.
         The router's ``least_loaded`` policy reads this as queue depth."""
-        return len(self._queue) + len(self._running) + len(self._swapped) + len(self._pending)
+        running = self.running
+        return len(self._queue) + len(running.seqs) + len(running.parked) + len(self._pending)
 
     @property
     def resident_pages(self) -> int:
@@ -539,7 +536,7 @@ class ContinuousBatchingEngine:
         cfg = self.config
         chunked = cfg.prefill_chunk_tokens is not None
         committed = self.running.committed_pages  # the chunked gate's budget
-        while self._queue and len(self._running) < cfg.max_batch:
+        while self._queue and len(self.running.seqs) < cfg.max_batch:
             head = self._queue[0]
             if self._reject_impossible(head):
                 continue
@@ -563,7 +560,8 @@ class ContinuousBatchingEngine:
             if not chunked:
                 self._prefill_whole(head)
             self._register_prefix(head)
-        self.report.peak_resident_batch = max(self.report.peak_resident_batch, len(self._running))
+        report = self.report
+        report.peak_resident_batch = max(report.peak_resident_batch, len(self.running.seqs))
 
     def _prefill_whole(self, head: RequestLifecycle) -> None:
         """Charge (and execute) a whole-prompt admission's serial prefill of
@@ -657,7 +655,7 @@ class ContinuousBatchingEngine:
         faults) so shedding never drops a request that had a chance."""
         cfg = self.config
         prefill_ms = self.backend.prefill_time_ms(cfg.model, cfg.arch, lc.context_len, cfg.n_gpus)
-        batch = len(self._running) + 1
+        batch = len(self.running.seqs) + 1
         step_ms = self.backend.decode_step_ms(
             cfg.model, cfg.arch, batch, lc.request.total_len, cfg.n_gpus, tp=cfg.tp
         )
@@ -698,7 +696,7 @@ class ContinuousBatchingEngine:
             return
         expired = [
             lc
-            for lc in list(self._running) + list(self._swapped) + list(self._queue)
+            for lc in list(self.running.seqs) + list(self.running.parked) + list(self._queue)
             if lc.deadline_abs is not None and self._clock >= lc.deadline_abs
         ]
         for lc in expired:
@@ -718,7 +716,7 @@ class ContinuousBatchingEngine:
                 self.prefix_cache.forget_page(page)
             victims = [
                 lc
-                for lc in chain(self._running, self._swapped)
+                for lc in chain(self.running.seqs, self.running.parked)
                 if lc.seq_id is not None and page in self.table.sequences[lc.seq_id].pages
             ]
             for lc in victims:
@@ -738,7 +736,7 @@ class ContinuousBatchingEngine:
                 self.table.extend_sequence(lc.seq_id, n_tokens)
                 return True
             except OutOfPagesError:
-                victim = self._running[-1]  # most recently admitted
+                victim = self.running.seqs[-1]  # most recently admitted
                 evicted_self = victim is lc
                 self._requeue(victim)
                 if evicted_self:
@@ -927,7 +925,7 @@ class ContinuousBatchingEngine:
             report.decode_steps += 1
         if chunks and decoders:
             report.mixed_steps += 1
-        report.peak_resident_batch = max(report.peak_resident_batch, len(self._running))
+        report.peak_resident_batch = max(report.peak_resident_batch, len(self.running.seqs))
         self._emit_tokens(decoders, len(crossers))
 
     def _assert_conservation(self) -> None:
@@ -956,13 +954,13 @@ class ContinuousBatchingEngine:
         book = table.held_ids
         used, free = alloc.used_pages, alloc.free_pages
         if (
-            len(book) != len(self._running) + len(self._swapped)
+            len(book) != len(self.running.seqs) + len(self.running.parked)
             or table.unmatched_ids
             or alloc.mismatched_pages
             or used + free != self.n_pages
         ):
             mapped, refs, live = table.mapped, alloc.refcounts, table.live_ids
-            residents = {lc.seq_id for lc in chain(self._running, self._swapped)}
+            residents = {lc.seq_id for lc in chain(self.running.seqs, self.running.parked)}
             residents.discard(None)
             bad_refs = sorted(
                 (page, mapped.get(page, 0), refs.get(page, 0))
@@ -997,7 +995,7 @@ class ContinuousBatchingEngine:
         it.
         """
         self._drain_arrivals()
-        if not self._queue and not self._running and not self._swapped:
+        if not self._queue and not self.running.seqs and not self.running.parked:
             if not self._pending:
                 return False
             self._clock = self._pending[0].request.arrival_s
@@ -1030,7 +1028,7 @@ class ContinuousBatchingEngine:
         whatever is submitted next.
         """
         while self._clock < t_s:
-            if not self._queue and not self._running and not self._swapped:
+            if not self._queue and not self.running.seqs and not self.running.parked:
                 if not self._pending or self._pending[0].request.arrival_s > t_s:
                     return
             if not self._tick():

@@ -28,7 +28,7 @@ bit-identical to a fault-free run.
 
 from __future__ import annotations
 
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.model.memory import page_bytes
@@ -42,10 +42,9 @@ __all__ = ["SwapPreemption"]
 class SwapPreemption:
     """The tier store, the swapped set and the tier charge of one engine.
 
-    It moves sequences between the engine's running set (``running``,
-    whose books it keeps through ``join``/``leave``) and :attr:`swapped`
-    (the running set's ``parked`` deque),
-    and counts into the engine's report.  The engine calls it at fixed
+    It moves sequences between the engine's running set's ``seqs`` and its
+    ``parked`` deque (the swapped set), keeping the set's books through
+    ``join``/``leave``, and counts into the engine's report.  The engine calls it at fixed
     points of every scheduler step, in this order
     (healing, :meth:`drain`, runs after each phase that may lose or
     corrupt pages, always before numerics read them):
@@ -73,11 +72,11 @@ class SwapPreemption:
             page_nbytes=page_bytes(config.model, config.fmt, config.page_size),
             faults=FaultPlan(config.faults) if config.faults is not None else None,
         )
-        self._config, self._table, self._resident, self._report = config, table, running, report
-        #: Swap-preempted sequences: pages still mapped (demoted off the
-        #: device tier), resumed FCFS when the device working set fits.
-        #: The running set parks them, so they stay in its resident book.
-        self.swapped: Deque[RequestLifecycle] = running.parked
+        #: The engine's running set.  Swap-preempted sequences sit in its
+        #: ``parked`` deque: pages still mapped (demoted off the device
+        #: tier), resumed FCFS when the device working set fits, and still
+        #: in its resident book.
+        self._config, self._table, self._running, self._report = config, table, running, report
         #: The engine's :class:`~repro.attn.runner.ModelRunner` when it
         #: executes tokens; it stashes residual rows across a swap.
         self.runner = None
@@ -88,25 +87,26 @@ class SwapPreemption:
     def _decode_working_pages(self) -> int:
         """Device pages the next decode step needs resident at once: every
         decode-ready sequence's pages after its one-token grow."""
-        return sum(self._table.pages_for(lc.context_len + 1) for lc in self._resident.ready)
+        return sum(self._table.pages_for(lc.context_len + 1) for lc in self._running.ready)
 
     def start_step(self) -> None:
         """Reset the per-step buckets and pins, then promote swapped
         sequences back, FCFS, while their working set fits the device tier
         next to the resident decoders'."""
         self.tiers.start_step()
-        while self.swapped and len(self._resident.seqs) < self._config.max_batch:
-            cand = self.swapped[0]
+        parked = self._running.parked
+        while parked and len(self._running.seqs) < self._config.max_batch:
+            cand = parked[0]
             need = self._table.pages_for(cand.context_len + 1)
             if self._decode_working_pages() + need > self._config.device_pages:
                 break
-            self.swapped.popleft()
+            parked.popleft()
             if self.runner is not None:
                 self.runner.on_swap_in(cand)
             # Promotion rides ahead of the step's compute (overlappable);
             # anything the model still misses faults in the measured path.
             self.tiers.ensure_resident(self._pages(cand), prefetch=True)
-            self._resident.join(cand)
+            self._running.join(cand)
             self._report.swap_ins += 1
 
     def _swap_out(self, victim: RequestLifecycle) -> None:
@@ -121,7 +121,7 @@ class SwapPreemption:
         if self.runner is not None:
             self.runner.on_swap_out(victim)
         self.tiers.demote(self._pages(victim))
-        self._resident.leave(victim, parked=True)
+        self._running.leave(victim, parked=True)
         self._report.swap_outs += 1
 
     def swap_out_overflow(self) -> None:
@@ -130,7 +130,7 @@ class SwapPreemption:
         recompute victim order).  At least one decoder always stays — a
         single sequence is guaranteed to fit by admission-time rejection."""
         while self._decode_working_pages() > self._config.device_pages:
-            ready = self._resident.ready
+            ready = self._running.ready
             if len(ready) <= 1:
                 break
             self._swap_out(ready[-1])

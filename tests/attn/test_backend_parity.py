@@ -2,10 +2,9 @@
 
 The acceptance contract of the paged backend: with identical inputs,
 ``PagedBitBackend`` decode outputs are bit-identical to
-``BitDecoding.decode`` over the contiguous ``BitKVCache`` under
-``numerics_mode="exact_tiled"`` (and within ``FUSED_NUMERICS_TOLERANCE``
-under ``"fused"``), across bit widths, granularities, the MXFP4/NVFP4
-formats, flush boundaries and a preemption/resume schedule.  The paged
+``BitDecoding.decode`` over the contiguous ``BitKVCache``, across bit
+widths, granularities, the MXFP4/NVFP4 formats, warp layouts, flush
+boundaries and a preemption/resume schedule.  The paged
 backend stores the *same* per-block tensors behind block tables, and
 decode runs through the *same* ``BitDecoding.decode`` code path, so any
 divergence is a real storage or gather bug.
@@ -18,36 +17,26 @@ from repro.attn import AttentionBackend, KVCacheHandle, PagedBitBackend
 from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding, BitKVCache
 from repro.core.config import BitDecodingConfig
-from repro.core.packing_kernel import FUSED_NUMERICS_TOLERANCE
 from repro.model.transformer import TinyTransformer
 
-#: (config overrides, device, tolerance key) of every stored format: the
-#: integer widths on Ampere, the micro-scaling FP4 formats on Blackwell.
+#: (config overrides, device) of every stored format: the integer widths
+#: on Ampere, the micro-scaling FP4 formats on Blackwell.
 FORMATS = {
-    "int2-channel": (dict(bits=2, granularity="channel"), "a100", "int"),
-    "int2-token": (dict(bits=2, granularity="token"), "a100", "int"),
-    "int4-channel": (dict(bits=4, granularity="channel"), "a100", "int"),
-    "int4-token": (dict(bits=4, granularity="token"), "a100", "int"),
-    "mxfp4": (dict(version="fp4", fp4_format="mxfp4"), "rtx5090", "fp4"),
-    "nvfp4": (dict(version="fp4", fp4_format="nvfp4"), "rtx5090", "fp4"),
+    "int2-channel": (dict(bits=2, granularity="channel"), "a100"),
+    "int2-token": (dict(bits=2, granularity="token"), "a100"),
+    "int4-channel": (dict(bits=4, granularity="channel"), "a100"),
+    "int4-token": (dict(bits=4, granularity="token"), "a100"),
+    "mxfp4": (dict(version="fp4", fp4_format="mxfp4"), "rtx5090"),
+    "nvfp4": (dict(version="fp4", fp4_format="nvfp4"), "rtx5090"),
 }
-
-
-def _assert_decode_parity(out_cont, out_paged, numerics_mode, kind):
-    if numerics_mode == "exact_tiled":
-        np.testing.assert_array_equal(out_cont, out_paged)
-    else:
-        tol = FUSED_NUMERICS_TOLERANCE[kind]
-        denom = max(1.0, float(np.abs(out_cont).max()))
-        assert float(np.abs(out_cont - out_paged).max()) / denom <= tol
 
 
 class TestDecodeParity:
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
-    @pytest.mark.parametrize("numerics_mode", ["exact_tiled", "fused"])
-    def test_paged_matches_contiguous_across_flushes(self, rng, fmt, numerics_mode):
-        overrides, arch, kind = FORMATS[fmt]
-        config = BitDecodingConfig(numerics_mode=numerics_mode, wn=1, **overrides)
+    @pytest.mark.parametrize("wn", [1, 4])
+    def test_paged_matches_contiguous_across_flushes(self, rng, fmt, wn):
+        overrides, arch = FORMATS[fmt]
+        config = BitDecodingConfig(wn=wn, **overrides)
         engine = BitDecoding(config, arch)
         nr = engine.config.residual_block_size
         batch, hkv, hq, d = 2, 2, 4, 32
@@ -70,16 +59,14 @@ class TestDecodeParity:
             cache.append_token(k_new, v_new)
             paged.append_kv((k_new, v_new), hp)
             q = rng.standard_normal((batch, 1, hq, d)).astype(np.float32)
-            _assert_decode_parity(
-                engine.decode(q, cache), paged.decode_step(q, hp), numerics_mode, kind
-            )
+            np.testing.assert_array_equal(engine.decode(q, cache), paged.decode_step(q, hp))
         assert hp.seqs[0].n_blocks == cache.packed.n_blocks == 3
 
     @pytest.mark.parametrize("bits", [2, 4])
     def test_preemption_resume_schedule_stays_bit_identical(self, rng, bits):
         """Preempt (release pages), re-admit, re-pack: decode must equal the
         contiguous cache fed the same tokens — recycled pages included."""
-        engine = BitDecoding(BitDecodingConfig(bits=bits, numerics_mode="exact_tiled", wn=1))
+        engine = BitDecoding(BitDecodingConfig(bits=bits, wn=1))
         nr = engine.config.residual_block_size
         hkv, hq, d = 2, 4, 16
         seq = nr * 2 + 7
@@ -148,7 +135,7 @@ class TestTransformerParity:
     def test_tiny_transformer_identical_on_both_backends(self, rng):
         """End to end: a TinyTransformer wired to the paged backend decodes
         the exact same hidden states as one wired to the contiguous cache."""
-        engine = BitDecoding(BitDecodingConfig(bits=4, numerics_mode="exact_tiled", wn=1))
+        engine = BitDecoding(BitDecodingConfig(bits=4, wn=1))
         dims = dict(n_layers=2, hq=4, hkv=2, head_dim=16, hidden=64, intermediate=128)
         cont_model = TinyTransformer(**dims, backend=_ContiguousBackend(engine), seed=0)
         paged_model = TinyTransformer(**dims, backend=PagedBitBackend(engine, n_pages=16), seed=0)

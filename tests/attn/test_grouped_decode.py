@@ -81,29 +81,21 @@ def _assert_grouped_matches_looped(backend, bt, rng, steps, hq=HQ, d=D):
 
 class TestGroupedLoopedParity:
     @pytest.mark.parametrize(
-        "bits, granularity, numerics_mode, wn, coop",
+        "bits, granularity, wn, coop",
         [
-            (2, "channel", "fused", 1, True),
-            (2, "token", "exact_tiled", 1, True),
-            (4, "channel", "exact_tiled", 1, True),
-            (4, "token", "fused", 1, True),
+            (2, "channel", 1, True),
+            (2, "token", 1, True),
+            (4, "channel", 1, True),
+            (4, "token", 1, True),
             # Cooperative softmax: ragged residual fills group together.
-            (4, "channel", "fused", 4, True),
+            (4, "channel", 4, True),
             # Broken non-cooperative softmax: partition-sensitive, so the
             # backend must fall back to exact-(n_blocks, res_len) groups.
-            (4, "channel", "exact_tiled", 2, False),
+            (4, "channel", 2, False),
         ],
     )
-    def test_grouped_bit_identical_across_ragged_lengths(
-        self, rng, bits, granularity, numerics_mode, wn, coop
-    ):
-        config = BitDecodingConfig(
-            bits=bits,
-            granularity=granularity,
-            numerics_mode=numerics_mode,
-            wn=wn,
-            use_coop_softmax=coop,
-        )
+    def test_grouped_bit_identical_across_ragged_lengths(self, rng, bits, granularity, wn, coop):
+        config = BitDecodingConfig(bits=bits, granularity=granularity, wn=wn, use_coop_softmax=coop)
         nr = config.residual_block_size
         # Ragged on purpose: equal shapes, near-full residuals (so flushes
         # land mid-run at different steps), an empty-packed sequence, and

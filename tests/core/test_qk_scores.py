@@ -90,10 +90,10 @@ class TestDecodeBitIdentity:
         "config, arch, packed_site",
         [
             (BitDecodingConfig(bits=4), "a100", "_run_fused"),
-            (BitDecodingConfig(bits=4, numerics_mode="exact_tiled"), "a100", "run_numeric"),
+            (BitDecodingConfig(bits=4, wn=2, use_coop_softmax=False), "a100", "run_numeric"),
             (BitDecodingConfig(version="fp4", fp4_format="mxfp4"), "rtx5090", "_run_fused"),
         ],
-        ids=["fused", "exact-tiled", "mxfp4"],
+        ids=["fused", "non-coop-tiled", "mxfp4"],
     )
     def test_long_context_decode_across_a_flush(self, monkeypatch, config, arch, packed_site):
         """LLaMA-3.1-8B attention shape at ~4K context; the residual starts
@@ -122,11 +122,20 @@ class TestDecodeBitIdentity:
         _assert_same_as_reference_formula(monkeypatch, run, [packed_site, "attend_residual"])
 
     @pytest.mark.parametrize(
-        "numerics_mode, packed_site", [("fused", "_run_fused"), ("exact_tiled", "run_numeric")]
+        "config, sites",
+        [
+            (BitDecodingConfig(bits=4, wn=1), ["_run_fused", "attend_residual_grouped"]),
+            # Non-cooperative configs group by exact residual fill, so the
+            # grouped residual kernel hands every group to attend_residual.
+            (
+                BitDecodingConfig(bits=4, wn=2, use_coop_softmax=False),
+                ["run_numeric", "attend_residual"],
+            ),
+        ],
+        ids=["fused", "non-coop-tiled"],
     )
-    def test_ragged_grouped_paged_decode(self, monkeypatch, numerics_mode, packed_site):
+    def test_ragged_grouped_paged_decode(self, monkeypatch, config, sites):
         """Ragged residual fills in one group, flushing at different steps."""
-        config = BitDecodingConfig(bits=4, wn=1, numerics_mode=numerics_mode)
         nr = config.residual_block_size
         hkv, hq, d = 2, 8, 64
 
@@ -148,6 +157,4 @@ class TestDecodeBitIdentity:
                 )
             return outs
 
-        _assert_same_as_reference_formula(
-            monkeypatch, run, [packed_site, "attend_residual_grouped"]
-        )
+        _assert_same_as_reference_formula(monkeypatch, run, sites)

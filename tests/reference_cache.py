@@ -19,9 +19,17 @@ It also holds the per-block *flush spec* the seed cache stores with:
 sweep pins it to this spec bit for bit, and ``tests/core/test_layouts.py``
 pins the spec's fragment order against the Fig. 3 counterexample.
 
+It also holds the seed decode tile walk, :func:`seed_run_numeric`: every
+config walks ``tile_n``-wide tiles through the online softmax (the FP4
+path through :func:`state_update_fp4`).  The product path runs that walk
+only for the non-cooperative integer ablation and fuses every other
+config into one QK^T and a two-pass softmax; the sweep holds the fused
+walk to ``FUSED_NUMERICS_TOLERANCE`` of this one and the remaining tiled
+walk to it bit for bit.
+
 Scope of the equivalence: this reference shares the low-level primitives
-(``quantize``/``dequantize``/``unpack_values``/``run_numeric``) with the
-vectorized path, so the sweep pins the batched-vs-per-block
+(``quantize``/``dequantize``/``unpack_values``/``tile_softmax_split``)
+with the vectorized path, so the sweep pins the batched-vs-per-block
 *orchestration*, not the primitives themselves — those are pinned
 separately by their own unit tests (``tests/core/test_quantization.py``,
 ``test_packing.py``, ``test_residual_kernel.py``, ``test_softmax.py``),
@@ -40,7 +48,6 @@ import numpy as np
 from repro.core.config import BitDecodingConfig
 from repro.core.layouts import FragmentLayout, _block_fragment_indices
 from repro.core.packing import _field_order, _word_dtype, packing_ratio, unpack_values
-from repro.core.packing_kernel import run_numeric
 from repro.core.quantization import (
     Fp4Params,
     QuantParams,
@@ -53,7 +60,7 @@ from repro.core.quantization import (
 from repro.core.query_transform import group_queries, ungroup_output
 from repro.core.residual_cache import partition_prefill
 from repro.core.residual_kernel import _kv_fragment_layout, attend_residual
-from repro.core.softmax import OnlineSoftmaxState
+from repro.core.softmax import OnlineSoftmaxState, pad_tail, qk_scores, tile_softmax_split
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +480,65 @@ class ReferenceBitKVCache:
         return self.packed_nbytes + self.meta_nbytes + self.residual_nbytes
 
 
+def state_update_fp4(
+    state: OnlineSoftmaxState,
+    scores: np.ndarray,
+    values: np.ndarray,
+    config: BitDecodingConfig,
+) -> None:
+    """Tile update on the Blackwell native-FP4 path.
+
+    ``P = exp(S - m)`` is quantized to the micro-scaling FP4 format before
+    the second MMA (``O = Quant(P) V``, Sec. III-B Challenge 2); values are
+    already FP4-representable.  P rows lie in [0, 1], so a block of 16/32
+    probabilities shares one scale.
+    """
+    scores = np.asarray(scores, dtype=np.float32)
+    tile_max = scores.max(axis=-1)
+    m_new = np.maximum(state.m, tile_max)
+    correction = np.where(np.isfinite(state.m), np.exp(state.m - m_new), 0.0)
+    p = np.exp(scores - m_new[..., None])
+    p_q, _ = quantize_fp4(p, config.fp4_format, axis=-1)
+    state.l = state.l * correction + p_q.sum(axis=-1)
+    state.acc = state.acc * correction[..., None] + p_q @ np.asarray(values, np.float32)
+    state.m = m_new
+
+
+def seed_run_numeric(
+    q_grouped: np.ndarray,
+    k_hat: np.ndarray,
+    v_hat: np.ndarray,
+    config: BitDecodingConfig,
+    scale: float,
+) -> OnlineSoftmaxState:
+    """The seed Packing-Kernel walk: ``tile_n``-wide tiles through the
+    online softmax, for every config."""
+    q_grouped = np.asarray(q_grouped, dtype=np.float32)
+    k_hat = np.asarray(k_hat, dtype=np.float32)
+    v_hat = np.asarray(v_hat, dtype=np.float32)
+    state = OnlineSoftmaxState.fresh(
+        q_grouped.shape[-2], v_hat.shape[-1], leading=q_grouped.shape[:-2]
+    )
+    seq_len = k_hat.shape[-2]
+    wn = config.effective_wn
+    for t0 in range(0, seq_len, config.tile_n):
+        t1 = min(t0 + config.tile_n, seq_len)
+        s = qk_scores(q_grouped, k_hat[..., t0:t1, :], scale)
+        s, v_tile = pad_tail(s, v_hat[..., t0:t1, :], wn)
+        if config.version == "fp4":
+            state_update_fp4(state, s, v_tile, config)
+        else:
+            tile_softmax_split(state, s, v_tile, wn, cooperative=config.use_coop_softmax)
+    return state
+
+
 def reference_decode(
     config: BitDecodingConfig,
     q: np.ndarray,
     cache: ReferenceBitKVCache,
 ) -> np.ndarray:
-    """The seed decode loop: per-(batch, kv-head) kernel calls + merge.
-
-    The seed implementation predates ``numerics_mode`` and always walked
-    ``tile_n`` tiles through the online softmax, so this reference pins
-    ``exact_tiled`` regardless of what the caller's config selects.
-    """
-    config = config.with_overrides(numerics_mode="exact_tiled")
+    """The seed decode loop: per-(batch, kv-head) :func:`seed_run_numeric`
+    calls + merge."""
     q = np.asarray(q, dtype=np.float32)
     if q.ndim != 4:
         raise ValueError("q must be [batch, q_len, hq, d]")
@@ -498,7 +552,7 @@ def reference_decode(
             k_hat, v_hat = cache.dequantized_packed(b, h)
             states: List[OnlineSoftmaxState] = []
             if k_hat.shape[0]:
-                states.append(run_numeric(q_bh, k_hat, v_hat, config, scale))
+                states.append(seed_run_numeric(q_bh, k_hat, v_hat, config, scale))
             k_res, v_res = cache.residual_view(b, h)
             if k_res.shape[0]:
                 states.append(attend_residual(q_bh, k_res, v_res, config, scale))

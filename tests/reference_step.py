@@ -30,7 +30,7 @@ class PerDecoderEngine(ContinuousBatchingEngine):
         chunks: List[Tuple[int, int]] = []
         if budget is None:
             return chunks
-        for lc in list(self._running):
+        for lc in list(self.running.seqs):
             if budget <= 0:
                 break
             if lc.seq_id is None or lc.prefill_done:

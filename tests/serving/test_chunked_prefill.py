@@ -181,7 +181,7 @@ class TestPartialPrefillPreemption:
         engine = make_engine(trace, pool_for(trace), chunk=64, max_steps=6)
         engine.run()  # stops mid-decode: both sequences resident, books clean
         engine._assert_conservation()
-        first, second = (engine.table.sequences[lc.seq_id].pages for lc in engine._running)
+        first, second = (engine.table.sequences[lc.seq_id].pages for lc in engine.running.seqs)
         over_referenced, unreferenced = first[0], second[0]
         engine.allocator.acquire(over_referenced)  # one reference too many ...
         engine.allocator.release(unreferenced)  # ... and one mapping without one
@@ -200,7 +200,7 @@ class TestPartialPrefillPreemption:
         trace = [Request(req_id=0, arrival_s=0.0, prompt_len=128, output_len=40)]
         engine = make_engine(trace, pool_for(trace), chunk=64, max_steps=4)
         engine.run()
-        (lc,) = engine._running
+        (lc,) = engine.running.seqs
         held = engine.table.sequences[lc.seq_id].pages[-1]
         engine.allocator.release(held)  # the page goes back to the free list, still mapped
         with pytest.raises(AssertionError, match=rf"refcount mismatches: \[\({held}, 1, 0\)\]"):
@@ -210,9 +210,9 @@ class TestPartialPrefillPreemption:
         trace = [Request(req_id=0, arrival_s=0.0, prompt_len=128, output_len=40)]
         engine = make_engine(trace, pool_for(trace), chunk=64, max_steps=4)
         engine.run()
-        (lc,) = engine._running
+        (lc,) = engine.running.seqs
         lost = lc.seq_id
-        engine._running.clear()
+        engine.running.seqs.clear()
         with pytest.raises(AssertionError, match=rf"live but not resident: \[{lost}\]"):
             engine._assert_conservation()
 

@@ -54,7 +54,7 @@ def shared_trace():
 def resident_pages(engine):
     return [
         page
-        for lc in engine._running
+        for lc in engine.running.seqs
         for page in engine.table.sequences[lc.seq_id].pages
     ]
 
@@ -78,7 +78,7 @@ def run_with_fault(engine, fault, at=INJECT_AT):
 class TestConservationCatchesFaults:
     def test_a_sequence_the_scheduler_dropped_but_the_table_keeps(self):
         def forget(engine):
-            lc = engine._running.pop()
+            lc = engine.running.seqs.pop()
             lc.seq_id = None  # the scheduler lets go; the table never hears
 
         assert run_with_fault(make_engine(shared_trace()), forget) == INJECT_AT
@@ -91,7 +91,7 @@ class TestConservationCatchesFaults:
         def swap_an_id(engine):
             table = engine.table
             stray = table.add_sequence(0)
-            table.release_sequence(engine._running[0].seq_id)
+            table.release_sequence(engine.running.seqs[0].seq_id)
             assert len(table.live_ids) == len(table.held_ids)
             assert stray not in table.held_ids
 
@@ -138,7 +138,7 @@ class TestConservationCatchesFaults:
         engine = make_engine(shared_trace(), prefix_cache=True)
 
         def leaky_cow(engine):
-            lc = engine._running[-1]
+            lc = engine.running.seqs[-1]
             page = engine.table.sequences[lc.seq_id].pages[0]
             assert engine.allocator.refcount(page) == 2  # the shared prefix block
             release = engine.allocator.release
@@ -182,7 +182,7 @@ class TestConservationCatchesFaults:
         def cow_step():
             step()
             if engine._steps == INJECT_AT:
-                lc = engine._running[-1]
+                lc = engine.running.seqs[-1]
                 assert engine.table.ensure_exclusive(lc.seq_id, 0)[1] is not None
 
         engine._step = cow_step

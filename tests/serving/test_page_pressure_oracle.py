@@ -56,7 +56,7 @@ def _log_evictions(engine):
 
 def _block_tables(engine):
     table = engine.table
-    return [(lc.request.req_id, table.sequences[lc.seq_id].pages) for lc in engine._running]
+    return [(lc.request.req_id, table.sequences[lc.seq_id].pages) for lc in engine.running.seqs]
 
 
 def _run_in_lockstep(engine, reference):

@@ -137,7 +137,7 @@ class TestRecount:
         engine = _engine(poisson_trace(4, 1e5, 200, 30, seed=1), chunk=64)
         for _ in range(6):
             engine._tick()
-        assert engine.running.ready and len(engine.running.ready) < len(engine._running)
+        assert engine.running.ready and len(engine.running.ready) < len(engine.running.seqs)
         return engine
 
     def test_auditor_names_a_drifted_committed_total(self):
@@ -150,7 +150,7 @@ class TestRecount:
     def test_auditor_names_a_misordered_ready_list(self):
         engine = self._running_engine()
         engine.running.ready.reverse()
-        engine.running.ready.append(engine._running[-1])
+        engine.running.ready.append(engine.running.seqs[-1])
         with pytest.raises(InvariantViolation, match="decode-ready book"):
             InvariantAuditor(engine.allocator, running=engine.running).audit()
 
@@ -171,7 +171,7 @@ class TestRecount:
         """The step's conservation check reads the resident-id book, not
         the lists: a book that lost a running sequence's id fails it."""
         engine = self._running_engine()
-        lost = engine._running[0].seq_id
+        lost = engine.running.seqs[0].seq_id
         engine.table.unhold(lost)
         with pytest.raises(AssertionError, match=rf"resident-id book: (?!.*\b{lost}\b)"):
             engine._assert_conservation()
@@ -197,11 +197,11 @@ def test_one_admission_calls_pages_for_a_fixed_number_of_times(monkeypatch):
     for residents in (50, 300):
         engine = _engine([Request(i, 0.0, 128, 16) for i in range(residents)], chunk=64)
         engine._tick()
-        assert len(engine._running) == residents
+        assert len(engine.running.seqs) == residents
         engine._queue.append(engine._make_lifecycle(Request(residents, 0.0, 128, 16)))
         with monkeypatch.context() as patch:
             patch.setattr(PageTable, "pages_for", lambda t, n: calls.append(n) or pages_for(t, n))
             engine._admit()
-        assert len(engine._running) == residents + 1
+        assert len(engine.running.seqs) == residents + 1
         counts[residents], calls[:] = len(calls), []
     assert counts[50] == counts[300] > 0
