@@ -19,6 +19,13 @@ seq 16k, INT4, d 64):
 - ``decode_step_flatness``: max/min vectorized decode wall time across
   no-flush steps (the memoization contract).
 
+Next to the steady step it reports ``flush_step_ms``, one append that
+flushes a block column plus the decode that reads it, and
+``flush_step_ratio``, that over ``steady_step_ms``: a flush writes only
+its new block column into the cache's buffers, so it stays near a steady
+step instead of re-copying the whole reconstruction (512 MiB at the
+acceptance geometry).
+
 An end-to-end ``transformer`` section (TinyTransformer decode step over
 the paged low-bit backend vs exact attention) tracks what the kernel-level wins are
 worth inside a full forward pass.  Its ``replay_ms`` row times a recomputed
@@ -120,6 +127,18 @@ def run_hotpath_bench(
     vec_steady_ms = statistics.median(steady)
     flatness = max(steady) / min(steady) if min(steady) > 0 else float("inf")
 
+    # One flushing step: fill the residual to one short of N_r untimed,
+    # then time the append that flushes plus the decode that reads it.
+    new_rows = rng.standard_normal((2, batch, hkv, head_dim)).astype(np.float16)
+    while cache.res_len() < config.residual_block_size - 1:
+        cache.append_token(*new_rows)
+
+    def flush_step():
+        assert cache.append_token(*new_rows)
+        engine.decode(q, cache)
+
+    _, flush_step_ms = _timed(flush_step)
+
     # Same min-of-two estimator as the vectorized side.
     ref, ref_prefill_ms = _timed(lambda: ReferenceBitKVCache.from_prefill(k, v, config))
     _, ref_prefill_2_ms = _timed(lambda: ReferenceBitKVCache.from_prefill(k, v, config))
@@ -144,6 +163,7 @@ def run_hotpath_bench(
             "prefill_pack_cold_ms": vec_prefill_cold_ms,
             "first_step_ms": per_step_ms[0],
             "steady_step_ms": vec_steady_ms,
+            "flush_step_ms": flush_step_ms,
             "per_step_ms": per_step_ms,
         },
         "reference": {
@@ -153,6 +173,7 @@ def run_hotpath_bench(
         "speedup_decode_step": ref_decode_ms / vec_steady_ms,
         "speedup_prefill_pack": ref_prefill_ms / vec_prefill_ms,
         "decode_step_flatness": flatness,
+        "flush_step_ratio": flush_step_ms / vec_steady_ms,
     }
 
 
@@ -296,6 +317,10 @@ def _print_summary(result):
         f"(first {vec['first_step_ms']:.1f} ms) | reference {ref['step_ms']:9.1f} ms/step"
     )
     print(
+        f"  flush step: {vec['flush_step_ms']:9.1f} ms (append that flushes + its decode), "
+        f"{result['flush_step_ratio']:.2f}x the steady step"
+    )
+    print(
         f"  speedup: {result['speedup_decode_step']:.1f}x per decode step, "
         f"{result['speedup_prefill_pack']:.1f}x prefill pack; "
         f"flatness {result['decode_step_flatness']:.2f} "
@@ -334,6 +359,8 @@ def test_kernel_hotpath_smoke(run):
     assert result["speedup_decode_step"] > 1.0
     assert result["speedup_prefill_pack"] > 1.0
     assert result["vectorized"]["steady_step_ms"] <= result["vectorized"]["first_step_ms"] * 1.5
+    assert result["vectorized"]["flush_step_ms"] > 0
+    assert result["flush_step_ratio"] > 0
     assert result["transformer"]["engine_step_ms"] > 0
     assert result["transformer"]["exact_step_ms"] > 0
     assert result["transformer"]["replay_ms"] > 0

@@ -41,7 +41,7 @@ from repro.attn.protocol import AttentionBackend, KVCacheHandle
 from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
-from repro.core.residual_kernel import BlockBatch, flush_blocks
+from repro.core.residual_kernel import BlockBatch, flush_blocks, reserve
 from repro.gpu.arch import ArchSpec
 from repro.pages.allocator import OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
@@ -51,16 +51,6 @@ from repro.pages.tiers import TieredPageStore, TierObserver
 def _group_key(handles) -> Tuple[int, ...]:
     """The member tuple of handle keys that keys a group's cached reads."""
     return tuple(h.key for h in handles)
-
-
-def _extend(memo_kv, new_kv):
-    """Append newly dequantized blocks to a memoized ``(K, V)`` pair.
-
-    Blocks are append-only for live handles and dequant is per-block
-    independent, so extending is bit-identical to a full rebuild — and
-    O(new blocks) per step instead of O(context).
-    """
-    return tuple(np.concatenate([old, new], axis=2) for old, new in zip(memo_kv, new_kv))
 
 
 class PagedSeqHandle(KVCacheHandle):
@@ -494,9 +484,10 @@ class PagedBitKVCache(TierObserver):
 
     # --------------------------------------------------------------- reads
 
-    def _dequant_frames(self, fmap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _dequant_frames(self, fmap: np.ndarray, out=None) -> Tuple[np.ndarray, np.ndarray]:
         """Gather a ``[G, nb]`` frame map into a :class:`BlockBatch` and
-        dequantize it to FP32 ``[G, hkv, nb * N_r, d]``.
+        dequantize it to FP32 ``[G, hkv, nb * N_r, d]`` (into ``out`` when
+        given).
 
         One fancy-index gather per pool assembles the ``[G, hkv, nb, ...]``
         SoA tensors; dequant is per-block independent, so a batched
@@ -512,7 +503,7 @@ class PagedBitKVCache(TierObserver):
             return np.ascontiguousarray(shaped.swapaxes(1, 2))
 
         batch = self._probe.with_arrays([gather(pool) for pool in self.pools])
-        return batch.dequant_kv(self.config)
+        return batch.dequant_kv(self.config, out=out)
 
     #: Bound on memoized group reads.  :meth:`retire_groups` drops
     #: superseded member tuples each step and :meth:`free_slot` a freed
@@ -542,12 +533,14 @@ class PagedBitKVCache(TierObserver):
         """FP32 ``[G, hkv, packed_len, d]`` group reconstruction, memoized.
 
         The memo is keyed by the member tuple of handle keys and guarded
-        by ``content_epoch``.  Blocks are append-only for a live handle, so
-        while the group holds, a flush extends the memo with one batched
-        dequant of just the new block column: frames are looked up for
+        by ``content_epoch``; it holds views of a buffer with headroom on
+        the token axis (:func:`~repro.core.residual_kernel.reserve`).
+        Blocks are append-only for a live handle, so while the group holds,
+        a flush dequantizes just the new block column straight into the
+        buffer, past every row handed out so far: frames are looked up for
         those pages only, after they fault in, and the result is
-        bit-identical to a full rebuild by per-block independence —
-        O(new blocks) per step instead of O(context).
+        bit-identical to a full rebuild by per-block independence.  A cold
+        read (new member tuple, or a moved epoch) fills a fresh buffer.
         """
         nb = handles[0].n_blocks
         if nb == 0:
@@ -555,21 +548,25 @@ class PagedBitKVCache(TierObserver):
             return empty, empty
         key = _group_key(handles)
         memo = self._memos.get(key)
-        have = 0
+        have, bufs = 0, (None, None)
         if memo is not None and memo[0] == self.content_epoch:
             if memo[1] == nb:
                 return memo[2]
-            have = memo[1]
+            have, bufs = memo[1], memo[3]
         pages = [p for h in handles for p in self.table.sequences[h.seq_id].pages[have:nb]]
         if self.tiers is not None:
             # The measured fallback: pages still off-device fault in
             # synchronously (stall recorded) before the gather.
             self.tiers.fault_in(pages)
-        kv = self._dequant_frames(self._frames(pages).reshape(len(handles), nb - have))
-        if have:
-            kv = _extend(memo[2], kv)
+        nr = self.block_tokens
+        shape = (len(handles), self.hkv, nb * nr, self.head_dim)
+        bufs = tuple(reserve(buf, have * nr, shape) for buf in bufs)
+        rows = slice(have * nr, shape[2])
+        fmap = self._frames(pages).reshape(len(handles), nb - have)
+        self._dequant_frames(fmap, tuple(buf[:, :, rows] for buf in bufs))
+        kv = tuple(buf[:, :, : shape[2]] for buf in bufs)
         self._memos.pop(key, None)
-        self._memos[key] = (self.content_epoch, nb, kv)
+        self._memos[key] = (self.content_epoch, nb, kv, bufs)
         while len(self._memos) > self._MEMO_ENTRIES:
             self._memos.pop(next(iter(self._memos)))
         return kv

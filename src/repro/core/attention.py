@@ -38,6 +38,7 @@ from repro.core.residual_kernel import (
     attend_residual_grouped,
     build_residual_launch,
     flush_blocks,
+    reserve,
 )
 from repro.core.softmax import OnlineSoftmaxState
 from repro.gpu.arch import ArchSpec, get_arch
@@ -63,9 +64,15 @@ class BitKVCache:
     a length (the paper's padded "Batches" setting), which is exactly what
     makes the lock-step layout valid.
 
-    Dequantized packed K/V are memoized per flush epoch: decode steps that
-    do not flush reuse the reconstruction instead of re-dequantizing every
-    block (see :meth:`dequant_kv`).
+    What the host holds: the packed words and metadata, the residual, and
+    one FP32 reconstruction of the packed part (:meth:`dequant_kv`), which
+    decode steps that do not flush reuse instead of re-dequantizing every
+    block.  The packed tensors and the reconstruction live in buffers with
+    headroom on the block axis (:func:`~repro.core.residual_kernel.reserve`):
+    ``packed`` is a view of their first ``n_blocks`` blocks, and a flush
+    writes just its new block column into each — the packed blocks, and
+    their dequant into the reconstruction — so it costs O(``N_r``), not
+    O(context).  A full buffer grows geometrically, by an eighth.
     """
 
     def __init__(self, batch: int, hkv: int, head_dim: int, config: BitDecodingConfig):
@@ -77,10 +84,13 @@ class BitKVCache:
         self.config = config
         nr = config.residual_block_size
         self.packed: Optional[BlockBatch] = None
+        #: The packed tensors' buffers (``packed.arrays`` with headroom).
+        self._blocks: Tuple[np.ndarray, ...] = ()
         self.residual = BatchedResidual(batch, hkv, nr, head_dim)
         self.seq_len = 0
-        self.flush_epoch = 0
-        self._dequant_memo: Optional[Tuple[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]] = None
+        #: ``(n_blocks, (K, V) views, (K, V) buffers)`` of the memoized
+        #: reconstruction; None until :meth:`dequant_kv` fills it.
+        self._dequant_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------ fill
 
@@ -102,16 +112,31 @@ class BitKVCache:
         packed_len, res_len = partition_prefill(seq_len, nr)
         n_blocks = packed_len // nr
         if n_blocks:
-            cache.packed = flush_blocks(
-                k[:, :, :packed_len].reshape(batch, hkv, n_blocks, nr, d),
-                v[:, :, :packed_len].reshape(batch, hkv, n_blocks, nr, d),
-                config,
+            cache._store_blocks(
+                flush_blocks(
+                    k[:, :, :packed_len].reshape(batch, hkv, n_blocks, nr, d),
+                    v[:, :, :packed_len].reshape(batch, hkv, n_blocks, nr, d),
+                    config,
+                )
             )
-            cache.flush_epoch += 1
         if res_len:
             cache.residual.fill(k[:, :, packed_len:], v[:, :, packed_len:])
         cache.seq_len = seq_len
         return cache
+
+    def _store_blocks(self, new: BlockBatch) -> int:
+        """Write ``new``'s blocks past the packed ones; returns how many
+        blocks were packed before."""
+        nb = self.packed_len() // self.config.residual_block_size
+        total = nb + new.n_blocks
+        self._blocks = tuple(
+            reserve(buf, nb, part.shape[:2] + (total,) + part.shape[3:], part.dtype)
+            for buf, part in zip(self._blocks or repeat(None), new.arrays)
+        )
+        for buf, part in zip(self._blocks, new.arrays):
+            buf[:, :, nb:total] = part
+        self.packed = new.with_arrays([buf[:, :, :total] for buf in self._blocks])
+        return nb
 
     def append_token(self, k_new: np.ndarray, v_new: np.ndarray) -> bool:
         """Append one decoded token's K/V (``[batch, hkv, d]``).
@@ -129,28 +154,20 @@ class BitKVCache:
         block = self.residual.append(k_new, v_new)
         flushed = block is not None
         if flushed:
-            batch_blocks = flush_blocks(block[0][:, :, None], block[1][:, :, None], self.config)
+            new = flush_blocks(block[0][:, :, None], block[1][:, :, None], self.config)
+            nb = self._store_blocks(new)
             memo = self._dequant_memo
-            extendable = (
-                memo is not None
-                and self.packed is not None
-                and memo[0] == (self.packed.n_blocks, self.flush_epoch)
-            )
-            self.packed = (
-                batch_blocks if self.packed is None else self.packed.extend(batch_blocks)
-            )
-            self.flush_epoch += 1
-            if extendable:
+            if memo is not None and memo[0] == nb:
                 # A flush only appends blocks, so the memoized reconstruction
-                # extends with just the new blocks' dequant — per-block
-                # independence makes this bit-identical to a full rebuild,
-                # and keeps flush steps O(N_r), not O(context).
-                k_new_hat, v_new_hat = batch_blocks.dequant_kv(self.config)
-                kv = (
-                    np.concatenate([memo[1][0], k_new_hat], axis=2),
-                    np.concatenate([memo[1][1], v_new_hat], axis=2),
-                )
-                self._dequant_memo = ((self.packed.n_blocks, self.flush_epoch), kv)
+                # takes just the new block column's dequant, written past
+                # every row handed out so far — per-block independence makes
+                # this bit-identical to a full rebuild.
+                nr = self.config.residual_block_size
+                shape = (self.batch, self.hkv, (nb + 1) * nr, self.head_dim)
+                bufs = tuple(reserve(buf, nb * nr, shape) for buf in memo[2])
+                column = slice(nb * nr, shape[2])
+                new.dequant_kv(self.config, out=tuple(b[:, :, column] for b in bufs))
+                self._dequant_memo = (nb + 1, tuple(b[:, :, : shape[2]] for b in bufs), bufs)
             else:
                 self._dequant_memo = None
         self.seq_len += 1
@@ -171,19 +188,26 @@ class BitKVCache:
     def dequant_kv(self) -> Tuple[np.ndarray, np.ndarray]:
         """Reconstructed FP32 ``[batch, hkv, packed_len, d]`` K/V, memoized.
 
-        The first call after a flush exercises the real batched unpack +
-        dequantization of the stored fragment-order words; subsequent calls
-        return the cached reconstruction until the next flush changes the
-        packed part (keyed on ``(n_blocks, flush_epoch)``).
+        The first call after prefill (or after the memo is dropped) runs
+        the real batched unpack + dequantization of the stored
+        fragment-order words, in bounded block chunks, into a fresh buffer
+        with headroom; later calls return the same views until a flush,
+        which extends them with its own block column (:meth:`append_token`).
+        Views are ``[:, :, :packed_len]`` slices of the buffer — row-major
+        ``[packed_len, d]`` matrices per head, with the buffer's head
+        stride — and nothing is ever written into rows already handed out.
         """
         if self.packed is None:
             empty = np.zeros((self.batch, self.hkv, 0, self.head_dim), np.float32)
             return empty, empty
-        key = (self.packed.n_blocks, self.flush_epoch)
-        if self._dequant_memo is not None and self._dequant_memo[0] == key:
-            return self._dequant_memo[1]
-        kv = self.packed.dequant_kv(self.config)
-        self._dequant_memo = (key, kv)
+        nb = self.packed.n_blocks
+        memo = self._dequant_memo
+        if memo is not None and memo[0] == nb:
+            return memo[1]
+        shape = (self.batch, self.hkv, self.packed_len(), self.head_dim)
+        bufs = (reserve(None, 0, shape), reserve(None, 0, shape))
+        kv = self.packed.dequant_kv(self.config, out=tuple(b[:, :, : shape[2]] for b in bufs))
+        self._dequant_memo = (nb, kv, bufs)
         return kv
 
     def residual_kv(self) -> Tuple[np.ndarray, np.ndarray]:

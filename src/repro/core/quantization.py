@@ -197,21 +197,29 @@ def quantize(
     return codes, params
 
 
-def dequantize(codes: np.ndarray, params: QuantParams) -> np.ndarray:
+def dequantize(
+    codes: np.ndarray, params: QuantParams, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse affine map: ``x_hat = code * scale + zero`` (one HFMA2).
 
     Like :func:`quantize`, fully batched: the per-group scale/zero broadcast
     against a zero-copy grouped view — no transposes of the code tensor.
+    ``out`` (FP32, the codes' shape, any strides) receives the values in
+    place of a fresh array; the chunked cache dequant writes each chunk
+    straight into its rows of the reconstruction this way.
     """
     codes = np.asarray(codes)
     grouped, ax = _grouped_view(codes, params.axis, params.group_size)
     scale = np.expand_dims(np.moveaxis(params.scale, -1, ax), ax + 1)
     zero = np.expand_dims(np.moveaxis(params.zero, -1, ax), ax + 1)
-    # Write through a preallocated C-contiguous buffer: the reconstruction's
-    # memory layout must not depend on the codes' strides, so that every
-    # caller (per-block or batched) hands the downstream GEMMs identical
-    # arrays and decode stays bit-reproducible across cache layouts.
-    out = np.empty(codes.shape, dtype=np.float32)
+    # Write through a preallocated buffer: the reconstruction's memory
+    # layout must not depend on the codes' strides, so that every caller
+    # (per-block or batched) hands the downstream GEMMs identical row-major
+    # matrices and decode stays bit-reproducible across cache layouts.
+    if out is None:
+        out = np.empty(codes.shape, dtype=np.float32)
+    elif out.shape != codes.shape or out.dtype != np.float32:
+        raise ValueError(f"out must be FP32 of the codes' shape {codes.shape}")
     out_grouped = out.reshape(grouped.shape)
     np.multiply(grouped, scale, out=out_grouped)
     np.add(out_grouped, zero, out=out_grouped)

@@ -70,14 +70,75 @@ def _kv_fragment_layout(config: BitDecodingConfig) -> FragmentLayout:
 # ---------------------------------------------------------------------------
 
 
+#: Per-chunk working-set budget of the chunked flush and the chunked
+#: dequant, in K-or-V values.  A chunk touches ~9 bytes per value across
+#: its buffers (fp16 source, fp32 affine, uint8 codes, word output +
+#: scratch; or words, unpacked fields and codes); 512k values keeps that
+#: a few MiB — inside the last-level cache on anything current — so the
+#: passes stream from cache instead of DRAM, and no temporary grows with
+#: the context.
+_CHUNK_VALUES = 512 * 1024
+
+
+def reserve(buf: Optional[np.ndarray], used: int, shape: Tuple[int, ...], dtype=np.float32):
+    """A buffer for ``shape`` whose axis 2 may run past ``shape[2]``.
+
+    Returns ``buf`` itself when its axis 2 already holds ``shape[2]``
+    entries.  Otherwise allocates a fresh ``np.empty`` buffer with an
+    eighth more (plus one) on axis 2 and copies ``buf[:, :, :used]`` into
+    it.  Callers append past ``used`` and hand out views of
+    ``[:, :, :length]``, so appends grow a buffer geometrically and a view
+    once handed out is never overwritten.  Both caches hold their
+    block-axis state this way: the contiguous cache's packed blocks and
+    reconstruction, and the paged store's group reconstructions.
+
+    The headroom sits at the end of every head's rows, so it lies between
+    heads; with transparent huge pages (numpy advises them for arrays of
+    4 MiB and more) a gap under 2 MiB is resident once its neighbours are
+    written.  An eighth keeps that cost small while a grown buffer still
+    covers ``N_r``-token flushes for ``L / (8 N_r)`` flushes.
+    """
+    if buf is not None and buf.shape[2] >= shape[2]:
+        return buf
+    grown = np.empty(shape[:2] + (shape[2] + shape[2] // 8 + 1,) + tuple(shape[3:]), dtype)
+    if used:
+        grown[:, :, :used] = buf[:, :, :used]
+    return grown
+
+
+def _flat_heads(a: np.ndarray) -> np.ndarray:
+    """``a`` (``[batch, hkv, ...]``) as ``[1, batch * hkv, ...]``."""
+    return a.reshape(1, -1, *a.shape[2:])
+
+
+def _block_chunks(n_heads: int, n_blocks: int, block_values: int):
+    """``(heads, blocks)`` slices tiling ``n_heads x n_blocks`` blocks in
+    chunks of about :data:`_CHUNK_VALUES` values: whole heads at a time
+    when a head fits, else runs of one head's blocks."""
+    heads_per = max(1, _CHUNK_VALUES // max(1, n_blocks * block_values))
+    blocks_per = max(1, min(n_blocks, _CHUNK_VALUES // block_values))
+    for h0 in range(0, n_heads, heads_per):
+        for j0 in range(0, n_blocks, blocks_per):
+            yield slice(h0, h0 + heads_per), slice(j0, j0 + blocks_per)
+
+
+def _kv_out(out, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """``out`` checked against the ``(K, V)`` shape, or fresh FP32 arrays."""
+    if out is None:
+        return np.empty(shape, np.float32), np.empty(shape, np.float32)
+    if any(o.shape != shape or o.dtype != np.float32 for o in out):
+        raise ValueError(f"dequant output must be two FP32 arrays of shape {shape}")
+    return tuple(out)
+
+
 class BlockBatch(abc.ABC):
     """The array interface every batched block format shares.
 
     A format is a tuple of per-block tensors, block axis 2 (``[batch, hkv,
     n_blocks, ...]``), plus the configuration that reads them back.
-    Storage that only moves blocks around — concatenating flushes, or the
-    paged pool's per-page frames — works on :attr:`arrays` and rebuilds
-    with :meth:`with_arrays`, never on a format's fields.
+    Storage that only moves blocks around — the contiguous cache's block
+    buffers, or the paged pool's per-page frames — works on :attr:`arrays`
+    and rebuilds with :meth:`with_arrays`, never on a format's fields.
     """
 
     @property
@@ -100,12 +161,6 @@ class BlockBatch(abc.ABC):
     @property
     def n_blocks(self) -> int:
         return self.arrays[0].shape[2]
-
-    def extend(self, other: "BlockBatch") -> "BlockBatch":
-        """Append another batch of blocks (one flush) along the block axis."""
-        return self.with_arrays(
-            [np.concatenate(pair, axis=2) for pair in zip(self.arrays, other.arrays)]
-        )
 
 
 @dataclass
@@ -151,12 +206,18 @@ class PackedBlockBatch(BlockBatch):
             v_params=QuantParams(v_scale, v_zero, vp.axis, vp.group_size, vp.bits),
         )
 
-    def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
-        """Unpack + dequantize every block in one batched pass.
+    def dequant_kv(self, config: BitDecodingConfig, out=None) -> Tuple[np.ndarray, np.ndarray]:
+        """Unpack + dequantize every block, in bounded chunks.
 
-        Returns FP32 ``(K, V)`` of shape ``[batch, hkv, n_blocks * N_r, d]``
-        — all heads reconstructed through the real fragment-order unpack,
-        with no per-(batch, head, block) Python iteration.
+        Returns FP32 ``(K, V)`` of shape ``[batch, hkv, n_blocks * N_r,
+        d]``, written into ``out`` when given (a pair of such arrays, any
+        batch/head strides whose two axes merge, as every axis-2 slice of
+        a C-order buffer's does) — all heads reconstructed through the
+        real fragment-order unpack.  The blocks are walked in chunks of
+        about :data:`_CHUNK_VALUES` values (:func:`_block_chunks`), each
+        unpacked, gathered and dequantized straight into its rows of the
+        output, so no temporary grows with the cache.  Dequant is
+        independent per block, so the chunking changes no bit.
         """
         layout = _kv_fragment_layout(config)
         if layout.name != self.layout_name:
@@ -168,28 +229,33 @@ class PackedBlockBatch(BlockBatch):
         interleaved = config.dequant_method == "lop3"
         n, d = self.length, self.head_dim
         batch, hkv, nb = self.k_words.shape[:3]
+        out = _kv_out(out, (batch, hkv, nb * n, d))
 
         # The inverse fragment permutation turns the scatter back into a
         # gather (``np.take``), which runs an order of magnitude faster
         # than advanced-index assignment on 10^8-element caches.  K words
         # address the (d, N_r) packing orientation; the transposed offsets
         # land the codes straight in (N_r, d).
-        k_frag = unpack_values(self.k_words, self.bits, self.word_bits, interleaved=interleaved)
         _, inv_k = block_fragment_offsets(layout, d, n, transposed=True)
-        k_codes = np.take(k_frag.reshape(batch, hkv, nb, n * d), inv_k, axis=-1)
-        k_codes = k_codes.reshape(batch, hkv, nb, n, d)
-
-        v_frag = unpack_values(self.v_words, self.bits, self.word_bits, interleaved=interleaved)
         _, inv_v = block_fragment_offsets(layout, n, d)
-        v_codes = np.take(v_frag.reshape(batch, hkv, nb, n * d), inv_v, axis=-1)
-        v_codes = v_codes.reshape(batch, hkv, nb, n, d)
-
-        k_hat = dequantize(k_codes, self.k_params)
-        v_hat = dequantize(v_codes, self.v_params)
-        return (
-            k_hat.reshape(batch, hkv, nb * n, d),
-            v_hat.reshape(batch, hkv, nb * n, d),
-        )
+        arrays = [_flat_heads(a) for a in self.arrays]
+        k_out, v_out = (_flat_heads(o) for o in out)
+        if any(o.size and not np.may_share_memory(o, dst) for o, dst in zip((k_out, v_out), out)):
+            raise ValueError("dequant output must merge its batch and head axes without a copy")
+        for heads, blocks in _block_chunks(batch * hkv, nb, n * d):
+            chunk = self.with_arrays([a[:, heads, blocks] for a in arrays])
+            rows = slice(blocks.start * n, blocks.stop * n)
+            for words, params, inv, dst in (
+                (chunk.k_words, chunk.k_params, inv_k, k_out),
+                (chunk.v_words, chunk.v_params, inv_v, v_out),
+            ):
+                frag = unpack_values(words, self.bits, self.word_bits, interleaved=interleaved)
+                lead = frag.shape[:3]
+                codes = np.take(frag.reshape(*lead, n * d), inv, axis=-1)
+                dequantize(
+                    codes.reshape(*lead, n, d), params, out=dst[:, heads, rows].reshape(*lead, n, d)
+                )
+        return out
 
     @property
     def packed_nbytes(self) -> int:
@@ -231,13 +297,15 @@ class Fp4BlockBatch(BlockBatch):
             v_scales=Fp4Params(v_scale, vs.axis, vs.block_size, vs.fmt),
         )
 
-    def dequant_kv(self, config: BitDecodingConfig) -> Tuple[np.ndarray, np.ndarray]:
+    def dequant_kv(self, config: BitDecodingConfig, out=None) -> Tuple[np.ndarray, np.ndarray]:
+        """FP32 ``(K, V)`` ``[batch, hkv, n_blocks * N_r, d]``, written into
+        ``out`` when given: one FP16 -> FP32 cast per tensor, straight into
+        the output, with no temporary."""
         batch, hkv, nb = self.k_values.shape[:3]
-        flat = (batch, hkv, nb * self.length, self.head_dim)
-        return (
-            self.k_values.astype(np.float32).reshape(flat),
-            self.v_values.astype(np.float32).reshape(flat),
-        )
+        out = _kv_out(out, (batch, hkv, nb * self.length, self.head_dim))
+        for values, dst in zip((self.k_values, self.v_values), out):
+            np.copyto(dst.reshape(values.shape), values)
+        return out
 
     @property
     def packed_nbytes(self) -> int:
@@ -249,14 +317,6 @@ class Fp4BlockBatch(BlockBatch):
         return self.k_scales.nbytes + self.v_scales.nbytes
 
 
-#: Per-chunk working-set budget of the chunked flush, in K-or-V values.
-#: A chunk touches ~9 bytes per value across its buffers (fp16 source,
-#: fp32 affine, uint8 codes, word output + scratch); 512k values keeps
-#: that a few MiB — inside the last-level cache on anything current — so
-#: the quantize/gather/pack passes stream from cache instead of DRAM.
-_FLUSH_CHUNK_VALUES = 512 * 1024
-
-
 def flush_blocks(
     k_blocks: np.ndarray, v_blocks: np.ndarray, config: BitDecodingConfig
 ) -> BlockBatch:
@@ -265,7 +325,7 @@ def flush_blocks(
     ``k_blocks`` / ``v_blocks`` are ``[batch, hkv, n_blocks, N_r, d]``.
     Because no quantization group and no fragment permutation ever crosses
     a residual-block boundary, the flush is embarrassingly chunkable: the
-    blocks are walked in runs sized to :data:`_FLUSH_CHUNK_VALUES` and
+    blocks are walked in runs sized to :data:`_CHUNK_VALUES` and
     each run does group statistics, affine quantization and the fused
     fragment-gather + word-pack (:func:`repro.core.packing.gather_pack_into`)
     while its working set is still cache-resident, with every intermediate
@@ -326,7 +386,7 @@ def flush_blocks(
     v_scale = np.empty((rows, n, d // value_group), np.float32)
     v_zero = np.empty_like(v_scale)
 
-    chunk_rows = max(1, _FLUSH_CHUNK_VALUES // (n * d))
+    chunk_rows = max(1, _CHUNK_VALUES // (n * d))
     staged = codes = None
     scratch = None
     for r0 in range(0, rows, chunk_rows):

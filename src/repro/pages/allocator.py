@@ -202,24 +202,58 @@ class PageAllocator:
 
     def release(self, page: int) -> None:
         """Drop one reference; at zero the page becomes reclaimable."""
-        refs = self._refs.get(page)
-        if refs is None:
-            raise ValueError(f"page {page} is not allocated")
-        self._refcount_changed(page, refs, refs - 1)
-        if refs > 1:
-            self._refs[page] = refs - 1
-            return
-        del self._refs[page]
-        if self._retained(page):
-            self._cached[page] = None  # most recently released -> end of LRU
-        else:
-            self._free.append(page)
-        for policy in self._policies:
-            policy.page_released(page)
+        self.release_many((page,))
 
-    def release_many(self, pages: List[int]) -> None:
-        for page in pages:
-            self.release(page)
+    def release_many(self, pages: Iterable[int]) -> None:
+        """Drop one reference on each of ``pages``, in one pass.
+
+        Ends exactly where releasing each page in turn ends: pages reaching
+        refcount zero join the free list, or (when a policy retains them)
+        the end of the parked LRU, in list order, and each policy sees
+        :meth:`EvictionPolicy.page_released` for them in list order.  The
+        hooks fire once every page of the list is booked, which no policy
+        can tell apart: none changes what it retains on a release.  A page
+        that is not allocated raises after the pages before it are
+        released.  Only policies that override a hook are asked.
+        """
+        refs, mapped = self._refs, self._mapped
+        mismatched = self.mismatched_pages
+        zeroed: List[int] = []
+        try:
+            for page in pages:
+                ref = refs.get(page)
+                if ref is None:
+                    raise ValueError(f"page {page} is not allocated")
+                booked = mapped.get(page, 0)
+                mismatched += (ref - 1 != booked) - (ref != booked)
+                if ref > 1:
+                    refs[page] = ref - 1
+                else:
+                    del refs[page]
+                    zeroed.append(page)
+        finally:
+            self.mismatched_pages = mismatched
+            if zeroed:
+                self._reclaimable(zeroed)
+
+    def _reclaimable(self, pages: List[int]) -> None:
+        """Park or free refcount-0 ``pages`` and fire their release hooks."""
+        policies = self._policies
+        retains = [p.retains for p in policies if type(p).retains is not EvictionPolicy.retains]
+        if not retains:
+            self._free.extend(pages)
+        else:
+            retained = retains[0] if len(retains) == 1 else self._retained
+            cached, free = self._cached, self._free
+            for page in pages:
+                if retained(page):
+                    cached[page] = None  # most recently released -> end of LRU
+                else:
+                    free.append(page)
+        for policy in policies:
+            if type(policy).page_released is not EvictionPolicy.page_released:
+                for page in pages:
+                    policy.page_released(page)
 
     def reconsider(self, page: int) -> None:
         """Re-evaluate a parked page after a policy dropped its claim.

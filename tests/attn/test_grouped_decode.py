@@ -267,9 +267,9 @@ class TestMemoRule:
         blocks = []
         dequant_kv = PackedBlockBatch.dequant_kv
 
-        def counting(batch, cfg):
+        def counting(batch, cfg, out=None):
             blocks.append(batch.k_words.shape[0] * batch.k_words.shape[2])
-            return dequant_kv(batch, cfg)
+            return dequant_kv(batch, cfg, out=out)
 
         monkeypatch.setattr(PackedBlockBatch, "dequant_kv", counting)
         other = _ragged_batch(backend, [nr + 5], rng)
@@ -296,6 +296,33 @@ class TestMemoRule:
             k_ref, v_ref = _cold(store, a)
             np.testing.assert_array_equal(k, k_ref)
             np.testing.assert_array_equal(v, v_ref)
+
+    def test_flushes_fill_the_memo_buffer_in_place_then_grow(self, rng):
+        """A group memo takes each flush's block column into its buffer's
+        headroom, past the rows it handed out, and moves to a grown buffer
+        when that is full: every read equals a cold gather and no view
+        handed out earlier changes."""
+        config = BitDecodingConfig(bits=4, wn=1)
+        nr = config.residual_block_size
+        backend = PagedBitBackend(config, n_pages=64)
+        bt = _ragged_batch(backend, [9 * nr + 1, 9 * nr + 5], rng)
+        store, seqs = bt.store, bt.seqs
+        handed_out, bases = [], []
+        for _ in range(4):
+            kv = store.dequant_group(seqs)
+            for g, h in enumerate(seqs):
+                for warm, cold in zip(kv, _cold(store, h)):
+                    np.testing.assert_array_equal(warm[g], cold[0])
+            for view, before in handed_out:
+                np.testing.assert_array_equal(view, before)
+            handed_out += [(view, view.copy()) for view in kv]
+            bases.append(kv[0].base)
+            for h in seqs:  # each to its next flush
+                n = nr - h.res_len
+                store.reserve(h, n)
+                store.write_rows(h, *rng.standard_normal((2, HKV, n, D)).astype(np.float16))
+        same = [a is b for a, b in zip(bases, bases[1:])]
+        assert any(same) and not all(same)
 
     def test_free_slot_drops_the_freed_handles_entries(self, rng):
         config = BitDecodingConfig(bits=4, wn=1)

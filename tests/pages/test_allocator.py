@@ -288,3 +288,104 @@ class TestLazyFreeList:
             assert list(lazy._cached) == list(eager._cached)
             assert policies[0].evicted == policies[1].evicted
             assert lazy.evictions == eager.evictions
+
+
+class _PerPageAllocator(PageAllocator):
+    """The per-page release loop ``release_many`` replaced: every page goes
+    through its own refcount booking, retention check, park-or-free and
+    round of ``page_released`` hooks before the next page is looked at."""
+
+    def release(self, page):
+        refs = self._refs.get(page)
+        if refs is None:
+            raise ValueError(f"page {page} is not allocated")
+        self._refcount_changed(page, refs, refs - 1)
+        if refs > 1:
+            self._refs[page] = refs - 1
+            return
+        del self._refs[page]
+        if self._retained(page):
+            self._cached[page] = None
+        else:
+            self._free.append(page)
+        for policy in self._policies:
+            policy.page_released(page)
+
+    def release_many(self, pages):
+        for page in pages:
+            self.release(page)
+
+
+class _Log(EvictionPolicy):
+    """Records each release hook with the page's parked state at the call,
+    the way the tier store reads ``is_cached`` in its hook."""
+
+    def __init__(self, alloc):
+        self.alloc, self.log = alloc, []
+
+    def page_released(self, page):
+        self.log.append((page, self.alloc.is_cached(page)))
+
+
+def _state(alloc):
+    return (
+        list(alloc._free),
+        alloc._fresh,
+        list(alloc._cached),
+        dict(alloc._refs),
+        dict(alloc._mapped),
+        alloc.mismatched_pages,
+        alloc.evictions,
+    )
+
+
+class TestOnePassReleaseMany:
+    @given(
+        ops=st.lists(
+            st.tuples(st.integers(0, 4), st.lists(st.integers(0, 15), max_size=8)), max_size=60
+        ),
+        retained=st.sets(st.integers(0, 15)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lock_step_with_the_per_page_loop(self, ops, retained):
+        """Random allocate / acquire (shared pages) / map / release_many
+        lists, duplicates and unallocated pages included, over a retaining
+        policy (pages park and evict) and two logging ones: the one-pass
+        release ends in the same free list, parked LRU, refcounts, mapping
+        books and counters, and every policy's hook log matches, after
+        every operation and on every raise.  Only the interleaving of hooks
+        across policies may differ."""
+        sides = []
+        for cls in (PageAllocator, _PerPageAllocator):
+            alloc = cls(12)
+            policies = (_Log(alloc), _RetainSet(retained), _Log(alloc))
+            for policy in policies:
+                alloc.register(policy)
+            sides.append((alloc, policies))
+        for op, picks in ops:
+            outcomes = []
+            for alloc, _ in sides:
+                live = sorted(alloc._refs)
+                chosen = [live[p % len(live)] for p in picks] if live else []
+                try:
+                    if op == 0:
+                        alloc.allocate_many(len(picks) % 4)
+                    elif op == 1:
+                        for page in chosen:
+                            alloc.acquire(page)
+                    elif op == 2:
+                        alloc.map(chosen)
+                    elif op == 3:
+                        alloc.release_many(chosen)
+                    else:
+                        alloc.release_many(picks)  # raw ids: unallocated ones raise
+                    outcomes.append(None)
+                except (ValueError, OutOfPagesError) as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+            (a, ours), (b, reference) = sides
+            assert _state(a) == _state(b)
+            log_a, keep_a, last_a = ours
+            log_b, keep_b, last_b = reference
+            assert (log_a.log, last_a.log) == (log_b.log, last_b.log)
+            assert (keep_a.released, keep_a.evicted) == (keep_b.released, keep_b.evicted)

@@ -19,6 +19,13 @@ It also holds the per-block *flush spec* the seed cache stores with:
 sweep pins it to this spec bit for bit, and ``tests/core/test_layouts.py``
 pins the spec's fragment order against the Fig. 3 counterexample.
 
+It also holds :class:`ConcatenatingCache`, the batched cache as it
+stood before its block-axis state lived in buffers with headroom: every
+flush concatenates the packed tensors and a warm reconstruction with the
+new block column, copying the whole context.  The lock-step oracle in
+``tests/core/test_cache_growth.py`` holds ``BitKVCache``'s in-place
+appends to it.
+
 It also holds the seed decode tile walk, :func:`seed_run_numeric`: every
 config walks ``tile_n``-wide tiles through the online softmax (the FP4
 path through :func:`state_update_fp4`).  The product path runs that walk
@@ -58,8 +65,8 @@ from repro.core.quantization import (
     quantize_key,
 )
 from repro.core.query_transform import group_queries, ungroup_output
-from repro.core.residual_cache import partition_prefill
-from repro.core.residual_kernel import _kv_fragment_layout, attend_residual
+from repro.core.residual_cache import BatchedResidual, partition_prefill
+from repro.core.residual_kernel import _kv_fragment_layout, attend_residual, flush_blocks
 from repro.core.softmax import OnlineSoftmaxState, pad_tail, qk_scores, tile_softmax_split
 
 
@@ -375,6 +382,69 @@ class ResidualBuffer:
     def nbytes(self) -> int:
         """FP16 storage the residual occupies (constant, = 2 buffers)."""
         return self.k.nbytes + self.v.nbytes
+
+
+class ConcatenatingCache:
+    """The batched two-part cache with concatenating flushes.
+
+    Duck-types what ``BitDecoding.decode`` reads of a cache.  Storage is
+    ``BitKVCache``'s — one ``flush_blocks`` batch and one
+    ``BatchedResidual`` — but a flush rebuilds the packed tensors with
+    ``np.concatenate`` along the block axis, and extends a reconstruction
+    memoized at the previous block count the same way: O(context) copies
+    per flush, every array exactly sized and C-contiguous.
+    """
+
+    def __init__(self, k: np.ndarray, v: np.ndarray, config: BitDecodingConfig):
+        batch, hkv, seq_len, d = k.shape
+        self.config, self.batch, self.hkv, self.head_dim = config, batch, hkv, d
+        nr = config.residual_block_size
+        packed_len, res_len = partition_prefill(seq_len, nr)
+        nb = packed_len // nr
+        self.packed = None
+        if nb:
+            self.packed = flush_blocks(
+                k[:, :, :packed_len].reshape(batch, hkv, nb, nr, d),
+                v[:, :, :packed_len].reshape(batch, hkv, nb, nr, d),
+                config,
+            )
+        self.residual = BatchedResidual(batch, hkv, nr, d)
+        if res_len:
+            self.residual.fill(k[:, :, packed_len:], v[:, :, packed_len:])
+        self.memo = None  # (n_blocks, (K, V))
+
+    def append_token(self, k_new: np.ndarray, v_new: np.ndarray) -> bool:
+        block = self.residual.append(np.asarray(k_new), np.asarray(v_new))
+        if block is None:
+            return False
+        new = flush_blocks(block[0][:, :, None], block[1][:, :, None], self.config)
+        if self.packed is None:
+            self.packed = new
+            self.memo = None
+            return True
+        if self.memo is not None and self.memo[0] == self.packed.n_blocks:
+            added = new.dequant_kv(self.config)
+            self.memo = (
+                self.memo[0] + 1,
+                tuple(np.concatenate(pair, axis=2) for pair in zip(self.memo[1], added)),
+            )
+        else:
+            self.memo = None
+        self.packed = self.packed.with_arrays(
+            [np.concatenate(pair, axis=2) for pair in zip(self.packed.arrays, new.arrays)]
+        )
+        return True
+
+    def dequant_kv(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self.packed is None:
+            empty = np.zeros((self.batch, self.hkv, 0, self.head_dim), np.float32)
+            return empty, empty
+        if self.memo is None or self.memo[0] != self.packed.n_blocks:
+            self.memo = (self.packed.n_blocks, self.packed.dequant_kv(self.config))
+        return self.memo[1]
+
+    def residual_kv(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.residual.view()
 
 
 class ReferenceBitKVCache:
