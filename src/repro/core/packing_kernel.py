@@ -24,7 +24,13 @@ from repro.core.config import AttentionGeometry, BitDecodingConfig
 from repro.core.query_transform import gemm_m_dimension
 from repro.core.quantization import quantize_fp4
 from repro.core.residual_kernel import _meta_bytes  # shared metadata math
-from repro.core.softmax import OnlineSoftmaxState, pad_tail, qk_scores, tile_softmax_split
+from repro.core.softmax import (
+    OnlineSoftmaxState,
+    pad_tail,
+    pv_product,
+    qk_scores,
+    tile_softmax_split,
+)
 from repro.gpu.arch import ArchSpec
 from repro.gpu.instructions import (
     dequant_ops,
@@ -43,13 +49,16 @@ _SPLIT_TARGET_BLOCKS_PER_SM = 2
 #: Documented tolerance of the fused decode walk (:func:`_run_fused`) vs
 #: the seed per-tile online softmax kept in ``tests/reference_cache.py``,
 #: as max |fused - seed| / max(1, max |seed|) per decode output.  Both
-#: walks quantize the same probabilities (the FP4 path re-quantizes P
-#: against the per-tile running maximum in either), so they differ only by
-#: fp32 summation order: measured <= ~2e-6 on the integer paths and
-#: <= ~2e-7 on MXFP4 over a sweep of bits {1, 2, 4, 8}, both granularities
-#: and both FP4 formats.  ``tests/core/test_vectorized_cache.py`` enforces
-#: it and pins the cases that once broke a looser FP4 bound.  One value
-#: per key; the e2e benchmark reads ``"int"``.
+#: walks score with the same small-matrix BLAS kernel and quantize the
+#: same probabilities (the FP4 path re-quantizes P against the per-tile
+#: running maximum in either), so they differ only by fp32 summation
+#: order: measured <= ~2e-6 on the integer paths and <= ~2e-7 on MXFP4
+#: over a sweep of bits {1, 2, 4, 8}, both granularities and both FP4
+#: formats, and <= ~1e-6 at 4K context.  ``tests/core/test_vectorized_cache.py``
+#: enforces it and pins the cases that once broke a looser FP4 bound;
+#: ``tests/core/test_qk_scores.py`` holds the integer walk to it against
+#: the one-GEMM walk too.  One value per key; the e2e benchmark reads
+#: ``"int"``.
 FUSED_NUMERICS_TOLERANCE = {"int": 1e-5, "fp4": 1e-5}
 
 
@@ -114,8 +123,9 @@ def run_numeric(
     each tile in one numpy update, with no per-head Python loop.
 
     Every cooperative config (``use_coop_softmax`` or ``Wn == 1``) and
-    every FP4 config takes :func:`_run_fused`: one batched QK^T over the
-    entire packed range and a two-pass softmax, with no Python tile loop.
+    every FP4 config takes :func:`_run_fused`: a QK^T over the entire
+    packed range, run as KV-row tiles sized for the host's small GEMM
+    kernel, and a two-pass softmax, with no per-``tile_n`` Python loop.
     The cooperative softmax (Algorithm 1) makes the tile walk equal to one
     softmax over the row, so tile boundaries change only the fp32
     summation order.  Only the deliberately broken non-cooperative
@@ -128,10 +138,9 @@ def run_numeric(
     so FP4 has the one walk.
 
     Both walks compute QK^T through :func:`~repro.core.softmax.qk_scores`,
-    which runs the GEMM as ``K @ Q^T`` — the KV axis on BLAS's M, the grouped
-    query rows on N — and copies the scores back to C-contiguous
-    ``(..., M, L)``.  The scores are bitwise those of ``Q @ K^T``; the
-    orientation only stops a tiny M from underfilling the host GEMM.
+    which runs each GEMM as ``K_tile @ Q^T`` — the KV rows on one side of
+    BLAS's small kernel, the grouped query rows on the other — and writes
+    the scaled scores into one C-contiguous ``(..., M, L)`` array.
     """
     q_grouped = np.asarray(q_grouped, dtype=np.float32)
     k_hat = np.asarray(k_hat, dtype=np.float32)
@@ -162,21 +171,25 @@ def _run_fused(
     config: BitDecodingConfig,
     scale: float,
 ) -> OnlineSoftmaxState:
-    """Fused tile walk: one QK^T GEMM + two-pass softmax over all tiles.
+    """Fused tile walk: one QK^T + two-pass softmax over all tiles.
 
-    The one GEMM is :func:`~repro.core.softmax.qk_scores` over the entire
-    packed range: ``k_hat @ q^T`` with the whole packed length as M (an
-    M = ``gq`` GEMM per head is about twice as slow on the host at 4K
-    context), made C-contiguous before the softmax so the PV product's
-    BLAS path — and so every output bit — is unchanged.
+    The scores are :func:`~repro.core.softmax.qk_scores` over the entire
+    packed range (``K_tile @ Q^T`` in tiles of at most
+    ``SMALL_GEMM_OUTPUTS // M`` rows), and the PV product is
+    :func:`~repro.core.softmax.pv_product` (KV spans of at most
+    ``SMALL_GEMM_MNK // (M * d)`` tokens): every call stays inside
+    OpenBLAS's small-matrix kernel, which a whole-range GEMM at 4K
+    context leaves for the packing one at about three times the cost per
+    row.  ``tests/reference_cache.py::one_gemm_run_fused`` keeps the walk
+    as one GEMM each; the two differ only in fp32 summation order.
 
     On the FP4 path ``P`` is re-quantized before the PV product exactly
     as a per-tile online walk quantizes it: against the running maximum
     up to each ``tile_n``-wide tile (``np.maximum.accumulate`` over the
     tiles' maxima), so every micro-scaling block sees the same
     probabilities.  Each tile is then rescaled by ``exp(m_run - m_final)``
-    — the correction the online walk applies step by step — and one PV
-    GEMM follows, so this and the seed per-tile walk
+    — the correction the online walk applies step by step — and the PV
+    product follows, so this and the seed per-tile walk
     (``tests/reference_cache.py``) differ only in summation order.  The
     tail tile is padded with ``-inf`` scores and zero value rows.
     """
@@ -192,7 +205,7 @@ def _run_fused(
     p_q, _ = quantize_fp4(p, config.fp4_format, axis=-1)
     correction = np.exp(m_run - np.where(np.isfinite(m), m, 0.0)[..., None])  # 0 at -inf
     p_q = (p_q * correction[..., None]).reshape(s.shape)
-    return OnlineSoftmaxState(m=m, l=p_q.sum(axis=-1), acc=p_q @ np.asarray(v_hat, np.float32))
+    return OnlineSoftmaxState(m=m, l=p_q.sum(axis=-1), acc=pv_product(p_q, v_hat))
 
 
 # ---------------------------------------------------------------------------

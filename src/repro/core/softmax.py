@@ -39,24 +39,73 @@ def reference_attention(
     return p @ v
 
 
+#: Bounds of OpenBLAS's small-matrix sgemm kernels (0.3.31, SkylakeX), which
+#: compute straight from the operands without packing them: a call takes
+#: them while ``M * N * K <= SMALL_GEMM_MNK`` and, for the transposed-A
+#: ("TN") kernel, ``M * N <= SMALL_GEMM_OUTPUTS``.  Past either bound the
+#: blocked kernel packs both operands on every call.  Measured on one
+#: OpenBLAS thread of an Intel Xeon at decode shapes (gq = 4 query rows,
+#: d = 128), the per-row cost triples across them: 14-16 ns per
+#: ``K @ Q^T`` score row inside, ~40 ns past 300 rows; 10-13 ns per
+#: ``P @ V`` token inside, ~30 ns past 1953 tokens.  :func:`qk_scores`
+#: and :func:`pv_product` split decode products into calls inside them;
+#: the transformer's projections stay *above* the output bound
+#: (``model/transformer.py::_OUTPUT_FLOOR``).
+SMALL_GEMM_OUTPUTS = 1200
+SMALL_GEMM_MNK = 1_000_000
+
+
 def qk_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    """Scaled decode scores ``(q @ k^T) * scale``, the KV axis as BLAS's M.
+    """Scaled decode scores ``(q @ k^T) * scale``, computed as ``K_tile @ Q^T``.
 
     ``q`` is ``(..., M, d)`` FP32 and ``k`` ``(..., L, d)``; returns a
     C-contiguous ``(..., M, L)``.  A decode query block has a tiny M (the
     ``gq`` grouped rows), which underfills a host GEMM's register blocking
     the way it underfills a Tensor-Core tile — the problem Sec. V-A's query
-    transformation solves on the GPU.  Computing ``k @ q^T`` instead puts
-    the long KV axis on M (about 2x faster at M=4, L=3840, d=128, one
-    OpenBLAS thread) and gives bitwise-equal scores, each the same
-    length-``d`` dot product; ``tests/core/test_qk_scores.py`` pins that
-    property over decode shapes.  The scale writes the scores into a fresh
-    C-order array, and that order is load-bearing: left transposed, the
-    following ``p @ v`` takes another BLAS path and changes in the last
-    bit.
+    transformation solves on the GPU.  So the GEMM puts the long KV axis on
+    the output's rows, ``K @ Q^T``, and walks it in tiles of at most
+    ``SMALL_GEMM_OUTPUTS // M`` keys (``SMALL_GEMM_MNK`` permitting; 300
+    at M = 4, d = 128): every call fits the small kernel and packs
+    nothing, and at 4K context the tiles take about 0.6x the time of one
+    whole-range GEMM (SkylakeX, one thread).  Each tile's scale writes it
+    into its columns of one fresh C-order score array (no other
+    full-length temporary), and that order is load-bearing: left
+    transposed, the following ``p @ v`` takes another BLAS path and
+    changes in the last bit.  A range within one tile, or an M past the
+    output bound (no decode shape), is one call.
+
+    A score is one length-``d`` dot product, computed by the same kernel
+    whatever tile holds its row.  Past one tile its bits are not those of
+    one whole-range ``Q @ K^T`` (the blocked kernel sums in another
+    order); ``tests/core/test_qk_scores.py`` pins which properties hold,
+    per OpenBLAS kernel set.
     """
-    scores = np.swapaxes(k @ np.swapaxes(q, -1, -2), -1, -2)
-    return np.multiply(scores, scale, out=np.empty_like(scores, order="C"))
+    m, d = q.shape[-2:]
+    length = k.shape[-2]
+    rows = min(SMALL_GEMM_OUTPUTS // m, SMALL_GEMM_MNK // (m * d)) or max(length, 1)
+    q_t = np.swapaxes(q, -1, -2)
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    scores = np.empty((*lead, m, length), dtype=np.result_type(q, k))
+    for t0 in range(0, length, rows):
+        tile = k[..., t0 : t0 + rows, :] @ q_t
+        np.multiply(np.swapaxes(tile, -1, -2), scale, out=scores[..., t0 : t0 + rows])
+    return scores
+
+
+def pv_product(p: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``p @ values`` over a long KV axis, in spans the small kernel takes.
+
+    ``p`` is ``(..., M, L)`` and ``values`` ``(..., L, d)``.  The product
+    is a left-to-right sum of ``P[:, span] @ V[span]`` over KV spans with
+    ``M * d * span <= SMALL_GEMM_MNK`` (1953 tokens at M = 4, d = 128), so
+    no call packs its operands; a range within one span is one call.
+    """
+    m, length = p.shape[-2:]
+    span = SMALL_GEMM_MNK // (m * values.shape[-1]) or max(length, 1)
+    acc = p[..., :span] @ values[..., :span, :]
+    for t0 in range(span, length, span):
+        acc += p[..., t0 : t0 + span] @ values[..., t0 : t0 + span, :]
+    return acc
 
 
 @dataclass
@@ -91,16 +140,17 @@ class OnlineSoftmaxState:
         ``(..., L, d)``: the row maximum is taken once over all of L, so no
         online rescaling ever happens.  The resulting ``m`` is identical to
         what a tile walk would converge to; ``l`` and ``acc`` differ from
-        the tiled update only by floating-point summation order.  The state
-        merges with other partial states (residual tail, split-KV) exactly
-        like a tiled one.
+        the tiled update only by floating-point summation order.  The PV
+        product is :func:`pv_product`, a left-to-right sum over KV spans
+        the host's small GEMM kernel takes.  The state merges with other
+        partial states (residual tail, split-KV) exactly like a tiled one.
         """
         scores = np.asarray(scores, dtype=np.float32)
         values = np.asarray(values, dtype=np.float32)
         m = scores.max(axis=-1)
         p = scores - np.where(np.isfinite(m), m, 0.0)[..., None]
         np.exp(p, out=p)
-        return cls(m=m, l=p.sum(axis=-1), acc=p @ values)
+        return cls(m=m, l=p.sum(axis=-1), acc=pv_product(p, values))
 
     def merge(self, other: "OnlineSoftmaxState") -> None:
         """Combine two partial states (split-KV reduction kernel)."""

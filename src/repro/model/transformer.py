@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.attn.protocol import AttentionBackend, KVCacheHandle
 from repro.attn.reference import chunked_causal_attention
+from repro.core.softmax import SMALL_GEMM_OUTPUTS
 
 __all__ = [
     "CacheSession",
@@ -64,16 +65,16 @@ def rope_angles(head_dim: int, positions: np.ndarray) -> Tuple[np.ndarray, np.nd
 #: runs with.  OpenBLAS routes small products away from its blocked GEMM,
 #: to paths whose bits differ: below 4 rows a gemv or a small-matrix
 #: kernel, and in the transposed-rows call :func:`_matmul` makes, the TN
-#: small-matrix kernel up to about 1200 outputs, which ``tiny``'s 64-wide
-#: ``wo`` / ``w_down`` hit under 19 rows.  Zero-padding to both floors
-#: keeps every call on the blocked kernel, where a row has the same bits
-#: whatever M is, wherever it sits and whatever the other rows hold, and
-#: the same bits as the ``(in, out)`` GEMM ``rows @ w.T`` (pinned by
-#: ``tests/model/test_row_floor.py``).  So a decoder's hidden state never
-#: depends on which other rows share its step's forward: other decoders,
-#: a prefill chunk's rows, or a replayed decode tail.
+#: small-matrix kernel up to ``SMALL_GEMM_OUTPUTS`` (1200) outputs, which
+#: ``tiny``'s 64-wide ``wo`` / ``w_down`` hit under 19 rows.  Zero-padding
+#: to both floors keeps every call on the blocked kernel, where a row has
+#: the same bits whatever M is, wherever it sits and whatever the other
+#: rows hold, and the same bits as the ``(in, out)`` GEMM ``rows @ w.T``
+#: (pinned by ``tests/model/test_row_floor.py``).  So a decoder's hidden
+#: state never depends on which other rows share its step's forward:
+#: other decoders, a prefill chunk's rows, or a replayed decode tail.
 _ROW_FLOOR = 4
-_OUTPUT_FLOOR = 1201
+_OUTPUT_FLOOR = SMALL_GEMM_OUTPUTS + 1
 
 
 def _matmul(rows: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -34,6 +34,12 @@ config into one QK^T and a two-pass softmax; the sweep holds the fused
 walk to ``FUSED_NUMERICS_TOLERANCE`` of this one and the remaining tiled
 walk to it bit for bit.
 
+And it holds the fused walk as it stood before its GEMMs were tiled for
+the host's small-matrix kernel, :func:`one_gemm_run_fused`: one
+whole-range ``K @ Q^T`` and one whole-range ``P @ V``.
+``tests/core/test_qk_scores.py`` holds the tiled walk to it within
+``FUSED_NUMERICS_TOLERANCE``.
+
 Scope of the equivalence: this reference shares the low-level primitives
 (``quantize``/``dequantize``/``unpack_values``/``tile_softmax_split``)
 with the vectorized path, so the sweep pins the batched-vs-per-block
@@ -633,3 +639,35 @@ def reference_decode(
                 merged.merge(st)
             out[b, h] = merged.finalize()
     return ungroup_output(out, hq, q_len)
+
+
+def one_gemm_qk_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """Decode scores as one whole-range ``K @ Q^T`` GEMM, made C-order."""
+    scores = np.swapaxes(k @ np.swapaxes(q, -1, -2), -1, -2)
+    return np.multiply(scores, scale, out=np.empty_like(scores, order="C"))
+
+
+def one_gemm_run_fused(
+    q_grouped: np.ndarray,
+    k_hat: np.ndarray,
+    v_hat: np.ndarray,
+    config: BitDecodingConfig,
+    scale: float,
+) -> OnlineSoftmaxState:
+    """The fused decode walk with one QK^T and one PV GEMM over the whole
+    packed range (``packing_kernel._run_fused``'s signature and softmax)."""
+    s = one_gemm_qk_scores(q_grouped, k_hat, scale)
+    if config.version != "fp4":
+        m = s.max(axis=-1)
+        p = s - np.where(np.isfinite(m), m, 0.0)[..., None]
+        np.exp(p, out=p)
+        return OnlineSoftmaxState(m=m, l=p.sum(axis=-1), acc=p @ v_hat)
+    s, v_hat = pad_tail(s, v_hat, config.tile_n)
+    tiles = s.reshape(*s.shape[:-1], -1, config.tile_n)
+    m_run = np.maximum.accumulate(tiles.max(axis=-1), axis=-1)
+    m = m_run[..., -1]
+    p = np.exp(tiles - np.where(np.isfinite(m_run), m_run, 0.0)[..., None])
+    p_q, _ = quantize_fp4(p, config.fp4_format, axis=-1)
+    correction = np.exp(m_run - np.where(np.isfinite(m), m, 0.0)[..., None])
+    p_q = (p_q * correction[..., None]).reshape(s.shape)
+    return OnlineSoftmaxState(m=m, l=p_q.sum(axis=-1), acc=p_q @ v_hat)
