@@ -38,6 +38,12 @@ that reads only its last row (``live_rows=1``, what the serving runner
 asks of a chunk that completes a prefill), next to
 ``chunk_all_rows_ms``, the same chunk returning every row.
 
+A kernel-level ``projections`` section times one pass of the bench-gqa
+geometry's 16 projection GEMMs (4 layers of ``wqkv``, ``wo``,
+``w_gate_up``, ``w_down``, 36 MB of weights, so every GEMM reads its weight
+from past L2) at ``PROJECTION_ROWS`` rows: ``pass_ms`` per row count, the
+fastest of ``PROJECTION_REPEATS`` passes.
+
 Report only: these are same-machine host-clock ratios, so nothing gates
 on them.  CI runs this module as a script and uploads the point::
 
@@ -69,7 +75,7 @@ from repro.attn import PagedBitBackend  # noqa: E402
 from repro.bench.results import write_run  # noqa: E402
 from repro.core.attention import BitDecoding, BitKVCache  # noqa: E402
 from repro.core.config import BitDecodingConfig  # noqa: E402
-from repro.model.transformer import TinyTransformer  # noqa: E402
+from repro.model.transformer import TinyTransformer, _matmul  # noqa: E402
 
 from tests.reference_cache import ReferenceBitKVCache, reference_decode  # noqa: E402
 
@@ -81,6 +87,10 @@ REPLAY_TOKENS = 33
 # Rows per prefill chunk in the chunk point: the prefill_shared workload's
 # chunk size.
 CHUNK_TOKENS = 128
+# Rows per projection pass: one decoder, tiered_chaos's four, decode_burst's
+# sixteen and a prefill-sized 64.
+PROJECTION_ROWS = (1, 4, 16, 64)
+PROJECTION_REPEATS = 7
 
 
 def _timed(fn):
@@ -252,6 +262,37 @@ def run_transformer_bench(
     }
 
 
+def run_projection_bench(rows=PROJECTION_ROWS, repeats=PROJECTION_REPEATS, seed=0):
+    """One pass of the bench-gqa model's 16 projection GEMMs per row count.
+
+    The geometry is the e2e benchmark's executed model (4 layers, hidden
+    512, intermediate 1024): each pass walks all 36 MB of weights, so no
+    GEMM finds its weight in L2.  Returns the fastest of ``repeats``
+    passes per row count, the row counts timed in turn.
+    """
+    model = TinyTransformer(
+        n_layers=4, hq=8, hkv=2, head_dim=64, hidden=512, intermediate=1024, seed=seed
+    )
+    weights = [
+        w for layer in model.layers for w in (layer.wqkv, layer.wo, layer.w_gate_up, layer.w_down)
+    ]
+    rng = np.random.default_rng(seed)
+    inputs = {
+        (m, k): rng.standard_normal((m, k)).astype(np.float32) for m in rows for k in (512, 1024)
+    }
+
+    def one_pass(m):
+        for w in weights:
+            _matmul(inputs[m, w.shape[1]], w)
+
+    best = {}
+    for _ in range(repeats):
+        for m in rows:
+            _, t = _timed(lambda: one_pass(m))
+            best[m] = min(t, best.get(m, t))
+    return {"gemms": len(weights), "pass_ms": {str(m): best[m] for m in rows}}
+
+
 def _replay_ms(dims, bits, seed, context):
     """Fastest of three replays of ``REPLAY_TOKENS`` decode inputs after a
     ``context``-token prompt, per mode: one layer-major forward vs one
@@ -345,6 +386,12 @@ def _print_summary(result):
             f"last row read {transformer['chunk_live_row_ms']:.1f} ms | "
             f"all rows read {transformer['chunk_all_rows_ms']:.1f} ms"
         )
+    projections = result.get("projections")
+    if projections:
+        print(
+            f"  {projections['gemms']}-GEMM bench-gqa projection pass: "
+            + " | ".join(f"M {m} {ms:.2f} ms" for m, ms in projections["pass_ms"].items())
+        )
 
 
 def test_kernel_hotpath_smoke(run):
@@ -355,6 +402,7 @@ def test_kernel_hotpath_smoke(run):
     result["transformer"] = run_transformer_bench(
         batch=1, n_layers=1, hq=4, hkv=2, head_dim=32, prefill_tokens=128, steps=2
     )
+    result["projections"] = run_projection_bench(repeats=1)
     _print_summary(result)
     assert result["speedup_decode_step"] > 1.0
     assert result["speedup_prefill_pack"] > 1.0
@@ -365,6 +413,9 @@ def test_kernel_hotpath_smoke(run):
     assert result["transformer"]["exact_step_ms"] > 0
     assert result["transformer"]["replay_ms"] > 0
     assert result["transformer"]["chunk_live_row_ms"] > 0
+    assert result["projections"]["gemms"] == 16
+    assert sorted(result["projections"]["pass_ms"]) == sorted(map(str, PROJECTION_ROWS))
+    assert all(ms > 0 for ms in result["projections"]["pass_ms"].values())
 
 
 def main(argv=None):
@@ -393,6 +444,7 @@ def main(argv=None):
     )
     if not args.skip_transformer:
         result["transformer"] = run_transformer_bench(bits=args.bits)
+    result["projections"] = run_projection_bench()
     _print_summary(result)
     if args.out:
         with open(args.out, "w") as fh:

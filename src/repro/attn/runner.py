@@ -199,7 +199,7 @@ class ModelRunner:
         before the per-layer batch handle lets the paged backend batch
         the decoders' cache writes and group their reads by ``n_blocks``.
         A row's bits never depend on the other rows of its forward (the
-        GEMMs run at least ``_ROW_FLOOR`` rows, the grouped reads are
+        projection GEMMs are exact W8A8, the grouped reads are
         bit-exact), so this equals one forward per chunk and then
         ``decode_batch([lc])`` per sequence bit for bit — and equals the
         same row replayed later in a :meth:`prefill` chunk's decode tail.

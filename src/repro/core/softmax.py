@@ -48,9 +48,9 @@ def reference_attention(
 #: d = 128), the per-row cost triples across them: 14-16 ns per
 #: ``K @ Q^T`` score row inside, ~40 ns past 300 rows; 10-13 ns per
 #: ``P @ V`` token inside, ~30 ns past 1953 tokens.  :func:`qk_scores`
-#: and :func:`pv_product` split decode products into calls inside them;
-#: the transformer's projections stay *above* the output bound
-#: (``model/transformer.py::_OUTPUT_FLOOR``).
+#: and :func:`pv_product` split decode products into calls inside them, and
+#: so does the transformer's exact W8A8 projection GEMM for decode-sized M
+#: (``model/transformer.py::_matmul``).
 SMALL_GEMM_OUTPUTS = 1200
 SMALL_GEMM_MNK = 1_000_000
 

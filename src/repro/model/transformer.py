@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.attn.protocol import AttentionBackend, KVCacheHandle
 from repro.attn.reference import chunked_causal_attention
-from repro.core.softmax import SMALL_GEMM_OUTPUTS
+from repro.core.softmax import SMALL_GEMM_MNK, SMALL_GEMM_OUTPUTS
 
 __all__ = [
     "CacheSession",
@@ -61,35 +61,50 @@ def rope_angles(head_dim: int, positions: np.ndarray) -> Tuple[np.ndarray, np.nd
     return np.cos(angles), np.sin(angles)
 
 
-#: Fewest rows, and fewest ``rows * out_width`` outputs, a projection GEMM
-#: runs with.  OpenBLAS routes small products away from its blocked GEMM,
-#: to paths whose bits differ: below 4 rows a gemv or a small-matrix
-#: kernel, and in the transposed-rows call :func:`_matmul` makes, the TN
-#: small-matrix kernel up to ``SMALL_GEMM_OUTPUTS`` (1200) outputs, which
-#: ``tiny``'s 64-wide ``wo`` / ``w_down`` hit under 19 rows.  Zero-padding
-#: to both floors keeps every call on the blocked kernel, where a row has
-#: the same bits whatever M is, wherever it sits and whatever the other
-#: rows hold, and the same bits as the ``(in, out)`` GEMM ``rows @ w.T``
-#: (pinned by ``tests/model/test_row_floor.py``).  So a decoder's hidden
-#: state never depends on which other rows share its step's forward:
-#: other decoders, a prefill chunk's rows, or a replayed decode tail.
-_ROW_FLOOR = 4
-_OUTPUT_FLOOR = SMALL_GEMM_OUTPUTS + 1
+#: Largest K at which a float32 GEMM of int8 codes is exact: every partial
+#: sum is an integer below ``K * 127**2 < 2**24`` (times the weights'
+#: power-of-two step), so float32 holds it whatever the order.  Past it
+#: :func:`_matmul` runs in float64, still exact; no executed model gets there
+#: (bench-gqa's widest K is ``w_down``'s 1024).
+_EXACT_K = 1040
+#: Narrowest output tile :func:`_matmul` runs on OpenBLAS's no-pack small
+#: kernel; below it one blocked call is faster.  A 16-GEMM bench-gqa pass
+#: (36 MB of weights, one OpenBLAS thread, SkylakeX) read tiled in half the
+#: blocked time at M = 4 and faster in 9 of 9 rounds down to 85-row tiles
+#: (M = 14 at K = 512), but slower in 7 of 9 at 75 rows (M = 16, where the
+#: blocked kernel fills its register blocks; decode_burst's batch).
+_MIN_TILE = 80
 
 
 def _matmul(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``rows @ w.T`` for ``(m, in)`` rows and an ``(out, in)`` weight, as ONE GEMM.
+    """``rows @ w.T`` for ``(m, in)`` rows and an ``(out, in)`` weight, in exact W8A8.
 
-    Computed as ``(w @ rows.T).T`` so BLAS's M is the output width, not
-    the few decode rows; rows are zero-padded to the floors above.
+    Each row is quantized to int8 codes with one absmax scale per row; the
+    weight already holds int8 codes times one power-of-two step (see
+    :class:`TinyTransformer`).  So the GEMM sums integers exactly (float32
+    up to ``_EXACT_K``, float64 past it), and a row's bits depend on
+    nothing but the row: not on M, on the other rows, on the summation
+    order or on the BLAS kernel set.  That frees the GEMM to take the
+    fastest kernel for its shape: ``codes_w[o:o+t] @ codes_x.T`` over
+    output tiles of ``t`` rows that fit the small kernel's bounds
+    (``core/softmax.py``), or one blocked call when such a tile would be
+    narrower than ``_MIN_TILE``.  Both write one ``(out, m)`` buffer, and
+    one rescale pass writes the C-order ``(m, out)`` result.
     """
-    m = rows.shape[0]
-    floor = max(_ROW_FLOOR, -(-_OUTPUT_FLOOR // w.shape[0]))
-    if m < floor:
-        padded = np.zeros((floor, rows.shape[1]), np.float32)
-        padded[:m] = rows
-        rows = padded
-    return np.ascontiguousarray((w @ rows.T)[:, :m].T)
+    m, k = rows.shape
+    out = w.shape[0]
+    scale = np.abs(rows).max(axis=1, keepdims=True) / np.float32(127)
+    codes = rows / np.maximum(scale, np.finfo(np.float32).tiny)
+    np.rint(codes, out=codes)
+    if k > _EXACT_K:
+        codes, w = codes.astype(np.float64), w.astype(np.float64)
+    acc = np.empty((out, m), codes.dtype)
+    tile = min(SMALL_GEMM_OUTPUTS // m, SMALL_GEMM_MNK // (m * k))
+    if tile < _MIN_TILE:
+        tile = out
+    for o in range(0, out, tile):
+        np.matmul(w[o : o + tile], codes.T, out=acc[o : o + tile])
+    return np.multiply(acc.T, scale, out=np.empty((m, out), np.float32))
 
 
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -118,9 +133,11 @@ class LayerWeights:
     """Weights of one decoder layer.
 
     Every projection is stored output-major, ``(out, in)`` like
-    ``nn.Linear``.  Projections that read the same input are fused
-    row-wise: ``wqkv`` stacks ``wq``, ``wk``, ``wv`` and ``w_gate_up``
-    stacks ``gate``, ``up``, so each is one GEMM.
+    ``nn.Linear``, as int8 codes times one power-of-two step (exact in
+    float32; :func:`_matmul` multiplies them exactly).  Projections that
+    read the same input are fused row-wise: ``wqkv`` stacks ``wq``,
+    ``wk``, ``wv`` and ``w_gate_up`` stacks ``gate``, ``up``, so each is
+    one GEMM.
     """
 
     wqkv: np.ndarray
@@ -189,22 +206,28 @@ class TinyTransformer:
             raise ValueError("hq * head_dim must equal hidden")
         self._session = self.new_session()
         rng = np.random.default_rng(self.seed)
-        scale = 1.0 / math.sqrt(self.hidden)
+        sigma = 1.0 / math.sqrt(self.hidden)
+        step = 2.0 ** math.ceil(math.log2(5 * sigma / 127))
         kv_dim = self.hkv * self.head_dim
 
         def w(*shapes):
             """``(out, in)`` weights stacked row-wise, each drawn ``(in, out)``.
 
+            Every weight is int8 codes times one power-of-two ``step``, which
+            float32 holds exactly: a ``N(0, sigma)`` draw rounded to the
+            nearest step, codes clipped to +-127 (``127 * step >= 5 sigma``).
             Drawn 128 input rows at a time (the same values as one draw), so
-            each block is scaled, cast and transposed while it is in cache.
+            each block is quantized, cast and transposed while it is in cache.
             """
             out = np.empty((sum(n_out for _, n_out in shapes), shapes[0][0]), np.float32)
             row = 0
             for n_in, n_out in shapes:
                 for i in range(0, n_in, 128):
                     z = rng.standard_normal((min(128, n_in - i), n_out))
-                    z *= scale
-                    out[row : row + n_out, i : i + 128] = z.T
+                    z *= sigma / step
+                    np.rint(z, out=z)
+                    np.clip(z, -127, 127, out=z)
+                    np.multiply(z.T, step, out=out[row : row + n_out, i : i + 128])
                 row += n_out
             return out
 
@@ -349,8 +372,8 @@ class TinyTransformer:
         ``append_kv`` + ``decode_step`` on the chunk's handle.  So every
         layer's cache sees the call sequence of one forward per chunk,
         and since a projection row's bits do not depend on the other rows
-        (``_ROW_FLOOR``), neither do the outputs.  A session may appear
-        in at most one chunk.
+        (the W8A8 GEMMs of :func:`_matmul` are exact), neither do the
+        outputs.  A session may appear in at most one chunk.
 
         Only a chunk's ``live_rows`` trailing rows (per batch member) are
         returned, in chunk order, so only they run the final layer past
@@ -358,10 +381,9 @@ class TinyTransformer:
         through ``backend.prefill(None, ...)``, tail rows through
         ``append_kv``) and skips the attention read, ``wo`` and the MLP.
         A live prompt row keeps its chunk's whole prefill attention and is
-        sliced out of it: attending its query alone would change the
+        sliced out of it: attending its query alone would change the score
         GEMM's N, and with it the row's bits.  The ``wqkv`` GEMM is not
-        cut down to the dead rows' K/V outputs either, for the same
-        reason on some kernel sets.
+        cut down to the dead rows' K/V outputs.
         """
         segments, rows, live_index = [], [], []
         start = 0

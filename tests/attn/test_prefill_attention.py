@@ -27,7 +27,7 @@ import pytest
 from repro.attn.reference import chunked_causal_attention
 from repro.gpu.arch import get_arch
 from repro.model.config import TINY
-from repro.model.transformer import TinyTransformer, rms_norm, rope_angles
+from repro.model.transformer import TinyTransformer, _matmul, rms_norm, rope_angles
 from repro.serving import ContinuousBatchingEngine, poisson_trace
 from repro.serving.crosscheck import decoded_bit_exact, int4_stack
 from tests.model.test_row_floor import _blas
@@ -95,7 +95,7 @@ class TestEinsumBits:
         layer = model.layers[0]
         x = np.random.default_rng(3).standard_normal((1, 512, 512)).astype(np.float32)
         cos, sin = rope_angles(64, np.arange(512))
-        qkv = rms_norm(x, layer.norm_attn) @ layer.wqkv.T
+        qkv = _matmul(rms_norm(x[0], layer.norm_attn), layer.wqkv)[None]
         q_all, k_all, v_all = model._rope_qkv(qkv, cos, sin)
         mismatches = []
         for n in (1, 15, 59, 64, 69, 128):

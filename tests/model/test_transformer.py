@@ -13,6 +13,7 @@ from repro.model.transformer import (
     CacheSession,
     PrefillChunk,
     TinyTransformer,
+    _matmul,
     apply_rope,
     rms_norm,
     rope_angles,
@@ -57,11 +58,13 @@ class TestPrimitives:
 
     def test_swiglu_fused_rows_match_separate_matrices(self, rng):
         x = rng.standard_normal((2, 8)).astype(np.float32)
-        w_g = rng.standard_normal((16, 8)).astype(np.float32)  # (out, in)
-        w_u = rng.standard_normal((16, 8)).astype(np.float32)
-        w_d = rng.standard_normal((8, 16)).astype(np.float32)
-        gate = x @ w_g.T
-        expected = (gate / (1.0 + np.exp(-gate)) * (x @ w_u.T)) @ w_d.T
+        # (out, in) int8 codes times a power-of-two step, as the model's weights.
+        w_g, w_u, w_d = (
+            rng.integers(-127, 128, shape).astype(np.float32) / 64
+            for shape in ((16, 8), (16, 8), (8, 16))
+        )
+        gate = _matmul(x, w_g)
+        expected = _matmul(gate / (1.0 + np.exp(-gate)) * _matmul(x, w_u), w_d)
         out = swiglu(x, np.concatenate([w_g, w_u], axis=0), w_d)
         assert out.shape == (2, 8)
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
@@ -126,11 +129,12 @@ class TestVectorizedAttention:
         normed = rng.standard_normal((2, 12, 64)).astype(np.float32)
         seq = normed.shape[1]
         cos, sin = rope_angles(16, np.arange(seq))
-        qr, k, v = model._rope_qkv(normed @ layer.wqkv.T, cos, sin)
-        out = chunked_causal_attention(qr, None, None, k, v).reshape(2, 12, 64) @ layer.wo.T
+        qkv = _matmul(normed.reshape(24, 64), layer.wqkv).reshape(2, seq, -1)
+        qr, k, v = model._rope_qkv(qkv, cos, sin)
+        out = _matmul(chunked_causal_attention(qr, None, None, k, v).reshape(24, 64), layer.wo)
 
         # Per-head loop reference (the pre-vectorization implementation).
-        q = (normed @ layer.wqkv[:64].T).reshape(2, seq, hq, 16)
+        q = _matmul(normed.reshape(24, 64), layer.wqkv[:64]).reshape(2, seq, hq, 16)
         q = apply_rope(q.transpose(0, 2, 1, 3), cos, sin)
         gq = hq // hkv
         per_head = np.empty_like(q)
@@ -142,7 +146,7 @@ class TestVectorizedAttention:
                 p = np.exp(s)
                 p /= p.sum(axis=-1, keepdims=True)
                 per_head[b, hh] = p @ v[b, hh // gq]
-        expected = per_head.transpose(0, 2, 1, 3).reshape(2, seq, 64) @ layer.wo.T
+        expected = _matmul(per_head.transpose(0, 2, 1, 3).reshape(24, 64), layer.wo)
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
 
     def test_exact_decode_matches_reference_attention(self, rng):
