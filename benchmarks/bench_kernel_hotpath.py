@@ -42,7 +42,9 @@ A kernel-level ``projections`` section times one pass of the bench-gqa
 geometry's 16 projection GEMMs (4 layers of ``wqkv``, ``wo``,
 ``w_gate_up``, ``w_down``, 36 MB of weights, so every GEMM reads its weight
 from past L2) at ``PROJECTION_ROWS`` rows: ``pass_ms`` per row count, the
-fastest of ``PROJECTION_REPEATS`` passes.
+fastest of ``PROJECTION_REPEATS`` passes.  Its ``build_ms`` is the fastest
+of as many constructions of that model, the weight draw that makes up
+nearly all of an executed workload's ``setup_s``.
 
 Report only: these are same-machine host-clock ratios, so nothing gates
 on them.  CI runs this module as a script and uploads the point::
@@ -268,11 +270,12 @@ def run_projection_bench(rows=PROJECTION_ROWS, repeats=PROJECTION_REPEATS, seed=
     The geometry is the e2e benchmark's executed model (4 layers, hidden
     512, intermediate 1024): each pass walks all 36 MB of weights, so no
     GEMM finds its weight in L2.  Returns the fastest of ``repeats``
-    passes per row count, the row counts timed in turn.
+    passes per row count, the row counts timed in turn, and ``build_ms``,
+    the fastest of ``repeats`` constructions of the model.
     """
-    model = TinyTransformer(
-        n_layers=4, hq=8, hkv=2, head_dim=64, hidden=512, intermediate=1024, seed=seed
-    )
+    dims = dict(n_layers=4, hq=8, hkv=2, head_dim=64, hidden=512, intermediate=1024, seed=seed)
+    build_ms = min(_timed(lambda: TinyTransformer(**dims))[1] for _ in range(repeats))
+    model = TinyTransformer(**dims)
     weights = [
         w for layer in model.layers for w in (layer.wqkv, layer.wo, layer.w_gate_up, layer.w_down)
     ]
@@ -290,7 +293,11 @@ def run_projection_bench(rows=PROJECTION_ROWS, repeats=PROJECTION_REPEATS, seed=
         for m in rows:
             _, t = _timed(lambda: one_pass(m))
             best[m] = min(t, best.get(m, t))
-    return {"gemms": len(weights), "pass_ms": {str(m): best[m] for m in rows}}
+    return {
+        "gemms": len(weights),
+        "pass_ms": {str(m): best[m] for m in rows},
+        "build_ms": build_ms,
+    }
 
 
 def _replay_ms(dims, bits, seed, context):
@@ -392,6 +399,7 @@ def _print_summary(result):
             f"  {projections['gemms']}-GEMM bench-gqa projection pass: "
             + " | ".join(f"M {m} {ms:.2f} ms" for m, ms in projections["pass_ms"].items())
         )
+        print(f"  bench-gqa model build: {projections['build_ms']:.1f} ms")
 
 
 def test_kernel_hotpath_smoke(run):
@@ -416,6 +424,7 @@ def test_kernel_hotpath_smoke(run):
     assert result["projections"]["gemms"] == 16
     assert sorted(result["projections"]["pass_ms"]) == sorted(map(str, PROJECTION_ROWS))
     assert all(ms > 0 for ms in result["projections"]["pass_ms"].values())
+    assert result["projections"]["build_ms"] > 0
 
 
 def main(argv=None):

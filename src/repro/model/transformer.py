@@ -74,6 +74,9 @@ _EXACT_K = 1040
 #: (M = 14 at K = 512), but slower in 7 of 9 at 75 rows (M = 16, where the
 #: blocked kernel fills its register blocks; decode_burst's batch).
 _MIN_TILE = 80
+#: Codes per int16 row block of a :class:`TinyTransformer` weight draw: a
+#: 512 KB temporary, not one the size of the weight.
+_DRAW_VALUES = 1 << 18
 
 
 def _matmul(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -93,6 +96,8 @@ def _matmul(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     m, k = rows.shape
     out = w.shape[0]
+    if not m:
+        return np.empty((0, out), np.float32)
     scale = np.abs(rows).max(axis=1, keepdims=True) / np.float32(127)
     codes = rows / np.maximum(scale, np.finfo(np.float32).tiny)
     np.rint(codes, out=codes)
@@ -133,11 +138,11 @@ class LayerWeights:
     """Weights of one decoder layer.
 
     Every projection is stored output-major, ``(out, in)`` like
-    ``nn.Linear``, as int8 codes times one power-of-two step (exact in
-    float32; :func:`_matmul` multiplies them exactly).  Projections that
-    read the same input are fused row-wise: ``wqkv`` stacks ``wq``,
-    ``wk``, ``wv`` and ``w_gate_up`` stacks ``gate``, ``up``, so each is
-    one GEMM.
+    ``nn.Linear``, as int8 codes times one power-of-two step, exact in
+    float32 (drawn as :class:`TinyTransformer` says; :func:`_matmul`
+    multiplies them exactly).  Projections that read the same input are
+    fused row-wise: ``wqkv`` stacks ``wq``, ``wk``, ``wv`` and
+    ``w_gate_up`` stacks ``gate``, ``up``, so each is one GEMM.
     """
 
     wqkv: np.ndarray
@@ -189,6 +194,9 @@ class TinyTransformer:
     ``backend=None`` runs exact FP32 attention (the accuracy reference);
     otherwise all attention flows through the backend's cache — prefill
     packing, residual appends and the Packing-Kernel numerics end to end.
+
+    Weights are random codes from ``seed``, uniform in ``[-a, a]`` with ``a``
+    in [63, 127] (``nn.Linear``'s init family), at variance ``1 / hidden`` +-2 %.
     """
 
     n_layers: int
@@ -206,38 +214,27 @@ class TinyTransformer:
             raise ValueError("hq * head_dim must equal hidden")
         self._session = self.new_session()
         rng = np.random.default_rng(self.seed)
-        sigma = 1.0 / math.sqrt(self.hidden)
-        step = 2.0 ** math.ceil(math.log2(5 * sigma / 127))
+        bound = math.sqrt(3 / self.hidden)  # a uniform draw's bound at variance 1 / hidden
+        step = 2.0 ** math.ceil(math.log2(bound / 127))
+        a = math.floor(bound / step)
         kv_dim = self.hkv * self.head_dim
 
-        def w(*shapes):
-            """``(out, in)`` weights stacked row-wise, each drawn ``(in, out)``.
-
-            Every weight is int8 codes times one power-of-two ``step``, which
-            float32 holds exactly: a ``N(0, sigma)`` draw rounded to the
-            nearest step, codes clipped to +-127 (``127 * step >= 5 sigma``).
-            Drawn 128 input rows at a time (the same values as one draw), so
-            each block is quantized, cast and transposed while it is in cache.
-            """
-            out = np.empty((sum(n_out for _, n_out in shapes), shapes[0][0]), np.float32)
-            row = 0
-            for n_in, n_out in shapes:
-                for i in range(0, n_in, 128):
-                    z = rng.standard_normal((min(128, n_in - i), n_out))
-                    z *= sigma / step
-                    np.rint(z, out=z)
-                    np.clip(z, -127, 127, out=z)
-                    np.multiply(z.T, step, out=out[row : row + n_out, i : i + 128])
-                row += n_out
+        def w(n_out, n_in):
+            """``(n_out, n_in)`` codes drawn as int16 row blocks, each scaled by one multiply."""
+            out = np.empty((n_out, n_in), np.float32)
+            rows = max(1, _DRAW_VALUES // n_in)
+            for o in range(0, n_out, rows):
+                codes = rng.integers(-a, a + 1, (min(rows, n_out - o), n_in), dtype=np.int16)
+                np.multiply(codes, np.float32(step), out=out[o : o + rows])
             return out
 
-        # Draw order per layer: wq, wk, wv, wo, gate, up, down.
+        # Draw order per layer: wq, wk, wv, wo, gate, up, down (fused row-wise).
         self.layers = [
             LayerWeights(
-                wqkv=w((self.hidden, self.hidden), (self.hidden, kv_dim), (self.hidden, kv_dim)),
-                wo=w((self.hidden, self.hidden)),
-                w_gate_up=w((self.hidden, self.intermediate), (self.hidden, self.intermediate)),
-                w_down=w((self.intermediate, self.hidden)),
+                wqkv=w(self.hidden + 2 * kv_dim, self.hidden),
+                wo=w(self.hidden, self.hidden),
+                w_gate_up=w(2 * self.intermediate, self.hidden),
+                w_down=w(self.hidden, self.intermediate),
                 norm_attn=np.ones(self.hidden, dtype=np.float32),
                 norm_mlp=np.ones(self.hidden, dtype=np.float32),
             )
@@ -411,6 +408,8 @@ class TinyTransformer:
             member_starts = start + n * np.arange(batch)[:, None]
             live_index.append((member_starts + np.arange(n - live, n)).ravel())
             start += batch * n
+        if not rows:
+            return np.empty((0, self.hidden), np.float32)
         h = np.concatenate(rows)
         live = np.concatenate(live_index)
         last = len(self.layers) - 1

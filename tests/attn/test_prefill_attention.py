@@ -30,7 +30,7 @@ from repro.model.config import TINY
 from repro.model.transformer import TinyTransformer, _matmul, rms_norm, rope_angles
 from repro.serving import ContinuousBatchingEngine, poisson_trace
 from repro.serving.crosscheck import decoded_bit_exact, int4_stack
-from tests.model.test_row_floor import _blas
+from tests.model.test_exact_projection import _blas
 
 
 def _einsum_attention(q, k_ctx, v_ctx, k_new, v_new):

@@ -46,7 +46,7 @@ from repro.core.packing_kernel import FUSED_NUMERICS_TOLERANCE, run_numeric
 from repro.core.softmax import SMALL_GEMM_MNK, SMALL_GEMM_OUTPUTS, pv_product, qk_scores
 from tests.attn.test_grouped_decode import _ragged_batch
 from tests.core.test_vectorized_cache import _relative_gap
-from tests.model.test_row_floor import _blas
+from tests.model.test_exact_projection import _blas
 from tests.reference_cache import one_gemm_run_fused, seed_run_numeric
 
 

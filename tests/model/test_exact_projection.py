@@ -10,8 +10,9 @@ tiled and whichever BLAS kernel set runs it.  That a decode step over many
 sequences equals one step per sequence bit for bit, and that a scheduler
 step's prefill chunks can share its decode rows' forward, rest on this.
 This file holds ``_matmul`` to an int64 product on every fused weight shape
-the executed workloads use, on both its tiled and its blocked path, and
-pins the tiling itself.
+the executed workloads use, on both its tiled and its blocked path, pins
+the tiling itself, and pins the weight draw: output-major row blocks of
+uniform int16 codes, bounded by 127, at variance ``1 / hidden``.
 """
 
 import math
@@ -21,7 +22,13 @@ import pytest
 
 from repro.core.softmax import SMALL_GEMM_MNK, SMALL_GEMM_OUTPUTS
 from repro.model.config import TINY
-from repro.model.transformer import _EXACT_K, _MIN_TILE, TinyTransformer, _matmul
+from repro.model.transformer import (
+    _DRAW_VALUES,
+    _EXACT_K,
+    _MIN_TILE,
+    TinyTransformer,
+    _matmul,
+)
 
 #: ``tiny`` and the bench-gqa geometry the e2e benchmark executes.
 GEOMETRIES = {
@@ -47,8 +54,9 @@ def _blas() -> str:
 
 
 def _step(hidden: int) -> float:
-    """The weights' power-of-two step: ``127 * step`` covers 5 sigma."""
-    return 2.0 ** math.ceil(math.log2(5 / math.sqrt(hidden) / 127))
+    """The weights' power-of-two step: ``127 * step`` covers the uniform
+    bound ``sqrt(3 / hidden)`` (variance ``1 / hidden``)."""
+    return 2.0 ** math.ceil(math.log2(math.sqrt(3 / hidden) / 127))
 
 
 def _reference(x: np.ndarray, codes_w: np.ndarray, step: float) -> np.ndarray:
@@ -132,6 +140,12 @@ class TestExactProduct:
         assert not np.any(got[m // 2])
 
 
+    def test_no_rows_is_an_empty_product(self):
+        w = _layer("tiny").wqkv
+        got = _matmul(np.empty((0, w.shape[1]), np.float32), w)
+        assert got.shape == (0, w.shape[0]) and got.dtype == np.float32
+
+
 class TestTiling:
     """Decode-sized GEMMs run in the largest tiles that fit the small kernel."""
 
@@ -165,53 +179,108 @@ class TestTiling:
         assert _gemm_calls(monkeypatch, np.ones((16, 512), np.float32), w)[1] == [(0, 2048)]
 
 
-class _ScaledDraws:
-    """A generator whose normal draws are ``factor`` times another's."""
+class _LoggedDraws:
+    """A generator that logs each ``integers`` call as ``(low, high, size, dtype)``."""
 
-    def __init__(self, rng, factor):
-        self.rng, self.factor = rng, factor
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
 
-    def standard_normal(self, shape):
-        return self.rng.standard_normal(shape) * self.factor
+    def integers(self, low, high, size, dtype):
+        self.calls.append((low, high, size, np.dtype(dtype)))
+        return self.rng.integers(low, high, size, dtype=dtype)
 
 
-@pytest.mark.parametrize("factor", [1, 8], ids=["draw", "heavy-tailed-draw"])
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-def test_weights_are_output_major_codes_of_the_input_major_draw(monkeypatch, geometry, factor):
-    """C-contiguous ``(out, in)`` int8 codes times one power-of-two step,
-    rounded from the ``(in, out)`` draws of the same RNG order.
-
-    ``factor`` 8 scales every draw so that many codes saturate: they must
-    clip to +-127.
-    """
-    dims = GEOMETRIES[geometry]
+def _fused_shapes(dims):
+    """Each fused weight's ``(out, in)``, in draw order: wq, wk, wv, wo, gate, up, down."""
     hidden, inter = dims["hidden"], dims["intermediate"]
     kv_dim = dims["hkv"] * dims["head_dim"]
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: _ScaledDraws(default_rng(seed), factor)
-    )
+    return {
+        "wqkv": (hidden + 2 * kv_dim, hidden),
+        "wo": (hidden, hidden),
+        "w_gate_up": (2 * inter, hidden),
+        "w_down": (hidden, inter),
+    }
+
+
+def _code_bound(hidden: int) -> int:
+    """The largest code: ``a * step`` is the uniform bound ``sqrt(3 / hidden)``, floored."""
+    return math.floor(math.sqrt(3 / hidden) / _step(hidden))
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_weights_are_output_major_codes_of_the_drawn_rows(monkeypatch, geometry):
+    """C-contiguous float32 ``(out, in)`` weights, each drawn row block by
+    row block as uniform int16 codes in ``[-a, a]`` and scaled by the step.
+
+    Pins the call sequence (``_DRAW_VALUES // in`` rows per block, in draw
+    order), then replays it on a fresh generator of the same seed.
+    """
+    dims = GEOMETRIES[geometry]
+    default_rng, logged = np.random.default_rng, []
+
+    def logged_rng(seed):
+        logged.append(_LoggedDraws(default_rng(seed)))
+        return logged[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", logged_rng)
     layer = TinyTransformer(n_layers=1, seed=0, **dims).layers[0]
     monkeypatch.undo()
-    rng = default_rng(0)
-    sigma, step = 1.0 / math.sqrt(hidden), _step(hidden)
-
-    def draw(*shapes):
-        z = np.concatenate([rng.standard_normal(s) * factor for s in shapes], axis=1)
-        return np.clip(np.rint(z * (sigma / step)), -127, 127)
-
-    # Draw order: wq, wk, wv, wo, gate, up, down.
-    drawn = {
-        "wqkv": draw((hidden, hidden), (hidden, kv_dim), (hidden, kv_dim)),
-        "wo": draw((hidden, hidden)),
-        "w_gate_up": draw((hidden, inter), (hidden, inter)),
-        "w_down": draw((inter, hidden)),
+    a, step = _code_bound(dims["hidden"]), _step(dims["hidden"])
+    expected = {
+        name: [
+            (-a, a + 1, (min(_DRAW_VALUES // n_in, n_out - o), n_in), np.dtype(np.int16))
+            for o in range(0, n_out, _DRAW_VALUES // n_in)
+        ]
+        for name, (n_out, n_in) in _fused_shapes(dims).items()
     }
-    for name, codes_in_out in drawn.items():
+    assert len(logged) == 1 and logged[0].calls == [c for calls in expected.values() for c in calls]
+    rng = default_rng(0)
+    for name, calls in expected.items():
         w = getattr(layer, name)
         assert w.flags.c_contiguous and w.dtype == np.float32, name
-        assert w.shape == codes_in_out.shape[::-1], name
+        codes = np.concatenate([rng.integers(lo, hi, size, dtype=dt) for lo, hi, size, dt in calls])
+        assert w.shape == codes.shape, name
+        assert w.tobytes() == (codes * np.float32(step)).tobytes(), name
+
+
+def _property_dims(hidden: int) -> dict:
+    """One layer at ``hidden``, with the narrowest K/V and MLP that keep
+    ``hq * head_dim == hidden``: hidden 4096 still holds 35 M weights."""
+    head_dim = min(64, hidden // 2)
+    return dict(hq=hidden // head_dim, hkv=1, head_dim=head_dim, hidden=hidden, intermediate=64)
+
+
+def _weights(hidden: int, seed: int) -> dict:
+    model = TinyTransformer(n_layers=1, seed=seed, **_property_dims(hidden))
+    return {name: getattr(model.layers[0], name) for name in WEIGHTS}
+
+
+@pytest.mark.parametrize("hidden", [16, 64, 512, 4096])
+def test_weights_are_bounded_codes_of_a_power_of_two_step(hidden):
+    """Every weight is an integer code times one power-of-two step, with
+    ``|code| <= a <= 127`` (the bound is reached), and the draw is a
+    function of the seed.  Past hidden 16 a model holds enough weights for
+    their sample variance to sit within 5 % of ``1 / hidden``."""
+    weights = _weights(hidden, seed=0)
+    step = min(np.abs(w[w != 0]).min() for w in weights.values())
+    assert math.frexp(step)[0] == 0.5, step  # a power of two
+    a = _code_bound(hidden)
+    assert step == _step(hidden) and 63 <= a <= 127
+    total = squares = count = 0
+    for name, w in weights.items():
         codes = w / np.float32(step)
-        assert np.abs(codes).max() <= 127, name
-        assert (np.abs(codes) == 127).any() == (factor > 1), name
-        assert codes.tobytes() == np.ascontiguousarray(codes_in_out.T, np.float32).tobytes(), name
+        assert np.array_equal(codes, np.rint(codes)), name
+        assert np.abs(codes).max() <= a, name
+        total += float(w.sum(dtype=np.float64))
+        squares += float(np.dot(w.ravel(), w.ravel()))
+        count += w.size
+    assert max(float(np.abs(w).max()) for w in weights.values()) == a * step
+    if hidden > 16:
+        variance = squares / count - (total / count) ** 2
+        assert abs(variance * hidden - 1) < 0.05, variance * hidden
+    digest = {name: hash(w.tobytes()) for name, w in weights.items()}
+    del weights
+    for name, w in _weights(hidden, seed=0).items():
+        assert hash(w.tobytes()) == digest[name], name
+    for name, w in _weights(hidden, seed=1).items():
+        assert hash(w.tobytes()) != digest[name], name

@@ -111,6 +111,31 @@ class TestEndToEnd:
         model.decode_step(rng.standard_normal((1, 64)).astype(np.float32))
         assert model._session.caches[0].seq_len == 11
 
+    @pytest.mark.parametrize("bits", [None, 4], ids=["exact", "paged-int4"])
+    def test_decode_step_with_no_rows_returns_no_rows(self, rng, dims, bits):
+        """An empty decode batch returns ``(0, hidden)`` and leaves the
+        session as it was: the next step reads what it would have."""
+        x = rng.standard_normal((1, 10, 64)).astype(np.float32)
+        step = rng.standard_normal((1, 64)).astype(np.float32)
+        outs = []
+        for empty in (False, True):
+            backend = bits and PagedBitBackend(BitDecoding(BitDecodingConfig(bits=bits), "a100"))
+            model = TinyTransformer(**dims, backend=backend, seed=0)
+            model.prefill(x)
+            if empty:
+                out = model.decode_step(np.zeros((0, 64), np.float32))
+                assert out.shape == (0, 64) and out.dtype == np.float32
+                assert model._session.positions == 10
+            outs.append(model.decode_step(step))
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_prefill_chunk_with_no_rows_returns_no_rows(self, dims):
+        model = TinyTransformer(**dims, seed=0)
+        session = model.new_session()
+        out = model.prefill_chunk(np.zeros((0, 5, 64), np.float32), session)
+        assert out.shape == (0, 5, 64) and out.dtype == np.float32
+        assert session.positions == 0
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             TinyTransformer(n_layers=1, hq=4, hkv=2, head_dim=16, hidden=63, intermediate=64)
