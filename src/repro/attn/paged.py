@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from functools import partial
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.attn.protocol import AttentionBackend, KVCacheHandle
 from repro.attn.reference import chunked_causal_attention
 from repro.core.attention import BitDecoding
 from repro.core.config import BitDecodingConfig
-from repro.core.residual_kernel import BlockBatch, flush_blocks, reserve
+from repro.core.residual_kernel import BlockBatch, flush_blocks, grow_reconstruction
 from repro.gpu.arch import ArchSpec
 from repro.pages.allocator import OutOfPagesError, PageAllocator
 from repro.pages.page_table import PageTable
@@ -536,11 +537,11 @@ class PagedBitKVCache(TierObserver):
         by ``content_epoch``; it holds views of a buffer with headroom on
         the token axis (:func:`~repro.core.residual_kernel.reserve`).
         Blocks are append-only for a live handle, so while the group holds,
-        a flush dequantizes just the new block column straight into the
-        buffer, past every row handed out so far: frames are looked up for
-        those pages only, after they fault in, and the result is
-        bit-identical to a full rebuild by per-block independence.  A cold
-        read (new member tuple, or a moved epoch) fills a fresh buffer.
+        a read after flushes dequantizes just the new block columns
+        (:func:`~repro.core.residual_kernel.grow_reconstruction`, the
+        contiguous cache's rule too): frames are looked up for those pages
+        only, after they fault in.  A cold read (new member tuple, or a
+        moved epoch) fills a fresh buffer.
         """
         nb = handles[0].n_blocks
         if nb == 0:
@@ -559,12 +560,9 @@ class PagedBitKVCache(TierObserver):
             # synchronously (stall recorded) before the gather.
             self.tiers.fault_in(pages)
         nr = self.block_tokens
-        shape = (len(handles), self.hkv, nb * nr, self.head_dim)
-        bufs = tuple(reserve(buf, have * nr, shape) for buf in bufs)
-        rows = slice(have * nr, shape[2])
         fmap = self._frames(pages).reshape(len(handles), nb - have)
-        self._dequant_frames(fmap, tuple(buf[:, :, rows] for buf in bufs))
-        kv = tuple(buf[:, :, : shape[2]] for buf in bufs)
+        shape = (len(handles), self.hkv, nb * nr, self.head_dim)
+        kv, bufs = grow_reconstruction(bufs, have * nr, shape, partial(self._dequant_frames, fmap))
         self._memos.pop(key, None)
         self._memos[key] = (self.content_epoch, nb, kv, bufs)
         while len(self._memos) > self._MEMO_ENTRIES:

@@ -209,21 +209,15 @@ class ModelRunner:
     def _forward(self, lcs) -> None:
         """One forward over the held chunks, then one decode row per ``lcs``.
 
-        The forward returns the held chunks' live rows (one per chunk
-        that completes its prefill, in order), then the decode rows.
+        Always ONE ``decode_step``, with the held chunks as its ``chunks``:
+        with no decoders it has zero rows, and it runs the chunks' forward
+        alone.  It returns the held chunks' live rows (one per chunk that
+        completes its prefill, in order), then the decode rows.
         Rows kept past the step are copies: a pending input is kept in the
         recompute program, and a view would pin the forward's whole output.
         """
         held, self._held = self._held, []
         if not held and not lcs:
-            return
-        if len(held) == 1 and not lcs:
-            prog, chunk = held[0]
-            h = self.tt.prefill_chunk(
-                chunk.x, chunk.session, decode_tail=chunk.decode_tail, live_rows=chunk.live_rows
-            )[0]
-            if chunk.live_rows:
-                prog.pending = h[-1].copy()
             return
         progs = [self._programs[lc.request.req_id] for lc in lcs]
         session = CacheSession(

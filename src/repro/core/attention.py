@@ -22,6 +22,7 @@ every launch.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -38,6 +39,7 @@ from repro.core.residual_kernel import (
     attend_residual_grouped,
     build_residual_launch,
     flush_blocks,
+    grow_reconstruction,
     reserve,
 )
 from repro.core.softmax import OnlineSoftmaxState
@@ -66,13 +68,13 @@ class BitKVCache:
 
     What the host holds: the packed words and metadata, the residual, and
     one FP32 reconstruction of the packed part (:meth:`dequant_kv`), which
-    decode steps that do not flush reuse instead of re-dequantizing every
-    block.  The packed tensors and the reconstruction live in buffers with
-    headroom on the block axis (:func:`~repro.core.residual_kernel.reserve`):
-    ``packed`` is a view of their first ``n_blocks`` blocks, and a flush
-    writes just its new block column into each — the packed blocks, and
-    their dequant into the reconstruction — so it costs O(``N_r``), not
-    O(context).  A full buffer grows geometrically, by an eighth.
+    later reads reuse instead of re-dequantizing every block.  The packed
+    tensors and the reconstruction live in buffers with headroom on the
+    block axis (:func:`~repro.core.residual_kernel.reserve`): ``packed``
+    is a view of their first ``n_blocks`` blocks, a flush writes just its
+    new block column of packed blocks, and the next read dequantizes just
+    the columns flushed since the last one — each O(``N_r``) per flush,
+    not O(context).  A full buffer grows geometrically, by an eighth.
     """
 
     def __init__(self, batch: int, hkv: int, head_dim: int, config: BitDecodingConfig):
@@ -124,9 +126,8 @@ class BitKVCache:
         cache.seq_len = seq_len
         return cache
 
-    def _store_blocks(self, new: BlockBatch) -> int:
-        """Write ``new``'s blocks past the packed ones; returns how many
-        blocks were packed before."""
+    def _store_blocks(self, new: BlockBatch) -> None:
+        """Write ``new``'s blocks past the packed ones."""
         nb = self.packed_len() // self.config.residual_block_size
         total = nb + new.n_blocks
         self._blocks = tuple(
@@ -136,7 +137,6 @@ class BitKVCache:
         for buf, part in zip(self._blocks, new.arrays):
             buf[:, :, nb:total] = part
         self.packed = new.with_arrays([buf[:, :, :total] for buf in self._blocks])
-        return nb
 
     def append_token(self, k_new: np.ndarray, v_new: np.ndarray) -> bool:
         """Append one decoded token's K/V (``[batch, hkv, d]``).
@@ -152,26 +152,11 @@ class BitKVCache:
         if k_new.shape != expected or v_new.shape != expected:
             raise ValueError(f"new K/V must have shape {expected}")
         block = self.residual.append(k_new, v_new)
-        flushed = block is not None
-        if flushed:
-            new = flush_blocks(block[0][:, :, None], block[1][:, :, None], self.config)
-            nb = self._store_blocks(new)
-            memo = self._dequant_memo
-            if memo is not None and memo[0] == nb:
-                # A flush only appends blocks, so the memoized reconstruction
-                # takes just the new block column's dequant, written past
-                # every row handed out so far — per-block independence makes
-                # this bit-identical to a full rebuild.
-                nr = self.config.residual_block_size
-                shape = (self.batch, self.hkv, (nb + 1) * nr, self.head_dim)
-                bufs = tuple(reserve(buf, nb * nr, shape) for buf in memo[2])
-                column = slice(nb * nr, shape[2])
-                new.dequant_kv(self.config, out=tuple(b[:, :, column] for b in bufs))
-                self._dequant_memo = (nb + 1, tuple(b[:, :, : shape[2]] for b in bufs), bufs)
-            else:
-                self._dequant_memo = None
+        if block is not None:
+            k_block, v_block = (part[:, :, None] for part in block)
+            self._store_blocks(flush_blocks(k_block, v_block, self.config))
         self.seq_len += 1
-        return flushed
+        return block is not None
 
     # ------------------------------------------------------------------ views
 
@@ -192,21 +177,27 @@ class BitKVCache:
         the real batched unpack + dequantization of the stored
         fragment-order words, in bounded block chunks, into a fresh buffer
         with headroom; later calls return the same views until a flush,
-        which extends them with its own block column (:meth:`append_token`).
-        Views are ``[:, :, :packed_len]`` slices of the buffer — row-major
-        ``[packed_len, d]`` matrices per head, with the buffer's head
-        stride — and nothing is ever written into rows already handed out.
+        and the first call after flushes dequantizes just the blocks
+        packed since (:func:`~repro.core.residual_kernel.grow_reconstruction`,
+        the paged store's rule too).  Views are ``[:, :, :packed_len]``
+        slices of the buffer — row-major ``[packed_len, d]`` matrices per
+        head, with the buffer's head stride — and nothing is ever written
+        into rows already handed out.
         """
         if self.packed is None:
             empty = np.zeros((self.batch, self.hkv, 0, self.head_dim), np.float32)
             return empty, empty
         nb = self.packed.n_blocks
+        have, bufs = 0, (None, None)
         memo = self._dequant_memo
-        if memo is not None and memo[0] == nb:
-            return memo[1]
-        shape = (self.batch, self.hkv, self.packed_len(), self.head_dim)
-        bufs = (reserve(None, 0, shape), reserve(None, 0, shape))
-        kv = self.packed.dequant_kv(self.config, out=tuple(b[:, :, : shape[2]] for b in bufs))
+        if memo is not None:
+            if memo[0] == nb:
+                return memo[1]
+            have, bufs = memo[0], memo[2]
+        new = self.packed.with_arrays([a[:, :, have:] for a in self.packed.arrays])
+        nr = self.config.residual_block_size
+        shape = (self.batch, self.hkv, nb * nr, self.head_dim)
+        kv, bufs = grow_reconstruction(bufs, have * nr, shape, partial(new.dequant_kv, self.config))
         self._dequant_memo = (nb, kv, bufs)
         return kv
 

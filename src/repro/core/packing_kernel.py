@@ -38,7 +38,13 @@ from repro.gpu.instructions import (
     rescale_accum_ops,
     softmax_ops,
 )
-from repro.gpu.kernel import KernelLaunch, ResourceRates, launch_times_ms
+from repro.gpu.kernel import (
+    KernelLaunch,
+    ResourceRates,
+    _launch_seconds,
+    _path_efficiency,
+    _resource_times,
+)
 from repro.gpu.sm import Occupancy, occupancy
 from repro.gpu.trace import AccessPattern, OpTrace
 from repro.gpu.warp import WarpLayout, combined_hide_factor
@@ -267,8 +273,9 @@ class PackingShape:
         int lengths of one tile class (equal ``ceil(len / tile_n)``).
 
         The class shares its split count, so one :meth:`at_splits` entry
-        prices every length, and :func:`_packing_trace` plus
-        :func:`~repro.gpu.kernel.launch_times_ms` run the float operations
+        prices every length, and :func:`_packing_trace` plus the kernel
+        model's own :func:`~repro.gpu.kernel._resource_times` and
+        :func:`~repro.gpu.kernel._launch_seconds` run the float operations
         of :func:`build_packing_launch` then
         :func:`~repro.gpu.kernel.simulate_kernel` elementwise, in the same
         order: each value equals the scalar path's ``time_ms`` bit for bit.
@@ -277,8 +284,11 @@ class PackingShape:
         n_splits = max(1, min(self.split_target, tiles_per_head))
         trace, _ = _packing_trace(self, packed_lens, n_splits, tiles_per_head, False, 64)
         occ, hide, rates = self.at_splits(n_splits)
+        eff = _path_efficiency(self.arch, self.instruction_path)
         launches = 2 if n_splits > 1 else 1
-        return launch_times_ms(self.arch, trace, rates, occ, hide, self.instruction_path, launches)
+        times = _resource_times(trace, rates)
+        total, _, _ = _launch_seconds(self.arch, trace, occ, times, hide, eff, launches, np.maximum)
+        return total * 1e3
 
 
 def _packing_trace(

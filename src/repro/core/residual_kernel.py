@@ -106,6 +106,18 @@ def reserve(buf: Optional[np.ndarray], used: int, shape: Tuple[int, ...], dtype=
     return grown
 
 
+def grow_reconstruction(bufs, used: int, shape: Tuple[int, ...], fill):
+    """Extend a ``(K, V)`` reconstruction to ``shape``: the one growth rule
+    of both caches' memos.  Each of ``bufs`` (None when cold) goes through
+    :func:`reserve`, ``fill`` writes rows ``used:`` of both (past every row
+    handed out), and the ``[:, :, :shape[2]]`` views come back with the
+    buffers.  Blocks dequantize independently, so a reconstruction grown
+    a few block columns at a time holds a full rebuild's bits."""
+    bufs = tuple(reserve(buf, used, shape) for buf in bufs)
+    fill(tuple(buf[:, :, used : shape[2]] for buf in bufs))
+    return tuple(buf[:, :, : shape[2]] for buf in bufs), bufs
+
+
 def _flat_heads(a: np.ndarray) -> np.ndarray:
     """``a`` (``[batch, hkv, ...]``) as ``[1, batch * hkv, ...]``."""
     return a.reshape(1, -1, *a.shape[2:])

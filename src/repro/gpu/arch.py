@@ -102,6 +102,11 @@ class ArchSpec:
             )
         if self.sm_count <= 0 or self.clock_ghz <= 0:
             raise ValueError("sm_count and clock_ghz must be positive")
+        on_chip = (self.l2_bw_gbs, self.smem_bytes_per_cycle, self.cuda_fp32_tflops)
+        pipes = (self.alu_ops_per_sm_cycle, self.sfu_ops_per_sm_cycle, self.cvt_ops_per_sm_cycle)
+        if min(on_chip + pipes) <= 0:
+            # The kernel model divides by these rates without a zero guard.
+            raise ValueError("on-chip bandwidths and compute-pipe rates must be positive")
         if self.has_native_fp4 and self.tc_fp4_tflops <= 0:
             raise ValueError("native FP4 support requires tc_fp4_tflops > 0")
         if self.nvlink_bw_gbs <= 0 or self.allreduce_latency_us < 0:

@@ -171,25 +171,44 @@ class ResourceRates:
         return peak
 
 
-def _resource_times(trace: OpTrace, rates: ResourceRates) -> Dict[str, float]:
-    """Busy time per hardware resource for one trace at one launch's rates."""
+def _positive(count) -> bool:
+    """Whether a non-negative ``count`` (a float, or an array with one
+    element per launch) is nonzero anywhere; a float costs no numpy call."""
+    return count.any() if isinstance(count, np.ndarray) else count > 0
+
+
+def _resource_times(trace: OpTrace, rates: ResourceRates) -> Dict[str, Any]:
+    """Busy time per hardware resource for one trace at one launch's rates.
+
+    Counts are floats, or arrays with one element per launch (combine
+    those with ``maximum=np.maximum``).  Counts are never negative and
+    every rate but DRAM's is positive (:class:`~repro.gpu.arch.ArchSpec`
+    requires the on-chip and compute rates positive, and they count at
+    least one SM), so a zero count divides to 0.0 with no guard, and each
+    array element equals its launch's scalar call bit for bit.  Only the DRAM rate can be zero (no in-flight warps), and only a
+    precision with work looks up its Tensor-Core peak, which raises where
+    the device has none.
+    """
     gmem = trace.total_gmem_bytes_effective
-    if gmem > 0 and rates.dram <= 0:
+    if rates.dram > 0:
+        dram = gmem / rates.dram
+    elif _positive(gmem):
         raise ValueError("cannot move bytes with zero in-flight warps")
+    else:
+        dram = 0.0
     tc_time = 0.0
     for precision, flops in trace.tc_flops.items():
-        if flops > 0:
+        if _positive(flops):
             tc_time += flops / rates.tensor_core(precision)
-    alu = trace.alu_ops + trace.shfl_ops
     return {
-        "dram": gmem / rates.dram if gmem > 0 else 0.0,
-        "l2": trace.l2_bytes / rates.l2 if trace.l2_bytes > 0 else 0.0,
-        "smem": trace.smem_bytes_effective / rates.smem if trace.smem_bytes_effective > 0 else 0.0,
+        "dram": dram,
+        "l2": trace.l2_bytes / rates.l2,
+        "smem": trace.smem_bytes_effective / rates.smem,
         "tensor_core": tc_time,
-        "fma": trace.fma_flops / rates.fma if trace.fma_flops else 0.0,
-        "alu": alu / rates.alu if alu else 0.0,
-        "cvt": trace.cvt_ops / rates.cvt if trace.cvt_ops else 0.0,
-        "sfu": trace.sfu_ops / rates.sfu if trace.sfu_ops else 0.0,
+        "fma": trace.fma_flops / rates.fma,
+        "alu": (trace.alu_ops + trace.shfl_ops) / rates.alu,
+        "cvt": trace.cvt_ops / rates.cvt,
+        "sfu": trace.sfu_ops / rates.sfu,
     }
 
 
@@ -269,46 +288,6 @@ def simulate_kernel(arch: ArchSpec, launch: KernelLaunch) -> KernelResult:
     )
 
 
-def launch_times_ms(
-    arch: ArchSpec,
-    trace: OpTrace,
-    rates: ResourceRates,
-    occ: Occupancy,
-    hide: float,
-    instruction_path: str,
-    launches: int,
-) -> np.ndarray:
-    """:func:`simulate_kernel`'s ``time_ms`` for a trace whose counts are
-    arrays, one launch per element, all at one occupancy.
-
-    The divisions are :func:`_resource_times`' without its zero guards
-    (counts are never negative and rates are positive, so a zero count
-    divides to the 0.0 a guard returns); the rest is the scalar path's
-    :func:`_launch_seconds`.  So each element equals that launch's scalar
-    ``time_ms`` bit for bit.
-    """
-    path_eff = _path_efficiency(arch, instruction_path)
-    gmem = trace.total_gmem_bytes_effective
-    if rates.dram <= 0 and np.any(gmem > 0):
-        raise ValueError("cannot move bytes with zero in-flight warps")
-    tc_time = 0.0
-    for precision, flops in trace.tc_flops.items():
-        if np.any(flops > 0):
-            tc_time = tc_time + flops / rates.tensor_core(precision)
-    times = {
-        "dram": gmem / rates.dram,
-        "l2": trace.l2_bytes / rates.l2,
-        "smem": trace.smem_bytes_effective / rates.smem,
-        "tensor_core": tc_time,
-        "fma": trace.fma_flops / rates.fma,
-        "alu": (trace.alu_ops + trace.shfl_ops) / rates.alu,
-        "cvt": trace.cvt_ops / rates.cvt,
-        "sfu": trace.sfu_ops / rates.sfu,
-    }
-    total, _, _ = _launch_seconds(arch, trace, occ, times, hide, path_eff, launches, np.maximum)
-    return total * 1e3
-
-
 def remember(memo: Dict[Hashable, float], key: Hashable, value: float) -> float:
     """Store ``value`` under ``key`` and return it; a memo that has reached
     :data:`LATENCY_MEMO_CAP` entries is cleared first."""
@@ -349,9 +328,10 @@ def memoized_latency(method: Callable[..., float]) -> Callable[..., float]:
     pricing asks :meth:`~repro.core.attention.BitDecoding.group_memo` first,
     which answers a repeated ``(batch, seq_len)`` with one int-pair lookup
     and, on a miss, is filled for the length's whole tile class in one
-    array pass without coming here.  A miss here simulates only the launch
-    that reads ``seq_len``: the residual launch, which does not, is
-    memoized apart.
+    array pass without coming here: the same :func:`_resource_times` and
+    :func:`_launch_seconds` over count arrays.  A miss here simulates only
+    the launch that reads ``seq_len``: the residual launch, which does
+    not, is memoized apart.
     """
 
     @functools.wraps(method)

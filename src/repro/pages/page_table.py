@@ -165,13 +165,9 @@ class PageTable:
         return seq_id
 
     def append_token(self, seq_id: int) -> None:
-        """Grow a sequence by one token, allocating a page on boundaries."""
-        seq = self.sequences[seq_id]
-        if seq.needs_page():
-            page = self.allocator.allocate()
-            seq._pages += (page,)
-            self._map((page,))
-        seq.length += 1
+        """Grow a sequence by one token, allocating a page on boundaries
+        (:meth:`extend_sequence` by one, so a released id raises)."""
+        self.extend_sequence(seq_id, 1)
 
     def append_within_pages(self, seq_ids: Sequence[int]) -> List[int]:
         """Grow by one token each of ``seq_ids`` that has room in its last

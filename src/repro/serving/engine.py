@@ -487,7 +487,6 @@ class ContinuousBatchingEngine:
         head.registered_blocks = 0
         self.report.prefix_probe_tokens += head.context_len if self.prefix_cache else 0
         self.report.prefix_hit_tokens += head.cached_tokens
-        self.report.prefix_reclaimed_pages += len(hit_pages)
         if head.admitted_s is None:
             head.admitted_s = self._clock
         if self._runner is not None:
@@ -623,10 +622,8 @@ class ContinuousBatchingEngine:
         self._unmap(lc)
         if heal:
             lc.heals += 1
-            self.report.healed_requests += 1
         else:
             lc.preemptions += 1
-            self.report.preemptions += 1
         if lc.heals > self.config.max_heals:
             self._abort(lc, failed=True)
         else:
@@ -817,19 +814,17 @@ class ContinuousBatchingEngine:
 
         The running set books the tokens and the ``crossed`` decoders that
         took a page in one :meth:`RunningSet.advance
-        <repro.serving.request.RunningSet.advance>` call, and the report
-        adds the step's tokens once.  The pass over the decoders then only
-        stamps times and appends the TTFT, TBT and latency samples in
-        decode order; it calls out only for a decoder that finishes.
+        <repro.serving.request.RunningSet.advance>` call.  The pass over
+        the decoders then only stamps times and appends the TBT samples in
+        decode order (the lifecycle's stamps are the TTFT and latency
+        samples ``finish()`` folds); it calls out only for a decoder that
+        finishes.
         """
-        report, clock = self.report, self._clock
+        clock, tbt = self._clock, self.report.tbt_samples
         self.running.advance(decoders, crossed)
-        report.total_generated_tokens += len(decoders)
-        ttft, tbt = report.ttft_samples, report.tbt_samples
         for lc in decoders:
             if lc.first_token_s is None:
                 lc.first_token_s = clock
-                ttft.append(clock - lc.request.arrival_s)
             else:
                 tbt.append(clock - lc.last_token_s)
             lc.last_token_s = clock
@@ -840,7 +835,6 @@ class ContinuousBatchingEngine:
                 self.table.release_sequence(lc.seq_id)
                 lc.seq_id = None
                 lc.finish_s = clock
-                report.latency_samples.append(clock - lc.request.arrival_s)
 
     @staticmethod
     def _decode_group_shapes(
@@ -1036,8 +1030,9 @@ class ContinuousBatchingEngine:
 
     def finish(self) -> ServingReport:
         """Final audit, then the report's one read-out (after ``run`` or
-        ``advance_until`` drove the trace): the clock, the lifecycle folds,
-        and the totals the allocator, tier store, runner and auditor keep
+        ``advance_until`` drove the trace): the clock, the lifecycle folds
+        (every per-request count and the TTFT / latency samples), and the
+        totals the allocator, tier store, runner and auditor keep
         themselves, before :meth:`ServingReport.finalize` derives the rest."""
         report, lifecycles = self.report, self.lifecycles
         if self.auditor is not None:
@@ -1049,6 +1044,17 @@ class ContinuousBatchingEngine:
             auditor.check_running(" at finish")
         report.sim_time_s = self._clock
         report.n_requests = len(lifecycles)
+        report.preemptions = sum(lc.preemptions for lc in lifecycles)
+        report.healed_requests = sum(lc.heals for lc in lifecycles)
+        report.total_generated_tokens = sum(lc.generated for lc in lifecycles)
+        report.ttft_samples = [
+            lc.first_token_s - lc.request.arrival_s
+            for lc in lifecycles
+            if lc.first_token_s is not None
+        ]
+        report.latency_samples = [
+            lc.finish_s - lc.request.arrival_s for lc in lifecycles if lc.finished
+        ]
         report.rejected = sum(lc.rejected for lc in lifecycles)
         report.shed = sum(lc.shed for lc in lifecycles)
         report.timed_out = sum(lc.timed_out for lc in lifecycles)

@@ -4,9 +4,12 @@ The report carries exactly the quantities the paper's serving argument is
 about — sustained tokens/s, request-latency percentiles, and the peak
 resident batch the page pool supported — plus the scheduler counters
 (preemptions, rejections, step counts) the tests assert on.  The engine
-holds one from construction and counts into it at the event; rates and
-percentiles are derived from those counts and the raw samples in exactly
-one place, :meth:`ServingReport.finalize`.
+holds one from construction and counts into it at the event only what no
+request's lifecycle keeps (steps, tier and fault totals, TBT samples);
+per-request counts and the TTFT / latency samples are folded from the
+lifecycles once, at ``finish()``.  Rates and percentiles are derived from
+those counts and the raw samples in exactly one place,
+:meth:`ServingReport.finalize`.
 
 A cluster run is the *same record merged over replicas*
 (:meth:`ServingReport.merged`).  Each field declares its merge rule
@@ -100,8 +103,9 @@ class ServingReport:
     #: Prompt tokens probed against the cache (every admission's context).
     prefix_probe_tokens: int = 0
     #: Pages resurrected or shared instead of freshly prefilled (cumulative
-    #: count of hit pages across admissions — the "reclaimed" metric).
-    prefix_reclaimed_pages: int = 0
+    #: count of hit pages across admissions — the "reclaimed" metric): the
+    #: hit tokens in whole pages.
+    prefix_reclaimed_pages: int = _merged(_DERIVED, 0)
     #: Cached refcount-0 pages the allocator evicted (LRU) under pressure.
     prefix_evictions: int = 0
     #: Peak pages saved by sharing at any instant: sum over resident pages
@@ -191,6 +195,7 @@ class ServingReport:
         self.p99_tbt_s = _percentile(self.tbt_samples, 99.0)
         self.max_tbt_s = max(self.tbt_samples, default=None)
         self.effective_capacity_pages = self.n_pages + self.shared_pages_peak
+        self.prefix_reclaimed_pages = self.prefix_hit_tokens // self.page_size
         return self
 
     @classmethod

@@ -2,7 +2,8 @@
 
 ``BitKVCache`` keeps its packed tensors and its FP32 reconstruction in
 buffers with headroom on the block axis (``residual_kernel.reserve``): a
-flush writes just its new block column into each.  The lock-step oracle
+flush writes just its new block column of packed tensors, and the next
+read dequantizes just that column into the reconstruction.  The lock-step oracle
 drives it beside :class:`tests.reference_cache.ConcatenatingCache`, which
 grows both by ``np.concatenate``, through prefill and flushes that both
 write into headroom and outgrow it, and after every flush asserts that
@@ -13,9 +14,10 @@ write into headroom and outgrow it, and after every flush asserts that
 - a memo hit returns the very same arrays, and no view handed out
   earlier has changed.
 
-The ``tracemalloc`` tests pin what the buffers are for: a flush allocates
-O(``N_r``) whatever the context, and the first dequant holds no more than
-its reconstruction buffers plus one chunk's temporaries.
+The ``tracemalloc`` tests pin what the buffers are for: a flush and the
+read after it allocate O(``N_r``) whatever the context, and the first
+dequant holds no more than its reconstruction buffers plus one chunk's
+temporaries.
 """
 
 import tracemalloc
@@ -160,7 +162,8 @@ def _peak(fn) -> int:
 
 def _flush_peak(context: int) -> int:
     """tracemalloc peak of the one flushing ``append_token`` that follows
-    a warm reconstruction at ``context`` tokens."""
+    a warm reconstruction at ``context`` tokens, plus the ``dequant_kv``
+    after it, which extends the reconstruction by the flushed column."""
     rng = np.random.default_rng(context)
     cache = _cache(context, rng)
     cache.dequant_kv()
@@ -168,16 +171,23 @@ def _flush_peak(context: int) -> int:
     for _ in range(_NR - 1):
         assert not cache.append_token(*(rng.standard_normal(row).astype(np.float16),) * 2)
     last = rng.standard_normal(row).astype(np.float16)
-    flushed = []
-    peak = _peak(lambda: flushed.append(cache.append_token(last, last)))
+    flushed, kv = [], []
+
+    def flush_then_read():
+        flushed.append(cache.append_token(last, last))
+        kv.extend(cache.dequant_kv())
+
+    peak = _peak(flush_then_read)
     assert flushed == [True]
+    assert all(view.shape[2] == context + _NR for view in kv)
     return peak
 
 
 def test_flush_allocates_o_nr_not_o_context():
-    """A flush at 16K context allocates what one at 4K does, to within one
-    block column's reconstruction: the 12K tokens between them (12 MiB of
-    reconstruction) are never copied."""
+    """A flush at 16K context and the read after it allocate what they do
+    at 4K, to within one block column's reconstruction: the 12K tokens
+    between them (12 MiB of reconstruction) are never copied or
+    dequantized again."""
     at_4k, at_16k = _flush_peak(4096), _flush_peak(16384)
     assert abs(at_16k - at_4k) <= _COLUMN_BYTES
     assert at_16k <= _COLUMN_BYTES + _FLUSH_SLACK

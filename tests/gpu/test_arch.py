@@ -1,5 +1,7 @@
 """Architecture-spec invariants."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu.arch import GENERATIONS, GPU_REGISTRY, ArchSpec, get_arch
@@ -94,6 +96,15 @@ class TestValidation:
                 alu_ops_per_sm_cycle=64, sfu_ops_per_sm_cycle=16,
                 cvt_ops_per_sm_cycle=16,
             )
+
+    @pytest.mark.parametrize(
+        "rate",
+        ["l2_bw_gbs", "smem_bytes_per_cycle", "cuda_fp32_tflops",
+         "alu_ops_per_sm_cycle", "sfu_ops_per_sm_cycle", "cvt_ops_per_sm_cycle"],
+    )
+    def test_zero_on_chip_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="must be positive"):
+            dataclasses.replace(get_arch("a100"), **{rate: 0})
 
     def test_native_fp4_requires_fp4_throughput(self):
         with pytest.raises(ValueError, match="FP4"):

@@ -1,8 +1,10 @@
 """Kernel time-model invariants."""
 
+import numpy as np
 import pytest
 
-from repro.gpu.kernel import KernelLaunch, simulate_kernel
+from repro.gpu.kernel import KernelLaunch, ResourceRates, _resource_times, simulate_kernel
+from repro.gpu.sm import Occupancy
 from repro.gpu.trace import OpTrace
 
 
@@ -148,3 +150,67 @@ class TestComposition:
     def test_time_unit_conversions(self, a100):
         res = simulate_kernel(a100, _mem_launch(1e9))
         assert res.time_ms == pytest.approx(res.time_s * 1e3)
+
+
+class TestArrayCounts:
+    """``_resource_times`` over a trace whose counts are arrays (one
+    launch per element, as ``PackingShape.class_times_ms`` prices a tile
+    class) equals the scalar call on each element's trace, key by key and
+    bit for bit: zero counts included, and a precision the device lacks
+    costs nothing while it has no work."""
+
+    FIELDS = (
+        "gmem_read_bytes_effective", "gmem_write_bytes_effective", "l2_bytes",
+        "smem_bytes_effective", "fma_flops", "alu_ops", "shfl_ops", "cvt_ops", "sfu_ops",
+    )
+
+    @staticmethod
+    def _bits(values) -> np.ndarray:
+        return np.asarray(values, np.float64).view(np.uint64)
+
+    def _pair(self, n: int, zero_gmem: bool = False):
+        rng = np.random.default_rng(n)
+        counts = {name: rng.uniform(0.0, 1e9, n) for name in self.FIELDS}
+        for column in counts.values():
+            column[::3] = 0.0
+        if zero_gmem:
+            counts["gmem_read_bytes_effective"][:] = counts["gmem_write_bytes_effective"][:] = 0.0
+        # A100 has no FP8 tensor cores: an all-zero FP8 count must not ask.
+        tc = {"fp16": rng.uniform(0.0, 1e12, n), "fp8": np.zeros(n)}
+        tc["fp16"][1] = 0.0
+        array = OpTrace(**counts, tc_flops=tc)
+        scalars = [
+            OpTrace(
+                **{name: float(column[i]) for name, column in counts.items()},
+                tc_flops={p: float(column[i]) for p, column in tc.items()},
+            )
+            for i in range(n)
+        ]
+        return array, scalars
+
+    @pytest.mark.parametrize("warps", [4096, 7])
+    def test_each_element_equals_its_scalar_call(self, a100, warps):
+        occ = Occupancy(1, a100.sm_count, warps, 1, a100.sm_count)
+        rates = ResourceRates(a100, occ)
+        array, scalars = self._pair(9)
+        times = _resource_times(array, rates)
+        per_launch = [_resource_times(trace, rates) for trace in scalars]
+        assert list(times) == list(per_launch[0])
+        for key, column in times.items():
+            expected = [t[key] for t in per_launch]
+            assert np.array_equal(self._bits(np.broadcast_to(column, 9)), self._bits(expected)), key
+        assert all(t["dram"] == 0.0 for t in per_launch[::3])
+
+    def test_zero_warps_raise_only_with_bytes_to_move(self, a100):
+        rates = ResourceRates(a100, Occupancy(1, a100.sm_count, 0, 1, a100.sm_count))
+        array, scalars = self._pair(6)
+        with pytest.raises(ValueError, match="zero in-flight warps"):
+            _resource_times(array, rates)
+        with pytest.raises(ValueError, match="zero in-flight warps"):
+            _resource_times(scalars[1], rates)
+        idle, idle_scalars = self._pair(6, zero_gmem=True)
+        times = _resource_times(idle, rates)
+        assert times["dram"] == 0.0
+        for key, column in times.items():
+            expected = [_resource_times(trace, rates)[key] for trace in idle_scalars]
+            assert np.array_equal(self._bits(np.broadcast_to(column, 6)), self._bits(expected)), key

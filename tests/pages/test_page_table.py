@@ -90,6 +90,16 @@ class TestPageTable:
         with pytest.raises(ValueError):
             table.extend_sequence(sid, 4)
 
+    def test_append_to_released_sequence_raises_and_maps_nothing(self):
+        alloc = PageAllocator(8)
+        table = PageTable(alloc, page_size=4)
+        sid = table.add_sequence(initial_length=4)
+        table.release_sequence(sid)
+        with pytest.raises(ValueError, match="not live"):
+            table.append_token(sid)
+        assert alloc.used_pages == 0
+        assert table.sequences[sid].pages == () and table.sequences[sid].length == 0
+
     def test_extend_negative_raises(self):
         table = PageTable(PageAllocator(8), page_size=4)
         sid = table.add_sequence(initial_length=4)

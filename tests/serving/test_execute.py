@@ -98,7 +98,9 @@ class TestOneForwardPerPrefill:
 
     @pytest.fixture
     def forwards(self, monkeypatch):
-        """Forwards per ``ModelRunner.prefill`` call, plus each call's decode tail."""
+        """Forwards per ``ModelRunner.prefill`` call, plus the decode tail of
+        each chunk a forward carries (``prefill_chunk``'s own, or each of
+        ``decode_step``'s ``chunks``)."""
         calls, tails, inside = [], [], []
 
         def counted(name):
@@ -109,6 +111,8 @@ class TestOneForwardPerPrefill:
                     inside[-1] += 1
                 if name == "prefill_chunk":
                     tails.append(kwargs.get("decode_tail", 0))
+                else:
+                    tails.extend(chunk.decode_tail for chunk in kwargs.get("chunks", ()))
                 return original(self, *args, **kwargs)
 
             monkeypatch.setattr(TinyTransformer, name, wrapper)
